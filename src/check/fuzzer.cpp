@@ -18,6 +18,7 @@
 #include "lab/store.hpp"
 #include "ladder/ladder.hpp"
 #include "trace/pipeline.hpp"
+#include "trace/probe.hpp"
 #include "trace/synth.hpp"
 #include "trace/trace_io.hpp"
 #include "uarch/cache.hpp"
@@ -39,7 +40,7 @@ allTargets()
     static const std::vector<Target> kAll = {
         Target::Core,  Target::Cache,    Target::Bpred,  Target::Kernels,
         Target::Store, Target::Parallel, Target::Energy, Target::TraceFile,
-        Target::Ladder};
+        Target::Ladder, Target::Probe};
     return kAll;
 }
 
@@ -56,6 +57,7 @@ targetName(Target target)
       case Target::Energy: return "energy";
       case Target::TraceFile: return "tracefile";
       case Target::Ladder: return "ladder";
+      case Target::Probe: return "probe";
     }
     return "?";
 }
@@ -1452,6 +1454,281 @@ Fuzzer::runLadderCase(uint64_t seed, Divergence &out)
 }
 
 // ---------------------------------------------------------------------
+// Probe target
+
+namespace
+{
+
+/** One emission call of a probe-target case. */
+struct ProbeCall {
+    enum Kind : uint8_t { Kernel, Ops, Mem, MemRun, Decision, Loop };
+    Kind kind = Ops;
+    trace::OpClass cls = trace::OpClass::Alu;
+    uint64_t n = 0;      ///< Op count, run length, iterations or body length.
+    uint64_t value = 0;  ///< Site PC or data address.
+    int stride = 0;
+    uint8_t dep1 = 0;
+    uint8_t dep2 = 0;
+    bool taken = false;
+};
+
+/**
+ * A config whose sampling boundaries come every few dozen ops: op
+ * tracing on or off, sampled, empty or streaming windows, a small or no
+ * op cap, and branch recording with a warmup and a cap.
+ */
+trace::ProbeConfig
+randomProbeConfig(SplitMix64 &rng)
+{
+    trace::ProbeConfig cfg;
+    cfg.collectOps = !rng.chance(1, 6);
+    cfg.opInterval = rng.range(1, 64);
+    switch (rng.below(5)) {
+      case 0: cfg.opWindow = cfg.opInterval + rng.below(3); break;
+      case 1: cfg.opWindow = 0; break;
+      default: cfg.opWindow = rng.range(1, cfg.opInterval); break;
+    }
+    cfg.maxOps = rng.chance(1, 3) ? std::numeric_limits<size_t>::max()
+                                  : rng.below(400);
+    cfg.collectBranches = rng.chance(1, 2);
+    cfg.maxBranches = rng.chance(1, 2) ? std::numeric_limits<size_t>::max()
+                                       : rng.below(200);
+    cfg.branchWarmupOps = rng.chance(1, 2) ? 0 : rng.below(2000);
+    return cfg;
+}
+
+/** Calls whose op counts run from 0 to several intervals, so they
+ *  straddle window ends and interval wraps. */
+std::vector<ProbeCall>
+randomProbeCalls(SplitMix64 &rng, uint64_t interval, size_t count)
+{
+    std::vector<ProbeCall> calls(count);
+    for (ProbeCall &c : calls) {
+        c.kind = static_cast<ProbeCall::Kind>(rng.below(6));
+        c.cls = static_cast<trace::OpClass>(rng.below(trace::kNumOpClasses));
+        c.n = rng.chance(1, 3) ? rng.below(4 * interval + 2) : rng.below(4);
+        c.value = 0x400000 + rng.below(16) * 1024 + rng.below(4) * 4;
+        c.stride = static_cast<int>(rng.range(0, 64)) - 8;
+        c.dep1 = static_cast<uint8_t>(rng.below(4));
+        c.dep2 = static_cast<uint8_t>(rng.below(4));
+        c.taken = rng.chance(1, 2);
+        if (c.kind == ProbeCall::Kernel) {
+            c.n = rng.below(40);  // body length; 0 clamps to 1
+        }
+    }
+    return calls;
+}
+
+template <typename P>
+void
+applyProbeCall(P &p, const ProbeCall &c)
+{
+    switch (c.kind) {
+      case ProbeCall::Kernel:
+        p.enterKernel(c.value, static_cast<int>(c.n));
+        break;
+      case ProbeCall::Ops: p.ops(c.cls, c.n, c.dep1, c.dep2); break;
+      case ProbeCall::Mem: p.mem(c.cls, c.value, c.dep1); break;
+      case ProbeCall::MemRun:
+        p.memRun(c.cls, c.value, static_cast<int>(c.n), c.stride, c.dep1);
+        break;
+      case ProbeCall::Decision: p.decision(c.value, c.taken); break;
+      case ProbeCall::Loop: p.loopBranches(c.n); break;
+    }
+}
+
+std::string
+describeProbeCall(const ProbeCall &c)
+{
+    static const char *const kNames[] = {"enterKernel", "ops",      "mem",
+                                         "memRun",      "decision", "loopBranches"};
+    return std::string(kNames[c.kind]) + "(n=" + std::to_string(c.n) + ")";
+}
+
+/** Every counter the probe reports, as (name, value). */
+template <typename P>
+std::vector<std::pair<std::string, uint64_t>>
+probeCounters(const P &p)
+{
+    std::vector<std::pair<std::string, uint64_t>> out = {
+        {"totalOps", p.totalOps()},
+        {"recordedOps", p.recordedOps()},
+        {"droppedOps", p.droppedOps()},
+        {"recordedBranches", p.recordedBranches()},
+        {"droppedBranches", p.droppedBranches()},
+        {"branchTraceOpSpan", p.branchTraceOpSpan()},
+    };
+    for (int i = 0; i < trace::kNumOpClasses; ++i) {
+        out.emplace_back(std::string("mix.") +
+                             std::string(trace::opClassName(
+                                 static_cast<trace::OpClass>(i))),
+                         p.mix().byClass[static_cast<size_t>(i)]);
+    }
+    return out;
+}
+
+/** Keeps every delivered block, events included. A probe delivers its
+ *  whole stream through onBlock. */
+class BlockLog final : public trace::TraceSink
+{
+  public:
+    void onOp(const TraceOp &op) override { (void)op; }
+    void
+    onBlock(trace::TraceBlock &&block) override
+    {
+        blocks.push_back(std::move(block));
+    }
+
+    std::vector<trace::TraceBlock> blocks;
+};
+
+bool
+sameOp(const TraceOp &a, const TraceOp &b)
+{
+    return a.pc == b.pc && a.addr == b.addr && a.cls == b.cls &&
+           a.taken == b.taken && a.dep1 == b.dep1 && a.dep2 == b.dep2 &&
+           a.foreign == b.foreign;
+}
+
+/** First difference between two delivered block streams; empty = same. */
+std::string
+diffBlockStreams(const BlockLog &ref, const BlockLog &fast)
+{
+    if (ref.blocks.size() != fast.blocks.size()) {
+        return "block count ref=" + std::to_string(ref.blocks.size()) +
+               " fast=" + std::to_string(fast.blocks.size());
+    }
+    for (size_t b = 0; b < ref.blocks.size(); ++b) {
+        const trace::TraceBlock &r = ref.blocks[b];
+        const trace::TraceBlock &f = fast.blocks[b];
+        const std::string at = "block " + std::to_string(b) + ": ";
+        if (r.ops.size() != f.ops.size() ||
+            r.events.size() != f.events.size()) {
+            return at + "ops/events ref=" + std::to_string(r.ops.size()) +
+                   "/" + std::to_string(r.events.size()) + " fast=" +
+                   std::to_string(f.ops.size()) + "/" +
+                   std::to_string(f.events.size());
+        }
+        for (size_t i = 0; i < r.ops.size(); ++i) {
+            if (!sameOp(r.ops[i], f.ops[i])) {
+                std::ostringstream d;
+                d << at << "op " << i << " ref pc 0x" << std::hex
+                  << r.ops[i].pc << " addr 0x" << r.ops[i].addr
+                  << ", fast pc 0x" << f.ops[i].pc << " addr 0x"
+                  << f.ops[i].addr;
+                return d.str();
+            }
+        }
+        for (size_t i = 0; i < r.events.size(); ++i) {
+            const auto &re = r.events[i];
+            const auto &fe = f.events[i];
+            if (re.pos != fe.pos || re.kind != fe.kind ||
+                re.taken != fe.taken || re.value != fe.value) {
+                return at + "event " + std::to_string(i) + " differs (pos " +
+                       std::to_string(re.pos) + " vs " +
+                       std::to_string(fe.pos) + ")";
+            }
+        }
+    }
+    return {};
+}
+
+/**
+ * Run @p calls through trace::Probe and RefProbe side by side: counters
+ * after every call, then the delivered block streams. Returns the first
+ * difference, or an empty string when the two agree throughout.
+ */
+std::string
+diffProbeRun(const trace::ProbeConfig &cfg,
+             const std::vector<ProbeCall> &calls, bool quiet_fault)
+{
+    BlockLog fast_log, ref_log;
+    trace::Probe fast(cfg);
+    fast.setSink(&fast_log);
+    fast.injectQuietFault(quiet_fault);
+    RefProbe ref(cfg, ref_log);
+    for (size_t i = 0; i < calls.size(); ++i) {
+        applyProbeCall(fast, calls[i]);
+        applyProbeCall(ref, calls[i]);
+        const auto rc = probeCounters(ref);
+        const auto fc = probeCounters(fast);
+        for (size_t k = 0; k < rc.size(); ++k) {
+            if (rc[k].second != fc[k].second) {
+                return "after call " + std::to_string(i) + " " +
+                       describeProbeCall(calls[i]) + " at op " +
+                       std::to_string(ref.totalOps()) + ": " + rc[k].first +
+                       " ref=" + std::to_string(rc[k].second) +
+                       " fast=" + std::to_string(fc[k].second);
+            }
+        }
+    }
+    fast.flushToSink();
+    ref.flushToSink();
+    return diffBlockStreams(ref_log, fast_log);
+}
+
+std::string
+describeProbeConfig(const trace::ProbeConfig &cfg)
+{
+    auto num = [](uint64_t v) {
+        return v == std::numeric_limits<uint64_t>::max() ? std::string("inf")
+                                                         : std::to_string(v);
+    };
+    return std::string("ops=") + (cfg.collectOps ? "on" : "off") +
+           " window=" + num(cfg.opWindow) + " interval=" +
+           num(cfg.opInterval) + " maxOps=" + num(cfg.maxOps) +
+           " branches=" + (cfg.collectBranches ? "on" : "off") +
+           " maxBranches=" + num(cfg.maxBranches) +
+           " warmup=" + num(cfg.branchWarmupOps);
+}
+
+} // namespace
+
+/**
+ * The probe differential: trace::Probe's header-inline quiet-region
+ * fast path against RefProbe, the per-call accounting it replaced. One
+ * seeded case draws a config with sampling boundaries every few dozen
+ * ops and a call sequence (ddmin-shrunk on failure) whose op counts run
+ * from 0 to several intervals. The injected probe-quiet fault lets the
+ * region past the window run through the interval wrap; the next
+ * window's records go missing and the counters must diverge.
+ */
+bool
+Fuzzer::runProbeCase(uint64_t seed, Divergence &out)
+{
+    SplitMix64 rng(seed);
+    const trace::ProbeConfig cfg = randomProbeConfig(rng);
+    const size_t count = options_.quick ? rng.range(200, 2'000)
+                                        : rng.range(200, 12'000);
+    const std::vector<ProbeCall> calls =
+        randomProbeCalls(rng, cfg.opInterval, count);
+    const bool fault = options_.inject == Fault::ProbeQuiet;
+
+    std::string detail = diffProbeRun(cfg, calls, fault);
+    if (detail.empty()) {
+        return false;
+    }
+    out.target = Target::Probe;
+    out.seed = seed;
+    out.repro = reproCommand(Target::Probe, seed, options_.inject,
+                             options_.quick);
+    out.shrunkOps = calls.size();
+    if (options_.shrink) {
+        auto still_fails = [&](const std::vector<ProbeCall> &c) {
+            return !diffProbeRun(cfg, c, fault).empty();
+        };
+        const std::vector<ProbeCall> small =
+            ddminShrink(calls, still_fails, 200);
+        out.shrunkOps = small.size();
+        detail = diffProbeRun(cfg, small, fault);
+    }
+    out.detail = "probe divergence (" + describeProbeConfig(cfg) + "; " +
+                 std::to_string(calls.size()) + " calls, shrunk to " +
+                 std::to_string(out.shrunkOps) + "): " + detail;
+    return true;
+}
+
+// ---------------------------------------------------------------------
 // Energy target
 
 namespace
@@ -1561,6 +1838,7 @@ Fuzzer::runCase(Target target, uint64_t seed, Divergence &out)
       case Target::Energy: return runEnergyCase(seed, out);
       case Target::TraceFile: return runTraceFileCase(seed, out);
       case Target::Ladder: return runLadderCase(seed, out);
+      case Target::Probe: return runProbeCase(seed, out);
     }
     return false;
 }
@@ -1586,6 +1864,9 @@ Fuzzer::itersFor(Target target) const
       case Target::TraceFile: return options_.quick ? 6 : 30;
       // Hull arithmetic plus two small-plane scaler round trips: cheap.
       case Target::Ladder: return options_.quick ? 40 : 300;
+      // Up to a few thousand probe calls per case (12k in full mode),
+      // counters diffed per call: 2-10 ms a case.
+      case Target::Probe: return options_.quick ? 200 : 1000;
     }
     return 1;
 }

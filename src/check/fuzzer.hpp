@@ -43,6 +43,7 @@ enum class Target {
     Energy,
     TraceFile,
     Ladder,
+    Probe,
 };
 
 /** All targets, in the order `--target=all` runs them. */
@@ -138,6 +139,7 @@ class Fuzzer
     bool runEnergyCase(uint64_t seed, Divergence &out);
     bool runTraceFileCase(uint64_t seed, Divergence &out);
     bool runLadderCase(uint64_t seed, Divergence &out);
+    bool runProbeCase(uint64_t seed, Divergence &out);
 
     FuzzOptions options_;
 };

@@ -20,6 +20,7 @@ faultName(Fault fault)
       case Fault::BackendEnergy: return "backend-energy";
       case Fault::TraceFileDelta: return "tracefile-delta";
       case Fault::LadderHull: return "ladder-hull";
+      case Fault::ProbeQuiet: return "probe-quiet";
     }
     return "?";
 }
@@ -30,7 +31,8 @@ parseFault(const std::string &name, Fault &out)
     for (Fault f : {Fault::None, Fault::CacheLru, Fault::CoreLatency,
                     Fault::BpredAlloc, Fault::KernelsSad, Fault::StoreBit,
                     Fault::ParallelDrop, Fault::BackendEnergy,
-                    Fault::TraceFileDelta, Fault::LadderHull}) {
+                    Fault::TraceFileDelta, Fault::LadderHull,
+                    Fault::ProbeQuiet}) {
         if (name == faultName(f)) {
             out = f;
             return true;

@@ -29,6 +29,7 @@
 #include "backend/profile.hpp"
 #include "bpred/predictor.hpp"
 #include "bpred/tage.hpp"
+#include "trace/probe.hpp"
 #include "trace/sink.hpp"
 #include "uarch/cache.hpp"
 #include "uarch/core.hpp"
@@ -54,6 +55,9 @@ enum class Fault {
     LadderHull,     ///< Hull oracle tests the chord with a strict cross
                     ///< (< 0 instead of <= 0), so collinear rungs that
                     ///< the real ladder drops stay on the oracle's hull.
+    ProbeQuiet,     ///< trace::Probe's quiet regions past the sampling
+                    ///< window ignore the interval wrap, so later
+                    ///< windows go unrecorded.
 };
 
 /** CLI name of a fault ("cache-lru", ...; "none" for Fault::None). */
@@ -266,6 +270,68 @@ double refFixedEnergyJoules(const backend::MachineProfile &p,
  */
 std::vector<size_t> refConvexHull(const std::vector<video::RdPoint> &pts,
                                   Fault fault = Fault::None);
+
+/**
+ * Per-call reference probe (refprobe.cpp): trace::Probe's emission API
+ * with the accounting every call did before the quiet-region fast path
+ * (interval position, window, cap and drops worked out per call) and the
+ * probe's recording into TraceBlocks, delivered to @p sink. Always
+ * streams, so kernel entries stage deferred kernel events.
+ */
+class RefProbe
+{
+  public:
+    RefProbe(const trace::ProbeConfig &config, trace::TraceSink &sink);
+
+    void enterKernel(uint64_t site, int body_len);
+    void ops(trace::OpClass cls, uint64_t n, uint8_t dep1, uint8_t dep2);
+    void mem(trace::OpClass cls, uint64_t addr, uint8_t dep1);
+    void memRun(trace::OpClass cls, uint64_t addr, int n, int stride,
+                uint8_t dep1);
+    void decision(uint64_t site, bool taken);
+    void loopBranches(uint64_t iterations);
+    void flushToSink() { flushBlock(); }
+
+    const trace::MixCounters &mix() const { return mix_; }
+    uint64_t totalOps() const { return op_seq_; }
+    uint64_t recordedOps() const { return ops_recorded_; }
+    uint64_t recordedBranches() const { return branches_recorded_; }
+    uint64_t droppedOps() const { return dropped_ops_; }
+    uint64_t droppedBranches() const { return dropped_branches_; }
+    uint64_t branchTraceOpSpan() const
+    {
+        return branch_last_op_ > branch_first_op_
+                   ? branch_last_op_ - branch_first_op_
+                   : 0;
+    }
+
+  private:
+    uint64_t advance(uint64_t n);
+    uint64_t nextPc();
+    void flushBlock();
+    void stagePendingKernel();
+    void pushOp(const trace::TraceOp &op);
+    void emitOps(const trace::TraceOp *ops, size_t n);
+    void emitBranch(uint64_t pc, bool taken);
+
+    trace::ProbeConfig config_;
+    trace::TraceSink &sink_;
+    trace::MixCounters mix_{};
+    uint64_t op_seq_ = 0;
+    uint64_t interval_pos_ = 0;
+    uint64_t site_base_ = trace::sitePc("vepro.default");
+    int site_body_len_ = 32;
+    uint32_t site_pos_ = 0;
+    uint64_t branch_first_op_ = 0;
+    uint64_t branch_last_op_ = 0;
+    uint64_t pending_site_ = 0;
+    bool pending_site_valid_ = false;
+    trace::TraceBlock stage_;
+    uint64_t ops_recorded_ = 0;
+    uint64_t branches_recorded_ = 0;
+    uint64_t dropped_ops_ = 0;
+    uint64_t dropped_branches_ = 0;
+};
 
 /** Naive per-pixel box downscale: clipped box sum, (sum + cnt/2)/cnt.
  *  No kernel table, no interior/edge split — the obviously-correct

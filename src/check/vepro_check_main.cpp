@@ -3,7 +3,7 @@
  * `vepro-check` — differential fuzz driver for the optimized simulator:
  *
  *   vepro-check [--target=core|cache|bpred|kernels|store|parallel|energy|
- *                         tracefile|ladder|all]
+ *                         tracefile|ladder|probe|all]
  *               [--iters=N] [--seed=N] [--quick] [--no-shrink]
  *               [--corpus=DIR] [--case=FILE] [--inject=FAULT]
  *               [--repro-out=FILE]
@@ -42,13 +42,13 @@ usage(const std::string &error)
         stderr,
         "usage: vepro-check "
         "[--target=core|cache|bpred|kernels|store|parallel|energy|"
-        "tracefile|ladder|all]\n"
+        "tracefile|ladder|probe|all]\n"
         "                   [--iters=N] [--seed=N] [--quick] [--no-shrink]\n"
         "                   [--corpus=DIR] [--case=FILE] [--inject=FAULT]\n"
         "                   [--repro-out=FILE]\n"
         "faults: none cache-lru core-latency bpred-alloc kernels-sad "
         "store-bit parallel-drop backend-energy tracefile-delta "
-        "ladder-hull\n");
+        "ladder-hull probe-quiet\n");
     std::exit(2);
 }
 

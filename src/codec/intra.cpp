@@ -131,8 +131,10 @@ predictDirectional(const IntraNeighbors &nb, int w, int h, double angle_deg,
                    PelViewMut &dst)
 {
     // Unified reference line: left column reversed, then top-left, then
-    // the top row — the classic HEVC layout.
-    uint8_t ref[4 * kMaxIntraSize + 1];
+    // the top row — the classic HEVC layout. Steep projections run past
+    // the 2h left / 2w top samples written below; they read zeros, so
+    // the prediction never depends on stack contents.
+    uint8_t ref[4 * kMaxIntraSize + 1]{};
     for (int i = 0; i < 2 * h; ++i) {
         ref[2 * kMaxIntraSize - 1 - i] = nb.left[i];
     }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <limits>
+#include <vector>
 
 #include "codec/sad.hpp"
 #include "trace/probe.hpp"
@@ -32,12 +33,49 @@ clampMv(MotionVector mv, int bx, int by, int w, int h, int ref_w, int ref_h)
 namespace
 {
 
-/** 4-tap (-1,5,5,-1)/8 interpolation with clamped sampling. */
-inline uint8_t
+/** 4-tap (-1,5,5,-1)/8 interpolation, rounded and clamped to a pel. */
+inline int
 tap4(int a, int b, int c, int d)
 {
     int v = (-a + 5 * b + 5 * c - d + 4) >> 3;
-    return static_cast<uint8_t>(std::clamp(v, 0, 255));
+    return std::clamp(v, 0, 255);
+}
+
+/**
+ * Sharp (4-tap) half-pel interpolation of a w x h block whose full-pel
+ * origin is @p src (stride @p stride), reading rows -1..h+1 and columns
+ * -1..w+1 around it. The 4-tap runs along direction @p d (1: horizontal,
+ * stride: vertical); kAvg averages it with the same tap on the next row
+ * down, the both-phases case.
+ */
+template <bool kAvg>
+void
+sharpSubpel(const uint8_t *src, ptrdiff_t stride, ptrdiff_t d, int w, int h,
+            PelViewMut &dst)
+{
+    for (int y = 0; y < h; ++y) {
+        const uint8_t *p = src + y * stride;
+        const uint8_t *q = p + stride;
+        uint8_t *out = dst.row(y);
+        for (int x = 0; x < w; ++x) {
+            int v = tap4(p[x - d], p[x], p[x + d], p[x + 2 * d]);
+            if constexpr (kAvg) {
+                v = (v + tap4(q[x - d], q[x], q[x + d], q[x + 2 * d]) + 1) >> 1;
+            }
+            out[x] = static_cast<uint8_t>(v);
+        }
+    }
+}
+
+void
+sharpSubpel(const uint8_t *src, ptrdiff_t stride, int w, int h, bool half_x,
+            bool half_y, PelViewMut &dst)
+{
+    if (half_x && half_y) {
+        sharpSubpel<true>(src, stride, 1, w, h, dst);
+    } else {
+        sharpSubpel<false>(src, stride, half_x ? 1 : stride, w, h, dst);
+    }
 }
 
 } // namespace
@@ -60,32 +98,26 @@ motionCompensate(const PelView &ref, int ref_w, int ref_h, int bx, int by,
         }
     } else if (sharp_subpel) {
         // Separable 4-tap: sharper than bilinear (the HEVC/AV1 class of
-        // filters). Taps clamped to the plane via the caller's clampMv
-        // margin plus edge replication here.
-        auto sample = [&](int x, int y) -> int {
-            x = std::clamp(x + fx, 0, ref_w - 1);
-            y = std::clamp(y + fy, 0, ref_h - 1);
-            return ref.pel[static_cast<ptrdiff_t>(y) * ref.stride + x];
-        };
-        for (int y = 0; y < h; ++y) {
-            uint8_t *out = dst.row(y);
-            for (int x = 0; x < w; ++x) {
-                if (half_x && half_y) {
-                    // Horizontal pass at two rows, then vertical average.
-                    uint8_t h0 = tap4(sample(x - 1, y), sample(x, y),
-                                      sample(x + 1, y), sample(x + 2, y));
-                    uint8_t h1 = tap4(sample(x - 1, y + 1), sample(x, y + 1),
-                                      sample(x + 1, y + 1),
-                                      sample(x + 2, y + 1));
-                    out[x] = static_cast<uint8_t>((h0 + h1 + 1) >> 1);
-                } else if (half_x) {
-                    out[x] = tap4(sample(x - 1, y), sample(x, y),
-                                  sample(x + 1, y), sample(x + 2, y));
-                } else {
-                    out[x] = tap4(sample(x, y - 1), sample(x, y),
-                                  sample(x, y + 1), sample(x, y + 2));
+        // filters). The taps reach one pel above/left of the block and
+        // two below/right, which clampMv's margin does not cover at the
+        // plane edges. There the filter reads an edge-replicated copy of
+        // that neighbourhood instead of the plane (ffmpeg's
+        // emulated_edge_mc), so every tap sees the nearest plane pel.
+        if (fx >= 1 && fy >= 1 && fx + w + 1 < ref_w && fy + h + 1 < ref_h) {
+            sharpSubpel(src.pel, ref.stride, w, h, half_x, half_y, dst);
+        } else {
+            const int ew = w + 3;
+            thread_local std::vector<uint8_t> edge;
+            edge.resize(static_cast<size_t>(ew) * (h + 3));
+            for (int y = 0; y < h + 3; ++y) {
+                const uint8_t *row =
+                    ref.row(std::clamp(fy - 1 + y, 0, ref_h - 1));
+                uint8_t *out = edge.data() + static_cast<ptrdiff_t>(y) * ew;
+                for (int x = 0; x < ew; ++x) {
+                    out[x] = row[std::clamp(fx - 1 + x, 0, ref_w - 1)];
                 }
             }
+            sharpSubpel(edge.data() + ew + 1, ew, w, h, half_x, half_y, dst);
         }
     } else {
         for (int y = 0; y < h; ++y) {

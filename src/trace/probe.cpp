@@ -109,35 +109,85 @@ MixCounters::operator+=(const MixCounters &other)
 }
 
 uint64_t
+Probe::intervalPos(uint64_t at)
+{
+    uint64_t pos = at - interval_base_;
+    if (pos >= config_.opInterval) {
+        interval_base_ += pos - pos % config_.opInterval;
+        pos %= config_.opInterval;
+    }
+    return pos;
+}
+
+uint64_t
 Probe::advance(uint64_t n)
 {
-    if (site_slot_ != nullptr) {
-        *site_slot_ += n;
-    }
-    // interval_pos_ mirrors opSeq_ % opInterval; the conditional modulo
-    // only fires once per interval instead of dividing per emission call.
-    uint64_t pos = interval_pos_;
-    opSeq_ += n;
-    interval_pos_ += n;
-    if (interval_pos_ >= config_.opInterval) {
-        interval_pos_ %= config_.opInterval;
+    const uint64_t start = opSeq_ - n;
+    if (dropping_) {
+        // Every fast-path call since the region opened ended inside the
+        // window with the cap reached: all of their ops were dropped.
+        dropped_ops_ += start - drop_from_;
+        dropping_ = false;
     }
     if (!config_.collectOps) {
         return 0;
     }
     // opWindow >= opInterval means "record everything" (streaming mode);
     // otherwise only the window-prefix of each interval is recorded.
-    uint64_t in_window =
-        config_.opWindow >= config_.opInterval
-            ? n
-            : (pos < config_.opWindow ? std::min(n, config_.opWindow - pos)
-                                      : 0);
+    uint64_t in_window = n;
+    if (config_.opWindow < config_.opInterval) {
+        const uint64_t pos = intervalPos(start);
+        in_window = pos < config_.opWindow
+                        ? std::min(n, config_.opWindow - pos)
+                        : 0;
+    }
     uint64_t room = config_.maxOps > ops_recorded_
                         ? config_.maxOps - ops_recorded_
                         : 0;
     uint64_t take = std::min(in_window, room);
     dropped_ops_ += in_window - take;
     return take;
+}
+
+void
+Probe::openQuietRegion()
+{
+    const bool capped = ops_recorded_ >= config_.maxOps;
+    uint64_t end = 0;  // empty: every call takes the slow path
+    if (!config_.collectOps) {
+        end = kNever;
+    } else if (config_.opWindow >= config_.opInterval) {
+        // Streaming: every op is in the window, so a capped probe drops
+        // all of them from here on.
+        if (capped) {
+            end = kNever;
+            dropping_ = true;
+            drop_from_ = opSeq_;
+        }
+    } else {
+        const uint64_t pos = intervalPos(opSeq_);
+        if (pos >= config_.opWindow) {
+            // Nothing records before the interval wraps. A call that
+            // straddles the wrap is slow, and advance() records none of
+            // the next window for it.
+            end = quiet_fault_ ? kNever : interval_base_ + config_.opInterval;
+        } else if (capped) {
+            end = interval_base_ + config_.opWindow;
+            dropping_ = true;
+            drop_from_ = opSeq_;
+        }
+    }
+    quiet_end_ = end;
+
+    // Past the warmup, every branch-emitting call records or drops a
+    // branch record, so it takes the slow path.
+    uint64_t branch_end = kNever;
+    if (config_.collectBranches && config_.branchWarmupOps != kNever) {
+        branch_end = opSeq_ <= config_.branchWarmupOps
+                         ? config_.branchWarmupOps + 1
+                         : 0;
+    }
+    branch_quiet_end_ = std::min(quiet_end_, branch_end);
 }
 
 void
@@ -234,44 +284,20 @@ Probe::nextPc()
 }
 
 void
-Probe::enterKernel(uint64_t site, int body_len)
+Probe::enterKernelSlow()
 {
-    if (config_.profileSites) {
-        site_slot_ = &site_ops_[site];
-    }
-    if (sink_ != nullptr) {
-        // Deferred: the event is only staged when a record actually
-        // lands under this site (stagePendingKernel). Sampled captures
-        // gate ops off for most of each interval, and staging an event
-        // per kernel entry during those gaps used to swamp the trace —
-        // more event bytes than op bytes. Replay attribution only needs
-        // the site in force when recording resumes, which collapsing
-        // the gap's entries to the last one preserves.
-        pending_site_ = site;
-        pending_site_valid_ = true;
-    }
-    // Real encoders specialise each kernel by block size / unroll factor;
-    // spread invocations over eight code variants so the instruction
-    // footprint matches a few hundred KB of hot code, not a toy loop.
-    siteBase_ = site + ((opSeq_ >> 6) & 7) * 1024;
-    siteBodyLen_ = std::max(1, body_len);
-    sitePos_ = 0;
-
-    // Call + return plus a tiny scalar preamble (spills / setup).
-    mix_.byClass[static_cast<int>(OpClass::BranchUncond)] += 2;
-    mix_.byClass[static_cast<int>(OpClass::Other)] += 2;
     if (advance(4) >= 2) {
         const TraceOp pair[2] = {
             {siteBase_, 0, OpClass::BranchUncond, true, 0, 0, false},
             {siteBase_ + 4, 0, OpClass::Other, false, 0, 0, false}};
         emitOps(pair, 2);
     }
+    openQuietRegion();
 }
 
 void
-Probe::ops(OpClass cls, uint64_t n, uint8_t dep1, uint8_t dep2)
+Probe::opsSlow(OpClass cls, uint64_t n, uint8_t dep1, uint8_t dep2)
 {
-    mix_.byClass[static_cast<int>(cls)] += n;
     uint64_t take = advance(n);
     ops_recorded_ += take;
     for (uint64_t i = 0; i < take; ++i) {
@@ -280,21 +306,21 @@ Probe::ops(OpClass cls, uint64_t n, uint8_t dep1, uint8_t dep2)
         }
         stage_.ops.push_back({nextPc(), 0, cls, false, dep1, dep2, false});
     }
+    openQuietRegion();
 }
 
 void
-Probe::mem(OpClass cls, uint64_t addr, uint8_t dep1)
+Probe::memSlow(OpClass cls, uint64_t addr, uint8_t dep1)
 {
-    mix_.byClass[static_cast<int>(cls)] += 1;
     if (advance(1) > 0) {
         emitOp({nextPc(), addr, cls, false, dep1, 0, false});
     }
+    openQuietRegion();
 }
 
 void
-Probe::memRun(OpClass cls, uint64_t addr, int n, int stride, uint8_t dep1)
+Probe::memRunSlow(OpClass cls, uint64_t addr, int n, int stride, uint8_t dep1)
 {
-    mix_.byClass[static_cast<int>(cls)] += static_cast<uint64_t>(n);
     uint64_t take = advance(static_cast<uint64_t>(n));
     ops_recorded_ += take;
     for (uint64_t i = 0; i < take; ++i) {
@@ -305,12 +331,12 @@ Probe::memRun(OpClass cls, uint64_t addr, int n, int stride, uint8_t dep1)
                               addr + static_cast<uint64_t>(i) * stride,
                               cls, false, dep1, 0, false});
     }
+    openQuietRegion();
 }
 
 void
-Probe::decision(uint64_t site, bool taken)
+Probe::decisionSlow(uint64_t site, bool taken)
 {
-    mix_.byClass[static_cast<int>(OpClass::BranchCond)] += 1;
     if (advance(1) > 0) {
         emitOp({site, 0, OpClass::BranchCond, taken, 1, 0, false});
     }
@@ -321,16 +347,16 @@ Probe::decision(uint64_t site, bool taken)
             ++dropped_branches_;
         }
     }
+    openQuietRegion();
 }
 
 void
-Probe::loopBranches(uint64_t iterations)
+Probe::loopBranchesSlow(uint64_t iterations)
 {
     if (iterations == 0) {
         return;
     }
     uint64_t loop_pc = siteBase_ + 4ULL * siteBodyLen_;
-    mix_.byClass[static_cast<int>(OpClass::BranchCond)] += iterations;
     uint64_t take = advance(iterations);
     ops_recorded_ += take;
     for (uint64_t i = 0; i < take; ++i) {
@@ -350,6 +376,7 @@ Probe::loopBranches(uint64_t iterations)
             emitBranch(loop_pc, i + 1 < iterations);
         }
     }
+    openQuietRegion();
 }
 
 uint64_t
@@ -359,54 +386,6 @@ Probe::allocRegion(size_t size)
     uint64_t span = (static_cast<uint64_t>(size) + 4095ULL) & ~4095ULL;
     nextRegion_ += span + 4096ULL;  // guard page between regions
     return base;
-}
-
-void
-Probe::mergeFrom(const Probe &other)
-{
-    mix_ += other.mix_;
-    opSeq_ += other.opSeq_;
-    interval_pos_ = opSeq_ % config_.opInterval;
-    for (const TraceOp &op : other.opTrace()) {
-        if (ops_recorded_ >= config_.maxOps) {
-            ++dropped_ops_;
-            continue;
-        }
-        emitOp(op);
-    }
-    flushBlock();  // appended ops precede the appended branches
-    for (const BranchRecord &br : other.branchTrace()) {
-        if (branches_recorded_ >= config_.maxBranches) {
-            ++dropped_branches_;
-            continue;
-        }
-        ++branches_recorded_;
-        dest()->onBranch(br);
-    }
-    // Losses the other probe already took are losses of the merged trace.
-    dropped_ops_ += other.dropped_ops_;
-    dropped_branches_ += other.dropped_branches_;
-}
-
-void
-Probe::reset()
-{
-    mix_ = MixCounters{};
-    opSeq_ = 0;
-    interval_pos_ = 0;
-    sitePos_ = 0;
-    branch_first_op_ = 0;
-    branch_last_op_ = 0;
-    capture_.clear();
-    stage_.clear();
-    ops_recorded_ = 0;
-    branches_recorded_ = 0;
-    dropped_ops_ = 0;
-    dropped_branches_ = 0;
-    site_ops_.clear();
-    site_slot_ = nullptr;
-    pending_site_valid_ = false;
-    nextRegion_ = 0x10000000ULL;
 }
 
 void

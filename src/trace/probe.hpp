@@ -21,9 +21,10 @@
  * body, mirroring the I-footprint of real compiled kernels.
  */
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <unordered_map>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -76,8 +77,6 @@ struct ProbeConfig {
     uint64_t opWindow = 200'000;
     uint64_t opInterval = 1'000'000;
 
-    /** Accumulate per-site instruction counts (gprof substitute). */
-    bool profileSites = false;
     /** Collect the branch trace for the CBP framework. */
     bool collectBranches = false;
     /** Hard cap on retained branch records. */
@@ -101,14 +100,23 @@ struct ProbeConfig {
 /**
  * Collector for one instrumented run.
  *
- * Not thread safe: each simulated encoder worker owns its own Probe and
- * results are merged afterwards (see Probe::mergeFrom).
+ * Not thread safe: each simulated encoder worker owns its own Probe.
+ *
+ * The emission calls are header-inline. Each adds its ops to the mix
+ * and to the op counter, then returns at once while the counter stays
+ * inside the current *quiet region*: a span of the op sequence in which
+ * no call can record an op, and every op the sampling window admits is
+ * cut by the maxOps cap. Any other call takes one out-of-line slow path
+ * that does the full per-call accounting and opens the next region.
  */
 class Probe
 {
   public:
-    Probe() = default;
-    explicit Probe(const ProbeConfig &config) : config_(config) {}
+    Probe() { openQuietRegion(); }
+    explicit Probe(const ProbeConfig &config) : config_(config)
+    {
+        openQuietRegion();
+    }
 
     const ProbeConfig &config() const { return config_; }
 
@@ -194,11 +202,15 @@ class Probe
     uint64_t recordedBranches() const { return branches_recorded_; }
     /**
      * Ops that fell inside the sampling window but were cut by the
-     * maxOps cap (including merge truncation). Non-zero means the op
-     * trace under-represents the run; benches should warn rather than
-     * report denominators computed from a silently clipped trace.
+     * maxOps cap. Non-zero means the op trace under-represents the run;
+     * benches should warn rather than report denominators computed from
+     * a silently clipped trace. Includes the open quiet region's drops,
+     * which are only counted into dropped_ops_ when the region closes.
      */
-    uint64_t droppedOps() const { return dropped_ops_; }
+    uint64_t droppedOps() const
+    {
+        return dropped_ops_ + (dropping_ ? opSeq_ - drop_from_ : 0);
+    }
     /** Branches lost to the maxBranches cap (see droppedOps()). */
     uint64_t droppedBranches() const { return dropped_branches_; }
 
@@ -253,33 +265,44 @@ class Probe
     }
 
     /**
-     * Fold another probe's counters into this one. Captured traces are
-     * appended up to this probe's caps; records cut by a cap are counted
-     * in droppedOps()/droppedBranches() (along with drops the other
-     * probe had already accumulated) instead of vanishing silently.
-     * Used to merge per-worker probes.
+     * Fault injection for the vepro-check probe target: quiet regions
+     * that start past the sampling window run on through the interval
+     * wrap, so later windows go unrecorded. The probe differential must
+     * catch it; never enabled in real runs.
      */
-    void mergeFrom(const Probe &other);
-
-    /** Per-site dynamic instruction counts (see ProbeConfig::profileSites). */
-    const std::unordered_map<uint64_t, uint64_t> &siteOps() const
-    {
-        return site_ops_;
-    }
-
-    /** Reset all counters and traces (configuration is kept). */
-    void reset();
+    void injectQuietFault(bool on) { quiet_fault_ = on; }
 
   private:
     /** Ops staged per block delivery; one block amortises the virtual
      *  dispatch across thousands of records and is the ownership unit
      *  of the parallel handoff path. */
     static constexpr size_t kBlockOps = TraceBlock::kOps;
+    static constexpr uint64_t kNever = std::numeric_limits<uint64_t>::max();
 
-    /** Advance the op counter; returns how many of the @p n ops fall in
-     *  the current sampling window and under the cap (0 when op tracing
-     *  is off). Cap-truncated in-window ops are counted as dropped. */
+    /** Per-call accounting for the @p n ops the calling emission has
+     *  already added to opSeq_: returns how many fall in the sampling
+     *  window and under the cap (0 when op tracing is off), counting
+     *  cap-truncated in-window ops as dropped. A call that starts past
+     *  the window records nothing, even where it runs on into the next
+     *  interval's window. */
     uint64_t advance(uint64_t n);
+
+    /** Set quiet_end_ / branch_quiet_end_ for the position opSeq_, after
+     *  a slow call has done its recording (see the class comment). */
+    void openQuietRegion();
+    /** opSeq @p at modulo opInterval, for @p at at or past the last
+     *  slow call; moves interval_base_ forward to @p at's interval. */
+    uint64_t intervalPos(uint64_t at);
+
+    // Out-of-line remainders of the emission calls (see the class
+    // comment): the full accounting and recording, then a new region.
+    void enterKernelSlow();
+    void opsSlow(OpClass cls, uint64_t n, uint8_t dep1, uint8_t dep2);
+    void memSlow(OpClass cls, uint64_t addr, uint8_t dep1);
+    void memRunSlow(OpClass cls, uint64_t addr, int n, int stride,
+                    uint8_t dep1);
+    void decisionSlow(uint64_t site, bool taken);
+    void loopBranchesSlow(uint64_t iterations);
 
     uint64_t nextPc();
 
@@ -308,9 +331,22 @@ class Probe
     ProbeConfig config_{};
     MixCounters mix_{};
     uint64_t opSeq_ = 0;
-    /** opSeq_ % config_.opInterval, maintained by wrap-on-compare so the
-     *  emission hot path never divides. */
-    uint64_t interval_pos_ = 0;
+    /** Calls that end below this op count take the fast path: the quiet
+     *  region. 0 means empty (every call is slow), kNever unbounded. */
+    uint64_t quiet_end_ = 0;
+    /** The same bound for decision()/loopBranches(), which also stops
+     *  where branch recording needs the slow path. */
+    uint64_t branch_quiet_end_ = 0;
+    /** Start of the sampling interval holding the last slow call's
+     *  position: a multiple of opInterval, so the hot path never
+     *  divides and the slow path only when it crosses an interval. */
+    uint64_t interval_base_ = 0;
+    /** While dropping_, the current quiet region sits inside the window
+     *  with the cap reached: every op from drop_from_ on is dropped.
+     *  Counted into dropped_ops_ when the region closes. */
+    uint64_t drop_from_ = 0;
+    bool dropping_ = false;
+    bool quiet_fault_ = false;
 
     uint64_t siteBase_ = sitePc("vepro.default");
     int siteBodyLen_ = 32;
@@ -320,8 +356,6 @@ class Probe
 
     uint64_t branch_first_op_ = 0;
     uint64_t branch_last_op_ = 0;
-    std::unordered_map<uint64_t, uint64_t> site_ops_;
-    uint64_t *site_slot_ = nullptr;  ///< Current site's counter (hot path).
 
     TraceSink *sink_ = nullptr;  ///< External consumer, overrides capture.
     mutable VectorSink capture_; ///< Internal batch capture (legacy API).
@@ -350,6 +384,96 @@ class Probe
     uint64_t dropped_ops_ = 0;
     uint64_t dropped_branches_ = 0;
 };
+
+// -- Emission fast path ----------------------------------------------------
+//
+// opSeq_ stays exact on the fast path: enterKernel derives the code
+// variant from it, and the slow path recovers the interval position
+// from it.
+
+inline void
+Probe::enterKernel(uint64_t site, int body_len)
+{
+    if (sink_ != nullptr) {
+        // Deferred: the event is only staged when a record actually
+        // lands under this site (stagePendingKernel). Sampled captures
+        // gate ops off for most of each interval, and staging an event
+        // per kernel entry during those gaps used to swamp the trace —
+        // more event bytes than op bytes. Replay attribution only needs
+        // the site in force when recording resumes, which collapsing
+        // the gap's entries to the last one preserves.
+        pending_site_ = site;
+        pending_site_valid_ = true;
+    }
+    // Real encoders specialise each kernel by block size / unroll factor;
+    // spread invocations over eight code variants so the instruction
+    // footprint matches a few hundred KB of hot code, not a toy loop.
+    siteBase_ = site + ((opSeq_ >> 6) & 7) * 1024;
+    siteBodyLen_ = std::max(1, body_len);
+    sitePos_ = 0;
+
+    // Call + return plus a tiny scalar preamble (spills / setup).
+    mix_.byClass[static_cast<int>(OpClass::BranchUncond)] += 2;
+    mix_.byClass[static_cast<int>(OpClass::Other)] += 2;
+    opSeq_ += 4;
+    if (opSeq_ < quiet_end_) {
+        return;
+    }
+    enterKernelSlow();
+}
+
+inline void
+Probe::ops(OpClass cls, uint64_t n, uint8_t dep1, uint8_t dep2)
+{
+    mix_.byClass[static_cast<int>(cls)] += n;
+    opSeq_ += n;
+    if (opSeq_ < quiet_end_) {
+        return;
+    }
+    opsSlow(cls, n, dep1, dep2);
+}
+
+inline void
+Probe::mem(OpClass cls, uint64_t addr, uint8_t dep1)
+{
+    mix_.byClass[static_cast<int>(cls)] += 1;
+    if (++opSeq_ < quiet_end_) {
+        return;
+    }
+    memSlow(cls, addr, dep1);
+}
+
+inline void
+Probe::memRun(OpClass cls, uint64_t addr, int n, int stride, uint8_t dep1)
+{
+    mix_.byClass[static_cast<int>(cls)] += static_cast<uint64_t>(n);
+    opSeq_ += static_cast<uint64_t>(n);
+    if (opSeq_ < quiet_end_) {
+        return;
+    }
+    memRunSlow(cls, addr, n, stride, dep1);
+}
+
+inline void
+Probe::decision(uint64_t site, bool taken)
+{
+    mix_.byClass[static_cast<int>(OpClass::BranchCond)] += 1;
+    if (++opSeq_ < branch_quiet_end_) {
+        return;
+    }
+    decisionSlow(site, taken);
+}
+
+inline void
+Probe::loopBranches(uint64_t iterations)
+{
+    mix_.byClass[static_cast<int>(OpClass::BranchCond)] += iterations;
+    opSeq_ += iterations;
+    if (opSeq_ < branch_quiet_end_) {
+        return;
+    }
+    loopBranchesSlow(iterations);
+}
 
 /**
  * Scoped access to a thread-local "current probe".

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "trace/probe.hpp"
+
 namespace vepro::trace
 {
 
@@ -31,12 +33,6 @@ profileReport(const std::unordered_map<uint64_t, uint64_t> &site_ops,
                   return a.ops != b.ops ? a.ops > b.ops : a.name < b.name;
               });
     return rows;
-}
-
-std::vector<SiteProfile>
-profileReport(const Probe &probe, double min_share)
-{
-    return profileReport(probe.siteOps(), min_share);
 }
 
 std::vector<SiteProfile>

@@ -7,15 +7,16 @@
  * substitute (the paper's tool #4: "find hot functions, which is used
  * for instruction tracing").
  *
- * When a probe runs with ProbeConfig::profileSites, every instrumented
- * kernel/call-site accumulates its dynamic instruction count; this
- * module turns those counters into the flat profile gprof would print.
+ * A SiteProfileSink on a probe's stream attributes every recorded op to
+ * the instrumented kernel/call-site in force; this module turns those
+ * counters into the flat profile gprof would print.
  */
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
-#include "trace/probe.hpp"
+#include "trace/sink.hpp"
 
 namespace vepro::trace
 {
@@ -36,15 +37,6 @@ struct SiteProfile {
 std::vector<SiteProfile>
 profileReport(const std::unordered_map<uint64_t, uint64_t> &site_ops,
               double min_share = 0.1);
-
-/**
- * Flat profile of a probe's per-site counters, hottest first.
- *
- * @param probe     A probe run with profileSites enabled.
- * @param min_share Drop sites below this share (percent) of the total.
- */
-std::vector<SiteProfile> profileReport(const Probe &probe,
-                                       double min_share = 0.1);
 
 /** Flat profile of a streaming SiteProfileSink's counters. */
 std::vector<SiteProfile> profileReport(const SiteProfileSink &sink,

@@ -59,7 +59,8 @@ TEST(CheckNames, FaultNamesRoundTrip)
                             Fault::CoreLatency,    Fault::BpredAlloc,
                             Fault::KernelsSad,     Fault::StoreBit,
                             Fault::ParallelDrop,   Fault::BackendEnergy,
-                            Fault::TraceFileDelta, Fault::LadderHull};
+                            Fault::TraceFileDelta, Fault::LadderHull,
+                            Fault::ProbeQuiet};
     for (Fault f : faults) {
         Fault back = Fault::None;
         ASSERT_TRUE(parseFault(faultName(f), back)) << faultName(f);
@@ -115,6 +116,7 @@ TEST(CheckInjection, EveryFaultIsCaught)
         {Fault::BackendEnergy, Target::Energy},
         {Fault::TraceFileDelta, Target::TraceFile},
         {Fault::LadderHull, Target::Ladder},
+        {Fault::ProbeQuiet, Target::Probe},
     };
     for (const FaultCase &fc : cases) {
         SCOPED_TRACE(faultName(fc.fault));

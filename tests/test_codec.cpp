@@ -162,19 +162,20 @@ TEST(Satd, DegenerateBlockFallsBackToSad)
     PelView a{abuf.data(), 16, 0};
     PelView b{bbuf.data(), 16, 1ull << 20};
 
-    trace::ProbeConfig cfg;
-    cfg.profileSites = true;
-    trace::Probe probe(cfg);
+    trace::SiteProfileSink profile;
+    trace::Probe probe(trace::ProbeConfig::streaming());
+    probe.setSink(&profile);
     uint64_t cost = 0;
     {
         trace::ProbeScope scope(&probe);
         cost = satd(a, b, 2, 8);
     }
+    probe.flushToSink();
     EXPECT_EQ(cost, sad(a, b, 2, 8));
     EXPECT_NE(cost, 0u);
     // All work was charged to the sad site; no phantom satd tiles.
-    EXPECT_EQ(probe.siteOps().count(trace::sitePc("codec.satd")), 0u);
-    EXPECT_NE(probe.siteOps().count(trace::sitePc("codec.sad")), 0u);
+    EXPECT_EQ(profile.siteOps().count(trace::sitePc("codec.satd")), 0u);
+    EXPECT_NE(profile.siteOps().count(trace::sitePc("codec.sad")), 0u);
 }
 
 TEST(Residual, ReconstructRoundTrip)
@@ -457,6 +458,47 @@ TEST_P(IntraAllModes, ProducesValidPixelsForEveryGeometry)
 INSTANTIATE_TEST_SUITE_P(AllModes, IntraAllModes,
                          ::testing::Range(0, kNumIntraModes));
 
+/** Fill 64 KiB of stack below the caller with @p byte, so the locals of
+ *  the next call start from a known pattern. */
+[[gnu::noinline]] void
+scribbleStack(uint8_t byte)
+{
+    volatile uint8_t buf[64 * 1024];
+    for (size_t i = 0; i < sizeof buf; ++i) {
+        buf[i] = byte;
+    }
+}
+
+/** Regression: steep directional projections read reference-line
+ *  entries past the 2h left / 2w top samples. They must read defined
+ *  values, or encodes differ between processes with the stack layout. */
+TEST(Intra, DirectionalIgnoresStackContents)
+{
+    IntraNeighbors nb{};
+    nb.hasTop = nb.hasLeft = true;
+    video::Rng rng(17);
+    for (int i = 0; i < 2 * kMaxIntraSize; ++i) {
+        nb.top[i] = static_cast<uint8_t>(rng.nextBelow(256));
+        nb.left[i] = static_cast<uint8_t>(rng.nextBelow(256));
+    }
+    nb.topLeft = 90;
+    const int sizes[] = {4, 8, 16, 32, 64};
+    for (int m = static_cast<int>(IntraMode::D45); m < kNumIntraModes; ++m) {
+        const auto mode = static_cast<IntraMode>(m);
+        for (int w : sizes) {
+            for (int h : sizes) {
+                video::Plane zeros(w, h), ones(w, h);
+                scribbleStack(0x00);
+                predictIntra(mode, nb, w, h, viewOf(zeros, 0));
+                scribbleStack(0xFF);
+                predictIntra(mode, nb, w, h, viewOf(ones, 0));
+                EXPECT_EQ(video::mse(zeros, ones), 0.0)
+                    << intraModeName(mode) << " " << w << "x" << h;
+            }
+        }
+    }
+}
+
 TEST(Mc, ClampKeepsFootprintInside)
 {
     MotionVector mv{1000, -1000};
@@ -492,6 +534,108 @@ TEST(Mc, HalfPelAverages)
                      viewOf(out, 0));
     // Half-pel in x: average of columns 8 and 9 -> 34.
     EXPECT_EQ(out.at(0, 0), 34);
+}
+
+/** The sharp-subpel filter as motionCompensate ran it before its
+ *  clamp-free loop: every tap clamped to the plane on its own. Kept as
+ *  the oracle for the bit-identity test below. */
+void
+clampedSharpSubpel(const video::Plane &ref, int bx, int by, int w, int h,
+                   MotionVector mv, video::Plane &out)
+{
+    const int ref_w = ref.width(), ref_h = ref.height();
+    mv = clampMv(mv, bx, by, w, h, ref_w, ref_h);
+    const int fx = bx + (mv.x >> 1);
+    const int fy = by + (mv.y >> 1);
+    const bool half_x = mv.x & 1;
+    const bool half_y = mv.y & 1;
+    auto sample = [&](int x, int y) -> int {
+        return ref.at(std::clamp(x + fx, 0, ref_w - 1),
+                      std::clamp(y + fy, 0, ref_h - 1));
+    };
+    auto tap4 = [](int a, int b, int c, int d) {
+        int v = (-a + 5 * b + 5 * c - d + 4) >> 3;
+        return static_cast<uint8_t>(std::clamp(v, 0, 255));
+    };
+    for (int y = 0; y < h; ++y) {
+        for (int x = 0; x < w; ++x) {
+            uint8_t v;
+            if (half_x && half_y) {
+                uint8_t h0 = tap4(sample(x - 1, y), sample(x, y),
+                                  sample(x + 1, y), sample(x + 2, y));
+                uint8_t h1 = tap4(sample(x - 1, y + 1), sample(x, y + 1),
+                                  sample(x + 1, y + 1), sample(x + 2, y + 1));
+                v = static_cast<uint8_t>((h0 + h1 + 1) >> 1);
+            } else if (half_x) {
+                v = tap4(sample(x - 1, y), sample(x, y), sample(x + 1, y),
+                         sample(x + 2, y));
+            } else if (half_y) {
+                v = tap4(sample(x, y - 1), sample(x, y), sample(x, y + 1),
+                         sample(x, y + 2));
+            } else {
+                v = static_cast<uint8_t>(sample(x, y));
+            }
+            out.set(x, y, v);
+        }
+    }
+}
+
+/** The clamp-free sharp-subpel filter, direct or through its edge copy,
+ *  must match the per-tap clamping oracle bit for bit: every half-pel
+ *  phase, square and non-square blocks, at every plane corner and edge
+ *  and with vectors at clampMv's limits. */
+TEST(Mc, SharpSubpelMatchesClampedOracle)
+{
+    video::Plane ref(80, 72, 5);  // padded: stride != width
+    fillRandom(ref, 21);
+    const int sizes[] = {4, 8, 16, 32, 64};
+    std::set<std::pair<bool, bool>> phases;
+    int edge_blocks = 0, compared = 0;
+    for (int w : sizes) {
+        for (int h : sizes) {
+            video::Plane got(w, h), want(w, h);
+            for (int bx : {0, (ref.width() - w) / 2, ref.width() - w}) {
+                for (int by : {0, (ref.height() - h) / 2, ref.height() - h}) {
+                    const MotionVector lo = clampMv({-100000, -100000}, bx,
+                                                    by, w, h, ref.width(),
+                                                    ref.height());
+                    const MotionVector hi = clampMv({100000, 100000}, bx, by,
+                                                    w, h, ref.width(),
+                                                    ref.height());
+                    const int xs[] = {lo.x, lo.x + 1, -1, 0, 1, 3,
+                                      hi.x - 1, hi.x};
+                    const int ys[] = {lo.y, lo.y + 1, -1, 0, 1, 3,
+                                      hi.y - 1, hi.y};
+                    for (int mx : xs) {
+                        for (int my : ys) {
+                            const MotionVector c = clampMv(
+                                {mx, my}, bx, by, w, h, ref.width(),
+                                ref.height());
+                            const bool hx = c.x & 1, hy = c.y & 1;
+                            if (!hx && !hy) {
+                                continue;
+                            }
+                            phases.insert({hx, hy});
+                            edge_blocks += bx + (c.x >> 1) < 1 ||
+                                           by + (c.y >> 1) < 1;
+                            motionCompensate(viewOf(ref, 0), ref.width(),
+                                             ref.height(), bx, by, w, h,
+                                             {mx, my}, viewOf(got, 0), true);
+                            clampedSharpSubpel(ref, bx, by, w, h, {mx, my},
+                                               want);
+                            ++compared;
+                            ASSERT_EQ(video::mse(got, want), 0.0)
+                                << w << "x" << h << " at (" << bx << ","
+                                << by << ") mv (" << mx << "," << my << ")";
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(phases.size(), 3u) << "all three half-pel phases";
+    EXPECT_GT(edge_blocks, 0) << "the edge-copy path ran";
+    EXPECT_GT(compared, 1000);
 }
 
 TEST(Mc, SearchFindsExactTranslation)

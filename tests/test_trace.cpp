@@ -223,30 +223,6 @@ TEST(Probe, AllocRegionsDisjointAndAligned)
     EXPECT_GE(b, a + 1000);
 }
 
-TEST(Probe, MergeFoldsCounters)
-{
-    Probe a, b;
-    a.ops(OpClass::Alu, 5);
-    b.ops(OpClass::Alu, 7);
-    a.mergeFrom(b);
-    EXPECT_EQ(a.mix().byClass[static_cast<int>(OpClass::Alu)], 12u);
-    EXPECT_EQ(a.totalOps(), 12u);
-}
-
-TEST(Probe, ResetClearsEverything)
-{
-    ProbeConfig cfg;
-    cfg.collectOps = true;
-    cfg.collectBranches = true;
-    Probe p(cfg);
-    p.ops(OpClass::Alu, 5);
-    p.decision(sitePc("x"), true);
-    p.reset();
-    EXPECT_EQ(p.totalOps(), 0u);
-    EXPECT_TRUE(p.opTrace().empty());
-    EXPECT_TRUE(p.branchTrace().empty());
-}
-
 TEST(Probe, TakeMovesTraces)
 {
     ProbeConfig cfg;
@@ -285,53 +261,68 @@ TEST(EmitControl, EmitsScalarMixture)
     EXPECT_EQ(mix.byCategory(MixCategory::Avx), 0u);
 }
 
+/** Stream @p emit's records into a SiteProfileSink, the way
+ *  examples/hot_functions profiles an encode. */
+template <typename Fn>
+SiteProfileSink
+profileOf(Fn &&emit, const ProbeConfig &config = ProbeConfig::streaming())
+{
+    SiteProfileSink sink;
+    Probe p(config);
+    p.setSink(&sink);
+    emit(p);
+    p.flushToSink();
+    return sink;
+}
+
 TEST(Profile, AttributesOpsToSites)
 {
-    ProbeConfig cfg;
-    cfg.profileSites = true;
-    Probe p(cfg);
-    p.enterKernel(sitePc("profile.hot"), 8);
-    p.ops(OpClass::SimdAlu, 900);
-    p.enterKernel(sitePc("profile.cold"), 8);
-    p.ops(OpClass::Alu, 100);
-    auto report = profileReport(p, 0.0);
-    ASSERT_GE(report.size(), 2u);
+    SiteProfileSink sink = profileOf([](Probe &p) {
+        p.enterKernel(sitePc("profile.hot"), 8);
+        p.ops(OpClass::SimdAlu, 900);
+        p.enterKernel(sitePc("profile.cold"), 8);
+        p.ops(OpClass::Alu, 100);
+    });
+    auto report = profileReport(sink, 0.0);
+    ASSERT_EQ(report.size(), 2u);
     EXPECT_EQ(report[0].name, "profile.hot");
-    EXPECT_GT(report[0].ops, 900u - 10u);
-    EXPECT_NEAR(report[0].percent + report[1].percent, 100.0, 2.0);
+    EXPECT_EQ(report[0].ops, 902u) << "900 ops + the call pair";
+    EXPECT_NEAR(report[0].percent + report[1].percent, 100.0, 1e-9);
     EXPECT_GT(report[0].percent, report[1].percent);
 }
 
 TEST(Profile, MinShareFiltersRows)
 {
-    ProbeConfig cfg;
-    cfg.profileSites = true;
-    Probe p(cfg);
-    p.enterKernel(sitePc("profile.big"), 8);
-    p.ops(OpClass::Alu, 9990);
-    p.enterKernel(sitePc("profile.tiny"), 8);
-    p.ops(OpClass::Alu, 4);
-    EXPECT_EQ(profileReport(p, 1.0).size(), 1u);
-    EXPECT_GE(profileReport(p, 0.0).size(), 2u);
+    SiteProfileSink sink = profileOf([](Probe &p) {
+        p.enterKernel(sitePc("profile.big"), 8);
+        p.ops(OpClass::Alu, 9990);
+        p.enterKernel(sitePc("profile.tiny"), 8);
+        p.ops(OpClass::Alu, 4);
+    });
+    EXPECT_EQ(profileReport(sink, 1.0).size(), 1u);
+    EXPECT_GE(profileReport(sink, 0.0).size(), 2u);
 }
 
 TEST(Profile, DisabledCollectsNothing)
 {
-    Probe p;
-    p.enterKernel(sitePc("profile.off"), 8);
-    p.ops(OpClass::Alu, 100);
-    EXPECT_TRUE(p.siteOps().empty());
-    EXPECT_TRUE(profileReport(p).empty());
+    // Op tracing off: the probe streams no records to profile.
+    SiteProfileSink sink = profileOf(
+        [](Probe &p) {
+            p.enterKernel(sitePc("profile.off"), 8);
+            p.ops(OpClass::Alu, 100);
+        },
+        ProbeConfig{});
+    EXPECT_TRUE(sink.siteOps().empty());
+    EXPECT_TRUE(profileReport(sink).empty());
 }
 
 TEST(Profile, FormatContainsNames)
 {
-    ProbeConfig cfg;
-    cfg.profileSites = true;
-    Probe p(cfg);
-    p.enterKernel(sitePc("profile.fmt"), 8);
-    p.ops(OpClass::Alu, 10);
-    std::string text = formatProfile(profileReport(p, 0.0));
+    SiteProfileSink sink = profileOf([](Probe &p) {
+        p.enterKernel(sitePc("profile.fmt"), 8);
+        p.ops(OpClass::Alu, 10);
+    });
+    std::string text = formatProfile(profileReport(sink, 0.0));
     EXPECT_NE(text.find("profile.fmt"), std::string::npos);
     EXPECT_NE(text.find("100.0"), std::string::npos);
 }
@@ -813,30 +804,6 @@ TEST(Sink, DropCountersAccountForCaps)
     EXPECT_GT(p.droppedBranches(), 0u);
 }
 
-TEST(Sink, MergeFromCountsTruncation)
-{
-    ProbeConfig pc;
-    pc.collectOps = true;
-    pc.maxOps = 150;
-    pc.opWindow = 1000;
-    pc.opInterval = 1000;
-    pc.collectBranches = true;
-    pc.maxBranches = 8;
-
-    Probe a(pc), b(pc), merged(pc);
-    emitWorkload(a);
-    emitWorkload(b);
-    merged.mergeFrom(a);
-    ASSERT_EQ(merged.opTrace().size(), 150u);
-    uint64_t drops_before = merged.droppedOps();
-    merged.mergeFrom(b);  // capture already full: all of b's ops drop
-    EXPECT_EQ(merged.opTrace().size(), 150u);
-    EXPECT_EQ(merged.droppedOps(),
-              drops_before + b.recordedOps() + b.droppedOps());
-    EXPECT_EQ(merged.branchTrace().size(), 8u);
-    EXPECT_GT(merged.droppedBranches(), 0u);
-}
-
 TEST(Sink, MuxFansOutToAllSinks)
 {
     VectorSink first, second;
@@ -895,33 +862,16 @@ TEST(Sink, StreamingConfigRecordsEverything)
     EXPECT_EQ(p.recordedOps() + 80 * 2, p.totalOps());
 }
 
-/** The streaming profiler must agree with the probe's own site map up
- *  to the un-emitted half of each kernel-entry call pair (the probe
- *  books 4 call-overhead ops per enterKernel but streams 2). */
-TEST(Sink, SiteProfileMatchesProbeProfiling)
+/** The streaming profiler charges each kernel exactly the ops it
+ *  recorded: its call pair (2 of the 4 booked call-overhead ops) plus
+ *  every op emitted until the next kernel entry. */
+TEST(Sink, SiteProfileAttributesEachKernelsOps)
 {
-    ProbeConfig pc = ProbeConfig::streaming();
-    pc.profileSites = true;
-    SiteProfileSink sink;
-    Probe p(pc);
-    p.setSink(&sink);
-    emitWorkload(p);
-    p.flushToSink();
-    EXPECT_EQ(sink.siteOps().size(), p.siteOps().size());
-    for (const auto &[site, n] : p.siteOps()) {
-        auto it = sink.siteOps().find(site);
-        ASSERT_NE(it, sink.siteOps().end());
-        // 40 entries per kernel site in the workload, 2 un-streamed
-        // bookkeeping ops each.
-        EXPECT_EQ(it->second + 40 * 2, n) << siteName(site);
-    }
-    // Both orderings of the flat profile must agree on the hot set.
-    auto a = profileReport(p, 0.0);
-    auto b = profileReport(sink, 0.0);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].name, b[i].name);
-    }
+    SiteProfileSink sink = profileOf(emitWorkload);
+    ASSERT_EQ(sink.siteOps().size(), 2u);
+    // Per round: a = 2 + 30 + 1 + 8 + 1 + 9, b = 2 + 50 + 1 + 1.
+    EXPECT_EQ(sink.siteOps().at(sitePc("sink.kernel.a")), 40u * 51);
+    EXPECT_EQ(sink.siteOps().at(sitePc("sink.kernel.b")), 40u * 54);
 }
 
 // ---- Emission-block boundaries (kBlockOps = 4096) -------------------
