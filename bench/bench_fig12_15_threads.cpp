@@ -30,12 +30,8 @@ taskedEncode(const std::string &name, int crf, int preset,
     encoders::EncodeParams p;
     p.crf = crf;
     p.preset = preset;
-    trace::ProbeConfig pc;
-    pc.collectOps = true;
-    pc.maxOps = 1'000'000;
-    pc.opWindow = 80'000;
-    pc.opInterval = 400'000;
-    return enc->encode(clip, p, pc, true);
+    // Mix counters only: task weights come from totalOps().
+    return enc->encode(clip, p, {}, true);
 }
 
 void

@@ -37,7 +37,7 @@ main(int argc, char **argv)
                        "Frontend", "Backend", "IPC/core"});
     // This figure replays reconstructed socket-wide traces, which needs
     // the materialised op trace (random access across task op ranges),
-    // so the encode stays batch-captured; the four encoders are
+    // so the encode streams into a VectorSink; the four encoders are
     // independent and run on scale.jobs workers.
     const std::vector<std::string> names = {"Libaom", "SVT-AV1", "x264",
                                             "x265"};
@@ -53,7 +53,8 @@ main(int argc, char **argv)
         pc.maxOps = 1'200'000;
         pc.opWindow = 60'000;
         pc.opInterval = 300'000;
-        auto r = enc->encode(clip, p, pc, true);
+        trace::VectorSink captured;
+        auto r = enc->encode(clip, p, pc, true, &captured);
 
         core::SystemTraceConfig trace_cfg;
         // x265's thread pool polls (spin-waits); the others block.
@@ -61,7 +62,7 @@ main(int argc, char **argv)
             enc->threadModel() == encoders::ThreadModel::SerialSpine;
         for (int threads : {1, 2, 4, 8}) {
             auto system_trace = core::buildSystemTrace(
-                r.opTrace(), r.taskGraph, threads, trace_cfg);
+                captured.ops(), r.taskGraph, threads, trace_cfg);
             uarch::Core core;
             uarch::CoreStats s = core.run(system_trace);
             rows[i].push_back(

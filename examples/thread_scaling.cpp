@@ -36,13 +36,9 @@ main(int argc, char **argv)
     params.crf = encoder->crfRange() == 63 ? 40 : 32;
     params.preset = encoder->presetInverted() ? 2 : 6;
 
-    trace::ProbeConfig pc;
-    pc.collectOps = true;
-    pc.maxOps = 500'000;
-    pc.opWindow = 50'000;
-    pc.opInterval = 400'000;
+    // Mix counters only: task weights come from the op count.
     encoders::EncodeResult r =
-        encoder->encode(clip, params, pc, /*build_tasks=*/true);
+        encoder->encode(clip, params, {}, /*build_tasks=*/true);
     std::printf("%s: %zu tasks, total weight %s instructions, critical "
                 "path %s (parallelism bound %.2f)\n\n",
                 name.c_str(), r.taskGraph.size(),

@@ -13,6 +13,7 @@
 #include "bpred/runner.hpp"
 #include "codec/kernels.hpp"
 #include "codec/transform.hpp"
+#include "core/experiment.hpp"
 #include "core/rng.hpp"
 #include "lab/json.hpp"
 #include "lab/store.hpp"
@@ -122,7 +123,7 @@ loadCorpusCase(const std::string &path, CorpusCase &out, std::string &err)
             have_target = true;
         } else if (key == "seed") {
             try {
-                out.seed = std::stoull(value);
+                out.seed = core::parseU64Strict(value, "seed");
             } catch (const std::exception &) {
                 err = path + ": bad seed '" + value + "'";
                 return false;

@@ -25,9 +25,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 
 #include "check/fuzzer.hpp"
+#include "core/experiment.hpp"
 
 namespace
 {
@@ -50,21 +52,6 @@ usage(const std::string &error)
         "store-bit parallel-drop backend-energy tracefile-delta "
         "ladder-hull probe-quiet\n");
     std::exit(2);
-}
-
-uint64_t
-parseU64(const std::string &text, const char *flag)
-{
-    try {
-        size_t used = 0;
-        const uint64_t v = std::stoull(text, &used);
-        if (used != text.size()) {
-            throw std::invalid_argument("trailing junk");
-        }
-        return v;
-    } catch (const std::exception &) {
-        usage(std::string(flag) + ": bad number '" + text + "'");
-    }
 }
 
 void
@@ -90,33 +77,39 @@ main(int argc, char **argv)
     std::string repro_out;
     bool seed_given = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--target=", 0) == 0) {
-            target_arg = arg.substr(9);
-        } else if (arg.rfind("--iters=", 0) == 0) {
-            options.iters =
-                static_cast<int>(parseU64(arg.substr(8), "--iters"));
-        } else if (arg.rfind("--seed=", 0) == 0) {
-            options.baseSeed = parseU64(arg.substr(7), "--seed");
-            seed_given = true;
-        } else if (arg == "--quick") {
-            options.quick = true;
-        } else if (arg == "--no-shrink") {
-            options.shrink = false;
-        } else if (arg.rfind("--corpus=", 0) == 0) {
-            corpus_dir = arg.substr(9);
-        } else if (arg.rfind("--case=", 0) == 0) {
-            case_file = arg.substr(7);
-        } else if (arg.rfind("--inject=", 0) == 0) {
-            if (!check::parseFault(arg.substr(9), options.inject)) {
-                usage("unknown fault '" + arg.substr(9) + "'");
+    // A bad number (core::parseU64Strict) is a usage error too.
+    try {
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            if (arg.rfind("--target=", 0) == 0) {
+                target_arg = arg.substr(9);
+            } else if (arg.rfind("--iters=", 0) == 0) {
+                options.iters = static_cast<int>(
+                    core::parseU64Strict(arg.substr(8), "--iters"));
+            } else if (arg.rfind("--seed=", 0) == 0) {
+                options.baseSeed =
+                    core::parseU64Strict(arg.substr(7), "--seed");
+                seed_given = true;
+            } else if (arg == "--quick") {
+                options.quick = true;
+            } else if (arg == "--no-shrink") {
+                options.shrink = false;
+            } else if (arg.rfind("--corpus=", 0) == 0) {
+                corpus_dir = arg.substr(9);
+            } else if (arg.rfind("--case=", 0) == 0) {
+                case_file = arg.substr(7);
+            } else if (arg.rfind("--inject=", 0) == 0) {
+                if (!check::parseFault(arg.substr(9), options.inject)) {
+                    usage("unknown fault '" + arg.substr(9) + "'");
+                }
+            } else if (arg.rfind("--repro-out=", 0) == 0) {
+                repro_out = arg.substr(12);
+            } else {
+                usage("unknown flag '" + arg + "'");
             }
-        } else if (arg.rfind("--repro-out=", 0) == 0) {
-            repro_out = arg.substr(12);
-        } else {
-            usage("unknown flag '" + arg + "'");
         }
+    } catch (const std::invalid_argument &err) {
+        usage(err.what());
     }
 
     check::Target target = check::Target::Core;

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <charconv>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -100,17 +101,47 @@ RunScale::fromArgs(int argc, char **argv)
     return scale;
 }
 
+namespace
+{
+
+/** from_chars over the whole of @p text, or an error naming @p flag
+ *  and @p what it expects. Partial consumption ("4abc") is as wrong as
+ *  no digits at all: std::stoi and friends would silently accept it. */
+template <typename T>
+T
+parseWhole(const std::string &text, const std::string &flag,
+           const char *what)
+{
+    T value{};
+    const char *last = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), last, value);
+    if (ec != std::errc() || ptr != last || text.empty()) {
+        throw std::invalid_argument(flag + " expects " + what + ", got '" +
+                                    text + "'");
+    }
+    return value;
+}
+
+} // namespace
+
 int
 parseIntStrict(const std::string &text, const std::string &flag)
 {
-    int value = 0;
-    const char *first = text.data();
-    const char *last = first + text.size();
-    auto [ptr, ec] = std::from_chars(first, last, value);
-    // Partial consumption ("4abc") is as wrong as no digits at all:
-    // std::stoi would silently accept it.
-    if (ec != std::errc() || ptr != last || text.empty()) {
-        throw std::invalid_argument(flag + " expects an integer, got '" +
+    return parseWhole<int>(text, flag, "an integer");
+}
+
+uint64_t
+parseU64Strict(const std::string &text, const std::string &flag)
+{
+    return parseWhole<uint64_t>(text, flag, "a non-negative integer");
+}
+
+double
+parseDoubleStrict(const std::string &text, const std::string &flag)
+{
+    const double value = parseWhole<double>(text, flag, "a finite number");
+    if (!std::isfinite(value)) {
+        throw std::invalid_argument(flag + " expects a finite number, got '" +
                                     text + "'");
     }
     return value;

@@ -91,6 +91,11 @@ struct RunScale {
  */
 int parseIntStrict(const std::string &text, const std::string &flag);
 
+/** The same whole-token rule for a uint64_t (no sign: "-1" is an error,
+ *  not 2^64 - 1) and for a double, which must also be finite. */
+uint64_t parseU64Strict(const std::string &text, const std::string &flag);
+double parseDoubleStrict(const std::string &text, const std::string &flag);
+
 /** The CRF sweep points used throughout the paper's Section 4. */
 const std::vector<int> &crfSweepAv1();   ///< {10, 20, 30, 40, 50, 60}
 const std::vector<int> &crfSweepX26x();  ///< Scaled onto the 0-51 range.

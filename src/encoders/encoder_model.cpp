@@ -134,6 +134,10 @@ EncoderModel::encode(const video::Video &video, const EncodeParams &params,
     if (video.frameCount() == 0) {
         throw std::invalid_argument("encode: empty video");
     }
+    if ((probe_config.collectOps || probe_config.collectBranches) &&
+        sink == nullptr) {
+        throw std::invalid_argument("encode: recording a trace needs a sink");
+    }
     EncodeResult result;
     result.encoder = name();
     result.params = params;
@@ -375,8 +379,6 @@ EncoderModel::encode(const video::Video &video, const EncodeParams &params,
     if (sink != nullptr) {
         probe.flushToSink();
         sink->flush();
-    } else {
-        result.capture = probe.takeCapture();
     }
     if (tb.enabled) {
         result.taskGraph = std::move(tb.graph);

@@ -54,20 +54,6 @@ struct EncodeResult {
     double psnrDb = 0.0;            ///< Sequence luma PSNR.
     double bitrateKbps = 0.0;       ///< Real entropy-coded bitrate.
 
-    /**
-     * The probe's captured traces. Only populated when the encode ran
-     * without an external sink — fused pipelines consume ops as they
-     * are produced and materialise nothing here.
-     */
-    trace::VectorSink capture;
-    /** Captured op trace, for batch replay through the core model. */
-    const std::vector<trace::TraceOp> &opTrace() const { return capture.ops(); }
-    /** Captured branch trace, for batch CBP replay. */
-    const std::vector<trace::BranchRecord> &
-    branchTrace() const
-    {
-        return capture.branches();
-    }
     /** Instruction span the branch trace covers (CBP MPKI denominator). */
     uint64_t branchTraceInstructions = 0;
     /**
@@ -115,10 +101,12 @@ class EncoderModel
      * @param params       CRF / preset point.
      * @param probe_config What to collect (mix counters are always on).
      * @param build_tasks  Also emit the scalability task graph.
-     * @param sink         When non-null, stream trace events there
-     *                     instead of materialising them in the result's
-     *                     capture — the fused encode->simulate path.
-     *                     flush() is called before encode() returns.
+     * @param sink         Receives the recorded ops and branches as the
+     *                     encode emits them (a trace::VectorSink
+     *                     materialises them); flush() is called before
+     *                     encode() returns.
+     * @throws std::invalid_argument on an empty clip, or when
+     *         @p probe_config records a trace and @p sink is null.
      */
     EncodeResult encode(const video::Video &video, const EncodeParams &params,
                         const trace::ProbeConfig &probe_config = {},

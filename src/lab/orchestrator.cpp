@@ -49,17 +49,6 @@ fillEncodeSummary(JobResult &result, const encoders::EncodeResult &enc)
 
 } // namespace
 
-bool
-Orchestrator::queueLess(const QueueItem &a, const QueueItem &b)
-{
-    // Higher priority first; submit order (seq) breaks ties, so a
-    // priority class drains deterministically FIFO.
-    if (a.priority != b.priority) {
-        return a.priority < b.priority;
-    }
-    return a.seq > b.seq;
-}
-
 OrchestratorOptions
 OrchestratorOptions::fromRunScale(const core::RunScale &scale)
 {
@@ -451,21 +440,18 @@ Orchestrator::startService(const ServiceOptions &options)
         throw std::logic_error("lab: service already started");
     }
     auto service = std::make_unique<Service>();
-    service->opts = options;
-    service->opts.shards = std::max(1, options.shards);
-    service->opts.workers = std::max(1, options.workers);
-    for (int s = 0; s < service->opts.shards; ++s) {
+    for (int s = 0; s < std::max(1, options.shards); ++s) {
         service->shards.push_back(std::make_unique<Shard>());
     }
     service_ = std::move(service);
-    for (int w = 0; w < service_->opts.workers; ++w) {
+    for (int w = 0; w < std::max(1, options.workers); ++w) {
         service_->workers.emplace_back(
             [this, w] { serviceWorker(static_cast<size_t>(w)); });
     }
 }
 
-std::optional<size_t>
-Orchestrator::submit(const JobSpec &spec, int priority)
+size_t
+Orchestrator::submit(const JobSpec &spec)
 {
     if (spec.threads < 1) {
         throw std::invalid_argument("lab: threads must be >= 1");
@@ -489,18 +475,6 @@ Orchestrator::submit(const JobSpec &spec, int priority)
         hit = store_.load(spec);
     }
 
-    if (!hit) {
-        // Admission control: reject new work while the backlog is at
-        // the limit (dedupe hits and cache hits above are always
-        // admitted — they cost nothing to resolve).
-        std::lock_guard<std::mutex> wait_lock(svc.wait_mutex);
-        if (svc.opts.admissionLimit != 0 &&
-            svc.queued >= svc.opts.admissionLimit) {
-            ++rejected_;
-            return std::nullopt;
-        }
-    }
-
     size_t handle;
     {
         std::lock_guard<std::mutex> done_lock(done_mutex_);
@@ -522,17 +496,12 @@ Orchestrator::submit(const JobSpec &spec, int priority)
 
     prepareMiss(spec);
 
-    QueueItem item;
-    item.priority = priority;
-    item.handle = handle;
     Shard &shard = *svc.shards[handle % svc.shards.size()];
     {
         std::lock_guard<std::mutex> wait_lock(svc.wait_mutex);
-        item.seq = svc.next_seq++;
         {
             std::lock_guard<std::mutex> shard_lock(shard.mutex);
-            shard.heap.push_back(item);
-            std::push_heap(shard.heap.begin(), shard.heap.end(), queueLess);
+            shard.handles.push_back(handle);
         }
         ++svc.queued;
     }
@@ -551,12 +520,11 @@ Orchestrator::popQueued(size_t worker_index)
     for (size_t k = 0; k < n; ++k) {
         Shard &shard = *svc.shards[(worker_index + k) % n];
         std::lock_guard<std::mutex> shard_lock(shard.mutex);
-        if (shard.heap.empty()) {
+        if (shard.handles.empty()) {
             continue;
         }
-        std::pop_heap(shard.heap.begin(), shard.heap.end(), queueLess);
-        size_t handle = shard.heap.back().handle;
-        shard.heap.pop_back();
+        const size_t handle = shard.handles.front();
+        shard.handles.pop_front();
         return handle;
     }
     return std::nullopt;
@@ -622,16 +590,6 @@ Orchestrator::await(size_t handle)
         throw std::out_of_range("lab: bad job handle");
     }
     done_cv_.wait(done_lock, [&] { return results_[handle] != nullptr; });
-}
-
-bool
-Orchestrator::finished(size_t handle) const
-{
-    std::lock_guard<std::mutex> done_lock(done_mutex_);
-    if (handle >= results_.size()) {
-        throw std::out_of_range("lab: bad job handle");
-    }
-    return results_[handle] != nullptr;
 }
 
 void
@@ -729,9 +687,6 @@ Orchestrator::summaryLine() const
     std::string line = buf;
     if (failures_ > 0) {
         line += ", " + std::to_string(failures_) + " failed";
-    }
-    if (rejected_ > 0) {
-        line += ", " + std::to_string(rejected_) + " rejected";
     }
     return line;
 }

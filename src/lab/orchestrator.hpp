@@ -12,9 +12,9 @@
  *
  * Besides the batch API, the orchestrator can run as a persistent
  * service (startService/submit/await/stopService): worker threads
- * drain a sharded priority queue with asynchronous intake, admission
- * control, and the same dedupe/cache-first/retry semantics — the
- * execution engine of the vepro-serve encode farm.
+ * drain sharded FIFO queues with asynchronous intake and the same
+ * dedupe/cache-first/retry semantics — the execution engine of the
+ * vepro-serve cost resolution.
  *
  * Decoded clips are reference-counted: a clip is loaded lazily when its
  * first cache-missing point starts and released as soon as its last
@@ -74,17 +74,12 @@ struct OrchestratorOptions {
 
 /**
  * Service-mode configuration (see Orchestrator::startService): the
- * persistent sharded priority queue behind vepro-serve's async job
+ * persistent sharded FIFO queues behind vepro-serve's async job
  * intake.
  */
 struct ServiceOptions {
-    int shards = 4;    ///< Independent priority-queue shards (>= 1).
+    int shards = 4;    ///< Independent FIFO queue shards (>= 1).
     int workers = 1;   ///< Persistent worker threads (>= 1).
-    /**
-     * Admission control: maximum jobs queued (submitted but not yet
-     * started) before submit() rejects. 0 = unbounded.
-     */
-    size_t admissionLimit = 0;
 };
 
 class Orchestrator
@@ -114,9 +109,9 @@ class Orchestrator
     //
     // The batch API above resolves a closed set of requests in one
     // run() call. Service mode promotes the orchestrator into a
-    // long-running farm back-end: persistent worker threads drain a
-    // sharded priority queue while producers keep submitting jobs
-    // asynchronously — the engine behind vepro-serve.
+    // long-running back-end: persistent worker threads drain sharded
+    // FIFO queues while producers keep submitting jobs asynchronously
+    // — the engine behind vepro-serve's cost resolution.
 
     /**
      * Spawn the service workers. Mutually exclusive with concurrent
@@ -126,21 +121,16 @@ class Orchestrator
 
     /**
      * Asynchronously submit one job; thread-safe. Cache hits and
-     * duplicates of an already-submitted spec resolve without queueing.
-     * Higher @p priority runs earlier; ties run in submit order.
+     * duplicates of an already-submitted spec resolve without queueing;
+     * queued jobs start in submit order per shard.
      *
-     * @return the job handle, or nullopt when admission control
-     *         rejected the job (queue at admissionLimit). A handle is
-     *         interchangeable with batch handles: await() it, then read
-     *         result().
+     * @return the job handle. A handle is interchangeable with batch
+     *         handles: await() it, then read result().
      */
-    std::optional<size_t> submit(const JobSpec &spec, int priority = 0);
+    size_t submit(const JobSpec &spec);
 
     /** Block until @p handle is resolved (thread-safe). */
     void await(size_t handle);
-
-    /** True once @p handle has a result (possibly a failure). */
-    bool finished(size_t handle) const;
 
     /**
      * Drain every queued job, join the workers, and leave service
@@ -163,8 +153,6 @@ class Orchestrator
     size_t computed() const { return computed_; }
     size_t retries() const { return retries_ + service_retries_.load(); }
     size_t failures() const { return failures_; }
-    /** Jobs admission control turned away (service mode). */
-    size_t rejected() const { return rejected_; }
 
     // ---- Trace-cache observability (the "no encoder work" seam) -----
     /** Times the encoder model actually ran (live encodes). A fully
@@ -191,32 +179,20 @@ class Orchestrator
         size_t remaining = 0;  ///< Pending points still needing it.
     };
 
-    /** One queued service job, ordered by (priority desc, seq asc). */
-    struct QueueItem {
-        int priority = 0;
-        uint64_t seq = 0;
-        size_t handle = 0;
-    };
-
     struct Shard {
         std::mutex mutex;
-        std::vector<QueueItem> heap;  ///< std::push_heap max-heap.
+        std::deque<size_t> handles;  ///< Queued jobs, in submit order.
     };
 
     /** Everything the persistent service owns; null in batch mode. */
     struct Service {
-        ServiceOptions opts;
         std::vector<std::unique_ptr<Shard>> shards;
         std::vector<std::thread> workers;
         std::mutex wait_mutex;
         std::condition_variable work_cv;
         size_t queued = 0;       ///< Submitted, not yet started.
-        uint64_t next_seq = 0;
         bool stopping = false;
     };
-
-    /** Max-heap order: higher priority first, then submit order. */
-    static bool queueLess(const QueueItem &a, const QueueItem &b);
 
     JobResult execute(const JobSpec &spec);
     /** The pre-trace-cache path: live encode fused with the core
@@ -263,7 +239,7 @@ class Orchestrator
      *  counters below in service mode (batch mode is single-threaded
      *  outside parallelFor, which only touches disjoint results_). */
     mutable std::mutex intake_mutex_;
-    /** Resolution signalling for await()/finished(). */
+    /** Resolution signalling for await(). */
     mutable std::mutex done_mutex_;
     mutable std::condition_variable done_cv_;
 
@@ -280,7 +256,6 @@ class Orchestrator
     size_t computed_ = 0;
     size_t retries_ = 0;
     size_t failures_ = 0;
-    size_t rejected_ = 0;
 };
 
 } // namespace vepro::lab

@@ -41,13 +41,8 @@ parseRungMix(const std::string &text)
         TrafficConfig::RungShare share;
         share.scale =
             core::parseIntStrict(item.substr(0, colon), "--rung-mix scale");
-        const std::string weight_text = item.substr(colon + 1);
-        size_t consumed = 0;
-        share.weight = std::stod(weight_text, &consumed);
-        if (consumed != weight_text.size()) {
-            throw std::invalid_argument(
-                "--rung-mix: bad weight '" + weight_text + "'");
-        }
+        share.weight = core::parseDoubleStrict(item.substr(colon + 1),
+                                               "--rung-mix weight");
         if (share.scale < 1) {
             throw std::invalid_argument("--rung-mix scales must be >= 1");
         }
@@ -61,6 +56,32 @@ parseRungMix(const std::string &text)
             "--rung-mix needs at least one scale:weight pair");
     }
     return mix;
+}
+
+/** core::parseIntStrict, range-checked to >= @p min. */
+int
+intAtLeast(const std::string &text, const std::string &flag, int min)
+{
+    const int n = core::parseIntStrict(text, flag);
+    if (n < min) {
+        throw std::invalid_argument(flag + " must be >= " +
+                                    std::to_string(min));
+    }
+    return n;
+}
+
+/** core::parseDoubleStrict, range-checked to > 0 (>= 0 with
+ *  @p zero_ok). */
+double
+positiveDouble(const std::string &text, const std::string &flag,
+               bool zero_ok = false)
+{
+    const double x = core::parseDoubleStrict(text, flag);
+    if (x < 0.0 || (x == 0.0 && !zero_ok)) {
+        throw std::invalid_argument(flag + (zero_ok ? " must be >= 0"
+                                                    : " must be > 0"));
+    }
+    return x;
 }
 
 std::string
@@ -186,27 +207,23 @@ parseServeCli(const std::vector<std::string> &args)
     try {
         for (const auto &[flag, v] : seen) {
             if (flag == "--seed") {
-                cli.scenario.traffic.seed = std::stoull(v);
+                cli.scenario.traffic.seed = core::parseU64Strict(v, flag);
             } else if (flag == "--users") {
-                cli.scenario.traffic.users = core::parseIntStrict(v, flag);
+                cli.scenario.traffic.users = intAtLeast(v, flag, 0);
             } else if (flag == "--uploads-per-hour") {
-                cli.scenario.traffic.uploadsPerUserPerHour = std::stod(v);
+                cli.scenario.traffic.uploadsPerUserPerHour =
+                    positiveDouble(v, flag, true);
             } else if (flag == "--duration") {
-                cli.scenario.traffic.durationSec = std::stod(v);
+                cli.scenario.traffic.durationSec = positiveDouble(v, flag);
             } else if (flag == "--servers") {
-                cli.scenario.farm.servers = core::parseIntStrict(v, flag);
+                cli.scenario.farm.servers = intAtLeast(v, flag, 1);
             } else if (flag == "--shards") {
-                cli.scenario.farm.shards = core::parseIntStrict(v, flag);
+                cli.scenario.farm.shards = intAtLeast(v, flag, 1);
             } else if (flag == "--admission") {
-                const int limit = core::parseIntStrict(v, flag);
-                if (limit < 0) {
-                    throw std::invalid_argument(
-                        "--admission must be >= 0");
-                }
                 cli.scenario.farm.admissionLimit =
-                    static_cast<size_t>(limit);
+                    static_cast<size_t>(intAtLeast(v, flag, 0));
             } else if (flag == "--latency-target") {
-                cli.scenario.farm.latencyTargetSec = std::stod(v);
+                cli.scenario.farm.latencyTargetSec = positiveDouble(v, flag);
             } else if (flag == "--rung-mix") {
                 cli.scenario.traffic.rungMix = parseRungMix(v);
             } else if (flag == "--backend") {
@@ -217,18 +234,9 @@ parseServeCli(const std::vector<std::string> &args)
                 }
                 cli.scenario.cost.backend = v;
             } else if (flag == "--ghz") {
-                const double ghz = std::stod(v);
-                if (ghz <= 0.0) {
-                    throw std::invalid_argument("--ghz must be > 0");
-                }
-                cli.scenario.cost.nominalGhz = ghz;
+                cli.scenario.cost.nominalGhz = positiveDouble(v, flag);
             } else if (flag == "--server-cores") {
-                const int cores = core::parseIntStrict(v, flag);
-                if (cores < 1) {
-                    throw std::invalid_argument(
-                        "--server-cores must be >= 1");
-                }
-                cli.scenario.cost.serverCores = cores;
+                cli.scenario.cost.serverCores = intAtLeast(v, flag, 1);
             } else if (flag == "--backends") {
                 cli.fleetBackends = splitList(v);
                 if (cli.fleetBackends.empty()) {
@@ -243,7 +251,7 @@ parseServeCli(const std::vector<std::string> &args)
                     }
                 }
             } else if (flag == "--jobs") {
-                cli.jobs = core::parseIntStrict(v, flag);
+                cli.jobs = intAtLeast(v, flag, 0);
             } else if (flag == "--store") {
                 cli.storeDir = v;
             } else if (flag == "--json") {

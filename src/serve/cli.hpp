@@ -4,10 +4,11 @@
 /**
  * @file
  * vepro-serve argument parsing, split from main() so tests can drive
- * it. Integer flags go through core::parseIntStrict — "--users 4abc"
- * is a parse error, not a silent 4 (std::stoi would accept it) — and
- * --backend names are validated against the profile registry before
- * any traffic is generated.
+ * it. Numeric flags parse whole-token strict (core::parseIntStrict,
+ * parseU64Strict, parseDoubleStrict: "--users 4abc", "--seed -1" and
+ * "--latency-target nan" are errors, not a silent 4, 2^64 - 1 or NaN)
+ * and are range-checked; --backend names are validated against the
+ * profile registry. All of it happens before any cost resolution.
  */
 
 #include <string>

@@ -183,13 +183,8 @@ CostModel::resolveOn(const std::vector<std::string> &backends,
                     }
                     lab::JobSpec spec = specFor(clip, crf, preset);
                     spec.backend = prof.name;
-                    const auto handle = orch_.submit(spec);
-                    if (!handle.has_value()) {
-                        throw std::runtime_error(
-                            "serve: cost spec rejected by admission "
-                            "control");
-                    }
-                    pending.push_back({key, prof.name, preset, *handle});
+                    pending.push_back(
+                        {key, prof.name, preset, orch_.submit(spec)});
                 }
             }
         }

@@ -9,12 +9,13 @@
  *
  * Every (backend, clip, crf, preset) combo in a scenario resolves to
  * one lab::JobSpec executed by the Orchestrator's persistent service
- * (async submit + await): the instrumented encoder model produces the
- * dynamic instruction count and the core model — built from the
- * backend's CoreConfig — the achieved IPC, both persisted in the
- * store. A warm store makes policy and fleet sweeps replay without
- * re-encoding anything; specs on the default profile keep the exact
- * pre-backend store key, so old entries stay cache hits.
+ * (async FIFO submit + await; the service never turns a spec away):
+ * the instrumented encoder model produces the dynamic instruction
+ * count and the core model — built from the backend's CoreConfig —
+ * the achieved IPC, both persisted in the store. A warm store makes
+ * policy and fleet sweeps replay without re-encoding anything; specs
+ * on the default profile keep the exact pre-backend store key, so old
+ * entries stay cache hits.
  *
  * Underneath the result store sits the orchestrator's trace cache
  * (lab::TraceCache), keyed by the encode-side spec fields only — the

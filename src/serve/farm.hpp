@@ -106,21 +106,24 @@ struct FarmResult {
 /**
  * Run the farm over @p arrivals (must be sorted by arrivalSec — the
  * generateTraffic contract) under @p policy. Pure and deterministic.
+ * The config.servers identical servers are one group (see below) that
+ * consults @p cost directly: no backend, no energy.
  */
 FarmResult simulateFarm(const std::vector<UploadJob> &arrivals,
                         const FarmConfig &config, const Policy &policy,
                         const CostOracle &cost);
 
 /**
- * Heterogeneous overload: the pool is the concatenation of @p pool's
- * groups (config.servers is ignored; shards / admission / latency
- * target still apply). Each server carries its group's backend;
- * service times and energy come from the FleetCostOracle's *On
- * methods, and the policy is consulted through a per-backend view so
- * adaptive switching sees the costs of the machine actually dispatching
- * the job. Ties between simultaneously free servers break toward the
- * lowest server index (earlier groups first) — deterministic, like
- * everything else here.
+ * Heterogeneous overload: the pool is @p pool's groups, in order
+ * (config.servers is ignored; shards / admission / latency target
+ * still apply). Each group keeps a min-heap of its servers' free times
+ * and carries its backend; service times and energy come from the
+ * FleetCostOracle's *On methods, and the policy is consulted through a
+ * per-backend view so adaptive switching sees the costs of the machine
+ * actually dispatching the job. A dispatch goes to the group whose
+ * earliest server frees first; ties break toward the earlier group —
+ * deterministic, like everything else here. Both overloads run the
+ * same event loop.
  */
 FarmResult simulateFarm(const std::vector<UploadJob> &arrivals,
                         const FarmConfig &config, const Policy &policy,

@@ -49,7 +49,7 @@ struct ScenarioRun {
 
 /**
  * Run @p scenario: start the orchestrator's service (workers = @p
- * jobs, shards/admission from the farm config), resolve the cost
+ * jobs, shards from the farm config), resolve the cost
  * combos through it, stop the service, then simulate one StaticPolicy
  * per ladder rung plus AdaptivePolicy over the identical arrival
  * sequence. The policy loop is pure, so the resulting table is

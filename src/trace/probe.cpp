@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <mutex>
+#include <stdexcept>
 
 namespace vepro::trace
 {
@@ -191,15 +192,19 @@ Probe::openQuietRegion()
 }
 
 void
-Probe::flushBlock() const
+Probe::flushBlock()
 {
     if (stage_.empty()) {
         return;
     }
+    if (sink_ == nullptr) {
+        throw std::logic_error(
+            "trace: probe recorded ops or branches with no sink set");
+    }
     // A non-moving sink (the default) leaves the block with us; a
     // moving one (PipelineMux, SegmentSim) takes the buffers. Either
     // way the stage comes back empty with standard capacity.
-    dest()->onBlock(std::move(stage_));
+    sink_->onBlock(std::move(stage_));
     stage_.clear();
     stage_.reserveStandard();
 }

@@ -8,9 +8,9 @@
  * Encoder kernels call into a Probe to report the dynamic instructions
  * they would execute as compiled AVX2 code: op class, synthetic program
  * counter, data address, branch outcome, and dependency distances. The
- * probe accumulates three products:
+ * probe keeps instruction-mix counters (always on, batched — Table 2 /
+ * Fig. 3) and streams two traces to a TraceSink:
  *
- *  - instruction-mix counters (always on, batched — Table 2 / Fig. 3),
  *  - a branch trace (pc, taken) for the CBP predictor study (Figs. 8-10),
  *  - a sampled full-op trace for the out-of-order core model
  *    (Figs. 4-7, 11, 16).
@@ -27,7 +27,6 @@
 #include <limits>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "trace/opclass.hpp"
 #include "trace/sink.hpp"
@@ -90,9 +89,9 @@ struct ProbeConfig {
 
     /**
      * Full-fidelity streaming configuration: every op (and optionally
-     * every branch) is recorded, uncapped and unsampled. Only sensible
-     * with an external sink (Probe::setSink) consuming the stream as it
-     * is produced — materialising it would be O(trace length) again.
+     * every branch) is recorded, uncapped and unsampled. Best with a
+     * sink that consumes the stream as it is produced: a VectorSink
+     * makes it O(trace length) again.
      */
     static ProbeConfig streaming(bool branches = false);
 };
@@ -121,26 +120,23 @@ class Probe
     const ProbeConfig &config() const { return config_; }
 
     /**
-     * Stream recorded ops/branches to @p sink instead of the internal
-     * capture vectors. The sampling window and caps of the ProbeConfig
-     * still gate what is recorded, so a sink-fed consumer sees exactly
-     * the stream a capturing probe would have materialised; configure
-     * with ProbeConfig::streaming() for the uncapped full trace. The
-     * sink is not owned and must outlive the probe's emission. Pass
-     * nullptr to restore internal capture.
+     * Stream recorded ops/branches to @p sink. The sampling window and
+     * caps of the ProbeConfig gate what is recorded; configure with
+     * ProbeConfig::streaming() for the uncapped full trace, and feed a
+     * VectorSink to materialise it. The sink is not owned and must
+     * outlive the probe's emission. A probe whose config records ops or
+     * branches needs a sink: delivering a block without one throws
+     * std::logic_error.
      */
     void setSink(TraceSink *sink) { sink_ = sink; }
-    TraceSink *sink() const { return sink_; }
 
     /**
      * Deliver any records still staged in the probe's emission block to
-     * the sink (or internal capture). Recorded ops, branches, and
-     * kernel entries are staged in TraceBlock units (TraceBlock::kOps
-     * ops plus the events among them) and delivered whole through
-     * TraceSink::onBlock, so sink consumers must call this once
-     * emission ends — before the sink's own flush() — to receive the
-     * tail of the stream. The trace accessors (opTrace(),
-     * takeCapture(), ...) flush implicitly.
+     * the sink. Recorded ops, branches, and kernel entries are staged in
+     * TraceBlock units (TraceBlock::kOps ops plus the events among them)
+     * and delivered whole through TraceSink::onBlock, so sink consumers
+     * must call this once emission ends — before the sink's own flush()
+     * — to receive the tail of the stream.
      */
     void flushToSink() { flushBlock(); }
 
@@ -196,7 +192,7 @@ class Probe
     const MixCounters &mix() const { return mix_; }
     uint64_t totalOps() const { return opSeq_; }
 
-    /** Ops recorded so far (delivered to the sink or captured). */
+    /** Ops recorded so far (delivered or staged for the sink). */
     uint64_t recordedOps() const { return ops_recorded_; }
     /** Branches recorded so far. */
     uint64_t recordedBranches() const { return branches_recorded_; }
@@ -213,38 +209,6 @@ class Probe
     }
     /** Branches lost to the maxBranches cap (see droppedOps()). */
     uint64_t droppedBranches() const { return dropped_branches_; }
-
-    const std::vector<TraceOp> &opTrace() const
-    {
-        flushBlock();
-        return capture_.ops();
-    }
-    const std::vector<BranchRecord> &branchTrace() const
-    {
-        flushBlock();
-        return capture_.branches();
-    }
-
-    /** Move the collected op trace out (leaves the probe's trace empty). */
-    std::vector<TraceOp> takeOpTrace()
-    {
-        flushBlock();
-        return capture_.takeOps();
-    }
-    /** Move the collected branch trace out. */
-    std::vector<BranchRecord> takeBranchTrace()
-    {
-        flushBlock();
-        return capture_.takeBranches();
-    }
-    /** Move the whole capture sink out (ops + branches together). */
-    VectorSink takeCapture()
-    {
-        flushBlock();
-        VectorSink out = std::move(capture_);
-        capture_ = VectorSink{};
-        return out;
-    }
 
     /** Dynamic conditional-branch count (for miss-rate denominators). */
     uint64_t condBranchCount() const
@@ -306,15 +270,11 @@ class Probe
 
     uint64_t nextPc();
 
-    /** Destination of recorded records: external sink or capture. */
-    TraceSink *dest() const { return sink_ != nullptr ? sink_ : &capture_; }
-
-    /** Deliver the staged block through dest()->onBlock (mutable
-     *  state: callable from const accessors, which must observe a
-     *  fully delivered trace). A sink that moves from the block takes
-     *  the buffers; either way the stage is left empty with standard
-     *  capacity re-reserved. */
-    void flushBlock() const;
+    /** Deliver the staged block through sink_->onBlock. A sink that
+     *  moves from the block takes the buffers; either way the stage is
+     *  left empty with standard capacity re-reserved. @throws
+     *  std::logic_error when records are staged and no sink is set. */
+    void flushBlock();
 
     /** Record one op (updates the recorded counter). */
     void emitOp(const TraceOp &op);
@@ -357,8 +317,7 @@ class Probe
     uint64_t branch_first_op_ = 0;
     uint64_t branch_last_op_ = 0;
 
-    TraceSink *sink_ = nullptr;  ///< External consumer, overrides capture.
-    mutable VectorSink capture_; ///< Internal batch capture (legacy API).
+    TraceSink *sink_ = nullptr;  ///< Consumer of recorded records.
     /** Kernel-site event deferred until an op is actually recorded:
      *  in sampled runs, kernel entries in the gaps between op windows
      *  vastly outnumber recorded ops and carry no information a
@@ -368,9 +327,9 @@ class Probe
     bool pending_site_valid_ = false;
     /** Emission staging block: recorded ops accumulate in stage_.ops
      *  and branch/kernel records as positioned events, delivered whole
-     *  through dest()->onBlock when the op span reaches kBlockOps (or
+     *  through sink_->onBlock when the op span reaches kBlockOps (or
      *  the event list does, for branch-only streams). */
-    mutable TraceBlock stage_ = makeStage();
+    TraceBlock stage_ = makeStage();
 
     static TraceBlock
     makeStage()
@@ -394,17 +353,15 @@ class Probe
 inline void
 Probe::enterKernel(uint64_t site, int body_len)
 {
-    if (sink_ != nullptr) {
-        // Deferred: the event is only staged when a record actually
-        // lands under this site (stagePendingKernel). Sampled captures
-        // gate ops off for most of each interval, and staging an event
-        // per kernel entry during those gaps used to swamp the trace —
-        // more event bytes than op bytes. Replay attribution only needs
-        // the site in force when recording resumes, which collapsing
-        // the gap's entries to the last one preserves.
-        pending_site_ = site;
-        pending_site_valid_ = true;
-    }
+    // Deferred: the event is only staged when a record actually lands
+    // under this site (stagePendingKernel). Sampled captures gate ops
+    // off for most of each interval, and staging an event per kernel
+    // entry during those gaps used to swamp the trace — more event
+    // bytes than op bytes. Replay attribution only needs the site in
+    // force when recording resumes, which collapsing the gap's entries
+    // to the last one preserves.
+    pending_site_ = site;
+    pending_site_valid_ = true;
     // Real encoders specialise each kernel by block size / unroll factor;
     // spread invocations over eight code variants so the instruction
     // footprint matches a few hundred KB of hot code, not a toy loop.

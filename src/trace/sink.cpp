@@ -1,7 +1,5 @@
 #include "trace/sink.hpp"
 
-#include <algorithm>
-
 namespace vepro::trace
 {
 
@@ -24,119 +22,6 @@ replayBlock(const TraceBlock &block, TraceSink &sink)
         sink.onOps(block.ops.data() + delivered,
                    block.ops.size() - delivered);
     }
-}
-
-void
-VectorSink::onOp(const TraceOp &op)
-{
-    if (max_ops_ == 0 || ops_.size() < max_ops_) {
-        ops_.push_back(op);
-        return;
-    }
-    ++dropped_ops_;
-    if (mode_ == Overflow::KeepLast) {
-        ops_[op_head_] = op;
-        op_head_ = (op_head_ + 1) % max_ops_;
-    }
-}
-
-void
-VectorSink::onOps(const TraceOp *ops, size_t n)
-{
-    if (max_ops_ == 0) {
-        ops_.insert(ops_.end(), ops, ops + n);
-        return;
-    }
-    // Bulk-append the prefix that fits under the cap.
-    size_t room = max_ops_ > ops_.size() ? max_ops_ - ops_.size() : 0;
-    size_t head = std::min(n, room);
-    ops_.insert(ops_.end(), ops, ops + head);
-    size_t rest = n - head;
-    if (rest == 0) {
-        return;
-    }
-    dropped_ops_ += rest;
-    if (mode_ != Overflow::KeepLast) {
-        return;
-    }
-    const TraceOp *src = ops + head;
-    if (rest >= max_ops_) {
-        // Only the newest max_ops_ records survive; lay them out
-        // chronologically with the write head back at zero.
-        std::copy(src + (rest - max_ops_), src + rest, ops_.begin());
-        op_head_ = 0;
-    } else {
-        // Write into the ring in at most two contiguous spans.
-        size_t first = std::min(rest, max_ops_ - op_head_);
-        std::copy(src, src + first,
-                  ops_.begin() + static_cast<ptrdiff_t>(op_head_));
-        std::copy(src + first, src + rest, ops_.begin());
-        op_head_ = (op_head_ + rest) % max_ops_;
-    }
-}
-
-void
-VectorSink::onBranch(const BranchRecord &branch)
-{
-    if (max_branches_ == 0 || branches_.size() < max_branches_) {
-        branches_.push_back(branch);
-        return;
-    }
-    ++dropped_branches_;
-    if (mode_ == Overflow::KeepLast) {
-        branches_[br_head_] = branch;
-        br_head_ = (br_head_ + 1) % max_branches_;
-    }
-}
-
-void
-VectorSink::flush()
-{
-    // Ring mode: the oldest retained record sits at the write head;
-    // rotate so ops()/branches() read in chronological order.
-    if (mode_ == Overflow::KeepLast) {
-        if (op_head_ != 0) {
-            std::rotate(ops_.begin(),
-                        ops_.begin() + static_cast<ptrdiff_t>(op_head_),
-                        ops_.end());
-            op_head_ = 0;
-        }
-        if (br_head_ != 0) {
-            std::rotate(branches_.begin(),
-                        branches_.begin() + static_cast<ptrdiff_t>(br_head_),
-                        branches_.end());
-            br_head_ = 0;
-        }
-    }
-}
-
-std::vector<TraceOp>
-VectorSink::takeOps()
-{
-    flush();
-    std::vector<TraceOp> out = std::move(ops_);
-    ops_.clear();
-    return out;
-}
-
-std::vector<BranchRecord>
-VectorSink::takeBranches()
-{
-    flush();
-    std::vector<BranchRecord> out = std::move(branches_);
-    branches_.clear();
-    return out;
-}
-
-void
-VectorSink::clear()
-{
-    ops_.clear();
-    branches_.clear();
-    op_head_ = 0;
-    br_head_ = 0;
-    dropped_ops_ = 0;
-    dropped_branches_ = 0;
 }
 
 } // namespace vepro::trace

@@ -18,8 +18,8 @@
  * (uarch::StreamCore), the cache hierarchy (uarch::CacheSink), the CBP
  * runner (bpred::StreamRunner), and the site profiler (SiteProfileSink)
  * all implement this interface; MuxSink fans one probe out to several of
- * them, and VectorSink preserves the old materialise-then-replay batch
- * API for tests and trace serialisation.
+ * them, and VectorSink is the one materialiser, for batch replay and
+ * tests.
  */
 
 #include <cstddef>
@@ -231,56 +231,32 @@ class MuxSink final : public TraceSink
 };
 
 /**
- * Materialising sink: collects the streams into vectors, preserving the
- * old batch API (Core::run, bpred::runTrace, trace_io) for tests and
- * offline replay.
- *
- * Optionally bounded: with a cap, KeepFirst drops records past the cap
- * (the legacy truncation behaviour) while KeepLast keeps the most recent
- * records in a ring buffer. Dropped records are counted either way, so
- * callers can warn instead of silently reporting truncated denominators.
- * In KeepLast mode, call flush() before reading: it rotates the ring
- * into chronological order.
+ * Materialising sink: appends both streams to vectors, for batch replay
+ * (Core::run, bpred::runTrace, buildSystemTrace) and tests. It keeps
+ * everything it is fed; the probe's ProbeConfig caps are the only caps,
+ * and the probe counts what they drop.
  */
 class VectorSink final : public TraceSink
 {
   public:
-    enum class Overflow { KeepFirst, KeepLast };
+    void onOp(const TraceOp &op) override { ops_.push_back(op); }
 
-    VectorSink() = default;
-    /** @param max_ops / @param max_branches 0 = unbounded. */
-    VectorSink(size_t max_ops, size_t max_branches,
-               Overflow mode = Overflow::KeepFirst)
-        : max_ops_(max_ops), max_branches_(max_branches), mode_(mode)
+    void
+    onOps(const TraceOp *ops, size_t n) override
     {
+        ops_.insert(ops_.end(), ops, ops + n);
     }
 
-    void onOp(const TraceOp &op) override;
-    void onOps(const TraceOp *ops, size_t n) override;
-    void onBranch(const BranchRecord &branch) override;
-    void flush() override;
+    void
+    onBranch(const BranchRecord &branch) override
+    {
+        branches_.push_back(branch);
+    }
 
     const std::vector<TraceOp> &ops() const { return ops_; }
     const std::vector<BranchRecord> &branches() const { return branches_; }
 
-    /** Move the ops out (ring rotated first; leaves the sink empty). */
-    std::vector<TraceOp> takeOps();
-    /** Move the branches out. */
-    std::vector<BranchRecord> takeBranches();
-
-    uint64_t droppedOps() const { return dropped_ops_; }
-    uint64_t droppedBranches() const { return dropped_branches_; }
-
-    void clear();
-
   private:
-    size_t max_ops_ = 0;
-    size_t max_branches_ = 0;
-    Overflow mode_ = Overflow::KeepFirst;
-    size_t op_head_ = 0;  ///< Ring write position (KeepLast only).
-    size_t br_head_ = 0;
-    uint64_t dropped_ops_ = 0;
-    uint64_t dropped_branches_ = 0;
     std::vector<TraceOp> ops_;
     std::vector<BranchRecord> branches_;
 };

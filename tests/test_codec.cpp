@@ -120,16 +120,19 @@ TEST(Satd, ProbeEmitsTiledAddresses)
     trace::ProbeConfig cfg;
     cfg.collectOps = true;
     cfg.opWindow = cfg.opInterval;  // record everything
+    trace::VectorSink recorded;
     trace::Probe probe(cfg);
+    probe.setSink(&recorded);
     {
         trace::ProbeScope scope(&probe);
         satd(a, b, 8, 64);
     }
+    probe.flushToSink();
 
     uarch::Cache l1d({});
     uint64_t loads = 0;
     std::set<uint64_t> lines;
-    for (const trace::TraceOp &op : probe.opTrace()) {
+    for (const trace::TraceOp &op : recorded.ops()) {
         if (op.cls == trace::OpClass::SimdLoad) {
             l1d.access(op.addr, false);
             lines.insert(op.addr >> 6);
@@ -142,7 +145,7 @@ TEST(Satd, ProbeEmitsTiledAddresses)
     EXPECT_EQ(l1d.misses(), 128u);
     // Expressed as MPKI over the kernel's op stream, the tall strided
     // walk must sit far above the buggy dense stream (~30 misses).
-    EXPECT_GT(l1d.mpki(probe.opTrace().size()), 100.0);
+    EXPECT_GT(l1d.mpki(recorded.ops().size()), 100.0);
 }
 
 TEST(Satd, DegenerateBlockFallsBackToSad)

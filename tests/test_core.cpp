@@ -155,6 +155,20 @@ TEST(ParseIntStrict, AcceptsWholeIntegersOnly)
         EXPECT_THROW(parseIntStrict(bad, "--n"), std::invalid_argument)
             << "'" << bad << "'";
     }
+
+    // The same whole-token rule for uint64_t (no sign) and finite doubles.
+    EXPECT_EQ(parseU64Strict("18446744073709551615", "--s"), UINT64_MAX);
+    for (const char *bad : {"", "-1", "7abc", "1.5", " 7", "7 ",
+                            "18446744073709551616"}) {
+        EXPECT_THROW(parseU64Strict(bad, "--s"), std::invalid_argument)
+            << "'" << bad << "'";
+    }
+    EXPECT_DOUBLE_EQ(parseDoubleStrict("-2.5e1", "--x"), -25.0);
+    for (const char *bad : {"", "2.5GHz", "60s", " 1", "1 ", "nan", "inf",
+                            "-inf", "1e999"}) {
+        EXPECT_THROW(parseDoubleStrict(bad, "--x"), std::invalid_argument)
+            << "'" << bad << "'";
+    }
 }
 
 TEST(RunScale, DefaultSelectsWholeSuite)
@@ -196,7 +210,14 @@ TEST(RunPoint, ProducesLinkedEncodeAndSimulation)
     EXPECT_EQ(point.core.slots.total(), point.core.cycles * 4);
 }
 
-encoders::EncodeResult
+/** An encode with its task graph and the op trace the graph's op
+ *  ranges index into. */
+struct TaskedEncode {
+    encoders::EncodeResult result;
+    trace::VectorSink trace;
+};
+
+TaskedEncode
 taskedEncode(const char *name)
 {
     video::GeneratorParams p;
@@ -215,13 +236,14 @@ taskedEncode(const char *name)
     pc.maxOps = 300'000;
     pc.opWindow = 300'000;
     pc.opInterval = 300'000;
-    return enc->encode(clip, ep, pc, true);
+    TaskedEncode out;
+    out.result = enc->encode(clip, ep, pc, true, &out.trace);
+    return out;
 }
 
 TEST(ThreadStudy, CurveStartsAtOneAndNeverRegresses)
 {
-    auto r = taskedEncode("SVT-AV1");
-    auto curve = scalabilityCurve(r, 8);
+    auto curve = scalabilityCurve(taskedEncode("SVT-AV1").result, 8);
     ASSERT_EQ(curve.size(), 8u);
     EXPECT_NEAR(curve[0].speedup, 1.0, 1e-9);
     for (size_t i = 1; i < curve.size(); ++i) {
@@ -232,8 +254,8 @@ TEST(ThreadStudy, CurveStartsAtOneAndNeverRegresses)
 
 TEST(ThreadStudy, SerialSpineScalesWorstWavefrontBest)
 {
-    auto svt = scalabilityCurve(taskedEncode("SVT-AV1"), 8);
-    auto x265 = scalabilityCurve(taskedEncode("x265"), 8);
+    auto svt = scalabilityCurve(taskedEncode("SVT-AV1").result, 8);
+    auto x265 = scalabilityCurve(taskedEncode("x265").result, 8);
     EXPECT_GT(svt.back().speedup, x265.back().speedup * 1.2);
     EXPECT_LT(x265.back().speedup, 1.9);
 }
@@ -247,7 +269,7 @@ TEST(ThreadStudy, RequiresTaskGraph)
 TEST(SystemTrace, SingleThreadHasNoSpins)
 {
     auto r = taskedEncode("x265");
-    auto trace = buildSystemTrace(r.opTrace(), r.taskGraph, 1);
+    auto trace = buildSystemTrace(r.trace.ops(), r.result.taskGraph, 1);
     for (const auto &op : trace) {
         EXPECT_FALSE(op.foreign);
     }
@@ -257,7 +279,7 @@ TEST(SystemTrace, SingleThreadHasNoSpins)
 TEST(SystemTrace, IdleCoresSpinOnTheQueueLine)
 {
     auto r = taskedEncode("x265");
-    auto trace = buildSystemTrace(r.opTrace(), r.taskGraph, 8);
+    auto trace = buildSystemTrace(r.trace.ops(), r.result.taskGraph, 8);
     size_t foreign = 0, spins = 0;
     for (const auto &op : trace) {
         foreign += op.foreign;
@@ -274,7 +296,7 @@ TEST(SystemTrace, RespectsOpCap)
     auto r = taskedEncode("SVT-AV1");
     SystemTraceConfig cfg;
     cfg.maxOps = 5'000;
-    auto trace = buildSystemTrace(r.opTrace(), r.taskGraph, 4, cfg);
+    auto trace = buildSystemTrace(r.trace.ops(), r.result.taskGraph, 4, cfg);
     EXPECT_LE(trace.size(), 5'000u);
 }
 

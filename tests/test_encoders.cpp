@@ -155,6 +155,17 @@ TEST(Encode, RejectsEmptyVideo)
     EXPECT_THROW(enc->encode(empty, {}), std::invalid_argument);
 }
 
+TEST(Encode, RejectsRecordingWithoutASink)
+{
+    auto enc = encoderByName("x264");
+    trace::ProbeConfig ops, branches;
+    ops.collectOps = true;
+    branches.collectBranches = true;
+    EXPECT_THROW(enc->encode(tinyClip(), {}, ops), std::invalid_argument);
+    EXPECT_THROW(enc->encode(tinyClip(), {}, branches),
+                 std::invalid_argument);
+}
+
 TEST(Encode, CrfControlsTheRateQualityTradeoff)
 {
     auto enc = encoderByName("Libvpx-vp9");
@@ -219,12 +230,13 @@ TEST(Encode, BranchTraceCollection)
     trace::ProbeConfig pc;
     pc.collectBranches = true;
     pc.maxBranches = 50'000;
-    EncodeResult r = enc->encode(tinyClip(), p, pc);
-    EXPECT_FALSE(r.branchTrace().empty());
-    EXPECT_LE(r.branchTrace().size(), 50'000u);
+    trace::VectorSink recorded;
+    enc->encode(tinyClip(), p, pc, false, &recorded);
+    EXPECT_FALSE(recorded.branches().empty());
+    EXPECT_LE(recorded.branches().size(), 50'000u);
     // Both directions must appear.
     bool taken = false, not_taken = false;
-    for (const auto &b : r.branchTrace()) {
+    for (const auto &b : recorded.branches()) {
         taken |= b.taken;
         not_taken |= !b.taken;
     }
@@ -243,9 +255,10 @@ TEST(Encode, OpTraceRespectsCaps)
     pc.maxOps = 10'000;
     pc.opWindow = 1'000;
     pc.opInterval = 5'000;
-    EncodeResult r = enc->encode(tinyClip(), p, pc);
-    EXPECT_FALSE(r.opTrace().empty());
-    EXPECT_LE(r.opTrace().size(), 10'000u);
+    trace::VectorSink recorded;
+    enc->encode(tinyClip(), p, pc, false, &recorded);
+    EXPECT_FALSE(recorded.ops().empty());
+    EXPECT_LE(recorded.ops().size(), 10'000u);
 }
 
 class TaskGraphShape : public ::testing::TestWithParam<std::string>
@@ -263,7 +276,8 @@ TEST_P(TaskGraphShape, GraphIsValidAndLinked)
     pc.maxOps = 200'000;
     pc.opWindow = 50'000;
     pc.opInterval = 100'000;
-    EncodeResult r = enc->encode(tinyClip(3), p, pc, true);
+    trace::VectorSink recorded;
+    EncodeResult r = enc->encode(tinyClip(3), p, pc, true, &recorded);
 
     ASSERT_FALSE(r.taskGraph.empty());
     r.taskGraph.validate();
@@ -273,7 +287,7 @@ TEST_P(TaskGraphShape, GraphIsValidAndLinked)
     EXPECT_LE(weight, r.instructions);
     for (const sched::Task &t : r.taskGraph.tasks()) {
         EXPECT_LE(t.opBegin, t.opEnd);
-        EXPECT_LE(t.opEnd, r.opTrace().size());
+        EXPECT_LE(t.opEnd, recorded.ops().size());
         EXPECT_GE(t.weight, 1u);
     }
 }

@@ -51,11 +51,12 @@ TEST(Integration, EncodeSimulatePipeline)
     pc.maxOps = 400'000;
     pc.opWindow = 100'000;
     pc.opInterval = 300'000;
-    auto r = enc->encode(clip(), p, pc);
-    ASSERT_FALSE(r.opTrace().empty());
+    trace::VectorSink recorded;
+    enc->encode(clip(), p, pc, false, &recorded);
+    ASSERT_FALSE(recorded.ops().empty());
 
     uarch::Core core;
-    uarch::CoreStats s = core.run(r.opTrace());
+    uarch::CoreStats s = core.run(recorded.ops());
     EXPECT_GT(s.ipc(), 1.0);
     EXPECT_LT(s.ipc(), 3.5);
     double retiring = s.slots.fraction(s.slots.retiring);
@@ -87,12 +88,13 @@ TEST(Integration, FusedPipelineMatchesBatchReplay)
     pc.branchWarmupOps = 100'000;
 
     // Batch: capture, then replay.
-    auto captured = enc->encode(clip(), p, pc);
+    trace::VectorSink recorded;
+    auto captured = enc->encode(clip(), p, pc, false, &recorded);
     uarch::Core core;
-    uarch::CoreStats batch_core = core.run(captured.opTrace());
+    uarch::CoreStats batch_core = core.run(recorded.ops());
     auto batch_pred = bpred::makePredictor("tage-8KB");
     bpred::RunResult batch_bp =
-        bpred::runTrace(*batch_pred, captured.branchTrace(),
+        bpred::runTrace(*batch_pred, recorded.branches(),
                         captured.branchTraceInstructions);
 
     // Fused: the same encode streams into the core model and the
@@ -104,7 +106,6 @@ TEST(Integration, FusedPipelineMatchesBatchReplay)
     auto fused = enc->encode(clip(), p, pc, false, &mux);
     runner.setInstructions(fused.branchTraceInstructions);
 
-    EXPECT_TRUE(fused.opTrace().empty()) << "fused path materialises nothing";
     EXPECT_EQ(fused.instructions, captured.instructions);
     EXPECT_EQ(fused.branchTraceInstructions,
               captured.branchTraceInstructions);
@@ -207,12 +208,13 @@ TEST(Integration, CbpPredictorOrderingOnRealTraces)
     trace::ProbeConfig pc;
     pc.collectBranches = true;
     pc.maxBranches = 500'000;
-    auto r = enc->encode(clip(), p, pc);
-    ASSERT_GT(r.branchTrace().size(), 50'000u);
+    trace::VectorSink recorded;
+    auto r = enc->encode(clip(), p, pc, false, &recorded);
+    ASSERT_GT(recorded.branches().size(), 50'000u);
 
     auto miss = [&](const char *spec) {
         auto pred = bpred::makePredictor(spec);
-        return bpred::runTrace(*pred, r.branchTrace(), r.instructions)
+        return bpred::runTrace(*pred, recorded.branches(), r.instructions)
             .missRatePercent();
     };
     double g2 = miss("gshare-2KB");
@@ -258,10 +260,11 @@ TEST(Integration, ThreadStudyEndToEnd)
     pc.maxOps = 500'000;
     pc.opWindow = 100'000;
     pc.opInterval = 200'000;
-    auto r = enc->encode(clip("game1", 4), p, pc, true);
+    trace::VectorSink recorded;
+    auto r = enc->encode(clip("game1", 4), p, pc, true, &recorded);
 
-    auto trace1 = core::buildSystemTrace(r.opTrace(), r.taskGraph, 1);
-    auto trace8 = core::buildSystemTrace(r.opTrace(), r.taskGraph, 8);
+    auto trace1 = core::buildSystemTrace(recorded.ops(), r.taskGraph, 1);
+    auto trace8 = core::buildSystemTrace(recorded.ops(), r.taskGraph, 8);
     uarch::Core core;
     auto s1 = core.run(trace1);
     uarch::Core core8;

@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "backend/profile.hpp"
@@ -474,14 +475,35 @@ TEST(ServeCli, IntegerFlagsRejectTrailingJunk)
         EXPECT_FALSE(cli.error.empty()) << flag;
         EXPECT_NE(cli.error.find(flag), std::string::npos) << cli.error;
     }
-    const ServeCli ok =
-        parseServeCli({"--users", "250", "--servers", "2", "--shards", "3",
-                       "--jobs", "4"});
+    // The same for the 64-bit and floating-point flags, plus the range
+    // checks: stoull read "7abc" as 7 and "-1" as 2^64 - 1, stod read
+    // "60s" as 60 and "nan" as a deadline no job ever misses, and 0
+    // servers or shards only failed after the costs had resolved.
+    const std::vector<std::vector<std::string>> bad = {
+        {"--seed=7abc"}, {"--seed", "-1"}, {"--duration", "60s"},
+        {"--duration", "0"}, {"--ghz", "2.5GHz"}, {"--servers", "0"},
+        {"--shards", "0"}, {"--latency-target", "nan"},
+        {"--latency-target", "-60"}, {"--users", "-1"},
+        {"--uploads-per-hour", "inf"}, {"--uploads-per-hour", "-0.5"},
+        {"--jobs", "-2"}, {"--rung-mix", "2:1x"}};
+    for (const std::vector<std::string> &args : bad) {
+        const std::string flag = args[0].substr(0, args[0].find('='));
+        const ServeCli cli = parseServeCli(args);
+        EXPECT_FALSE(cli.error.empty()) << args[0];
+        EXPECT_NE(cli.error.find(flag), std::string::npos) << cli.error;
+    }
+    const ServeCli ok = parseServeCli(
+        {"--users", "250", "--servers", "2", "--shards", "3", "--jobs", "4",
+         "--seed=18446744073709551615", "--uploads-per-hour", "0",
+         "--duration", "60.5", "--latency-target", "1e2"});
     EXPECT_TRUE(ok.error.empty()) << ok.error;
     EXPECT_EQ(ok.scenario.traffic.users, 250);
     EXPECT_EQ(ok.scenario.farm.servers, 2);
     EXPECT_EQ(ok.scenario.farm.shards, 3);
     EXPECT_EQ(ok.jobs, 4);
+    EXPECT_EQ(ok.scenario.traffic.seed, 18446744073709551615ull);
+    EXPECT_DOUBLE_EQ(ok.scenario.traffic.durationSec, 60.5);
+    EXPECT_DOUBLE_EQ(ok.scenario.farm.latencyTargetSec, 100.0);
 }
 
 TEST(ServeCli, BackendFlagsValidateAndOverride)
@@ -584,6 +606,58 @@ class FakeFleetOracle final : public FleetCostOracle
         return ladder;
     }
 };
+
+/** The homogeneous farm is the one-group pool: the same dispatches
+ *  through the caller's oracle, and no energy. */
+TEST(Farm, HomogeneousMatchesAOneGroupPool)
+{
+    const FakeFleetOracle oracle;  // Primary backend: slow-iron.
+    // A job every 3 s against 8-40 s services on 3 servers: the queue
+    // fills to the admission limit, and adaptive has to switch.
+    const auto arrivals = steadyArrivals(60, 3.0);
+    FarmConfig config;
+    config.servers = 3;
+    config.shards = 2;
+    config.admissionLimit = 6;
+    config.latencyTargetSec = 45.0;
+    const StaticPolicy slow(2);
+    const AdaptivePolicy adaptive;
+    const Policy *policies[] = {&slow, &adaptive};
+    // What a dispatch decided (the homogeneous farm names no backend).
+    const auto decided = [](const JobOutcome &o) {
+        return std::make_tuple(o.id, o.rejected, o.preset, o.startSec,
+                               o.endSec, o.missedDeadline);
+    };
+    std::vector<SlaReport> plain_rows, pool_rows;
+    for (const Policy *policy : policies) {
+        const FarmResult plain =
+            simulateFarm(arrivals, config, *policy, oracle);
+        const FarmResult pool = simulateFarm(
+            arrivals, config, *policy, oracle, {{"slow-iron", 3}});
+        ASSERT_EQ(plain.outcomes.size(), pool.outcomes.size());
+        for (size_t i = 0; i < plain.outcomes.size(); ++i) {
+            EXPECT_EQ(decided(plain.outcomes[i]), decided(pool.outcomes[i]))
+                << policy->name() << " outcome " << i;
+        }
+        EXPECT_EQ(plain.energyJoules, 0.0);
+        EXPECT_GT(pool.energyJoules, 0.0);
+        plain_rows.push_back(plain.sla);
+        pool_rows.push_back(pool.sla);
+    }
+    EXPECT_EQ(slaTable(plain_rows).toJson(), slaTable(pool_rows).toJson());
+    EXPECT_GT(plain_rows[0].rejected, 0u);
+    EXPECT_GT(plain_rows[1].presetSwitches, 0u);
+
+    // Every server free at t = 0: the first dispatch goes to the first
+    // group, whichever backend it runs.
+    for (const std::string first : {"fast-iron", "slow-iron"}) {
+        const std::string second =
+            first == "fast-iron" ? "slow-iron" : "fast-iron";
+        const FarmResult r = simulateFarm(arrivals, config, slow, oracle,
+                                          {{first, 2}, {second, 2}});
+        EXPECT_EQ(r.outcomes.at(0).backend, first);
+    }
+}
 
 TEST(FleetFarm, JobsLandOnBothBackendsAndEnergyAccumulates)
 {

@@ -198,7 +198,8 @@ TEST(SystemTrace, BlockingWaitsEmitNoSpins)
     auto r = taskedEncode("SVT-AV1");
     core::SystemTraceConfig cfg;
     cfg.pollingWaits = false;
-    auto trace = core::buildSystemTrace(r.opTrace(), r.taskGraph, 8, cfg);
+    // The encode recorded no ops: only the schedule shapes the trace.
+    auto trace = core::buildSystemTrace({}, r.taskGraph, 8, cfg);
     for (const auto &op : trace) {
         EXPECT_FALSE(op.foreign);
         EXPECT_NE(op.addr, 0x7f000000ULL);
@@ -225,12 +226,13 @@ TEST(SystemTrace, SpinVolumeGrowsWithIdleness)
     encoders::EncodeParams ep;
     ep.crf = 39;
     ep.preset = 2;
-    auto rr = enc->encode(clip, ep, pc, true);
+    trace::VectorSink recorded;
+    auto rr = enc->encode(clip, ep, pc, true, &recorded);
 
     auto spins_at = [&](int threads) {
         core::SystemTraceConfig cfg;
         cfg.spinDuty = 0.05;
-        auto trace = core::buildSystemTrace(rr.opTrace(), rr.taskGraph,
+        auto trace = core::buildSystemTrace(recorded.ops(), rr.taskGraph,
                                             threads, cfg);
         size_t spins = 0;
         for (const auto &op : trace) {

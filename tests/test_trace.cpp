@@ -95,6 +95,25 @@ TEST(MixCounters, Accumulate)
     EXPECT_EQ(a.byClass[0], 7u);
 }
 
+/** A probe streaming into a VectorSink, the one way to materialise its
+ *  traces; recorded() delivers the staged block first. */
+struct CapturedProbe {
+    explicit CapturedProbe(const ProbeConfig &config = {}) : probe(config)
+    {
+        probe.setSink(&sink);
+    }
+    CapturedProbe(const CapturedProbe &) = delete;  // probe points at sink
+    CapturedProbe &operator=(const CapturedProbe &) = delete;
+    const VectorSink &
+    recorded()
+    {
+        probe.flushToSink();
+        return sink;
+    }
+    VectorSink sink;
+    Probe probe;
+};
+
 TEST(Probe, CountsAllEmissionKinds)
 {
     Probe p;
@@ -116,14 +135,14 @@ TEST(Probe, BranchTraceCollection)
     ProbeConfig cfg;
     cfg.collectBranches = true;
     cfg.maxBranches = 4;
-    Probe p(cfg);
-    p.decision(sitePc("a"), true);
-    p.decision(sitePc("b"), false);
-    p.loopBranches(10);  // capped at 2 more
-    ASSERT_EQ(p.branchTrace().size(), 4u);
-    EXPECT_TRUE(p.branchTrace()[0].taken);
-    EXPECT_FALSE(p.branchTrace()[1].taken);
-    EXPECT_EQ(p.branchTrace()[0].pc, sitePc("a"));
+    CapturedProbe c(cfg);
+    c.probe.decision(sitePc("a"), true);
+    c.probe.decision(sitePc("b"), false);
+    c.probe.loopBranches(10);  // capped at 2 more
+    ASSERT_EQ(c.recorded().branches().size(), 4u);
+    EXPECT_TRUE(c.recorded().branches()[0].taken);
+    EXPECT_FALSE(c.recorded().branches()[1].taken);
+    EXPECT_EQ(c.recorded().branches()[0].pc, sitePc("a"));
 }
 
 TEST(Probe, BranchWarmupSkipsEarlyBranches)
@@ -131,13 +150,13 @@ TEST(Probe, BranchWarmupSkipsEarlyBranches)
     ProbeConfig cfg;
     cfg.collectBranches = true;
     cfg.branchWarmupOps = 100;
-    Probe p(cfg);
-    p.decision(sitePc("early"), true);
-    EXPECT_TRUE(p.branchTrace().empty());
-    p.ops(OpClass::Alu, 200);
-    p.decision(sitePc("late"), true);
-    ASSERT_EQ(p.branchTrace().size(), 1u);
-    EXPECT_EQ(p.branchTrace()[0].pc, sitePc("late"));
+    CapturedProbe c(cfg);
+    c.probe.decision(sitePc("early"), true);
+    EXPECT_TRUE(c.recorded().branches().empty());
+    c.probe.ops(OpClass::Alu, 200);
+    c.probe.decision(sitePc("late"), true);
+    ASSERT_EQ(c.recorded().branches().size(), 1u);
+    EXPECT_EQ(c.recorded().branches()[0].pc, sitePc("late"));
 }
 
 TEST(Probe, OpTraceSamplingWindows)
@@ -147,13 +166,13 @@ TEST(Probe, OpTraceSamplingWindows)
     cfg.opWindow = 10;
     cfg.opInterval = 100;
     cfg.maxOps = 1000;
-    Probe p(cfg);
+    CapturedProbe c(cfg);
     for (int i = 0; i < 300; ++i) {
-        p.ops(OpClass::Alu, 1);
+        c.probe.ops(OpClass::Alu, 1);
     }
     // Three windows of ~10 ops each should be captured.
-    EXPECT_GE(p.opTrace().size(), 20u);
-    EXPECT_LE(p.opTrace().size(), 40u);
+    EXPECT_GE(c.recorded().ops().size(), 20u);
+    EXPECT_LE(c.recorded().ops().size(), 40u);
 }
 
 TEST(Probe, OpTraceCap)
@@ -163,54 +182,72 @@ TEST(Probe, OpTraceCap)
     cfg.opWindow = 1000;
     cfg.opInterval = 1000;
     cfg.maxOps = 50;
-    Probe p(cfg);
-    p.ops(OpClass::Alu, 500);
-    EXPECT_EQ(p.opTrace().size(), 50u);
+    CapturedProbe c(cfg);
+    c.probe.ops(OpClass::Alu, 500);
+    EXPECT_EQ(c.recorded().ops().size(), 50u);
 }
 
 TEST(Probe, DisabledCollectionIsFree)
 {
-    Probe p;
-    p.ops(OpClass::Alu, 100);
-    p.decision(sitePc("x"), true);
-    EXPECT_TRUE(p.opTrace().empty());
-    EXPECT_TRUE(p.branchTrace().empty());
-    EXPECT_EQ(p.totalOps(), 101u);
+    CapturedProbe c;
+    c.probe.ops(OpClass::Alu, 100);
+    c.probe.decision(sitePc("x"), true);
+    EXPECT_TRUE(c.recorded().ops().empty());
+    EXPECT_TRUE(c.recorded().branches().empty());
+    EXPECT_EQ(c.probe.totalOps(), 101u);
+}
+
+TEST(Probe, RecordingWithoutASinkThrows)
+{
+    ProbeConfig cfg;
+    cfg.collectOps = true;
+    Probe staged(cfg);
+    staged.ops(OpClass::Alu, 10);
+    EXPECT_THROW(staged.flushToSink(), std::logic_error);
+    // A full block is delivered mid-call, so the call itself throws.
+    Probe full(ProbeConfig::streaming(true));
+    EXPECT_THROW(full.ops(OpClass::Alu, TraceBlock::kOps + 1),
+                 std::logic_error);
+    // A probe that records nothing needs no sink.
+    Probe mix_only;
+    mix_only.ops(OpClass::Alu, TraceBlock::kOps + 1);
+    mix_only.decision(sitePc("nosink.dec"), true);
+    EXPECT_NO_THROW(mix_only.flushToSink());
 }
 
 TEST(Probe, MemRecordsAddresses)
 {
     ProbeConfig cfg;
     cfg.collectOps = true;
-    Probe p(cfg);
-    p.mem(OpClass::Store, 0xdeadbeef);
-    ASSERT_EQ(p.opTrace().size(), 1u);
-    EXPECT_EQ(p.opTrace()[0].addr, 0xdeadbeefu);
-    EXPECT_EQ(p.opTrace()[0].cls, OpClass::Store);
-    EXPECT_FALSE(p.opTrace()[0].foreign);
+    CapturedProbe c(cfg);
+    c.probe.mem(OpClass::Store, 0xdeadbeef);
+    ASSERT_EQ(c.recorded().ops().size(), 1u);
+    EXPECT_EQ(c.recorded().ops()[0].addr, 0xdeadbeefu);
+    EXPECT_EQ(c.recorded().ops()[0].cls, OpClass::Store);
+    EXPECT_FALSE(c.recorded().ops()[0].foreign);
 }
 
 TEST(Probe, MemRunStridesAddresses)
 {
     ProbeConfig cfg;
     cfg.collectOps = true;
-    Probe p(cfg);
-    p.memRun(OpClass::SimdLoad, 0x1000, 3, 64);
-    ASSERT_EQ(p.opTrace().size(), 3u);
-    EXPECT_EQ(p.opTrace()[1].addr, 0x1040u);
-    EXPECT_EQ(p.opTrace()[2].addr, 0x1080u);
+    CapturedProbe c(cfg);
+    c.probe.memRun(OpClass::SimdLoad, 0x1000, 3, 64);
+    ASSERT_EQ(c.recorded().ops().size(), 3u);
+    EXPECT_EQ(c.recorded().ops()[1].addr, 0x1040u);
+    EXPECT_EQ(c.recorded().ops()[2].addr, 0x1080u);
 }
 
 TEST(Probe, LoopBranchesLastFallsThrough)
 {
     ProbeConfig cfg;
     cfg.collectBranches = true;
-    Probe p(cfg);
-    p.loopBranches(4);
-    ASSERT_EQ(p.branchTrace().size(), 4u);
-    EXPECT_TRUE(p.branchTrace()[0].taken);
-    EXPECT_TRUE(p.branchTrace()[2].taken);
-    EXPECT_FALSE(p.branchTrace()[3].taken);
+    CapturedProbe c(cfg);
+    c.probe.loopBranches(4);
+    ASSERT_EQ(c.recorded().branches().size(), 4u);
+    EXPECT_TRUE(c.recorded().branches()[0].taken);
+    EXPECT_TRUE(c.recorded().branches()[2].taken);
+    EXPECT_FALSE(c.recorded().branches()[3].taken);
 }
 
 TEST(Probe, AllocRegionsDisjointAndAligned)
@@ -221,17 +258,6 @@ TEST(Probe, AllocRegionsDisjointAndAligned)
     EXPECT_EQ(a % 4096, 0u);
     EXPECT_EQ(b % 4096, 0u);
     EXPECT_GE(b, a + 1000);
-}
-
-TEST(Probe, TakeMovesTraces)
-{
-    ProbeConfig cfg;
-    cfg.collectOps = true;
-    Probe p(cfg);
-    p.ops(OpClass::Alu, 5);
-    auto trace = p.takeOpTrace();
-    EXPECT_EQ(trace.size(), 5u);
-    EXPECT_TRUE(p.opTrace().empty());
 }
 
 TEST(ProbeScope, InstallsAndRestores)
@@ -484,8 +510,8 @@ TEST(TraceFile, BlockBoundaryRoundTrip)
             p.decision(sitePc("tracefile.boundary.dec"), n % 2 == 0);
             p.memRun(OpClass::SimdLoad, 0x9000, 4, 32, 1);
         };
-        Probe capture(ProbeConfig::streaming(true));
-        emit(capture);
+        CapturedProbe capture(ProbeConfig::streaming(true));
+        emit(capture.probe);
 
         const std::string path = "/tmp/vepro_test_tracefile_boundary.vetf";
         {
@@ -498,8 +524,9 @@ TEST(TraceFile, BlockBoundaryRoundTrip)
         }
         VectorSink back;
         FileSource(path).replay(back);
-        expectSameStreams(capture.opTrace(), back.ops());
-        ASSERT_EQ(capture.branchTrace().size(), back.branches().size());
+        const VectorSink &live = capture.recorded();
+        expectSameStreams(live.ops(), back.ops());
+        ASSERT_EQ(live.branches().size(), back.branches().size());
         std::filesystem::remove(path);
     }
 }
@@ -743,49 +770,6 @@ TEST(TraceFile, MetadataBitFlipFailsChecksum)
 
 // ---- Streaming sink architecture -----------------------------------
 
-/** A sink-fed probe must deliver exactly the stream a capturing probe
- *  materialises — same sampling windows, same caps, same records. */
-TEST(Sink, StreamEqualsCapture)
-{
-    ProbeConfig pc;
-    pc.collectOps = true;
-    pc.maxOps = 3000;
-    pc.opWindow = 700;
-    pc.opInterval = 1500;
-    pc.collectBranches = true;
-    pc.maxBranches = 100;
-    pc.branchWarmupOps = 500;
-
-    Probe capture(pc);
-    emitWorkload(capture);
-
-    VectorSink streamed;
-    Probe fed(pc);
-    fed.setSink(&streamed);
-    emitWorkload(fed);
-    fed.flushToSink();
-
-    expectSameStreams(capture.opTrace(), streamed.ops());
-    ASSERT_EQ(capture.branchTrace().size(), streamed.branches().size());
-    for (size_t i = 0; i < streamed.branches().size(); ++i) {
-        EXPECT_EQ(capture.branchTrace()[i].pc, streamed.branches()[i].pc);
-        EXPECT_EQ(capture.branchTrace()[i].taken,
-                  streamed.branches()[i].taken);
-    }
-    // Counters, mix, and MPKI denominators are sink-independent.
-    EXPECT_EQ(capture.recordedOps(), fed.recordedOps());
-    EXPECT_EQ(capture.recordedBranches(), fed.recordedBranches());
-    EXPECT_EQ(capture.droppedOps(), fed.droppedOps());
-    EXPECT_EQ(capture.droppedBranches(), fed.droppedBranches());
-    EXPECT_EQ(capture.branchTraceOpSpan(), fed.branchTraceOpSpan());
-    EXPECT_EQ(capture.mix().total(), fed.mix().total());
-    for (int i = 0; i < kNumOpClasses; ++i) {
-        EXPECT_EQ(capture.mix().byClass[static_cast<size_t>(i)],
-                  fed.mix().byClass[static_cast<size_t>(i)]);
-    }
-    EXPECT_EQ(streamed.ops().size(), capture.recordedOps());
-}
-
 TEST(Sink, DropCountersAccountForCaps)
 {
     ProbeConfig pc;
@@ -795,13 +779,14 @@ TEST(Sink, DropCountersAccountForCaps)
     pc.opInterval = 1000;
     pc.collectBranches = true;
     pc.maxBranches = 5;
-    Probe p(pc);
-    emitWorkload(p);
-    EXPECT_EQ(p.recordedOps(), 100u);
-    EXPECT_EQ(p.opTrace().size(), 100u);
-    EXPECT_GT(p.droppedOps(), 0u);
-    EXPECT_EQ(p.recordedBranches(), 5u);
-    EXPECT_GT(p.droppedBranches(), 0u);
+    CapturedProbe c(pc);
+    emitWorkload(c.probe);
+    EXPECT_EQ(c.probe.recordedOps(), 100u);
+    EXPECT_EQ(c.recorded().ops().size(), 100u);
+    EXPECT_GT(c.probe.droppedOps(), 0u);
+    EXPECT_EQ(c.probe.recordedBranches(), 5u);
+    EXPECT_EQ(c.recorded().branches().size(), 5u);
+    EXPECT_GT(c.probe.droppedBranches(), 0u);
 }
 
 TEST(Sink, MuxFansOutToAllSinks)
@@ -827,33 +812,12 @@ TEST(Sink, MuxFansOutToAllSinks)
     EXPECT_EQ(attributed, p.recordedOps());
 }
 
-TEST(Sink, KeepLastRingRetainsMostRecent)
-{
-    VectorSink ring(4, 2, VectorSink::Overflow::KeepLast);
-    for (uint64_t i = 0; i < 10; ++i) {
-        ring.onOp({0x1000 + i, 0, OpClass::Alu, false, 0, 0, false});
-        ring.onBranch({0x2000 + i, i % 2 == 0});
-    }
-    ring.flush();  // rotate into chronological order
-    ASSERT_EQ(ring.ops().size(), 4u);
-    EXPECT_EQ(ring.droppedOps(), 6u);
-    for (uint64_t i = 0; i < 4; ++i) {
-        EXPECT_EQ(ring.ops()[i].pc, 0x1000 + 6 + i);
-    }
-    ASSERT_EQ(ring.branches().size(), 2u);
-    EXPECT_EQ(ring.droppedBranches(), 8u);
-    EXPECT_EQ(ring.branches()[0].pc, 0x2000 + 8u);
-    EXPECT_EQ(ring.branches()[1].pc, 0x2000 + 9u);
-}
-
 TEST(Sink, StreamingConfigRecordsEverything)
 {
-    Probe p(ProbeConfig::streaming(true));
-    VectorSink all;
-    p.setSink(&all);
-    emitWorkload(p);
-    p.flushToSink();
-    EXPECT_EQ(all.ops().size(), p.recordedOps());
+    CapturedProbe c(ProbeConfig::streaming(true));
+    const Probe &p = c.probe;
+    emitWorkload(c.probe);
+    EXPECT_EQ(c.recorded().ops().size(), p.recordedOps());
     EXPECT_EQ(p.droppedOps(), 0u);
     EXPECT_EQ(p.droppedBranches(), 0u);
     // Only the un-emitted half of each kernel-entry call pair (2 of the
@@ -977,33 +941,6 @@ TEST(Sink, BlockBoundaryPreservesProgramOrder)
         EXPECT_EQ(sink.ops[n + 2].cls, OpClass::Other);
         EXPECT_EQ(p.recordedOps(), n + 3);
         EXPECT_EQ(p.totalOps(), n + 1 + 4);
-    }
-}
-
-/** The same boundary traffic must be bit-identical between a sink-fed
- *  probe and a capturing probe (which flushes through the same block). */
-TEST(Sink, BlockBoundaryStreamEqualsCapture)
-{
-    for (uint64_t n : {4095u, 4096u, 4097u}) {
-        SCOPED_TRACE("n=" + std::to_string(n));
-        auto emit = [n](Probe &p) {
-            p.enterKernel(sitePc("sink.boundary.kernel"), 16);
-            p.ops(OpClass::SimdAlu, n, 0, 2);
-            p.decision(sitePc("sink.boundary.dec"), false);
-            p.memRun(OpClass::SimdLoad, 0x9000, 4, 32, 1);
-        };
-        Probe capture(ProbeConfig::streaming(true));
-        emit(capture);
-
-        VectorSink streamed;
-        Probe fed(ProbeConfig::streaming(true));
-        fed.setSink(&streamed);
-        emit(fed);
-        fed.flushToSink();
-
-        expectSameStreams(capture.opTrace(), streamed.ops());
-        ASSERT_EQ(capture.branchTrace().size(), streamed.branches().size());
-        EXPECT_EQ(capture.recordedOps(), fed.recordedOps());
     }
 }
 
