@@ -8,7 +8,11 @@
 #include <fstream>
 #include <functional>
 #include <limits>
+#include <map>
+#include <memory>
 #include <sstream>
+#include <tuple>
+#include <utility>
 
 #include "bpred/runner.hpp"
 #include "codec/kernels.hpp"
@@ -18,6 +22,7 @@
 #include "lab/json.hpp"
 #include "lab/store.hpp"
 #include "ladder/ladder.hpp"
+#include "serve/farm.hpp"
 #include "trace/pipeline.hpp"
 #include "trace/probe.hpp"
 #include "trace/synth.hpp"
@@ -41,7 +46,7 @@ allTargets()
     static const std::vector<Target> kAll = {
         Target::Core,  Target::Cache,    Target::Bpred,  Target::Kernels,
         Target::Store, Target::Parallel, Target::Energy, Target::TraceFile,
-        Target::Ladder, Target::Probe};
+        Target::Ladder, Target::Probe,    Target::Farm};
     return kAll;
 }
 
@@ -59,6 +64,7 @@ targetName(Target target)
       case Target::TraceFile: return "tracefile";
       case Target::Ladder: return "ladder";
       case Target::Probe: return "probe";
+      case Target::Farm: return "farm";
     }
     return "?";
 }
@@ -1824,6 +1830,315 @@ Fuzzer::runEnergyCase(uint64_t seed, Divergence &out)
 }
 
 // ---------------------------------------------------------------------
+// Farm target
+
+namespace
+{
+
+/** Fleet cost oracle over a drawn table: every (backend, clip, crf,
+ *  preset) cell is set up front, and a missing cell throws
+ *  std::out_of_range, as an unresolved serve::CostModel combo does. The
+ *  base-class queries answer for the primary backend. */
+class TableOracle final : public serve::FleetCostOracle
+{
+  public:
+    TableOracle(std::string primary, std::vector<int> ladder)
+        : primary_(std::move(primary)), ladder_(std::move(ladder))
+    {
+    }
+
+    void
+    set(const std::string &backend, const std::string &clip, int crf,
+        int preset, double seconds, double joules)
+    {
+        cells_[{backend, clip, crf, preset}] = {seconds, joules};
+    }
+
+    double
+    serviceSeconds(const std::string &clip, int crf,
+                   int preset) const override
+    {
+        return at(primary_, clip, crf, preset).first;
+    }
+
+    const std::vector<int> &presetLadder() const override { return ladder_; }
+
+    double
+    serviceSecondsOn(const std::string &backend, const std::string &clip,
+                     int crf, int preset) const override
+    {
+        return at(backend, clip, crf, preset).first;
+    }
+
+    double
+    energyJoulesOn(const std::string &backend, const std::string &clip,
+                   int crf, int preset) const override
+    {
+        return at(backend, clip, crf, preset).second;
+    }
+
+  private:
+    using Key = std::tuple<std::string, std::string, int, int>;
+
+    const std::pair<double, double> &
+    at(const std::string &backend, const std::string &clip, int crf,
+       int preset) const
+    {
+        const auto it = cells_.find({backend, clip, crf, preset});
+        if (it == cells_.end()) {
+            throw std::out_of_range("farm target: no cost cell");
+        }
+        return it->second;
+    }
+
+    std::string primary_;
+    std::vector<int> ladder_;
+    std::map<Key, std::pair<double, double>> cells_;
+};
+
+/** One drawn farm-target case: inputs of both simulateFarm signatures. */
+struct FarmCase {
+    std::vector<serve::UploadJob> arrivals;
+    serve::FarmConfig config;
+    RefFarmPolicy policy;
+    std::vector<serve::ServerGroup> pool;
+    std::unique_ptr<TableOracle> oracle;
+};
+
+/** k distinct values drawn from @p choices (k <= its size). */
+template <typename T>
+std::vector<T>
+drawDistinct(SplitMix64 &rng, std::vector<T> choices, size_t k)
+{
+    std::vector<T> out;
+    while (out.size() < k) {
+        const size_t i = rng.below(choices.size());
+        out.push_back(choices[i]);
+        choices.erase(choices.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+    return out;
+}
+
+/**
+ * Draw a case. Times, costs and the latency target sit on a quarter-
+ * second grid, so exact ties are common: tie bursts of arrivals, equal
+ * costs, costs equal to a job's slack, and servers in different groups
+ * freeing at the same instant. One cell in five is off the grid, so
+ * float rounding in the sums is exercised too.
+ */
+FarmCase
+drawFarmCase(SplitMix64 &rng)
+{
+    FarmCase c;
+    const std::vector<int> ladder = drawDistinct<int>(
+        rng, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, rng.range(1, 5));
+    std::vector<std::string> clips = drawDistinct<std::string>(
+        rng, {"game1", "desktop", "vlog", "news"}, rng.range(1, 4));
+    for (std::string &clip : clips) {
+        if (rng.chance(1, 3)) {
+            clip = serve::rungClipId(clip, rng.chance(1, 2) ? 2 : 4);
+        }
+    }
+    const std::vector<int> crfs =
+        drawDistinct<int>(rng, {10, 23, 32, 45, 60}, rng.range(1, 3));
+
+    const auto grid = [&](uint64_t lo, uint64_t hi) {
+        return 0.25 * static_cast<double>(rng.range(lo, hi));
+    };
+    c.config.servers = static_cast<int>(rng.range(1, 6));
+    c.config.shards = static_cast<int>(rng.range(1, 5));
+    c.config.admissionLimit = rng.chance(1, 2) ? 0 : rng.range(1, 8);
+    c.config.latencyTargetSec = grid(1, 160);
+
+    const std::vector<std::string> names = drawDistinct<std::string>(
+        rng, {"", "iron-a", "iron-b", "iron-c"}, rng.range(1, 3));
+    for (const std::string &name : names) {
+        c.pool.push_back({name, static_cast<int>(rng.range(1, 6))});
+    }
+
+    // A small palette (the latency target among it) makes equal costs
+    // and costs equal to a fresh job's slack common.
+    std::vector<double> palette = {c.config.latencyTargetSec};
+    for (int i = 0; i < 3; ++i) {
+        palette.push_back(grid(1, 80));
+    }
+    c.oracle = std::make_unique<TableOracle>(names.front(), ladder);
+    for (const std::string &name : names) {
+        for (const std::string &clip : clips) {
+            for (int crf : crfs) {
+                for (int preset : ladder) {
+                    double seconds = palette[rng.below(palette.size())];
+                    if (rng.chance(1, 5)) {
+                        seconds = static_cast<double>(rng.range(1, 8000)) /
+                                  97.0;
+                    } else if (rng.chance(1, 2)) {
+                        seconds = grid(1, 80);
+                    }
+                    const double joules =
+                        static_cast<double>(rng.range(1, 1'000'000)) / 3.0;
+                    c.oracle->set(name, clip, crf, preset, seconds, joules);
+                }
+            }
+        }
+    }
+
+    c.policy.adaptive = rng.chance(1, 2);
+    c.policy.preset = ladder[rng.below(ladder.size())];
+
+    // Arrival gaps scale from a flood to a trickle; a third are 0.
+    const uint64_t max_gap = uint64_t{4} << (2 * rng.below(3));
+    const size_t count = rng.range(0, 300);
+    double t = grid(0, 8);
+    for (size_t i = 0; i < count; ++i) {
+        if (i > 0 && !rng.chance(1, 3)) {
+            t += grid(1, max_gap);
+        }
+        serve::UploadJob job;
+        job.id = i;
+        job.arrivalSec = t;
+        job.clip = clips[rng.below(clips.size())];
+        job.crf = crfs[rng.below(crfs.size())];
+        c.arrivals.push_back(std::move(job));
+    }
+    return c;
+}
+
+/** A farm result as text, doubles in %a so that equal text means equal
+ *  bits: one line per outcome, then the SLA row, energy and horizon. */
+std::vector<std::string>
+farmLines(const serve::FarmResult &r)
+{
+    std::vector<std::string> lines;
+    for (const serve::JobOutcome &o : r.outcomes) {
+        lines.push_back(
+            "job " + std::to_string(o.id) + (o.rejected ? " rejected" : "") +
+            " arrival=" + hexDouble(o.arrivalSec) +
+            " preset=" + std::to_string(o.preset) +
+            " start=" + hexDouble(o.startSec) + " end=" + hexDouble(o.endSec) +
+            (o.missedDeadline ? " missed" : "") + " backend='" + o.backend +
+            "'");
+    }
+    const serve::SlaReport &s = r.sla;
+    lines.push_back(
+        s.policy + ": offered=" + std::to_string(s.offered) +
+        " completed=" + std::to_string(s.completed) +
+        " rejected=" + std::to_string(s.rejected) +
+        " p50=" + hexDouble(s.p50QueueSec) + " p99=" + hexDouble(s.p99QueueSec) +
+        " throughput=" + hexDouble(s.throughputPerMin) +
+        " missRate=" + hexDouble(s.deadlineMissRate) +
+        " misses=" + std::to_string(s.deadlineMisses) +
+        " switches=" + std::to_string(s.presetSwitches) +
+        " meanService=" + hexDouble(s.meanServiceSec));
+    lines.push_back("energy=" + hexDouble(r.energyJoules) +
+                    " horizon=" + hexDouble(r.horizonSec));
+    return lines;
+}
+
+/** First line where two farm results differ, or "" when they agree bit
+ *  for bit on every outcome, SLA field, energy and horizon. */
+std::string
+diffFarmResults(const serve::FarmResult &ref, const serve::FarmResult &fast)
+{
+    const std::vector<std::string> r = farmLines(ref);
+    const std::vector<std::string> f = farmLines(fast);
+    for (size_t i = 0; i < std::max(r.size(), f.size()); ++i) {
+        const std::string want = i < r.size() ? r[i] : "(none)";
+        const std::string got = i < f.size() ? f[i] : "(none)";
+        if (want != got) {
+            return "line " + std::to_string(i) + ": ref {" + want +
+                   "} fast {" + got + "}";
+        }
+    }
+    return {};
+}
+
+/** Both simulateFarm signatures against RefFarm on @p arrivals. */
+std::string
+diffFarmRun(const FarmCase &c, const std::vector<serve::UploadJob> &arrivals,
+            Fault fault)
+{
+    const RefFarm ref(c.config, c.policy, fault);
+    const serve::StaticPolicy fixed(c.policy.preset);
+    const serve::AdaptivePolicy adaptive;
+    const serve::Policy &policy =
+        c.policy.adaptive ? static_cast<const serve::Policy &>(adaptive)
+                          : fixed;
+    std::string d = diffFarmResults(
+        ref.run(arrivals, *c.oracle),
+        serve::simulateFarm(arrivals, c.config, policy, *c.oracle));
+    if (!d.empty()) {
+        return "homogeneous farm: " + d;
+    }
+    d = diffFarmResults(ref.run(arrivals, *c.oracle, c.pool),
+                        serve::simulateFarm(arrivals, c.config, policy,
+                                            *c.oracle, c.pool));
+    return d.empty() ? d : "pool farm: " + d;
+}
+
+std::string
+describeFarmCase(const FarmCase &c)
+{
+    std::string pool;
+    for (const serve::ServerGroup &g : c.pool) {
+        pool += (pool.empty() ? "" : ",") +
+                (g.backend.empty() ? std::string("default") : g.backend) +
+                "x" + std::to_string(g.servers);
+    }
+    return std::string(c.policy.adaptive
+                           ? "adaptive"
+                           : "static-p" + std::to_string(c.policy.preset)) +
+           ", " + std::to_string(c.oracle->presetLadder().size()) +
+           " rungs, servers=" + std::to_string(c.config.servers) +
+           " pool=" + pool + " admission=" +
+           std::to_string(c.config.admissionLimit) +
+           " target=" + hexDouble(c.config.latencyTargetSec);
+}
+
+} // namespace
+
+/**
+ * The farm differential: serve::simulateFarm's FIFO dispatch and
+ * per-group cost tables, through both signatures, against RefFarm's
+ * sharded EDF heaps and per-dispatch oracle queries. One seeded case
+ * draws sorted arrivals with tie bursts, a ladder, clips (rung ids
+ * included) and CRFs, a cost table full of exact ties, 1-3 server
+ * groups and an admission limit; failing arrivals are ddmin-shrunk.
+ * The injected farm-tie fault hands equal free-time ties to the later
+ * group, which every multi-group pool exposes at its first dispatch.
+ */
+bool
+Fuzzer::runFarmCase(uint64_t seed, Divergence &out)
+{
+    SplitMix64 rng(seed);
+    const FarmCase c = drawFarmCase(rng);
+    const Fault fault = options_.inject;
+
+    std::string detail = diffFarmRun(c, c.arrivals, fault);
+    if (detail.empty()) {
+        return false;
+    }
+    out.target = Target::Farm;
+    out.seed = seed;
+    out.repro = reproCommand(Target::Farm, seed, options_.inject,
+                             options_.quick);
+    out.shrunkOps = c.arrivals.size();
+    if (options_.shrink) {
+        auto still_fails = [&](const std::vector<serve::UploadJob> &a) {
+            return !diffFarmRun(c, a, fault).empty();
+        };
+        const std::vector<serve::UploadJob> small =
+            ddminShrink(c.arrivals, still_fails, 200);
+        out.shrunkOps = small.size();
+        detail = diffFarmRun(c, small, fault);
+    }
+    out.detail = "farm divergence (" + describeFarmCase(c) + "; " +
+                 std::to_string(c.arrivals.size()) +
+                 " arrivals, shrunk to " + std::to_string(out.shrunkOps) +
+                 "): " + detail;
+    return true;
+}
+
+// ---------------------------------------------------------------------
 // Harness
 
 bool
@@ -1840,6 +2155,7 @@ Fuzzer::runCase(Target target, uint64_t seed, Divergence &out)
       case Target::TraceFile: return runTraceFileCase(seed, out);
       case Target::Ladder: return runLadderCase(seed, out);
       case Target::Probe: return runProbeCase(seed, out);
+      case Target::Farm: return runFarmCase(seed, out);
     }
     return false;
 }
@@ -1868,6 +2184,8 @@ Fuzzer::itersFor(Target target) const
       // Up to a few thousand probe calls per case (12k in full mode),
       // counters diffed per call: 2-10 ms a case.
       case Target::Probe: return options_.quick ? 200 : 1000;
+      // Four farm runs over at most 300 arrivals: well under 1 ms a case.
+      case Target::Farm: return options_.quick ? 200 : 1000;
     }
     return 1;
 }

@@ -44,6 +44,7 @@ enum class Target {
     TraceFile,
     Ladder,
     Probe,
+    Farm,
 };
 
 /** All targets, in the order `--target=all` runs them. */
@@ -140,6 +141,7 @@ class Fuzzer
     bool runTraceFileCase(uint64_t seed, Divergence &out);
     bool runLadderCase(uint64_t seed, Divergence &out);
     bool runProbeCase(uint64_t seed, Divergence &out);
+    bool runFarmCase(uint64_t seed, Divergence &out);
 
     FuzzOptions options_;
 };

@@ -21,6 +21,7 @@ faultName(Fault fault)
       case Fault::TraceFileDelta: return "tracefile-delta";
       case Fault::LadderHull: return "ladder-hull";
       case Fault::ProbeQuiet: return "probe-quiet";
+      case Fault::FarmTie: return "farm-tie";
     }
     return "?";
 }
@@ -32,7 +33,7 @@ parseFault(const std::string &name, Fault &out)
                     Fault::BpredAlloc, Fault::KernelsSad, Fault::StoreBit,
                     Fault::ParallelDrop, Fault::BackendEnergy,
                     Fault::TraceFileDelta, Fault::LadderHull,
-                    Fault::ProbeQuiet}) {
+                    Fault::ProbeQuiet, Fault::FarmTie}) {
         if (name == faultName(f)) {
             out = f;
             return true;

@@ -29,6 +29,7 @@
 #include "backend/profile.hpp"
 #include "bpred/predictor.hpp"
 #include "bpred/tage.hpp"
+#include "serve/farm.hpp"
 #include "trace/probe.hpp"
 #include "trace/sink.hpp"
 #include "uarch/cache.hpp"
@@ -58,6 +59,8 @@ enum class Fault {
     ProbeQuiet,     ///< trace::Probe's quiet regions past the sampling
                     ///< window ignore the interval wrap, so later
                     ///< windows go unrecorded.
+    FarmTie,        ///< RefFarm breaks equal server free-time ties
+                    ///< toward the later group instead of the earlier.
 };
 
 /** CLI name of a fault ("cache-lru", ...; "none" for Fault::None). */
@@ -331,6 +334,42 @@ class RefProbe
     uint64_t branches_recorded_ = 0;
     uint64_t dropped_ops_ = 0;
     uint64_t dropped_branches_ = 0;
+};
+
+/** A farm policy as RefFarm applies it: the static or the adaptive rule,
+ *  written inline against the cost oracle. */
+struct RefFarmPolicy {
+    bool adaptive = false;
+    int preset = 0;  ///< The static preset (unused when adaptive).
+};
+
+/**
+ * Reference farm (reffarm.cpp): serve::simulateFarm's event loop before
+ * the FIFO dispatch and per-group cost tables. Per-shard (deadline,
+ * seq) heaps, an oracle query for every cost at dispatch (through a
+ * per-backend view in a pool), the policy rules inline and full-sort
+ * percentiles. The two run() overloads take the inputs of the two
+ * simulateFarm signatures and, on sorted arrivals, must return the same
+ * FarmResult bit for bit.
+ */
+class RefFarm
+{
+  public:
+    RefFarm(const serve::FarmConfig &config, RefFarmPolicy policy,
+            Fault fault = Fault::None);
+
+    /** config.servers identical servers consulting @p cost; no energy. */
+    serve::FarmResult run(const std::vector<serve::UploadJob> &arrivals,
+                          const serve::CostOracle &cost) const;
+    /** One group per non-empty ServerGroup, priced on its backend. */
+    serve::FarmResult run(const std::vector<serve::UploadJob> &arrivals,
+                          const serve::FleetCostOracle &cost,
+                          const std::vector<serve::ServerGroup> &pool) const;
+
+  private:
+    serve::FarmConfig config_;
+    RefFarmPolicy policy_;
+    Fault fault_;
 };
 
 /** Naive per-pixel box downscale: clipped box sum, (sum + cnt/2)/cnt.

@@ -3,7 +3,7 @@
  * `vepro-check` — differential fuzz driver for the optimized simulator:
  *
  *   vepro-check [--target=core|cache|bpred|kernels|store|parallel|energy|
- *                         tracefile|ladder|probe|all]
+ *                         tracefile|ladder|probe|farm|all]
  *               [--iters=N] [--seed=N] [--quick] [--no-shrink]
  *               [--corpus=DIR] [--case=FILE] [--inject=FAULT]
  *               [--repro-out=FILE]
@@ -44,13 +44,13 @@ usage(const std::string &error)
         stderr,
         "usage: vepro-check "
         "[--target=core|cache|bpred|kernels|store|parallel|energy|"
-        "tracefile|ladder|probe|all]\n"
+        "tracefile|ladder|probe|farm|all]\n"
         "                   [--iters=N] [--seed=N] [--quick] [--no-shrink]\n"
         "                   [--corpus=DIR] [--case=FILE] [--inject=FAULT]\n"
         "                   [--repro-out=FILE]\n"
         "faults: none cache-lru core-latency bpred-alloc kernels-sad "
         "store-bit parallel-drop backend-energy tracefile-delta "
-        "ladder-hull probe-quiet\n");
+        "ladder-hull probe-quiet farm-tie\n");
     std::exit(2);
 }
 

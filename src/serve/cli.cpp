@@ -101,7 +101,7 @@ serveUsage()
 {
     return "usage: vepro-serve [options]\n"
            "\n"
-           "Encode-farm simulator: seeded upload traffic, EDF queue,\n"
+           "Encode-farm simulator: seeded upload traffic, FIFO queue,\n"
            "static vs speed-adaptive preset policies, SLA table — and\n"
            "with --fleet, $/encode-at-SLA across machine-profile mixes.\n"
            "\n"
@@ -111,7 +111,7 @@ serveUsage()
            "  --uploads-per-hour X   mean uploads per user per hour\n"
            "  --duration SEC         simulated window length\n"
            "  --servers N            farm servers (fleet: servers per mix)\n"
-           "  --shards N             EDF queue shards\n"
+           "  --shards N             cost-resolution service shards\n"
            "  --admission N          admission limit (queued jobs; 0 = off)\n"
            "  --latency-target SEC   SLA deadline per job\n"
            "  --rung-mix S:W,..      ABR rung mix as scale:weight pairs\n"

@@ -2,8 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <map>
 #include <queue>
+#include <span>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 namespace vepro::serve
@@ -12,127 +17,140 @@ namespace vepro::serve
 namespace
 {
 
-/** One waiting job: EDF order is (deadline, arrival seq). */
-struct Waiting {
-    double deadline = 0.0;
-    size_t seq = 0;     ///< Arrival index: deterministic tie-break.
-    size_t job = 0;     ///< Index into the arrivals vector.
-};
-
-struct WaitingLater {
-    bool
-    operator()(const Waiting &a, const Waiting &b) const
-    {
-        if (a.deadline != b.deadline) {
-            return a.deadline > b.deadline;
-        }
-        return a.seq > b.seq;
-    }
-};
-
-using ShardQueue =
-    std::priority_queue<Waiting, std::vector<Waiting>, WaitingLater>;
-
-/** Earliest-deadline job across every shard (nullopt-free: caller
- *  checks emptiness via the queued counter). */
-size_t
-popEarliest(std::vector<ShardQueue> &shards)
-{
-    int best = -1;
-    for (size_t i = 0; i < shards.size(); ++i) {
-        if (shards[i].empty()) {
-            continue;
-        }
-        if (best < 0 ||
-            WaitingLater{}(shards[static_cast<size_t>(best)].top(),
-                           shards[i].top())) {
-            best = static_cast<int>(i);
-        }
-    }
-    const size_t job = shards[static_cast<size_t>(best)].top().job;
-    shards[static_cast<size_t>(best)].pop();
-    return job;
-}
-
+/** Nearest-rank order statistic @p q of @p values, selected in place:
+ *  nth_element picks the value a full sort would put at that rank. */
 double
-percentile(std::vector<double> sorted, double q)
+percentile(std::vector<double> &values, double q)
 {
-    if (sorted.empty()) {
+    if (values.empty()) {
         return 0.0;
     }
-    const double pos = q * static_cast<double>(sorted.size());
+    const double pos = q * static_cast<double>(values.size());
     size_t idx = static_cast<size_t>(std::ceil(pos));
     idx = idx > 0 ? idx - 1 : 0;
-    idx = std::min(idx, sorted.size() - 1);
-    return sorted[idx];
+    idx = std::min(idx, values.size() - 1);
+    const auto nth = values.begin() + static_cast<std::ptrdiff_t>(idx);
+    std::nth_element(values.begin(), nth, values.end());
+    return *nth;
 }
 
-/** The per-backend lens a heterogeneous dispatch consults the policy
- *  through: base-class queries answer for ONE profile. */
-class BackendView final : public CostOracle
-{
-  public:
-    BackendView(const FleetCostOracle &fleet, const std::string &backend)
-        : fleet_(fleet), backend_(backend)
-    {
-    }
-
-    double
-    serviceSeconds(const std::string &clip, int crf,
-                   int preset) const override
-    {
-        return fleet_.serviceSecondsOn(backend_, clip, crf, preset);
-    }
-
-    const std::vector<int> &
-    presetLadder() const override
-    {
-        return fleet_.presetLadder();
-    }
-
-  private:
-    const FleetCostOracle &fleet_;
-    const std::string &backend_;
+/** A run's distinct (clip, crf) pairs in first-arrival order, and the
+ *  pair each arrival belongs to. */
+struct Combos {
+    std::vector<const UploadJob *> first;  ///< One arrival per combo.
+    std::vector<uint32_t> ofJob;           ///< Combo id per arrival.
 };
 
-/** One group of interchangeable servers, all free at t = 0: the
- *  backend its outcomes carry, the cost view its dispatches consult,
- *  and a min-heap of its servers' free times. */
+/** Intern the arrivals' (clip, crf) pairs in one pass, checking on the
+ *  way that they are sorted (a NaN arrival time fails the check too). */
+Combos
+internCombos(const std::vector<UploadJob> &arrivals)
+{
+    Combos out;
+    out.ofJob.reserve(arrivals.size());
+    std::map<std::pair<std::string_view, int>, uint32_t> ids;
+    for (size_t i = 0; i < arrivals.size(); ++i) {
+        const UploadJob &job = arrivals[i];
+        if (i > 0 && !(arrivals[i - 1].arrivalSec <= job.arrivalSec)) {
+            throw std::invalid_argument(
+                "serve: farm arrivals must be sorted by arrivalSec (job " +
+                std::to_string(job.id) + ")");
+        }
+        const auto [it, added] = ids.try_emplace(
+            {job.clip, job.crf}, static_cast<uint32_t>(out.first.size()));
+        if (added) {
+            out.first.push_back(&job);
+        }
+        out.ofJob.push_back(it->second);
+    }
+    return out;
+}
+
+/** Where @p preset sits on @p ladder: a preset off it has no cost. */
+size_t
+rungOf(const std::vector<int> &ladder, int preset)
+{
+    const auto it = std::find(ladder.begin(), ladder.end(), preset);
+    if (it == ladder.end()) {
+        throw std::out_of_range("serve: preset " + std::to_string(preset) +
+                                " is not on the preset ladder");
+    }
+    return static_cast<size_t>(it - ladder.begin());
+}
+
+/** One group of interchangeable servers, all free at t = 0: the backend
+ *  its outcomes carry, its cost table and a min-heap of its servers'
+ *  free times. The table holds one row per combo and one column per
+ *  ladder rung; joules is filled only when the run prices energy. */
 struct Group {
-    Group(std::string name, const CostOracle &cost, int servers)
-        : backend(std::move(name)), view(&cost),
+    Group(const std::string &name, int servers)
+        : backend(name),
           free({}, std::vector<double>(static_cast<size_t>(servers), 0.0))
     {
     }
 
     std::string backend;
-    const CostOracle *view;
+    std::vector<double> seconds;
+    std::vector<double> joules;
     std::priority_queue<double, std::vector<double>, std::greater<double>>
         free;
 };
 
 /**
- * The farm's event loop over @p groups (none empty). A dispatch takes
- * the group whose earliest server frees first, ties to the earlier group.
- * @p energy, when set, prices each completed job on its group's backend.
+ * The farm's event loop over @p pool's non-empty groups. Each group's
+ * table is filled up front, one oracle query per (combo, rung) cell:
+ * from @p cost directly when @p fleet is null (no energy), else from
+ * @p fleet on the group's backend, with joules. A dispatch takes the
+ * group whose earliest server frees first, ties to the earlier group,
+ * and the oldest admitted job: with one latency target for every job,
+ * EDF order (deadline, then arrival) over sorted arrivals is arrival
+ * order, so the queue is a FIFO.
  */
 FarmResult
 runFarm(const std::vector<UploadJob> &arrivals, const FarmConfig &config,
-        const Policy &policy, std::vector<Group> &groups,
-        const FleetCostOracle *energy)
+        const Policy &policy, const CostOracle &cost,
+        const std::vector<ServerGroup> &pool, const FleetCostOracle *fleet)
 {
+    std::vector<Group> groups;
+    for (const ServerGroup &group : pool) {
+        if (group.servers >= 1) {
+            groups.emplace_back(group.backend, group.servers);
+        }
+    }
     if (groups.empty() || config.shards < 1) {
         throw std::invalid_argument("serve: farm needs >= 1 server/shard");
     }
+    const Combos combos = internCombos(arrivals);
+    const std::vector<int> &ladder = cost.presetLadder();
+    const size_t rungs = ladder.size();
+    for (Group &group : groups) {
+        group.seconds.reserve(combos.first.size() * rungs);
+        for (const UploadJob *job : combos.first) {
+            for (int preset : ladder) {
+                if (fleet == nullptr) {
+                    group.seconds.push_back(
+                        cost.serviceSeconds(job->clip, job->crf, preset));
+                    continue;
+                }
+                group.seconds.push_back(fleet->serviceSecondsOn(
+                    group.backend, job->clip, job->crf, preset));
+                group.joules.push_back(fleet->energyJoulesOn(
+                    group.backend, job->clip, job->crf, preset));
+            }
+        }
+    }
+
     FarmResult out;
     out.sla.policy = policy.name();
     out.sla.offered = arrivals.size();
     out.outcomes.reserve(arrivals.size());
 
-    std::vector<ShardQueue> shards(static_cast<size_t>(config.shards));
-    size_t queued = 0;
+    std::vector<size_t> fifo;  // Admitted arrivals; [head, end) wait.
+    fifo.reserve(arrivals.size());
+    size_t head = 0;
 
     std::vector<double> queue_waits;
+    queue_waits.reserve(arrivals.size());
     double service_sum = 0.0;
     double horizon = 0.0;
     int prev_preset = -1;
@@ -140,7 +158,8 @@ runFarm(const std::vector<UploadJob> &arrivals, const FarmConfig &config,
 
     const auto admit = [&](size_t job_index) {
         const UploadJob &job = arrivals[job_index];
-        if (config.admissionLimit != 0 && queued >= config.admissionLimit) {
+        if (config.admissionLimit != 0 &&
+            fifo.size() - head >= config.admissionLimit) {
             JobOutcome reject;
             reject.id = job.id;
             reject.arrivalSec = job.arrivalSec;
@@ -149,23 +168,18 @@ runFarm(const std::vector<UploadJob> &arrivals, const FarmConfig &config,
             ++out.sla.rejected;
             return;
         }
-        Waiting w;
-        w.deadline = job.arrivalSec + config.latencyTargetSec;
-        w.seq = job_index;
-        w.job = job_index;
-        shards[job_index % shards.size()].push(w);
-        ++queued;
+        fifo.push_back(job_index);
     };
 
-    while (next_arrival < arrivals.size() || queued > 0) {
-        if (queued == 0) {
+    while (next_arrival < arrivals.size() || head < fifo.size()) {
+        if (head == fifo.size()) {
             admit(next_arrival++);
             continue;
         }
         // The next dispatch happens when the earliest server frees (or
         // immediately, for jobs that arrived while it was idle). Admit
-        // everything that arrives up to that instant first, so EDF and
-        // admission control see the true queue contents.
+        // everything that arrives up to that instant first, so admission
+        // control sees the true queue contents.
         size_t pick = 0;
         for (size_t g = 1; g < groups.size(); ++g) {
             if (groups[g].free.top() < groups[pick].free.top()) {
@@ -180,15 +194,17 @@ runFarm(const std::vector<UploadJob> &arrivals, const FarmConfig &config,
             continue;
         }
 
-        const size_t job_index = popEarliest(shards);
-        --queued;
+        const size_t job_index = fifo[head++];
         const UploadJob &job = arrivals[job_index];
         const double start = std::max(t_free, job.arrivalSec);
         const double deadline = job.arrivalSec + config.latencyTargetSec;
+        const size_t row = combos.ofJob[job_index] * rungs;
+        const std::span<const double> seconds(group.seconds.data() + row,
+                                              rungs);
         const int preset =
-            policy.choosePreset(job, start, deadline, *group.view);
-        const double service =
-            group.view->serviceSeconds(job.clip, job.crf, preset);
+            policy.choosePreset(deadline - start, ladder, seconds);
+        const size_t rung = rungOf(ladder, preset);
+        const double service = seconds[rung];
         const double end = start + service;
         group.free.pop();
         group.free.push(end);
@@ -213,14 +229,12 @@ runFarm(const std::vector<UploadJob> &arrivals, const FarmConfig &config,
         prev_preset = preset;
         queue_waits.push_back(start - job.arrivalSec);
         service_sum += service;
-        if (energy != nullptr) {
-            out.energyJoules += energy->energyJoulesOn(
-                group.backend, job.clip, job.crf, preset);
+        if (fleet != nullptr) {
+            out.energyJoules += group.joules[row + rung];
         }
         horizon = std::max(horizon, end);
     }
 
-    std::sort(queue_waits.begin(), queue_waits.end());
     out.sla.p50QueueSec = percentile(queue_waits, 0.50);
     out.sla.p99QueueSec = percentile(queue_waits, 0.99);
     if (out.sla.completed > 0) {
@@ -248,11 +262,8 @@ simulateFarm(const std::vector<UploadJob> &arrivals,
              const FarmConfig &config, const Policy &policy,
              const CostOracle &cost)
 {
-    std::vector<Group> groups;
-    if (config.servers >= 1) {
-        groups.emplace_back("", cost, config.servers);
-    }
-    return runFarm(arrivals, config, policy, groups, nullptr);
+    return runFarm(arrivals, config, policy, cost, {{"", config.servers}},
+                   nullptr);
 }
 
 FarmResult
@@ -261,17 +272,7 @@ simulateFarm(const std::vector<UploadJob> &arrivals,
              const FleetCostOracle &cost,
              const std::vector<ServerGroup> &pool)
 {
-    std::vector<BackendView> views;
-    views.reserve(pool.size());  // Groups point into it: never reallocate.
-    std::vector<Group> groups;
-    for (const ServerGroup &group : pool) {
-        if (group.servers < 1) {
-            continue;
-        }
-        views.emplace_back(cost, group.backend);
-        groups.emplace_back(group.backend, views.back(), group.servers);
-    }
-    return runFarm(arrivals, config, policy, groups, &cost);
+    return runFarm(arrivals, config, policy, cost, pool, &cost);
 }
 
 core::Table

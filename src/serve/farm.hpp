@@ -5,12 +5,17 @@
  * @file
  * Discrete-event encode-farm simulator and its SLA metrics layer.
  *
- * The farm models N identical multi-core servers behind a sharded
- * earliest-deadline-first queue with admission control. Arrivals come
+ * The farm models N identical multi-core servers behind one FIFO queue
+ * with admission control. Every job's deadline is its arrival plus the
+ * one latencyTargetSec, so over sorted arrivals earliest-deadline-first
+ * order (deadline, then arrival) is arrival order and a FIFO is EDF; a
+ * per-job latency target would need an EDF heap back. Arrivals come
  * from serve::generateTraffic; per-job service times come from a
  * CostOracle (serve::CostModel in production — real encoder-model
- * numbers, cache-first through the ResultStore); the preset each job
- * runs at is chosen by a serve::Policy at dispatch time.
+ * numbers, cache-first through the ResultStore), queried once per
+ * (clip, crf, rung) cell into a per-group cost table at the start of a
+ * run; the preset each job runs at is chosen by a serve::Policy at
+ * dispatch time from that table's row.
  *
  * The simulation itself is single-threaded and pure: the outcome is a
  * function of (arrivals, config, policy, oracle) only — never of the
@@ -46,12 +51,16 @@ namespace vepro::serve
 /** Farm shape and SLA contract. */
 struct FarmConfig {
     int servers = 4;      ///< Identical encode servers (>= 1).
-    int shards = 4;       ///< EDF queue shards (>= 1).
+    /** Shards of the orchestrator service that resolves the costs
+     *  (lab::ServiceOptions::shards, >= 1). The farm's one FIFO does
+     *  not use it; simulateFarm only rejects values < 1. */
+    int shards = 4;
     /** Max jobs waiting (not yet started) before arrivals are
      *  rejected. 0 = unbounded. */
     size_t admissionLimit = 0;
     /** SLA: a job should complete within this many seconds of its
-     *  arrival. Also the deadline EDF orders by. */
+     *  arrival. One target for every job, which is what makes the
+     *  FIFO dispatch order earliest-deadline-first. */
     double latencyTargetSec = 60.0;
 };
 
@@ -104,10 +113,13 @@ struct FarmResult {
 };
 
 /**
- * Run the farm over @p arrivals (must be sorted by arrivalSec — the
- * generateTraffic contract) under @p policy. Pure and deterministic.
- * The config.servers identical servers are one group (see below) that
- * consults @p cost directly: no backend, no energy.
+ * Run the farm over @p arrivals under @p policy. Pure and
+ * deterministic. Throws std::invalid_argument unless the arrivals are
+ * sorted by arrivalSec (the generateTraffic contract; NaN times fail
+ * too), and std::out_of_range when the policy picks a preset that is
+ * not on cost.presetLadder(). The config.servers identical servers are
+ * one group (see below) whose cost table comes from @p cost directly:
+ * no backend, no energy.
  */
 FarmResult simulateFarm(const std::vector<UploadJob> &arrivals,
                         const FarmConfig &config, const Policy &policy,
@@ -115,15 +127,15 @@ FarmResult simulateFarm(const std::vector<UploadJob> &arrivals,
 
 /**
  * Heterogeneous overload: the pool is @p pool's groups, in order
- * (config.servers is ignored; shards / admission / latency target
- * still apply). Each group keeps a min-heap of its servers' free times
- * and carries its backend; service times and energy come from the
- * FleetCostOracle's *On methods, and the policy is consulted through a
- * per-backend view so adaptive switching sees the costs of the machine
- * actually dispatching the job. A dispatch goes to the group whose
- * earliest server frees first; ties break toward the earlier group —
+ * (config.servers is ignored; admission and latency target still
+ * apply). Each group keeps a min-heap of its servers' free times,
+ * carries its backend, and fills its cost table from the
+ * FleetCostOracle's *On methods on that backend (seconds and joules),
+ * so adaptive switching sees the costs of the machine actually
+ * dispatching the job. A dispatch goes to the group whose earliest
+ * server frees first; ties break toward the earlier group —
  * deterministic, like everything else here. Both overloads run the
- * same event loop.
+ * same event loop and throw the same errors.
  */
 FarmResult simulateFarm(const std::vector<UploadJob> &arrivals,
                         const FarmConfig &config, const Policy &policy,

@@ -14,8 +14,8 @@ StaticPolicy::name() const
 }
 
 int
-StaticPolicy::choosePreset(const UploadJob &, double, double,
-                           const CostOracle &) const
+StaticPolicy::choosePreset(double, std::span<const int>,
+                           std::span<const double>) const
 {
     return preset_;
 }
@@ -27,20 +27,18 @@ AdaptivePolicy::name() const
 }
 
 int
-AdaptivePolicy::choosePreset(const UploadJob &job, double now,
-                             double deadline, const CostOracle &cost) const
+AdaptivePolicy::choosePreset(double slack, std::span<const int> ladder,
+                             std::span<const double> seconds) const
 {
-    const std::vector<int> &ladder = cost.presetLadder();
     if (ladder.empty()) {
         throw std::logic_error("serve: empty preset ladder");
     }
-    const double slack = deadline - now;
     // Slowest (best-quality) rung whose predicted completion still
     // makes the deadline; when even the fastest rung cannot, take the
     // fastest anyway — it minimises how late the job lands.
-    for (int preset : ladder) {
-        if (cost.serviceSeconds(job.clip, job.crf, preset) <= slack) {
-            return preset;
+    for (size_t i = 0; i < ladder.size(); ++i) {
+        if (seconds[i] <= slack) {
+            return ladder[i];
         }
     }
     return ladder.back();

@@ -19,23 +19,26 @@
  *    trades back when the queue drains.
  *
  * Policies are consulted at dispatch time (not at arrival), so the
- * decision sees the queueing delay the job has already absorbed.
+ * decision sees the queueing delay the job has already absorbed. They
+ * decide from numbers only: the job's slack and the predicted service
+ * seconds of each ladder rung on the dispatching server, which the farm
+ * reads from a per-group cost table filled once per run.
  */
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
-
-#include "serve/traffic.hpp"
 
 namespace vepro::serve
 {
 
 /**
- * What a policy may ask about encode costs: predicted service seconds
- * per (clip, crf, preset) and the preset ladder it may choose from.
- * Implemented by serve::CostModel for real model-derived costs and by
- * test fakes for policy-logic pins.
+ * What the farm asks about encode costs: predicted service seconds
+ * per (clip, crf, preset) and the preset ladder policies choose from.
+ * The farm queries each (clip, crf, rung) cell once per run into the
+ * cost table its policies read. Implemented by serve::CostModel for
+ * real model-derived costs and by test fakes for policy-logic pins.
  */
 class CostOracle
 {
@@ -88,16 +91,18 @@ class Policy
     virtual std::string name() const = 0;
 
     /**
-     * Choose the preset @p job runs at.
+     * Choose the preset the job being dispatched runs at. The farm
+     * throws std::out_of_range when the answer is not on @p ladder.
      *
-     * @param job      The upload being dispatched.
-     * @param now      Dispatch time (>= job.arrivalSec).
-     * @param deadline Absolute SLA deadline (arrival + latency target).
-     * @param cost     Cost oracle for predicted service times.
+     * @param slack   Seconds from dispatch to the job's SLA deadline
+     *                (deadline - dispatch time; negative once late).
+     * @param ladder  Presets to choose from, slowest (best quality)
+     *                first: the oracle's presetLadder().
+     * @param seconds seconds[i] is the job's predicted service time at
+     *                ladder[i] on the dispatching server group.
      */
-    virtual int choosePreset(const UploadJob &job, double now,
-                             double deadline,
-                             const CostOracle &cost) const = 0;
+    virtual int choosePreset(double slack, std::span<const int> ladder,
+                             std::span<const double> seconds) const = 0;
 };
 
 /** Baseline: every job runs @p preset, load notwithstanding. */
@@ -106,20 +111,22 @@ class StaticPolicy final : public Policy
   public:
     explicit StaticPolicy(int preset);
     std::string name() const override;
-    int choosePreset(const UploadJob &job, double now, double deadline,
-                     const CostOracle &cost) const override;
+    int choosePreset(double slack, std::span<const int> ladder,
+                     std::span<const double> seconds) const override;
 
   private:
     int preset_;
 };
 
-/** Speed-adaptive preset switching (see file docs). */
+/** Speed-adaptive preset switching (see file docs): the first rung with
+ *  seconds[i] <= slack, else the last. Throws std::logic_error on an
+ *  empty ladder. */
 class AdaptivePolicy final : public Policy
 {
   public:
     std::string name() const override;
-    int choosePreset(const UploadJob &job, double now, double deadline,
-                     const CostOracle &cost) const override;
+    int choosePreset(double slack, std::span<const int> ladder,
+                     std::span<const double> seconds) const override;
 };
 
 } // namespace vepro::serve

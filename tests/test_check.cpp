@@ -60,7 +60,7 @@ TEST(CheckNames, FaultNamesRoundTrip)
                             Fault::KernelsSad,     Fault::StoreBit,
                             Fault::ParallelDrop,   Fault::BackendEnergy,
                             Fault::TraceFileDelta, Fault::LadderHull,
-                            Fault::ProbeQuiet};
+                            Fault::ProbeQuiet,     Fault::FarmTie};
     for (Fault f : faults) {
         Fault back = Fault::None;
         ASSERT_TRUE(parseFault(faultName(f), back)) << faultName(f);
@@ -117,6 +117,7 @@ TEST(CheckInjection, EveryFaultIsCaught)
         {Fault::TraceFileDelta, Target::TraceFile},
         {Fault::LadderHull, Target::Ladder},
         {Fault::ProbeQuiet, Target::Probe},
+        {Fault::FarmTie, Target::Farm},
     };
     for (const FaultCase &fc : cases) {
         SCOPED_TRACE(faultName(fc.fault));

@@ -11,9 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -266,33 +268,73 @@ TEST(Traffic, RejectsDegenerateRungMixes)
 
 TEST(Farm, DispatchOrderIsDeterministicAndShardCountInvariant)
 {
-    const auto arrivals = steadyArrivals(40, 0.25);
+    // Steady arrivals, and bursts of exact ties (gap 0) whose equal
+    // deadlines only arrival order can break.
+    auto bursts = steadyArrivals(40, 0.0);
+    for (size_t i = 0; i < bursts.size(); ++i) {
+        bursts[i].arrivalSec = static_cast<double>(i / 5) * 2.0;
+    }
     const FakeOracle oracle({4}, {3.0});
     const StaticPolicy policy(4);
-    FarmConfig config;
-    config.servers = 2;
-    config.latencyTargetSec = 10.0;
+    for (const auto &arrivals : {steadyArrivals(40, 0.25), bursts}) {
+        FarmConfig config;
+        config.servers = 2;
+        config.latencyTargetSec = 10.0;
 
-    config.shards = 1;
-    const FarmResult one = simulateFarm(arrivals, config, policy, oracle);
-    for (int shards : {2, 5}) {
-        config.shards = shards;
-        const FarmResult many =
-            simulateFarm(arrivals, config, policy, oracle);
-        ASSERT_EQ(one.outcomes.size(), many.outcomes.size());
-        for (size_t i = 0; i < one.outcomes.size(); ++i) {
-            EXPECT_EQ(one.outcomes[i].id, many.outcomes[i].id);
-            EXPECT_DOUBLE_EQ(one.outcomes[i].startSec,
-                             many.outcomes[i].startSec);
-            EXPECT_DOUBLE_EQ(one.outcomes[i].endSec,
-                             many.outcomes[i].endSec);
+        config.shards = 1;
+        const FarmResult one = simulateFarm(arrivals, config, policy, oracle);
+        for (int shards : {2, 5}) {
+            config.shards = shards;
+            const FarmResult many =
+                simulateFarm(arrivals, config, policy, oracle);
+            ASSERT_EQ(one.outcomes.size(), many.outcomes.size());
+            for (size_t i = 0; i < one.outcomes.size(); ++i) {
+                EXPECT_EQ(one.outcomes[i].id, many.outcomes[i].id);
+                EXPECT_DOUBLE_EQ(one.outcomes[i].startSec,
+                                 many.outcomes[i].startSec);
+                EXPECT_DOUBLE_EQ(one.outcomes[i].endSec,
+                                 many.outcomes[i].endSec);
+            }
+        }
+        // EDF with a uniform latency target dispatches in deadline ==
+        // arrival order.
+        ASSERT_EQ(one.outcomes.size(), arrivals.size());
+        for (size_t i = 1; i < one.outcomes.size(); ++i) {
+            EXPECT_LT(one.outcomes[i - 1].id, one.outcomes[i].id);
         }
     }
-    // EDF with a uniform latency target dispatches in deadline ==
-    // arrival order.
-    for (size_t i = 1; i < one.outcomes.size(); ++i) {
-        EXPECT_LT(one.outcomes[i - 1].id, one.outcomes[i].id);
-    }
+}
+
+TEST(Farm, RejectsUnsortedArrivals)
+{
+    // Arrivals at 0, 100 and 50 s: run in that order, the 50 s job
+    // would wait behind the 100 s one on a server idle since 10 s.
+    auto arrivals = steadyArrivals(3, 50.0);
+    std::swap(arrivals[1].arrivalSec, arrivals[2].arrivalSec);
+    const FakeOracle oracle({4}, {10.0});
+    const StaticPolicy policy(4);
+    FarmConfig config;
+    config.servers = 1;
+    config.latencyTargetSec = 30.0;
+    EXPECT_THROW(simulateFarm(arrivals, config, policy, oracle),
+                 std::invalid_argument);
+
+    arrivals[1].arrivalSec = std::nan("");
+    EXPECT_THROW(simulateFarm(arrivals, config, policy, oracle),
+                 std::invalid_argument);
+    arrivals[1].arrivalSec = 50.0;  // Ties are sorted.
+    EXPECT_EQ(simulateFarm(arrivals, config, policy, oracle).sla.completed,
+              3u);
+}
+
+TEST(Farm, OffLadderPresetThrows)
+{
+    const auto arrivals = steadyArrivals(3, 1.0);
+    const FakeOracle oracle({4}, {2.0});
+    FarmConfig config;
+    config.servers = 1;
+    EXPECT_THROW(simulateFarm(arrivals, config, StaticPolicy(5), oracle),
+                 std::out_of_range);
 }
 
 TEST(Farm, AdmissionControlRejectsWhenTheQueueIsFull)
@@ -322,17 +364,21 @@ TEST(Farm, AdmissionControlRejectsWhenTheQueueIsFull)
 
 TEST(Policy, AdaptivePicksTheSlowestRungThatStillFits)
 {
-    const FakeOracle oracle({2, 4, 6, 8}, {10.0, 5.0, 2.0, 1.0});
+    const std::vector<int> ladder = {2, 4, 6, 8};
+    const std::vector<double> seconds = {10.0, 5.0, 2.0, 1.0};
     const AdaptivePolicy policy;
-    UploadJob job;
-    job.clip = "game1";
-    job.crf = 32;
 
-    EXPECT_EQ(policy.choosePreset(job, 0.0, 20.0, oracle), 2);
-    EXPECT_EQ(policy.choosePreset(job, 0.0, 6.0, oracle), 4);
-    EXPECT_EQ(policy.choosePreset(job, 0.0, 1.5, oracle), 8);
+    EXPECT_EQ(policy.choosePreset(20.0, ladder, seconds), 2);
+    EXPECT_EQ(policy.choosePreset(6.0, ladder, seconds), 4);
+    EXPECT_EQ(policy.choosePreset(1.5, ladder, seconds), 8);
+    // A rung that lands exactly on the deadline still fits.
+    EXPECT_EQ(policy.choosePreset(10.0, ladder, seconds), 2);
+    EXPECT_EQ(policy.choosePreset(5.0, ladder, seconds), 4);
+    EXPECT_EQ(policy.choosePreset(2.0, ladder, seconds), 6);
     // Nothing fits: take the fastest anyway.
-    EXPECT_EQ(policy.choosePreset(job, 0.0, -3.0, oracle), 8);
+    EXPECT_EQ(policy.choosePreset(-3.0, ladder, seconds), 8);
+    EXPECT_THROW(policy.choosePreset(1.0, {}, {}), std::logic_error);
+    EXPECT_EQ(StaticPolicy(3).choosePreset(1.0, ladder, seconds), 3);
 }
 
 TEST(Policy, AdaptiveStrictlyBeatsSlowestStaticUnderOverload)
