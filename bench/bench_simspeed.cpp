@@ -47,6 +47,7 @@
  */
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -57,6 +58,7 @@
 #include <vector>
 
 #include "bpred/runner.hpp"
+#include "core/experiment.hpp"
 #include "lab/json.hpp"
 #include "trace/pipeline.hpp"
 #include "trace/probe.hpp"
@@ -203,6 +205,51 @@ struct Options {
     int warmup = 8;     ///< Segment warmup blocks.
 };
 
+constexpr const char *kUsage =
+    "usage: bench_simspeed [--quick|--full] [--reps=N] "
+    "[--out=FILE] [--baseline=FILE] [--tolerance=F] "
+    "[--golden] [--sim-jobs=N] [--segments=N] "
+    "[--segment-warmup=K]  (0 = auto-detect)\n";
+
+[[noreturn]] void
+usageError(const std::string &error)
+{
+    std::fprintf(stderr, "bench_simspeed: %s\n%s", error.c_str(), kUsage);
+    std::exit(1);
+}
+
+/** True when @p a and @p b name the same file, existing or not. */
+bool
+sameFile(const std::string &a, const std::string &b)
+{
+    std::error_code ea, eb;
+    const std::filesystem::path pa = std::filesystem::weakly_canonical(a, ea);
+    const std::filesystem::path pb = std::filesystem::weakly_canonical(b, eb);
+    return ea || eb ? a == b : pa == pb;
+}
+
+/** core::parseIntStrict, with a bad value as a usage error. */
+int
+intFlag(const std::string &text, const char *flag)
+{
+    try {
+        return core::parseIntStrict(text, flag);
+    } catch (const std::invalid_argument &e) {
+        usageError(e.what());
+    }
+}
+
+/** core::parseDoubleStrict, with a bad value as a usage error. */
+double
+doubleFlag(const std::string &text, const char *flag)
+{
+    try {
+        return core::parseDoubleStrict(text, flag);
+    } catch (const std::invalid_argument &e) {
+        usageError(e.what());
+    }
+}
+
 Options
 parseArgs(int argc, char **argv)
 {
@@ -218,29 +265,97 @@ parseArgs(int argc, char **argv)
         } else if (a == "--golden") {
             o.golden = true;
         } else if (a.rfind("--reps=", 0) == 0) {
-            o.reps = std::stoi(a.substr(7));
+            o.reps = intFlag(a.substr(7), "--reps");
         } else if (a.rfind("--out=", 0) == 0) {
             o.out = a.substr(6);
         } else if (a.rfind("--baseline=", 0) == 0) {
             o.baseline = a.substr(11);
         } else if (a.rfind("--tolerance=", 0) == 0) {
-            o.tolerance = std::stod(a.substr(12));
+            o.tolerance = doubleFlag(a.substr(12), "--tolerance");
         } else if (a.rfind("--sim-jobs=", 0) == 0) {
-            o.simJobs = std::stoi(a.substr(11));
+            o.simJobs = intFlag(a.substr(11), "--sim-jobs");
         } else if (a.rfind("--segments=", 0) == 0) {
-            o.segments = std::stoi(a.substr(11));
+            o.segments = intFlag(a.substr(11), "--segments");
         } else if (a.rfind("--segment-warmup=", 0) == 0) {
-            o.warmup = std::stoi(a.substr(17));
+            o.warmup = intFlag(a.substr(17), "--segment-warmup");
         } else {
-            std::fprintf(stderr,
-                         "usage: bench_simspeed [--quick|--full] [--reps=N] "
-                         "[--out=FILE] [--baseline=FILE] [--tolerance=F] "
-                         "[--golden] [--sim-jobs=N] [--segments=N] "
-                         "[--segment-warmup=K]  (0 = auto-detect)\n");
+            std::fputs(kUsage, stderr);
             std::exit(a == "--help" ? 0 : 1);
         }
     }
+    if (o.reps < 1) {
+        usageError("--reps must be at least 1");
+    }
+    if (!(o.tolerance > 0.0 && o.tolerance < 1.0)) {
+        usageError("--tolerance must lie strictly between 0 and 1");
+    }
+    if (o.simJobs < 0 || o.segments < 0 || o.warmup < 0) {
+        usageError("--sim-jobs, --segments and --segment-warmup must be "
+                   ">= 0");
+    }
+    if (!o.baseline.empty() && sameFile(o.out, o.baseline)) {
+        usageError("--out and --baseline name the same file '" +
+                   o.baseline + "'; the run would overwrite its baseline");
+    }
     return o;
+}
+
+/** The keys the perf gate compares. Keys absent from an older baseline
+ *  are skipped, so adding new measurements never breaks a gate. */
+constexpr const char *kGateKeys[] = {
+    "probe_emit", "cache",    "core",       "bpred",
+    "end_to_end", "capture",  "replay",     "e2e_pipe",
+    "e2e_multi4", "core_seg", "e2e_seg"};
+
+/**
+ * The baseline's throughput per gated key it holds, read before any
+ * measurement. Exits 1 when the file is missing or malformed, holds no
+ * gated key, or holds a value that is not a positive finite number:
+ * such a baseline would pass every comparison.
+ */
+std::vector<std::pair<std::string, double>>
+loadBaseline(const std::string &path)
+{
+    std::ifstream f(path);
+    if (!f) {
+        std::fprintf(stderr,
+                     "bench_simspeed: baseline file '%s' is missing or "
+                     "unreadable.\n"
+                     "The perf gate cannot run without it. Regenerate with\n"
+                     "  ./bench_simspeed --out=BENCH_simspeed.json\n"
+                     "at the repo root and commit the file.\n",
+                     path.c_str());
+        std::exit(1);
+    }
+    auto unusable = [&](const std::string &why) {
+        std::fprintf(stderr, "bench_simspeed: baseline '%s' is unusable: %s\n",
+                     path.c_str(), why.c_str());
+        std::exit(1);
+    };
+    std::stringstream ss;
+    ss << f.rdbuf();
+    std::vector<std::pair<std::string, double>> values;
+    try {
+        const lab::JsonValue base = lab::JsonValue::parse(ss.str());
+        const lab::JsonValue &mops = base.at("mops");
+        for (const char *key : kGateKeys) {
+            if (const lab::JsonValue *v = mops.find(key)) {
+                values.emplace_back(key, v->asDouble());
+            }
+        }
+    } catch (const lab::JsonError &e) {
+        unusable(e.what());
+    }
+    if (values.empty()) {
+        unusable("no gated throughput in \"mops\"");
+    }
+    for (const auto &[key, x] : values) {
+        if (!(std::isfinite(x) && x > 0.0)) {
+            unusable("mops." + key + " is " + fmt3(x) +
+                     ", not a positive throughput");
+        }
+    }
+    return values;
 }
 
 } // namespace
@@ -253,6 +368,9 @@ main(int argc, char **argv)
         printGolden();
         return 0;
     }
+    const std::vector<std::pair<std::string, double>> baseline =
+        opt.baseline.empty() ? std::vector<std::pair<std::string, double>>{}
+                             : loadBaseline(opt.baseline);
 
     const uint64_t n_branches = opt.ops / 4;
     std::printf("bench_simspeed: %llu ops, %llu branches, best of %d reps\n",
@@ -515,40 +633,16 @@ main(int argc, char **argv)
         return 0;
     }
 
-    std::ifstream f(opt.baseline);
-    if (!f) {
-        std::fprintf(stderr,
-                     "bench_simspeed: baseline file '%s' is missing or "
-                     "unreadable.\n"
-                     "The perf gate cannot run without it. Regenerate with\n"
-                     "  ./bench_simspeed --out=BENCH_simspeed.json\n"
-                     "at the repo root and commit the file.\n",
-                     opt.baseline.c_str());
-        return 1;
-    }
-    std::stringstream ss;
-    ss << f.rdbuf();
-    lab::JsonValue base = lab::JsonValue::parse(ss.str());
-    const lab::JsonValue &base_mops = base.at("mops");
     const lab::JsonValue &new_mops = doc.at("mops");
     bool regressed = false;
     std::printf("vs baseline %s (tolerance %.0f%%):\n", opt.baseline.c_str(),
                 opt.tolerance * 100.0);
-    // Keys absent from an older baseline are skipped, so adding new
-    // measurements never breaks an existing gate.
-    for (const char *key : {"probe_emit", "cache", "core", "bpred",
-                            "end_to_end", "capture", "replay", "e2e_pipe",
-                            "e2e_multi4", "core_seg", "e2e_seg"}) {
-        const lab::JsonValue *old_v = base_mops.find(key);
-        if (old_v == nullptr) {
-            continue;
-        }
-        double old_mops = old_v->asDouble();
+    for (const auto &[key, old_mops] : baseline) {
         double new_val = new_mops.at(key).asDouble();
-        double ratio = old_mops > 0.0 ? new_val / old_mops : 1.0;
+        double ratio = new_val / old_mops;
         bool bad = ratio < 1.0 - opt.tolerance;
-        std::printf("  %-11s %8.2f -> %8.2f  (%+5.1f%%)%s\n", key, old_mops,
-                    new_val, (ratio - 1.0) * 100.0,
+        std::printf("  %-11s %8.2f -> %8.2f  (%+5.1f%%)%s\n", key.c_str(),
+                    old_mops, new_val, (ratio - 1.0) * 100.0,
                     bad ? "  REGRESSION" : "");
         regressed = regressed || bad;
     }

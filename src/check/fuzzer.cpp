@@ -1474,7 +1474,7 @@ struct ProbeCall {
     uint64_t n = 0;      ///< Op count, run length, iterations or body length.
     uint64_t value = 0;  ///< Site PC or data address.
     int stride = 0;
-    uint8_t dep1 = 0;
+    uint8_t dep1 = 0;    ///< For a Kernel call: calls left out of its body.
     uint8_t dep2 = 0;
     bool taken = false;
 };
@@ -1526,21 +1526,32 @@ randomProbeCalls(SplitMix64 &rng, uint64_t interval, size_t count)
     return calls;
 }
 
+/** One of the five counting calls, on a probe or a kernel body's
+ *  emitter (a QuietTally has no enterKernel). */
+template <typename E>
+void
+applyBodyCall(E &e, const ProbeCall &c)
+{
+    switch (c.kind) {
+      case ProbeCall::Kernel: break;
+      case ProbeCall::Ops: e.ops(c.cls, c.n, c.dep1, c.dep2); break;
+      case ProbeCall::Mem: e.mem(c.cls, c.value, c.dep1); break;
+      case ProbeCall::MemRun:
+        e.memRun(c.cls, c.value, static_cast<int>(c.n), c.stride, c.dep1);
+        break;
+      case ProbeCall::Decision: e.decision(c.value, c.taken); break;
+      case ProbeCall::Loop: e.loopBranches(c.n); break;
+    }
+}
+
 template <typename P>
 void
 applyProbeCall(P &p, const ProbeCall &c)
 {
-    switch (c.kind) {
-      case ProbeCall::Kernel:
+    if (c.kind == ProbeCall::Kernel) {
         p.enterKernel(c.value, static_cast<int>(c.n));
-        break;
-      case ProbeCall::Ops: p.ops(c.cls, c.n, c.dep1, c.dep2); break;
-      case ProbeCall::Mem: p.mem(c.cls, c.value, c.dep1); break;
-      case ProbeCall::MemRun:
-        p.memRun(c.cls, c.value, static_cast<int>(c.n), c.stride, c.dep1);
-        break;
-      case ProbeCall::Decision: p.decision(c.value, c.taken); break;
-      case ProbeCall::Loop: p.loopBranches(c.n); break;
+    } else {
+        applyBodyCall(p, c);
     }
 }
 
@@ -1642,27 +1653,58 @@ diffBlockStreams(const BlockLog &ref, const BlockLog &fast)
 
 /**
  * Run @p calls through trace::Probe and RefProbe side by side: counters
- * after every call, then the delivered block streams. Returns the first
+ * after every step, then the delivered block streams. A step is one
+ * call, or with @p kernels a kernel group: an enterKernel call and the
+ * calls up to the next one. The fast probe runs a group through
+ * trace::emitKernel, except for its last dep1 (0-3) calls, which follow
+ * the kernel call by call as the range coder's calls do in an encode;
+ * they see the PC state a committed kernel leaves. Returns the first
  * difference, or an empty string when the two agree throughout.
  */
 std::string
-diffProbeRun(const trace::ProbeConfig &cfg,
-             const std::vector<ProbeCall> &calls, bool quiet_fault)
+diffProbePass(const trace::ProbeConfig &cfg,
+              const std::vector<ProbeCall> &calls, Fault fault, bool kernels)
 {
     BlockLog fast_log, ref_log;
     trace::Probe fast(cfg);
     fast.setSink(&fast_log);
-    fast.injectQuietFault(quiet_fault);
+    fast.injectQuietFault(fault == Fault::ProbeQuiet);
+    fast.injectTallyFault(fault == Fault::ProbeTally);
     RefProbe ref(cfg, ref_log);
-    for (size_t i = 0; i < calls.size(); ++i) {
-        applyProbeCall(fast, calls[i]);
-        applyProbeCall(ref, calls[i]);
+    for (size_t i = 0, end = 0; i < calls.size(); i = end) {
+        end = i + 1;
+        if (kernels && calls[i].kind == ProbeCall::Kernel) {
+            while (end < calls.size() &&
+                   calls[end].kind != ProbeCall::Kernel) {
+                ++end;
+            }
+            const size_t body_end =
+                end - std::min<size_t>(calls[i].dep1, end - i - 1);
+            trace::emitKernel(fast, calls[i].value,
+                              static_cast<int>(calls[i].n), [&](auto &e) {
+                                  for (size_t k = i + 1; k < body_end; ++k) {
+                                      applyBodyCall(e, calls[k]);
+                                  }
+                              });
+            for (size_t k = body_end; k < end; ++k) {
+                applyProbeCall(fast, calls[k]);
+            }
+        } else {
+            applyProbeCall(fast, calls[i]);
+        }
+        for (size_t k = i; k < end; ++k) {
+            applyProbeCall(ref, calls[k]);
+        }
         const auto rc = probeCounters(ref);
         const auto fc = probeCounters(fast);
         for (size_t k = 0; k < rc.size(); ++k) {
             if (rc[k].second != fc[k].second) {
-                return "after call " + std::to_string(i) + " " +
-                       describeProbeCall(calls[i]) + " at op " +
+                const std::string step =
+                    end - i == 1 ? "call " + std::to_string(i) + " " +
+                                       describeProbeCall(calls[i])
+                                 : "kernel of calls " + std::to_string(i) +
+                                       "-" + std::to_string(end - 1);
+                return "after " + step + " at op " +
                        std::to_string(ref.totalOps()) + ": " + rc[k].first +
                        " ref=" + std::to_string(rc[k].second) +
                        " fast=" + std::to_string(fc[k].second);
@@ -1672,6 +1714,21 @@ diffProbeRun(const trace::ProbeConfig &cfg,
     fast.flushToSink();
     ref.flushToSink();
     return diffBlockStreams(ref_log, fast_log);
+}
+
+/** The per-call pass, then the kernel pass (see diffProbePass). */
+std::string
+diffProbeRun(const trace::ProbeConfig &cfg,
+             const std::vector<ProbeCall> &calls, Fault fault)
+{
+    std::string detail = diffProbePass(cfg, calls, fault, false);
+    if (detail.empty()) {
+        detail = diffProbePass(cfg, calls, fault, true);
+        if (!detail.empty()) {
+            detail = "kernel pass: " + detail;
+        }
+    }
+    return detail;
 }
 
 std::string
@@ -1693,12 +1750,15 @@ describeProbeConfig(const trace::ProbeConfig &cfg)
 
 /**
  * The probe differential: trace::Probe's header-inline quiet-region
- * fast path against RefProbe, the per-call accounting it replaced. One
- * seeded case draws a config with sampling boundaries every few dozen
- * ops and a call sequence (ddmin-shrunk on failure) whose op counts run
- * from 0 to several intervals. The injected probe-quiet fault lets the
- * region past the window run through the interval wrap; the next
- * window's records go missing and the counters must diverge.
+ * fast path and its kernel tally against RefProbe, the per-call
+ * accounting they replaced. One seeded case draws a config with
+ * sampling boundaries every few dozen ops and a call sequence
+ * (ddmin-shrunk on failure) whose op counts run from 0 to several
+ * intervals, and runs it call by call, then grouped into kernels. The
+ * injected probe-quiet fault lets the region past the window run
+ * through the interval wrap; the next window's records go missing and
+ * the counters must diverge. The injected probe-tally fault commits
+ * kernels past the branch warmup quietly, losing their branch records.
  */
 bool
 Fuzzer::runProbeCase(uint64_t seed, Divergence &out)
@@ -1709,7 +1769,7 @@ Fuzzer::runProbeCase(uint64_t seed, Divergence &out)
                                         : rng.range(200, 12'000);
     const std::vector<ProbeCall> calls =
         randomProbeCalls(rng, cfg.opInterval, count);
-    const bool fault = options_.inject == Fault::ProbeQuiet;
+    const Fault fault = options_.inject;
 
     std::string detail = diffProbeRun(cfg, calls, fault);
     if (detail.empty()) {

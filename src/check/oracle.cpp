@@ -21,6 +21,7 @@ faultName(Fault fault)
       case Fault::TraceFileDelta: return "tracefile-delta";
       case Fault::LadderHull: return "ladder-hull";
       case Fault::ProbeQuiet: return "probe-quiet";
+      case Fault::ProbeTally: return "probe-tally";
       case Fault::FarmTie: return "farm-tie";
     }
     return "?";
@@ -33,7 +34,7 @@ parseFault(const std::string &name, Fault &out)
                     Fault::BpredAlloc, Fault::KernelsSad, Fault::StoreBit,
                     Fault::ParallelDrop, Fault::BackendEnergy,
                     Fault::TraceFileDelta, Fault::LadderHull,
-                    Fault::ProbeQuiet, Fault::FarmTie}) {
+                    Fault::ProbeQuiet, Fault::ProbeTally, Fault::FarmTie}) {
         if (name == faultName(f)) {
             out = f;
             return true;

@@ -59,6 +59,9 @@ enum class Fault {
     ProbeQuiet,     ///< trace::Probe's quiet regions past the sampling
                     ///< window ignore the interval wrap, so later
                     ///< windows go unrecorded.
+    ProbeTally,     ///< trace::Probe's kernel commit tests the op
+                    ///< bound instead of the branch bound, so kernels
+                    ///< past the branch warmup lose their branches.
     FarmTie,        ///< RefFarm breaks equal server free-time ties
                     ///< toward the later group instead of the earlier.
 };

@@ -50,7 +50,7 @@ usage(const std::string &error)
         "                   [--repro-out=FILE]\n"
         "faults: none cache-lru core-latency bpred-alloc kernels-sad "
         "store-bit parallel-drop backend-energy tracefile-delta "
-        "ladder-hull probe-quiet farm-tie\n");
+        "ladder-hull probe-quiet probe-tally farm-tie\n");
     std::exit(2);
 }
 

@@ -14,6 +14,7 @@ namespace vepro::codec
 using trace::OpClass;
 using trace::Probe;
 using trace::currentProbe;
+using trace::emitKernel;
 using trace::sitePc;
 
 std::string_view
@@ -102,22 +103,23 @@ gatherNeighbors(const PelView &recon, int x, int y, int w, int h, int plane_w,
 
     if (Probe *p = currentProbe()) {
         static const uint64_t site = sitePc("codec.intra_gather");
-        p->enterKernel(site, 8);
-        // Top row: contiguous scalar/short-vector loads from recon.
-        if (nb.hasTop) {
-            p->memRun(OpClass::Load,
-                      recon.vaddr + static_cast<uint64_t>(y - 1) * recon.stride + x,
-                      std::max(1, 2 * w / 8), 8);
-        }
-        // Left column: one strided scalar load per row (poor locality).
-        if (nb.hasLeft) {
-            for (int i = 0; i < h; ++i) {
-                p->mem(OpClass::Load,
-                       recon.vaddr + static_cast<uint64_t>(y + i) * recon.stride + x - 1);
+        emitKernel(*p, site, 8, [&](auto &e) {
+            // Top row: contiguous scalar/short-vector loads from recon.
+            if (nb.hasTop) {
+                e.memRun(OpClass::Load,
+                         recon.vaddr + static_cast<uint64_t>(y - 1) * recon.stride + x,
+                         std::max(1, 2 * w / 8), 8);
             }
-            p->loopBranches(static_cast<uint64_t>((h + 3) / 4));
-        }
-        p->ops(OpClass::Alu, 6, 1);
+            // Left column: one strided scalar load per row (poor locality).
+            if (nb.hasLeft) {
+                for (int i = 0; i < h; ++i) {
+                    e.mem(OpClass::Load,
+                          recon.vaddr + static_cast<uint64_t>(y + i) * recon.stride + x - 1);
+                }
+                e.loopBranches(static_cast<uint64_t>((h + 3) / 4));
+            }
+            e.ops(OpClass::Alu, 6, 1);
+        });
     }
     return nb;
 }
@@ -275,20 +277,21 @@ predictIntra(IntraMode mode, const IntraNeighbors &nb, int w, int h,
 
     if (Probe *p = currentProbe()) {
         static const uint64_t site = sitePc("codec.intra_pred");
-        p->enterKernel(site, 12);
-        bool directional = mode >= IntraMode::D45 && mode != IntraMode::Smooth &&
-                           mode != IntraMode::Paeth;
-        int chunks = std::max(1, w / 32);
-        for (int y = 0; y < h; ++y) {
-            // Reference samples live in a tiny L1-resident array.
-            p->mem(OpClass::SimdLoad, site + 0x400 + (static_cast<uint64_t>(y % 8) * 32));
-            p->ops(OpClass::SimdAlu, directional ? 4u : 2u, 1, 2);
-            for (int c = 0; c < chunks; ++c) {
-                p->mem(OpClass::SimdStore,
-                       dst.vaddr + static_cast<uint64_t>(y) * dst.stride + c * 32, 1);
+        emitKernel(*p, site, 12, [&](auto &e) {
+            bool directional = mode >= IntraMode::D45 && mode != IntraMode::Smooth &&
+                               mode != IntraMode::Paeth;
+            int chunks = std::max(1, w / 32);
+            for (int y = 0; y < h; ++y) {
+                // Reference samples live in a tiny L1-resident array.
+                e.mem(OpClass::SimdLoad, site + 0x400 + (static_cast<uint64_t>(y % 8) * 32));
+                e.ops(OpClass::SimdAlu, directional ? 4u : 2u, 1, 2);
+                for (int c = 0; c < chunks; ++c) {
+                    e.mem(OpClass::SimdStore,
+                          dst.vaddr + static_cast<uint64_t>(y) * dst.stride + c * 32, 1);
+                }
             }
-        }
-        p->loopBranches(static_cast<uint64_t>((h + 3) / 4));
+            e.loopBranches(static_cast<uint64_t>((h + 3) / 4));
+        });
     }
 }
 

@@ -14,6 +14,7 @@ namespace vepro::codec
 using trace::OpClass;
 using trace::Probe;
 using trace::currentProbe;
+using trace::emitKernel;
 using trace::sitePc;
 
 MotionVector
@@ -134,31 +135,32 @@ motionCompensate(const PelView &ref, int ref_w, int ref_h, int bx, int by,
 
     if (Probe *p = currentProbe()) {
         static const uint64_t site = sitePc("codec.mc");
-        p->enterKernel(site, 10);
-        int chunks = std::max(1, w / 32);
-        bool interp = half_x || half_y;
-        for (int y = 0; y < h; ++y) {
-            for (int c = 0; c < chunks; ++c) {
-                p->mem(OpClass::SimdLoad,
-                       src.vaddr + static_cast<uint64_t>(y) * src.stride + c * 32);
-                if (interp) {
-                    p->mem(OpClass::SimdLoad,
-                           src.vaddr + static_cast<uint64_t>(y + 1) * src.stride + c * 32);
-                    p->ops(OpClass::SimdAlu, 4, 1, 2);  // avg taps
-                    if (sharp_subpel) {
-                        // Extra tap loads + multiply-accumulate chain.
-                        p->mem(OpClass::SimdLoad,
-                               src.vaddr + static_cast<uint64_t>(y + 2) * src.stride + c * 32);
-                        p->ops(OpClass::SimdMul, 2, 1, 2);
-                        p->ops(OpClass::SimdAlu, 3, 1);
+        emitKernel(*p, site, 10, [&](auto &e) {
+            int chunks = std::max(1, w / 32);
+            bool interp = half_x || half_y;
+            for (int y = 0; y < h; ++y) {
+                for (int c = 0; c < chunks; ++c) {
+                    e.mem(OpClass::SimdLoad,
+                          src.vaddr + static_cast<uint64_t>(y) * src.stride + c * 32);
+                    if (interp) {
+                        e.mem(OpClass::SimdLoad,
+                              src.vaddr + static_cast<uint64_t>(y + 1) * src.stride + c * 32);
+                        e.ops(OpClass::SimdAlu, 4, 1, 2);  // avg taps
+                        if (sharp_subpel) {
+                            // Extra tap loads + multiply-accumulate chain.
+                            e.mem(OpClass::SimdLoad,
+                                  src.vaddr + static_cast<uint64_t>(y + 2) * src.stride + c * 32);
+                            e.ops(OpClass::SimdMul, 2, 1, 2);
+                            e.ops(OpClass::SimdAlu, 3, 1);
+                        }
                     }
+                    e.mem(OpClass::SimdStore,
+                          dst.vaddr + static_cast<uint64_t>(y) * dst.stride + c * 32, 1);
                 }
-                p->mem(OpClass::SimdStore,
-                       dst.vaddr + static_cast<uint64_t>(y) * dst.stride + c * 32, 1);
+                e.ops(OpClass::Alu, 2, 1);
             }
-            p->ops(OpClass::Alu, 2, 1);
-        }
-        p->loopBranches(h);
+            e.loopBranches(h);
+        });
     }
 }
 

@@ -13,6 +13,7 @@ namespace vepro::codec
 using trace::OpClass;
 using trace::Probe;
 using trace::currentProbe;
+using trace::emitKernel;
 using trace::sitePc;
 
 Quantizer::Quantizer(int q_index, int index_range)
@@ -38,16 +39,17 @@ Quantizer::quantizeBlock(const int32_t *coeff, int32_t *levels, int n,
     int nonzero = kernels().quant(coeff, levels, n * n, dead_zone_, inv_step_);
     if (Probe *p = currentProbe()) {
         static const uint64_t site = sitePc("codec.quant");
-        p->enterKernel(site, 12);
-        int vecs = std::max(1, n * n / 8);
-        for (int v = 0; v < vecs; ++v) {
-            p->mem(OpClass::SimdLoad, coeff_vaddr + static_cast<uint64_t>(v) * 32);
-            p->ops(OpClass::SimdMul, 1, 1);
-            p->ops(OpClass::SimdAlu, 2, 1);  // sign handling, truncation
-            p->mem(OpClass::SimdStore, levels_vaddr + static_cast<uint64_t>(v) * 32, 1);
-        }
-        p->loopBranches(static_cast<uint64_t>((vecs + 3) / 4));
-        p->ops(OpClass::SimdAlu, 2, 1);  // nonzero popcount reduce
+        emitKernel(*p, site, 12, [&](auto &e) {
+            int vecs = std::max(1, n * n / 8);
+            for (int v = 0; v < vecs; ++v) {
+                e.mem(OpClass::SimdLoad, coeff_vaddr + static_cast<uint64_t>(v) * 32);
+                e.ops(OpClass::SimdMul, 1, 1);
+                e.ops(OpClass::SimdAlu, 2, 1);  // sign handling, truncation
+                e.mem(OpClass::SimdStore, levels_vaddr + static_cast<uint64_t>(v) * 32, 1);
+            }
+            e.loopBranches(static_cast<uint64_t>((vecs + 3) / 4));
+            e.ops(OpClass::SimdAlu, 2, 1);  // nonzero popcount reduce
+        });
     }
     return nonzero;
 }
@@ -59,14 +61,15 @@ Quantizer::dequantizeBlock(const int32_t *levels, int32_t *coeff, int n,
     kernels().dequant(levels, coeff, n * n, step_);
     if (Probe *p = currentProbe()) {
         static const uint64_t site = sitePc("codec.dequant");
-        p->enterKernel(site, 8);
-        int vecs = std::max(1, n * n / 8);
-        for (int v = 0; v < vecs; ++v) {
-            p->mem(OpClass::SimdLoad, levels_vaddr + static_cast<uint64_t>(v) * 32);
-            p->ops(OpClass::SimdMul, 1, 1);
-            p->mem(OpClass::SimdStore, coeff_vaddr + static_cast<uint64_t>(v) * 32, 1);
-        }
-        p->loopBranches(static_cast<uint64_t>((vecs + 3) / 4));
+        emitKernel(*p, site, 8, [&](auto &e) {
+            int vecs = std::max(1, n * n / 8);
+            for (int v = 0; v < vecs; ++v) {
+                e.mem(OpClass::SimdLoad, levels_vaddr + static_cast<uint64_t>(v) * 32);
+                e.ops(OpClass::SimdMul, 1, 1);
+                e.mem(OpClass::SimdStore, coeff_vaddr + static_cast<uint64_t>(v) * 32, 1);
+            }
+            e.loopBranches(static_cast<uint64_t>((vecs + 3) / 4));
+        });
     }
 }
 
@@ -130,20 +133,21 @@ estimateCoeffBits(const int32_t *levels, int n, uint64_t levels_vaddr)
     }
     if (Probe *p = currentProbe()) {
         static const uint64_t site = sitePc("codec.ratest");
-        p->enterKernel(site, 10);
-        int count = last_sig + 1;
-        // Scalar scan: load, test, table lookup for magnitude cost.
-        for (int i = 0; i < count; ++i) {
-            p->mem(OpClass::Load, levels_vaddr + static_cast<uint64_t>(i) * 4);
-            p->ops(OpClass::Alu, 2, 1);
-            if (levels[scan[static_cast<size_t>(i)]] != 0) {
-                p->mem(OpClass::Load, site + 0x300 +
-                       (static_cast<uint64_t>(std::min(
-                            std::abs(levels[i]), 63)) * 8));
-                p->ops(OpClass::Alu, 1, 1);
+        emitKernel(*p, site, 10, [&](auto &e) {
+            int count = last_sig + 1;
+            // Scalar scan: load, test, table lookup for magnitude cost.
+            for (int i = 0; i < count; ++i) {
+                e.mem(OpClass::Load, levels_vaddr + static_cast<uint64_t>(i) * 4);
+                e.ops(OpClass::Alu, 2, 1);
+                if (levels[scan[static_cast<size_t>(i)]] != 0) {
+                    e.mem(OpClass::Load, site + 0x300 +
+                          (static_cast<uint64_t>(std::min(
+                               std::abs(levels[i]), 63)) * 8));
+                    e.ops(OpClass::Alu, 1, 1);
+                }
             }
-        }
-        p->loopBranches(std::max(1, count));
+            e.loopBranches(std::max(1, count));
+        });
     }
     return bits;
 }

@@ -15,6 +15,7 @@ namespace vepro::codec
 using trace::OpClass;
 using trace::Probe;
 using trace::currentProbe;
+using trace::emitKernel;
 using trace::sitePc;
 
 EncodeStats &
@@ -247,16 +248,17 @@ FrameCodec::smoothPrediction(PelViewMut pred, int w, int h, int variant)
     }
     if (Probe *p = currentProbe()) {
         static const uint64_t site = sitePc("codec.interp_smooth");
-        p->enterKernel(site, 10);
-        int chunks = std::max(1, w / 32);
-        for (int y = 0; y < h; ++y) {
-            for (int c = 0; c < chunks; ++c) {
-                p->mem(OpClass::SimdLoad, pred.vaddr + static_cast<uint64_t>(y) * pred.stride + c * 32);
-                p->ops(OpClass::SimdAlu, 3, 1);
-                p->mem(OpClass::SimdStore, pred.vaddr + static_cast<uint64_t>(y) * pred.stride + c * 32, 1);
+        emitKernel(*p, site, 10, [&](auto &e) {
+            int chunks = std::max(1, w / 32);
+            for (int y = 0; y < h; ++y) {
+                for (int c = 0; c < chunks; ++c) {
+                    e.mem(OpClass::SimdLoad, pred.vaddr + static_cast<uint64_t>(y) * pred.stride + c * 32);
+                    e.ops(OpClass::SimdAlu, 3, 1);
+                    e.mem(OpClass::SimdStore, pred.vaddr + static_cast<uint64_t>(y) * pred.stride + c * 32, 1);
+                }
             }
-        }
-        p->loopBranches(static_cast<uint64_t>((h + 3) / 4));
+            e.loopBranches(static_cast<uint64_t>((h + 3) / 4));
+        });
     }
 }
 
@@ -910,13 +912,14 @@ FrameCodec::endFrame()
     has_ref_ = true;
     if (Probe *p = currentProbe()) {
         static const uint64_t site = sitePc("codec.refcopy");
-        p->enterKernel(site, 6);
-        uint64_t vecs = static_cast<uint64_t>(width_) * height_ * 3 / 2 / 32;
-        for (uint64_t i = 0; i < vecs; ++i) {
-            p->mem(OpClass::SimdLoad, v_recon_ + i * 32);
-            p->mem(OpClass::SimdStore, v_ref_ + i * 32, 1);
-        }
-        p->loopBranches(vecs);
+        emitKernel(*p, site, 6, [&](auto &e) {
+            uint64_t vecs = static_cast<uint64_t>(width_) * height_ * 3 / 2 / 32;
+            for (uint64_t i = 0; i < vecs; ++i) {
+                e.mem(OpClass::SimdLoad, v_recon_ + i * 32);
+                e.mem(OpClass::SimdStore, v_ref_ + i * 32, 1);
+            }
+            e.loopBranches(vecs);
+        });
     }
 
     EncodeStats frame = stats_;

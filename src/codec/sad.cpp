@@ -14,6 +14,7 @@ namespace vepro::codec
 using trace::OpClass;
 using trace::Probe;
 using trace::currentProbe;
+using trace::emitKernel;
 using trace::sitePc;
 
 namespace
@@ -29,24 +30,25 @@ void
 probeRowKernel(Probe *p, uint64_t site, const PelView &a, const PelView &b,
                int w, int h, int alu_per_chunk)
 {
-    p->enterKernel(site, 8);
-    // A 256-bit lane covers 32 pixels; narrow blocks still issue one
-    // (masked) vector load per operand per row. Row loops are unrolled
-    // four deep, as the real AVX2 kernels are.
-    int chunks_per_row = std::max(1, w / 32);
-    for (int y = 0; y < h; ++y) {
-        for (int c = 0; c < chunks_per_row; ++c) {
-            p->mem(OpClass::SimdLoad, a.vaddr + static_cast<uint64_t>(y) * a.stride + c * 32);
-            p->mem(OpClass::SimdLoad, b.vaddr + static_cast<uint64_t>(y) * b.stride + c * 32);
-            p->ops(OpClass::SimdAlu, alu_per_chunk, 1, 2);
+    emitKernel(*p, site, 8, [&](auto &e) {
+        // A 256-bit lane covers 32 pixels; narrow blocks still issue one
+        // (masked) vector load per operand per row. Row loops are unrolled
+        // four deep, as the real AVX2 kernels are.
+        int chunks_per_row = std::max(1, w / 32);
+        for (int y = 0; y < h; ++y) {
+            for (int c = 0; c < chunks_per_row; ++c) {
+                e.mem(OpClass::SimdLoad, a.vaddr + static_cast<uint64_t>(y) * a.stride + c * 32);
+                e.mem(OpClass::SimdLoad, b.vaddr + static_cast<uint64_t>(y) * b.stride + c * 32);
+                e.ops(OpClass::SimdAlu, alu_per_chunk, 1, 2);
+            }
+            if ((y & 3) == 3) {
+                e.ops(OpClass::Alu, 2, 1);  // pointer bumps (unrolled x4)
+            }
         }
-        if ((y & 3) == 3) {
-            p->ops(OpClass::Alu, 2, 1);  // pointer bumps (unrolled x4)
-        }
-    }
-    p->loopBranches(static_cast<uint64_t>((h + 7) / 8));
-    p->ops(OpClass::SseAlu, 2, 1);   // 128-bit horizontal reduction tail
-    p->ops(OpClass::Alu, 2, 1);      // extract + move to scalar
+        e.loopBranches(static_cast<uint64_t>((h + 7) / 8));
+        e.ops(OpClass::SseAlu, 2, 1);   // 128-bit horizontal reduction tail
+        e.ops(OpClass::Alu, 2, 1);      // extract + move to scalar
+    });
 }
 
 } // namespace
@@ -101,27 +103,28 @@ satd(const PelView &a, const PelView &b, int w, int h)
     }
     if (Probe *p = currentProbe()) {
         static const uint64_t site = sitePc("codec.satd");
-        p->enterKernel(site, 16);
-        for (int ty = 0; ty < tiles_y; ++ty) {
-            for (int tx = 0; tx < tiles_x; ++tx) {
-                // Each tile's rows start at its real 2-D base address;
-                // the walk is strided, not a dense linear stream.
-                uint64_t off = static_cast<uint64_t>(ty) * tile * a.stride +
-                               static_cast<uint64_t>(tx) * tile;
-                uint64_t boff = static_cast<uint64_t>(ty) * tile * b.stride +
-                                static_cast<uint64_t>(tx) * tile;
-                // Load both tiles, difference, two butterfly passes, abs-sum.
-                p->memRun(OpClass::SimdLoad, a.vaddr + off, tile, a.stride);
-                p->memRun(OpClass::SimdLoad, b.vaddr + boff, tile, b.stride);
-                p->ops(OpClass::SimdAlu, static_cast<uint64_t>(tile) * 4, 1, 2);
-                p->ops(OpClass::SimdAlu, static_cast<uint64_t>(tile), 1);
-                p->ops(OpClass::Alu, 3, 1);
+        emitKernel(*p, site, 16, [&](auto &e) {
+            for (int ty = 0; ty < tiles_y; ++ty) {
+                for (int tx = 0; tx < tiles_x; ++tx) {
+                    // Each tile's rows start at its real 2-D base address;
+                    // the walk is strided, not a dense linear stream.
+                    uint64_t off = static_cast<uint64_t>(ty) * tile * a.stride +
+                                   static_cast<uint64_t>(tx) * tile;
+                    uint64_t boff = static_cast<uint64_t>(ty) * tile * b.stride +
+                                    static_cast<uint64_t>(tx) * tile;
+                    // Load both tiles, difference, two butterfly passes, abs-sum.
+                    e.memRun(OpClass::SimdLoad, a.vaddr + off, tile, a.stride);
+                    e.memRun(OpClass::SimdLoad, b.vaddr + boff, tile, b.stride);
+                    e.ops(OpClass::SimdAlu, static_cast<uint64_t>(tile) * 4, 1, 2);
+                    e.ops(OpClass::SimdAlu, static_cast<uint64_t>(tile), 1);
+                    e.ops(OpClass::Alu, 3, 1);
+                }
             }
-        }
-        int tiles = tiles_x * tiles_y;
-        p->loopBranches((tiles + 1) / 2);
-        p->ops(OpClass::SseAlu, 3, 1);
-        p->ops(OpClass::Alu, 2, 1);
+            int tiles = tiles_x * tiles_y;
+            e.loopBranches((tiles + 1) / 2);
+            e.ops(OpClass::SseAlu, 3, 1);
+            e.ops(OpClass::Alu, 2, 1);
+        });
     }
     return sum;
 }
@@ -133,17 +136,18 @@ residual(const PelView &a, const PelView &b, int w, int h, int16_t *dst,
     kernels().residual(a.pel, a.stride, b.pel, b.stride, w, h, dst);
     if (Probe *p = currentProbe()) {
         static const uint64_t site = sitePc("codec.residual");
-        p->enterKernel(site, 8);
-        int chunks = std::max(1, w / 16);  // 16 pixels -> one 256-bit i16 store
-        for (int y = 0; y < h; ++y) {
-            for (int c = 0; c < chunks; ++c) {
-                p->mem(OpClass::SimdLoad, a.vaddr + static_cast<uint64_t>(y) * a.stride + c * 16);
-                p->mem(OpClass::SimdLoad, b.vaddr + static_cast<uint64_t>(y) * b.stride + c * 16);
-                p->ops(OpClass::SimdAlu, 2, 1, 2);  // unpack + sub
-                p->mem(OpClass::SimdStore, dst_vaddr + (static_cast<uint64_t>(y) * w + c * 16) * 2, 1);
+        emitKernel(*p, site, 8, [&](auto &e) {
+            int chunks = std::max(1, w / 16);  // 16 pixels -> one 256-bit i16 store
+            for (int y = 0; y < h; ++y) {
+                for (int c = 0; c < chunks; ++c) {
+                    e.mem(OpClass::SimdLoad, a.vaddr + static_cast<uint64_t>(y) * a.stride + c * 16);
+                    e.mem(OpClass::SimdLoad, b.vaddr + static_cast<uint64_t>(y) * b.stride + c * 16);
+                    e.ops(OpClass::SimdAlu, 2, 1, 2);  // unpack + sub
+                    e.mem(OpClass::SimdStore, dst_vaddr + (static_cast<uint64_t>(y) * w + c * 16) * 2, 1);
+                }
             }
-        }
-        p->loopBranches(static_cast<uint64_t>((h + 3) / 4));
+            e.loopBranches(static_cast<uint64_t>((h + 3) / 4));
+        });
     }
 }
 
@@ -155,17 +159,18 @@ reconstruct(const PelView &pred, const int16_t *res, uint64_t res_vaddr,
                           dst.stride);
     if (Probe *p = currentProbe()) {
         static const uint64_t site = sitePc("codec.reconstruct");
-        p->enterKernel(site, 8);
-        int chunks = std::max(1, w / 16);
-        for (int y = 0; y < h; ++y) {
-            for (int c = 0; c < chunks; ++c) {
-                p->mem(OpClass::SimdLoad, pred.vaddr + static_cast<uint64_t>(y) * pred.stride + c * 16);
-                p->mem(OpClass::SimdLoad, res_vaddr + (static_cast<uint64_t>(y) * w + c * 16) * 2);
-                p->ops(OpClass::SimdAlu, 3, 1, 2);  // widen + add + pack/clamp
-                p->mem(OpClass::SimdStore, dst.vaddr + static_cast<uint64_t>(y) * dst.stride + c * 16, 1);
+        emitKernel(*p, site, 8, [&](auto &e) {
+            int chunks = std::max(1, w / 16);
+            for (int y = 0; y < h; ++y) {
+                for (int c = 0; c < chunks; ++c) {
+                    e.mem(OpClass::SimdLoad, pred.vaddr + static_cast<uint64_t>(y) * pred.stride + c * 16);
+                    e.mem(OpClass::SimdLoad, res_vaddr + (static_cast<uint64_t>(y) * w + c * 16) * 2);
+                    e.ops(OpClass::SimdAlu, 3, 1, 2);  // widen + add + pack/clamp
+                    e.mem(OpClass::SimdStore, dst.vaddr + static_cast<uint64_t>(y) * dst.stride + c * 16, 1);
+                }
             }
-        }
-        p->loopBranches(static_cast<uint64_t>((h + 3) / 4));
+            e.loopBranches(static_cast<uint64_t>((h + 3) / 4));
+        });
     }
 }
 

@@ -15,6 +15,7 @@ namespace vepro::codec
 using trace::OpClass;
 using trace::Probe;
 using trace::currentProbe;
+using trace::emitKernel;
 using trace::sitePc;
 
 namespace
@@ -68,37 +69,38 @@ void
 probeTransform(Probe *p, uint64_t site, int n, uint64_t src_vaddr,
                uint64_t dst_vaddr, int elem_size_src, int elem_size_dst)
 {
-    p->enterKernel(site, 24);
-    int vec_per_row = std::max(1, n / 8);  // 8 int32 lanes per 256-bit vector
-    int stages = 2;
-    for (int s = n; s > 2; s >>= 1) {
-        ++stages;
-    }
-    // Two passes (rows then columns).
-    for (int pass = 0; pass < 2; ++pass) {
-        for (int r = 0; r < n; ++r) {
-            p->memRun(OpClass::SimdLoad,
-                      src_vaddr + static_cast<uint64_t>(r) * n * elem_size_src,
-                      vec_per_row, 32);
-            uint8_t lane_dist = static_cast<uint8_t>(
-                std::min(3 * vec_per_row, 250));
-            for (int s = 0; s < stages; ++s) {
-                // Twiddle constants live in registers; each lane depends
-                // on the same lane one butterfly stage earlier, so the
-                // stage ops of different lanes overlap.
-                p->ops(OpClass::SimdMul, vec_per_row, lane_dist, 0);
-                p->ops(OpClass::SimdAlu, 2 * vec_per_row, lane_dist, 0);
-            }
-            p->ops(OpClass::SimdAlu, 2, 1);  // round + shift
-            p->memRun(OpClass::SimdStore,
-                      dst_vaddr + static_cast<uint64_t>(r) * n * elem_size_dst,
-                      vec_per_row, 32, 1);
-            if ((r & 3) == 3) {
-                p->ops(OpClass::Alu, 2, 1);
-            }
+    emitKernel(*p, site, 24, [&](auto &e) {
+        int vec_per_row = std::max(1, n / 8);  // 8 int32 lanes per 256-bit vector
+        int stages = 2;
+        for (int s = n; s > 2; s >>= 1) {
+            ++stages;
         }
-        p->loopBranches(static_cast<uint64_t>((n + 3) / 4));
-    }
+        // Two passes (rows then columns).
+        for (int pass = 0; pass < 2; ++pass) {
+            for (int r = 0; r < n; ++r) {
+                e.memRun(OpClass::SimdLoad,
+                         src_vaddr + static_cast<uint64_t>(r) * n * elem_size_src,
+                         vec_per_row, 32);
+                uint8_t lane_dist = static_cast<uint8_t>(
+                    std::min(3 * vec_per_row, 250));
+                for (int s = 0; s < stages; ++s) {
+                    // Twiddle constants live in registers; each lane depends
+                    // on the same lane one butterfly stage earlier, so the
+                    // stage ops of different lanes overlap.
+                    e.ops(OpClass::SimdMul, vec_per_row, lane_dist, 0);
+                    e.ops(OpClass::SimdAlu, 2 * vec_per_row, lane_dist, 0);
+                }
+                e.ops(OpClass::SimdAlu, 2, 1);  // round + shift
+                e.memRun(OpClass::SimdStore,
+                         dst_vaddr + static_cast<uint64_t>(r) * n * elem_size_dst,
+                         vec_per_row, 32, 1);
+                if ((r & 3) == 3) {
+                    e.ops(OpClass::Alu, 2, 1);
+                }
+            }
+            e.loopBranches(static_cast<uint64_t>((n + 3) / 4));
+        }
+    });
 }
 
 } // namespace

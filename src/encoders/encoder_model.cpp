@@ -52,15 +52,16 @@ lookaheadPass(const video::Frame &cur, const video::Frame &prev,
 
     if (Probe *p = trace::currentProbe()) {
         static const uint64_t site = trace::sitePc("encoders.lookahead.scale");
-        p->enterKernel(site, 10);
-        uint64_t vecs = static_cast<uint64_t>(hw) * hh / 16;
-        for (uint64_t i = 0; i < vecs; ++i) {
-            p->mem(OpClass::SimdLoad, v_cur + i * 64);
-            p->mem(OpClass::SimdLoad, v_cur + i * 64 + 32);
-            p->ops(OpClass::SimdAlu, 3, 1, 2);
-            p->mem(OpClass::SimdStore, v_cur + (1 << 22) + i * 32, 1);
-        }
-        p->loopBranches(vecs);
+        trace::emitKernel(*p, site, 10, [&](auto &e) {
+            uint64_t vecs = static_cast<uint64_t>(hw) * hh / 16;
+            for (uint64_t i = 0; i < vecs; ++i) {
+                e.mem(OpClass::SimdLoad, v_cur + i * 64);
+                e.mem(OpClass::SimdLoad, v_cur + i * 64 + 32);
+                e.ops(OpClass::SimdAlu, 3, 1, 2);
+                e.mem(OpClass::SimdStore, v_cur + (1 << 22) + i * 32, 1);
+            }
+            e.loopBranches(vecs);
+        });
     }
 
     codec::PelView cur_view{half_cur.data(), half_cur.stride(),

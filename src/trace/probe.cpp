@@ -397,21 +397,22 @@ void
 emitControl(Probe &probe, uint64_t site, int units, uint64_t hot_addr,
             uint64_t spread_addr, uint64_t spread_step)
 {
-    probe.enterKernel(site, 20);
-    for (int u = 0; u < units; ++u) {
-        // Hot table lookups (cost LUTs), per-block metadata, stack slots.
-        probe.mem(OpClass::Load, hot_addr + (static_cast<uint64_t>(u) * 72) % 2048);
-        probe.mem(OpClass::Load, hot_addr + 2048 + (static_cast<uint64_t>(u) * 40) % 1024);
-        probe.mem(OpClass::Load, spread_addr + static_cast<uint64_t>(u) * spread_step);
-        probe.mem(OpClass::Load, site + 0x800 + (static_cast<uint64_t>(u) * 24) % 256);
-        probe.ops(OpClass::Alu, 1, 1, 2);
-        if ((u & 1) != 0) {
-            probe.ops(OpClass::Other, 1, 1);
+    emitKernel(probe, site, 20, [&](auto &e) {
+        for (int u = 0; u < units; ++u) {
+            // Hot table lookups (cost LUTs), per-block metadata, stack slots.
+            e.mem(OpClass::Load, hot_addr + (static_cast<uint64_t>(u) * 72) % 2048);
+            e.mem(OpClass::Load, hot_addr + 2048 + (static_cast<uint64_t>(u) * 40) % 1024);
+            e.mem(OpClass::Load, spread_addr + static_cast<uint64_t>(u) * spread_step);
+            e.mem(OpClass::Load, site + 0x800 + (static_cast<uint64_t>(u) * 24) % 256);
+            e.ops(OpClass::Alu, 1, 1, 2);
+            if ((u & 1) != 0) {
+                e.ops(OpClass::Other, 1, 1);
+            }
+            e.mem(OpClass::Store, spread_addr + static_cast<uint64_t>(u) * spread_step + 8, 1);
+            e.mem(OpClass::Store, site + 0x800 + (static_cast<uint64_t>(u) * 24) % 256, 1);
         }
-        probe.mem(OpClass::Store, spread_addr + static_cast<uint64_t>(u) * spread_step + 8, 1);
-        probe.mem(OpClass::Store, site + 0x800 + (static_cast<uint64_t>(u) * 24) % 256, 1);
-    }
-    probe.loopBranches(static_cast<uint64_t>((units + 3) / 4));
+        e.loopBranches(static_cast<uint64_t>((units + 3) / 4));
+    });
 }
 
 Probe *

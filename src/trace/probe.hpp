@@ -27,6 +27,7 @@
 #include <limits>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "trace/opclass.hpp"
 #include "trace/sink.hpp"
@@ -60,6 +61,53 @@ struct MixCounters {
     double categoryPercent(MixCategory cat) const;
 
     MixCounters &operator+=(const MixCounters &other);
+};
+
+/**
+ * Counter-only stand-in for a Probe inside emitKernel(): the five
+ * counting calls of a kernel body add to a per-class count and a total,
+ * nothing else. It has no enterKernel() and no accessors, so a body
+ * that enters a nested kernel or reads probe state does not compile
+ * against it. A fresh tally already holds enterKernel()'s own ops, so
+ * the probe commits a quiet kernel in one pass over the counters.
+ */
+class QuietTally
+{
+  public:
+    QuietTally()
+    {
+        // enterKernel(): call + return plus a tiny scalar preamble.
+        byClass_[static_cast<int>(OpClass::BranchUncond)] = 2;
+        byClass_[static_cast<int>(OpClass::Other)] = 2;
+    }
+
+    void ops(OpClass cls, uint64_t n, uint8_t = 0, uint8_t = 0)
+    {
+        add(cls, n);
+    }
+    void mem(OpClass cls, uint64_t, uint8_t = 0) { add(cls, 1); }
+    void memRun(OpClass cls, uint64_t, int n, int, uint8_t = 0)
+    {
+        add(cls, static_cast<uint64_t>(n));
+    }
+    void decision(uint64_t, bool) { add(OpClass::BranchCond, 1); }
+    void loopBranches(uint64_t iterations)
+    {
+        add(OpClass::BranchCond, iterations);
+    }
+
+  private:
+    friend class Probe;
+
+    void
+    add(OpClass cls, uint64_t n)
+    {
+        byClass_[static_cast<int>(cls)] += n;
+        total_ += n;
+    }
+
+    std::array<uint64_t, kNumOpClasses> byClass_{};
+    uint64_t total_ = 4;
 };
 
 /** Probe configuration: what to collect and how much. */
@@ -107,6 +155,8 @@ struct ProbeConfig {
  * no call can record an op, and every op the sampling window admits is
  * cut by the maxOps cap. Any other call takes one out-of-line slow path
  * that does the full per-call accounting and opens the next region.
+ * A kernel emitted through emitKernel() that ends inside the region is
+ * counted in one step instead of one call per op.
  */
 class Probe
 {
@@ -178,6 +228,15 @@ class Probe
      */
     void loopBranches(uint64_t iterations);
 
+    /**
+     * emitKernel()'s commit: when the kernel entered at the current
+     * position with @p tally's ops ends inside the quiet region, apply
+     * enterKernel(@p site, @p body_len) and the tally in one step and
+     * return true. Otherwise change nothing and return false.
+     */
+    bool commitQuietKernel(uint64_t site, int body_len,
+                           const QuietTally &tally);
+
     // -- Address-space management ----------------------------------------
 
     /**
@@ -235,6 +294,12 @@ class Probe
      * catch it; never enabled in real runs.
      */
     void injectQuietFault(bool on) { quiet_fault_ = on; }
+    /**
+     * Fault injection for the same target: the kernel commit tests
+     * quiet_end_ instead of branch_quiet_end_, so kernels past the
+     * branch warmup commit quietly and lose their branch records.
+     */
+    void injectTallyFault(bool on) { tally_fault_ = on; }
 
   private:
     /** Ops staged per block delivery; one block amortises the virtual
@@ -268,6 +333,9 @@ class Probe
     void decisionSlow(uint64_t site, bool taken);
     void loopBranchesSlow(uint64_t iterations);
 
+    /** enterKernel()'s state updates at the current position: the
+     *  deferred kernel event and the PC window of its ops. */
+    void enterSite(uint64_t site, int body_len);
     uint64_t nextPc();
 
     /** Deliver the staged block through sink_->onBlock. A sink that
@@ -307,6 +375,7 @@ class Probe
     uint64_t drop_from_ = 0;
     bool dropping_ = false;
     bool quiet_fault_ = false;
+    bool tally_fault_ = false;
 
     uint64_t siteBase_ = sitePc("vepro.default");
     int siteBodyLen_ = 32;
@@ -351,7 +420,7 @@ class Probe
 // from it.
 
 inline void
-Probe::enterKernel(uint64_t site, int body_len)
+Probe::enterSite(uint64_t site, int body_len)
 {
     // Deferred: the event is only staged when a record actually lands
     // under this site (stagePendingKernel). Sampled captures gate ops
@@ -368,7 +437,12 @@ Probe::enterKernel(uint64_t site, int body_len)
     siteBase_ = site + ((opSeq_ >> 6) & 7) * 1024;
     siteBodyLen_ = std::max(1, body_len);
     sitePos_ = 0;
+}
 
+inline void
+Probe::enterKernel(uint64_t site, int body_len)
+{
+    enterSite(site, body_len);
     // Call + return plus a tiny scalar preamble (spills / setup).
     mix_.byClass[static_cast<int>(OpClass::BranchUncond)] += 2;
     mix_.byClass[static_cast<int>(OpClass::Other)] += 2;
@@ -430,6 +504,55 @@ Probe::loopBranches(uint64_t iterations)
         return;
     }
     loopBranchesSlow(iterations);
+}
+
+// A call whose end lies below quiet_end_ only adds to the mix and
+// opSeq_, and branch calls test branch_quiet_end_ <= quiet_end_. Ends
+// only grow, so when the kernel's last op ends below branch_quiet_end_
+// every call in it is such a call; none runs a slow path, so neither
+// bound moves mid-kernel and the sum of their effects is the tally.
+inline bool
+Probe::commitQuietKernel(uint64_t site, int body_len,
+                         const QuietTally &tally)
+{
+    const uint64_t end = opSeq_ + tally.total_;
+    if (end >= (tally_fault_ ? quiet_end_ : branch_quiet_end_)) {
+        return false;
+    }
+    // enterKernel()'s ops are in the tally.
+    enterSite(site, body_len);
+    // Unrolled: with constant indices the tally of an inlined body stays
+    // in registers, and only the classes it counted touch the mix.
+    [&]<size_t... C>(std::index_sequence<C...>) {
+        ((mix_.byClass[C] += tally.byClass_[C]), ...);
+    }(std::make_index_sequence<kNumOpClasses>{});
+    opSeq_ = end;
+    return true;
+}
+
+/**
+ * Emit one instrumented kernel: enterKernel(@p site, @p body_len), then
+ * @p body's calls. @p body is a generic callable taking the emitter
+ * (`[&](auto &e) { ... e.mem(...); ... }`), so a site's op stream is
+ * written once. It runs first against a QuietTally; when the whole
+ * kernel ends inside the quiet region, the probe applies the tally in
+ * one step. Otherwise the kernel runs call by call against @p probe,
+ * exactly as enterKernel() plus the body would. Either way the recorded
+ * stream and every counter are the same.
+ *
+ * @p body may run twice, so it may only make the five counting calls
+ * (ops, mem, memRun, decision, loopBranches) and pure arithmetic.
+ */
+template <typename Body>
+void
+emitKernel(Probe &probe, uint64_t site, int body_len, Body &&body)
+{
+    QuietTally tally;
+    body(tally);
+    if (!probe.commitQuietKernel(site, body_len, tally)) {
+        probe.enterKernel(site, body_len);
+        body(probe);
+    }
 }
 
 /**

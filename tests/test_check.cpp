@@ -60,7 +60,8 @@ TEST(CheckNames, FaultNamesRoundTrip)
                             Fault::KernelsSad,     Fault::StoreBit,
                             Fault::ParallelDrop,   Fault::BackendEnergy,
                             Fault::TraceFileDelta, Fault::LadderHull,
-                            Fault::ProbeQuiet,     Fault::FarmTie};
+                            Fault::ProbeQuiet,     Fault::ProbeTally,
+                            Fault::FarmTie};
     for (Fault f : faults) {
         Fault back = Fault::None;
         ASSERT_TRUE(parseFault(faultName(f), back)) << faultName(f);
@@ -117,6 +118,7 @@ TEST(CheckInjection, EveryFaultIsCaught)
         {Fault::TraceFileDelta, Target::TraceFile},
         {Fault::LadderHull, Target::Ladder},
         {Fault::ProbeQuiet, Target::Probe},
+        {Fault::ProbeTally, Target::Probe},
         {Fault::FarmTie, Target::Farm},
     };
     for (const FaultCase &fc : cases) {

@@ -296,6 +296,67 @@ INSTANTIATE_TEST_SUITE_P(AllEncoders, TaskGraphShape,
                          ::testing::Values("SVT-AV1", "Libaom", "Libvpx-vp9",
                                            "x264", "x265"));
 
+/** Counts what a probe delivers. */
+class CountingSink final : public trace::TraceSink
+{
+  public:
+    void onOp(const trace::TraceOp &) override { ++ops; }
+    void onOps(const trace::TraceOp *, size_t n) override { ops += n; }
+    void onBranch(const trace::BranchRecord &) override { ++branches; }
+
+    uint64_t ops = 0;
+    uint64_t branches = 0;
+};
+
+class MixIsProbeConfigInvariant : public ::testing::TestWithParam<std::string>
+{
+};
+
+/** The mix counts every modeled op, whatever the probe records: in a
+ *  mix-only encode every kernel commits its tally, in a sampled and
+ *  capped one kernels commit or run call by call, and in a streaming
+ *  one every kernel runs call by call. All three must agree. */
+TEST_P(MixIsProbeConfigInvariant, EveryConfigCountsTheSameMix)
+{
+    auto enc = encoderByName(GetParam());
+    const video::Video clip = tinyClip();
+    const EncodeParams p;
+    const EncodeResult mix_only = enc->encode(clip, p);
+
+    trace::ProbeConfig sampled;
+    sampled.collectOps = true;
+    sampled.opWindow = 2'000;
+    sampled.opInterval = 10'000;
+    sampled.maxOps = 20'000;
+    sampled.collectBranches = true;
+    sampled.maxBranches = 5'000;
+    sampled.branchWarmupOps = mix_only.instructions / 2;
+    CountingSink sampled_sink;
+    const EncodeResult mixed =
+        enc->encode(clip, p, sampled, false, &sampled_sink);
+    EXPECT_EQ(sampled_sink.ops, sampled.maxOps);
+    EXPECT_GT(mixed.droppedOps, 0u);
+    EXPECT_GT(sampled_sink.branches, 0u);
+
+    CountingSink streaming_sink;
+    const EncodeResult streamed =
+        enc->encode(clip, p, trace::ProbeConfig::streaming(), false,
+                    &streaming_sink);
+    EXPECT_GT(streaming_sink.ops, sampled_sink.ops);
+
+    for (const EncodeResult *r : {&mixed, &streamed}) {
+        EXPECT_EQ(r->instructions, mix_only.instructions);
+        for (int c = 0; c < trace::kNumOpClasses; ++c) {
+            EXPECT_EQ(r->mix.byClass[c], mix_only.mix.byClass[c])
+                << trace::opClassName(static_cast<trace::OpClass>(c));
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllEncoders, MixIsProbeConfigInvariant,
+                         ::testing::Values("SVT-AV1", "Libaom", "Libvpx-vp9",
+                                           "x264", "x265"));
+
 TEST(TaskGraphKinds, ReflectThreadingModels)
 {
     auto encode_with_tasks = [&](const char *name) {
