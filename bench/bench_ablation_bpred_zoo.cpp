@@ -19,7 +19,7 @@
 #include "core/experiment.hpp"
 #include "core/report.hpp"
 #include "encoders/registry.hpp"
-#include "sweep_common.hpp"
+#include "lab/figures.hpp"
 #include "trace/sink.hpp"
 
 int
@@ -40,7 +40,7 @@ main(int argc, char **argv)
     }
     core::Table table(header);
 
-    for (const video::SuiteEntry &e : bench::sweepVideos(scale)) {
+    for (const video::SuiteEntry &e : lab::sweepClips(scale)) {
         video::Video clip = video::loadSuiteVideo(e, scale.suite);
         encoders::EncodeParams params;
         params.preset = 6;

@@ -11,8 +11,8 @@
  * a PipelineMux fanning into 18 independent StreamCore instances, so
  * the encode+emit cost is paid once instead of per config. Each
  * config's CoreStats is bit-identical to a sequential runPoint
- * (tests/test_core.cpp pins that); --sim-jobs controls the fan-out
- * parallelism.
+ * (tests/test_core.cpp pins that). The fan-out runs inline on the
+ * encode thread (runPointMulti's default jobs = 1).
  */
 
 #include <cstdio>

@@ -18,8 +18,8 @@
 #include "core/experiment.hpp"
 #include "core/report.hpp"
 #include "encoders/registry.hpp"
+#include "lab/figures.hpp"
 #include "lab/progress.hpp"
-#include "sweep_common.hpp"
 
 namespace vepro::bench
 {
@@ -51,7 +51,7 @@ runCbpFigure(int argc, char **argv, const char *figure, int preset, int crf)
     // One fused encode per clip: all four predictors score the branch
     // stream live through a MuxSink, so no branch trace is materialised.
     // Clips are independent and run on scale.jobs worker threads.
-    std::vector<video::SuiteEntry> videos = sweepVideos(scale);
+    std::vector<video::SuiteEntry> videos = lab::sweepClips(scale);
     std::vector<std::vector<bpred::RunResult>> results(videos.size());
     std::vector<uint64_t> dropped(videos.size(), 0);
     core::parallelFor(videos.size(), scale.jobs, [&](size_t i) {

@@ -40,12 +40,6 @@ RunScale::fromArgs(int argc, char **argv)
                 throw std::invalid_argument("--jobs must be >= 0");
             }
             scale.jobs = trace::resolveJobs(jobs);  // 0 = auto-detect
-        } else if (arg.rfind("--sim-jobs=", 0) == 0) {
-            int jobs = parseIntStrict(arg.substr(11), "--sim-jobs");
-            if (jobs < 0) {
-                throw std::invalid_argument("--sim-jobs must be >= 0");
-            }
-            scale.simJobs = trace::resolveJobs(jobs);  // 0 = auto-detect
         } else if (arg.rfind("--segments=", 0) == 0) {
             int segments = parseIntStrict(arg.substr(11), "--segments");
             if (segments < 0) {
@@ -226,17 +220,6 @@ runPoint(const encoders::EncoderModel &encoder, const video::Video &clip,
         point.encode =
             encoder.encode(clip, params, tracingConfig(scale), false, &sim);
         point.core = sim.stats();
-    } else if (scale.simJobs > 1) {
-        // Pipeline-parallel: the core model consumes blocks on a worker
-        // thread while the encode keeps producing. Bit-identical to the
-        // sequential fused path.
-        uarch::StreamCore sim(core_cfg);
-        trace::PipelineMux::Options opts;
-        opts.jobs = scale.simJobs;
-        trace::PipelineMux mux({&sim}, opts);
-        point.encode =
-            encoder.encode(clip, params, tracingConfig(scale), false, &mux);
-        point.core = sim.stats();
     } else {
         uarch::StreamCore sim(core_cfg);
         point.encode =
@@ -281,7 +264,7 @@ struct CoreFan {
 std::vector<SweepPoint>
 runPointMulti(const encoders::EncoderModel &encoder, const video::Video &clip,
               int crf, int preset, const RunScale &scale,
-              const std::vector<uarch::CoreConfig> &configs)
+              const std::vector<uarch::CoreConfig> &configs, int jobs)
 {
     if (scale.segments > 1) {
         throw std::invalid_argument(
@@ -297,7 +280,7 @@ runPointMulti(const encoders::EncoderModel &encoder, const video::Video &clip,
 
     CoreFan fan(configs);
     trace::PipelineMux::Options opts;
-    opts.jobs = scale.simJobs;  // 1 = inline fan-out, 0/N = workers
+    opts.jobs = jobs;  // 1 = inline fan-out, 0/N = workers
     trace::PipelineMux mux(fan.sinks, opts);
     encoders::EncodeResult enc =
         encoder.encode(clip, params, tracingConfig(scale), false, &mux);

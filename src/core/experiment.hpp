@@ -38,15 +38,6 @@ struct RunScale {
      *  0 = auto-detect, resolved to a concrete count at parse time). */
     int jobs = 1;
     /**
-     * Pipeline-parallel simulation inside one sweep point
-     * (--sim-jobs=N): with N > 1 the point's sinks run on worker
-     * threads behind a trace::PipelineMux, overlapping the encode with
-     * the simulation. 0 = auto-detect; 1 = classic sequential fused
-     * path. Never changes the measured statistics (bit-identical by
-     * construction), so it is not part of a point's cache identity.
-     */
-    int simJobs = 1;
-    /**
      * Segment-parallel core simulation (--segments=N): the point's
      * trace is split into N block-aligned segments simulated
      * concurrently by uarch::SegmentSim. 0 = auto-detect; 1 = off.
@@ -74,10 +65,10 @@ struct RunScale {
     std::string storeDir = ".vepro-lab";
 
     /**
-     * Parse --quick / --full / --videos=a,b,c / --jobs=N / --sim-jobs=N
-     * / --segments=N / --segment-warmup=K / --uncapped / --no-cache /
-     * --store=DIR / --backend=NAME. Numeric flags are strict: trailing garbage
-     * ("--jobs=4abc") is rejected, not silently truncated. All three
+     * Parse --quick / --full / --videos=a,b,c / --jobs=N / --segments=N
+     * / --segment-warmup=K / --uncapped / --no-cache / --store=DIR /
+     * --backend=NAME. Numeric flags are strict: trailing garbage
+     * ("--jobs=4abc") is rejected, not silently truncated. Both
      * parallelism flags accept 0 = auto-detect via
      * std::thread::hardware_concurrency() (floor 1).
      */
@@ -134,17 +125,17 @@ SweepPoint runPoint(const encoders::EncoderModel &encoder,
  * record order exactly), but the encode+emit cost — and on the replay
  * variants the decode cost — is paid once instead of K times.
  *
- * scale.simJobs drives the fan-out parallelism: 1 runs every core
- * inline on the producing thread (still one encode), >1 or 0 (auto)
- * runs each core on its own mux worker. scale.backend is ignored — the
- * configs are explicit. Segment mode is per-config simulation state and
- * is not supported here; @throws std::invalid_argument when
+ * @p jobs drives the fan-out parallelism, as PipelineMux: 1 runs every
+ * core inline on the producing thread (still one encode), >1 or 0
+ * (auto) runs each core on its own mux worker. scale.backend is ignored
+ * — the configs are explicit. Segment mode is per-config simulation
+ * state and is not supported here; @throws std::invalid_argument when
  * scale.segments > 1.
  */
 std::vector<SweepPoint>
 runPointMulti(const encoders::EncoderModel &encoder, const video::Video &clip,
               int crf, int preset, const RunScale &scale,
-              const std::vector<uarch::CoreConfig> &configs);
+              const std::vector<uarch::CoreConfig> &configs, int jobs = 1);
 
 /**
  * The replay half of the capture-once/replay-many workflow: stream one

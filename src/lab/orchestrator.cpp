@@ -1,8 +1,8 @@
 #include "lab/orchestrator.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 
 #include "backend/profile.hpp"
@@ -55,7 +55,6 @@ OrchestratorOptions::fromRunScale(const core::RunScale &scale)
     OrchestratorOptions opts;
     opts.jobs = scale.jobs;
     opts.useCache = !scale.noCache;
-    opts.useTraceCache = !scale.noCache;
     opts.storeDir = scale.storeDir;
     return opts;
 }
@@ -66,21 +65,11 @@ Orchestrator::Orchestrator(OrchestratorOptions opts)
 {
 }
 
-Orchestrator::~Orchestrator()
-{
-    stopService();
-}
-
 size_t
 Orchestrator::request(const JobSpec &spec)
 {
     if (spec.threads < 1) {
         throw std::invalid_argument("lab: threads must be >= 1");
-    }
-    if (service_) {
-        throw std::logic_error(
-            "lab: request() is the batch API — use submit() while the "
-            "service is running");
     }
     std::string key = spec.canonicalKey();
     auto it = byKey_.find(key);
@@ -177,7 +166,7 @@ Orchestrator::execute(const JobSpec &spec)
     // Segment-mode stats depend on exact block boundaries, so only
     // sequential points go through the trace cache (their stats are
     // delivery-batching independent — replay is bit-identical).
-    if (!opts_.useTraceCache || spec.segments != 1) {
+    if (!opts_.useCache || spec.segments != 1) {
         return executeDirect(spec);
     }
 
@@ -207,15 +196,12 @@ Orchestrator::execute(const JobSpec &spec)
 JobResult
 Orchestrator::executeDirect(const JobSpec &spec)
 {
-    std::shared_ptr<const encoders::EncoderModel> encoder;
-    {
-        // encoders_ grows under intake_mutex_ while workers read it.
-        std::lock_guard<std::mutex> lock(intake_mutex_);
-        encoder = encoders_.at(spec.encoder);
-    }
+    // prepareMiss filled encoders_ before the workers started, so
+    // they only read it.
+    const encoders::EncoderModel &encoder = *encoders_.at(spec.encoder);
     std::shared_ptr<const video::Video> clip = acquireClip(spec);
     encoderRuns_.fetch_add(1, std::memory_order_relaxed);
-    core::SweepPoint point = core::runPoint(*encoder, *clip, spec.crf,
+    core::SweepPoint point = core::runPoint(encoder, *clip, spec.crf,
                                             spec.preset, spec.toRunScale());
     clip.reset();
     releaseClip(spec);
@@ -262,11 +248,7 @@ JobResult
 Orchestrator::captureTrace(const JobSpec &spec,
                            const TraceCache::Lease &lease)
 {
-    std::shared_ptr<const encoders::EncoderModel> encoder;
-    {
-        std::lock_guard<std::mutex> lock(intake_mutex_);
-        encoder = encoders_.at(spec.encoder);
-    }
+    const encoders::EncoderModel &encoder = *encoders_.at(spec.encoder);
     encoders::EncodeParams params;
     params.crf = spec.crf;
     params.preset = spec.preset;
@@ -282,7 +264,7 @@ Orchestrator::captureTrace(const JobSpec &spec,
 
     std::shared_ptr<const video::Video> clip = acquireClip(spec);
     encoderRuns_.fetch_add(1, std::memory_order_relaxed);
-    encoders::EncodeResult enc = encoder->encode(
+    encoders::EncodeResult enc = encoder.encode(
         *clip, params, core::tracingConfig(scale), false, &mux);
     clip.reset();
     releaseClip(spec);
@@ -342,8 +324,7 @@ Orchestrator::executeWithRetry(const JobSpec &spec,
         return result;
     } catch (...) {
         // Second failure: record it instead of aborting — a long sweep
-        // (or a long-running service) must never lose completed work
-        // to one bad spec.
+        // must never lose completed work to one bad spec.
         result = JobResult{};
         result.failed = true;
         result.error = describe(std::current_exception());
@@ -359,10 +340,6 @@ Orchestrator::executeWithRetry(const JobSpec &spec,
 void
 Orchestrator::run()
 {
-    if (service_) {
-        throw std::logic_error("lab: run() while the service is active");
-    }
-
     // Phase 1 — resolve from the store (serial: cheap file reads).
     std::vector<size_t> pending;
     std::vector<size_t> resolved;  ///< Everything this call settles.
@@ -415,8 +392,10 @@ Orchestrator::run()
     retries_ += retried.load();
 
     // Probe-cap warnings for everything resolved in this run, cached
-    // or fresh — capped data under-represents the run either way.
-    if (opts_.progress) {
+    // or fresh — capped data under-represents the run either way. Like
+    // the per-job lines, only when verbose: vepro-serve caps its cost
+    // specs on purpose.
+    if (opts_.verbose && opts_.progress) {
         for (size_t i : resolved) {
             const JobResult &r = *results_[i];
             if (!r.failed && r.encode.droppedOps > 0) {
@@ -430,246 +409,41 @@ Orchestrator::run()
     }
 }
 
-// ---- Service mode ----------------------------------------------------
+// ---- Results ---------------------------------------------------------
 
-void
-Orchestrator::startService(const ServiceOptions &options)
+const JobResult &
+Orchestrator::lookup(size_t handle, const char *caller) const
 {
-    std::lock_guard<std::mutex> lock(intake_mutex_);
-    if (service_) {
-        throw std::logic_error("lab: service already started");
-    }
-    auto service = std::make_unique<Service>();
-    for (int s = 0; s < std::max(1, options.shards); ++s) {
-        service->shards.push_back(std::make_unique<Shard>());
-    }
-    service_ = std::move(service);
-    for (int w = 0; w < std::max(1, options.workers); ++w) {
-        service_->workers.emplace_back(
-            [this, w] { serviceWorker(static_cast<size_t>(w)); });
-    }
-}
-
-size_t
-Orchestrator::submit(const JobSpec &spec)
-{
-    if (spec.threads < 1) {
-        throw std::invalid_argument("lab: threads must be >= 1");
-    }
-    std::lock_guard<std::mutex> lock(intake_mutex_);
-    if (!service_) {
-        throw std::logic_error("lab: submit() before startService()");
-    }
-    Service &svc = *service_;
-
-    std::string key = spec.canonicalKey();
-    auto it = byKey_.find(key);
-    if (it != byKey_.end()) {
-        return it->second;  // Dedupe: already resolved or in flight.
-    }
-
-    // Cache-first intake: a warm-store hit resolves synchronously and
-    // never occupies queue capacity.
-    std::optional<JobResult> hit;
-    if (opts_.useCache) {
-        hit = store_.load(spec);
-    }
-
-    size_t handle;
-    {
-        std::lock_guard<std::mutex> done_lock(done_mutex_);
-        handle = jobs_.size();
-        jobs_.push_back(spec);
-        results_.push_back(nullptr);
-    }
-    byKey_.emplace(std::move(key), handle);
-
-    if (hit) {
-        {
-            std::lock_guard<std::mutex> done_lock(done_mutex_);
-            results_[handle] = std::make_unique<JobResult>(*hit);
-            ++cacheHits_;
-        }
-        done_cv_.notify_all();
-        return handle;
-    }
-
-    prepareMiss(spec);
-
-    Shard &shard = *svc.shards[handle % svc.shards.size()];
-    {
-        std::lock_guard<std::mutex> wait_lock(svc.wait_mutex);
-        {
-            std::lock_guard<std::mutex> shard_lock(shard.mutex);
-            shard.handles.push_back(handle);
-        }
-        ++svc.queued;
-    }
-    svc.work_cv.notify_one();
-    return handle;
-}
-
-std::optional<size_t>
-Orchestrator::popQueued(size_t worker_index)
-{
-    Service &svc = *service_;
-    const size_t n = svc.shards.size();
-    // Start at the worker's home shard, then steal round-robin: shards
-    // keep intake mostly contention-free while idle workers still find
-    // any backlog.
-    for (size_t k = 0; k < n; ++k) {
-        Shard &shard = *svc.shards[(worker_index + k) % n];
-        std::lock_guard<std::mutex> shard_lock(shard.mutex);
-        if (shard.handles.empty()) {
-            continue;
-        }
-        const size_t handle = shard.handles.front();
-        shard.handles.pop_front();
-        return handle;
-    }
-    return std::nullopt;
-}
-
-void
-Orchestrator::serviceWorker(size_t worker_index)
-{
-    Service &svc = *service_;
-    for (;;) {
-        std::optional<size_t> handle = popQueued(worker_index);
-        if (!handle) {
-            std::unique_lock<std::mutex> wait_lock(svc.wait_mutex);
-            svc.work_cv.wait(wait_lock, [&] {
-                return svc.queued > 0 || svc.stopping;
-            });
-            if (svc.queued == 0 && svc.stopping) {
-                return;
-            }
-            continue;
-        }
-        {
-            std::lock_guard<std::mutex> wait_lock(svc.wait_mutex);
-            --svc.queued;
-        }
-
-        const JobSpec *spec = nullptr;
-        {
-            // Deque elements never move, so the reference outlives the
-            // lock; only the container's structure needs the mutex.
-            std::lock_guard<std::mutex> done_lock(done_mutex_);
-            spec = &jobs_[*handle];
-        }
-        JobResult result = executeWithRetry(*spec, service_retries_);
-        if (!result.failed) {
-            result.fromCache = false;
-            store_.save(*spec, result);
-        }
-        finishJob(*handle, std::move(result));
-    }
-}
-
-void
-Orchestrator::finishJob(size_t handle, JobResult &&result)
-{
-    {
-        std::lock_guard<std::mutex> done_lock(done_mutex_);
-        if (result.failed) {
-            ++failures_;
-        } else {
-            ++computed_;
-        }
-        results_[handle] = std::make_unique<JobResult>(std::move(result));
-    }
-    done_cv_.notify_all();
-}
-
-void
-Orchestrator::await(size_t handle)
-{
-    std::unique_lock<std::mutex> done_lock(done_mutex_);
     if (handle >= results_.size()) {
         throw std::out_of_range("lab: bad job handle");
     }
-    done_cv_.wait(done_lock, [&] { return results_[handle] != nullptr; });
-}
-
-void
-Orchestrator::stopService()
-{
-    {
-        std::lock_guard<std::mutex> lock(intake_mutex_);
-        if (!service_) {
-            return;
-        }
-        {
-            std::lock_guard<std::mutex> wait_lock(service_->wait_mutex);
-            service_->stopping = true;
-        }
-        service_->work_cv.notify_all();
+    if (!results_[handle]) {
+        throw std::logic_error(std::string("lab: ") + caller +
+                               " before run()");
     }
-    // Join outside intake_mutex_ so in-flight workers can still read
-    // the encoder map while finishing their last jobs.
-    for (std::thread &t : service_->workers) {
-        t.join();
-    }
-    std::lock_guard<std::mutex> lock(intake_mutex_);
-    retries_ += service_retries_.exchange(0);
-    service_.reset();
+    return *results_[handle];
 }
-
-// ---- Results ---------------------------------------------------------
 
 const JobResult &
 Orchestrator::result(size_t handle) const
 {
-    const JobResult *result = nullptr;
-    {
-        std::lock_guard<std::mutex> done_lock(done_mutex_);
-        if (handle >= results_.size()) {
-            throw std::out_of_range("lab: bad job handle");
-        }
-        result = results_[handle].get();
+    const JobResult &result = lookup(handle, "result()");
+    if (result.failed) {
+        throw std::runtime_error("lab: job failed: " + result.error);
     }
-    if (result == nullptr) {
-        throw std::logic_error("lab: result() before run()");
-    }
-    if (result->failed) {
-        throw std::runtime_error("lab: job failed: " + result->error);
-    }
-    return *result;
+    return result;
 }
 
 bool
 Orchestrator::failed(size_t handle) const
 {
-    const JobResult *result = nullptr;
-    {
-        std::lock_guard<std::mutex> done_lock(done_mutex_);
-        if (handle >= results_.size()) {
-            throw std::out_of_range("lab: bad job handle");
-        }
-        result = results_[handle].get();
-    }
-    if (result == nullptr) {
-        throw std::logic_error("lab: failed() before run()");
-    }
-    return result->failed;
+    return lookup(handle, "failed()").failed;
 }
 
 const std::string &
 Orchestrator::error(size_t handle) const
 {
-    const JobResult *result = nullptr;
-    {
-        std::lock_guard<std::mutex> done_lock(done_mutex_);
-        if (handle >= results_.size()) {
-            throw std::out_of_range("lab: bad job handle");
-        }
-        result = results_[handle].get();
-    }
-    if (result == nullptr) {
-        throw std::logic_error("lab: error() before run()");
-    }
-    return result->error;
+    return lookup(handle, "error()").error;
 }
 
 std::string

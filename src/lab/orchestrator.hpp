@@ -8,13 +8,8 @@
  * persistent store, runs the rest on the core::parallelFor pool — with
  * per-job wall-clock timing, one retry on a thrown attempt (a second
  * failure is recorded, not fatal), and serialized progress lines — and
- * fans results back out per figure.
- *
- * Besides the batch API, the orchestrator can run as a persistent
- * service (startService/submit/await/stopService): worker threads
- * drain sharded FIFO queues with asynchronous intake and the same
- * dedupe/cache-first/retry semantics — the execution engine of the
- * vepro-serve cost resolution.
+ * fans results back out per figure. request() + run() is the only
+ * engine: vepro-serve's cost resolution is a closed batch too.
  *
  * Decoded clips are reference-counted: a clip is loaded lazily when its
  * first cache-missing point starts and released as soon as its last
@@ -23,16 +18,13 @@
  */
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -48,16 +40,16 @@ namespace vepro::lab
 
 struct OrchestratorOptions {
     int jobs = 1;                      ///< Worker threads.
-    bool useCache = true;              ///< false = recompute everything.
     /**
-     * Capture each unique encode's op trace to `<store>/traces/` and
-     * replay it instead of re-running the encoder when the same encode
-     * is requested again (possibly on a different backend). Replays
-     * are bit-identical to the live fused pipeline, so this changes
-     * wall-clock only, never results. Disabled together with useCache
-     * by --no-cache.
+     * Look results up in the store, and capture each unique encode's
+     * op trace to `<store>/traces/` to replay it instead of re-running
+     * the encoder when the same encode is requested again (possibly on
+     * a different backend). Replays are bit-identical to the live fused
+     * pipeline, so the trace cache changes wall-clock only, never
+     * results. false (--no-cache) recomputes every point live; fresh
+     * results are still saved.
      */
-    bool useTraceCache = true;
+    bool useCache = true;
     std::string storeDir = ".vepro-lab";
     Progress *progress = &Progress::standard();
     bool verbose = true;               ///< Per-job progress lines.
@@ -72,21 +64,17 @@ struct OrchestratorOptions {
     static OrchestratorOptions fromRunScale(const core::RunScale &scale);
 };
 
-/**
- * Service-mode configuration (see Orchestrator::startService): the
- * persistent sharded FIFO queues behind vepro-serve's async job
- * intake.
- */
+/** Kept only because ledger/ledger.cpp calls it; delete it together
+ *  with that call. Neither field is read. */
 struct ServiceOptions {
-    int shards = 4;    ///< Independent FIFO queue shards (>= 1).
-    int workers = 1;   ///< Persistent worker threads (>= 1).
+    int shards = 4;
+    int workers = 1;
 };
 
 class Orchestrator
 {
   public:
     explicit Orchestrator(OrchestratorOptions opts = {});
-    ~Orchestrator();
 
     /**
      * Register one point and get its handle. Requests dedupe: the same
@@ -105,39 +93,10 @@ class Orchestrator
      */
     void run();
 
-    // ---- Service mode: persistent queue with async intake -----------
-    //
-    // The batch API above resolves a closed set of requests in one
-    // run() call. Service mode promotes the orchestrator into a
-    // long-running back-end: persistent worker threads drain sharded
-    // FIFO queues while producers keep submitting jobs asynchronously
-    // — the engine behind vepro-serve's cost resolution.
-
-    /**
-     * Spawn the service workers. Mutually exclusive with concurrent
-     * run() calls. @throws std::logic_error if already started.
-     */
-    void startService(const ServiceOptions &options);
-
-    /**
-     * Asynchronously submit one job; thread-safe. Cache hits and
-     * duplicates of an already-submitted spec resolve without queueing;
-     * queued jobs start in submit order per shard.
-     *
-     * @return the job handle. A handle is interchangeable with batch
-     *         handles: await() it, then read result().
-     */
-    size_t submit(const JobSpec &spec);
-
-    /** Block until @p handle is resolved (thread-safe). */
-    void await(size_t handle);
-
-    /**
-     * Drain every queued job, join the workers, and leave service
-     * mode. Every handle submitted before stopService() is resolved
-     * when it returns. Idempotent.
-     */
-    void stopService();
+    /** Kept only because ledger/ledger.cpp calls them; delete them
+     *  together with those calls. Both do nothing. */
+    void startService(const ServiceOptions &) {}
+    void stopService() {}
 
     /** The result for a handle. @throws std::logic_error before run();
      *  rethrows the recorded error for a failed job. */
@@ -151,7 +110,7 @@ class Orchestrator
     size_t requested() const { return jobs_.size(); }  ///< Unique jobs.
     size_t cacheHits() const { return cacheHits_; }
     size_t computed() const { return computed_; }
-    size_t retries() const { return retries_ + service_retries_.load(); }
+    size_t retries() const { return retries_; }
     size_t failures() const { return failures_; }
 
     // ---- Trace-cache observability (the "no encoder work" seam) -----
@@ -179,21 +138,6 @@ class Orchestrator
         size_t remaining = 0;  ///< Pending points still needing it.
     };
 
-    struct Shard {
-        std::mutex mutex;
-        std::deque<size_t> handles;  ///< Queued jobs, in submit order.
-    };
-
-    /** Everything the persistent service owns; null in batch mode. */
-    struct Service {
-        std::vector<std::unique_ptr<Shard>> shards;
-        std::vector<std::thread> workers;
-        std::mutex wait_mutex;
-        std::condition_variable work_cv;
-        size_t queued = 0;       ///< Submitted, not yet started.
-        bool stopping = false;
-    };
-
     JobResult execute(const JobSpec &spec);
     /** The pre-trace-cache path: live encode fused with the core
      *  model (runPoint). Used for segment-mode specs and --no-cache. */
@@ -210,9 +154,9 @@ class Orchestrator
     JobResult executeWithRetry(const JobSpec &spec,
                                std::atomic<size_t> &retried);
     void prepareMiss(const JobSpec &spec);
-    void finishJob(size_t handle, JobResult &&result);
-    void serviceWorker(size_t worker_index);
-    std::optional<size_t> popQueued(size_t worker_index);
+    /** The slot behind @p handle. @throws std::out_of_range for a bad
+     *  handle, std::logic_error (naming @p caller) before run(). */
+    const JobResult &lookup(size_t handle, const char *caller) const;
     std::shared_ptr<const video::Video> acquireClip(const JobSpec &spec);
     void releaseClip(const JobSpec &spec);
     static std::string clipKey(const JobSpec &spec);
@@ -221,10 +165,6 @@ class Orchestrator
     ResultStore store_;
     TraceCache traceCache_;
 
-    // Deques for reference stability: service workers hold references
-    // to their job's spec and result slot while submit() keeps growing
-    // both containers (structural changes and slot writes are guarded
-    // by done_mutex_; a deque never relocates existing elements).
     std::deque<JobSpec> jobs_;
     std::deque<std::unique_ptr<JobResult>> results_;
     std::unordered_map<std::string, size_t> byKey_;
@@ -235,19 +175,8 @@ class Orchestrator
     std::unordered_map<std::string, std::unique_ptr<ClipSlot>> clips_;
     std::mutex clips_mutex_;  ///< Guards the clips_ map (not the slots).
 
-    /** Intake/dedupe state shared by submit() callers; also guards the
-     *  counters below in service mode (batch mode is single-threaded
-     *  outside parallelFor, which only touches disjoint results_). */
-    mutable std::mutex intake_mutex_;
-    /** Resolution signalling for await(). */
-    mutable std::mutex done_mutex_;
-    mutable std::condition_variable done_cv_;
-
-    std::unique_ptr<Service> service_;
-    std::atomic<size_t> service_retries_{0};
-
-    // Relaxed atomics: incremented from parallelFor/service workers,
-    // read from accessors after the work drains.
+    // Relaxed atomics: incremented from parallelFor workers, read from
+    // accessors after the work drains.
     std::atomic<size_t> encoderRuns_{0};
     std::atomic<size_t> traceCaptures_{0};
     std::atomic<size_t> traceReplays_{0};

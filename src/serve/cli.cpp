@@ -111,7 +111,6 @@ serveUsage()
            "  --uploads-per-hour X   mean uploads per user per hour\n"
            "  --duration SEC         simulated window length\n"
            "  --servers N            farm servers (fleet: servers per mix)\n"
-           "  --shards N             cost-resolution service shards\n"
            "  --admission N          admission limit (queued jobs; 0 = off)\n"
            "  --latency-target SEC   SLA deadline per job\n"
            "  --rung-mix S:W,..      ABR rung mix as scale:weight pairs\n"
@@ -183,9 +182,8 @@ parseServeCli(const std::vector<std::string> &args)
             (arg == "--quick" ? saw_quick : cli.fleet) = true;
         } else if (arg == "--seed" || arg == "--users" ||
                    arg == "--uploads-per-hour" || arg == "--duration" ||
-                   arg == "--servers" || arg == "--shards" ||
-                   arg == "--admission" || arg == "--latency-target" ||
-                   arg == "--rung-mix" ||
+                   arg == "--servers" || arg == "--admission" ||
+                   arg == "--latency-target" || arg == "--rung-mix" ||
                    arg == "--backend" || arg == "--ghz" ||
                    arg == "--server-cores" || arg == "--backends" ||
                    arg == "--jobs" || arg == "--store" ||
@@ -217,8 +215,6 @@ parseServeCli(const std::vector<std::string> &args)
                 cli.scenario.traffic.durationSec = positiveDouble(v, flag);
             } else if (flag == "--servers") {
                 cli.scenario.farm.servers = intAtLeast(v, flag, 1);
-            } else if (flag == "--shards") {
-                cli.scenario.farm.shards = intAtLeast(v, flag, 1);
             } else if (flag == "--admission") {
                 cli.scenario.farm.admissionLimit =
                     static_cast<size_t>(intAtLeast(v, flag, 0));

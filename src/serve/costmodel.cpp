@@ -149,11 +149,11 @@ CostModel::resolveOn(const std::vector<std::string> &backends,
         }
     }
 
-    // Cost specs go through the orchestrator's persistent service:
-    // async intake, cache-first against the store, parallel across its
-    // workers. Duplicate combos dedupe to the same handle for free.
-    // Fixed-function backends never submit: they are priced
-    // analytically from the clip's full-scale block count.
+    // Cost specs are one closed batch on the orchestrator: requested
+    // here, resolved by one run() — cache-first against the store,
+    // parallel across its workers. Duplicate combos dedupe to the same
+    // handle for free. Fixed-function backends request nothing: they
+    // are priced analytically from the clip's full-scale block count.
     struct Pending {
         std::string key;
         std::string backend;
@@ -184,13 +184,13 @@ CostModel::resolveOn(const std::vector<std::string> &backends,
                     lab::JobSpec spec = specFor(clip, crf, preset);
                     spec.backend = prof.name;
                     pending.push_back(
-                        {key, prof.name, preset, orch_.submit(spec)});
+                        {key, prof.name, preset, orch_.request(spec)});
                 }
             }
         }
     }
+    orch_.run();
     for (const Pending &p : pending) {
-        orch_.await(p.handle);
         const lab::JobResult &result = orch_.result(p.handle);
         const double ipc = result.core.ipc();
         if (result.encode.instructions == 0 || ipc <= 0.0) {

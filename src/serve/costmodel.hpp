@@ -8,8 +8,8 @@
  * registry, src/backend).
  *
  * Every (backend, clip, crf, preset) combo in a scenario resolves to
- * one lab::JobSpec executed by the Orchestrator's persistent service
- * (async FIFO submit + await; the service never turns a spec away):
+ * one lab::JobSpec, and one resolve()/resolveOn() is one closed batch
+ * on the lab::Orchestrator (request() per spec, then one run()):
  * the instrumented encoder model produces the dynamic instruction
  * count and the core model — built from the backend's CoreConfig —
  * the achieved IPC, both persisted in the store. A warm store makes
@@ -102,21 +102,21 @@ struct CostModelConfig {
 class CostModel final : public FleetCostOracle
 {
   public:
-    /** @param orch Orchestrator whose service mode is ALREADY started
-     *  (resolve() submits into it). Not owned. */
+    /** @param orch Orchestrator that resolve() requests the cost specs
+     *  on and runs. Not owned. */
     CostModel(lab::Orchestrator &orch, CostModelConfig config);
 
     /**
      * Resolve every (clip, crf, ladder-preset) combo on the primary
-     * backend: submit the specs asynchronously, await them, memoise
-     * service seconds and energy. Also runs the per-preset task-graph
-     * speedup probes. Idempotent per combo.
+     * backend: request the specs, run() them, memoise service seconds
+     * and energy. Also runs the per-preset task-graph speedup probes.
+     * Idempotent per combo.
      */
     void resolve(const std::vector<std::string> &clips,
                  const std::vector<int> &crfs);
 
     /** resolve() across several named profiles (fleet sweeps).
-     *  Fixed-function backends are priced analytically, no submits. */
+     *  Fixed-function backends are priced analytically, no requests. */
     void resolveOn(const std::vector<std::string> &backends,
                    const std::vector<std::string> &clips,
                    const std::vector<int> &crfs);

@@ -51,9 +51,10 @@ namespace vepro::serve
 /** Farm shape and SLA contract. */
 struct FarmConfig {
     int servers = 4;      ///< Identical encode servers (>= 1).
-    /** Shards of the orchestrator service that resolves the costs
-     *  (lab::ServiceOptions::shards, >= 1). The farm's one FIFO does
-     *  not use it; simulateFarm only rejects values < 1. */
+    /** Kept only because ledger/ledger.cpp reads it; delete it
+     *  together with that read. The farm's one FIFO does not use it
+     *  (simulateFarm only rejects values < 1); check::RefFarm's
+     *  sharded reference queues do. */
     int shards = 4;
     /** Max jobs waiting (not yet started) before arrivals are
      *  rejected. 0 = unbounded. */

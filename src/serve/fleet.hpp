@@ -98,9 +98,11 @@ struct FleetRun {
 };
 
 /**
- * The vepro-serve --fleet driver: resolve costs for every backend
- * through the orchestrator's service (workers = @p jobs), then sweep.
- * Like runScenario, the table is byte-identical for any @p jobs.
+ * The vepro-serve --fleet driver: resolve costs for every backend as
+ * one batch on @p orch, then sweep. Like runScenario, the table is
+ * byte-identical for any worker count. @p jobs is not read: it is
+ * kept only because ledger/ledger.cpp passes it; delete it together
+ * with that argument.
  */
 FleetRun runFleetScenario(const ServeScenario &scenario,
                           lab::Orchestrator &orch, int jobs,

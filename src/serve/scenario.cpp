@@ -33,7 +33,6 @@ referenceScenario(bool quick)
     }
 
     s.farm.servers = 4;
-    s.farm.shards = 4;
     s.farm.admissionLimit = 0;
     // Generous enough that the slowest preset meets it on an idle farm
     // (adaptive only sheds quality when the queue demands it).
@@ -46,15 +45,10 @@ referenceScenario(bool quick)
 
 ScenarioRun
 runScenario(const ServeScenario &scenario, lab::Orchestrator &orch,
-            int jobs)
+            int /*jobs*/)
 {
-    lab::ServiceOptions sopts;
-    sopts.shards = scenario.farm.shards;
-    sopts.workers = jobs >= 1 ? jobs : 1;
-    orch.startService(sopts);
     CostModel cost(orch, scenario.cost);
     cost.resolve(rungClipIds(scenario.traffic), scenario.traffic.crfs);
-    orch.stopService();
 
     ScenarioRun run;
     run.arrivals = generateTraffic(scenario.traffic);

@@ -48,12 +48,13 @@ struct ScenarioRun {
 };
 
 /**
- * Run @p scenario: start the orchestrator's service (workers = @p
- * jobs, shards from the farm config), resolve the cost
- * combos through it, stop the service, then simulate one StaticPolicy
- * per ladder rung plus AdaptivePolicy over the identical arrival
- * sequence. The policy loop is pure, so the resulting table is
- * byte-identical for any @p jobs.
+ * Run @p scenario: resolve the cost combos as one batch on @p orch
+ * (its OrchestratorOptions::jobs workers), then simulate one
+ * StaticPolicy per ladder rung plus AdaptivePolicy over the identical
+ * arrival sequence. The policy loop is pure, so the resulting table is
+ * byte-identical for any worker count. @p jobs is not read: it is kept
+ * only because ledger/ledger.cpp passes it; delete it together with
+ * that argument.
  */
 ScenarioRun runScenario(const ServeScenario &scenario,
                         lab::Orchestrator &orch, int jobs);

@@ -105,9 +105,13 @@ TEST(RunScale, ParsesFlags)
     EXPECT_EQ(filt.videos[1], "cat");
     EXPECT_EQ(selectedVideos(filt).size(), 2u);
 
-    const char *argv4[] = {"bench", "--bogus"};
-    EXPECT_THROW(RunScale::fromArgs(2, const_cast<char **>(argv4)),
-                 std::invalid_argument);
+    // --sim-jobs is bench_simspeed's own flag, not a RunScale one.
+    for (const char *unknown : {"--bogus", "--sim-jobs=2"}) {
+        const char *argv4[] = {"bench", unknown};
+        EXPECT_THROW(RunScale::fromArgs(2, const_cast<char **>(argv4)),
+                     std::invalid_argument)
+            << unknown;
+    }
 }
 
 TEST(RunScale, JobsParsingIsStrict)
@@ -446,13 +450,11 @@ TEST(RunPointMulti, BitIdenticalToSequentialRunPoint)
     SweepPoint seq_grav = runPoint(*enc, clip, 40, 6, grav_scale);
 
     // One pass through both configs, fanned out on worker threads.
-    RunScale multi_scale = scale;
-    multi_scale.simJobs = 2;
     std::vector<uarch::CoreConfig> configs = {
         uarch::CoreConfig{},
         backend::resolveProfile("graviton-like").core};
     std::vector<SweepPoint> multi =
-        runPointMulti(*enc, clip, 40, 6, multi_scale, configs);
+        runPointMulti(*enc, clip, 40, 6, scale, configs, /*jobs=*/2);
     ASSERT_EQ(multi.size(), 2u);
     expectSameStats(multi[0].core, seq_default.core);
     expectSameStats(multi[1].core, seq_grav.core);
@@ -479,14 +481,11 @@ TEST(RunPointMulti, InlineAndParallelFanOutAgree)
         configs.push_back(cfg);
     }
 
-    RunScale inline_scale = scale;
-    inline_scale.simJobs = 1;  // fan-out on the producing thread
-    RunScale pool_scale = scale;
-    pool_scale.simJobs = 4;  // one worker per config
+    // Fan-out on the producing thread, then one worker per config.
     std::vector<SweepPoint> a =
-        runPointMulti(*enc, clip, 35, 5, inline_scale, configs);
+        runPointMulti(*enc, clip, 35, 5, scale, configs, /*jobs=*/1);
     std::vector<SweepPoint> b =
-        runPointMulti(*enc, clip, 35, 5, pool_scale, configs);
+        runPointMulti(*enc, clip, 35, 5, scale, configs, /*jobs=*/4);
     ASSERT_EQ(a.size(), configs.size());
     ASSERT_EQ(b.size(), configs.size());
     for (size_t i = 0; i < configs.size(); ++i) {

@@ -595,14 +595,16 @@ TEST(Orchestrator, RetriesOnceThenSucceeds)
     EXPECT_EQ(orch.result(h).encode.instructions, 1'000'030u);
 }
 
-TEST(Orchestrator, SecondFailureIsRecordedAndTheSweepKeepsDraining)
+/** One spec fails on every attempt; the sweep must NOT abort — the
+ *  healthy specs complete, persist, and stay readable, while the bad
+ *  one resolves as a recorded failure carrying the error text. */
+void
+expectSecondFailureRecorded(int jobs)
 {
-    // One spec fails on every attempt; the sweep must NOT abort — the
-    // healthy specs complete, persist, and stay readable, while the
-    // bad one resolves as a recorded failure carrying the error text.
-    std::string dir = freshDir("recordfail");
+    std::string dir = freshDir("recordfail" + std::to_string(jobs));
     std::atomic<size_t> calls{0};
     OrchestratorOptions opts;
+    opts.jobs = jobs;
     opts.storeDir = dir;
     opts.progress = nullptr;
     opts.verbose = false;
@@ -642,101 +644,14 @@ TEST(Orchestrator, SecondFailureIsRecordedAndTheSweepKeepsDraining)
     EXPECT_NE(orch.summaryLine().find("1 failed"), std::string::npos);
 }
 
-// ---- Service mode (the vepro-serve engine) ---------------------------
-
-TEST(OrchestratorService, AsyncSubmitResolvesDedupesAndCaches)
+TEST(Orchestrator, SecondFailureIsRecordedAndTheSweepKeepsDraining)
 {
-    std::string dir = freshDir("svc");
-    std::atomic<size_t> calls{0};
-    OrchestratorOptions opts;
-    opts.storeDir = dir;
-    opts.progress = nullptr;
-    opts.verbose = false;
-    opts.runner = [&calls](const JobSpec &spec) {
-        calls.fetch_add(1);
-        return makeResult(spec.crf);
-    };
-    Orchestrator orch(opts);
-    ServiceOptions svc;
-    svc.shards = 3;
-    svc.workers = 4;
-    orch.startService(svc);
-
-    std::vector<size_t> handles;
-    for (int crf = 1; crf <= 20; ++crf) {
-        handles.push_back(orch.submit(makeSpec(crf)));
+    // On one worker, and on four: the failing job's neighbours must
+    // not stall behind it on the pool either.
+    for (int jobs : {1, 4}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        expectSecondFailureRecorded(jobs);
     }
-    // Dedupe: resubmitting an in-flight or finished spec returns the
-    // same handle without re-running it.
-    EXPECT_EQ(orch.submit(makeSpec(7)), handles[6]);
-
-    for (size_t h : handles) {
-        orch.await(h);
-    }
-    orch.stopService();
-    EXPECT_EQ(calls.load(), 20u);
-    EXPECT_EQ(orch.computed(), 20u);
-    for (int crf = 1; crf <= 20; ++crf) {
-        EXPECT_EQ(orch.result(handles[static_cast<size_t>(crf - 1)])
-                      .encode.instructions,
-                  1'000'000ull + static_cast<uint64_t>(crf));
-    }
-
-    // A second service run over the same store is pure cache intake.
-    Orchestrator warm(opts);
-    warm.startService(svc);
-    const size_t h = warm.submit(makeSpec(5));
-    warm.await(h);  // Cache hits resolve synchronously.
-    warm.stopService();
-    EXPECT_EQ(calls.load(), 20u);
-    EXPECT_EQ(warm.cacheHits(), 1u);
-    EXPECT_TRUE(warm.result(h).fromCache);
-}
-
-TEST(OrchestratorService, FailedJobResolvesWithoutStallingTheService)
-{
-    std::string dir = freshDir("svcfail");
-    OrchestratorOptions opts;
-    opts.storeDir = dir;
-    opts.progress = nullptr;
-    opts.runner = [](const JobSpec &spec) -> JobResult {
-        if (spec.crf == 13) {
-            throw std::runtime_error("unlucky spec");
-        }
-        return makeResult(spec.crf);
-    };
-    Orchestrator orch(opts);
-    ServiceOptions svc;
-    svc.workers = 2;
-    orch.startService(svc);
-    const size_t bad = orch.submit(makeSpec(13));
-    const size_t good = orch.submit(makeSpec(14));
-    orch.await(bad);
-    orch.await(good);
-    orch.stopService();
-    EXPECT_TRUE(orch.failed(bad));
-    EXPECT_NE(orch.error(bad).find("unlucky spec"), std::string::npos);
-    EXPECT_FALSE(orch.failed(good));
-    EXPECT_EQ(orch.result(good).encode.instructions, 1'000'014u);
-    // Failures are never persisted: a later service can retry fresh.
-    ResultStore store(dir, nullptr);
-    EXPECT_FALSE(store.load(makeSpec(13)).has_value());
-}
-
-TEST(OrchestratorService, BatchApiRefusedWhileServiceRuns)
-{
-    OrchestratorOptions opts;
-    opts.storeDir = freshDir("svcguard");
-    opts.progress = nullptr;
-    opts.runner = [](const JobSpec &spec) { return makeResult(spec.crf); };
-    Orchestrator orch(opts);
-    EXPECT_THROW(orch.submit(makeSpec(1)), std::logic_error);
-    orch.startService({});
-    EXPECT_THROW(orch.request(makeSpec(1)), std::logic_error);
-    EXPECT_THROW(orch.run(), std::logic_error);
-    EXPECT_THROW(orch.startService({}), std::logic_error);
-    orch.stopService();
-    orch.stopService();  // Idempotent.
 }
 
 TEST(Orchestrator, ParallelRunResolvesEveryPoint)
@@ -1063,10 +978,10 @@ TEST(TraceCacheE2E, SegmentedAndOptedOutSpecsBypassTheCache)
         EXPECT_FALSE(fs::exists(dir + "/traces"));
     }
     {
-        // --no-cache style opt-out.
+        // --no-cache opt-out.
         const std::string dir = freshDir("tnocache");
         OrchestratorOptions opts = realRunnerOptions(dir);
-        opts.useTraceCache = false;
+        opts.useCache = false;
         Orchestrator orch(opts);
         orch.request(quickSpec());
         orch.run();

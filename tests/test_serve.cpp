@@ -487,10 +487,8 @@ TEST(Scenario, CostModelScalesWithPresetAndCachesThroughTheStore)
     double slow = 0.0, fast = 0.0;
     {
         lab::Orchestrator orch(opts);
-        orch.startService({});
         CostModel cost(orch, config);
         cost.resolve({"game1"}, {32});
-        orch.stopService();
         slow = cost.serviceSeconds("game1", 32, 2);
         fast = cost.serviceSeconds("game1", 32, 8);
         EXPECT_GT(slow, fast);
@@ -499,10 +497,8 @@ TEST(Scenario, CostModelScalesWithPresetAndCachesThroughTheStore)
     }
     {
         lab::Orchestrator orch(opts);
-        orch.startService({});
         CostModel cost(orch, config);
         cost.resolve({"game1"}, {32});
-        orch.stopService();
         EXPECT_EQ(orch.cacheHits(), 2u);
         EXPECT_EQ(orch.computed(), 0u);
         EXPECT_DOUBLE_EQ(cost.serviceSeconds("game1", 32, 2), slow);
@@ -516,7 +512,7 @@ TEST(ServeCli, IntegerFlagsRejectTrailingJunk)
 {
     // std::stoi would silently read "4abc" as 4; parseIntStrict must
     // turn each of these into a parse error instead.
-    for (const char *flag : {"--users", "--servers", "--shards", "--jobs"}) {
+    for (const char *flag : {"--users", "--servers", "--jobs"}) {
         const ServeCli cli = parseServeCli({flag, "4abc"});
         EXPECT_FALSE(cli.error.empty()) << flag;
         EXPECT_NE(cli.error.find(flag), std::string::npos) << cli.error;
@@ -524,14 +520,14 @@ TEST(ServeCli, IntegerFlagsRejectTrailingJunk)
     // The same for the 64-bit and floating-point flags, plus the range
     // checks: stoull read "7abc" as 7 and "-1" as 2^64 - 1, stod read
     // "60s" as 60 and "nan" as a deadline no job ever misses, and 0
-    // servers or shards only failed after the costs had resolved.
+    // servers only failed after the costs had resolved.
     const std::vector<std::vector<std::string>> bad = {
         {"--seed=7abc"}, {"--seed", "-1"}, {"--duration", "60s"},
         {"--duration", "0"}, {"--ghz", "2.5GHz"}, {"--servers", "0"},
-        {"--shards", "0"}, {"--latency-target", "nan"},
-        {"--latency-target", "-60"}, {"--users", "-1"},
-        {"--uploads-per-hour", "inf"}, {"--uploads-per-hour", "-0.5"},
-        {"--jobs", "-2"}, {"--rung-mix", "2:1x"}};
+        {"--latency-target", "nan"}, {"--latency-target", "-60"},
+        {"--users", "-1"}, {"--uploads-per-hour", "inf"},
+        {"--uploads-per-hour", "-0.5"}, {"--jobs", "-2"},
+        {"--rung-mix", "2:1x"}};
     for (const std::vector<std::string> &args : bad) {
         const std::string flag = args[0].substr(0, args[0].find('='));
         const ServeCli cli = parseServeCli(args);
@@ -539,17 +535,20 @@ TEST(ServeCli, IntegerFlagsRejectTrailingJunk)
         EXPECT_NE(cli.error.find(flag), std::string::npos) << cli.error;
     }
     const ServeCli ok = parseServeCli(
-        {"--users", "250", "--servers", "2", "--shards", "3", "--jobs", "4",
+        {"--users", "250", "--servers", "2", "--jobs", "4",
          "--seed=18446744073709551615", "--uploads-per-hour", "0",
          "--duration", "60.5", "--latency-target", "1e2"});
     EXPECT_TRUE(ok.error.empty()) << ok.error;
     EXPECT_EQ(ok.scenario.traffic.users, 250);
     EXPECT_EQ(ok.scenario.farm.servers, 2);
-    EXPECT_EQ(ok.scenario.farm.shards, 3);
     EXPECT_EQ(ok.jobs, 4);
     EXPECT_EQ(ok.scenario.traffic.seed, 18446744073709551615ull);
     EXPECT_DOUBLE_EQ(ok.scenario.traffic.durationSec, 60.5);
     EXPECT_DOUBLE_EQ(ok.scenario.farm.latencyTargetSec, 100.0);
+
+    // The farm has one FIFO and cost resolution one batch: no shards.
+    EXPECT_EQ(parseServeCli({"--shards", "3"}).error,
+              "unknown option --shards");
 }
 
 TEST(ServeCli, BackendFlagsValidateAndOverride)
@@ -860,11 +859,9 @@ TEST(CostModel, ResolvesPerBackendAndPricesFixedFunctionAnalytically)
     opts.runner = fakeRun;
 
     lab::Orchestrator orch(opts);
-    orch.startService({});
     CostModel cost(orch, config);
     cost.resolveOn({"xeon-bdw", "graviton-like", "hw-enc"}, {"game1"},
                    {32});
-    orch.stopService();
 
     // Default primary == xeon-bdw: base-class queries match the *On
     // form, and the xeon numbers reproduce the pre-backend cost model
@@ -924,10 +921,8 @@ TEST(CostModel, FleetResolutionCapturesEachTraceExactlyOnce)
     opts.verbose = false;
 
     lab::Orchestrator orch(opts);
-    orch.startService({});
     CostModel cost(orch, config);
     cost.resolveOn({"xeon-bdw", "graviton-like"}, {"game1"}, {32});
-    orch.stopService();
 
     // 1 clip x 1 crf x 2 presets = 2 unique encodes; 2 backends x 2
     // presets = 4 computed specs, the extra 2 resolved by replay.
@@ -956,17 +951,78 @@ TEST(CostModel, ExplicitOverridesSupersedeTheProfile)
     CostModelConfig halved = plain;
     halved.nominalGhz = 1.5;  // Half the xeon profile's 3.0 GHz.
 
-    orch.startService({});
     CostModel a(orch, plain);
     a.resolve({"game1"}, {32});
     CostModel b(orch, halved);
     b.resolve({"game1"}, {32});
-    orch.stopService();
 
     // Same measured spec (same cache entry), half the clock: exactly
     // twice the seconds.
     EXPECT_DOUBLE_EQ(b.serviceSeconds("game1", 32, 8),
                      2.0 * a.serviceSeconds("game1", 32, 8));
+}
+
+/** What one CostModel::resolve() leaves behind. */
+struct Resolution {
+    size_t computed = 0;
+    size_t cacheHits = 0;
+    std::vector<double> costs;  ///< Seconds, then joules, per combo.
+
+    bool operator==(const Resolution &) const = default;
+};
+
+TEST(Orchestrator, LedgerServiceCallsAreNoOps)
+{
+    // The ledger brackets one cost resolution with the kept
+    // startService()/stopService() names. Called twice each, they must
+    // change nothing: cold and warm, the same costs, computed() and
+    // cacheHits() as the same resolution without them.
+    CostModelConfig config;
+    config.presets = {2, 8};
+    const std::vector<std::string> clips = {"game1", "house"};
+    const std::vector<int> crfs = {32, 45};
+
+    const auto resolve = [&](const std::string &dir, bool bracket) {
+        lab::OrchestratorOptions opts;
+        opts.storeDir = dir;
+        opts.verbose = false;
+        opts.runner = fakeRun;
+        lab::Orchestrator orch(opts);
+        if (bracket) {
+            orch.startService(lab::ServiceOptions{3, 4});
+            orch.startService(lab::ServiceOptions{3, 4});
+        }
+        CostModel cost(orch, config);
+        cost.resolve(clips, crfs);
+        if (bracket) {
+            orch.stopService();
+            orch.stopService();
+        }
+        Resolution r;
+        r.computed = orch.computed();
+        r.cacheHits = orch.cacheHits();
+        for (const std::string &clip : clips) {
+            for (int crf : crfs) {
+                for (int preset : config.presets) {
+                    r.costs.push_back(cost.serviceSeconds(clip, crf, preset));
+                    r.costs.push_back(cost.energyJoules(clip, crf, preset));
+                }
+            }
+        }
+        return r;
+    };
+
+    const std::string plain_dir = freshDir("noops_plain");
+    const std::string ledger_dir = freshDir("noops_ledger");
+    const Resolution cold = resolve(plain_dir, false);
+    EXPECT_EQ(cold.computed, 8u);
+    EXPECT_EQ(cold.cacheHits, 0u);
+    EXPECT_EQ(resolve(ledger_dir, true), cold);
+
+    const Resolution warm = resolve(plain_dir, false);
+    EXPECT_EQ(warm.computed, 0u);
+    EXPECT_EQ(warm.cacheHits, 8u);
+    EXPECT_EQ(resolve(ledger_dir, true), warm);
 }
 
 TEST(CostModel, RungCombosClampTheProxyButKeepTheBaseClip)
