@@ -8,11 +8,10 @@
  *
  * All 18 configurations are simulated from ONE encode pass via
  * core::runPointMulti: the instrumented encoder streams its trace into
- * a PipelineMux fanning into 18 independent StreamCore instances, so
- * the encode+emit cost is paid once instead of per config. Each
- * config's CoreStats is bit-identical to a sequential runPoint
- * (tests/test_core.cpp pins that). The fan-out runs inline on the
- * encode thread (runPointMulti's default jobs = 1).
+ * a MuxSink fanning into 18 independent StreamCore instances on the
+ * encode thread, so the encode+emit cost is paid once instead of per
+ * config. Each config's CoreStats is bit-identical to a sequential
+ * runPoint (tests/test_core.cpp pins that).
  */
 
 #include <cstdio>

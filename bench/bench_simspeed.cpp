@@ -22,18 +22,9 @@
  *   replay      — trace::FileSource decode into a counting sink: the
  *                 fixed per-run cost of a trace-cache hit before any
  *                 simulation work happens.
- *   e2e_pipe    — the same three sinks behind a trace::PipelineMux,
- *                 each on its own worker thread (--sim-jobs; pipeline
- *                 parallelism, bit-identical stats).
- *   e2e_multi4  — probe emission fanned through a PipelineMux into FOUR
- *                 full StreamCore+CacheSink+StreamRunner stacks with
- *                 distinct configs: the one-pass runPointMulti ablation
- *                 shape. Reported in config-ops/s (4 simulated configs
- *                 per emitted op), so its ratio vs end_to_end is the
- *                 speedup over running the four configs sequentially.
- *   core_seg    — uarch::SegmentSim over the same trace (--segments /
- *                 --segment-warmup; segment parallelism, bounded
- *                 warmup error).
+ *   core_seg    — core::SegmentSim over the same trace, its segments
+ *                 on core::parallelFor (--segments / --segment-warmup;
+ *                 segment parallelism, bounded warmup error).
  *   e2e_seg     — probe emission fused into SegmentSim, the shape
  *                 runPoint(--segments=N) executes.
  *
@@ -59,13 +50,12 @@
 
 #include "bpred/runner.hpp"
 #include "core/experiment.hpp"
+#include "core/segment.hpp"
 #include "lab/json.hpp"
-#include "trace/pipeline.hpp"
 #include "trace/probe.hpp"
 #include "trace/synth.hpp"
 #include "trace/trace_io.hpp"
 #include "uarch/core.hpp"
-#include "uarch/segment.hpp"
 
 namespace
 {
@@ -200,7 +190,6 @@ struct Options {
     std::string baseline;
     double tolerance = 0.30;
     bool golden = false;
-    int simJobs = 0;    ///< Pipeline workers; 0 = auto-detect.
     int segments = 0;   ///< Segment count; 0 = auto-detect.
     int warmup = 8;     ///< Segment warmup blocks.
 };
@@ -208,7 +197,7 @@ struct Options {
 constexpr const char *kUsage =
     "usage: bench_simspeed [--quick|--full] [--reps=N] "
     "[--out=FILE] [--baseline=FILE] [--tolerance=F] "
-    "[--golden] [--sim-jobs=N] [--segments=N] "
+    "[--golden] [--segments=N] "
     "[--segment-warmup=K]  (0 = auto-detect)\n";
 
 [[noreturn]] void
@@ -272,8 +261,6 @@ parseArgs(int argc, char **argv)
             o.baseline = a.substr(11);
         } else if (a.rfind("--tolerance=", 0) == 0) {
             o.tolerance = doubleFlag(a.substr(12), "--tolerance");
-        } else if (a.rfind("--sim-jobs=", 0) == 0) {
-            o.simJobs = intFlag(a.substr(11), "--sim-jobs");
         } else if (a.rfind("--segments=", 0) == 0) {
             o.segments = intFlag(a.substr(11), "--segments");
         } else if (a.rfind("--segment-warmup=", 0) == 0) {
@@ -289,9 +276,8 @@ parseArgs(int argc, char **argv)
     if (!(o.tolerance > 0.0 && o.tolerance < 1.0)) {
         usageError("--tolerance must lie strictly between 0 and 1");
     }
-    if (o.simJobs < 0 || o.segments < 0 || o.warmup < 0) {
-        usageError("--sim-jobs, --segments and --segment-warmup must be "
-                   ">= 0");
+    if (o.segments < 0 || o.warmup < 0) {
+        usageError("--segments and --segment-warmup must be >= 0");
     }
     if (!o.baseline.empty() && sameFile(o.out, o.baseline)) {
         usageError("--out and --baseline name the same file '" +
@@ -303,9 +289,8 @@ parseArgs(int argc, char **argv)
 /** The keys the perf gate compares. Keys absent from an older baseline
  *  are skipped, so adding new measurements never breaks a gate. */
 constexpr const char *kGateKeys[] = {
-    "probe_emit", "cache",    "core",       "bpred",
-    "end_to_end", "capture",  "replay",     "e2e_pipe",
-    "e2e_multi4", "core_seg", "e2e_seg"};
+    "probe_emit", "cache",   "core",     "bpred",  "end_to_end",
+    "capture",    "replay",  "core_seg", "e2e_seg"};
 
 /**
  * The baseline's throughput per gated key it holds, read before any
@@ -512,80 +497,14 @@ main(int argc, char **argv)
     mops.set("replay", lab::JsonValue::numberToken(fmt3(replay)));
     std::filesystem::remove(trace_path);
 
-    // Parallel modes (the PR-6 paths). e2e_pipe runs the same three
-    // sinks as end_to_end, each on a worker; core_seg slices the trace
-    // across cores. Worker counts resolve 0 = auto-detect.
-    const int sim_jobs = trace::resolveJobs(opt.simJobs);
-    double e2e_pipe = bestMops(opt.reps, [&] {
-        uarch::StreamCore sim;
-        uarch::CacheSink sink;
-        auto pred = bpred::makePredictor("tage-64KB");
-        bpred::StreamRunner runner(*pred);
-        trace::PipelineMux::Options popts;
-        popts.jobs = sim_jobs;
-        trace::PipelineMux mux({&sim, &sink, &runner}, popts);
-        trace::Probe probe{trace::ProbeConfig::streaming(true)};
-        probe.setSink(&mux);
-        trace::synthProbeWorkload(probe, opt.ops);
-        probe.flushToSink();
-        mux.flush();
-        return probe.recordedOps();
-    });
-    std::printf("  %-11s %8.2f Mops/s  (sim-jobs=%d, %.2fx end_to_end)\n",
-                "e2e_pipe", e2e_pipe, sim_jobs,
-                end_to_end > 0.0 ? e2e_pipe / end_to_end : 0.0);
-    mops.set("e2e_pipe", lab::JsonValue::numberToken(fmt3(e2e_pipe)));
-
-    // The one-pass multi-config shape runPointMulti executes: one
-    // emission pass, four independent full sweep stacks. Counting each
-    // op once per config makes the e2e_multi4/end_to_end ratio the
-    // speedup over simulating the four configs sequentially.
-    constexpr int kMultiConfigs = 4;
-    double e2e_multi4 = bestMops(opt.reps, [&] {
-        const int robs[kMultiConfigs] = {64, 128, 256, 384};
-        std::vector<std::unique_ptr<uarch::StreamCore>> cores;
-        std::vector<std::unique_ptr<uarch::CacheSink>> caches;
-        std::vector<std::unique_ptr<bpred::BranchPredictor>> preds;
-        std::vector<std::unique_ptr<bpred::StreamRunner>> runners;
-        std::vector<std::unique_ptr<trace::MuxSink>> stacks;
-        std::vector<trace::TraceSink *> fanout;
-        for (int rob : robs) {
-            uarch::CoreConfig ccfg;
-            ccfg.robSize = rob;
-            cores.push_back(std::make_unique<uarch::StreamCore>(ccfg));
-            caches.push_back(std::make_unique<uarch::CacheSink>());
-            preds.push_back(bpred::makePredictor("tage-64KB"));
-            runners.push_back(
-                std::make_unique<bpred::StreamRunner>(*preds.back()));
-            auto stack = std::make_unique<trace::MuxSink>();
-            stack->add(cores.back().get());
-            stack->add(caches.back().get());
-            stack->add(runners.back().get());
-            fanout.push_back(stack.get());
-            stacks.push_back(std::move(stack));
-        }
-        trace::PipelineMux::Options popts;
-        popts.jobs = sim_jobs;
-        trace::PipelineMux mux(fanout, popts);
-        trace::Probe probe{trace::ProbeConfig::streaming(true)};
-        probe.setSink(&mux);
-        trace::synthProbeWorkload(probe, opt.ops);
-        probe.flushToSink();
-        mux.flush();
-        return probe.recordedOps() * kMultiConfigs;
-    });
-    std::printf("  %-11s %8.2f Mops/s  (%d configs, sim-jobs=%d, "
-                "%.2fx end_to_end)\n",
-                "e2e_multi4", e2e_multi4, kMultiConfigs, sim_jobs,
-                end_to_end > 0.0 ? e2e_multi4 / end_to_end : 0.0);
-    mops.set("e2e_multi4", lab::JsonValue::numberToken(fmt3(e2e_multi4)));
-
-    const int segments = trace::resolveJobs(opt.segments);
+    // Segment mode: core_seg slices the trace across cores, e2e_seg
+    // fuses probe emission into the capture. 0 = auto-detect.
+    const int segments = core::resolveJobs(opt.segments);
     double core_seg = bestMops(opt.reps, [&] {
-        uarch::SegmentSimConfig scfg;
+        core::SegmentSimConfig scfg;
         scfg.segments = segments;
         scfg.warmupBlocks = opt.warmup;
-        uarch::SegmentSim sim(scfg);
+        core::SegmentSim sim(scfg);
         for (size_t i = 0; i < t.size(); i += 4096) {
             sim.onOps(t.data() + i, std::min<size_t>(4096, t.size() - i));
         }
@@ -601,10 +520,10 @@ main(int argc, char **argv)
     // The fused segment-mode shape runPoint(--segments=N) executes:
     // probe emission captures blocks, then N cores simulate slices.
     double e2e_seg = bestMops(opt.reps, [&] {
-        uarch::SegmentSimConfig scfg;
+        core::SegmentSimConfig scfg;
         scfg.segments = segments;
         scfg.warmupBlocks = opt.warmup;
-        uarch::SegmentSim sim(scfg);
+        core::SegmentSim sim(scfg);
         trace::Probe probe{trace::ProbeConfig::streaming(true)};
         probe.setSink(&sim);
         trace::synthProbeWorkload(probe, opt.ops);

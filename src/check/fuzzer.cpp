@@ -19,17 +19,16 @@
 #include "codec/transform.hpp"
 #include "core/experiment.hpp"
 #include "core/rng.hpp"
+#include "core/segment.hpp"
 #include "lab/json.hpp"
 #include "lab/store.hpp"
 #include "ladder/ladder.hpp"
 #include "serve/farm.hpp"
-#include "trace/pipeline.hpp"
 #include "trace/probe.hpp"
 #include "trace/synth.hpp"
 #include "trace/trace_io.hpp"
 #include "uarch/cache.hpp"
 #include "uarch/core.hpp"
-#include "uarch/segment.hpp"
 #include "video/scale.hpp"
 
 namespace fs = std::filesystem;
@@ -645,29 +644,30 @@ diffJobResult(const lab::JobResult &want, const lab::JobResult &got)
  * @p chunk_seed produces the identical record sequence (including chunk
  * boundaries) on every call, so the sequential reference and the
  * parallel runs under test consume exactly the same stream. The
- * ParallelDrop fault withholds the final branch record, which the
- * pipeline differential must flag as a predictor-count mismatch.
+ * ParallelDrop fault withholds the final op, which the segments=1
+ * comparison must flag as a stats mismatch.
  */
 void
 replayInterleaved(trace::TraceSink &sink, uint64_t chunk_seed,
                   const std::vector<TraceOp> &ops,
                   const std::vector<trace::BranchRecord> &branches,
-                  bool drop_last_branch)
+                  bool drop_last_op)
 {
     SplitMix64 rng(chunk_seed);
-    const size_t br_end =
-        branches.size() - (drop_last_branch && !branches.empty() ? 1 : 0);
+    const size_t op_end =
+        ops.size() - (drop_last_op && !ops.empty() ? 1 : 0);
     size_t op_pos = 0, br_pos = 0;
-    while (op_pos < ops.size() || br_pos < br_end) {
+    while (op_pos < op_end || br_pos < branches.size()) {
         const bool do_ops =
-            op_pos < ops.size() && (br_pos >= br_end || !rng.chance(1, 3));
+            op_pos < op_end &&
+            (br_pos >= branches.size() || !rng.chance(1, 3));
         if (do_ops) {
-            const size_t n = std::min<size_t>(ops.size() - op_pos,
+            const size_t n = std::min<size_t>(op_end - op_pos,
                                               rng.range(1, 6000));
             sink.onOps(ops.data() + op_pos, n);
             op_pos += n;
         } else {
-            const size_t n = std::min<size_t>(br_end - br_pos,
+            const size_t n = std::min<size_t>(branches.size() - br_pos,
                                               rng.range(1, 512));
             for (size_t i = 0; i < n; ++i) {
                 sink.onBranch(branches[br_pos + i]);
@@ -681,18 +681,19 @@ replayInterleaved(trace::TraceSink &sink, uint64_t chunk_seed,
     sink.flush();
 }
 
-/** Diff two cache-sink views (instructions + hierarchy counters). */
+/** Diff the live and replayed cache-sink views (instructions +
+ *  hierarchy counters). */
 std::string
-diffCacheSinks(const uarch::CacheSink &ref, const uarch::CacheSink &par)
+diffCacheSinks(const uarch::CacheSink &live, const uarch::CacheSink &rep)
 {
     struct Row {
         const char *name;
-        uint64_t ref_v, par_v;
+        uint64_t live_v, rep_v;
     };
-    const uarch::Hierarchy &r = ref.hierarchy();
-    const uarch::Hierarchy &p = par.hierarchy();
+    const uarch::Hierarchy &r = live.hierarchy();
+    const uarch::Hierarchy &p = rep.hierarchy();
     const Row rows[] = {
-        {"instructions", ref.instructions(), par.instructions()},
+        {"instructions", live.instructions(), rep.instructions()},
         {"l1i.accesses", r.l1i().accesses(), p.l1i().accesses()},
         {"l1i.misses", r.l1i().misses(), p.l1i().misses()},
         {"l1d.accesses", r.l1d().accesses(), p.l1d().accesses()},
@@ -702,12 +703,12 @@ diffCacheSinks(const uarch::CacheSink &ref, const uarch::CacheSink &par)
     };
     std::ostringstream out;
     for (const Row &row : rows) {
-        if (row.ref_v != row.par_v) {
+        if (row.live_v != row.rep_v) {
             if (out.tellp() > 0) {
                 out << ", ";
             }
-            out << row.name << " seq=" << row.ref_v
-                << " pipe=" << row.par_v;
+            out << row.name << " live=" << row.live_v
+                << " replay=" << row.rep_v;
         }
     }
     return out.str();
@@ -1087,21 +1088,21 @@ Fuzzer::runStoreCase(uint64_t seed, Divergence &out)
 }
 
 /**
- * The parallel-simulation differential (ISSUE 6 layer 4). One seeded
- * case asserts, on the same interleaved op/branch/kernel stream:
+ * The parallel-simulation differential. One seeded case replays the
+ * same interleaved op/branch/kernel stream into a sequential StreamCore
+ * and into core::SegmentSim, whose segments run on core::parallelFor,
+ * and asserts:
  *
- *  1. pipeline bit-identity — PipelineMux{StreamCore, CacheSink,
- *     StreamRunner} on worker threads produces the exact per-sink
- *     results of a sequential MuxSink replay, any thread count, any
- *     queue depth;
+ *  1. segments=1 is bit-identical to the sequential core;
  *  2. segment exactness — SegmentSim's stitched event counters
  *     (instructions, retiring slots, conditional branches, L1D
  *     accesses) are bit-equal to the sequential core at every segment
- *     count and warmup depth, because warmup counters are discarded;
- *  3. segment convergence — segments=1 is bit-identical, and growing
- *     the warmup prefix does not move the timing counters away from
- *     the sequential answer beyond a small stitching bound (a leak of
- *     warmup cycles into the stats blows far past the bound).
+ *     count, worker count and warmup depth, because warmup counters
+ *     are discarded;
+ *  3. segment convergence — growing the warmup prefix does not move
+ *     the timing counters away from the sequential answer beyond a
+ *     small stitching bound (a leak of warmup cycles into the stats
+ *     blows far past the bound).
  */
 bool
 Fuzzer::runParallelCase(uint64_t seed, Divergence &out)
@@ -1131,57 +1132,21 @@ Fuzzer::runParallelCase(uint64_t seed, Divergence &out)
         return true;
     };
 
-    // Sequential reference: one MuxSink replay on this thread. The
+    // Sequential reference: one StreamCore replay on this thread. The
     // injected ParallelDrop fault breaks only this side.
-    static const char *const kPredSpec = "tage-8KB";
     uarch::StreamCore seq_core(cfg);
-    uarch::CacheSink seq_cache(cfg.mem);
-    auto seq_pred = bpred::makePredictor(kPredSpec);
-    bpred::StreamRunner seq_runner(*seq_pred);
-    trace::MuxSink seq_mux{&seq_core, &seq_cache, &seq_runner};
-    replayInterleaved(seq_mux, chunk_seed, ops, branches, drop);
+    replayInterleaved(seq_core, chunk_seed, ops, branches, drop);
     const uarch::CoreStats ref = seq_core.stats();
-
-    // 1. Pipeline-parallel sinks: bit-identical per-sink results.
-    {
-        uarch::StreamCore core(cfg);
-        uarch::CacheSink cache(cfg.mem);
-        auto pred = bpred::makePredictor(kPredSpec);
-        bpred::StreamRunner runner(*pred);
-        trace::PipelineMux::Options popts;
-        popts.jobs = static_cast<int>(rng.range(2, 4));
-        popts.queueDepth = rng.chance(1, 3) ? 2 : 64;  // stress backpressure
-        trace::PipelineMux mux({&core, &cache, &runner}, popts);
-        replayInterleaved(mux, chunk_seed, ops, branches, false);
-
-        const std::string core_diff = diffStats(ref, core.stats());
-        if (!core_diff.empty()) {
-            return fail("pipeline core: " + core_diff);
-        }
-        const std::string cache_diff = diffCacheSinks(seq_cache, cache);
-        if (!cache_diff.empty()) {
-            return fail("pipeline cache: " + cache_diff);
-        }
-        const bpred::RunResult sr = seq_runner.result();
-        const bpred::RunResult pr = runner.result();
-        if (sr.branches != pr.branches || sr.misses != pr.misses) {
-            return fail("pipeline bpred: seq " +
-                        std::to_string(sr.branches) + " branches/" +
-                        std::to_string(sr.misses) + " misses, pipe " +
-                        std::to_string(pr.branches) + "/" +
-                        std::to_string(pr.misses));
-        }
-    }
 
     // Shared replay into a SegmentSim at the given geometry.
     auto segmentStats = [&](int segments, int warmup,
                             int jobs) -> uarch::CoreStats {
-        uarch::SegmentSimConfig scfg;
+        core::SegmentSimConfig scfg;
         scfg.core = cfg;
         scfg.segments = segments;
         scfg.warmupBlocks = warmup;
         scfg.jobs = jobs;
-        uarch::SegmentSim sim(scfg);
+        core::SegmentSim sim(scfg);
         replayInterleaved(sim, chunk_seed, ops, branches, false);
         return sim.stats();
     };
@@ -2232,8 +2197,8 @@ Fuzzer::itersFor(Target target) const
       case Target::Bpred: return options_.quick ? 12 : 60;
       case Target::Kernels: return options_.quick ? 40 : 300;
       case Target::Store: return options_.quick ? 40 : 200;
-      // Parallel cases run the trace through five simulator instances
-      // (sequential reference, pipeline, and three segment variants).
+      // Parallel cases run the trace through four simulator instances
+      // (the sequential reference and three segment variants).
       case Target::Parallel: return options_.quick ? 6 : 30;
       // Pure arithmetic over the profile registry: cheap, so plenty.
       case Target::Energy: return options_.quick ? 50 : 400;

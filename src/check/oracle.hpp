@@ -48,7 +48,7 @@ enum class Fault {
     BpredAlloc,     ///< TAGE skips the probabilistic allocation offset.
     KernelsSad,     ///< Oracle SAD reports one too many on 64+ px blocks.
     StoreBit,       ///< Round-trip flips one mantissa bit of a double.
-    ParallelDrop,   ///< Sequential reference stream drops its last branch.
+    ParallelDrop,   ///< Sequential reference stream drops its last op.
     BackendEnergy,  ///< Energy weights: L2 and LLC miss nJ swapped
                     ///< (fixed profiles: one phantom block).
     TraceFileDelta, ///< TraceFile decode reads every op pc delta off by

@@ -11,8 +11,7 @@
 #include <thread>
 
 #include "backend/profile.hpp"
-#include "trace/pipeline.hpp"
-#include "uarch/segment.hpp"
+#include "core/segment.hpp"
 
 namespace vepro::core
 {
@@ -39,13 +38,13 @@ RunScale::fromArgs(int argc, char **argv)
             if (jobs < 0) {
                 throw std::invalid_argument("--jobs must be >= 0");
             }
-            scale.jobs = trace::resolveJobs(jobs);  // 0 = auto-detect
+            scale.jobs = resolveJobs(jobs);  // 0 = auto-detect
         } else if (arg.rfind("--segments=", 0) == 0) {
             int segments = parseIntStrict(arg.substr(11), "--segments");
             if (segments < 0) {
                 throw std::invalid_argument("--segments must be >= 0");
             }
-            scale.segments = trace::resolveJobs(segments);  // 0 = auto
+            scale.segments = resolveJobs(segments);  // 0 = auto
         } else if (arg.rfind("--segment-warmup=", 0) == 0) {
             scale.segmentWarmup =
                 parseIntStrict(arg.substr(17), "--segment-warmup");
@@ -211,12 +210,12 @@ runPoint(const encoders::EncoderModel &encoder, const video::Video &clip,
     if (scale.segments > 1) {
         // Segment-parallel: capture the trace in blocks, simulate N
         // contiguous segments concurrently, stitch deterministically.
-        uarch::SegmentSimConfig cfg;
+        SegmentSimConfig cfg;
         cfg.core = core_cfg;
         cfg.segments = scale.segments;
         cfg.warmupBlocks = scale.segmentWarmup;
-        cfg.jobs = 0;  // auto; SegmentSim clamps to the segment count
-        uarch::SegmentSim sim(cfg);
+        cfg.jobs = 0;  // auto; parallelFor clamps to the segment count
+        SegmentSim sim(cfg);
         point.encode =
             encoder.encode(clip, params, tracingConfig(scale), false, &sim);
         point.core = sim.stats();
@@ -229,42 +228,10 @@ runPoint(const encoders::EncoderModel &encoder, const video::Video &clip,
     return point;
 }
 
-namespace
-{
-
-/** K StreamCores + the sink pointer list a PipelineMux wants. */
-struct CoreFan {
-    std::vector<std::unique_ptr<uarch::StreamCore>> cores;
-    std::vector<trace::TraceSink *> sinks;
-
-    explicit CoreFan(const std::vector<uarch::CoreConfig> &configs)
-    {
-        cores.reserve(configs.size());
-        sinks.reserve(configs.size());
-        for (const uarch::CoreConfig &cfg : configs) {
-            cores.push_back(std::make_unique<uarch::StreamCore>(cfg));
-            sinks.push_back(cores.back().get());
-        }
-    }
-
-    std::vector<uarch::CoreStats>
-    stats() const
-    {
-        std::vector<uarch::CoreStats> out;
-        out.reserve(cores.size());
-        for (const auto &core : cores) {
-            out.push_back(core->stats());
-        }
-        return out;
-    }
-};
-
-} // namespace
-
 std::vector<SweepPoint>
 runPointMulti(const encoders::EncoderModel &encoder, const video::Video &clip,
               int crf, int preset, const RunScale &scale,
-              const std::vector<uarch::CoreConfig> &configs, int jobs)
+              const std::vector<uarch::CoreConfig> &configs)
 {
     if (scale.segments > 1) {
         throw std::invalid_argument(
@@ -278,36 +245,31 @@ runPointMulti(const encoders::EncoderModel &encoder, const video::Video &clip,
     params.crf = crf;
     params.preset = preset;
 
-    CoreFan fan(configs);
-    trace::PipelineMux::Options opts;
-    opts.jobs = jobs;  // 1 = inline fan-out, 0/N = workers
-    trace::PipelineMux mux(fan.sinks, opts);
+    std::vector<std::unique_ptr<uarch::StreamCore>> cores;
+    trace::MuxSink mux;
+    for (const uarch::CoreConfig &cfg : configs) {
+        cores.push_back(std::make_unique<uarch::StreamCore>(cfg));
+        mux.add(cores.back().get());
+    }
     encoders::EncodeResult enc =
         encoder.encode(clip, params, tracingConfig(scale), false, &mux);
 
-    std::vector<uarch::CoreStats> stats = fan.stats();
     std::vector<SweepPoint> points(configs.size());
     for (size_t i = 0; i < configs.size(); ++i) {
         points[i].encode = enc;  // one encode serves every config
-        points[i].core = stats[i];
+        points[i].core = cores[i]->stats();
     }
     return points;
 }
 
-std::vector<uarch::CoreStats>
-replayMulti(const trace::FileSource &source,
-            const std::vector<uarch::CoreConfig> &configs, int jobs)
+int
+resolveJobs(int jobs)
 {
-    if (configs.empty()) {
-        return {};
+    if (jobs >= 1) {
+        return jobs;
     }
-    CoreFan fan(configs);
-    trace::PipelineMux::Options opts;
-    opts.jobs = jobs;
-    trace::PipelineMux mux(fan.sinks, opts);
-    source.replay(mux);
-    mux.flush();
-    return fan.stats();
+    unsigned detected = std::thread::hardware_concurrency();
+    return detected > 0 ? static_cast<int>(detected) : 1;
 }
 
 void

@@ -6,7 +6,8 @@
  * Shared experiment plumbing for the bench binaries: standard sweep
  * points, quick/full scaling, the fused encode+simulate pipeline used by
  * every microarchitectural figure, and the thread-pool driver that runs
- * independent sweep points concurrently.
+ * independent sweep points (and core::SegmentSim's segments)
+ * concurrently.
  */
 
 #include <cstddef>
@@ -15,7 +16,6 @@
 #include <vector>
 
 #include "encoders/encoder_model.hpp"
-#include "trace/trace_io.hpp"
 #include "uarch/core.hpp"
 #include "video/suite.hpp"
 
@@ -40,7 +40,8 @@ struct RunScale {
     /**
      * Segment-parallel core simulation (--segments=N): the point's
      * trace is split into N block-aligned segments simulated
-     * concurrently by uarch::SegmentSim. 0 = auto-detect; 1 = off.
+     * concurrently by core::SegmentSim on parallelFor. 0 = auto-detect;
+     * 1 = off.
      * Segment mode changes the measured numbers (bounded warmup error,
      * see DESIGN.md §13), so segments/segmentWarmup ARE cache-identity
      * fields when segments > 1.
@@ -118,34 +119,31 @@ SweepPoint runPoint(const encoders::EncoderModel &encoder,
 
 /**
  * One-pass multi-config simulation: run ONE encode and fan its trace
- * through @p configs.size() independent uarch::StreamCore instances
- * behind a trace::PipelineMux, returning one SweepPoint per config.
+ * through a trace::MuxSink into @p configs.size() independent
+ * uarch::StreamCore instances, returning one SweepPoint per config.
  * Each returned point's CoreStats is bit-identical to what a sequential
- * runPoint with that config would measure (the mux preserves per-sink
- * record order exactly), but the encode+emit cost — and on the replay
- * variants the decode cost — is paid once instead of K times.
+ * runPoint with that config would measure (every core sees the exact
+ * record stream, in order), but the encode+emit cost is paid once
+ * instead of K times. The fan-out runs on the encoding thread; callers
+ * that want more cores run independent points on parallelFor.
  *
- * @p jobs drives the fan-out parallelism, as PipelineMux: 1 runs every
- * core inline on the producing thread (still one encode), >1 or 0
- * (auto) runs each core on its own mux worker. scale.backend is ignored
- * — the configs are explicit. Segment mode is per-config simulation
- * state and is not supported here; @throws std::invalid_argument when
- * scale.segments > 1.
+ * scale.backend is ignored — the configs are explicit. Segment mode is
+ * per-config simulation state and is not supported here; @throws
+ * std::invalid_argument when scale.segments > 1.
  */
 std::vector<SweepPoint>
 runPointMulti(const encoders::EncoderModel &encoder, const video::Video &clip,
               int crf, int preset, const RunScale &scale,
-              const std::vector<uarch::CoreConfig> &configs, int jobs = 1);
+              const std::vector<uarch::CoreConfig> &configs);
 
 /**
- * The replay half of the capture-once/replay-many workflow: stream one
- * on-disk TraceFile through K core configs in a single pass. Same
- * determinism contract as runPointMulti; @p jobs as PipelineMux
- * (0 = auto, 1 = sequential).
+ * Resolve a --jobs / --segments style worker count: values >= 1 pass
+ * through, 0 means auto-detect via std::thread::hardware_concurrency()
+ * with a floor of 1 (the detection may report 0 on exotic platforms).
+ * Shared by the sweep driver, vepro-lab and the segment-parallel
+ * simulation so every layer agrees on what "auto" means.
  */
-std::vector<uarch::CoreStats>
-replayMulti(const trace::FileSource &source,
-            const std::vector<uarch::CoreConfig> &configs, int jobs = 0);
+int resolveJobs(int jobs);
 
 /**
  * Run fn(0..n-1) on a pool of @p jobs worker threads (inline when jobs

@@ -49,8 +49,8 @@ struct JobSpec {
      * measured numbers (bounded warmup error), so it is identity — but
      * only when active. With segments == 1 (sequential, the default)
      * neither field enters the canonical key, keeping every
-     * pre-existing store entry valid. Pipeline parallelism is
-     * bit-identical, so no spec field selects it.
+     * pre-existing store entry valid. The worker count never changes
+     * the numbers, so no spec field selects it.
      */
     int segments = 1;
     int segmentWarmup = 8;  ///< Warmup blocks per segment.

@@ -202,8 +202,8 @@ Probe::flushBlock()
             "trace: probe recorded ops or branches with no sink set");
     }
     // A non-moving sink (the default) leaves the block with us; a
-    // moving one (PipelineMux, SegmentSim) takes the buffers. Either
-    // way the stage comes back empty with standard capacity.
+    // moving one (core::SegmentSim) takes the buffers. Either way the
+    // stage comes back empty with standard capacity.
     sink_->onBlock(std::move(stage_));
     stage_.clear();
     stage_.reserveStandard();

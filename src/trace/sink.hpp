@@ -65,9 +65,9 @@ struct TraceOp {
  * kernel-entry records that occurred among them, carried in program
  * order. The probe emits the trace as a sequence of these blocks, and
  * ownership of a whole block can be transferred to a sink (see
- * TraceSink::onBlock) so the span can cross a thread boundary without
- * copying — the handoff unit of the pipeline-parallel simulation path
- * (PipelineMux, uarch::SegmentSim).
+ * TraceSink::onBlock), so a sink that keeps the trace for later — the
+ * segment-parallel core::SegmentSim — takes each span without copying.
+ * FileSink also consumes whole blocks, to keep their boundaries.
  *
  * Events interleave with ops by position: an event at pos P happened
  * after ops[0..P) and before ops[P..). replayBlock() reconstructs the
@@ -158,7 +158,8 @@ class TraceSink
     /**
      * One whole staging block, with the ownership-transfer option: a
      * sink that moves from @p block takes the span (and its branch and
-     * kernel events) without copying — e.g. across a thread boundary.
+     * kernel events) without copying — e.g. to simulate it later on
+     * another thread.
      * A sink that does NOT move leaves the block with the caller, who
      * reuses its capacity for the next block. The default replays the
      * block through onOps/onBranch/onKernel, so record-at-a-time sinks

@@ -172,7 +172,7 @@ class FileSink final : public TraceSink
  * Replays a TraceFile into any TraceSink at O(1) memory: blocks are
  * decoded one at a time and delivered through TraceSink::onBlock, so a
  * record-at-a-time sink sees exactly the stream the capturing probe
- * emitted, and a block-granular consumer (PipelineMux) can take
+ * emitted, and a block-granular consumer (core::SegmentSim) can take
  * ownership of each span without copying.
  */
 class FileSource

@@ -188,7 +188,7 @@ class StreamCore final : public trace::TraceSink
      * hierarchy contents). The pipeline is drained first — every op
      * received so far retires — so the post-reset measurement starts
      * from an empty window; the drain itself is the boundary bubble of
-     * segment-parallel simulation (see uarch::SegmentSim). After this,
+     * segment-parallel simulation (see core::SegmentSim). After this,
      * flush() reports only the ops consumed since the reset. Throws
      * std::logic_error after flush().
      */

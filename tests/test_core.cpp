@@ -105,7 +105,7 @@ TEST(RunScale, ParsesFlags)
     EXPECT_EQ(filt.videos[1], "cat");
     EXPECT_EQ(selectedVideos(filt).size(), 2u);
 
-    // --sim-jobs is bench_simspeed's own flag, not a RunScale one.
+    // --sim-jobs is not a RunScale flag (vepro-lab exits 2 on it).
     for (const char *unknown : {"--bogus", "--sim-jobs=2"}) {
         const char *argv4[] = {"bench", unknown};
         EXPECT_THROW(RunScale::fromArgs(2, const_cast<char **>(argv4)),
@@ -397,9 +397,9 @@ TEST(GoldenStats, PredictorMissesOnSynthBranches)
 }
 
 // ---------------------------------------------------------------------------
-// One-pass multi-config fan-out (runPointMulti / replayMulti): the
-// determinism contract is BIT-IDENTITY with sequential runPoint, not
-// "close enough" — the mux preserves per-sink record order exactly.
+// One-pass multi-config fan-out (runPointMulti): the determinism
+// contract is BIT-IDENTITY with sequential runPoint, not "close
+// enough" — the MuxSink hands every core the exact record stream.
 
 video::Video
 multiClip()
@@ -449,12 +449,12 @@ TEST(RunPointMulti, BitIdenticalToSequentialRunPoint)
     grav_scale.backend = "graviton-like";
     SweepPoint seq_grav = runPoint(*enc, clip, 40, 6, grav_scale);
 
-    // One pass through both configs, fanned out on worker threads.
+    // One pass through both configs.
     std::vector<uarch::CoreConfig> configs = {
         uarch::CoreConfig{},
         backend::resolveProfile("graviton-like").core};
     std::vector<SweepPoint> multi =
-        runPointMulti(*enc, clip, 40, 6, scale, configs, /*jobs=*/2);
+        runPointMulti(*enc, clip, 40, 6, scale, configs);
     ASSERT_EQ(multi.size(), 2u);
     expectSameStats(multi[0].core, seq_default.core);
     expectSameStats(multi[1].core, seq_grav.core);
@@ -464,37 +464,6 @@ TEST(RunPointMulti, BitIdenticalToSequentialRunPoint)
     EXPECT_EQ(multi[0].encode.instructions, seq_default.encode.instructions);
     // Different machine geometries really did diverge (no sink aliasing).
     EXPECT_NE(multi[0].core.cycles, multi[1].core.cycles);
-}
-
-TEST(RunPointMulti, InlineAndParallelFanOutAgree)
-{
-    video::Video clip = multiClip();
-    auto enc = encoders::encoderByName("x264");
-    RunScale scale;
-    scale.maxTraceOps = 120'000;
-
-    std::vector<uarch::CoreConfig> configs;
-    const int robs[] = {64, 128, 256, 384};
-    for (int rob : robs) {
-        uarch::CoreConfig cfg;
-        cfg.robSize = rob;
-        configs.push_back(cfg);
-    }
-
-    // Fan-out on the producing thread, then one worker per config.
-    std::vector<SweepPoint> a =
-        runPointMulti(*enc, clip, 35, 5, scale, configs, /*jobs=*/1);
-    std::vector<SweepPoint> b =
-        runPointMulti(*enc, clip, 35, 5, scale, configs, /*jobs=*/4);
-    ASSERT_EQ(a.size(), configs.size());
-    ASSERT_EQ(b.size(), configs.size());
-    for (size_t i = 0; i < configs.size(); ++i) {
-        expectSameStats(a[i].core, b[i].core);
-    }
-    // The four geometries genuinely simulate apart (no sink aliasing),
-    // and the smallest ROB is the clear loser.
-    EXPECT_NE(a[0].core.cycles, a[1].core.cycles);
-    EXPECT_GT(a[0].core.cycles, a.back().core.cycles);
 }
 
 TEST(RunPointMulti, SegmentModeThrowsAndEmptyConfigsReturnEmpty)
@@ -510,7 +479,7 @@ TEST(RunPointMulti, SegmentModeThrowsAndEmptyConfigsReturnEmpty)
         std::invalid_argument);
 }
 
-TEST(ReplayMulti, DiskReplayMatchesLiveFanOut)
+TEST(RunPointMulti, DiskReplayMatchesLiveFanOut)
 {
     video::Video clip = multiClip();
     auto enc = encoders::encoderByName("SVT-AV1");
@@ -521,7 +490,10 @@ TEST(ReplayMulti, DiskReplayMatchesLiveFanOut)
         backend::resolveProfile("graviton-like").core};
 
     // Capture the very trace a live run would stream.
-    const std::string path = "/tmp/vepro_test_replaymulti.vetf";
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         "vepro_test_runpointmulti.vetf")
+            .string();
     {
         encoders::EncodeParams params;
         params.crf = 40;
@@ -532,14 +504,14 @@ TEST(ReplayMulti, DiskReplayMatchesLiveFanOut)
 
     std::vector<SweepPoint> live =
         runPointMulti(*enc, clip, 40, 6, scale, configs);
+    ASSERT_EQ(live.size(), configs.size());
     trace::FileSource source(path);
-    std::vector<uarch::CoreStats> replayed =
-        replayMulti(source, configs, /*jobs=*/2);
-    ASSERT_EQ(replayed.size(), live.size());
     for (size_t i = 0; i < configs.size(); ++i) {
-        expectSameStats(replayed[i], live[i].core);
+        uarch::StreamCore replayed(configs[i]);
+        source.replay(replayed);
+        replayed.flush();
+        expectSameStats(replayed.stats(), live[i].core);
     }
-    EXPECT_TRUE(replayMulti(source, {}).empty());
     std::filesystem::remove(path);
 }
 

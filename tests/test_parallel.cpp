@@ -1,22 +1,17 @@
 /**
  * @file
- * Tests for the parallel simulation paths (ISSUE 6): the TraceBlock
- * handoff contract, PipelineMux's pipeline-parallel sink fan-out, and
- * SegmentSim's segment-parallel trace execution.
+ * Tests for the parallel simulation path: the TraceBlock handoff
+ * contract, core::resolveJobs, StreamCore::resetStats, and
+ * core::SegmentSim's segment-parallel trace execution on
+ * core::parallelFor.
  *
- * The two parallel modes make different promises and both are pinned
- * here:
- *
- *  - pipeline mode is BIT-IDENTICAL: every sink sees the exact record
- *    stream of a sequential replay, so per-sink results never depend on
- *    thread count, queue depth, or scheduling;
- *  - segment mode is DETERMINISTIC and exact in its event counters
- *    (instructions, retiring slots, branches, L1D accesses) but
- *    approximate in timing: each segment starts from a re-executed
- *    warmup prefix instead of full history, so cycles may drift within
- *    a small bound that shrinks as --segment-warmup grows. The stitched
- *    result is a pure function of (trace, segments, warmup) — never of
- *    the worker count.
+ * Segment mode is DETERMINISTIC and exact in its event counters
+ * (instructions, retiring slots, branches, L1D accesses) but
+ * approximate in timing: each segment starts from a re-executed warmup
+ * prefix instead of full history, so cycles may drift within a small
+ * bound that shrinks as --segment-warmup grows. The stitched result is
+ * a pure function of (trace, segments, warmup) — never of the worker
+ * count. A segment that throws on a worker rethrows from flush().
  */
 
 #include <cstdint>
@@ -26,13 +21,11 @@
 
 #include <gtest/gtest.h>
 
-#include "bpred/predictor.hpp"
-#include "bpred/runner.hpp"
-#include "trace/pipeline.hpp"
+#include "core/experiment.hpp"
+#include "core/segment.hpp"
 #include "trace/sink.hpp"
 #include "trace/synth.hpp"
 #include "uarch/core.hpp"
-#include "uarch/segment.hpp"
 
 namespace vepro
 {
@@ -152,17 +145,17 @@ expectStatsEqual(const uarch::CoreStats &want, const uarch::CoreStats &got,
 
 TEST(ResolveJobs, PassesExplicitCountsThrough)
 {
-    EXPECT_EQ(trace::resolveJobs(1), 1);
-    EXPECT_EQ(trace::resolveJobs(3), 3);
-    EXPECT_EQ(trace::resolveJobs(17), 17);
+    EXPECT_EQ(core::resolveJobs(1), 1);
+    EXPECT_EQ(core::resolveJobs(3), 3);
+    EXPECT_EQ(core::resolveJobs(17), 17);
 }
 
 TEST(ResolveJobs, AutoDetectsAtLeastOneThread)
 {
-    EXPECT_GE(trace::resolveJobs(0), 1);
-    EXPECT_GE(trace::resolveJobs(-4), 1);
+    EXPECT_GE(core::resolveJobs(0), 1);
+    EXPECT_GE(core::resolveJobs(-4), 1);
     // Auto-detection is stable within a process.
-    EXPECT_EQ(trace::resolveJobs(0), trace::resolveJobs(0));
+    EXPECT_EQ(core::resolveJobs(0), core::resolveJobs(0));
 }
 
 // ---- TraceBlock / replayBlock ----------------------------------------
@@ -202,186 +195,6 @@ TEST(TraceBlockReplay, DefaultOnBlockLeavesBlockReusable)
     sink.onBlock(std::move(block));
     EXPECT_EQ(sink.log.size(), 1u);
     EXPECT_EQ(block.ops.size(), 1u);  // NOLINT: reuse-after-move is the API
-}
-
-// ---- PipelineMux -----------------------------------------------------
-
-TEST(PipelineMux, BitIdenticalToSequentialAcrossSinkSet)
-{
-    const Stream s = makeStream(60'000, 4'000);
-
-    uarch::StreamCore seq_core;
-    uarch::CacheSink seq_cache;
-    auto seq_pred = bpred::makePredictor("tage-8KB");
-    bpred::StreamRunner seq_runner(*seq_pred);
-    trace::MuxSink seq{&seq_core, &seq_cache, &seq_runner};
-    replayStream(s, seq);
-
-    for (int jobs : {2, 3}) {
-        uarch::StreamCore core;
-        uarch::CacheSink cache;
-        auto pred = bpred::makePredictor("tage-8KB");
-        bpred::StreamRunner runner(*pred);
-        trace::PipelineMux::Options opts;
-        opts.jobs = jobs;
-        trace::PipelineMux mux({&core, &cache, &runner}, opts);
-        replayStream(s, mux);
-
-        EXPECT_TRUE(mux.parallel());
-        EXPECT_GT(mux.blocksPublished(), 0u);
-        expectStatsEqual(seq_core.stats(), core.stats(),
-                         "jobs=" + std::to_string(jobs));
-        EXPECT_EQ(seq_cache.instructions(), cache.instructions());
-        EXPECT_EQ(seq_cache.hierarchy().l1d().misses(),
-                  cache.hierarchy().l1d().misses());
-        EXPECT_EQ(seq_cache.hierarchy().llc().misses(),
-                  cache.hierarchy().llc().misses());
-        EXPECT_EQ(seq_runner.result().branches, runner.result().branches);
-        EXPECT_EQ(seq_runner.result().misses, runner.result().misses);
-    }
-}
-
-TEST(PipelineMux, TinyQueueBackpressureKeepsResultsExact)
-{
-    const Stream s = makeStream(40'000, 1'000);
-
-    uarch::StreamCore seq_core;
-    trace::MuxSink seq{&seq_core};
-    replayStream(s, seq);
-
-    uarch::StreamCore core;
-    trace::PipelineMux::Options opts;
-    opts.jobs = 2;
-    opts.queueDepth = 2;  // forces producer-side waiting
-    trace::PipelineMux mux({&core}, opts);
-    replayStream(s, mux);
-
-    expectStatsEqual(seq_core.stats(), core.stats(), "queueDepth=2");
-}
-
-/** Counts deliveries, then throws: models a sink whose worker dies
- *  mid-stream (ISSUE 7 backpressure bugfix). */
-class ThrowingSink final : public trace::TraceSink
-{
-  public:
-    /** @param fail_after_blocks onOps deliveries before the throw;
-     *  @param throw_in_flush    throw at flush() instead. */
-    ThrowingSink(uint64_t fail_after_blocks, bool throw_in_flush = false)
-        : fail_after_(fail_after_blocks), throw_in_flush_(throw_in_flush)
-    {
-    }
-
-    void onOp(const TraceOp &) override { deliver(1); }
-    void
-    onOps(const TraceOp *, size_t n) override
-    {
-        deliver(n);
-    }
-    void
-    flush() override
-    {
-        if (throw_in_flush_) {
-            throw std::runtime_error("sink failed in flush");
-        }
-    }
-
-    uint64_t delivered() const { return delivered_; }
-
-  private:
-    void
-    deliver(size_t n)
-    {
-        if (!throw_in_flush_ && spans_seen_++ >= fail_after_) {
-            throw std::runtime_error("sink failed mid-stream");
-        }
-        delivered_ += n;
-    }
-
-    uint64_t fail_after_;
-    bool throw_in_flush_;
-    uint64_t spans_seen_ = 0;
-    uint64_t delivered_ = 0;
-};
-
-TEST(PipelineMux, SinkThrowingInFlushDoesNotDeadlockTheProducer)
-{
-    // Regression (ISSUE 7): a sink whose failure only shows at flush()
-    // used to leave its worker draining for a second shutdown sentinel
-    // that never comes — PipelineMux::flush() joined forever. The fix
-    // lets the worker bail after a post-sentinel failure; flush() must
-    // return by rethrowing the sink's exception.
-    const Stream s = makeStream(30'000, 500);
-    uarch::StreamCore core;
-    ThrowingSink bad(0, /*throw_in_flush=*/true);
-    trace::PipelineMux::Options opts;
-    opts.jobs = 2;
-    opts.queueDepth = 2;
-    trace::PipelineMux mux({&core, &bad}, opts);
-
-    size_t op_pos = 0;
-    while (op_pos < s.ops.size()) {
-        const size_t n = std::min<size_t>(s.ops.size() - op_pos, 3000);
-        mux.onOps(s.ops.data() + op_pos, n);
-        op_pos += n;
-    }
-    EXPECT_THROW(mux.flush(), std::runtime_error);
-
-    // The healthy sibling still consumed the full stream.
-    uarch::StreamCore seq_core;
-    trace::MuxSink seq{&seq_core};
-    op_pos = 0;
-    while (op_pos < s.ops.size()) {
-        const size_t n = std::min<size_t>(s.ops.size() - op_pos, 3000);
-        seq.onOps(s.ops.data() + op_pos, n);
-        op_pos += n;
-    }
-    seq.flush();
-    expectStatsEqual(seq_core.stats(), core.stats(), "healthy sibling");
-}
-
-TEST(PipelineMux, BackpressureObservesAFailedConsumerAndBails)
-{
-    // Regression (ISSUE 7): with a tiny queue, a sink that dies early
-    // must not keep the producer yield-spinning against its full
-    // queue; the backpressure loop observes the failure flag and stops
-    // feeding that sink, while the healthy sink still sees the whole
-    // stream bit-exactly and flush() reports the failure.
-    const Stream s = makeStream(120'000, 2'000);
-
-    uarch::StreamCore seq_core;
-    trace::MuxSink seq{&seq_core};
-    replayStream(s, seq);
-
-    uarch::StreamCore core;
-    ThrowingSink bad(1);  // Dies on its second delivered span.
-    trace::PipelineMux::Options opts;
-    opts.jobs = 2;
-    opts.queueDepth = 2;
-    trace::PipelineMux mux({&core, &bad}, opts);
-    EXPECT_THROW(replayStream(s, mux), std::runtime_error);
-
-    // The failed sink stopped receiving early: nearly all of the ~30
-    // blocks were skipped once the failure was observed.
-    EXPECT_LT(bad.delivered(), s.ops.size());
-    expectStatsEqual(seq_core.stats(), core.stats(), "healthy sibling");
-}
-
-TEST(PipelineMux, SequentialFallbackAtOneJob)
-{
-    const Stream s = makeStream(20'000, 500);
-
-    uarch::StreamCore seq_core;
-    trace::MuxSink seq{&seq_core};
-    replayStream(s, seq);
-
-    uarch::StreamCore core;
-    trace::PipelineMux::Options opts;
-    opts.jobs = 1;
-    trace::PipelineMux mux({&core}, opts);
-    replayStream(s, mux);
-
-    EXPECT_FALSE(mux.parallel());
-    expectStatsEqual(seq_core.stats(), core.stats(), "jobs=1");
 }
 
 // ---- StreamCore::resetStats ------------------------------------------
@@ -429,9 +242,9 @@ TEST(SegmentSim, OneSegmentIsBitIdentical)
     trace::MuxSink mux{&seq};
     replayStream(s, mux);
 
-    uarch::SegmentSimConfig cfg;
+    core::SegmentSimConfig cfg;
     cfg.segments = 1;
-    uarch::SegmentSim sim(cfg);
+    core::SegmentSim sim(cfg);
     replayStream(s, sim);
 
     EXPECT_EQ(sim.segmentsUsed(), 1);
@@ -456,10 +269,10 @@ TEST(SegmentSim, DeterministicAcrossSegmentsJobsAndRuns)
         bool have_first = false;
         for (int jobs : {1, 2, 4}) {
             for (int run = 0; run < 2; ++run) {
-                uarch::SegmentSimConfig cfg;
+                core::SegmentSimConfig cfg;
                 cfg.segments = segments;
                 cfg.jobs = jobs;
-                uarch::SegmentSim sim(cfg);
+                core::SegmentSim sim(cfg);
                 replayStream(s, sim);
                 const uarch::CoreStats got = sim.stats();
 
@@ -496,10 +309,10 @@ TEST(SegmentSim, WarmupTightensTheTimingError)
     const uint64_t ref_cycles = seq.stats().cycles;
 
     auto run = [&](int warmup) {
-        uarch::SegmentSimConfig cfg;
+        core::SegmentSimConfig cfg;
         cfg.segments = 4;
         cfg.warmupBlocks = warmup;
-        uarch::SegmentSim sim(cfg);
+        core::SegmentSim sim(cfg);
         replayStream(s, sim);
         const uint64_t c = sim.stats().cycles;
         return c > ref_cycles ? c - ref_cycles : ref_cycles - c;
@@ -523,14 +336,29 @@ TEST(SegmentSim, AutoSegmentsClampToBlockCount)
     trace::MuxSink mux{&seq};
     replayStream(s, mux);
 
-    uarch::SegmentSimConfig cfg;
+    core::SegmentSimConfig cfg;
     cfg.segments = 8;
     cfg.jobs = 4;
-    uarch::SegmentSim sim(cfg);
+    core::SegmentSim sim(cfg);
     replayStream(s, sim);
 
     EXPECT_EQ(sim.segmentsUsed(), 1);
     expectStatsEqual(seq.stats(), sim.stats(), "clamped");
+}
+
+TEST(SegmentSim, SegmentFailureRethrowsFromFlush)
+{
+    // Every segment's StreamCore rejects the predictor spec on a
+    // parallelFor worker; the error must reach the caller's thread.
+    const Stream s = makeStream(50'000, 0);
+
+    core::SegmentSimConfig cfg;
+    cfg.segments = 4;
+    cfg.jobs = 4;
+    cfg.core.predictorSpec = "no-such-predictor";
+    core::SegmentSim sim(cfg);
+    sim.onOps(s.ops.data(), s.ops.size());
+    EXPECT_THROW(sim.flush(), std::invalid_argument);
 }
 
 } // namespace
