@@ -140,27 +140,38 @@ resolveProfile(const std::string &name_or_empty)
     return profile(name_or_empty.empty() ? kDefaultProfile : name_or_empty);
 }
 
+uarch::CoreConfig
+coreConfigFor(const std::string &name_or_empty)
+{
+    if (name_or_empty.empty()) {
+        return {};
+    }
+    const MachineProfile &p = profile(name_or_empty);
+    if (p.kind != Kind::Core) {
+        throw std::invalid_argument(
+            "backend: '" + p.name +
+            "' is a fixed-function profile and cannot run the core model");
+    }
+    return p.core;
+}
+
 double
-energyJoules(const MachineProfile &p, const uarch::CoreStats &stats)
+dynamicNanojoules(const MachineProfile &p, const uarch::CoreStats &stats)
 {
     if (p.kind != Kind::Core) {
         throw std::invalid_argument(
-            "backend: energyJoules needs a core profile, not " + p.name);
+            "backend: dynamicNanojoules needs a core profile, not " +
+            p.name);
     }
     // Evaluation order is part of the contract (see profile.hpp): the
     // check oracle reproduces it term by term and compares bit-exactly.
-    const double nj =
-        static_cast<double>(stats.instructions) * p.energy.instructionNj +
-        static_cast<double>(stats.l1dMisses + stats.l1iMisses) *
-            p.energy.l1MissNj +
-        static_cast<double>(stats.l2Misses) * p.energy.l2MissNj +
-        static_cast<double>(stats.llcMisses) * p.energy.llcMissNj +
-        static_cast<double>(stats.mispredicts) * p.energy.mispredictNj;
-    const double dynamicJ = nj * 1e-9;
-    const double staticJ = p.energy.staticWatts *
-                           static_cast<double>(stats.cycles) /
-                           (p.clockGhz * 1e9);
-    return dynamicJ + staticJ;
+    return static_cast<double>(stats.instructions) *
+               p.energy.instructionNj +
+           static_cast<double>(stats.l1dMisses + stats.l1iMisses) *
+               p.energy.l1MissNj +
+           static_cast<double>(stats.l2Misses) * p.energy.l2MissNj +
+           static_cast<double>(stats.llcMisses) * p.energy.llcMissNj +
+           static_cast<double>(stats.mispredicts) * p.energy.mispredictNj;
 }
 
 double

@@ -29,18 +29,18 @@
  * where encode latency is resolution-proportional and almost
  * preset-independent.
  *
- * Energy formula (Kind::Core), evaluated in exactly this order — the
- * vepro-check energy oracle re-implements it independently and demands
- * bit-identical doubles:
+ * Dynamic energy (Kind::Core, dynamicNanojoules), evaluated in exactly
+ * this order — the vepro-check energy oracle re-implements it
+ * independently and demands bit-identical doubles:
  *
- *     nJ      = instructions x instructionNj
- *             + (l1dMisses + l1iMisses) x l1MissNj
- *             + l2Misses  x l2MissNj
- *             + llcMisses x llcMissNj
- *             + mispredicts x mispredictNj
- *     dynamic = nJ x 1e-9
- *     static  = staticWatts x cycles / (clockGhz x 1e9)
- *     joules  = dynamic + static
+ *     nJ = instructions x instructionNj
+ *        + (l1dMisses + l1iMisses) x l1MissNj
+ *        + l2Misses  x l2MissNj
+ *        + llcMisses x llcMissNj
+ *        + mispredicts x mispredictNj
+ *
+ * serve::CostModel scales it to the full clip and adds static watts
+ * over the service time (see serve/costmodel.hpp).
  */
 
 #include <cstdint>
@@ -121,11 +121,21 @@ const MachineProfile &profile(const std::string &name);
 const MachineProfile &resolveProfile(const std::string &name_or_empty);
 
 /**
- * Energy of one measured run on a Kind::Core profile, in joules: the
- * documented per-event + static formula over the counters @p stats
+ * The core geometry a backend field simulates on: a default-constructed
+ * CoreConfig (the paper's Xeon) for the empty string, else the named
+ * profile's core. @throws std::out_of_range on unknown names, and
+ * std::invalid_argument naming a fixed-function profile, which has no
+ * core to simulate.
+ */
+uarch::CoreConfig coreConfigFor(const std::string &name_or_empty);
+
+/**
+ * Dynamic energy of one measured run on a Kind::Core profile, in
+ * nanojoules: the documented per-event sum over the counters @p stats
  * already holds. @throws std::invalid_argument for Kind::Fixed.
  */
-double energyJoules(const MachineProfile &p, const uarch::CoreStats &stats);
+double dynamicNanojoules(const MachineProfile &p,
+                         const uarch::CoreStats &stats);
 
 /** Service seconds of a Kind::Fixed profile for @p blocks 16x16 blocks.
  *  @throws std::invalid_argument for Kind::Core. */

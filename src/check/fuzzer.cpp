@@ -12,6 +12,7 @@
 #include <memory>
 #include <sstream>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 
 #include "bpred/runner.hpp"
@@ -265,50 +266,19 @@ randomCoreConfig(SplitMix64 &rng)
     return cfg;
 }
 
-/** All CoreStats counters as (name, value), for field-wise diffing. */
-std::vector<std::pair<const char *, uint64_t>>
-statFields(const uarch::CoreStats &s)
-{
-    return {
-        {"cycles", s.cycles},
-        {"instructions", s.instructions},
-        {"slots.retiring", s.slots.retiring},
-        {"slots.badSpec", s.slots.badSpec},
-        {"slots.frontend", s.slots.frontend},
-        {"slots.backend", s.slots.backend},
-        {"slots.backendMemory", s.slots.backendMemory},
-        {"slots.backendCore", s.slots.backendCore},
-        {"stalls.rs", s.stalls.rs},
-        {"stalls.rob", s.stalls.rob},
-        {"stalls.loadBuf", s.stalls.loadBuf},
-        {"stalls.storeBuf", s.stalls.storeBuf},
-        {"condBranches", s.condBranches},
-        {"mispredicts", s.mispredicts},
-        {"l1iMisses", s.l1iMisses},
-        {"l1dAccesses", s.l1dAccesses},
-        {"l1dMisses", s.l1dMisses},
-        {"l2Misses", s.l2Misses},
-        {"llcMisses", s.llcMisses},
-        {"invalidations", s.invalidations},
-    };
-}
-
-/** Diff two stats; empty string when bit-identical. */
+/** Diff two stats counter by counter; empty string when identical. */
 std::string
 diffStats(const uarch::CoreStats &ref, const uarch::CoreStats &fast)
 {
-    const auto rf = statFields(ref);
-    const auto ff = statFields(fast);
     std::ostringstream out;
-    for (size_t i = 0; i < rf.size(); ++i) {
-        if (rf[i].second != ff[i].second) {
-            if (out.tellp() > 0) {
-                out << ", ";
+    uarch::CoreStats::forEachField(
+        [&](const char *name, uint64_t r, uint64_t f) {
+            if (r != f) {
+                out << (out.tellp() > 0 ? ", " : "") << name << " ref=" << r
+                    << " fast=" << f;
             }
-            out << rf[i].first << " ref=" << rf[i].second
-                << " fast=" << ff[i].second;
-        }
-    }
+        },
+        ref, fast);
     return out.str();
 }
 
@@ -560,79 +530,56 @@ randomJobSpec(SplitMix64 &rng)
 lab::JobResult
 randomJobResult(SplitMix64 &rng)
 {
+    // Every double from the adversarial set; every counter at any
+    // width up to 64 bits, with the exact maximum as an edge case.
+    auto draw = [&](const char *, auto &v) {
+        if constexpr (std::is_same_v<std::remove_cvref_t<decltype(v)>,
+                                     double>) {
+            v = adversarialDouble(rng);
+        } else {
+            v = rng.chance(1, 8) ? std::numeric_limits<uint64_t>::max()
+                                 : rng.next() >> rng.below(64);
+        }
+    };
     lab::JobResult r;
-    r.encode.wallSeconds = adversarialDouble(rng);
-    r.encode.instructions = rng.chance(1, 8)
-                                ? std::numeric_limits<uint64_t>::max()
-                                : rng.next() >> rng.below(40);
-    r.encode.bitrateKbps = adversarialDouble(rng);
-    r.encode.psnrDb = adversarialDouble(rng);
-    r.encode.droppedOps = rng.below(1u << 30);
+    lab::EncodeSummary::forEachField(draw, r.encode);
     r.jobSeconds = adversarialDouble(rng);
-    r.core.cycles = rng.next() >> rng.below(40);
-    r.core.instructions = rng.next() >> rng.below(40);
-    r.core.slots.retiring = rng.next() >> 20;
-    r.core.slots.badSpec = rng.next() >> 30;
-    r.core.slots.frontend = rng.next() >> 30;
-    r.core.slots.backend = rng.next() >> 30;
-    r.core.slots.backendMemory = rng.next() >> 32;
-    r.core.slots.backendCore = rng.next() >> 32;
-    r.core.stalls.rs = rng.next() >> 32;
-    r.core.stalls.rob = rng.next() >> 32;
-    r.core.stalls.loadBuf = rng.next() >> 32;
-    r.core.stalls.storeBuf = rng.next() >> 32;
-    r.core.condBranches = rng.next() >> 24;
-    r.core.mispredicts = rng.next() >> 32;
-    r.core.l1iMisses = rng.next() >> 32;
-    r.core.l1dAccesses = rng.next() >> 24;
-    r.core.l1dMisses = rng.next() >> 28;
-    r.core.l2Misses = rng.next() >> 30;
-    r.core.llcMisses = rng.next() >> 32;
-    r.core.invalidations = rng.next() >> 32;
+    uarch::CoreStats::forEachField(draw, r.core);
     return r;
 }
 
-/** Field-wise comparison, doubles by bit pattern; empty = identical. */
+/**
+ * Field-wise comparison, doubles by bit pattern; empty = identical.
+ * Fields are named by their record paths: the summary's at the top
+ * level, the counters under "core.".
+ */
 std::string
 diffJobResult(const lab::JobResult &want, const lab::JobResult &got)
 {
     std::ostringstream out;
-    auto chk_u64 = [&](const char *name, uint64_t w, uint64_t g) {
-        if (w != g) {
-            if (out.tellp() > 0) {
-                out << ", ";
-            }
-            out << name << " want=" << w << " got=" << g;
-        }
-    };
-    auto chk_dbl = [&](const char *name, double w, double g) {
-        if (bitsOf(w) != bitsOf(g)) {
-            if (out.tellp() > 0) {
-                out << ", ";
+    auto chk = [&](const std::string &name, auto w, auto g) {
+        if constexpr (std::is_same_v<decltype(w), double>) {
+            if (bitsOf(w) == bitsOf(g)) {
+                return;
             }
             char wb[32], gb[32];
             std::snprintf(wb, sizeof wb, "%.17g", w);
             std::snprintf(gb, sizeof gb, "%.17g", g);
-            out << name << " want=" << wb << " (0x" << std::hex
-                << bitsOf(w) << ") got=" << gb << " (0x" << bitsOf(g)
-                << std::dec << ")";
+            out << (out.tellp() > 0 ? ", " : "") << name << " want=" << wb
+                << " (0x" << std::hex << bitsOf(w) << ") got=" << gb
+                << " (0x" << bitsOf(g) << std::dec << ")";
+        } else if (w != g) {
+            out << (out.tellp() > 0 ? ", " : "") << name << " want=" << w
+                << " got=" << g;
         }
     };
-    chk_dbl("encode.wallSeconds", want.encode.wallSeconds,
-            got.encode.wallSeconds);
-    chk_u64("encode.instructions", want.encode.instructions,
-            got.encode.instructions);
-    chk_dbl("encode.bitrateKbps", want.encode.bitrateKbps,
-            got.encode.bitrateKbps);
-    chk_dbl("encode.psnrDb", want.encode.psnrDb, got.encode.psnrDb);
-    chk_u64("encode.droppedOps", want.encode.droppedOps,
-            got.encode.droppedOps);
-    chk_dbl("jobSeconds", want.jobSeconds, got.jobSeconds);
-    const auto wf = statFields(want.core);
-    const auto gf = statFields(got.core);
-    for (size_t i = 0; i < wf.size(); ++i) {
-        chk_u64(wf[i].first, wf[i].second, gf[i].second);
-    }
+    lab::EncodeSummary::forEachField(chk, want.encode, got.encode);
+    chk("jobSeconds", want.jobSeconds, got.jobSeconds);
+    uarch::CoreStats::forEachField(
+        [&](const char *name, uint64_t w, uint64_t g) {
+            chk(std::string("core.") + name, w, g);
+        },
+        want.core, got.core);
     return out.str();
 }
 
@@ -1823,17 +1770,16 @@ Fuzzer::runEnergyCase(uint64_t seed, Divergence &out)
     // weight-swap fault always moves the dynamic term.
     uarch::CoreStats s;
     s.instructions = rng.range(1, 50'000'000);
-    s.cycles = s.instructions / rng.range(1, 4) + rng.range(1, 1'000'000);
     s.mispredicts = rng.range(0, 500'000);
     s.l1iMisses = rng.range(0, 1'000'000);
     s.l1dMisses = rng.range(0, 2'000'000);
     s.llcMisses = rng.range(0, 200'000);
     s.l2Misses = s.llcMisses + rng.range(1, 500'000);
 
-    const double fast = backend::energyJoules(prof, s);
-    const double ref = refEnergyJoules(prof, s, options_.inject);
+    const double fast = backend::dynamicNanojoules(prof, s);
+    const double ref = refDynamicNanojoules(prof, s, options_.inject);
     if (fast != ref) {
-        return fail("joules ref=" + hexDouble(ref) +
+        return fail("dynamic nJ ref=" + hexDouble(ref) +
                     " fast=" + hexDouble(fast) + " at instructions=" +
                     std::to_string(s.instructions));
     }
@@ -1842,11 +1788,11 @@ Fuzzer::runEnergyCase(uint64_t seed, Divergence &out)
     // more retired instructions can never cost less energy, and energy
     // is non-negative.
     if (fast < 0.0) {
-        return fail("negative joules " + hexDouble(fast));
+        return fail("negative nJ " + hexDouble(fast));
     }
     uarch::CoreStats more = s;
     more.instructions += rng.range(1, 1'000'000);
-    const double bigger = backend::energyJoules(prof, more);
+    const double bigger = backend::dynamicNanojoules(prof, more);
     if (bigger <= fast) {
         return fail("energy not monotone in instructions: " +
                     hexDouble(fast) + " -> " + hexDouble(bigger));

@@ -458,8 +458,8 @@ makeRefPredictor(const std::string &spec, Fault fault)
 // Backend energy references
 
 double
-refEnergyJoules(const backend::MachineProfile &p,
-                const uarch::CoreStats &stats, Fault fault)
+refDynamicNanojoules(const backend::MachineProfile &p,
+                     const uarch::CoreStats &stats, Fault fault)
 {
     // An independent transcription of the documented formula, term by
     // term in the documented order (bit-exact doubles demand it). The
@@ -472,18 +472,13 @@ refEnergyJoules(const backend::MachineProfile &p,
     const double llc_nj = fault == Fault::BackendEnergy
                               ? p.energy.l2MissNj
                               : p.energy.llcMissNj;
-    const double nj =
-        static_cast<double>(stats.instructions) * p.energy.instructionNj +
-        static_cast<double>(stats.l1dMisses + stats.l1iMisses) *
-            p.energy.l1MissNj +
-        static_cast<double>(stats.l2Misses) * l2_nj +
-        static_cast<double>(stats.llcMisses) * llc_nj +
-        static_cast<double>(stats.mispredicts) * p.energy.mispredictNj;
-    const double dynamic_j = nj * 1e-9;
-    const double static_j = p.energy.staticWatts *
-                            static_cast<double>(stats.cycles) /
-                            (p.clockGhz * 1e9);
-    return dynamic_j + static_j;
+    return static_cast<double>(stats.instructions) *
+               p.energy.instructionNj +
+           static_cast<double>(stats.l1dMisses + stats.l1iMisses) *
+               p.energy.l1MissNj +
+           static_cast<double>(stats.l2Misses) * l2_nj +
+           static_cast<double>(stats.llcMisses) * llc_nj +
+           static_cast<double>(stats.mispredicts) * p.energy.mispredictNj;
 }
 
 double

@@ -247,15 +247,16 @@ uarch::CoreStats refCoreRun(const uarch::CoreConfig &config,
                             Fault fault = Fault::None);
 
 /**
- * Reference energy model for Kind::Core profiles: an independent
- * transcription of the formula documented in backend/profile.hpp, in
- * the SAME evaluation order — IEEE doubles only reproduce bit for bit
- * when the operation order matches, and the energy differential
- * demands bit-identical joules, not approximately-equal ones.
+ * Reference dynamic energy (nanojoules) for Kind::Core profiles: an
+ * independent transcription of the sum documented in
+ * backend/profile.hpp, in the SAME evaluation order — IEEE doubles only
+ * reproduce bit for bit when the operation order matches, and the
+ * energy differential demands bit-identical results against
+ * backend::dynamicNanojoules, not approximately-equal ones.
  */
-double refEnergyJoules(const backend::MachineProfile &p,
-                       const uarch::CoreStats &stats,
-                       Fault fault = Fault::None);
+double refDynamicNanojoules(const backend::MachineProfile &p,
+                            const uarch::CoreStats &stats,
+                            Fault fault = Fault::None);
 
 /** Reference service seconds for Kind::Fixed profiles. */
 double refFixedServiceSeconds(const backend::MachineProfile &p,

@@ -57,16 +57,9 @@ RunScale::fromArgs(int argc, char **argv)
             if (scale.backend.empty()) {
                 throw std::invalid_argument("--backend expects a name");
             }
-            // Validate at parse time so typos fail before any encode;
-            // fixed-function profiles have no core to simulate on.
-            const backend::MachineProfile &profile =
-                backend::resolveProfile(scale.backend);
-            if (profile.kind != backend::Kind::Core) {
-                throw std::invalid_argument(
-                    "--backend=" + scale.backend +
-                    " is a fixed-function profile; sweep points need a "
-                    "core-model backend");
-            }
+            // Validate at parse time so typos and fixed-function
+            // profiles fail before any encode.
+            backend::coreConfigFor(scale.backend);
         } else if (arg == "--no-cache") {
             scale.noCache = true;
         } else if (arg.rfind("--store=", 0) == 0) {
@@ -147,19 +140,6 @@ crfSweepAv1()
     return sweep;
 }
 
-const std::vector<int> &
-crfSweepX26x()
-{
-    static const std::vector<int> sweep = [] {
-        std::vector<int> v;
-        for (int crf : crfSweepAv1()) {
-            v.push_back(mapCrfToX26x(crf));
-        }
-        return v;
-    }();
-    return sweep;
-}
-
 int
 mapCrfToX26x(int crf_av1)
 {
@@ -191,20 +171,7 @@ runPoint(const encoders::EncoderModel &encoder, const video::Video &clip,
     params.crf = crf;
     params.preset = preset;
 
-    // The machine the point simulates on: default-constructed (the
-    // paper's Xeon) when no backend is named, so pre-backend callers
-    // and cache entries see the exact geometry they always did.
-    uarch::CoreConfig core_cfg;
-    if (!scale.backend.empty()) {
-        const backend::MachineProfile &profile =
-            backend::resolveProfile(scale.backend);
-        if (profile.kind != backend::Kind::Core) {
-            throw std::invalid_argument(
-                "runPoint: backend '" + scale.backend +
-                "' is fixed-function and cannot run the core model");
-        }
-        core_cfg = profile.core;
-    }
+    const uarch::CoreConfig core_cfg = backend::coreConfigFor(scale.backend);
 
     SweepPoint point;
     if (scale.segments > 1) {

@@ -89,8 +89,7 @@ uint64_t parseU64Strict(const std::string &text, const std::string &flag);
 double parseDoubleStrict(const std::string &text, const std::string &flag);
 
 /** The CRF sweep points used throughout the paper's Section 4. */
-const std::vector<int> &crfSweepAv1();   ///< {10, 20, 30, 40, 50, 60}
-const std::vector<int> &crfSweepX26x();  ///< Scaled onto the 0-51 range.
+const std::vector<int> &crfSweepAv1();  ///< {10, 20, 30, 40, 50, 60}
 
 /** Map a 0-63 family CRF onto an equivalent 0-51 family CRF. */
 int mapCrfToX26x(int crf_av1);

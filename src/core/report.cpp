@@ -61,25 +61,6 @@ Table::toMarkdown() const
 namespace
 {
 
-/** RFC-4180: quote cells holding separators; double embedded quotes. */
-std::string
-csvCell(const std::string &cell)
-{
-    if (cell.find_first_of(",\"\n\r") == std::string::npos) {
-        return cell;
-    }
-    std::string out = "\"";
-    for (char c : cell) {
-        if (c == '"') {
-            out += "\"\"";
-        } else {
-            out.push_back(c);
-        }
-    }
-    out.push_back('"');
-    return out;
-}
-
 /** Minimal JSON string escape for table cells and header names. */
 std::string
 jsonCell(const std::string &cell)
@@ -110,26 +91,6 @@ jsonCell(const std::string &cell)
 }
 
 } // namespace
-
-std::string
-Table::toCsv() const
-{
-    std::ostringstream out;
-    auto emit = [&](const std::vector<std::string> &cells) {
-        for (size_t c = 0; c < cells.size(); ++c) {
-            if (c) {
-                out << ",";
-            }
-            out << csvCell(cells[c]);
-        }
-        out << "\n";
-    };
-    emit(header_);
-    for (const auto &row : rows_) {
-        emit(row);
-    }
-    return out.str();
-}
 
 std::string
 Table::toJson() const

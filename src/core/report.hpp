@@ -29,13 +29,6 @@ class Table
     std::string toMarkdown() const;
 
     /**
-     * Render as RFC-4180 CSV: cells containing commas, quotes, or
-     * newlines are quoted (quotes doubled), so fmtCount's
-     * thousands-separated values survive the round trip.
-     */
-    std::string toCsv() const;
-
-    /**
      * Render as a JSON array of row objects keyed by the header, with
      * the preformatted cell text as string values. Deterministic: the
      * same table always serialises to the same bytes (the vepro-lab

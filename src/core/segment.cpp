@@ -66,31 +66,6 @@ struct SegmentSim::Impl {
     }
 
     void
-    stitch(const CoreStats &s)
-    {
-        stitched.cycles += s.cycles;
-        stitched.instructions += s.instructions;
-        stitched.slots.retiring += s.slots.retiring;
-        stitched.slots.badSpec += s.slots.badSpec;
-        stitched.slots.frontend += s.slots.frontend;
-        stitched.slots.backend += s.slots.backend;
-        stitched.slots.backendMemory += s.slots.backendMemory;
-        stitched.slots.backendCore += s.slots.backendCore;
-        stitched.stalls.rs += s.stalls.rs;
-        stitched.stalls.rob += s.stalls.rob;
-        stitched.stalls.loadBuf += s.stalls.loadBuf;
-        stitched.stalls.storeBuf += s.stalls.storeBuf;
-        stitched.condBranches += s.condBranches;
-        stitched.mispredicts += s.mispredicts;
-        stitched.l1iMisses += s.l1iMisses;
-        stitched.l1dAccesses += s.l1dAccesses;
-        stitched.l1dMisses += s.l1dMisses;
-        stitched.l2Misses += s.l2Misses;
-        stitched.llcMisses += s.llcMisses;
-        stitched.invalidations += s.invalidations;
-    }
-
-    void
     run()
     {
         publishStage();
@@ -121,7 +96,7 @@ struct SegmentSim::Impl {
         // Stitch in segment order: the sum is independent of which
         // thread simulated which segment, and of completion order.
         for (size_t i = 0; i < nseg; ++i) {
-            stitch(results[i]);
+            stitched += results[i];
             warmup_ops += warm_counts[i];
         }
         finished = true;

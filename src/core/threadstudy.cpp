@@ -93,20 +93,18 @@ buildSystemTrace(const std::vector<TraceOp> &op_trace,
     constexpr uint64_t kQueueLine = 0x7f000000ULL;
 
     // Sample spin iterations at the same op/instruction ratio as the
-    // captured task trace so the reconstructed stream keeps the socket's
-    // true spin/task balance (each iteration emits 3 executed ops).
-    double ratio = config.spinSampleRatio;
-    if (ratio <= 0.0) {
-        uint64_t sampled = 0;
-        for (const sched::Task &t : graph.tasks()) {
-            sampled += std::min(t.opEnd, op_trace.size()) -
-                       std::min(t.opBegin, op_trace.size());
-        }
-        uint64_t weight = graph.totalWeight();
-        ratio = weight > 0 ? static_cast<double>(sampled) /
-                                 static_cast<double>(weight)
-                           : 0.0;
+    // captured task trace (ops-in-trace / total task weight) so the
+    // reconstructed stream keeps the socket's true spin/task balance
+    // (each iteration emits 3 executed ops).
+    uint64_t sampled = 0;
+    for (const sched::Task &t : graph.tasks()) {
+        sampled += std::min(t.opEnd, op_trace.size()) -
+                   std::min(t.opBegin, op_trace.size());
     }
+    const uint64_t weight = graph.totalWeight();
+    const double ratio = weight > 0 ? static_cast<double>(sampled) /
+                                          static_cast<double>(weight)
+                                    : 0.0;
 
     std::vector<TraceOp> out;
     out.reserve(std::min(config.maxOps, op_trace.size() + (1u << 20)));

@@ -59,13 +59,6 @@ struct SystemTraceConfig {
      */
     bool pollingWaits = true;
     /**
-     * Spin ops are emitted at the same sampling ratio as the task ops in
-     * the captured trace (ops-in-trace / total task weight), so the
-     * spin/task instruction balance in the reconstructed stream matches
-     * the real socket's. Override the ratio here if nonzero.
-     */
-    double spinSampleRatio = 0.0;
-    /**
      * Fraction of each wait interval actually spent polling before the
      * pool parks the thread (x265 spins for a bounded window, then
      * sleeps). The rest of the idle time executes nothing.

@@ -18,24 +18,6 @@ namespace vepro::lab
 namespace
 {
 
-/** The core geometry a spec simulates on (runPoint's resolution). */
-uarch::CoreConfig
-coreConfigFor(const JobSpec &spec)
-{
-    uarch::CoreConfig cfg;
-    if (!spec.backend.empty()) {
-        const backend::MachineProfile &profile =
-            backend::resolveProfile(spec.backend);
-        if (profile.kind != backend::Kind::Core) {
-            throw std::invalid_argument(
-                "lab: backend '" + spec.backend +
-                "' is fixed-function and cannot run the core model");
-        }
-        cfg = profile.core;
-    }
-    return cfg;
-}
-
 /** Copy the encode-side numbers a figure consumes into a JobResult. */
 void
 fillEncodeSummary(JobResult &result, const encoders::EncodeResult &enc)
@@ -215,7 +197,7 @@ Orchestrator::executeDirect(const JobSpec &spec)
 JobResult
 Orchestrator::replayTrace(const JobSpec &spec, const std::string &path)
 {
-    uarch::StreamCore sim(coreConfigFor(spec));
+    uarch::StreamCore sim(backend::coreConfigFor(spec.backend));
     trace::FileSource source(path);
     trace::TraceFileInfo info = source.replay(sim);
     sim.flush();
@@ -230,11 +212,7 @@ Orchestrator::replayTrace(const JobSpec &spec, const std::string &path)
             "field without a version bump)");
     }
     JobResult result;
-    result.encode.wallSeconds = meta.at("wallSeconds").asDouble();
-    result.encode.instructions = meta.at("instructions").asU64();
-    result.encode.bitrateKbps = meta.at("bitrateKbps").asDouble();
-    result.encode.psnrDb = meta.at("psnrDb").asDouble();
-    result.encode.droppedOps = meta.at("droppedOps").asU64();
+    result.encode = summaryFromJson(meta);
     result.core = sim.stats();
     traceReplays_.fetch_add(1, std::memory_order_relaxed);
     // The replayed job never touched the clip, but prepareMiss pinned
@@ -257,7 +235,7 @@ Orchestrator::captureTrace(const JobSpec &spec,
     // One encode feeds BOTH the live core model and the on-disk
     // capture: the FileSink sees byte-for-byte the stream the core
     // simulates, which is what makes later replays bit-identical.
-    uarch::StreamCore sim(coreConfigFor(spec));
+    uarch::StreamCore sim(backend::coreConfigFor(spec.backend));
     trace::FileSink sink(lease.tmpPath);
     sink.deferSeal(true);  // metadata is only known after the encode
     trace::MuxSink mux{&sink, &sim};
@@ -269,20 +247,16 @@ Orchestrator::captureTrace(const JobSpec &spec,
     clip.reset();
     releaseClip(spec);
 
-    JsonValue meta = JsonValue::object();
-    meta.set("traceKey", JsonValue::str(spec.traceKey()))
-        .set("wallSeconds", JsonValue::number(enc.wallSeconds))
-        .set("instructions", JsonValue::number(enc.instructions))
-        .set("bitrateKbps", JsonValue::number(enc.bitrateKbps))
-        .set("psnrDb", JsonValue::number(enc.psnrDb))
-        .set("droppedOps", JsonValue::number(enc.droppedOps));
-    sink.setMetadata(meta.dump());
-    sink.seal();
-    traceCaptures_.fetch_add(1, std::memory_order_relaxed);
-
     JobResult result;
     fillEncodeSummary(result, enc);
     result.core = sim.stats();
+
+    JsonValue meta = JsonValue::object();
+    meta.set("traceKey", JsonValue::str(spec.traceKey()));
+    summaryToJson(result.encode, meta);
+    sink.setMetadata(meta.dump());
+    sink.seal();
+    traceCaptures_.fetch_add(1, std::memory_order_relaxed);
     return result;
 }
 

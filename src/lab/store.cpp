@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #ifdef _WIN32
 #include <process.h>
@@ -43,61 +44,50 @@ specToJson(const JobSpec &spec)
     return obj;
 }
 
-JsonValue
-coreToJson(const uarch::CoreStats &c)
+/** Append every field of @p s to @p obj, in the struct's list order. */
+template <class T>
+void
+fieldsToJson(const T &s, JsonValue &obj)
 {
-    JsonValue obj = JsonValue::object();
-    obj.set("cycles", JsonValue::number(c.cycles))
-        .set("instructions", JsonValue::number(c.instructions))
-        .set("retiring", JsonValue::number(c.slots.retiring))
-        .set("badSpec", JsonValue::number(c.slots.badSpec))
-        .set("frontend", JsonValue::number(c.slots.frontend))
-        .set("backend", JsonValue::number(c.slots.backend))
-        .set("backendMemory", JsonValue::number(c.slots.backendMemory))
-        .set("backendCore", JsonValue::number(c.slots.backendCore))
-        .set("rsStalls", JsonValue::number(c.stalls.rs))
-        .set("robStalls", JsonValue::number(c.stalls.rob))
-        .set("loadBufStalls", JsonValue::number(c.stalls.loadBuf))
-        .set("storeBufStalls", JsonValue::number(c.stalls.storeBuf))
-        .set("condBranches", JsonValue::number(c.condBranches))
-        .set("mispredicts", JsonValue::number(c.mispredicts))
-        .set("l1iMisses", JsonValue::number(c.l1iMisses))
-        .set("l1dAccesses", JsonValue::number(c.l1dAccesses))
-        .set("l1dMisses", JsonValue::number(c.l1dMisses))
-        .set("l2Misses", JsonValue::number(c.l2Misses))
-        .set("llcMisses", JsonValue::number(c.llcMisses))
-        .set("invalidations", JsonValue::number(c.invalidations));
-    return obj;
+    T::forEachField(
+        [&](const char *name, const auto &v) {
+            obj.set(name, JsonValue::number(v));
+        },
+        s);
 }
 
-uarch::CoreStats
-coreFromJson(const JsonValue &obj)
+/** Read every field fieldsToJson wrote. @throws JsonError. */
+template <class T>
+T
+fieldsFromJson(const JsonValue &obj)
 {
-    uarch::CoreStats c;
-    c.cycles = obj.at("cycles").asU64();
-    c.instructions = obj.at("instructions").asU64();
-    c.slots.retiring = obj.at("retiring").asU64();
-    c.slots.badSpec = obj.at("badSpec").asU64();
-    c.slots.frontend = obj.at("frontend").asU64();
-    c.slots.backend = obj.at("backend").asU64();
-    c.slots.backendMemory = obj.at("backendMemory").asU64();
-    c.slots.backendCore = obj.at("backendCore").asU64();
-    c.stalls.rs = obj.at("rsStalls").asU64();
-    c.stalls.rob = obj.at("robStalls").asU64();
-    c.stalls.loadBuf = obj.at("loadBufStalls").asU64();
-    c.stalls.storeBuf = obj.at("storeBufStalls").asU64();
-    c.condBranches = obj.at("condBranches").asU64();
-    c.mispredicts = obj.at("mispredicts").asU64();
-    c.l1iMisses = obj.at("l1iMisses").asU64();
-    c.l1dAccesses = obj.at("l1dAccesses").asU64();
-    c.l1dMisses = obj.at("l1dMisses").asU64();
-    c.l2Misses = obj.at("l2Misses").asU64();
-    c.llcMisses = obj.at("llcMisses").asU64();
-    c.invalidations = obj.at("invalidations").asU64();
-    return c;
+    T s;
+    T::forEachField(
+        [&](const char *name, auto &v) {
+            if constexpr (std::is_same_v<std::remove_cvref_t<decltype(v)>,
+                                         double>) {
+                v = obj.at(name).asDouble();
+            } else {
+                v = obj.at(name).asU64();
+            }
+        },
+        s);
+    return s;
 }
 
 } // namespace
+
+void
+summaryToJson(const EncodeSummary &s, JsonValue &obj)
+{
+    fieldsToJson(s, obj);
+}
+
+EncodeSummary
+summaryFromJson(const JsonValue &obj)
+{
+    return fieldsFromJson<EncodeSummary>(obj);
+}
 
 ResultStore::ResultStore(std::string dir, Progress *progress)
     : dir_(std::move(dir)), progress_(progress)
@@ -133,12 +123,8 @@ ResultStore::load(const JobSpec &spec) const
         }
         const JsonValue &res = root.at("result");
         JobResult result;
-        result.encode.wallSeconds = res.at("wallSeconds").asDouble();
-        result.encode.instructions = res.at("instructions").asU64();
-        result.encode.bitrateKbps = res.at("bitrateKbps").asDouble();
-        result.encode.psnrDb = res.at("psnrDb").asDouble();
-        result.encode.droppedOps = res.at("droppedOps").asU64();
-        result.core = coreFromJson(res.at("core"));
+        result.encode = summaryFromJson(res);
+        result.core = fieldsFromJson<uarch::CoreStats>(res.at("core"));
         result.jobSeconds = res.at("jobSeconds").asDouble();
         result.fromCache = true;
         return result;
@@ -158,13 +144,11 @@ ResultStore::save(const JobSpec &spec, const JobResult &result) const
 {
     fs::create_directories(dir_);
 
+    JsonValue core = JsonValue::object();
+    fieldsToJson(result.core, core);
     JsonValue res = JsonValue::object();
-    res.set("wallSeconds", JsonValue::number(result.encode.wallSeconds))
-        .set("instructions", JsonValue::number(result.encode.instructions))
-        .set("bitrateKbps", JsonValue::number(result.encode.bitrateKbps))
-        .set("psnrDb", JsonValue::number(result.encode.psnrDb))
-        .set("droppedOps", JsonValue::number(result.encode.droppedOps))
-        .set("core", coreToJson(result.core))
+    summaryToJson(result.encode, res);
+    res.set("core", std::move(core))
         .set("jobSeconds", JsonValue::number(result.jobSeconds));
 
     JsonValue root = JsonValue::object();

@@ -34,7 +34,43 @@ struct EncodeSummary {
     double psnrDb = 0.0;
     /** Ops cut by the probe cap; benches warn when non-zero. */
     uint64_t droppedOps = 0;
+
+    /**
+     * The one list of fields, in the record's order and spelling:
+     * calls f(name, s.field...) once per field, passing that field of
+     * every EncodeSummary in @p s (const or mutable). The field types
+     * differ (double or uint64_t), so @p f is generic.
+     */
+    template <class F, class... S>
+    static void
+    forEachField(F &&f, S &&...s)
+    {
+        f("wallSeconds", s.wallSeconds...);
+        f("instructions", s.instructions...);
+        f("bitrateKbps", s.bitrateKbps...);
+        f("psnrDb", s.psnrDb...);
+        f("droppedOps", s.droppedOps...);
+    }
+
+    bool operator==(const EncodeSummary &) const = default;
 };
+
+// A field added to EncodeSummary but not to forEachField fails here.
+static_assert(sizeof(EncodeSummary) == 5 * sizeof(uint64_t),
+              "EncodeSummary::forEachField must list every field");
+
+class JsonValue;
+
+/**
+ * The summary's JSON form, shared by the store record's `result`
+ * object and the trace cache's capture metadata: appends the fields to
+ * the object @p obj in forEachField order.
+ */
+void summaryToJson(const EncodeSummary &s, JsonValue &obj);
+
+/** Read back what summaryToJson wrote. @throws JsonError when a field
+ *  is missing or of the wrong kind. */
+EncodeSummary summaryFromJson(const JsonValue &obj);
 
 /** Everything a figure needs from one executed job. */
 struct JobResult {

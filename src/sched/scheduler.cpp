@@ -110,33 +110,4 @@ schedule(const TaskGraph &graph, int cores)
     return result;
 }
 
-std::vector<std::vector<int>>
-concurrentWithCoreZero(const ScheduleResult &result)
-{
-    std::vector<std::vector<int>> out;
-    // Collect core-0 placements in time order.
-    std::vector<const Placement *> core0;
-    for (const Placement &p : result.placements) {
-        if (p.core == 0) {
-            core0.push_back(&p);
-        }
-    }
-    std::sort(core0.begin(), core0.end(),
-              [](const Placement *a, const Placement *b) {
-                  return a->start < b->start;
-              });
-    out.reserve(core0.size());
-    for (const Placement *p0 : core0) {
-        std::vector<int> overlapping;
-        for (const Placement &p : result.placements) {
-            if (p.core != 0 && p.task >= 0 && p.start < p0->end &&
-                p.end > p0->start) {
-                overlapping.push_back(p.task);
-            }
-        }
-        out.push_back(std::move(overlapping));
-    }
-    return out;
-}
-
 } // namespace vepro::sched

@@ -52,14 +52,6 @@ struct ScheduleResult {
  */
 ScheduleResult schedule(const TaskGraph &graph, int cores);
 
-/**
- * Tasks running on other cores during each core-0 task, used to model
- * coherence traffic: for every core-0 placement, the ids of tasks whose
- * execution intervals overlap it on a different core.
- */
-std::vector<std::vector<int>> concurrentWithCoreZero(
-    const ScheduleResult &result);
-
 } // namespace vepro::sched
 
 #endif // VEPRO_SCHED_SCHEDULER_HPP

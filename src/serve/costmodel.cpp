@@ -215,15 +215,8 @@ CostModel::resolveOn(const std::vector<std::string> &backends,
         // dynamic nanojoules scaled to the full clip, plus static watts
         // over the (parallel) service time the server is occupied.
         const backend::MachineProfile &prof = backend::profile(p.backend);
-        const uarch::CoreStats &s = result.core;
-        const double dynamic_nj =
-            static_cast<double>(s.instructions) * prof.energy.instructionNj +
-            static_cast<double>(s.l1dMisses + s.l1iMisses) *
-                prof.energy.l1MissNj +
-            static_cast<double>(s.l2Misses) * prof.energy.l2MissNj +
-            static_cast<double>(s.llcMisses) * prof.energy.llcMissNj +
-            static_cast<double>(s.mispredicts) * prof.energy.mispredictNj;
-        c.joules = dynamic_nj * scale * 1e-9 +
+        c.joules = backend::dynamicNanojoules(prof, result.core) * scale *
+                       1e-9 +
                    prof.energy.staticWatts * c.seconds;
         costs_[p.key] = c;
     }

@@ -47,10 +47,7 @@
  * Energy per encode (energyJoulesOn), evaluated in exactly this
  * order so a warm rerun reproduces the same bytes:
  *
- *     dynamic = (instructions*instructionNj
- *                + (l1dMisses + l1iMisses)*l1MissNj
- *                + l2Misses*l2MissNj + llcMisses*llcMissNj
- *                + mispredicts*mispredictNj) * scale * 1e-9
+ *     dynamic = backend::dynamicNanojoules(profile, stats) * scale * 1e-9
  *     joules  = dynamic + staticWatts * serviceSeconds
  *
  * with scale the same full-clip scale-up as above and serviceSeconds

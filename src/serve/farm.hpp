@@ -144,7 +144,7 @@ FarmResult simulateFarm(const std::vector<UploadJob> &arrivals,
                         const std::vector<ServerGroup> &pool);
 
 /**
- * Render per-policy reports as the SLA table (markdown/CSV/JSON via
+ * Render per-policy reports as the SLA table (markdown/JSON via
  * core::Table). Deterministic: same reports, same bytes — the
  * serve-smoke CI leg diffs two runs' toJson() output.
  */

@@ -92,6 +92,8 @@ struct TopDownSlots {
                              static_cast<double>(total())
                        : 0.0;
     }
+
+    bool operator==(const TopDownSlots &) const = default;
 };
 
 /** Cycles during which allocation was blocked, by first blocking unit. */
@@ -100,6 +102,8 @@ struct ResourceStalls {
     uint64_t rob = 0;
     uint64_t loadBuf = 0;
     uint64_t storeBuf = 0;
+
+    bool operator==(const ResourceStalls &) const = default;
 };
 
 /** Everything measured by one simulation. */
@@ -147,7 +151,55 @@ struct CoreStats {
     double l2Mpki() const { return mpkiOf(l2Misses); }
     double llcMpki() const { return mpkiOf(llcMisses); }
     double l1iMpki() const { return mpkiOf(l1iMisses); }
+
+    /**
+     * The one list of counters, in the result store's order and
+     * spelling: calls f(name, s.counter...) once per counter, passing
+     * that counter of every CoreStats in @p s (const or mutable). The
+     * store record, the segment stitch (+=), vepro-check's diffs and
+     * the tests' printers walk this list instead of naming fields.
+     */
+    template <class F, class... S>
+    static void
+    forEachField(F &&f, S &&...s)
+    {
+        f("cycles", s.cycles...);
+        f("instructions", s.instructions...);
+        f("retiring", s.slots.retiring...);
+        f("badSpec", s.slots.badSpec...);
+        f("frontend", s.slots.frontend...);
+        f("backend", s.slots.backend...);
+        f("backendMemory", s.slots.backendMemory...);
+        f("backendCore", s.slots.backendCore...);
+        f("rsStalls", s.stalls.rs...);
+        f("robStalls", s.stalls.rob...);
+        f("loadBufStalls", s.stalls.loadBuf...);
+        f("storeBufStalls", s.stalls.storeBuf...);
+        f("condBranches", s.condBranches...);
+        f("mispredicts", s.mispredicts...);
+        f("l1iMisses", s.l1iMisses...);
+        f("l1dAccesses", s.l1dAccesses...);
+        f("l1dMisses", s.l1dMisses...);
+        f("l2Misses", s.l2Misses...);
+        f("llcMisses", s.llcMisses...);
+        f("invalidations", s.invalidations...);
+    }
+
+    /** Counter-wise sum: how segment statistics stitch. */
+    CoreStats &
+    operator+=(const CoreStats &o)
+    {
+        forEachField([](const char *, uint64_t &a, uint64_t b) { a += b; },
+                     *this, o);
+        return *this;
+    }
+
+    bool operator==(const CoreStats &) const = default;
 };
+
+// A counter added to CoreStats but not to forEachField fails here.
+static_assert(sizeof(CoreStats) == 20 * sizeof(uint64_t),
+              "CoreStats::forEachField must list every counter");
 
 /**
  * Streaming core model: a trace::TraceSink that simulates the op stream

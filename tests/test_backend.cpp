@@ -8,9 +8,9 @@
  *  2. the default profile IS the pre-backend simulator: its CoreConfig
  *     matches the uarch defaults field for field and its clock is the
  *     3.0 GHz the serve cost model used to hard-code;
- *  3. golden joules: one fixed CoreStats maps to byte-stable energy
- *     per profile (the documented evaluation order is a contract —
- *     EXPECT_EQ on doubles, not near-equality);
+ *  3. golden energy: one fixed CoreStats maps to byte-stable dynamic
+ *     nanojoules per profile (the documented evaluation order is a
+ *     contract — EXPECT_EQ on doubles, not near-equality);
  *  4. properties: energy is strictly monotone in instruction count and
  *     kind-mismatched queries throw.
  */
@@ -107,16 +107,16 @@ TEST(BackendRegistry, GravitonIsWiderSlowerClockedAndCheaper)
 
 // ---- Golden energy pins ----------------------------------------------
 
-/** Byte-stable joules for one fixed stats vector. If an energy weight,
- *  the formula, or its evaluation ORDER changes, these literals must
- *  be regenerated deliberately — fleet tables and the vepro-check
- *  energy differential pin the same bytes. */
-TEST(BackendEnergy, GoldenJoulesPerProfile)
+/** Byte-stable dynamic nanojoules for one fixed stats vector. If an
+ *  energy weight, the sum, or its evaluation ORDER changes, these
+ *  literals must be regenerated deliberately — serve::CostModel prices
+ *  fleet energy through dynamicNanojoules, and the vepro-check energy
+ *  differential pins the same function. */
+TEST(BackendEnergy, GoldenDynamicNanojoulesPerProfile)
 {
     const uarch::CoreStats s = referenceStats();
-    EXPECT_EQ(energyJoules(profile("xeon-bdw"), s), 18.172000000000001);
-    EXPECT_EQ(energyJoules(profile("graviton-like"), s),
-              13.168907692307691);
+    EXPECT_EQ(dynamicNanojoules(profile("xeon-bdw"), s), 672000000.0);
+    EXPECT_EQ(dynamicNanojoules(profile("graviton-like"), s), 476600000.0);
 
     // 1080p x 150 frames = 120x68x150 = 1,224,000 16x16 blocks.
     const MachineProfile &hw = profile("hw-enc");
@@ -127,7 +127,7 @@ TEST(BackendEnergy, GoldenJoulesPerProfile)
 TEST(BackendEnergy, KindMismatchesThrow)
 {
     const uarch::CoreStats s = referenceStats();
-    EXPECT_THROW(energyJoules(profile("hw-enc"), s),
+    EXPECT_THROW(dynamicNanojoules(profile("hw-enc"), s),
                  std::invalid_argument);
     EXPECT_THROW(fixedServiceSeconds(profile("xeon-bdw"), 1),
                  std::invalid_argument);
@@ -145,11 +145,11 @@ TEST(BackendEnergy, StrictlyMonotoneInInstructionCount)
             continue;
         }
         uarch::CoreStats s = referenceStats();
-        double prev = energyJoules(p, s);
+        double prev = dynamicNanojoules(p, s);
         EXPECT_GT(prev, 0.0);
         for (int step = 0; step < 20; ++step) {
             s.instructions += 1'000'000 + 37'000 * step;
-            const double next = energyJoules(p, s);
+            const double next = dynamicNanojoules(p, s);
             EXPECT_GT(next, prev)
                 << name << ": more instructions must cost more energy";
             prev = next;

@@ -16,6 +16,7 @@
 #include "core/report.hpp"
 #include "core/threadstudy.hpp"
 #include "encoders/registry.hpp"
+#include "print_results.hpp"
 #include "trace/synth.hpp"
 #include "trace/trace_io.hpp"
 #include "uarch/core.hpp"
@@ -35,23 +36,6 @@ TEST(Report, MarkdownShape)
     EXPECT_NE(md.find("| a "), std::string::npos);
     EXPECT_NE(md.find("| 333 |"), std::string::npos);
     EXPECT_EQ(t.rowCount(), 2u);
-}
-
-TEST(Report, CsvShape)
-{
-    Table t({"x", "y"});
-    t.addRow({"1", "2"});
-    EXPECT_EQ(t.toCsv(), "x,y\n1,2\n");
-}
-
-TEST(Report, CsvQuotesCellsPerRfc4180)
-{
-    Table t({"Video", "Instructions", "Note"});
-    t.addRow({"game1", fmtCount(12345678), "plain"});
-    t.addRow({"say \"hi\"", "1", "two\nlines"});
-    EXPECT_EQ(t.toCsv(), "Video,Instructions,Note\n"
-                         "game1,\"12,345,678\",plain\n"
-                         "\"say \"\"hi\"\"\",1,\"two\nlines\"\n");
 }
 
 TEST(Report, JsonRowsKeyedByHeader)
@@ -186,12 +170,8 @@ TEST(Sweeps, CrfPointsAndMapping)
     EXPECT_EQ(crfSweepAv1().size(), 6u);
     EXPECT_EQ(crfSweepAv1().front(), 10);
     EXPECT_EQ(crfSweepAv1().back(), 60);
-    EXPECT_EQ(crfSweepX26x().size(), 6u);
     EXPECT_EQ(mapCrfToX26x(63), 51);
     EXPECT_EQ(mapCrfToX26x(0), 0);
-    for (size_t i = 0; i < crfSweepX26x().size(); ++i) {
-        EXPECT_LE(crfSweepX26x()[i], 51);
-    }
 }
 
 TEST(RunPoint, ProducesLinkedEncodeAndSimulation)
@@ -413,29 +393,6 @@ multiClip()
     return video::generate("multi", p);
 }
 
-void
-expectSameStats(const uarch::CoreStats &a, const uarch::CoreStats &b)
-{
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.slots.retiring, b.slots.retiring);
-    EXPECT_EQ(a.slots.badSpec, b.slots.badSpec);
-    EXPECT_EQ(a.slots.frontend, b.slots.frontend);
-    EXPECT_EQ(a.slots.backend, b.slots.backend);
-    EXPECT_EQ(a.slots.backendMemory, b.slots.backendMemory);
-    EXPECT_EQ(a.stalls.rs, b.stalls.rs);
-    EXPECT_EQ(a.stalls.rob, b.stalls.rob);
-    EXPECT_EQ(a.condBranches, b.condBranches);
-    EXPECT_EQ(a.mispredicts, b.mispredicts);
-    EXPECT_EQ(a.l1iMisses, b.l1iMisses);
-    EXPECT_EQ(a.l1dAccesses, b.l1dAccesses);
-    EXPECT_EQ(a.l1dMisses, b.l1dMisses);
-    EXPECT_EQ(a.l2Misses, b.l2Misses);
-    EXPECT_EQ(a.llcMisses, b.llcMisses);
-    EXPECT_DOUBLE_EQ(a.l1dMpki(), b.l1dMpki());
-    EXPECT_DOUBLE_EQ(a.llcMpki(), b.llcMpki());
-}
-
 TEST(RunPointMulti, BitIdenticalToSequentialRunPoint)
 {
     video::Video clip = multiClip();
@@ -456,8 +413,8 @@ TEST(RunPointMulti, BitIdenticalToSequentialRunPoint)
     std::vector<SweepPoint> multi =
         runPointMulti(*enc, clip, 40, 6, scale, configs);
     ASSERT_EQ(multi.size(), 2u);
-    expectSameStats(multi[0].core, seq_default.core);
-    expectSameStats(multi[1].core, seq_grav.core);
+    EXPECT_EQ(multi[0].core, seq_default.core);
+    EXPECT_EQ(multi[1].core, seq_grav.core);
 
     // The single encode serves every config verbatim.
     EXPECT_EQ(multi[0].encode.instructions, multi[1].encode.instructions);
@@ -510,7 +467,7 @@ TEST(RunPointMulti, DiskReplayMatchesLiveFanOut)
         uarch::StreamCore replayed(configs[i]);
         source.replay(replayed);
         replayed.flush();
-        expectSameStats(replayed.stats(), live[i].core);
+        EXPECT_EQ(replayed.stats(), live[i].core);
     }
     std::filesystem::remove(path);
 }

@@ -8,19 +8,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <regex>
 #include <sstream>
 #include <thread>
-
-#include <functional>
 
 #include "lab/figures.hpp"
 #include "lab/json.hpp"
 #include "lab/orchestrator.hpp"
 #include "lab/store.hpp"
+#include "print_results.hpp"
 #include "trace/trace_io.hpp"
 
 namespace vepro::lab
@@ -292,33 +294,94 @@ TEST(Store, SaveLoadRoundTripsEveryField)
     auto loaded = store.load(spec);
     ASSERT_TRUE(loaded.has_value());
     EXPECT_TRUE(loaded->fromCache);
-    EXPECT_EQ(loaded->encode.wallSeconds, saved.encode.wallSeconds);
-    EXPECT_EQ(loaded->encode.instructions, saved.encode.instructions);
-    EXPECT_EQ(loaded->encode.bitrateKbps, saved.encode.bitrateKbps);
-    EXPECT_EQ(loaded->encode.psnrDb, saved.encode.psnrDb);
-    EXPECT_EQ(loaded->encode.droppedOps, saved.encode.droppedOps);
-    EXPECT_EQ(loaded->core.cycles, saved.core.cycles);
-    EXPECT_EQ(loaded->core.instructions, saved.core.instructions);
-    EXPECT_EQ(loaded->core.slots.retiring, saved.core.slots.retiring);
-    EXPECT_EQ(loaded->core.slots.badSpec, saved.core.slots.badSpec);
-    EXPECT_EQ(loaded->core.slots.frontend, saved.core.slots.frontend);
-    EXPECT_EQ(loaded->core.slots.backend, saved.core.slots.backend);
-    EXPECT_EQ(loaded->core.slots.backendMemory,
-              saved.core.slots.backendMemory);
-    EXPECT_EQ(loaded->core.slots.backendCore, saved.core.slots.backendCore);
-    EXPECT_EQ(loaded->core.stalls.rs, saved.core.stalls.rs);
-    EXPECT_EQ(loaded->core.stalls.rob, saved.core.stalls.rob);
-    EXPECT_EQ(loaded->core.stalls.loadBuf, saved.core.stalls.loadBuf);
-    EXPECT_EQ(loaded->core.stalls.storeBuf, saved.core.stalls.storeBuf);
-    EXPECT_EQ(loaded->core.condBranches, saved.core.condBranches);
-    EXPECT_EQ(loaded->core.mispredicts, saved.core.mispredicts);
-    EXPECT_EQ(loaded->core.l1iMisses, saved.core.l1iMisses);
-    EXPECT_EQ(loaded->core.l1dAccesses, saved.core.l1dAccesses);
-    EXPECT_EQ(loaded->core.l1dMisses, saved.core.l1dMisses);
-    EXPECT_EQ(loaded->core.l2Misses, saved.core.l2Misses);
-    EXPECT_EQ(loaded->core.llcMisses, saved.core.llcMisses);
-    EXPECT_EQ(loaded->core.invalidations, saved.core.invalidations);
+    EXPECT_EQ(loaded->encode, saved.encode);
+    EXPECT_EQ(loaded->core, saved.core);
     EXPECT_EQ(loaded->jobSeconds, saved.jobSeconds);
+}
+
+/** The record layout is a contract: ledger/store_digest.py reads these
+ *  names, and no record changes without a kSchemaVersion bump. */
+TEST(Store, RecordBytesArePinned)
+{
+    ResultStore store(freshDir("pinned"), nullptr);
+    const JobSpec spec = makeSpec();
+    store.save(spec, makeResult(spec.crf));
+
+    std::ifstream in(store.pathFor(spec), std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    EXPECT_EQ(bytes.str(), R"({
+  "schema": 2,
+  "key": "encoder=SVT-AV1;video=game1;crf=30;preset=4;threads=1;divisor=8;frames=6;maxTraceOps=1200000",
+  "spec": {
+    "encoder": "SVT-AV1",
+    "video": "game1",
+    "crf": 30,
+    "preset": 4,
+    "threads": 1,
+    "divisor": 8,
+    "frames": 6,
+    "maxTraceOps": 1200000
+  },
+  "result": {
+    "wallSeconds": 31.25,
+    "instructions": 1000030,
+    "bitrateKbps": 431.0625,
+    "psnrDb": 38.875,
+    "droppedOps": 7,
+    "core": {
+      "cycles": 500030,
+      "instructions": 1000030,
+      "retiring": 11,
+      "badSpec": 22,
+      "frontend": 33,
+      "backend": 44,
+      "backendMemory": 30,
+      "backendCore": 14,
+      "rsStalls": 1,
+      "robStalls": 2,
+      "loadBufStalls": 3,
+      "storeBufStalls": 4,
+      "condBranches": 123456,
+      "mispredicts": 789,
+      "l1iMisses": 10,
+      "l1dAccesses": 20,
+      "l1dMisses": 30,
+      "l2Misses": 40,
+      "llcMisses": 50,
+      "invalidations": 60
+    },
+    "jobSeconds": 2.5
+  }
+}
+)");
+}
+
+/** Writing field i as i + 1 through the visitor and reading it back
+ *  through the JSON pair yields 5 distinct values under 5 distinct
+ *  names: no field is listed twice, none is skipped. */
+TEST(Store, SummaryVisitorReachesEveryFieldOnce)
+{
+    EncodeSummary s;
+    int next = 0;
+    EncodeSummary::forEachField([&](const char *, auto &v) { v = ++next; },
+                                s);
+    ASSERT_EQ(next, 5);
+
+    JsonValue obj = JsonValue::object();
+    summaryToJson(s, obj);
+    std::vector<std::string> names;
+    int i = 0;
+    EncodeSummary::forEachField(
+        [&](const char *name, const auto &v) {
+            EXPECT_EQ(static_cast<int>(v), ++i) << name;
+            EXPECT_EQ(obj.at(name).asDouble(), i) << name;
+            names.emplace_back(name);
+        },
+        s);
+    std::sort(names.begin(), names.end());
+    EXPECT_EQ(std::unique(names.begin(), names.end()), names.end());
+    EXPECT_EQ(summaryFromJson(obj), s);
 }
 
 TEST(Store, MissingEntryIsAQuietMiss)
@@ -882,10 +945,31 @@ TEST(TraceCacheE2E, SecondBackendReplaysWithoutRunningTheEncoder)
     }
     // Replay reproduces the capture-time encode verbatim, while the
     // different core geometry really simulates apart.
-    EXPECT_EQ(warm.encode.instructions, cold.encode.instructions);
-    EXPECT_DOUBLE_EQ(warm.encode.wallSeconds, cold.encode.wallSeconds);
-    EXPECT_DOUBLE_EQ(warm.encode.psnrDb, cold.encode.psnrDb);
+    EXPECT_EQ(warm.encode, cold.encode);
     EXPECT_NE(warm.core.cycles, cold.core.cycles);
+}
+
+/** A capture's metadata is the trace key, then the encode summary in
+ *  the record's field order, and it reads back as the live result. */
+TEST(TraceCacheE2E, CaptureMetadataListsKeyThenSummaryFields)
+{
+    const std::string dir = freshDir("tmeta");
+    Orchestrator orch(realRunnerOptions(dir));
+    const size_t h = orch.request(quickSpec());
+    orch.run();
+    ASSERT_EQ(orch.traceCaptures(), 1u);
+
+    const trace::TraceFileInfo info = trace::FileSource::inspect(
+        dir + "/traces/" + quickSpec().traceHashHex() + ".vetf");
+    EXPECT_TRUE(std::regex_match(
+        info.metadata,
+        std::regex(R"(\{"traceKey":"[^"]*","wallSeconds":[^,]+,)"
+                   R"("instructions":[0-9]+,"bitrateKbps":[^,]+,)"
+                   R"("psnrDb":[^,]+,"droppedOps":[0-9]+\})")))
+        << info.metadata;
+    const JsonValue meta = JsonValue::parse(info.metadata);
+    EXPECT_EQ(meta.at("traceKey").asString(), quickSpec().traceKey());
+    EXPECT_EQ(summaryFromJson(meta), orch.result(h).encode);
 }
 
 TEST(TraceCacheE2E, SameSpecWarmRunShortCircuitsAtTheResultStore)

@@ -23,6 +23,7 @@
 
 #include "core/experiment.hpp"
 #include "core/segment.hpp"
+#include "print_results.hpp"
 #include "trace/sink.hpp"
 #include "trace/synth.hpp"
 #include "uarch/core.hpp"
@@ -100,45 +101,6 @@ replayStream(const Stream &s, trace::TraceSink &sink)
         sink.onKernel(0x4100);
     }
     sink.flush();
-}
-
-std::vector<std::pair<const char *, uint64_t>>
-statFields(const uarch::CoreStats &s)
-{
-    return {
-        {"cycles", s.cycles},
-        {"instructions", s.instructions},
-        {"slots.retiring", s.slots.retiring},
-        {"slots.badSpec", s.slots.badSpec},
-        {"slots.frontend", s.slots.frontend},
-        {"slots.backend", s.slots.backend},
-        {"slots.backendMemory", s.slots.backendMemory},
-        {"slots.backendCore", s.slots.backendCore},
-        {"stalls.rs", s.stalls.rs},
-        {"stalls.rob", s.stalls.rob},
-        {"stalls.loadBuf", s.stalls.loadBuf},
-        {"stalls.storeBuf", s.stalls.storeBuf},
-        {"condBranches", s.condBranches},
-        {"mispredicts", s.mispredicts},
-        {"l1iMisses", s.l1iMisses},
-        {"l1dAccesses", s.l1dAccesses},
-        {"l1dMisses", s.l1dMisses},
-        {"l2Misses", s.l2Misses},
-        {"llcMisses", s.llcMisses},
-        {"invalidations", s.invalidations},
-    };
-}
-
-void
-expectStatsEqual(const uarch::CoreStats &want, const uarch::CoreStats &got,
-                 const std::string &what)
-{
-    const auto wf = statFields(want);
-    const auto gf = statFields(got);
-    for (size_t i = 0; i < wf.size(); ++i) {
-        EXPECT_EQ(wf[i].second, gf[i].second)
-            << what << ": field " << wf[i].first;
-    }
 }
 
 // ---- resolveJobs -----------------------------------------------------
@@ -249,7 +211,7 @@ TEST(SegmentSim, OneSegmentIsBitIdentical)
 
     EXPECT_EQ(sim.segmentsUsed(), 1);
     EXPECT_EQ(sim.warmupOps(), 0u);
-    expectStatsEqual(seq.stats(), sim.stats(), "segments=1");
+    EXPECT_EQ(seq.stats(), sim.stats()) << "segments=1";
 }
 
 /** The satellite (c) matrix: the stitched result is identical across
@@ -289,10 +251,9 @@ TEST(SegmentSim, DeterministicAcrossSegmentsJobsAndRuns)
                     first = got;
                     have_first = true;
                 } else {
-                    expectStatsEqual(first, got,
-                                     "segments=" + std::to_string(segments) +
-                                         " jobs=" + std::to_string(jobs) +
-                                         " run=" + std::to_string(run));
+                    EXPECT_EQ(first, got)
+                        << "segments=" << segments << " jobs=" << jobs
+                        << " run=" << run;
                 }
             }
         }
@@ -343,7 +304,7 @@ TEST(SegmentSim, AutoSegmentsClampToBlockCount)
     replayStream(s, sim);
 
     EXPECT_EQ(sim.segmentsUsed(), 1);
-    expectStatsEqual(seq.stats(), sim.stats(), "clamped");
+    EXPECT_EQ(seq.stats(), sim.stats()) << "clamped";
 }
 
 TEST(SegmentSim, SegmentFailureRethrowsFromFlush)

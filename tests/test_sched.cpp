@@ -184,25 +184,6 @@ TEST(Schedule, OccupancyReflectsIdleCores)
     EXPECT_NEAR(r.occupancy, 0.25, 1e-9);
 }
 
-TEST(ConcurrentWithCoreZero, FindsOverlaps)
-{
-    TaskGraph g;
-    int a = g.addTask(task(100));           // long task
-    g.addTask(task(50));                    // runs concurrently elsewhere
-    g.addTask(task(50, {a}));               // strictly after a
-    ScheduleResult r = schedule(g, 2);
-    auto conc = concurrentWithCoreZero(r);
-    ASSERT_FALSE(conc.empty());
-    // The first core-0 task overlaps exactly the task on core 1.
-    bool found = false;
-    for (const auto &list : conc) {
-        for (int id : list) {
-            found |= id == 1;
-        }
-    }
-    EXPECT_TRUE(found);
-}
-
 TEST(Schedule, ManyCoresBoundedByCriticalPath)
 {
     TaskGraph g;
