@@ -1150,15 +1150,22 @@ Fuzzer::runParallelCase(uint64_t seed, Divergence &out)
 }
 
 /**
- * The trace capture/replay differential (tentpole of the TraceFile PR).
- * One seeded case streams the same deterministically interleaved
- * op/branch/kernel stream (a) live into a MuxSink{StreamCore,
- * CacheSink, StreamRunner} stack and (b) through a FileSink capture to
- * disk, then replays the file through FileSource into an identical
- * stack. Every counter — CoreStats fields, hierarchy counters, and
- * predictor branch/miss totals — must be bit-identical, proving the
- * codec (varint + delta + dictionary, per-class address chains,
- * positioned events) is lossless for everything the simulators consume.
+ * The trace capture/replay differential. One seeded case streams the
+ * same deterministically interleaved op/branch/kernel stream (a) live
+ * into a MuxSink{StreamCore, CacheSink, StreamRunner} stack and (b)
+ * through a FileSink capture to disk, then replays the file through
+ * FileSource into an identical stack. Every counter — CoreStats fields,
+ * hierarchy counters, and predictor branch/miss totals — must be
+ * bit-identical, proving the codec (varint + delta + dictionary,
+ * per-class address chains, positioned events) is lossless for
+ * everything the simulators consume.
+ *
+ * A segment leg then replays the capture into a core::SegmentSim and
+ * demands all of its counters from a SegmentSim fed the same records
+ * live. Segment boundaries follow block cuts, so this holds only while
+ * FileSink cuts blocks by the stager's rule: a capture that moves the
+ * 4096-event cuts of a branch burst moves the segments.
+ *
  * The injected tracefile-delta fault skews every decoded pc delta by
  * one; the drifting PCs must surface here as a stats mismatch.
  */
@@ -1176,6 +1183,13 @@ Fuzzer::runTraceFileCase(uint64_t seed, Divergence &out)
     const std::vector<trace::BranchRecord> branches =
         trace::synthFuzzBranches(rng.fork(), max_brs);
     const uint64_t chunk_seed = rng.next();
+    // The segment leg's geometry, drawn after every other draw so each
+    // seed keeps the stream, capture and stack it had without the leg.
+    core::SegmentSimConfig seg_cfg;
+    seg_cfg.core = cfg;
+    seg_cfg.segments = static_cast<int>(rng.range(2, 4));
+    seg_cfg.warmupBlocks = static_cast<int>(rng.range(0, 8));
+    seg_cfg.jobs = static_cast<int>(rng.range(1, 2));
 
     const fs::path base = options_.tempDir.empty()
                               ? fs::temp_directory_path()
@@ -1259,6 +1273,23 @@ Fuzzer::runTraceFileCase(uint64_t seed, Divergence &out)
                     " branches/" + std::to_string(lr.misses) +
                     " misses, replay " + std::to_string(rr.branches) + "/" +
                     std::to_string(rr.misses));
+    }
+
+    core::SegmentSim live_seg(seg_cfg);
+    replayInterleaved(live_seg, chunk_seed, ops, branches, false);
+    core::SegmentSim rep_seg(seg_cfg);
+    try {
+        source.replay(rep_seg);
+        rep_seg.flush();
+    } catch (const std::exception &e) {
+        return fail(std::string("segment replay threw: ") + e.what());
+    }
+    const std::string seg_diff = diffStats(live_seg.stats(), rep_seg.stats());
+    if (!seg_diff.empty()) {
+        return fail("replayed segments (segments=" +
+                    std::to_string(seg_cfg.segments) + ", warmup=" +
+                    std::to_string(seg_cfg.warmupBlocks) + ", jobs=" +
+                    std::to_string(seg_cfg.jobs) + "): " + seg_diff);
     }
 
     std::error_code ec;

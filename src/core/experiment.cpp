@@ -163,17 +163,11 @@ tracingConfig(const RunScale &scale)
     return pc;
 }
 
-SweepPoint
-runPoint(const encoders::EncoderModel &encoder, const video::Video &clip,
-         int crf, int preset, const RunScale &scale)
+uarch::CoreStats
+simulate(const RunScale &scale,
+         const std::function<void(trace::TraceSink &)> &feed)
 {
-    encoders::EncodeParams params;
-    params.crf = crf;
-    params.preset = preset;
-
     const uarch::CoreConfig core_cfg = backend::coreConfigFor(scale.backend);
-
-    SweepPoint point;
     if (scale.segments > 1) {
         // Segment-parallel: capture the trace in blocks, simulate N
         // contiguous segments concurrently, stitch deterministically.
@@ -183,15 +177,29 @@ runPoint(const encoders::EncoderModel &encoder, const video::Video &clip,
         cfg.warmupBlocks = scale.segmentWarmup;
         cfg.jobs = 0;  // auto; parallelFor clamps to the segment count
         SegmentSim sim(cfg);
-        point.encode =
-            encoder.encode(clip, params, tracingConfig(scale), false, &sim);
-        point.core = sim.stats();
-    } else {
-        uarch::StreamCore sim(core_cfg);
-        point.encode =
-            encoder.encode(clip, params, tracingConfig(scale), false, &sim);
-        point.core = sim.stats();
+        feed(sim);
+        sim.flush();
+        return sim.stats();
     }
+    uarch::StreamCore sim(core_cfg);
+    feed(sim);
+    sim.flush();
+    return sim.stats();
+}
+
+SweepPoint
+runPoint(const encoders::EncoderModel &encoder, const video::Video &clip,
+         int crf, int preset, const RunScale &scale)
+{
+    encoders::EncodeParams params;
+    params.crf = crf;
+    params.preset = preset;
+
+    SweepPoint point;
+    point.core = simulate(scale, [&](trace::TraceSink &sink) {
+        point.encode = encoder.encode(clip, params, tracingConfig(scale),
+                                      false, &sink);
+    });
     return point;
 }
 

@@ -107,10 +107,21 @@ struct SweepPoint {
 trace::ProbeConfig tracingConfig(const RunScale &scale);
 
 /**
- * Run one encode with op tracing and simulate it on the paper machine's
- * core model, fused: the encode streams its ops straight into a
- * uarch::StreamCore, so no trace is materialised. Numerically identical
- * to capturing the trace and replaying it through uarch::Core.
+ * Simulate one trace on @p scale's machine: build the core-model sink
+ * for scale.backend — a uarch::StreamCore, or a core::SegmentSim when
+ * scale.segments > 1 — hand it to @p feed, flush it, and return its
+ * statistics. A live encode (runPoint), a capture next to a FileSink and
+ * a TraceFile replay (the lab's trace cache) all feed it, so every path
+ * simulates a point the same way.
+ */
+uarch::CoreStats simulate(const RunScale &scale,
+                          const std::function<void(trace::TraceSink &)> &feed);
+
+/**
+ * Run one encode with op tracing and simulate it (simulate()) fused:
+ * the encode streams its ops straight into the core model, so no trace
+ * is materialised. Numerically identical to capturing the trace and
+ * replaying it.
  */
 SweepPoint runPoint(const encoders::EncoderModel &encoder,
                     const video::Video &clip, int crf, int preset,

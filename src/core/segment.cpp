@@ -15,34 +15,12 @@ using uarch::StreamCore;
 struct SegmentSim::Impl {
     SegmentSimConfig config;
     std::vector<TraceBlock> blocks;
-    TraceBlock stage;
     CoreStats stitched;
     bool finished = false;
     int segments_used = 0;
     uint64_t warmup_ops = 0;
 
-    explicit Impl(const SegmentSimConfig &cfg) : config(cfg)
-    {
-        stage.reserveStandard();
-    }
-
-    void
-    publishStage()
-    {
-        if (stage.empty()) {
-            return;
-        }
-        blocks.push_back(std::move(stage));
-        stage = TraceBlock{};
-        stage.reserveStandard();
-    }
-
-    void
-    capture(TraceBlock &&block)
-    {
-        publishStage();
-        blocks.push_back(std::move(block));
-    }
+    explicit Impl(const SegmentSimConfig &cfg) : config(cfg) {}
 
     /** Simulate blocks [first, last) on a fresh core, with the warmup
      *  prefix [wfirst, first) replayed and discarded beforehand. */
@@ -68,7 +46,6 @@ struct SegmentSim::Impl {
     void
     run()
     {
-        publishStage();
         const size_t nblocks = blocks.size();
         segments_used = static_cast<int>(
             std::min<size_t>(resolveJobs(config.segments),
@@ -104,69 +81,16 @@ struct SegmentSim::Impl {
 };
 
 SegmentSim::SegmentSim(const SegmentSimConfig &config)
-    : impl_(std::make_unique<Impl>(config))
+    : BlockSink("SegmentSim"), impl_(std::make_unique<Impl>(config))
 {
 }
 
 SegmentSim::~SegmentSim() = default;
 
 void
-SegmentSim::onOp(const trace::TraceOp &op)
+SegmentSim::take(TraceBlock &&block)
 {
-    TraceBlock &stage = impl_->stage;
-    if (stage.ops.size() >= TraceBlock::kOps) {
-        impl_->publishStage();
-    }
-    stage.ops.push_back(op);
-}
-
-void
-SegmentSim::onOps(const trace::TraceOp *ops, size_t n)
-{
-    TraceBlock &stage = impl_->stage;
-    while (n > 0) {
-        if (stage.ops.size() >= TraceBlock::kOps) {
-            impl_->publishStage();
-        }
-        const size_t take =
-            std::min(n, TraceBlock::kOps - stage.ops.size());
-        stage.ops.insert(stage.ops.end(), ops, ops + take);
-        ops += take;
-        n -= take;
-    }
-}
-
-void
-SegmentSim::onBranch(const trace::BranchRecord &branch)
-{
-    TraceBlock::Event ev;
-    ev.pos = static_cast<uint32_t>(impl_->stage.ops.size());
-    ev.kind = TraceBlock::Event::Branch;
-    ev.taken = branch.taken;
-    ev.value = branch.pc;
-    impl_->stage.events.push_back(ev);
-    if (impl_->stage.events.size() >= TraceBlock::kOps) {
-        impl_->publishStage();
-    }
-}
-
-void
-SegmentSim::onKernel(uint64_t site)
-{
-    TraceBlock::Event ev;
-    ev.pos = static_cast<uint32_t>(impl_->stage.ops.size());
-    ev.kind = TraceBlock::Event::Kernel;
-    ev.value = site;
-    impl_->stage.events.push_back(ev);
-    if (impl_->stage.events.size() >= TraceBlock::kOps) {
-        impl_->publishStage();
-    }
-}
-
-void
-SegmentSim::onBlock(TraceBlock &&block)
-{
-    impl_->capture(std::move(block));
+    impl_->blocks.push_back(std::move(block));
 }
 
 void
@@ -175,6 +99,7 @@ SegmentSim::flush()
     if (impl_->finished) {
         return;
     }
+    close();
     impl_->run();
 }
 

@@ -10,9 +10,10 @@
  *
  * A fused StreamCore runs at the speed of one core model. SegmentSim
  * breaks that wall: it captures the trace as a sequence of TraceBlocks
- * (taking ownership of each block via the onBlock move path, so capture
- * adds no copying), then simulates N contiguous segments concurrently,
- * each on a private StreamCore.
+ * (a trace::BlockSink: whole blocks are taken via the onBlock move path,
+ * so capture adds no copying, and records are staged by the probe's own
+ * rule), then simulates N contiguous segments concurrently, each on a
+ * private StreamCore.
  *
  * Every segment after the first replays a configurable warmup prefix —
  * the last `warmupBlocks` blocks of the preceding segment — before its
@@ -28,10 +29,13 @@
  * pipeline window. See DESIGN.md §13 for the bound.
  *
  * Determinism: segment boundaries depend only on the block sequence and
- * the segment count, each segment's simulation is single-threaded and
- * self-contained, and stitching sums per-segment stats in segment
- * order — so the result is identical across runs, thread counts, and
- * scheduling, for a fixed (trace, segments, warmupBlocks).
+ * the segment count, and the block sequence only on the records (one
+ * staging rule cuts them, whether a probe, a TraceFile replay or a
+ * MuxSink delivers them). Each segment's simulation is single-threaded
+ * and self-contained, and stitching sums per-segment stats in segment
+ * order — so the result is identical across runs, thread counts,
+ * scheduling and delivery paths, for a fixed (trace, segments,
+ * warmupBlocks).
  */
 
 #include <cstdint>
@@ -52,8 +56,8 @@ struct SegmentSimConfig {
      * 1 = sequential, bit-identical to a plain StreamCore.
      */
     int segments = 0;
-    /** Warmup prefix replayed before each segment (in TraceBlocks of
-     *  TraceBlock::kOps ops); counters of the prefix are discarded. */
+    /** Warmup prefix replayed before each segment (in 4096-op
+     *  TraceBlocks); counters of the prefix are discarded. */
     int warmupBlocks = 8;
     /** Worker threads for the segment loop. 0 = auto; parallelFor
      *  clamps it to the segment count. Thread count never changes the
@@ -63,15 +67,16 @@ struct SegmentSimConfig {
 
 /**
  * Trace sink running the segment-parallel simulation described in the
- * file docs. Feed it a trace (directly from a Probe, or as whole
- * blocks), then flush(); stats() holds the stitched result. A segment
- * that throws on a worker rethrows from flush() on the caller's thread.
+ * file docs. Feed it a trace (directly from a Probe, from a FileSource,
+ * or as records), then flush(); stats() holds the stitched result. A
+ * segment that throws on a worker rethrows from flush() on the caller's
+ * thread, and a record delivered after flush() throws std::logic_error.
  *
  * Capture materialises the trace (O(trace length) memory, in blocks) —
  * the price of simulating the middle of the trace before its start has
  * finished.
  */
-class SegmentSim final : public trace::TraceSink
+class SegmentSim final : public trace::BlockSink
 {
   public:
     explicit SegmentSim(const SegmentSimConfig &config);
@@ -80,14 +85,7 @@ class SegmentSim final : public trace::TraceSink
     SegmentSim(const SegmentSim &) = delete;
     SegmentSim &operator=(const SegmentSim &) = delete;
 
-    void onOp(const trace::TraceOp &op) override;
-    void onOps(const trace::TraceOp *ops, size_t n) override;
-    void onBranch(const trace::BranchRecord &branch) override;
-    void onKernel(uint64_t site) override;
-    /** Takes ownership of the block (moves it into the capture). */
-    void onBlock(trace::TraceBlock &&block) override;
-
-    /** Run the segments and stitch the statistics. */
+    /** Run the segments and stitch the statistics. Idempotent. */
     void flush() override;
 
     /** Stitched whole-trace statistics; valid once flush() has run. */
@@ -99,6 +97,9 @@ class SegmentSim final : public trace::TraceSink
     uint64_t warmupOps() const;
 
   private:
+    /** Keeps the block (moves it into the capture). */
+    void take(trace::TraceBlock &&block) override;
+
     struct Impl;
     std::unique_ptr<Impl> impl_;
 };

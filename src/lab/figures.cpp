@@ -345,11 +345,4 @@ runFigures(const std::vector<int> &ids, const core::RunScale &scale,
     return out;
 }
 
-std::vector<FigureResult>
-runFigures(const std::vector<int> &ids, const core::RunScale &scale)
-{
-    Orchestrator orch(OrchestratorOptions::fromRunScale(scale));
-    return runFigures(ids, scale, orch);
-}
-
 } // namespace vepro::lab

@@ -56,10 +56,6 @@ std::vector<FigureResult> runFigures(const std::vector<int> &ids,
                                      const core::RunScale &scale,
                                      Orchestrator &orch);
 
-/** Convenience: orchestrator options derived from @p scale. */
-std::vector<FigureResult> runFigures(const std::vector<int> &ids,
-                                     const core::RunScale &scale);
-
 } // namespace vepro::lab
 
 #endif // VEPRO_LAB_FIGURES_HPP

@@ -102,17 +102,6 @@ JobSpec::traceHashHex() const
 }
 
 uint64_t
-fnv1a64(const std::string &bytes)
-{
-    uint64_t hash = 14695981039346656037ull;
-    for (char c : bytes) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 1099511628211ull;
-    }
-    return hash;
-}
-
-uint64_t
 JobSpec::hashForSchema(int schema_version) const
 {
     return fnv1a64("vepro-lab/v" + std::to_string(schema_version) + "|" +

@@ -19,6 +19,7 @@
 #include <string>
 
 #include "core/experiment.hpp"
+#include "core/fnv.hpp"
 
 namespace vepro::lab
 {
@@ -99,9 +100,10 @@ struct JobSpec {
      * (encoder, video, crf, preset, threads, divisor, frames,
      * maxTraceOps). The machine profile (backend) and the
      * segment-parallel knobs are deliberately excluded — the captured
-     * op stream is a property of the encode, not of the core it is
-     * later simulated on, so one trace file serves every machine
-     * profile of the same encode (capture once, replay per backend).
+     * op stream, blocks included, is a property of the encode, not of
+     * the core it is later simulated on, so one trace file serves every
+     * machine profile and every segment count of the same encode
+     * (capture once, replay per backend and per segmentation).
      */
     std::string traceKey() const;
 
@@ -124,8 +126,8 @@ struct JobSpec {
     }
 };
 
-/** FNV-1a 64-bit hash of a byte string. */
-uint64_t fnv1a64(const std::string &bytes);
+/** FNV-1a 64-bit hash of a byte string (store and trace-cache keys). */
+using core::fnv1a64;
 
 } // namespace vepro::lab
 

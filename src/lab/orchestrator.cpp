@@ -5,7 +5,6 @@
 #include <optional>
 #include <stdexcept>
 
-#include "backend/profile.hpp"
 #include "encoders/registry.hpp"
 #include "lab/json.hpp"
 #include "trace/trace_io.hpp"
@@ -145,10 +144,10 @@ Orchestrator::execute(const JobSpec &spec)
             "lab: multi-threaded points are not orchestrated yet "
             "(threads=" + std::to_string(spec.threads) + ")");
     }
-    // Segment-mode stats depend on exact block boundaries, so only
-    // sequential points go through the trace cache (their stats are
-    // delivery-batching independent — replay is bit-identical).
-    if (!opts_.useCache || spec.segments != 1) {
+    // Every point, segmented or not, goes through the trace cache: a
+    // capture holds the probe's own blocks (one staging rule cuts them),
+    // so a replay simulates exactly what the live encode would.
+    if (!opts_.useCache) {
         return executeDirect(spec);
     }
 
@@ -197,10 +196,12 @@ Orchestrator::executeDirect(const JobSpec &spec)
 JobResult
 Orchestrator::replayTrace(const JobSpec &spec, const std::string &path)
 {
-    uarch::StreamCore sim(backend::coreConfigFor(spec.backend));
-    trace::FileSource source(path);
-    trace::TraceFileInfo info = source.replay(sim);
-    sim.flush();
+    trace::TraceFileInfo info;
+    JobResult result;
+    result.core =
+        core::simulate(spec.toRunScale(), [&](trace::TraceSink &sim) {
+            info = trace::FileSource(path).replay(sim);
+        });
 
     // The encode-side numbers ride in the trace metadata (written by
     // captureTrace). Any parse failure or key mismatch throws, which
@@ -211,9 +212,7 @@ Orchestrator::replayTrace(const JobSpec &spec, const std::string &path)
             "trace metadata key mismatch (hash collision or renamed "
             "field without a version bump)");
     }
-    JobResult result;
     result.encode = summaryFromJson(meta);
-    result.core = sim.stats();
     traceReplays_.fetch_add(1, std::memory_order_relaxed);
     // The replayed job never touched the clip, but prepareMiss pinned
     // it; release our reference so an all-replay sweep decodes nothing
@@ -230,32 +229,31 @@ Orchestrator::captureTrace(const JobSpec &spec,
     encoders::EncodeParams params;
     params.crf = spec.crf;
     params.preset = spec.preset;
-    core::RunScale scale = spec.toRunScale();
+    const core::RunScale scale = spec.toRunScale();
 
     // One encode feeds BOTH the live core model and the on-disk
     // capture: the FileSink sees byte-for-byte the stream the core
     // simulates, which is what makes later replays bit-identical.
-    uarch::StreamCore sim(backend::coreConfigFor(spec.backend));
-    trace::FileSink sink(lease.tmpPath);
-    sink.deferSeal(true);  // metadata is only known after the encode
-    trace::MuxSink mux{&sink, &sim};
-
-    std::shared_ptr<const video::Video> clip = acquireClip(spec);
-    encoderRuns_.fetch_add(1, std::memory_order_relaxed);
-    encoders::EncodeResult enc = encoder.encode(
-        *clip, params, core::tracingConfig(scale), false, &mux);
-    clip.reset();
-    releaseClip(spec);
-
+    trace::FileSink file(lease.tmpPath);
+    file.deferSeal(true);  // metadata is only known after the encode
+    encoders::EncodeResult enc;
     JobResult result;
+    result.core = core::simulate(scale, [&](trace::TraceSink &sim) {
+        trace::MuxSink mux{&file, &sim};
+        std::shared_ptr<const video::Video> clip = acquireClip(spec);
+        encoderRuns_.fetch_add(1, std::memory_order_relaxed);
+        enc = encoder.encode(*clip, params, core::tracingConfig(scale), false,
+                             &mux);
+        clip.reset();
+        releaseClip(spec);
+    });
     fillEncodeSummary(result, enc);
-    result.core = sim.stats();
 
     JsonValue meta = JsonValue::object();
     meta.set("traceKey", JsonValue::str(spec.traceKey()));
     summaryToJson(result.encode, meta);
-    sink.setMetadata(meta.dump());
-    sink.seal();
+    file.setMetadata(meta.dump());
+    file.seal();
     traceCaptures_.fetch_add(1, std::memory_order_relaxed);
     return result;
 }

@@ -44,10 +44,10 @@ struct OrchestratorOptions {
      * Look results up in the store, and capture each unique encode's
      * op trace to `<store>/traces/` to replay it instead of re-running
      * the encoder when the same encode is requested again (possibly on
-     * a different backend). Replays are bit-identical to the live fused
-     * pipeline, so the trace cache changes wall-clock only, never
-     * results. false (--no-cache) recomputes every point live; fresh
-     * results are still saved.
+     * a different backend or segment count). Replays are bit-identical
+     * to the live fused pipeline, so the trace cache changes wall-clock
+     * only, never results. false (--no-cache) recomputes every point
+     * live; fresh results are still saved.
      */
     bool useCache = true;
     std::string storeDir = ".vepro-lab";
@@ -139,14 +139,16 @@ class Orchestrator
     };
 
     JobResult execute(const JobSpec &spec);
-    /** The pre-trace-cache path: live encode fused with the core
-     *  model (runPoint). Used for segment-mode specs and --no-cache. */
+    /** The --no-cache path: live encode fused with the core model
+     *  (runPoint), no trace written or read. */
     JobResult executeDirect(const JobSpec &spec);
-    /** Replay an on-disk trace through the spec's core config; the
-     *  encode summary comes from the trace metadata. @throws on any
-     *  corrupt trace (caller recaptures). */
+    /** Replay an on-disk trace through the spec's core model
+     *  (core::simulate: its backend and segment count); the encode
+     *  summary comes from the trace metadata. @throws on any corrupt
+     *  trace (caller recaptures). */
     JobResult replayTrace(const JobSpec &spec, const std::string &path);
-    /** Live encode that also captures the trace to lease.tmpPath. */
+    /** Live encode that also captures the trace to lease.tmpPath,
+     *  simulated through core::simulate like a replay. */
     JobResult captureTrace(const JobSpec &spec,
                            const TraceCache::Lease &lease);
     /** execute() with the one-retry policy; never throws — a second

@@ -5,6 +5,8 @@
 #include <mutex>
 #include <stdexcept>
 
+#include "core/fnv.hpp"
+
 namespace vepro::trace
 {
 
@@ -32,10 +34,7 @@ siteRegistry()
 uint64_t
 sitePc(std::string_view name)
 {
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (char c : name) {
-        h = (h ^ static_cast<uint8_t>(c)) * 0x100000001b3ULL;
-    }
+    const uint64_t h = core::fnv1a64(name);
     // Canonical user-space text range, 1 KiB aligned so each site owns a
     // private code window.
     uint64_t pc = 0x400000ULL + ((h << 10) & 0x0000'7fff'ffff'fc00ULL);
@@ -192,35 +191,26 @@ Probe::openQuietRegion()
 }
 
 void
-Probe::flushBlock()
+Probe::deliver(TraceBlock &&block)
 {
-    if (stage_.empty()) {
-        return;
-    }
     if (sink_ == nullptr) {
         throw std::logic_error(
             "trace: probe recorded ops or branches with no sink set");
     }
-    // A non-moving sink (the default) leaves the block with us; a
-    // moving one (core::SegmentSim) takes the buffers. Either way the
-    // stage comes back empty with standard capacity.
-    sink_->onBlock(std::move(stage_));
-    stage_.clear();
-    stage_.reserveStandard();
+    sink_->onBlock(std::move(block));
+}
+
+void
+Probe::flushToSink()
+{
+    stage_.publishTo(toSink());
 }
 
 void
 Probe::stagePendingKernel()
 {
     pending_site_valid_ = false;
-    TraceBlock::Event ev;
-    ev.pos = static_cast<uint32_t>(stage_.ops.size());
-    ev.kind = TraceBlock::Event::Kernel;
-    ev.value = pending_site_;
-    stage_.events.push_back(ev);
-    if (stage_.events.size() >= kBlockOps) {
-        flushBlock();
-    }
+    stage_.event(TraceBlock::Event::Kernel, pending_site_, false, toSink());
 }
 
 void
@@ -230,10 +220,7 @@ Probe::emitOp(const TraceOp &op)
         stagePendingKernel();
     }
     ++ops_recorded_;
-    if (stage_.ops.size() == kBlockOps) {
-        flushBlock();
-    }
-    stage_.ops.push_back(op);
+    stage_.op(op, toSink());
 }
 
 void
@@ -243,15 +230,7 @@ Probe::emitOps(const TraceOp *ops, size_t n)
         stagePendingKernel();
     }
     ops_recorded_ += n;
-    while (n > 0) {
-        if (stage_.ops.size() == kBlockOps) {
-            flushBlock();
-        }
-        size_t take = std::min(n, kBlockOps - stage_.ops.size());
-        stage_.ops.insert(stage_.ops.end(), ops, ops + take);
-        ops += take;
-        n -= take;
-    }
+    stage_.ops(ops, n, toSink());
 }
 
 void
@@ -265,17 +244,7 @@ Probe::emitBranch(uint64_t pc, bool taken)
     }
     branch_last_op_ = opSeq_;
     ++branches_recorded_;
-    TraceBlock::Event ev;
-    ev.pos = static_cast<uint32_t>(stage_.ops.size());
-    ev.kind = TraceBlock::Event::Branch;
-    ev.taken = taken;
-    ev.value = pc;
-    stage_.events.push_back(ev);
-    // Branch-only streams (CBP runs with op tracing off) never fill the
-    // op span, so the event list needs its own publish threshold.
-    if (stage_.events.size() >= kBlockOps) {
-        flushBlock();
-    }
+    stage_.event(TraceBlock::Event::Branch, pc, taken, toSink());
 }
 
 uint64_t
@@ -306,10 +275,7 @@ Probe::opsSlow(OpClass cls, uint64_t n, uint8_t dep1, uint8_t dep2)
     uint64_t take = advance(n);
     ops_recorded_ += take;
     for (uint64_t i = 0; i < take; ++i) {
-        if (stage_.ops.size() == kBlockOps) {
-            flushBlock();
-        }
-        stage_.ops.push_back({nextPc(), 0, cls, false, dep1, dep2, false});
+        stage_.op({nextPc(), 0, cls, false, dep1, dep2, false}, toSink());
     }
     openQuietRegion();
 }
@@ -329,12 +295,9 @@ Probe::memRunSlow(OpClass cls, uint64_t addr, int n, int stride, uint8_t dep1)
     uint64_t take = advance(static_cast<uint64_t>(n));
     ops_recorded_ += take;
     for (uint64_t i = 0; i < take; ++i) {
-        if (stage_.ops.size() == kBlockOps) {
-            flushBlock();
-        }
-        stage_.ops.push_back({nextPc(),
-                              addr + static_cast<uint64_t>(i) * stride,
-                              cls, false, dep1, 0, false});
+        stage_.op({nextPc(), addr + static_cast<uint64_t>(i) * stride, cls,
+                   false, dep1, 0, false},
+                  toSink());
     }
     openQuietRegion();
 }
@@ -365,11 +328,9 @@ Probe::loopBranchesSlow(uint64_t iterations)
     uint64_t take = advance(iterations);
     ops_recorded_ += take;
     for (uint64_t i = 0; i < take; ++i) {
-        if (stage_.ops.size() == kBlockOps) {
-            flushBlock();
-        }
-        stage_.ops.push_back({loop_pc, 0, OpClass::BranchCond,
-                              i + 1 < iterations, 1, 0, false});
+        stage_.op({loop_pc, 0, OpClass::BranchCond, i + 1 < iterations, 1, 0,
+                   false},
+                  toSink());
     }
     if (config_.collectBranches && opSeq_ > config_.branchWarmupOps) {
         uint64_t room = config_.maxBranches > branches_recorded_

@@ -182,13 +182,13 @@ class Probe
 
     /**
      * Deliver any records still staged in the probe's emission block to
-     * the sink. Recorded ops, branches, and kernel entries are staged in
-     * TraceBlock units (TraceBlock::kOps ops plus the events among them)
-     * and delivered whole through TraceSink::onBlock, so sink consumers
-     * must call this once emission ends — before the sink's own flush()
-     * — to receive the tail of the stream.
+     * the sink. Recorded ops, branches, and kernel entries are staged
+     * into TraceBlocks by BlockStager's rule and delivered whole through
+     * TraceSink::onBlock, so sink consumers must call this once emission
+     * ends — before the sink's own flush() — to receive the tail of the
+     * stream.
      */
-    void flushToSink() { flushBlock(); }
+    void flushToSink();
 
     // -- Kernel-facing emission API --------------------------------------
 
@@ -302,10 +302,6 @@ class Probe
     void injectTallyFault(bool on) { tally_fault_ = on; }
 
   private:
-    /** Ops staged per block delivery; one block amortises the virtual
-     *  dispatch across thousands of records and is the ownership unit
-     *  of the parallel handoff path. */
-    static constexpr size_t kBlockOps = TraceBlock::kOps;
     static constexpr uint64_t kNever = std::numeric_limits<uint64_t>::max();
 
     /** Per-call accounting for the @p n ops the calling emission has
@@ -338,11 +334,16 @@ class Probe
     void enterSite(uint64_t site, int body_len);
     uint64_t nextPc();
 
-    /** Deliver the staged block through sink_->onBlock. A sink that
-     *  moves from the block takes the buffers; either way the stage is
-     *  left empty with standard capacity re-reserved. @throws
-     *  std::logic_error when records are staged and no sink is set. */
-    void flushBlock();
+    /** The stager's publish target: sink_->onBlock. A sink that moves
+     *  from the block takes the buffers; a block is delivered whole
+     *  (one virtual call per thousands of records). @throws
+     *  std::logic_error when no sink is set. */
+    void deliver(TraceBlock &&block);
+    auto
+    toSink()
+    {
+        return [this](TraceBlock &&block) { deliver(std::move(block)); };
+    }
 
     /** Record one op (updates the recorded counter). */
     void emitOp(const TraceOp &op);
@@ -394,19 +395,10 @@ class Probe
      *  force when recording resumes). */
     uint64_t pending_site_ = 0;
     bool pending_site_valid_ = false;
-    /** Emission staging block: recorded ops accumulate in stage_.ops
-     *  and branch/kernel records as positioned events, delivered whole
-     *  through sink_->onBlock when the op span reaches kBlockOps (or
-     *  the event list does, for branch-only streams). */
-    TraceBlock stage_ = makeStage();
-
-    static TraceBlock
-    makeStage()
-    {
-        TraceBlock b;
-        b.reserveStandard();
-        return b;
-    }
+    /** Emission staging block: recorded ops and branch/kernel records
+     *  (as positioned events), delivered whole through sink_->onBlock
+     *  as the stager's rule fills each block. */
+    BlockStager stage_;
     uint64_t ops_recorded_ = 0;
     uint64_t branches_recorded_ = 0;
     uint64_t dropped_ops_ = 0;

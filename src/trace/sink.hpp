@@ -24,7 +24,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "trace/opclass.hpp"
@@ -61,13 +63,12 @@ struct TraceOp {
 };
 
 /**
- * One probe staging block: up to kOps dynamic ops plus the branch and
+ * One staging block: up to kOps dynamic ops plus the branch and
  * kernel-entry records that occurred among them, carried in program
- * order. The probe emits the trace as a sequence of these blocks, and
- * ownership of a whole block can be transferred to a sink (see
+ * order. A trace is a sequence of these blocks, cut by BlockStager's one
+ * rule, and ownership of a whole block can be transferred to a sink (see
  * TraceSink::onBlock), so a sink that keeps the trace for later — the
  * segment-parallel core::SegmentSim — takes each span without copying.
- * FileSink also consumes whole blocks, to keep their boundaries.
  *
  * Events interleave with ops by position: an event at pos P happened
  * after ops[0..P) and before ops[P..). replayBlock() reconstructs the
@@ -75,7 +76,7 @@ struct TraceOp {
  * would have seen.
  */
 struct TraceBlock {
-    /** Ops per full block; the probe flushes at this fill level. */
+    /** Ops per full block (and events, for branch-heavy streams). */
     static constexpr size_t kOps = 4096;
 
     struct Event {
@@ -105,6 +106,90 @@ struct TraceBlock {
     {
         ops.reserve(kOps);
     }
+};
+
+/**
+ * The one rule that cuts a record stream into TraceBlocks. The probe,
+ * FileSink and core::SegmentSim all stage through it, so a trace's
+ * blocks depend only on its records, not on how they were delivered
+ * (whole blocks, spans or one record at a time):
+ *
+ *  - an op that finds kOps ops already staged first publishes the block;
+ *  - an event is staged at pos = the number of ops staged, and the event
+ *    that brings the event count to kOps publishes the block right after
+ *    it (only branch-heavy streams get there);
+ *  - a published block leaves the stage empty, with kOps capacity
+ *    reserved.
+ *
+ * Each staging call takes the publish target, a callable invoked as
+ * publish(TraceBlock &&) that may move from the block.
+ */
+class BlockStager
+{
+  public:
+    BlockStager() { block_.reserveStandard(); }
+
+    /** Stage one op. */
+    template <typename Publish>
+    void
+    op(const TraceOp &op, Publish &&publish)
+    {
+        if (block_.ops.size() == TraceBlock::kOps) {
+            publishTo(publish);
+        }
+        block_.ops.push_back(op);
+    }
+
+    /** Stage @p n ops, with one insert per block they fill. */
+    template <typename Publish>
+    void
+    ops(const TraceOp *ops, size_t n, Publish &&publish)
+    {
+        while (n > 0) {
+            if (block_.ops.size() == TraceBlock::kOps) {
+                publishTo(publish);
+            }
+            const size_t room = TraceBlock::kOps - block_.ops.size();
+            const size_t take = n < room ? n : room;
+            block_.ops.insert(block_.ops.end(), ops, ops + take);
+            ops += take;
+            n -= take;
+        }
+    }
+
+    /** Stage one branch or kernel-entry event at the current position. */
+    template <typename Publish>
+    void
+    event(TraceBlock::Event::Kind kind, uint64_t value, bool taken,
+          Publish &&publish)
+    {
+        TraceBlock::Event ev;
+        ev.pos = static_cast<uint32_t>(block_.ops.size());
+        ev.kind = kind;
+        ev.taken = taken;
+        ev.value = value;
+        block_.events.push_back(ev);
+        if (block_.events.size() == TraceBlock::kOps) {
+            publishTo(publish);
+        }
+    }
+
+    /** Publish the staged block, if there is one (end of stream, or a
+     *  whole block arriving after staged records). */
+    template <typename Publish>
+    void
+    publishTo(Publish &&publish)
+    {
+        if (block_.empty()) {
+            return;
+        }
+        publish(std::move(block_));
+        block_.clear();
+        block_.reserveStandard();
+    }
+
+  private:
+    TraceBlock block_;
 };
 
 class TraceSink;
@@ -169,6 +254,48 @@ class TraceSink
 
     /** End of stream: complete pending work, finalise results. */
     virtual void flush() {}
+};
+
+/**
+ * A sink that keeps its stream as TraceBlocks: records are staged by
+ * BlockStager's rule, and each finished block is handed to take(), in
+ * program order. A whole block arriving through onBlock first publishes
+ * the stage, then is handed over as it came (the capture of a probe, or
+ * a replayed file, keeps its cuts, which are the rule's). Once close()
+ * has run, every record throws std::logic_error.
+ */
+class BlockSink : public TraceSink
+{
+  public:
+    void onOp(const TraceOp &op) final;
+    void onOps(const TraceOp *ops, size_t n) final;
+    void onBranch(const BranchRecord &branch) final;
+    void onKernel(uint64_t site) final;
+    void onBlock(TraceBlock &&block) final;
+
+  protected:
+    /** @p name identifies the sink in the after-close error. */
+    explicit BlockSink(std::string name) : name_(std::move(name)) {}
+
+    /** One finished, non-empty block; the sink may move from it. */
+    virtual void take(TraceBlock &&block) = 0;
+
+    /** Hand the staged records, if any, to take(). */
+    void publishStage();
+    /** publishStage(), then refuse every further record. */
+    void close();
+    bool closed() const { return closed_; }
+
+  private:
+    void requireOpen() const;
+    auto publisher()
+    {
+        return [this](TraceBlock &&block) { take(std::move(block)); };
+    }
+
+    BlockStager stage_;
+    std::string name_;
+    bool closed_ = false;
 };
 
 /** Fans one trace stream out to several sinks, in registration order. */

@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/fnv.hpp"
+
 namespace vepro::trace
 {
 
@@ -17,20 +19,6 @@ namespace
 constexpr uint32_t kMaxBlockPayload = 1u << 26;
 constexpr uint64_t kMaxBlockRecords = 1u << 20;
 constexpr uint32_t kMaxMetadataBytes = 1u << 24;
-
-constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-uint64_t
-fnv1a64(uint64_t h, const void *data, size_t n)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= kFnvPrime;
-    }
-    return h;
-}
 
 [[noreturn]] void
 fail(const std::string &path, uint64_t offset, const std::string &what)
@@ -341,15 +329,15 @@ failLegacy(const std::string &path, const char magic[4])
 // ---------------------------------------------------------------------------
 // FileSink
 
-FileSink::FileSink(std::string path) : path_(std::move(path))
+FileSink::FileSink(std::string path)
+    : BlockSink(path), path_(std::move(path))
 {
     file_ = std::fopen(path_.c_str(), "wb");
     if (file_ == nullptr) {
         throw std::runtime_error("trace: cannot open " + path_ +
                                  " for writing");
     }
-    stage_.reserveStandard();
-    checksum_ = kFnvOffset;
+    checksum_ = core::kFnv1a64Basis;
     write("VETF", 4);
     const uint32_t version = kTraceFileVersion;
     write(&version, sizeof version);
@@ -372,108 +360,22 @@ FileSink::write(const void *p, size_t n)
 }
 
 void
-FileSink::writeBlock(const TraceBlock &block)
+FileSink::take(TraceBlock &&block)
 {
-    if (block.empty()) {
-        return;
-    }
     encodeBlock(block, payload_);
     const uint32_t len = static_cast<uint32_t>(payload_.size());
     write(&len, sizeof len);
     write(payload_.data(), payload_.size());
-    checksum_ = fnv1a64(checksum_, payload_.data(), payload_.size());
+    checksum_ = core::fnv1a64(payload_, checksum_);
     op_count_ += block.ops.size();
     branch_count_ += countBranchEvents(block);
     ++block_count_;
 }
 
 void
-FileSink::flushStage()
-{
-    if (!stage_.empty()) {
-        writeBlock(stage_);
-        stage_.clear();
-    }
-}
-
-void
-FileSink::onOp(const TraceOp &op)
-{
-    onOps(&op, 1);
-}
-
-void
-FileSink::onOps(const TraceOp *ops, size_t n)
-{
-    if (sealed_) {
-        throw std::logic_error("trace: record delivered after flush: " +
-                               path_);
-    }
-    while (n > 0) {
-        const size_t room = TraceBlock::kOps - stage_.ops.size();
-        const size_t take = n < room ? n : room;
-        stage_.ops.insert(stage_.ops.end(), ops, ops + take);
-        ops += take;
-        n -= take;
-        if (stage_.ops.size() >= TraceBlock::kOps) {
-            flushStage();
-        }
-    }
-}
-
-void
-FileSink::onBranch(const BranchRecord &branch)
-{
-    if (sealed_) {
-        throw std::logic_error("trace: record delivered after flush: " +
-                               path_);
-    }
-    TraceBlock::Event e;
-    e.pos = static_cast<uint32_t>(stage_.ops.size());
-    e.kind = TraceBlock::Event::Branch;
-    e.taken = branch.taken;
-    e.value = branch.pc;
-    stage_.events.push_back(e);
-    // Branch-only streams never fill the op span; bound the event list
-    // the same way so staging stays O(1).
-    if (stage_.events.size() >= TraceBlock::kOps) {
-        flushStage();
-    }
-}
-
-void
-FileSink::onKernel(uint64_t site)
-{
-    if (sealed_) {
-        throw std::logic_error("trace: record delivered after flush: " +
-                               path_);
-    }
-    TraceBlock::Event e;
-    e.pos = static_cast<uint32_t>(stage_.ops.size());
-    e.kind = TraceBlock::Event::Kernel;
-    e.value = site;
-    stage_.events.push_back(e);
-    if (stage_.events.size() >= TraceBlock::kOps) {
-        flushStage();
-    }
-}
-
-void
-FileSink::onBlock(TraceBlock &&block)
-{
-    if (sealed_) {
-        throw std::logic_error("trace: record delivered after flush: " +
-                               path_);
-    }
-    // Records staged before this block came first in program order.
-    flushStage();
-    writeBlock(block);
-}
-
-void
 FileSink::setMetadata(std::string bytes)
 {
-    if (sealed_) {
+    if (closed()) {
         throw std::logic_error("trace: setMetadata after flush: " + path_);
     }
     metadata_ = std::move(bytes);
@@ -482,11 +384,8 @@ FileSink::setMetadata(std::string bytes)
 void
 FileSink::flush()
 {
-    if (sealed_) {
-        return;
-    }
     if (defer_seal_) {
-        flushStage();
+        publishStage();
         return;
     }
     seal();
@@ -495,16 +394,16 @@ FileSink::flush()
 void
 FileSink::seal()
 {
-    if (sealed_) {
+    if (closed()) {
         return;
     }
-    flushStage();
+    close();
     const uint32_t end_marker = 0;
     write(&end_marker, sizeof end_marker);
     const uint32_t meta_bytes = static_cast<uint32_t>(metadata_.size());
     write(&meta_bytes, sizeof meta_bytes);
     write(metadata_.data(), metadata_.size());
-    checksum_ = fnv1a64(checksum_, metadata_.data(), metadata_.size());
+    checksum_ = core::fnv1a64(metadata_, checksum_);
     write(&op_count_, sizeof op_count_);
     write(&branch_count_, sizeof branch_count_);
     write(&block_count_, sizeof block_count_);
@@ -512,7 +411,6 @@ FileSink::seal()
     write(&checksum_, sizeof checksum_);
     const int rc = std::fclose(file_);
     file_ = nullptr;
-    sealed_ = true;
     if (rc != 0) {
         throw std::runtime_error("trace: " + path_ + ": close failed");
     }
@@ -580,7 +478,7 @@ FileSource::replay(TraceSink &sink) const
     };
 
     TraceFileInfo info;
-    uint64_t checksum = kFnvOffset;
+    uint64_t checksum = core::kFnv1a64Basis;
     std::string payload;
     TraceBlock block;
     block.reserveStandard();
@@ -597,7 +495,7 @@ FileSource::replay(TraceSink &sink) const
         }
         payload.resize(len);
         need(payload.data(), len, "block payload");
-        checksum = fnv1a64(checksum, payload.data(), payload.size());
+        checksum = core::fnv1a64(payload, checksum);
         try {
             decodeBlock(reinterpret_cast<const uint8_t *>(payload.data()),
                         payload.size(), block, delta_fault_);
@@ -620,7 +518,7 @@ FileSource::replay(TraceSink &sink) const
     }
     info.metadata.resize(meta_bytes);
     need(info.metadata.data(), meta_bytes, "metadata");
-    checksum = fnv1a64(checksum, info.metadata.data(), info.metadata.size());
+    checksum = core::fnv1a64(info.metadata, checksum);
 
     const uint64_t footer_offset = offset;
     uint64_t op_count = 0;

@@ -99,15 +99,16 @@ struct TraceFileInfo {
 /**
  * TraceSink that captures a live stream into a TraceFile.
  *
- * Whole-block deliveries (onBlock) are encoded with their boundaries
- * preserved; record-at-a-time deliveries are staged into standard
- * 4096-op blocks (or 4096 events, for branch-only streams) so staging
- * stays O(1) regardless of trace length. flush() seals the file —
- * end marker, metadata, footer — and is idempotent; a sink destroyed
+ * A BlockSink: records are staged by BlockStager's rule, the probe's
+ * own, and whole blocks (onBlock) are written as they come, so a file
+ * holds the producer's blocks however the stream reached it (straight
+ * from a probe, or re-delivered as records through a MuxSink). Staging
+ * stays O(1) regardless of trace length. flush() seals the file — end
+ * marker, metadata, footer — and is idempotent; a sink destroyed
  * unsealed leaves a torn file behind (no footer), which readers reject,
  * so cache writers should capture to a temp path and rename on success.
  */
-class FileSink final : public TraceSink
+class FileSink final : public BlockSink
 {
   public:
     /** Opens (truncates) @p path and writes the header.
@@ -117,12 +118,6 @@ class FileSink final : public TraceSink
 
     FileSink(const FileSink &) = delete;
     FileSink &operator=(const FileSink &) = delete;
-
-    void onOp(const TraceOp &op) override;
-    void onOps(const TraceOp *ops, size_t n) override;
-    void onBranch(const BranchRecord &branch) override;
-    void onKernel(uint64_t site) override;
-    void onBlock(TraceBlock &&block) override;
 
     /** Seals the file (equivalent to seal()) — unless deferSeal(true),
      *  in which case only the staged block is written out. */
@@ -150,13 +145,12 @@ class FileSink final : public TraceSink
     uint64_t bytesWritten() const { return bytes_written_; }
 
   private:
-    void writeBlock(const TraceBlock &block);
-    void flushStage();
+    /** Encode and write one block. */
+    void take(TraceBlock &&block) override;
     void write(const void *p, size_t n);
 
     std::string path_;
     std::FILE *file_ = nullptr;
-    TraceBlock stage_;
     std::string payload_;   ///< Encode buffer, reused per block.
     std::string metadata_;
     uint64_t op_count_ = 0;
@@ -164,7 +158,6 @@ class FileSink final : public TraceSink
     uint64_t block_count_ = 0;
     uint64_t bytes_written_ = 0;
     uint64_t checksum_ = 0;
-    bool sealed_ = false;
     bool defer_seal_ = false;
 };
 
@@ -172,8 +165,9 @@ class FileSink final : public TraceSink
  * Replays a TraceFile into any TraceSink at O(1) memory: blocks are
  * decoded one at a time and delivered through TraceSink::onBlock, so a
  * record-at-a-time sink sees exactly the stream the capturing probe
- * emitted, and a block-granular consumer (core::SegmentSim) can take
- * ownership of each span without copying.
+ * emitted, and a block-granular consumer (core::SegmentSim) takes
+ * ownership of each span without copying — and, because the file holds
+ * the probe's blocks, simulates the segments the live run would.
  */
 class FileSource
 {

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "core/fnv.hpp"
 #include "video/generator.hpp"
 
 namespace vepro::video
@@ -74,11 +75,7 @@ loadSuiteVideo(const SuiteEntry &entry, const SuiteScale &scale)
     params.fps = entry.fps;
     params.entropy = entry.paperEntropy;
     // Stable per-clip seed so every experiment sees identical content.
-    uint64_t seed = 0xcbf29ce484222325ULL;
-    for (char c : entry.name) {
-        seed = (seed ^ static_cast<uint8_t>(c)) * 0x100000001b3ULL;
-    }
-    params.seed = seed;
+    params.seed = core::fnv1a64(entry.name);
     return generate(entry.name, params);
 }
 

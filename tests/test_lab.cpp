@@ -18,12 +18,16 @@
 #include <sstream>
 #include <thread>
 
+#include "core/fnv.hpp"
+#include "encoders/registry.hpp"
 #include "lab/figures.hpp"
 #include "lab/json.hpp"
 #include "lab/orchestrator.hpp"
 #include "lab/store.hpp"
 #include "print_results.hpp"
+#include "trace/probe.hpp"
 #include "trace/trace_io.hpp"
+#include "video/suite.hpp"
 
 namespace vepro::lab
 {
@@ -236,6 +240,18 @@ TEST(JobSpecHash, HexFormIsSixteenLowercaseDigits)
     std::string hex = makeSpec().hashHex();
     ASSERT_EQ(hex.size(), 16u);
     EXPECT_EQ(hex.find_first_not_of("0123456789abcdef"), std::string::npos);
+}
+
+/** Store keys, trace-cache keys, TraceFile checksums, synthetic PCs and
+ *  clip seeds are all one FNV-1a 64. Its reference values, chaining,
+ *  one site PC and one store key are pinned, so none of them moves. */
+TEST(JobSpecHash, OneFnv1a64PinsEveryKey)
+{
+    EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ULL);
+    EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
+    EXPECT_EQ(core::fnv1a64("b", core::fnv1a64("a")), fnv1a64("ab"));
+    EXPECT_EQ(trace::sitePc("vepro.default"), 0x211ea5ba5000ULL);
+    EXPECT_EQ(makeSpec().hashHex(), "3cddfef27a503b30");
 }
 
 TEST(Json, U64RoundTripsExactly)
@@ -1046,20 +1062,45 @@ TEST(TraceCacheE2E, CorruptTraceWarnsAndRecaptures)
     EXPECT_GT(info.opCount, 0u);
 }
 
-TEST(TraceCacheE2E, SegmentedAndOptedOutSpecsBypassTheCache)
+TEST(TraceCacheE2E, SegmentedSpecsReplayAndOptedOutSpecsBypassTheCache)
 {
     {
-        // segments > 1 is per-config simulation state — direct path.
+        // The sequential capture serves segment points too: traceKey()
+        // leaves the segment fields out, and the capture holds the
+        // probe's blocks, so a replay splits the segments a live run
+        // would. Two points on two workers run SegmentSim's parallelFor
+        // inside the orchestrator's.
         const std::string dir = freshDir("tseg");
-        Orchestrator orch(realRunnerOptions(dir));
+        {
+            Orchestrator orch(realRunnerOptions(dir));
+            orch.request(quickSpec());
+            orch.run();
+            ASSERT_EQ(orch.traceCaptures(), 1u);
+        }
         JobSpec seg = quickSpec();
         seg.segments = 2;
-        orch.request(seg);
+        JobSpec seg_arm = seg;
+        seg_arm.backend = "graviton-like";
+        OrchestratorOptions opts = realRunnerOptions(dir);
+        opts.jobs = 2;
+        Orchestrator orch(opts);
+        const size_t handles[] = {orch.request(seg), orch.request(seg_arm)};
         orch.run();
-        EXPECT_EQ(orch.encoderRuns(), 1u);
+        EXPECT_EQ(orch.computed(), 2u);
+        EXPECT_EQ(orch.encoderRuns(), 0u);
         EXPECT_EQ(orch.traceCaptures(), 0u);
-        EXPECT_EQ(orch.traceReplays(), 0u);
-        EXPECT_FALSE(fs::exists(dir + "/traces"));
+        EXPECT_EQ(orch.traceReplays(), 2u);
+
+        const auto encoder = encoders::encoderByName(seg.encoder);
+        const core::RunScale scale = seg.toRunScale();
+        const video::Video clip = video::loadSuiteVideo(seg.video, scale.suite);
+        for (size_t i = 0; i < 2; ++i) {
+            const JobSpec &spec = i == 0 ? seg : seg_arm;
+            SCOPED_TRACE(spec.label());
+            const core::SweepPoint live = core::runPoint(
+                *encoder, clip, spec.crf, spec.preset, spec.toRunScale());
+            EXPECT_EQ(orch.result(handles[i]).core, live.core);
+        }
     }
     {
         // --no-cache opt-out.
@@ -1077,8 +1118,11 @@ TEST(TraceCacheE2E, SegmentedAndOptedOutSpecsBypassTheCache)
 
 TEST(Figures, UnsupportedIdRejected)
 {
-    core::RunScale scale;
-    EXPECT_THROW(runFigures({99}, scale), std::invalid_argument);
+    std::atomic<size_t> calls{0};
+    Orchestrator orch(fakeRunnerOptions(freshDir("figbad"), calls));
+    EXPECT_THROW(runFigures({99}, core::RunScale{}, orch),
+                 std::invalid_argument);
+    EXPECT_EQ(orch.requested(), 0u);
 }
 
 TEST(Figures, SharedSweepPointsDedupeAcrossFigures)

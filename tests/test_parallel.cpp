@@ -322,5 +322,29 @@ TEST(SegmentSim, SegmentFailureRethrowsFromFlush)
     EXPECT_THROW(sim.flush(), std::invalid_argument);
 }
 
+TEST(SegmentSim, RecordsAfterFlushThrow)
+{
+    // flush() simulated the capture; a later record would join a stage
+    // nothing simulates. Like StreamCore and FileSink, refuse it.
+    const Stream s = makeStream(10'000, 0);
+
+    core::SegmentSimConfig cfg;
+    cfg.segments = 2;
+    core::SegmentSim sim(cfg);
+    sim.onOps(s.ops.data(), s.ops.size());
+    sim.flush();
+    const uarch::CoreStats flushed = sim.stats();
+
+    EXPECT_THROW(sim.onOps(s.ops.data(), s.ops.size()), std::logic_error);
+    EXPECT_THROW(sim.onOp(s.ops.front()), std::logic_error);
+    EXPECT_THROW(sim.onBranch({0x10, true}), std::logic_error);
+    EXPECT_THROW(sim.onKernel(0x4100), std::logic_error);
+    TraceBlock block;
+    block.ops.push_back(s.ops.front());
+    EXPECT_THROW(sim.onBlock(std::move(block)), std::logic_error);
+    sim.flush();
+    EXPECT_EQ(sim.stats(), flushed);
+}
+
 } // namespace
 } // namespace vepro

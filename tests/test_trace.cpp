@@ -838,7 +838,7 @@ TEST(Sink, SiteProfileAttributesEachKernelsOps)
     EXPECT_EQ(sink.siteOps().at(sitePc("sink.kernel.b")), 40u * 54);
 }
 
-// ---- Emission-block boundaries (kBlockOps = 4096) -------------------
+// ---- Emission-block boundaries (TraceBlock::kOps = 4096) ------------
 
 /** Records the exact delivery sequence: op batches (sizes + contents),
  *  branch records, and kernel markers, in arrival order. */
@@ -912,7 +912,7 @@ TEST(Sink, BlockBoundaryPreservesProgramOrder)
                 break;
             }
             ASSERT_EQ(ev.kind, EventRecordingSink::Kind::OpBatch);
-            ASSERT_LE(ev.batchSize, 4096u);  // kBlockOps
+            ASSERT_LE(ev.batchSize, TraceBlock::kOps);
             ops_before_branch += ev.batchSize;
         }
         ASSERT_LT(branch_at, sink.events.size());
@@ -942,6 +942,225 @@ TEST(Sink, BlockBoundaryPreservesProgramOrder)
         EXPECT_EQ(p.recordedOps(), n + 3);
         EXPECT_EQ(p.totalOps(), n + 1 + 4);
     }
+}
+
+// ---- The one staging rule (BlockStager) ------------------------------
+
+/** A BlockSink that keeps every block it is handed. */
+class BlockCollector final : public BlockSink
+{
+  public:
+    BlockCollector() : BlockSink("collector") {}
+    void flush() override { close(); }
+    std::vector<TraceBlock> blocks;
+
+  private:
+    void take(TraceBlock &&block) override
+    {
+        blocks.push_back(std::move(block));
+    }
+};
+
+/** A bare stager and the blocks it publishes. */
+struct Staged {
+    BlockStager stager;
+    std::vector<TraceBlock> blocks;
+    auto
+    publish()
+    {
+        return [this](TraceBlock &&b) { blocks.push_back(std::move(b)); };
+    }
+};
+
+std::vector<TraceOp>
+numberedOps(size_t n)
+{
+    std::vector<TraceOp> ops(n);
+    for (size_t i = 0; i < n; ++i) {
+        ops[i].pc = 0x1000 + 4 * i;
+        ops[i].cls = i % 3 == 0 ? OpClass::Load : OpClass::Alu;
+        ops[i].addr = i % 3 == 0 ? 0x80000 + 8 * i : 0;
+    }
+    return ops;
+}
+
+void
+expectSameBlocks(const std::vector<TraceBlock> &a,
+                 const std::vector<TraceBlock> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+        SCOPED_TRACE("block " + std::to_string(i));
+        expectSameStreams(a[i].ops, b[i].ops);
+        ASSERT_EQ(a[i].events.size(), b[i].events.size());
+        for (size_t e = 0; e < a[i].events.size(); ++e) {
+            const TraceBlock::Event &x = a[i].events[e];
+            const TraceBlock::Event &y = b[i].events[e];
+            EXPECT_EQ(x.pos, y.pos) << "event " << e;
+            EXPECT_EQ(x.kind, y.kind) << "event " << e;
+            EXPECT_EQ(x.taken, y.taken) << "event " << e;
+            EXPECT_EQ(x.value, y.value) << "event " << e;
+        }
+    }
+}
+
+TEST(BlockStager, SpansCutAtKOps)
+{
+    const std::vector<TraceOp> ops = numberedOps(TraceBlock::kOps + 1);
+    for (size_t n : {TraceBlock::kOps - 1, TraceBlock::kOps,
+                     TraceBlock::kOps + 1}) {
+        SCOPED_TRACE("n=" + std::to_string(n));
+        Staged s;
+        s.stager.ops(ops.data(), n, s.publish());
+        // A full block waits for the next op before it publishes.
+        EXPECT_EQ(s.blocks.size(), n > TraceBlock::kOps ? 1u : 0u);
+        s.stager.publishTo(s.publish());
+        s.stager.publishTo(s.publish());  // the stage is empty again
+        ASSERT_EQ(s.blocks.size(), n > TraceBlock::kOps ? 2u : 1u);
+        EXPECT_EQ(s.blocks[0].ops.size(), std::min(n, TraceBlock::kOps));
+        EXPECT_GE(s.blocks[0].ops.capacity(), TraceBlock::kOps);
+        if (n > TraceBlock::kOps) {
+            EXPECT_EQ(s.blocks[1].ops.size(), 1u);
+            EXPECT_EQ(s.blocks[1].ops[0].pc, ops[TraceBlock::kOps].pc);
+        }
+    }
+}
+
+TEST(BlockStager, EventAfterAFullBlockEndsThatBlock)
+{
+    const std::vector<TraceOp> ops = numberedOps(TraceBlock::kOps + 1);
+    Staged s;
+    s.stager.ops(ops.data(), TraceBlock::kOps, s.publish());
+    s.stager.event(TraceBlock::Event::Kernel, 0x7000, false, s.publish());
+    EXPECT_TRUE(s.blocks.empty());
+    s.stager.op(ops.back(), s.publish());
+    ASSERT_EQ(s.blocks.size(), 1u);
+    ASSERT_EQ(s.blocks[0].events.size(), 1u);
+    EXPECT_EQ(s.blocks[0].events[0].pos, TraceBlock::kOps);
+    EXPECT_EQ(s.blocks[0].events[0].value, 0x7000u);
+}
+
+TEST(BlockStager, TheKOpsthEventPublishes)
+{
+    const std::vector<TraceOp> ops = numberedOps(10);
+    Staged s;
+    s.stager.ops(ops.data(), ops.size(), s.publish());
+    for (size_t i = 1; i < TraceBlock::kOps; ++i) {
+        s.stager.event(TraceBlock::Event::Branch, 0x5000 + i, i % 2 == 0,
+                       s.publish());
+    }
+    EXPECT_TRUE(s.blocks.empty());
+    s.stager.event(TraceBlock::Event::Branch, 0x5000, true, s.publish());
+    s.stager.publishTo(s.publish());  // nothing left staged
+    ASSERT_EQ(s.blocks.size(), 1u);
+    EXPECT_EQ(s.blocks[0].ops.size(), 10u);
+    EXPECT_EQ(s.blocks[0].events.size(), TraceBlock::kOps);
+    EXPECT_EQ(s.blocks[0].events.back().pos, 10u);
+}
+
+TEST(BlockStager, OneSpanCrossesTwoBoundaries)
+{
+    const std::vector<TraceOp> ops = numberedOps(10'000);
+    Staged s;
+    s.stager.ops(ops.data(), 3000, s.publish());
+    s.stager.event(TraceBlock::Event::Branch, 0x5000, true, s.publish());
+    s.stager.ops(ops.data() + 3000, 7000, s.publish());
+    s.stager.publishTo(s.publish());
+    ASSERT_EQ(s.blocks.size(), 3u);
+    EXPECT_EQ(s.blocks[0].ops.size(), TraceBlock::kOps);
+    EXPECT_EQ(s.blocks[1].ops.size(), TraceBlock::kOps);
+    EXPECT_EQ(s.blocks[2].ops.size(), 10'000 - 2 * TraceBlock::kOps);
+    ASSERT_EQ(s.blocks[0].events.size(), 1u);
+    EXPECT_EQ(s.blocks[0].events[0].pos, 3000u);
+    std::vector<TraceOp> joined;
+    for (const TraceBlock &b : s.blocks) {
+        joined.insert(joined.end(), b.ops.begin(), b.ops.end());
+    }
+    expectSameStreams(ops, joined);
+}
+
+/** Blocks depend only on the records: one record at a time, spans,
+ *  whole blocks, and whole blocks re-delivered as records by a MuxSink
+ *  all cut the same blocks, branch bursts past kOps events included. */
+TEST(BlockStager, RecordsAndWholeBlocksCutTheSameBlocks)
+{
+    const std::vector<TraceOp> ops = numberedOps(20'000);
+    auto feed = [&](TraceSink &sink, bool spans) {
+        size_t pos = 0;
+        for (size_t round = 0; pos < ops.size(); ++round) {
+            const size_t n =
+                std::min(ops.size() - pos, 1000 + 997 * round % 5000);
+            if (spans) {
+                sink.onOps(ops.data() + pos, n);
+            } else {
+                for (size_t i = 0; i < n; ++i) {
+                    sink.onOp(ops[pos + i]);
+                }
+            }
+            pos += n;
+            sink.onKernel(0x4000 + round);
+            const size_t burst = round == 2 ? 5000 : 300;
+            for (size_t b = 0; b < burst; ++b) {
+                sink.onBranch({0x6000 + b % 64, b % 3 != 0});
+            }
+        }
+        sink.flush();
+    };
+    BlockCollector one_by_one, spans, whole, muxed;
+    feed(one_by_one, false);
+    feed(spans, true);
+    ASSERT_GT(one_by_one.blocks.size(), 5u);
+    expectSameBlocks(one_by_one.blocks, spans.blocks);
+
+    MuxSink mux{&muxed};
+    for (const TraceBlock &b : one_by_one.blocks) {
+        TraceBlock copy = b;
+        whole.onBlock(std::move(copy));
+        mux.onBlock(TraceBlock(b));
+    }
+    whole.flush();
+    mux.flush();
+    expectSameBlocks(one_by_one.blocks, whole.blocks);
+    expectSameBlocks(one_by_one.blocks, muxed.blocks);
+
+    EXPECT_THROW(whole.onOp(ops[0]), std::logic_error);
+}
+
+/** The capture path the lab uses: a probe that records exactly kOps ops
+ *  and then enters a kernel stages the kernel event at pos kOps, and
+ *  the file must hold that block, not start the next one with it. */
+TEST(TraceFile, CaptureKeepsTheProbesBlocks)
+{
+    auto emit = [](Probe &p) {
+        p.enterKernel(sitePc("tracefile.cuts.a"), 16);  // 2 ops recorded
+        p.ops(OpClass::SimdAlu, TraceBlock::kOps - 2, 1);
+        p.enterKernel(sitePc("tracefile.cuts.b"), 16);
+        p.ops(OpClass::Alu, 100);
+        p.flushToSink();
+    };
+    BlockCollector live;
+    Probe direct(ProbeConfig::streaming(true));
+    direct.setSink(&live);
+    emit(direct);
+    live.flush();
+    ASSERT_EQ(live.blocks.size(), 2u);
+    ASSERT_EQ(live.blocks[0].events.size(), 2u);
+    EXPECT_EQ(live.blocks[0].events[1].pos, TraceBlock::kOps);
+
+    const std::string path = "/tmp/vepro_test_tracefile_cuts.vetf";
+    {
+        FileSink file(path);
+        MuxSink mux{&file};
+        Probe fed(ProbeConfig::streaming(true));
+        fed.setSink(&mux);
+        emit(fed);
+        mux.flush();
+    }
+    BlockCollector replayed;
+    FileSource(path).replay(replayed);
+    replayed.flush();
+    expectSameBlocks(live.blocks, replayed.blocks);
+    std::filesystem::remove(path);
 }
 
 } // namespace
