@@ -8,13 +8,17 @@
  *
  * The BM_Table* group benches the scalar reference table against the
  * runtime-dispatched table side by side (same buffers, same geometry),
- * so a single run reports the SIMD speedup per kernel. The report
- * context line `kernel_isa` records what the dispatcher resolved to.
+ * so a single run reports the SIMD speedup per kernel, at the shapes an
+ * encode runs most: SAD down to 4x4, every transform size and each
+ * sub-pel phase. The report context line `kernel_isa` records what the
+ * dispatcher resolved to.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "codec/intra.hpp"
@@ -236,12 +240,30 @@ registerKernelSuite(const codec::KernelTable &t, const std::string &tag)
                 state.SetItemsProcessed(state.iterations() * n * n);
             });
     }
-    for (int n : {8, 32}) {
+    // The block shapes the encode's motion search and RD loop run most.
+    for (std::pair<int, int> shape :
+         {std::pair{4, 4}, std::pair{4, 8}, std::pair{8, 4}, std::pair{8, 8}}) {
+        const int w = shape.first, h = shape.second;
+        RegisterBenchmark(
+            ("BM_TableSad/" + tag + "/" + std::to_string(w) + "x" +
+             std::to_string(h))
+                .c_str(),
+            [&t, w, h](benchmark::State &state) {
+                video::Plane a = randomPlane(64, 64, 1);
+                video::Plane b = randomPlane(64, 64, 2);
+                for (auto _ : state) {
+                    benchmark::DoNotOptimize(t.sad(a.data(), a.stride(),
+                                                   b.data(), b.stride(), w,
+                                                   h));
+                }
+                state.SetItemsProcessed(state.iterations() * w * h);
+            });
+    }
+    for (int n : {4, 8, 16, 32}) {
         std::string sz = "/" + std::to_string(n);
         RegisterBenchmark(
             ("BM_TableFdct/" + tag + sz).c_str(),
             [&t, n](benchmark::State &state) {
-                const int32_t *basis = codec::dctBasis(n);
                 std::vector<int16_t> src(static_cast<size_t>(n) * n);
                 video::Rng rng(11);
                 for (int16_t &x : src) {
@@ -250,7 +272,7 @@ registerKernelSuite(const codec::KernelTable &t, const std::string &tag)
                 }
                 std::vector<int32_t> dst(src.size());
                 for (auto _ : state) {
-                    t.fdct(src.data(), dst.data(), n, basis);
+                    t.fdct(src.data(), dst.data(), n);
                     benchmark::DoNotOptimize(dst.data());
                 }
                 state.SetItemsProcessed(state.iterations() * n * n);
@@ -258,7 +280,6 @@ registerKernelSuite(const codec::KernelTable &t, const std::string &tag)
         RegisterBenchmark(
             ("BM_TableIdct/" + tag + sz).c_str(),
             [&t, n](benchmark::State &state) {
-                const int32_t *basis = codec::dctBasis(n);
                 std::vector<int32_t> src(static_cast<size_t>(n) * n);
                 video::Rng rng(12);
                 for (int32_t &x : src) {
@@ -266,11 +287,35 @@ registerKernelSuite(const codec::KernelTable &t, const std::string &tag)
                 }
                 std::vector<int16_t> dst(src.size());
                 for (auto _ : state) {
-                    t.idct(src.data(), dst.data(), n, basis);
+                    t.idct(src.data(), dst.data(), n);
                     benchmark::DoNotOptimize(dst.data());
                 }
                 state.SetItemsProcessed(state.iterations() * n * n);
             });
+    }
+    // subpel4 per phase, reading inside a plane so the filter's margin
+    // (one pel before the block, two after) is there.
+    for (int n : {8, 16}) {
+        for (auto [phase, half_x, half_y] :
+             {std::tuple{"h", true, false}, std::tuple{"v", false, true},
+              std::tuple{"hv", true, true}}) {
+            RegisterBenchmark(
+                ("BM_TableSubpel4/" + tag + "/" + phase + "/" +
+                 std::to_string(n))
+                    .c_str(),
+                [&t, n, hx = half_x, hy = half_y](benchmark::State &state) {
+                    video::Plane ref = randomPlane(64, 64, 15);
+                    video::Plane dst(64, 64);
+                    const uint8_t *origin = ref.data() + 8 * ref.stride() + 8;
+                    for (auto _ : state) {
+                        t.subpel4(origin, ref.stride(), n, n, hx, hy,
+                                  dst.data(), dst.stride());
+                        benchmark::DoNotOptimize(dst.data());
+                        benchmark::ClobberMemory();
+                    }
+                    state.SetItemsProcessed(state.iterations() * n * n);
+                });
+        }
     }
     RegisterBenchmark(
         ("BM_TableQuant/" + tag).c_str(),

@@ -902,15 +902,14 @@ Fuzzer::runKernelsCase(uint64_t seed, Divergence &out)
     // Transform + quantiser round at a randomized size / q-point.
     static const int kTx[] = {4, 8, 16, 32};
     const int n = kTx[rng.below(4)];
-    const int32_t *basis = codec::dctBasis(n);
     const size_t count = static_cast<size_t>(n) * n;
     std::vector<int16_t> src(count);
     for (int16_t &x : src) {
         x = static_cast<int16_t>(rng.next());
     }
     std::vector<int32_t> tx_s(count), tx_f(count);
-    scalar.fdct(src.data(), tx_s.data(), n, basis);
-    fast.fdct(src.data(), tx_f.data(), n, basis);
+    scalar.fdct(src.data(), tx_s.data(), n);
+    fast.fdct(src.data(), tx_f.data(), n);
     if (tx_s != tx_f) {
         return fail("fdct(n=" + std::to_string(n) + ")");
     }
@@ -920,8 +919,8 @@ Fuzzer::runKernelsCase(uint64_t seed, Divergence &out)
     }
     for (const std::vector<int32_t> *in : {&tx_s, &coeff}) {
         std::vector<int16_t> px_s(count), px_f(count);
-        scalar.idct(in->data(), px_s.data(), n, basis);
-        fast.idct(in->data(), px_f.data(), n, basis);
+        scalar.idct(in->data(), px_s.data(), n);
+        fast.idct(in->data(), px_f.data(), n);
         if (px_s != px_f) {
             return fail("idct(n=" + std::to_string(n) + ")");
         }
@@ -943,6 +942,56 @@ Fuzzer::runKernelsCase(uint64_t seed, Divergence &out)
     fast.dequant(lv_s.data(), dq_f.data(), static_cast<int>(count), step);
     if (dq_s != dq_f) {
         return fail("dequant(n=" + std::to_string(n) + ")");
+    }
+
+    // Everything below is drawn after the draws above, so each seed
+    // keeps the stream it had before these cases existed.
+
+    // Sub-pel: one phase over a source holding exactly the filter's
+    // margin (one pel before the block, two after).
+    const int sw = kDims[rng.below(11)];
+    const int sh = kDims[rng.below(11)];
+    const int phase = 1 + static_cast<int>(rng.below(3));
+    const bool half_x = phase & 1, half_y = phase & 2;
+    const int src_stride = sw + 3 + static_cast<int>(rng.below(25));
+    const int dst_stride = sw + static_cast<int>(rng.below(25));
+    std::vector<uint8_t> ref(static_cast<size_t>(sh + 2) * src_stride + sw +
+                             3);
+    for (uint8_t &x : ref) {
+        x = static_cast<uint8_t>(rng.next());
+    }
+    const uint8_t *origin = ref.data() + src_stride + 1;
+    std::vector<uint8_t> mc_s(static_cast<size_t>(dst_stride) * sh, 0);
+    std::vector<uint8_t> mc_f(mc_s.size(), 0);
+    scalar.subpel4(origin, src_stride, sw, sh, half_x, half_y, mc_s.data(),
+                   dst_stride);
+    fast.subpel4(origin, src_stride, sw, sh, half_x, half_y, mc_f.data(),
+                 dst_stride);
+    if (mc_s != mc_f) {
+        return fail("subpel4(" + std::to_string(sw) + "x" +
+                    std::to_string(sh) + ", phase " + std::to_string(phase) +
+                    ")");
+    }
+
+    // An idct block at a random scale up to all of int32, so about a
+    // third of the cases land past kIdctExactBound, where a vector
+    // table hands the block to the scalar path.
+    const int shift = static_cast<int>(rng.below(9));
+    std::vector<int32_t> wide(count);
+    bool past = false;
+    for (int32_t &x : wide) {
+        x = static_cast<int32_t>(static_cast<uint32_t>(rng.next())) >> shift;
+        past |= x >= codec::kIdctExactBound || x <= -codec::kIdctExactBound;
+    }
+    std::vector<int16_t> px_s(count), px_f(count);
+    scalar.idct(wide.data(), px_s.data(), n);
+    if (options_.inject == Fault::KernelsIdct && past) {
+        px_s[0] ^= 1;  // deliberately wrong oracle; harness must notice
+    }
+    fast.idct(wide.data(), px_f.data(), n);
+    if (px_s != px_f) {
+        return fail("idct(n=" + std::to_string(n) + ", past the bound: " +
+                    (past ? "yes" : "no") + ")");
     }
     return false;
 }

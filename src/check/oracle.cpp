@@ -15,6 +15,7 @@ faultName(Fault fault)
       case Fault::CoreLatency: return "core-latency";
       case Fault::BpredAlloc: return "bpred-alloc";
       case Fault::KernelsSad: return "kernels-sad";
+      case Fault::KernelsIdct: return "kernels-idct";
       case Fault::StoreBit: return "store-bit";
       case Fault::ParallelDrop: return "parallel-drop";
       case Fault::BackendEnergy: return "backend-energy";
@@ -31,7 +32,8 @@ bool
 parseFault(const std::string &name, Fault &out)
 {
     for (Fault f : {Fault::None, Fault::CacheLru, Fault::CoreLatency,
-                    Fault::BpredAlloc, Fault::KernelsSad, Fault::StoreBit,
+                    Fault::BpredAlloc, Fault::KernelsSad,
+                    Fault::KernelsIdct, Fault::StoreBit,
                     Fault::ParallelDrop, Fault::BackendEnergy,
                     Fault::TraceFileDelta, Fault::LadderHull,
                     Fault::ProbeQuiet, Fault::ProbeTally, Fault::FarmTie}) {

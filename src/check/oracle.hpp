@@ -47,6 +47,8 @@ enum class Fault {
     CoreLatency,    ///< Divide executes in 19 cycles instead of 20.
     BpredAlloc,     ///< TAGE skips the probabilistic allocation offset.
     KernelsSad,     ///< Oracle SAD reports one too many on 64+ px blocks.
+    KernelsIdct,    ///< Oracle idct is off by one on blocks past the
+                    ///< vector path's bound (codec::kIdctExactBound).
     StoreBit,       ///< Round-trip flips one mantissa bit of a double.
     ParallelDrop,   ///< Sequential reference stream drops its last op.
     BackendEnergy,  ///< Energy weights: L2 and LLC miss nJ swapped

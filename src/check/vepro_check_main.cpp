@@ -49,7 +49,7 @@ usage(const std::string &error)
         "                   [--corpus=DIR] [--case=FILE] [--inject=FAULT]\n"
         "                   [--repro-out=FILE]\n"
         "faults: none cache-lru core-latency bpred-alloc kernels-sad "
-        "store-bit parallel-drop backend-energy tracefile-delta "
+        "kernels-idct store-bit parallel-drop backend-energy tracefile-delta "
         "ladder-hull probe-quiet probe-tally farm-tie\n");
     std::exit(2);
 }

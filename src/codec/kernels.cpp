@@ -1,8 +1,11 @@
 #include "codec/kernels.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdlib>
+#include <stdexcept>
+#include <vector>
 
 #include "codec/transform.hpp"
 
@@ -128,11 +131,27 @@ reconstructScalar(const uint8_t *pred, int pred_stride, const int16_t *res,
     }
 }
 
-constexpr int kFracBits = 10;  // must match the basis scale in transform.cpp
+constexpr int kFracBits = 10;  // basis scale = 1024
+
+std::vector<int32_t>
+makeBasis(int n)
+{
+    std::vector<int32_t> fwd(static_cast<size_t>(n) * n);
+    for (int k = 0; k < n; ++k) {
+        double ck = k == 0 ? std::sqrt(1.0 / n) : std::sqrt(2.0 / n);
+        for (int i = 0; i < n; ++i) {
+            double v = ck * std::cos((2 * i + 1) * k * M_PI / (2.0 * n));
+            fwd[static_cast<size_t>(k) * n + i] =
+                static_cast<int32_t>(std::lround(v * (1 << kFracBits)));
+        }
+    }
+    return fwd;
+}
 
 void
-fdctScalar(const int16_t *src, int32_t *dst, int n, const int32_t *basis)
+fdctScalar(const int16_t *src, int32_t *dst, int n)
 {
+    const int32_t *basis = dctBasis(n);
     int64_t tmp[kMaxTxSize * kMaxTxSize];
 
     // Rows: tmp[r][k] = sum_i src[r][i] * T[k][i]
@@ -163,8 +182,9 @@ fdctScalar(const int16_t *src, int32_t *dst, int n, const int32_t *basis)
 }
 
 void
-idctScalar(const int32_t *src, int16_t *dst, int n, const int32_t *basis)
+idctScalar(const int32_t *src, int16_t *dst, int n)
 {
+    const int32_t *basis = dctBasis(n);
     int64_t tmp[kMaxTxSize * kMaxTxSize];
 
     // Columns: tmp[r][c] = sum_k T[k][r] * src[k][c]
@@ -250,6 +270,50 @@ lerpblendScalar(const uint8_t *a, const uint8_t *b, int w6, uint8_t *dst,
     }
 }
 
+/** 4-tap (-1,5,5,-1)/8 interpolation, rounded and clamped to a pel. */
+inline int
+tap4(int a, int b, int c, int d)
+{
+    int v = (-a + 5 * b + 5 * c - d + 4) >> 3;
+    return std::clamp(v, 0, 255);
+}
+
+/**
+ * The 4-tap along direction @p d (1: horizontal, stride: vertical);
+ * kAvg averages it with the same tap on the next row down, the
+ * both-phases case.
+ */
+template <bool kAvg>
+void
+subpel4Pass(const uint8_t *src, ptrdiff_t stride, ptrdiff_t d, int w, int h,
+            uint8_t *dst, ptrdiff_t dst_stride)
+{
+    for (int y = 0; y < h; ++y) {
+        const uint8_t *p = src + y * stride;
+        const uint8_t *q = p + stride;
+        uint8_t *out = dst + y * dst_stride;
+        for (int x = 0; x < w; ++x) {
+            int v = tap4(p[x - d], p[x], p[x + d], p[x + 2 * d]);
+            if constexpr (kAvg) {
+                v = (v + tap4(q[x - d], q[x], q[x + d], q[x + 2 * d]) + 1) >> 1;
+            }
+            out[x] = static_cast<uint8_t>(v);
+        }
+    }
+}
+
+void
+subpel4Scalar(const uint8_t *src, int src_stride, int w, int h, bool half_x,
+              bool half_y, uint8_t *dst, int dst_stride)
+{
+    if (half_x && half_y) {
+        subpel4Pass<true>(src, src_stride, 1, w, h, dst, dst_stride);
+    } else {
+        subpel4Pass<false>(src, src_stride, half_x ? 1 : src_stride, w, h,
+                           dst, dst_stride);
+    }
+}
+
 const KernelTable &
 resolveTable()
 {
@@ -257,30 +321,32 @@ resolveTable()
         force != nullptr && force[0] == '1') {
         return scalarKernels();
     }
-#if defined(__x86_64__) || defined(_M_X64)
-    if (__builtin_cpu_supports("avx2")) {
-        if (const KernelTable *t = avx2Kernels()) {
-            return *t;
-        }
+    if (const KernelTable *t = avx2Kernels()) {
+        return *t;
     }
-#elif defined(__aarch64__)
-#if defined(__linux__)
-    if (getauxval(AT_HWCAP) & HWCAP_ASIMD) {
-        if (const KernelTable *t = neonKernels()) {
-            return *t;
-        }
-    }
-#else
-    // AdvSIMD is architecturally mandatory on aarch64.
     if (const KernelTable *t = neonKernels()) {
         return *t;
     }
-#endif
-#endif
     return scalarKernels();
 }
 
 } // namespace
+
+const int32_t *
+dctBasis(int n)
+{
+    static const std::vector<int32_t> b4 = makeBasis(4);
+    static const std::vector<int32_t> b8 = makeBasis(8);
+    static const std::vector<int32_t> b16 = makeBasis(16);
+    static const std::vector<int32_t> b32 = makeBasis(32);
+    switch (n) {
+      case 4: return b4.data();
+      case 8: return b8.data();
+      case 16: return b16.data();
+      case 32: return b32.data();
+      default: throw std::invalid_argument("transform: unsupported size");
+    }
+}
 
 const KernelTable &
 scalarKernels()
@@ -300,6 +366,7 @@ scalarKernels()
         t.dequant = dequantScalar;
         t.boxdown = boxdownScalar;
         t.lerpblend = lerpblendScalar;
+        t.subpel4 = subpel4Scalar;
         return t;
     }();
     return table;
@@ -309,20 +376,25 @@ const KernelTable *
 avx2Kernels()
 {
 #if defined(VEPRO_HAVE_AVX2)
-    return detail::avx2KernelsImpl();
-#else
-    return nullptr;
+    if (__builtin_cpu_supports("avx2")) {
+        return detail::avx2KernelsImpl();
+    }
 #endif
+    return nullptr;
 }
 
 const KernelTable *
 neonKernels()
 {
-#if defined(VEPRO_HAVE_NEON)
+#if defined(VEPRO_HAVE_NEON) && defined(__linux__)
+    if (getauxval(AT_HWCAP) & HWCAP_ASIMD) {
+        return detail::neonKernelsImpl();
+    }
+#elif defined(VEPRO_HAVE_NEON)
+    // AdvSIMD is architecturally mandatory on aarch64.
     return detail::neonKernelsImpl();
-#else
-    return nullptr;
 #endif
+    return nullptr;
 }
 
 const KernelTable &

@@ -11,9 +11,11 @@
  *    irrelevant and results are exact.
  *  - reconstruct uses saturating int16 adds; clamp(sat16(p + r), 0, 255)
  *    equals clamp(p + r, 0, 255) for p in [0,255] and any int16 r.
- *  - The DCT passes keep the scalar operation structure (exact 32x32->64
- *    products via vpmuldq; the inverse row pass emulates a full 64x32
- *    multiply) so the rounding/truncation points match exactly.
+ *  - The DCT passes are even/odd butterflies in double lanes whose every
+ *    value is an integer below 2^53, so they form the scalar's exact
+ *    int64 sums before its one rounding (see "DCT passes" below).
+ *  - subpel4 keeps each tap in 16-bit lanes, which cannot overflow;
+ *    packus is the scalar clamp and pavgb the scalar average.
  *  - quant/dequant perform the same IEEE-754 double operations as the
  *    scalar loop, and cvttpd truncates toward zero exactly like the
  *    scalar int cast.
@@ -25,7 +27,10 @@
 
 #include <immintrin.h>
 
+#include <array>
 #include <cstddef>
+#include <cstring>
+#include <utility>
 
 namespace vepro::codec
 {
@@ -36,52 +41,92 @@ namespace
 // ---------------------------------------------------------------- helpers
 
 inline uint64_t
+hsumEpi64(__m128i v)
+{
+    return static_cast<uint64_t>(_mm_cvtsi128_si64(v)) +
+           static_cast<uint64_t>(_mm_cvtsi128_si64(_mm_unpackhi_epi64(v, v)));
+}
+
+inline uint64_t
 hsumEpi64(__m256i v)
 {
-    __m128i lo = _mm256_castsi256_si128(v);
-    __m128i hi = _mm256_extracti128_si256(v, 1);
-    __m128i s = _mm_add_epi64(lo, hi);
-    return static_cast<uint64_t>(_mm_cvtsi128_si64(s)) +
-           static_cast<uint64_t>(
-               _mm_cvtsi128_si64(_mm_unpackhi_epi64(s, s)));
+    return hsumEpi64(_mm_add_epi64(_mm256_castsi256_si128(v),
+                                   _mm256_extracti128_si256(v, 1)));
 }
 
-inline int64_t
-hsumEpi32To64(__m256i v)
+/** Four unaligned bytes as the low lane of a vector. */
+inline __m128i
+load4(const uint8_t *p)
 {
-    // Exact sum of 8 int32 lanes (no lane can overflow the int64 sum).
-    __m256i lo = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(v));
-    __m256i hi = _mm256_cvtepi32_epi64(_mm256_extracti128_si256(v, 1));
-    return static_cast<int64_t>(hsumEpi64(_mm256_add_epi64(lo, hi)));
-}
-
-/** Low 64 bits of the lane-wise signed 64x64 product (Agner Fog). */
-inline __m256i
-mul64(__m256i a, __m256i b)
-{
-    __m256i bswap = _mm256_shuffle_epi32(b, 0xB1);
-    __m256i prodlh = _mm256_mullo_epi32(a, bswap);
-    __m256i prodlh2 = _mm256_hadd_epi32(prodlh, _mm256_setzero_si256());
-    __m256i prodlh3 = _mm256_shuffle_epi32(prodlh2, 0x73);
-    __m256i prodll = _mm256_mul_epu32(a, b);
-    return _mm256_add_epi64(prodll, prodlh3);
-}
-
-/** Arithmetic 64-bit right shift by the transform scale (20 bits). */
-inline __m256i
-srai64Scale(__m256i x)
-{
-    __m256i neg = _mm256_cmpgt_epi64(_mm256_setzero_si256(), x);
-    return _mm256_or_si256(_mm256_srli_epi64(x, 20),
-                           _mm256_slli_epi64(neg, 44));
+    int v = 0;
+    std::memcpy(&v, p, 4);
+    return _mm_cvtsi32_si128(v);
 }
 
 // -------------------------------------------------------------- SAD / SSE
+
+/** SAD of a 4-wide block: four rows share one psadbw. */
+uint64_t
+sadW4(const uint8_t *a, int a_stride, const uint8_t *b, int b_stride, int h)
+{
+    __m128i acc = _mm_setzero_si128();
+    int y = 0;
+    for (; y + 4 <= h; y += 4) {
+        const uint8_t *ra = a + static_cast<ptrdiff_t>(y) * a_stride;
+        const uint8_t *rb = b + static_cast<ptrdiff_t>(y) * b_stride;
+        __m128i va = _mm_unpacklo_epi64(
+            _mm_unpacklo_epi32(load4(ra), load4(ra + a_stride)),
+            _mm_unpacklo_epi32(load4(ra + 2 * a_stride),
+                               load4(ra + 3 * a_stride)));
+        __m128i vb = _mm_unpacklo_epi64(
+            _mm_unpacklo_epi32(load4(rb), load4(rb + b_stride)),
+            _mm_unpacklo_epi32(load4(rb + 2 * b_stride),
+                               load4(rb + 3 * b_stride)));
+        acc = _mm_add_epi64(acc, _mm_sad_epu8(va, vb));
+    }
+    for (; y < h; ++y) {
+        acc = _mm_add_epi64(
+            acc, _mm_sad_epu8(load4(a + static_cast<ptrdiff_t>(y) * a_stride),
+                              load4(b + static_cast<ptrdiff_t>(y) * b_stride)));
+    }
+    return hsumEpi64(acc);
+}
+
+/** SAD of an 8-wide block: two rows share one psadbw. */
+uint64_t
+sadW8(const uint8_t *a, int a_stride, const uint8_t *b, int b_stride, int h)
+{
+    auto load8 = [](const uint8_t *p) {
+        return _mm_loadl_epi64(reinterpret_cast<const __m128i *>(p));
+    };
+    __m128i acc = _mm_setzero_si128();
+    int y = 0;
+    for (; y + 2 <= h; y += 2) {
+        const uint8_t *ra = a + static_cast<ptrdiff_t>(y) * a_stride;
+        const uint8_t *rb = b + static_cast<ptrdiff_t>(y) * b_stride;
+        acc = _mm_add_epi64(
+            acc, _mm_sad_epu8(
+                     _mm_unpacklo_epi64(load8(ra), load8(ra + a_stride)),
+                     _mm_unpacklo_epi64(load8(rb), load8(rb + b_stride))));
+    }
+    if (y < h) {
+        acc = _mm_add_epi64(
+            acc, _mm_sad_epu8(load8(a + static_cast<ptrdiff_t>(y) * a_stride),
+                              load8(b + static_cast<ptrdiff_t>(y) * b_stride)));
+    }
+    return hsumEpi64(acc);
+}
 
 uint64_t
 sadAvx2(const uint8_t *a, int a_stride, const uint8_t *b, int b_stride,
         int w, int h)
 {
+    if (w == 4) {
+        return sadW4(a, a_stride, b, b_stride, h);
+    }
+    if (w == 8) {
+        return sadW8(a, a_stride, b, b_stride, h);
+    }
     __m256i acc = _mm256_setzero_si256();
     __m128i acc128 = _mm_setzero_si128();
     uint64_t tail = 0;
@@ -110,16 +155,17 @@ sadAvx2(const uint8_t *a, int a_stride, const uint8_t *b, int b_stride,
                 _mm_loadl_epi64(reinterpret_cast<const __m128i *>(rb + x));
             acc128 = _mm_add_epi64(acc128, _mm_sad_epu8(va, vb));
         }
+        if (x + 4 <= w) {
+            acc128 = _mm_add_epi64(acc128,
+                                   _mm_sad_epu8(load4(ra + x), load4(rb + x)));
+            x += 4;
+        }
         for (; x < w; ++x) {
             int d = static_cast<int>(ra[x]) - static_cast<int>(rb[x]);
             tail += static_cast<uint64_t>(d < 0 ? -d : d);
         }
     }
-    uint64_t sum = hsumEpi64(acc) + tail;
-    sum += static_cast<uint64_t>(_mm_cvtsi128_si64(acc128));
-    sum += static_cast<uint64_t>(
-        _mm_cvtsi128_si64(_mm_unpackhi_epi64(acc128, acc128)));
-    return sum;
+    return hsumEpi64(acc) + hsumEpi64(acc128) + tail;
 }
 
 uint64_t
@@ -246,11 +292,10 @@ satd4Avx2(const uint8_t *a, int a_stride, const uint8_t *b, int b_stride)
 {
     __m128i r[4];
     for (int y = 0; y < 4; ++y) {
-        int ia = 0, ib = 0;
-        __builtin_memcpy(&ia, a + static_cast<ptrdiff_t>(y) * a_stride, 4);
-        __builtin_memcpy(&ib, b + static_cast<ptrdiff_t>(y) * b_stride, 4);
-        __m128i va = _mm_cvtepu8_epi16(_mm_cvtsi32_si128(ia));
-        __m128i vb = _mm_cvtepu8_epi16(_mm_cvtsi32_si128(ib));
+        __m128i va = _mm_cvtepu8_epi16(
+            load4(a + static_cast<ptrdiff_t>(y) * a_stride));
+        __m128i vb = _mm_cvtepu8_epi16(
+            load4(b + static_cast<ptrdiff_t>(y) * b_stride));
         r[y] = _mm_sub_epi16(va, vb);  // 4 int16 in the low half, rest 0
     }
     butterflyRows<4>(r);
@@ -348,154 +393,393 @@ reconstructAvx2(const uint8_t *pred, int pred_stride, const int16_t *res,
 }
 
 // -------------------------------------------------------------- DCT passes
+//
+// Both transforms run in double lanes, four columns per vector: a column
+// pass, then a row pass on the column pass's output transposed in 4x4
+// tiles. Every value they form is an integer: sums and differences of
+// inputs, their products with basis entries, and partial sums of those.
+// While each stays below 2^53 a double holds it exactly, so the lanes
+// reach the same integer as the scalar int64 loops before the one
+// rounding, in any order and with or without FMA contraction.
+//  - fdct: |input| <= 2^15 and 5792 is the largest row abs-sum of any
+//    basis, so every value stays below 2^15 * 5792^2 < 2^40.
+//  - idct: with every |coeff| < kIdctExactBound (2^28) and 5268 the
+//    largest column abs-sum, below 2^28 * 5268^2 + 2^19 < 2^53. A block
+//    with a larger coefficient, which no encode produces, goes to the
+//    scalar reference.
+//
+// Each 1-D pass is an exact even/odd butterfly. The rounded basis is
+// symmetric at every level, T[s*j][N-1-r] == (-1)^j * T[s*j][r] with
+// N = n/s (TransformKernels.BasisIsSymmetricAtEveryLevel), so an N-point
+// pass splits into N/2 sums and N/2 differences: the differences feed
+// the odd outputs directly, the sums an N/2-point pass at stride 2s. A
+// 32-point pass takes 342 multiplies instead of 1024.
+
+/** dctBasis(N) as doubles, row-major [k][i]. */
+template <int N>
+const double *
+basisPd()
+{
+    static const std::array<double, N * N> table = [] {
+        std::array<double, N * N> t{};
+        const int32_t *b = dctBasis(N);
+        for (int i = 0; i < N * N; ++i) {
+            t[i] = b[i];
+        }
+        return t;
+    }();
+    return table.data();
+}
 
 /**
- * Forward DCT. Row pass: all products and partial sums provably fit
- * int32 for int16 input (|basis| <= 1024*sqrt(2/n), so |tmp| < 2^29), so
- * plain 32-bit lane math is exact and tmp can be stored as int32 even
- * though the scalar reference accumulates in int64. Column pass: 32x32
- * products reach ~2^41 and are taken exactly via vpmuldq into int64.
+ * acc[m] += v * t[m * Tm] for each m of the pack, in straight-line code;
+ * kFirst starts the sums instead.
  */
-void
-fdctAvx2(const int16_t *src, int32_t *dst, int n, const int32_t *basis)
+template <bool kFirst, int Tm, size_t... M>
+inline void
+accumulate(__m256d *acc, __m256d v, const double *t,
+           std::index_sequence<M...>)
 {
-    if (n < 8) {
-        scalarKernels().fdct(src, dst, n, basis);
-        return;
+    if constexpr (kFirst) {
+        ((acc[M] = _mm256_mul_pd(v, _mm256_broadcast_sd(t + M * Tm))), ...);
+    } else {
+        ((acc[M] = _mm256_add_pd(
+              acc[M], _mm256_mul_pd(v, _mm256_broadcast_sd(t + M * Tm)))),
+         ...);
     }
-    alignas(32) int32_t srcw[32];
-    alignas(32) int32_t tmp[32 * 32];
+}
 
-    for (int r = 0; r < n; ++r) {
-        const int16_t *src_row = src + static_cast<ptrdiff_t>(r) * n;
-        for (int i = 0; i < n; i += 8) {
-            _mm256_store_si256(
-                reinterpret_cast<__m256i *>(srcw + i),
-                _mm256_cvtepi16_epi32(_mm_loadu_si128(
-                    reinterpret_cast<const __m128i *>(src_row + i))));
+/**
+ * out[m * OutStep] = sum over q < Q of in[q * InStep] * t[q * Tq + m * Tm]
+ * for m < M. Eight sums advance side by side in registers, so each
+ * input vector is loaded once per eight of them.
+ */
+template <int M, int Q, int InStep, int Tq, int Tm, int OutStep>
+inline void
+dot(const __m256d *in, const double *t, __m256d *out)
+{
+    constexpr int kB = M < 8 ? M : 8;
+    for (int m0 = 0; m0 < M; m0 += kB) {
+        __m256d acc[kB];
+        accumulate<true, Tm>(acc, in[0], t + m0 * Tm,
+                             std::make_index_sequence<kB>{});
+        for (int q = 1; q < Q; ++q) {
+            accumulate<false, Tm>(acc, in[q * InStep], t + q * Tq + m0 * Tm,
+                                  std::make_index_sequence<kB>{});
         }
-        for (int k = 0; k < n; ++k) {
-            const int32_t *brow = basis + static_cast<ptrdiff_t>(k) * n;
-            __m256i acc = _mm256_setzero_si256();
-            for (int i = 0; i < n; i += 8) {
-                __m256i s =
-                    _mm256_load_si256(reinterpret_cast<__m256i *>(srcw + i));
-                __m256i t = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(brow + i));
-                acc = _mm256_add_epi32(acc, _mm256_mullo_epi32(s, t));
-            }
-            tmp[static_cast<size_t>(r) * n + k] =
-                static_cast<int32_t>(hsumEpi32To64(acc));
-        }
-    }
-
-    const __m256i round = _mm256_set1_epi64x(1LL << 19);
-    for (int k = 0; k < n; ++k) {
-        const int32_t *brow = basis + static_cast<ptrdiff_t>(k) * n;
-        for (int c = 0; c < n; c += 8) {
-            __m256i acc_even = round;
-            __m256i acc_odd = round;
-            for (int r = 0; r < n; ++r) {
-                __m256i b = _mm256_set1_epi32(brow[r]);
-                __m256i t = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(
-                        tmp + static_cast<size_t>(r) * n + c));
-                acc_even = _mm256_add_epi64(acc_even,
-                                            _mm256_mul_epi32(t, b));
-                acc_odd = _mm256_add_epi64(
-                    acc_odd,
-                    _mm256_mul_epi32(_mm256_srli_epi64(t, 32), b));
-            }
-            __m256i even = srai64Scale(acc_even);
-            __m256i odd = srai64Scale(acc_odd);
-            __m256i out = _mm256_blend_epi32(
-                even, _mm256_slli_epi64(odd, 32), 0xAA);
-            _mm256_storeu_si256(
-                reinterpret_cast<__m256i *>(
-                    dst + static_cast<size_t>(k) * n + c),
-                out);
+        for (int m = 0; m < kB; ++m) {
+            out[(m0 + m) * OutStep] = acc[m];
         }
     }
 }
 
 /**
- * Inverse DCT. The intermediate tmp can exceed int32 for legal
- * coefficient input, so the column pass stores exact int64 (vpmuldq)
- * and the row pass multiplies 64x32 via the emulated full multiply.
+ * Forward N-point pass at stride S of the n = N*S point basis @p t:
+ * y[S*j] = sum_r T[S*j][r] * x[r] for j < N.
  */
-void
-idctAvx2(const int32_t *src, int16_t *dst, int n, const int32_t *basis)
+template <int N, int S>
+inline void
+fwdPass(const __m256d *x, __m256d *y, const double *t)
 {
-    if (n < 8) {
-        scalarKernels().idct(src, dst, n, basis);
+    constexpr int n = N * S;
+    if constexpr (N == 1) {
+        y[0] = _mm256_mul_pd(x[0], _mm256_broadcast_sd(t));
+    } else {
+        __m256d sum[N / 2], diff[N / 2];
+        for (int r = 0; r < N / 2; ++r) {
+            sum[r] = _mm256_add_pd(x[r], x[N - 1 - r]);
+            diff[r] = _mm256_sub_pd(x[r], x[N - 1 - r]);
+        }
+        // Odd j = 2m+1: row S*j of the basis against the differences.
+        dot<N / 2, N / 2, 1, 1, 2 * S * n, 2 * S>(diff, t + S * n, y + S);
+        fwdPass<N / 2, 2 * S>(sum, y, t);
+    }
+}
+
+/**
+ * Inverse N-point pass at stride S of the n = N*S point basis @p t:
+ * x[r] = sum_j T[S*j][r] * y[S*j] for r < N.
+ */
+template <int N, int S>
+inline void
+invPass(const __m256d *y, __m256d *x, const double *t)
+{
+    constexpr int n = N * S;
+    if constexpr (N == 1) {
+        x[0] = _mm256_mul_pd(y[0], _mm256_broadcast_sd(t));
+    } else {
+        __m256d even[N / 2], odd[N / 2];
+        invPass<N / 2, 2 * S>(y, even, t);
+        // The odd inputs y[S*(2q+1)] against their basis rows.
+        dot<N / 2, N / 2, 2 * S, 2 * S * n, 1, 1>(y + S, t + S * n, odd);
+        for (int r = 0; r < N / 2; ++r) {
+            x[r] = _mm256_add_pd(even[r], odd[r]);
+            x[N - 1 - r] = _mm256_sub_pd(even[r], odd[r]);
+        }
+    }
+}
+
+inline void
+transpose4(__m256d *v)
+{
+    __m256d t0 = _mm256_unpacklo_pd(v[0], v[1]);
+    __m256d t1 = _mm256_unpackhi_pd(v[0], v[1]);
+    __m256d t2 = _mm256_unpacklo_pd(v[2], v[3]);
+    __m256d t3 = _mm256_unpackhi_pd(v[2], v[3]);
+    v[0] = _mm256_permute2f128_pd(t0, t2, 0x20);
+    v[1] = _mm256_permute2f128_pd(t1, t3, 0x20);
+    v[2] = _mm256_permute2f128_pd(t0, t2, 0x31);
+    v[3] = _mm256_permute2f128_pd(t1, t3, 0x31);
+}
+
+/**
+ * Both passes of an N x N transform: @p load(i, c) gives row i of the
+ * input at columns c..c+3, @p store(i, c, v) takes row i of the output
+ * at columns c..c+3, still scaled by 2^20.
+ */
+template <int N, bool kInverse, typename Load, typename Store>
+inline void
+transform2d(Load load, Store store)
+{
+    const double *t = basisPd<N>();
+    alignas(32) double mid[N * N];  // column pass output, transposed
+    __m256d in[N], out[N];
+    auto pass = [t](const __m256d *x, __m256d *y) {
+        if constexpr (kInverse) {
+            invPass<N, 1>(x, y, t);
+        } else {
+            fwdPass<N, 1>(x, y, t);
+        }
+    };
+    for (int c = 0; c < N; c += 4) {
+        for (int i = 0; i < N; ++i) {
+            in[i] = load(i, c);
+        }
+        pass(in, out);
+        for (int i = 0; i < N; i += 4) {
+            transpose4(out + i);
+            for (int q = 0; q < 4; ++q) {
+                _mm256_store_pd(mid + (c + q) * N + i, out[i + q]);
+            }
+        }
+    }
+    for (int r = 0; r < N; r += 4) {
+        for (int c = 0; c < N; ++c) {
+            in[c] = _mm256_load_pd(mid + c * N + r);
+        }
+        pass(in, out);
+        for (int i = 0; i < N; i += 4) {
+            transpose4(out + i);
+            for (int q = 0; q < 4; ++q) {
+                store(r + q, i, out[i + q]);
+            }
+        }
+    }
+}
+
+/** floor((acc + 2^19) * 2^-20): the scalar (acc + 2^19) >> 20, exactly. */
+inline __m256d
+descale(__m256d acc)
+{
+    return _mm256_floor_pd(
+        _mm256_mul_pd(_mm256_add_pd(acc, _mm256_set1_pd(1 << 19)),
+                      _mm256_set1_pd(1.0 / (1 << 20))));
+}
+
+template <int N>
+void
+fdctPd(const int16_t *src, int32_t *dst)
+{
+    transform2d<N, false>(
+        [src](int r, int c) {
+            return _mm256_cvtepi32_pd(_mm_cvtepi16_epi32(_mm_loadl_epi64(
+                reinterpret_cast<const __m128i *>(src + r * N + c))));
+        },
+        [dst](int k, int l, __m256d acc) {
+            _mm_storeu_si128(reinterpret_cast<__m128i *>(dst + k * N + l),
+                             _mm256_cvtpd_epi32(descale(acc)));
+        });
+}
+
+/** True when every |src[i]| < kIdctExactBound. */
+inline bool
+idctInBound(const int32_t *src, int count)
+{
+    const __m256i hi = _mm256_set1_epi32(kIdctExactBound - 1);
+    const __m256i lo = _mm256_set1_epi32(-(kIdctExactBound - 1));
+    __m256i past = _mm256_setzero_si256();
+    for (int i = 0; i < count; i += 8) {
+        __m256i v =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(src + i));
+        past = _mm256_or_si256(past, _mm256_cmpgt_epi32(v, hi));
+        past = _mm256_or_si256(past, _mm256_cmpgt_epi32(lo, v));
+    }
+    return _mm256_testz_si256(past, past);
+}
+
+template <int N>
+void
+idctPd(const int32_t *src, int16_t *dst)
+{
+    if (!idctInBound(src, N * N)) {
+        scalarKernels().idct(src, dst, N);
         return;
     }
-    alignas(32) int64_t tmp[32 * 32];
+    // Clamping in double before the conversion keeps out-of-int32
+    // values from turning into the conversion's INT32_MIN sentinel.
+    const __m256d lo = _mm256_set1_pd(-32768.0);
+    const __m256d hi = _mm256_set1_pd(32767.0);
+    transform2d<N, true>(
+        [src](int k, int c) {
+            return _mm256_cvtepi32_pd(_mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(src + k * N + c)));
+        },
+        [dst, lo, hi](int r, int i, __m256d acc) {
+            __m128i v = _mm256_cvtpd_epi32(
+                _mm256_min_pd(_mm256_max_pd(descale(acc), lo), hi));
+            _mm_storel_epi64(reinterpret_cast<__m128i *>(dst + r * N + i),
+                             _mm_packs_epi32(v, v));
+        });
+}
 
-    for (int r = 0; r < n; ++r) {
-        for (int c = 0; c < n; c += 8) {
-            __m256i acc_even = _mm256_setzero_si256();
-            __m256i acc_odd = _mm256_setzero_si256();
-            for (int k = 0; k < n; ++k) {
-                __m256i b = _mm256_set1_epi32(
-                    basis[static_cast<size_t>(k) * n + r]);
-                __m256i s = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(
-                        src + static_cast<size_t>(k) * n + c));
-                acc_even = _mm256_add_epi64(acc_even,
-                                            _mm256_mul_epi32(s, b));
-                acc_odd = _mm256_add_epi64(
-                    acc_odd,
-                    _mm256_mul_epi32(_mm256_srli_epi64(s, 32), b));
-            }
-            // Interleave back to memory order c, c+1, ...
-            __m256i lo = _mm256_unpacklo_epi64(acc_even, acc_odd);
-            __m256i hi = _mm256_unpackhi_epi64(acc_even, acc_odd);
-            _mm256_store_si256(
-                reinterpret_cast<__m256i *>(
-                    tmp + static_cast<size_t>(r) * n + c),
-                _mm256_permute2x128_si256(lo, hi, 0x20));
-            _mm256_store_si256(
-                reinterpret_cast<__m256i *>(
-                    tmp + static_cast<size_t>(r) * n + c + 4),
-                _mm256_permute2x128_si256(lo, hi, 0x31));
-        }
+void
+fdctAvx2(const int16_t *src, int32_t *dst, int n)
+{
+    switch (n) {
+      case 4: fdctPd<4>(src, dst); return;
+      case 8: fdctPd<8>(src, dst); return;
+      case 16: fdctPd<16>(src, dst); return;
+      case 32: fdctPd<32>(src, dst); return;
+      default: scalarKernels().fdct(src, dst, n); return;
     }
+}
 
-    const __m256i round = _mm256_set1_epi64x(1LL << 19);
-    const __m256i vmax = _mm256_set1_epi64x(32767);
-    const __m256i vmin = _mm256_set1_epi64x(-32768);
-    alignas(32) int64_t out[8];
-    for (int r = 0; r < n; ++r) {
-        const int64_t *trow = tmp + static_cast<size_t>(r) * n;
-        for (int i = 0; i < n; i += 8) {
-            __m256i acc0 = round;  // outputs i .. i+3
-            __m256i acc1 = round;  // outputs i+4 .. i+7
-            for (int k = 0; k < n; ++k) {
-                __m256i a = _mm256_set1_epi64x(trow[k]);
-                const int32_t *brow =
-                    basis + static_cast<size_t>(k) * n + i;
-                __m256i b0 = _mm256_cvtepi32_epi64(_mm_loadu_si128(
-                    reinterpret_cast<const __m128i *>(brow)));
-                __m256i b1 = _mm256_cvtepi32_epi64(_mm_loadu_si128(
-                    reinterpret_cast<const __m128i *>(brow + 4)));
-                acc0 = _mm256_add_epi64(acc0, mul64(a, b0));
-                acc1 = _mm256_add_epi64(acc1, mul64(a, b1));
+void
+idctAvx2(const int32_t *src, int16_t *dst, int n)
+{
+    switch (n) {
+      case 4: idctPd<4>(src, dst); return;
+      case 8: idctPd<8>(src, dst); return;
+      case 16: idctPd<16>(src, dst); return;
+      case 32: idctPd<32>(src, dst); return;
+      default: scalarKernels().idct(src, dst, n); return;
+    }
+}
+
+// ------------------------------------------------------------- sub-pel
+
+/**
+ * One row of @p W (4, 8 or 16) 4-tap (-1,5,5,-1)/8 outputs along
+ * direction @p d, packed to bytes. In 16-bit lanes 5*(b+c) - (a+d) + 4
+ * lies in [-506, 2554], so nothing overflows and srai is the scalar >> 3;
+ * packus then clamps to [0, 255] exactly like the scalar clamp. The
+ * loads are exactly W bytes wide, so nothing outside the filter's
+ * footprint is read.
+ */
+template <int W>
+inline __m128i
+tap4Row(const uint8_t *p, ptrdiff_t d)
+{
+    if constexpr (W == 16) {
+        auto ld = [](const uint8_t *q) {
+            return _mm256_cvtepu8_epi16(
+                _mm_loadu_si128(reinterpret_cast<const __m128i *>(q)));
+        };
+        __m256i bc = _mm256_add_epi16(ld(p), ld(p + d));
+        __m256i v = _mm256_sub_epi16(
+            _mm256_add_epi16(_mm256_slli_epi16(bc, 2), bc),
+            _mm256_add_epi16(ld(p - d), ld(p + 2 * d)));
+        v = _mm256_srai_epi16(_mm256_add_epi16(v, _mm256_set1_epi16(4)), 3);
+        return _mm256_castsi256_si128(
+            _mm256_permute4x64_epi64(_mm256_packus_epi16(v, v), 0x08));
+    } else {
+        auto ld = [](const uint8_t *q) {
+            if constexpr (W == 8) {
+                return _mm_cvtepu8_epi16(
+                    _mm_loadl_epi64(reinterpret_cast<const __m128i *>(q)));
+            } else {
+                return _mm_cvtepu8_epi16(load4(q));
             }
-            for (int half = 0; half < 2; ++half) {
-                __m256i v = srai64Scale(half == 0 ? acc0 : acc1);
-                __m256i too_big = _mm256_cmpgt_epi64(v, vmax);
-                v = _mm256_blendv_epi8(v, vmax, too_big);
-                __m256i too_small = _mm256_cmpgt_epi64(vmin, v);
-                v = _mm256_blendv_epi8(v, vmin, too_small);
-                _mm256_store_si256(
-                    reinterpret_cast<__m256i *>(out + 4 * half), v);
-            }
-            int16_t *drow = dst + static_cast<size_t>(r) * n + i;
-            for (int j = 0; j < 8; ++j) {
-                drow[j] = static_cast<int16_t>(out[j]);
-            }
+        };
+        __m128i bc = _mm_add_epi16(ld(p), ld(p + d));
+        __m128i v = _mm_sub_epi16(_mm_add_epi16(_mm_slli_epi16(bc, 2), bc),
+                                  _mm_add_epi16(ld(p - d), ld(p + 2 * d)));
+        v = _mm_srai_epi16(_mm_add_epi16(v, _mm_set1_epi16(4)), 3);
+        return _mm_packus_epi16(v, v);
+    }
+}
+
+template <int W>
+inline void
+storeRow(uint8_t *p, __m128i v)
+{
+    if constexpr (W == 16) {
+        _mm_storeu_si128(reinterpret_cast<__m128i *>(p), v);
+    } else if constexpr (W == 8) {
+        _mm_storel_epi64(reinterpret_cast<__m128i *>(p), v);
+    } else {
+        int lo = _mm_cvtsi128_si32(v);
+        std::memcpy(p, &lo, 4);
+    }
+}
+
+/**
+ * A W-wide column of the block, top to bottom. kAvg (both phases)
+ * averages each row's tap with the next row's; pavgb is the scalar
+ * (v + v' + 1) >> 1, and each row's tap is computed once.
+ */
+template <int W, bool kAvg>
+void
+subpel4Column(const uint8_t *src, ptrdiff_t stride, ptrdiff_t d, int h,
+              uint8_t *dst, ptrdiff_t dst_stride)
+{
+    __m128i prev = kAvg ? tap4Row<W>(src, d) : _mm_setzero_si128();
+    for (int y = 0; y < h; ++y) {
+        __m128i v = tap4Row<W>(src + (kAvg ? y + 1 : y) * stride, d);
+        if constexpr (kAvg) {
+            __m128i next = v;
+            v = _mm_avg_epu8(prev, next);
+            prev = next;
         }
+        storeRow<W>(dst + y * dst_stride, v);
+    }
+}
+
+/** Filters the leftmost multiple-of-4 columns; returns how many. */
+template <bool kAvg>
+int
+subpel4Columns(const uint8_t *src, ptrdiff_t stride, ptrdiff_t d, int w,
+               int h, uint8_t *dst, ptrdiff_t dst_stride)
+{
+    int x = 0;
+    for (; x + 16 <= w; x += 16) {
+        subpel4Column<16, kAvg>(src + x, stride, d, h, dst + x, dst_stride);
+    }
+    if (x + 8 <= w) {
+        subpel4Column<8, kAvg>(src + x, stride, d, h, dst + x, dst_stride);
+        x += 8;
+    }
+    if (x + 4 <= w) {
+        subpel4Column<4, kAvg>(src + x, stride, d, h, dst + x, dst_stride);
+        x += 4;
+    }
+    return x;
+}
+
+void
+subpel4Avx2(const uint8_t *src, int src_stride, int w, int h, bool half_x,
+            bool half_y, uint8_t *dst, int dst_stride)
+{
+    const int done =
+        half_x && half_y
+            ? subpel4Columns<true>(src, src_stride, 1, w, h, dst, dst_stride)
+            : subpel4Columns<false>(src, src_stride,
+                                    half_x ? 1 : src_stride, w, h, dst,
+                                    dst_stride);
+    if (done < w) {
+        // The last w % 4 columns; no encode block is that narrow.
+        scalarKernels().subpel4(src + done, src_stride, w - done, h, half_x,
+                                half_y, dst + done, dst_stride);
     }
 }
 
@@ -668,6 +952,7 @@ avx2KernelsImpl()
         t.dequant = dequantAvx2;
         t.boxdown = boxdownAvx2;
         t.lerpblend = lerpblendAvx2;
+        t.subpel4 = subpel4Avx2;
         return t;
     }();
     return &table;

@@ -336,7 +336,7 @@ const KernelTable *
 neonKernelsImpl()
 {
     static const KernelTable table = [] {
-        KernelTable t = scalarKernels();  // fdct/idct/quant stay scalar
+        KernelTable t = scalarKernels();  // fdct/idct/quant/subpel4 stay scalar
         t.isa = "neon";
         t.sad = sadNeon;
         t.sse = sseNeon;

@@ -8,11 +8,11 @@
  * Estimation runs a two-level diamond search (optionally exhaustive at
  * the slowest presets) with half-pel refinement. Compensation does
  * full-pel copies, bilinear half-pel averages, or (sharpSubpel) a
- * separable 4-tap (-1,5,5,-1)/8 half-pel filter. The 4-tap reads one pel
- * above/left of the block and two below/right; for blocks at the plane
- * edge it reads an edge-replicated copy of that (w+3)x(h+3)
- * neighbourhood instead, so one filter loop serves every position and
- * needs no per-tap clamping. Every cost
+ * separable 4-tap (-1,5,5,-1)/8 half-pel filter, the kernel table's
+ * `subpel4` entry. The 4-tap reads one pel above/left of the block and
+ * two below/right; for blocks at the plane edge it reads an
+ * edge-replicated copy of that (w+3)x(h+3) neighbourhood instead, so one
+ * kernel serves every position and needs no per-tap clamping. Every cost
  * comparison in the search is a data-dependent branch and is reported to
  * the probe as such — these are the branches the paper's predictor study
  * lives on.

@@ -1,10 +1,6 @@
 #include "codec/transform.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cmath>
-#include <stdexcept>
-#include <vector>
 
 #include "codec/kernels.hpp"
 #include "trace/probe.hpp"
@@ -20,44 +16,6 @@ using trace::sitePc;
 
 namespace
 {
-
-constexpr int kFracBits = 10;  // basis scale = 1024
-
-/** Fixed-point DCT-II basis for one size, plus its transpose. */
-struct Basis {
-    std::vector<int32_t> fwd;  // [k][n], row-major
-    int n = 0;
-};
-
-const Basis &
-basisFor(int n)
-{
-    static const auto make = [](int size) {
-        Basis b;
-        b.n = size;
-        b.fwd.resize(static_cast<size_t>(size) * size);
-        for (int k = 0; k < size; ++k) {
-            double ck = k == 0 ? std::sqrt(1.0 / size) : std::sqrt(2.0 / size);
-            for (int i = 0; i < size; ++i) {
-                double v = ck * std::cos((2 * i + 1) * k * M_PI / (2.0 * size));
-                b.fwd[static_cast<size_t>(k) * size + i] =
-                    static_cast<int32_t>(std::lround(v * (1 << kFracBits)));
-            }
-        }
-        return b;
-    };
-    static const Basis b4 = make(4);
-    static const Basis b8 = make(8);
-    static const Basis b16 = make(16);
-    static const Basis b32 = make(32);
-    switch (n) {
-      case 4: return b4;
-      case 8: return b8;
-      case 16: return b16;
-      case 32: return b32;
-      default: throw std::invalid_argument("transform: unsupported size");
-    }
-}
 
 /**
  * Report the op stream of an n x n integer transform as the real SIMD
@@ -115,8 +73,7 @@ void
 forwardDct(const int16_t *src, int32_t *dst, int n, uint64_t src_vaddr,
            uint64_t dst_vaddr)
 {
-    const Basis &b = basisFor(n);
-    kernels().fdct(src, dst, n, b.fwd.data());
+    kernels().fdct(src, dst, n);
 
     if (Probe *p = currentProbe()) {
         static const uint64_t site = sitePc("codec.fdct");
@@ -128,19 +85,12 @@ void
 inverseDct(const int32_t *src, int16_t *dst, int n, uint64_t src_vaddr,
            uint64_t dst_vaddr)
 {
-    const Basis &b = basisFor(n);
-    kernels().idct(src, dst, n, b.fwd.data());
+    kernels().idct(src, dst, n);
 
     if (Probe *p = currentProbe()) {
         static const uint64_t site = sitePc("codec.idct");
         probeTransform(p, site, n, src_vaddr, dst_vaddr, 4, 2);
     }
-}
-
-const int32_t *
-dctBasis(int n)
-{
-    return basisFor(n).fwd.data();
 }
 
 } // namespace vepro::codec

@@ -5,9 +5,10 @@
  * @file
  * Integer block transforms (DCT-II) for sizes 4/8/16/32.
  *
- * Transforms use fixed-point basis matrices (7 fractional bits) computed
- * once at start-up, applied as two matrix multiplies, matching the
- * structure of the transforms in AV1/HEVC. The forward/inverse pair is
+ * Transforms use fixed-point basis matrices (10 fractional bits,
+ * codec::dctBasis) computed once at start-up, applied as two 1-D passes
+ * through the kernel table, matching the structure of the transforms in
+ * AV1/HEVC. The forward/inverse pair is
  * exactly invertible up to the documented rounding error (< 1 LSB of
  * residual after quantisation round-trip at Q=1).
  */
@@ -41,12 +42,6 @@ void forwardDct(const int16_t *src, int32_t *dst, int n, uint64_t src_vaddr,
  */
 void inverseDct(const int32_t *src, int16_t *dst, int n, uint64_t src_vaddr,
                 uint64_t dst_vaddr);
-
-/**
- * The fixed-point DCT basis for size @p n, row-major [k][i] (the layout
- * the kernel-table fdct/idct entries take). Exposed for tests/benches.
- */
-const int32_t *dctBasis(int n);
 
 } // namespace vepro::codec
 

@@ -57,11 +57,11 @@ TEST(CheckNames, FaultNamesRoundTrip)
 {
     const Fault faults[] = {Fault::None,           Fault::CacheLru,
                             Fault::CoreLatency,    Fault::BpredAlloc,
-                            Fault::KernelsSad,     Fault::StoreBit,
-                            Fault::ParallelDrop,   Fault::BackendEnergy,
-                            Fault::TraceFileDelta, Fault::LadderHull,
-                            Fault::ProbeQuiet,     Fault::ProbeTally,
-                            Fault::FarmTie};
+                            Fault::KernelsSad,     Fault::KernelsIdct,
+                            Fault::StoreBit,       Fault::ParallelDrop,
+                            Fault::BackendEnergy,  Fault::TraceFileDelta,
+                            Fault::LadderHull,     Fault::ProbeQuiet,
+                            Fault::ProbeTally,     Fault::FarmTie};
     for (Fault f : faults) {
         Fault back = Fault::None;
         ASSERT_TRUE(parseFault(faultName(f), back)) << faultName(f);
@@ -112,6 +112,7 @@ TEST(CheckInjection, EveryFaultIsCaught)
         {Fault::CoreLatency, Target::Core},
         {Fault::BpredAlloc, Target::Bpred},
         {Fault::KernelsSad, Target::Kernels},
+        {Fault::KernelsIdct, Target::Kernels},
         {Fault::StoreBit, Target::Store},
         {Fault::ParallelDrop, Target::Parallel},
         {Fault::BackendEnergy, Target::Energy},

@@ -12,6 +12,7 @@
 #include <numeric>
 #include <random>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "codec/intra.hpp"
@@ -639,6 +640,33 @@ TEST(Mc, SharpSubpelMatchesClampedOracle)
     EXPECT_EQ(phases.size(), 3u) << "all three half-pel phases";
     EXPECT_GT(edge_blocks, 0) << "the edge-copy path ran";
     EXPECT_GT(compared, 1000);
+}
+
+/** Planes barely wider or taller than the block: the taps' window then
+ *  runs past the plane's far edge by more than the one pel clampMv
+ *  otherwise leaves, and the edge copy repeats edge pels on both sides
+ *  of a short in-plane span. */
+TEST(Mc, SharpSubpelOnPlanesNarrowerThanItsTaps)
+{
+    for (auto [pw, ph] : {std::pair{4, 4}, std::pair{5, 6}, std::pair{6, 4},
+                          std::pair{8, 5}}) {
+        video::Plane ref(pw, ph, 3);
+        fillRandom(ref, 7);
+        video::Plane got(4, 4), want(4, 4);
+        for (int mx = -3; mx <= 3; ++mx) {
+            for (int my = -3; my <= 3; ++my) {
+                if (!(mx & 1) && !(my & 1)) {
+                    continue;
+                }
+                motionCompensate(viewOf(ref, 0), pw, ph, 0, 0, 4, 4,
+                                 {mx, my}, viewOf(got, 0), true);
+                clampedSharpSubpel(ref, 0, 0, 4, 4, {mx, my}, want);
+                ASSERT_EQ(video::mse(got, want), 0.0)
+                    << pw << "x" << ph << " plane, mv (" << mx << "," << my
+                    << ")";
+            }
+        }
+    }
 }
 
 TEST(Mc, SearchFindsExactTranslation)
