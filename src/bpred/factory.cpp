@@ -1,5 +1,7 @@
 #include "bpred/predictor.hpp"
 
+#include <charconv>
+#include <limits>
 #include <stdexcept>
 
 #include "bpred/bimodal.hpp"
@@ -24,7 +26,17 @@ makePredictor(const std::string &spec)
     if (size.size() < 3 || size.substr(size.size() - 2) != "KB") {
         throw std::invalid_argument("makePredictor: budget must end in KB");
     }
-    size_t kb = std::stoul(size.substr(0, size.size() - 2));
+    // The whole token before "KB" must be decimal digits, and the byte
+    // count must fit in size_t.
+    const char *first = size.data();
+    const char *last = first + size.size() - 2;
+    size_t kb = 0;
+    const auto [end, err] = std::from_chars(first, last, kb);
+    if (err != std::errc() || end != last ||
+        kb > std::numeric_limits<size_t>::max() / 1024) {
+        throw std::invalid_argument("makePredictor: bad budget in '" + spec +
+                                    "'");
+    }
     size_t bytes = kb * 1024;
 
     if (kind == "gshare") {

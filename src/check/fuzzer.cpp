@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
@@ -39,47 +40,6 @@ namespace vepro::check
 
 using core::SplitMix64;
 using trace::TraceOp;
-
-const std::vector<Target> &
-allTargets()
-{
-    static const std::vector<Target> kAll = {
-        Target::Core,  Target::Cache,    Target::Bpred,  Target::Kernels,
-        Target::Store, Target::Parallel, Target::Energy, Target::TraceFile,
-        Target::Ladder, Target::Probe,    Target::Farm};
-    return kAll;
-}
-
-const char *
-targetName(Target target)
-{
-    switch (target) {
-      case Target::Core: return "core";
-      case Target::Cache: return "cache";
-      case Target::Bpred: return "bpred";
-      case Target::Kernels: return "kernels";
-      case Target::Store: return "store";
-      case Target::Parallel: return "parallel";
-      case Target::Energy: return "energy";
-      case Target::TraceFile: return "tracefile";
-      case Target::Ladder: return "ladder";
-      case Target::Probe: return "probe";
-      case Target::Farm: return "farm";
-    }
-    return "?";
-}
-
-bool
-parseTarget(const std::string &name, Target &out)
-{
-    for (Target t : allTargets()) {
-        if (name == targetName(t)) {
-            out = t;
-            return true;
-        }
-    }
-    return false;
-}
 
 std::string
 Fuzzer::reproCommand(Target target, uint64_t seed, Fault inject, bool quick)
@@ -661,37 +621,32 @@ diffCacheSinks(const uarch::CacheSink &live, const uarch::CacheSink &rep)
     return out.str();
 }
 
-} // namespace
-
 // ---------------------------------------------------------------------
 // Per-target cases
 
 bool
-Fuzzer::runCoreCase(uint64_t seed, Divergence &out)
+runCoreCase(const FuzzOptions &options, uint64_t seed, Divergence &out)
 {
     SplitMix64 rng(seed);
     const uarch::CoreConfig cfg = randomCoreConfig(rng);
-    uint64_t max_ops = options_.quick ? rng.range(2'000, 12'000)
-                                      : rng.range(2'000, 60'000);
+    uint64_t max_ops = options.quick ? rng.range(2'000, 12'000)
+                                     : rng.range(2'000, 60'000);
     if (rng.chance(1, 8)) {
         max_ops = rng.below(81);  // tiny traces: boundary behaviour
     }
     const std::vector<TraceOp> trace = trace::synthFuzzTrace(rng.fork(),
                                                              max_ops);
 
-    const uarch::CoreStats ref = refCoreRun(cfg, trace, options_.inject);
+    const uarch::CoreStats ref = refCoreRun(cfg, trace, options.inject);
     const uarch::CoreStats fast = fastCoreRun(cfg, trace, rng);
     std::string diff = diffStats(ref, fast);
     if (diff.empty()) {
         return false;
     }
 
-    out.target = Target::Core;
-    out.seed = seed;
-    out.repro = reproCommand(Target::Core, seed, options_.inject, options_.quick);
     out.shrunkOps = trace.size();
-    if (options_.shrink && trace.size() <= 150'000) {
-        const Fault inject = options_.inject;
+    if (options.shrink && trace.size() <= 150'000) {
+        const Fault inject = options.inject;
         auto still_fails = [&cfg, inject](const std::vector<TraceOp> &t) {
             return !diffStats(refCoreRun(cfg, t, inject),
                               uarch::Core(cfg).run(t))
@@ -714,18 +669,18 @@ Fuzzer::runCoreCase(uint64_t seed, Divergence &out)
 }
 
 bool
-Fuzzer::runCacheCase(uint64_t seed, Divergence &out)
+runCacheCase(const FuzzOptions &options, uint64_t seed, Divergence &out)
 {
     SplitMix64 rng(seed);
     const uarch::Hierarchy::Config cfg = randomHierarchyConfig(rng);
-    const uint64_t n = options_.quick ? rng.range(5'000, 40'000)
-                                      : rng.range(5'000, 120'000);
+    const uint64_t n = options.quick ? rng.range(5'000, 40'000)
+                                     : rng.range(5'000, 120'000);
     const std::vector<CacheEvent> events = randomCacheEvents(rng, n);
 
-    auto diverges = [&cfg, this](const std::vector<CacheEvent> &ev,
-                                 std::string &detail) {
+    auto diverges = [&cfg, &options](const std::vector<CacheEvent> &ev,
+                                     std::string &detail) {
         uarch::Hierarchy fast(cfg);
-        RefHierarchy ref(cfg, options_.inject);
+        RefHierarchy ref(cfg, options.inject);
         int lr = 0, lf = 0;
         const size_t idx = replayCacheEvents(ev, fast, ref, lr, lf);
         if (idx != SIZE_MAX) {
@@ -744,11 +699,8 @@ Fuzzer::runCacheCase(uint64_t seed, Divergence &out)
     if (!diverges(events, detail)) {
         return false;
     }
-    out.target = Target::Cache;
-    out.seed = seed;
-    out.repro = reproCommand(Target::Cache, seed, options_.inject, options_.quick);
     out.shrunkOps = events.size();
-    if (options_.shrink) {
+    if (options.shrink) {
         std::string scratch;
         auto still_fails = [&](const std::vector<CacheEvent> &ev) {
             return diverges(ev, scratch);
@@ -765,21 +717,21 @@ Fuzzer::runCacheCase(uint64_t seed, Divergence &out)
 }
 
 bool
-Fuzzer::runBpredCase(uint64_t seed, Divergence &out)
+runBpredCase(const FuzzOptions &options, uint64_t seed, Divergence &out)
 {
     SplitMix64 rng(seed);
     static const size_t kBudgets[] = {8 * 1024, 64 * 1024, 192 * 1024};
     const size_t budget = kBudgets[rng.below(3)];
-    const uint64_t n = options_.quick ? rng.range(5'000, 50'000)
-                                      : rng.range(5'000, 200'000);
+    const uint64_t n = options.quick ? rng.range(5'000, 50'000)
+                                     : rng.range(5'000, 200'000);
     const std::vector<trace::BranchRecord> branches =
         trace::synthFuzzBranches(rng.fork(), n);
 
-    auto diverges = [&, this](const std::vector<trace::BranchRecord> &brs,
-                              std::string &detail) {
+    auto diverges = [&](const std::vector<trace::BranchRecord> &brs,
+                        std::string &detail) {
         auto fast = bpred::makePredictor(
             "tage-" + std::to_string(budget / 1024) + "KB");
-        RefTage ref(budget, options_.inject);
+        RefTage ref(budget, options.inject);
         for (size_t i = 0; i < brs.size(); ++i) {
             const bool pf = fast->predict(brs[i].pc);
             const bool pr = ref.predict(brs[i].pc);
@@ -801,11 +753,8 @@ Fuzzer::runBpredCase(uint64_t seed, Divergence &out)
     if (!diverges(branches, detail)) {
         return false;
     }
-    out.target = Target::Bpred;
-    out.seed = seed;
-    out.repro = reproCommand(Target::Bpred, seed, options_.inject, options_.quick);
     out.shrunkOps = branches.size();
-    if (options_.shrink) {
+    if (options.shrink) {
         std::string scratch;
         auto still_fails = [&](const std::vector<trace::BranchRecord> &b) {
             return diverges(b, scratch);
@@ -822,7 +771,7 @@ Fuzzer::runBpredCase(uint64_t seed, Divergence &out)
 }
 
 bool
-Fuzzer::runKernelsCase(uint64_t seed, Divergence &out)
+runKernelsCase(const FuzzOptions &options, uint64_t seed, Divergence &out)
 {
     SplitMix64 rng(seed);
     const codec::KernelTable &scalar = codec::scalarKernels();
@@ -830,9 +779,6 @@ Fuzzer::runKernelsCase(uint64_t seed, Divergence &out)
     std::ostringstream detail;
 
     auto fail = [&](const std::string &what) {
-        out.target = Target::Kernels;
-        out.seed = seed;
-        out.repro = reproCommand(Target::Kernels, seed, options_.inject, options_.quick);
         out.detail = "kernel divergence vs scalar oracle (isa=" +
                      std::string(fast.isa) + "): " + what;
         return true;
@@ -855,7 +801,7 @@ Fuzzer::runKernelsCase(uint64_t seed, Divergence &out)
 
     uint64_t sad_want = scalar.sad(a.data(), a_stride, b.data(), b_stride,
                                    w, h);
-    if (options_.inject == Fault::KernelsSad && w * h >= 64) {
+    if (options.inject == Fault::KernelsSad && w * h >= 64) {
         ++sad_want;  // deliberately wrong oracle; harness must notice
     }
     const uint64_t sad_got = fast.sad(a.data(), a_stride, b.data(),
@@ -985,7 +931,7 @@ Fuzzer::runKernelsCase(uint64_t seed, Divergence &out)
     }
     std::vector<int16_t> px_s(count), px_f(count);
     scalar.idct(wide.data(), px_s.data(), n);
-    if (options_.inject == Fault::KernelsIdct && past) {
+    if (options.inject == Fault::KernelsIdct && past) {
         px_s[0] ^= 1;  // deliberately wrong oracle; harness must notice
     }
     fast.idct(wide.data(), px_f.data(), n);
@@ -997,21 +943,18 @@ Fuzzer::runKernelsCase(uint64_t seed, Divergence &out)
 }
 
 bool
-Fuzzer::runStoreCase(uint64_t seed, Divergence &out)
+runStoreCase(const FuzzOptions &options, uint64_t seed, Divergence &out)
 {
     SplitMix64 rng(seed);
-    const fs::path base = options_.tempDir.empty()
+    const fs::path base = options.tempDir.empty()
                               ? fs::temp_directory_path()
-                              : fs::path(options_.tempDir);
+                              : fs::path(options.tempDir);
     char sub[64];
     std::snprintf(sub, sizeof sub, "vepro-check-store-%016llx",
                   static_cast<unsigned long long>(seed));
     const fs::path dir = base / sub;
 
     auto fail = [&](const std::string &what) {
-        out.target = Target::Store;
-        out.seed = seed;
-        out.repro = reproCommand(Target::Store, seed, options_.inject, options_.quick);
         out.detail = "store round-trip: " + what;
         std::error_code ec;
         fs::remove_all(dir, ec);
@@ -1060,7 +1003,7 @@ Fuzzer::runStoreCase(uint64_t seed, Divergence &out)
         return fail("load() missed a just-saved record");
     }
     lab::JobResult want = result;
-    if (options_.inject == Fault::StoreBit) {
+    if (options.inject == Fault::StoreBit) {
         // Flip the low mantissa bit of one double on the expectation
         // side: the bit-exact comparison must flag it.
         uint64_t bits = bitsOf(want.encode.wallSeconds) ^ 1u;
@@ -1101,26 +1044,22 @@ Fuzzer::runStoreCase(uint64_t seed, Divergence &out)
  *     blows far past the bound).
  */
 bool
-Fuzzer::runParallelCase(uint64_t seed, Divergence &out)
+runParallelCase(const FuzzOptions &options, uint64_t seed, Divergence &out)
 {
     SplitMix64 rng(seed);
     const uarch::CoreConfig cfg = randomCoreConfig(rng);
-    const uint64_t max_ops = options_.quick ? rng.range(16'000, 40'000)
-                                            : rng.range(16'000, 120'000);
-    const uint64_t max_brs = options_.quick ? rng.range(1'000, 8'000)
-                                            : rng.range(1'000, 24'000);
+    const uint64_t max_ops = options.quick ? rng.range(16'000, 40'000)
+                                           : rng.range(16'000, 120'000);
+    const uint64_t max_brs = options.quick ? rng.range(1'000, 8'000)
+                                           : rng.range(1'000, 24'000);
     const std::vector<TraceOp> ops = trace::synthFuzzTrace(rng.fork(),
                                                            max_ops);
     const std::vector<trace::BranchRecord> branches =
         trace::synthFuzzBranches(rng.fork(), max_brs);
     const uint64_t chunk_seed = rng.next();
-    const bool drop = options_.inject == Fault::ParallelDrop;
+    const bool drop = options.inject == Fault::ParallelDrop;
 
     auto fail = [&](const std::string &what) {
-        out.target = Target::Parallel;
-        out.seed = seed;
-        out.repro = reproCommand(Target::Parallel, seed, options_.inject,
-                                 options_.quick);
         out.shrunkOps = 0;  // two interleaved streams: not ddmin-shaped
         out.detail = "parallel divergence (" + std::to_string(ops.size()) +
                      " ops, " + std::to_string(branches.size()) +
@@ -1219,14 +1158,14 @@ Fuzzer::runParallelCase(uint64_t seed, Divergence &out)
  * one; the drifting PCs must surface here as a stats mismatch.
  */
 bool
-Fuzzer::runTraceFileCase(uint64_t seed, Divergence &out)
+runTraceFileCase(const FuzzOptions &options, uint64_t seed, Divergence &out)
 {
     SplitMix64 rng(seed);
     const uarch::CoreConfig cfg = randomCoreConfig(rng);
-    const uint64_t max_ops = options_.quick ? rng.range(16'000, 40'000)
-                                            : rng.range(16'000, 120'000);
-    const uint64_t max_brs = options_.quick ? rng.range(1'000, 8'000)
-                                            : rng.range(1'000, 24'000);
+    const uint64_t max_ops = options.quick ? rng.range(16'000, 40'000)
+                                           : rng.range(16'000, 120'000);
+    const uint64_t max_brs = options.quick ? rng.range(1'000, 8'000)
+                                           : rng.range(1'000, 24'000);
     const std::vector<TraceOp> ops = trace::synthFuzzTrace(rng.fork(),
                                                            max_ops);
     const std::vector<trace::BranchRecord> branches =
@@ -1240,19 +1179,15 @@ Fuzzer::runTraceFileCase(uint64_t seed, Divergence &out)
     seg_cfg.warmupBlocks = static_cast<int>(rng.range(0, 8));
     seg_cfg.jobs = static_cast<int>(rng.range(1, 2));
 
-    const fs::path base = options_.tempDir.empty()
+    const fs::path base = options.tempDir.empty()
                               ? fs::temp_directory_path()
-                              : fs::path(options_.tempDir);
+                              : fs::path(options.tempDir);
     char name[64];
     std::snprintf(name, sizeof name, "vepro-check-trace-%016llx.vetf",
                   static_cast<unsigned long long>(seed));
     const fs::path file = base / name;
 
     auto fail = [&](const std::string &what) {
-        out.target = Target::TraceFile;
-        out.seed = seed;
-        out.repro = reproCommand(Target::TraceFile, seed, options_.inject,
-                                 options_.quick);
         out.shrunkOps = 0;  // interleaved stream + a file: not ddmin-shaped
         out.detail = "tracefile divergence (" + std::to_string(ops.size()) +
                      " ops, " + std::to_string(branches.size()) +
@@ -1292,7 +1227,7 @@ Fuzzer::runTraceFileCase(uint64_t seed, Divergence &out)
     bpred::StreamRunner rep_runner(*rep_pred);
     trace::MuxSink rep_mux{&rep_core, &rep_cache, &rep_runner};
     trace::FileSource source(file.string());
-    if (options_.inject == Fault::TraceFileDelta) {
+    if (options.inject == Fault::TraceFileDelta) {
         source.injectDeltaFault(true);
     }
     try {
@@ -1350,15 +1285,11 @@ Fuzzer::runTraceFileCase(uint64_t seed, Divergence &out)
 // Ladder target
 
 bool
-Fuzzer::runLadderCase(uint64_t seed, Divergence &out)
+runLadderCase(const FuzzOptions &options, uint64_t seed, Divergence &out)
 {
     SplitMix64 rng(seed);
 
     auto fail = [&](const std::string &what) {
-        out.target = Target::Ladder;
-        out.seed = seed;
-        out.repro = reproCommand(Target::Ladder, seed, options_.inject,
-                                 options_.quick);
         out.detail = "ladder divergence vs naive oracle: " + what;
         return true;
     };
@@ -1386,7 +1317,7 @@ Fuzzer::runLadderCase(uint64_t seed, Divergence &out)
         pts.push_back(pts[rng.below(pts.size())]);  // exact duplicate
     }
     const std::vector<size_t> want =
-        refConvexHull(pts, options_.inject);
+        refConvexHull(pts, options.inject);
     const std::vector<size_t> got = ladder::convexHull(pts);
     if (want != got) {
         auto render = [&](const std::vector<size_t> &hull) {
@@ -1455,8 +1386,6 @@ Fuzzer::runLadderCase(uint64_t seed, Divergence &out)
 // ---------------------------------------------------------------------
 // Probe target
 
-namespace
-{
 
 /** One emission call of a probe-target case. */
 struct ProbeCall {
@@ -1738,7 +1667,6 @@ describeProbeConfig(const trace::ProbeConfig &cfg)
            " warmup=" + num(cfg.branchWarmupOps);
 }
 
-} // namespace
 
 /**
  * The probe differential: trace::Probe's header-inline quiet-region
@@ -1753,26 +1681,22 @@ describeProbeConfig(const trace::ProbeConfig &cfg)
  * kernels past the branch warmup quietly, losing their branch records.
  */
 bool
-Fuzzer::runProbeCase(uint64_t seed, Divergence &out)
+runProbeCase(const FuzzOptions &options, uint64_t seed, Divergence &out)
 {
     SplitMix64 rng(seed);
     const trace::ProbeConfig cfg = randomProbeConfig(rng);
-    const size_t count = options_.quick ? rng.range(200, 2'000)
-                                        : rng.range(200, 12'000);
+    const size_t count = options.quick ? rng.range(200, 2'000)
+                                       : rng.range(200, 12'000);
     const std::vector<ProbeCall> calls =
         randomProbeCalls(rng, cfg.opInterval, count);
-    const Fault fault = options_.inject;
+    const Fault fault = options.inject;
 
     std::string detail = diffProbeRun(cfg, calls, fault);
     if (detail.empty()) {
         return false;
     }
-    out.target = Target::Probe;
-    out.seed = seed;
-    out.repro = reproCommand(Target::Probe, seed, options_.inject,
-                             options_.quick);
     out.shrunkOps = calls.size();
-    if (options_.shrink) {
+    if (options.shrink) {
         auto still_fails = [&](const std::vector<ProbeCall> &c) {
             return !diffProbeRun(cfg, c, fault).empty();
         };
@@ -1790,8 +1714,6 @@ Fuzzer::runProbeCase(uint64_t seed, Divergence &out)
 // ---------------------------------------------------------------------
 // Energy target
 
-namespace
-{
 
 /** %a (hex-float) rendering: divergence reports must show the exact
  *  bits, not a rounded decimal that can print identically for two
@@ -1804,10 +1726,9 @@ hexDouble(double v)
     return buf;
 }
 
-} // namespace
 
 bool
-Fuzzer::runEnergyCase(uint64_t seed, Divergence &out)
+runEnergyCase(const FuzzOptions &options, uint64_t seed, Divergence &out)
 {
     SplitMix64 rng(seed);
     const auto &names = backend::profileNames();
@@ -1815,10 +1736,6 @@ Fuzzer::runEnergyCase(uint64_t seed, Divergence &out)
         backend::profile(names[rng.below(names.size())]);
 
     auto fail = [&](const std::string &what) {
-        out.target = Target::Energy;
-        out.seed = seed;
-        out.repro = reproCommand(Target::Energy, seed, options_.inject,
-                                 options_.quick);
         out.detail =
             "energy divergence (profile " + prof.name + "): " + what;
         return true;
@@ -1828,7 +1745,7 @@ Fuzzer::runEnergyCase(uint64_t seed, Divergence &out)
         const uint64_t blocks = rng.range(1, 5'000'000);
         const double fast_s = backend::fixedServiceSeconds(prof, blocks);
         const double ref_s =
-            refFixedServiceSeconds(prof, blocks, options_.inject);
+            refFixedServiceSeconds(prof, blocks, options.inject);
         if (fast_s != ref_s) {
             return fail("service seconds ref=" + hexDouble(ref_s) +
                         " fast=" + hexDouble(fast_s) + " at blocks=" +
@@ -1836,7 +1753,7 @@ Fuzzer::runEnergyCase(uint64_t seed, Divergence &out)
         }
         const double fast_j = backend::fixedEnergyJoules(prof, blocks);
         const double ref_j =
-            refFixedEnergyJoules(prof, blocks, options_.inject);
+            refFixedEnergyJoules(prof, blocks, options.inject);
         if (fast_j != ref_j) {
             return fail("joules ref=" + hexDouble(ref_j) +
                         " fast=" + hexDouble(fast_j) + " at blocks=" +
@@ -1857,7 +1774,7 @@ Fuzzer::runEnergyCase(uint64_t seed, Divergence &out)
     s.l2Misses = s.llcMisses + rng.range(1, 500'000);
 
     const double fast = backend::dynamicNanojoules(prof, s);
-    const double ref = refDynamicNanojoules(prof, s, options_.inject);
+    const double ref = refDynamicNanojoules(prof, s, options.inject);
     if (fast != ref) {
         return fail("dynamic nJ ref=" + hexDouble(ref) +
                     " fast=" + hexDouble(fast) + " at instructions=" +
@@ -1883,8 +1800,6 @@ Fuzzer::runEnergyCase(uint64_t seed, Divergence &out)
 // ---------------------------------------------------------------------
 // Farm target
 
-namespace
-{
 
 /** Fleet cost oracle over a drawn table: every (backend, clip, crf,
  *  preset) cell is set up front, and a missing cell throws
@@ -2145,7 +2060,6 @@ describeFarmCase(const FarmCase &c)
            " target=" + hexDouble(c.config.latencyTargetSec);
 }
 
-} // namespace
 
 /**
  * The farm differential: serve::simulateFarm's FIFO dispatch and
@@ -2158,22 +2072,18 @@ describeFarmCase(const FarmCase &c)
  * group, which every multi-group pool exposes at its first dispatch.
  */
 bool
-Fuzzer::runFarmCase(uint64_t seed, Divergence &out)
+runFarmCase(const FuzzOptions &options, uint64_t seed, Divergence &out)
 {
     SplitMix64 rng(seed);
     const FarmCase c = drawFarmCase(rng);
-    const Fault fault = options_.inject;
+    const Fault fault = options.inject;
 
     std::string detail = diffFarmRun(c, c.arrivals, fault);
     if (detail.empty()) {
         return false;
     }
-    out.target = Target::Farm;
-    out.seed = seed;
-    out.repro = reproCommand(Target::Farm, seed, options_.inject,
-                             options_.quick);
     out.shrunkOps = c.arrivals.size();
-    if (options_.shrink) {
+    if (options.shrink) {
         auto still_fails = [&](const std::vector<serve::UploadJob> &a) {
             return !diffFarmRun(c, a, fault).empty();
         };
@@ -2190,25 +2100,105 @@ Fuzzer::runFarmCase(uint64_t seed, Divergence &out)
 }
 
 // ---------------------------------------------------------------------
+// Target table
+
+/** One fuzz target: its CLI name, its case budgets and its case. */
+struct TargetRow {
+    Target target;
+    const char *name;
+    int quickIters;  ///< Cases per run under --quick.
+    int fullIters;   ///< Cases per run otherwise.
+    bool (*run)(const FuzzOptions &, uint64_t seed, Divergence &out);
+};
+
+/** Every target in enum order, which is the order --target=all runs. */
+constexpr TargetRow kTargets[] = {
+    {Target::Core, "core", 12, 60, runCoreCase},
+    {Target::Cache, "cache", 20, 100, runCacheCase},
+    {Target::Bpred, "bpred", 12, 60, runBpredCase},
+    {Target::Kernels, "kernels", 40, 300, runKernelsCase},
+    {Target::Store, "store", 40, 200, runStoreCase},
+    // Parallel cases run the trace through four simulator instances
+    // (the sequential reference and three segment variants).
+    {Target::Parallel, "parallel", 6, 30, runParallelCase},
+    // Pure arithmetic over the profile registry: cheap, so plenty.
+    {Target::Energy, "energy", 50, 400, runEnergyCase},
+    // Each case runs two live stacks plus a disk round-trip.
+    {Target::TraceFile, "tracefile", 6, 30, runTraceFileCase},
+    // Hull arithmetic plus two small-plane scaler round trips: cheap.
+    {Target::Ladder, "ladder", 40, 300, runLadderCase},
+    // Up to a few thousand probe calls per case (12k in full mode),
+    // counters diffed per call: 2-10 ms a case.
+    {Target::Probe, "probe", 200, 1000, runProbeCase},
+    // Four farm runs over at most 300 arrivals: well under 1 ms a case.
+    {Target::Farm, "farm", 200, 1000, runFarmCase},
+};
+static_assert(std::size(kTargets) == kTargetCount, "one row per Target");
+
+constexpr bool
+targetsInEnumOrder()
+{
+    for (size_t i = 0; i < std::size(kTargets); ++i) {
+        if (static_cast<size_t>(kTargets[i].target) != i) {
+            return false;
+        }
+    }
+    return true;
+}
+static_assert(targetsInEnumOrder(), "kTargets rows follow the enum");
+
+const TargetRow &
+rowOf(Target target)
+{
+    return kTargets[static_cast<size_t>(target)];
+}
+
+} // namespace
+
+// ---------------------------------------------------------------------
 // Harness
+
+const std::vector<Target> &
+allTargets()
+{
+    static const std::vector<Target> all = [] {
+        std::vector<Target> out;
+        for (const TargetRow &row : kTargets) {
+            out.push_back(row.target);
+        }
+        return out;
+    }();
+    return all;
+}
+
+const char *
+targetName(Target target)
+{
+    return rowOf(target).name;
+}
+
+bool
+parseTarget(const std::string &name, Target &out)
+{
+    for (const TargetRow &row : kTargets) {
+        if (name == row.name) {
+            out = row.target;
+            return true;
+        }
+    }
+    return false;
+}
 
 bool
 Fuzzer::runCase(Target target, uint64_t seed, Divergence &out)
 {
-    switch (target) {
-      case Target::Core: return runCoreCase(seed, out);
-      case Target::Cache: return runCacheCase(seed, out);
-      case Target::Bpred: return runBpredCase(seed, out);
-      case Target::Kernels: return runKernelsCase(seed, out);
-      case Target::Store: return runStoreCase(seed, out);
-      case Target::Parallel: return runParallelCase(seed, out);
-      case Target::Energy: return runEnergyCase(seed, out);
-      case Target::TraceFile: return runTraceFileCase(seed, out);
-      case Target::Ladder: return runLadderCase(seed, out);
-      case Target::Probe: return runProbeCase(seed, out);
-      case Target::Farm: return runFarmCase(seed, out);
+    if (!rowOf(target).run(options_, seed, out)) {
+        return false;
     }
-    return false;
+    out.target = target;
+    out.seed = seed;
+    out.repro = reproCommand(target, seed, options_.inject, options_.quick);
+    return true;
 }
 
 int
@@ -2217,28 +2207,8 @@ Fuzzer::itersFor(Target target) const
     if (options_.iters > 0) {
         return options_.iters;
     }
-    switch (target) {
-      case Target::Core: return options_.quick ? 12 : 60;
-      case Target::Cache: return options_.quick ? 20 : 100;
-      case Target::Bpred: return options_.quick ? 12 : 60;
-      case Target::Kernels: return options_.quick ? 40 : 300;
-      case Target::Store: return options_.quick ? 40 : 200;
-      // Parallel cases run the trace through four simulator instances
-      // (the sequential reference and three segment variants).
-      case Target::Parallel: return options_.quick ? 6 : 30;
-      // Pure arithmetic over the profile registry: cheap, so plenty.
-      case Target::Energy: return options_.quick ? 50 : 400;
-      // Each case runs two live stacks plus a disk round-trip.
-      case Target::TraceFile: return options_.quick ? 6 : 30;
-      // Hull arithmetic plus two small-plane scaler round trips: cheap.
-      case Target::Ladder: return options_.quick ? 40 : 300;
-      // Up to a few thousand probe calls per case (12k in full mode),
-      // counters diffed per call: 2-10 ms a case.
-      case Target::Probe: return options_.quick ? 200 : 1000;
-      // Four farm runs over at most 300 arrivals: well under 1 ms a case.
-      case Target::Farm: return options_.quick ? 200 : 1000;
-    }
-    return 1;
+    return options_.quick ? rowOf(target).quickIters
+                          : rowOf(target).fullIters;
 }
 
 FuzzReport
@@ -2251,20 +2221,6 @@ Fuzzer::run(Target target)
         Divergence d;
         if (runCase(target, options_.baseSeed + static_cast<uint64_t>(i),
                     d)) {
-            report.divergences.push_back(std::move(d));
-        }
-    }
-    return report;
-}
-
-FuzzReport
-Fuzzer::runAll()
-{
-    FuzzReport report;
-    for (Target t : allTargets()) {
-        FuzzReport r = run(t);
-        report.cases += r.cases;
-        for (Divergence &d : r.divergences) {
             report.divergences.push_back(std::move(d));
         }
     }

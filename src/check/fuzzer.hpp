@@ -23,6 +23,7 @@
  * report divergences (tests/test_check.cpp pins that).
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -32,7 +33,11 @@
 namespace vepro::check
 {
 
-/** What to fuzz. */
+/**
+ * What to fuzz. Adding a target takes an enumerator here, a row in
+ * fuzzer.cpp's target table (name, case budgets, case function) and
+ * that case function.
+ */
 enum class Target {
     Core,
     Cache,
@@ -46,6 +51,9 @@ enum class Target {
     Probe,
     Farm,
 };
+
+/** Number of targets: one past the last enumerator. */
+inline constexpr size_t kTargetCount = static_cast<size_t>(Target::Farm) + 1;
 
 /** All targets, in the order `--target=all` runs them. */
 const std::vector<Target> &allTargets();
@@ -106,9 +114,6 @@ class Fuzzer
     /** Fuzz one target for its iteration budget. */
     FuzzReport run(Target target);
 
-    /** Fuzz every target (allTargets() order), one merged report. */
-    FuzzReport runAll();
-
     /** Replay corpus entries from @p dir (all targets). */
     FuzzReport runCorpus(const std::string &dir);
 
@@ -131,18 +136,6 @@ class Fuzzer
                                     Fault inject, bool quick);
 
   private:
-    bool runCoreCase(uint64_t seed, Divergence &out);
-    bool runCacheCase(uint64_t seed, Divergence &out);
-    bool runBpredCase(uint64_t seed, Divergence &out);
-    bool runKernelsCase(uint64_t seed, Divergence &out);
-    bool runStoreCase(uint64_t seed, Divergence &out);
-    bool runParallelCase(uint64_t seed, Divergence &out);
-    bool runEnergyCase(uint64_t seed, Divergence &out);
-    bool runTraceFileCase(uint64_t seed, Divergence &out);
-    bool runLadderCase(uint64_t seed, Divergence &out);
-    bool runProbeCase(uint64_t seed, Divergence &out);
-    bool runFarmCase(uint64_t seed, Divergence &out);
-
     FuzzOptions options_;
 };
 

@@ -1,44 +1,38 @@
 #include "check/oracle.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 
 namespace vepro::check
 {
 
+namespace
+{
+
+/** CLI fault names, in Fault enum order. */
+constexpr const char *kFaultNames[] = {
+    "none",           "cache-lru",       "core-latency", "bpred-alloc",
+    "kernels-sad",    "kernels-idct",    "store-bit",    "parallel-drop",
+    "backend-energy", "tracefile-delta", "ladder-hull",  "probe-quiet",
+    "probe-tally",    "farm-tie",
+};
+static_assert(std::size(kFaultNames) == kFaultCount, "one name per Fault");
+
+} // namespace
+
 const char *
 faultName(Fault fault)
 {
-    switch (fault) {
-      case Fault::None: return "none";
-      case Fault::CacheLru: return "cache-lru";
-      case Fault::CoreLatency: return "core-latency";
-      case Fault::BpredAlloc: return "bpred-alloc";
-      case Fault::KernelsSad: return "kernels-sad";
-      case Fault::KernelsIdct: return "kernels-idct";
-      case Fault::StoreBit: return "store-bit";
-      case Fault::ParallelDrop: return "parallel-drop";
-      case Fault::BackendEnergy: return "backend-energy";
-      case Fault::TraceFileDelta: return "tracefile-delta";
-      case Fault::LadderHull: return "ladder-hull";
-      case Fault::ProbeQuiet: return "probe-quiet";
-      case Fault::ProbeTally: return "probe-tally";
-      case Fault::FarmTie: return "farm-tie";
-    }
-    return "?";
+    return kFaultNames[static_cast<size_t>(fault)];
 }
 
 bool
 parseFault(const std::string &name, Fault &out)
 {
-    for (Fault f : {Fault::None, Fault::CacheLru, Fault::CoreLatency,
-                    Fault::BpredAlloc, Fault::KernelsSad,
-                    Fault::KernelsIdct, Fault::StoreBit,
-                    Fault::ParallelDrop, Fault::BackendEnergy,
-                    Fault::TraceFileDelta, Fault::LadderHull,
-                    Fault::ProbeQuiet, Fault::ProbeTally, Fault::FarmTie}) {
-        if (name == faultName(f)) {
-            out = f;
+    for (size_t f = 0; f < kFaultCount; ++f) {
+        if (name == kFaultNames[f]) {
+            out = static_cast<Fault>(f);
             return true;
         }
     }

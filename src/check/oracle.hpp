@@ -21,6 +21,7 @@
  * --inject=cache-lru` must fail — and is never enabled in real checks.
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -40,7 +41,11 @@
 namespace vepro::check
 {
 
-/** Deliberate single-rule bugs for harness self-tests (see file docs). */
+/**
+ * Deliberate single-rule bugs for harness self-tests (see file docs).
+ * Adding one takes an enumerator here, its CLI name in oracle.cpp's name
+ * table, and the broken rule in the oracle or fast path it targets.
+ */
 enum class Fault {
     None,
     CacheLru,       ///< Victim rule: evicts the MRU way instead of LRU.
@@ -67,6 +72,9 @@ enum class Fault {
     FarmTie,        ///< RefFarm breaks equal server free-time ties
                     ///< toward the later group instead of the earlier.
 };
+
+/** Number of faults: one past the last enumerator. */
+inline constexpr size_t kFaultCount = static_cast<size_t>(Fault::FarmTie) + 1;
 
 /** CLI name of a fault ("cache-lru", ...; "none" for Fault::None). */
 const char *faultName(Fault fault);

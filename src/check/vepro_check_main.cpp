@@ -2,11 +2,9 @@
  * @file
  * `vepro-check` — differential fuzz driver for the optimized simulator:
  *
- *   vepro-check [--target=core|cache|bpred|kernels|store|parallel|energy|
- *                         tracefile|ladder|probe|farm|all]
- *               [--iters=N] [--seed=N] [--quick] [--no-shrink]
- *               [--corpus=DIR] [--case=FILE] [--inject=FAULT]
- *               [--repro-out=FILE]
+ *   vepro-check [--target=<target>|all] [--iters=N] [--seed=N] [--quick]
+ *               [--no-shrink] [--corpus=DIR] [--case=FILE]
+ *               [--inject=<fault>] [--repro-out=FILE]
  *
  * Runs the seeded property-fuzz harness (check::Fuzzer) that replays
  * randomized adversarial inputs through both the optimized hot paths
@@ -18,7 +16,8 @@
  * path. `--corpus=DIR` replays every *.case seed file first (CI runs
  * the checked-in corpus before fresh fuzzing). `--inject=<fault>`
  * deliberately breaks one reference rule; the run then MUST fail,
- * which is how the harness proves its own sensitivity.
+ * which is how the harness proves its own sensitivity. The usage text
+ * (printed on a bad flag) lists every target and fault.
  */
 
 #include <cstdio>
@@ -27,6 +26,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "check/fuzzer.hpp"
 #include "core/experiment.hpp"
@@ -39,18 +39,24 @@ using namespace vepro;
 [[noreturn]] void
 usage(const std::string &error)
 {
+    std::string targets;
+    for (check::Target t : check::allTargets()) {
+        targets += std::string(check::targetName(t)) + "|";
+    }
+    std::string faults;
+    for (size_t f = 0; f < check::kFaultCount; ++f) {
+        faults += std::string(" ") +
+                  check::faultName(static_cast<check::Fault>(f));
+    }
     std::fprintf(stderr, "error: %s\n", error.c_str());
     std::fprintf(
         stderr,
-        "usage: vepro-check "
-        "[--target=core|cache|bpred|kernels|store|parallel|energy|"
-        "tracefile|ladder|probe|farm|all]\n"
+        "usage: vepro-check [--target=%sall]\n"
         "                   [--iters=N] [--seed=N] [--quick] [--no-shrink]\n"
         "                   [--corpus=DIR] [--case=FILE] [--inject=FAULT]\n"
         "                   [--repro-out=FILE]\n"
-        "faults: none cache-lru core-latency bpred-alloc kernels-sad "
-        "kernels-idct store-bit parallel-drop backend-energy tracefile-delta "
-        "ladder-hull probe-quiet probe-tally farm-tie\n");
+        "faults:%s\n",
+        targets.c_str(), faults.c_str());
     std::exit(2);
 }
 
@@ -150,21 +156,13 @@ main(int argc, char **argv)
                 report.divergences.push_back(std::move(d));
             }
         }
-        if (all_targets) {
-            for (check::Target t : check::allTargets()) {
-                check::FuzzReport r = fuzzer.run(t);
-                std::printf("%-8s %3d cases, %zu divergences\n",
-                            check::targetName(t), fuzzer.itersFor(t),
-                            r.divergences.size());
-                report.cases += r.cases;
-                for (auto &d : r.divergences) {
-                    report.divergences.push_back(std::move(d));
-                }
-            }
-        } else {
-            check::FuzzReport r = fuzzer.run(target);
+        const std::vector<check::Target> targets =
+            all_targets ? check::allTargets()
+                        : std::vector<check::Target>{target};
+        for (check::Target t : targets) {
+            check::FuzzReport r = fuzzer.run(t);
             std::printf("%-8s %3d cases, %zu divergences\n",
-                        check::targetName(target), fuzzer.itersFor(target),
+                        check::targetName(t), fuzzer.itersFor(t),
                         r.divergences.size());
             report.cases += r.cases;
             for (auto &d : r.divergences) {

@@ -28,6 +28,14 @@ EncoderModel::slowness(int preset) const
     return presetInverted() ? t : 1.0 - t;
 }
 
+ToolConfig
+EncoderModel::toolConfig(const EncodeParams &params) const
+{
+    ToolConfig tc = spec_.tools(slowness(params.preset));
+    codec::applyQuality(tc, params.crf, crfRange());
+    return tc;
+}
+
 void
 lookaheadPass(const video::Frame &cur, const video::Frame &prev,
               uint64_t v_cur, uint64_t v_prev, bool thorough)
@@ -197,8 +205,6 @@ EncoderModel::encode(const video::Video &video, const EncodeParams &params,
         std::fill(tb.tile_last, tb.tile_last + 4, -1);
         tb.spine_weight = 0;
         tb.spine_op_begin = probe.recordedOps();
-        uint64_t frame_sb_ops_begin = probe.totalOps();
-        (void)frame_sb_ops_begin;
 
         for (int r = 0; r < rows; ++r) {
             for (int c = 0; c < cols; ++c) {

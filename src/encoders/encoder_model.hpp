@@ -6,18 +6,17 @@
  * Encoder models: the five encoders the paper benchmarks, rebuilt on the
  * shared block-codec toolkit.
  *
- * Each model contributes (a) a ToolConfig mapping its CRF/preset envelope
- * onto toolkit knobs — partition arity, intra-mode count, motion-search
- * effort, RD depth, pruning — and (b) a threading structure used to emit
- * the task graph for the scalability study. The shared encode loop is
- * identical, so differences in instruction count, branch behaviour, and
- * scaling between models are consequences of those two declarations,
- * mirroring how the real encoders differ.
+ * Each model is one EncoderSpec row (registry.cpp) declaring (a) a
+ * ToolConfig mapping its CRF/preset envelope onto toolkit knobs —
+ * partition arity, intra-mode count, motion-search effort, RD depth,
+ * pruning — and (b) a threading structure used to emit the task graph
+ * for the scalability study. The shared encode loop is identical, so
+ * differences in instruction count, branch behaviour, and scaling
+ * between models are consequences of those two declarations, mirroring
+ * how the real encoders differ.
  */
 
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "codec/rdo.hpp"
 #include "sched/taskgraph.hpp"
@@ -67,32 +66,42 @@ struct EncodeResult {
     sched::TaskGraph taskGraph;     ///< For the scalability study.
 };
 
-/** Abstract encoder model. */
-class EncoderModel
-{
-  public:
-    virtual ~EncoderModel() = default;
-
-    /** Display name matching the paper ("SVT-AV1", "x264", ...). */
-    virtual std::string name() const = 0;
-
-    /** Upper CRF bound (63 for the AV1/VP9 family, 51 for x264/x265). */
-    virtual int crfRange() const = 0;
-
-    /** Upper preset bound (8 for the AV1/VP9 family, 9 for x264/x265). */
-    virtual int presetRange() const = 0;
-
+/**
+ * One encoder's row in the registry (registry.cpp): its CRF and preset
+ * envelope, its threading structure, and the knobs its presets drive.
+ */
+struct EncoderSpec {
+    const char *name;         ///< Paper name ("SVT-AV1", "x264", ...).
+    int crfRange;             ///< Upper CRF bound (63 AV1/VP9, 51 x264/x265).
+    int presetRange;          ///< Upper preset bound (8 AV1/VP9, 9 x264/x265).
     /**
      * True when larger preset numbers mean *slower* encodes (x264/x265
      * count presets in the opposite direction from the AV1 family).
      */
-    virtual bool presetInverted() const = 0;
+    bool presetInverted;
+    ThreadModel threadModel;  ///< Threading for the scalability study.
+    /**
+     * The preset-driven toolkit knobs for slowness @p s in [0, 1], 1 being
+     * the slowest preset; EncoderModel::toolConfig applies the CRF after.
+     */
+    codec::ToolConfig (*tools)(double s);
+};
 
-    /** Threading structure for the scalability study. */
-    virtual ThreadModel threadModel() const = 0;
+/** An encoder model: one EncoderSpec row driving the shared encode loop. */
+class EncoderModel
+{
+  public:
+    explicit EncoderModel(const EncoderSpec &spec) : spec_(spec) {}
+
+    /** Display name matching the paper ("SVT-AV1", "x264", ...). */
+    std::string name() const { return spec_.name; }
+    int crfRange() const { return spec_.crfRange; }
+    int presetRange() const { return spec_.presetRange; }
+    bool presetInverted() const { return spec_.presetInverted; }
+    ThreadModel threadModel() const { return spec_.threadModel; }
 
     /** Toolkit parameterisation for one sweep point. */
-    virtual codec::ToolConfig toolConfig(const EncodeParams &params) const = 0;
+    codec::ToolConfig toolConfig(const EncodeParams &params) const;
 
     /**
      * Encode a clip with full instrumentation.
@@ -113,12 +122,14 @@ class EncoderModel
                         bool build_tasks = false,
                         trace::TraceSink *sink = nullptr) const;
 
-  protected:
+  private:
     /**
      * Normalised "slowness" in [0, 1] for a preset: 1 = the slowest
      * preset of this model, handling the inverted ranges uniformly.
      */
     double slowness(int preset) const;
+
+    EncoderSpec spec_;
 };
 
 /**

@@ -3,7 +3,8 @@
 
 /**
  * @file
- * Lookup for the five encoder models by paper name.
+ * The five encoder models, one EncoderSpec row each (registry.cpp), and
+ * their lookup by paper name.
  */
 
 #include <memory>

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
+#include <iterator>
 #include <stdexcept>
 
 namespace vepro::lab
@@ -11,12 +11,15 @@ namespace vepro::lab
 namespace
 {
 
-/** One requested (video, crf) point of a CRF sweep. */
+/** One requested point of a figure's sweep. */
 struct SweepHandle {
     std::string video;
     int crf;
+    int preset;
     size_t handle;
 };
+
+using Handles = std::vector<SweepHandle>;
 
 std::string
 pctOfCycles(const uarch::CoreStats &c, uint64_t v)
@@ -27,11 +30,11 @@ pctOfCycles(const uarch::CoreStats &c, uint64_t v)
                      2);
 }
 
-/** Shared request phase of figs 4-7: the preset-4 SVT-AV1 CRF sweep. */
-std::vector<SweepHandle>
+/** Request phase of figs 4-7: the preset-4 SVT-AV1 CRF sweep. */
+Handles
 requestCrfSweep(Orchestrator &orch, const core::RunScale &scale)
 {
-    std::vector<SweepHandle> handles;
+    Handles handles;
     for (const video::SuiteEntry &e : sweepClips(scale)) {
         for (int crf : core::crfSweepAv1()) {
             JobSpec spec = JobSpec::withScale(scale);
@@ -39,230 +42,180 @@ requestCrfSweep(Orchestrator &orch, const core::RunScale &scale)
             spec.video = e.name;
             spec.crf = crf;
             spec.preset = 4;
-            handles.push_back({e.name, crf, orch.request(spec)});
+            handles.push_back({e.name, crf, 4, orch.request(spec)});
         }
     }
     return handles;
 }
 
-/** Base for the four figures that render the shared CRF sweep. */
-class CrfSweepFigure
+/** Request phase of fig 11: the preset sweep for game1 at fixed CRF 30. */
+Handles
+requestPresetSweep(Orchestrator &orch, const core::RunScale &scale)
 {
-  public:
-    virtual ~CrfSweepFigure() = default;
-
-    void
-    request(Orchestrator &orch, const core::RunScale &scale)
-    {
-        handles_ = requestCrfSweep(orch, scale);
+    Handles handles;
+    for (int preset = 0; preset <= 8; ++preset) {
+        JobSpec spec = JobSpec::withScale(scale);
+        spec.encoder = "SVT-AV1";
+        spec.video = "game1";
+        spec.crf = 30;
+        spec.preset = preset;
+        handles.push_back({"game1", 30, preset, orch.request(spec)});
     }
+    return handles;
+}
 
-    virtual FigureResult render(const Orchestrator &orch) const = 0;
+void
+renderFig4(const Orchestrator &orch, const Handles &handles, FigureResult &out)
+{
+    core::Table table({"Video", "CRF", "Instructions", "Time (s)", "IPC"});
+    for (const SweepHandle &h : handles) {
+        const JobResult &r = orch.result(h.handle);
+        table.addRow({h.video, std::to_string(h.crf),
+                      core::fmtCount(r.encode.instructions),
+                      core::fmt(r.encode.wallSeconds, 3),
+                      core::fmt(r.core.ipc(), 2)});
+    }
+    out.tables.push_back(
+        {"crf_sweep",
+         "Fig 4: CRF sweep — instruction count (4a), execution time "
+         "(4b), IPC (4c); SVT-AV1 preset 4",
+         std::move(table)});
+    out.expectedShape =
+        "Expected shape: instructions and time fall together as CRF "
+        "rises; IPC stays near 2 and rises <= ~10%.";
+}
 
-  protected:
-    std::vector<SweepHandle> handles_;
+void
+renderFig5(const Orchestrator &orch, const Handles &handles, FigureResult &out)
+{
+    core::Table table(
+        {"Video", "CRF", "Retiring", "Bad-spec", "Frontend", "Backend"});
+    for (const SweepHandle &h : handles) {
+        const auto &s = orch.result(h.handle).core.slots;
+        table.addRow({h.video, std::to_string(h.crf),
+                      core::fmt(s.fraction(s.retiring), 3),
+                      core::fmt(s.fraction(s.badSpec), 3),
+                      core::fmt(s.fraction(s.frontend), 3),
+                      core::fmt(s.fraction(s.backend), 3)});
+    }
+    out.tables.push_back(
+        {"topdown",
+         "Fig 5: top-down analysis per video; CRF rises within each "
+         "cluster (SVT-AV1 preset 4)",
+         std::move(table)});
+    out.expectedShape =
+        "Expected shape: bad-speculation falls with CRF; backend "
+        "rises; retiring ~0.4-0.6 throughout.";
+}
+
+void
+renderFig6(const Orchestrator &orch, const Handles &handles, FigureResult &out)
+{
+    core::Table mpki(
+        {"Video", "CRF", "Branch MPKI", "L1D MPKI", "L2 MPKI", "LLC MPKI"});
+    core::Table stalls({"Video", "CRF", "RS stall%", "ROB stall%",
+                        "LB stall%", "SB stall%"});
+    for (const SweepHandle &h : handles) {
+        const auto &c = orch.result(h.handle).core;
+        mpki.addRow({h.video, std::to_string(h.crf),
+                     core::fmt(c.branchMpki(), 2), core::fmt(c.l1dMpki(), 2),
+                     core::fmt(c.l2Mpki(), 2), core::fmt(c.llcMpki(), 3)});
+        stalls.addRow({h.video, std::to_string(h.crf),
+                       pctOfCycles(c, c.stalls.rs),
+                       pctOfCycles(c, c.stalls.rob),
+                       pctOfCycles(c, c.stalls.loadBuf),
+                       pctOfCycles(c, c.stalls.storeBuf)});
+    }
+    out.tables.push_back(
+        {"mpki",
+         "Fig 6a-d: branch / L1D / L2 / LLC misses per kilo-"
+         "instruction vs CRF (SVT-AV1 preset 4)",
+         std::move(mpki)});
+    out.tables.push_back(
+        {"stalls",
+         "Fig 6e-h: allocation-stall cycles by blocking resource "
+         "(percent of cycles) vs CRF",
+         std::move(stalls)});
+    out.expectedShape =
+        "Expected shape: branch MPKI falls with CRF; L1D/L2 MPKI "
+        "rise; LLC MPKI far below both; ROB stalls small.";
+}
+
+void
+renderFig7(const Orchestrator &orch, const Handles &handles, FigureResult &out)
+{
+    core::Table table(
+        {"Video", "CRF", "Cond branches", "Mispredicts", "Miss rate %"});
+    for (const SweepHandle &h : handles) {
+        const auto &c = orch.result(h.handle).core;
+        table.addRow({h.video, std::to_string(h.crf),
+                      core::fmtCount(c.condBranches),
+                      core::fmtCount(c.mispredicts),
+                      core::fmt(c.branchMissRatePercent(), 2)});
+    }
+    out.tables.push_back(
+        {"missrate", "Fig 7: branch miss rate vs CRF (SVT-AV1 preset 4)",
+         std::move(table)});
+    out.expectedShape =
+        "Expected shape: the miss rate falls as CRF rises (looser RD "
+        "thresholds make decision branches biased).";
+}
+
+void
+renderFig11(const Orchestrator &orch, const Handles &handles,
+            FigureResult &out)
+{
+    core::Table ab(
+        {"Preset", "Time (s)", "Instructions", "Bitrate (kbps)", "PSNR (dB)"});
+    core::Table cde({"Preset", "Retiring", "Bad-spec", "Frontend", "Backend",
+                     "Br MPKI", "L1D MPKI", "L2 MPKI", "RS stall%",
+                     "SB stall%"});
+    for (const SweepHandle &h : handles) {
+        const JobResult &r = orch.result(h.handle);
+        const auto &c = r.core;
+        const auto &s = c.slots;
+        ab.addRow({std::to_string(h.preset),
+                   core::fmt(r.encode.wallSeconds, 3),
+                   core::fmtCount(r.encode.instructions),
+                   core::fmt(r.encode.bitrateKbps, 0),
+                   core::fmt(r.encode.psnrDb, 2)});
+        cde.addRow({std::to_string(h.preset),
+                    core::fmt(s.fraction(s.retiring), 3),
+                    core::fmt(s.fraction(s.badSpec), 3),
+                    core::fmt(s.fraction(s.frontend), 3),
+                    core::fmt(s.fraction(s.backend), 3),
+                    core::fmt(c.branchMpki(), 2), core::fmt(c.l1dMpki(), 2),
+                    core::fmt(c.l2Mpki(), 2), pctOfCycles(c, c.stalls.rs),
+                    pctOfCycles(c, c.stalls.storeBuf)});
+    }
+    out.tables.push_back(
+        {"time_rd",
+         "Fig 11a-b: preset sweep — time, bitrate, PSNR (game1, "
+         "CRF 30)",
+         std::move(ab)});
+    out.tables.push_back(
+        {"uarch", "Fig 11c-e: preset sweep — top-down, MPKI, resource stalls",
+         std::move(cde)});
+    out.expectedShape =
+        "Expected shape: time falls ~3 orders of magnitude from "
+        "preset 0 to 8; bitrate rises, PSNR dips modestly; the "
+        "microarchitectural rows show no clear preset trend.";
+}
+
+/** One regenerable figure: the points it requests and how it renders. */
+struct FigureRow {
+    int id;  ///< Paper figure number.
+    Handles (*request)(Orchestrator &, const core::RunScale &);
+    void (*render)(const Orchestrator &, const Handles &, FigureResult &);
 };
 
-class Fig4 final : public CrfSweepFigure
-{
-  public:
-    FigureResult
-    render(const Orchestrator &orch) const override
-    {
-        core::Table table(
-            {"Video", "CRF", "Instructions", "Time (s)", "IPC"});
-        for (const SweepHandle &h : handles_) {
-            const JobResult &r = orch.result(h.handle);
-            table.addRow({h.video, std::to_string(h.crf),
-                          core::fmtCount(r.encode.instructions),
-                          core::fmt(r.encode.wallSeconds, 3),
-                          core::fmt(r.core.ipc(), 2)});
-        }
-        FigureResult out;
-        out.id = 4;
-        out.slug = "fig04";
-        out.tables.push_back(
-            {"crf_sweep",
-             "Fig 4: CRF sweep — instruction count (4a), execution time "
-             "(4b), IPC (4c); SVT-AV1 preset 4",
-             std::move(table)});
-        out.expectedShape =
-            "Expected shape: instructions and time fall together as CRF "
-            "rises; IPC stays near 2 and rises <= ~10%.";
-        return out;
-    }
-};
-
-class Fig5 final : public CrfSweepFigure
-{
-  public:
-    FigureResult
-    render(const Orchestrator &orch) const override
-    {
-        core::Table table({"Video", "CRF", "Retiring", "Bad-spec",
-                           "Frontend", "Backend"});
-        for (const SweepHandle &h : handles_) {
-            const auto &s = orch.result(h.handle).core.slots;
-            table.addRow({h.video, std::to_string(h.crf),
-                          core::fmt(s.fraction(s.retiring), 3),
-                          core::fmt(s.fraction(s.badSpec), 3),
-                          core::fmt(s.fraction(s.frontend), 3),
-                          core::fmt(s.fraction(s.backend), 3)});
-        }
-        FigureResult out;
-        out.id = 5;
-        out.slug = "fig05";
-        out.tables.push_back(
-            {"topdown",
-             "Fig 5: top-down analysis per video; CRF rises within each "
-             "cluster (SVT-AV1 preset 4)",
-             std::move(table)});
-        out.expectedShape =
-            "Expected shape: bad-speculation falls with CRF; backend "
-            "rises; retiring ~0.4-0.6 throughout.";
-        return out;
-    }
-};
-
-class Fig6 final : public CrfSweepFigure
-{
-  public:
-    FigureResult
-    render(const Orchestrator &orch) const override
-    {
-        core::Table mpki({"Video", "CRF", "Branch MPKI", "L1D MPKI",
-                          "L2 MPKI", "LLC MPKI"});
-        core::Table stalls({"Video", "CRF", "RS stall%", "ROB stall%",
-                            "LB stall%", "SB stall%"});
-        for (const SweepHandle &h : handles_) {
-            const auto &c = orch.result(h.handle).core;
-            mpki.addRow({h.video, std::to_string(h.crf),
-                         core::fmt(c.branchMpki(), 2),
-                         core::fmt(c.l1dMpki(), 2),
-                         core::fmt(c.l2Mpki(), 2),
-                         core::fmt(c.llcMpki(), 3)});
-            stalls.addRow({h.video, std::to_string(h.crf),
-                           pctOfCycles(c, c.stalls.rs),
-                           pctOfCycles(c, c.stalls.rob),
-                           pctOfCycles(c, c.stalls.loadBuf),
-                           pctOfCycles(c, c.stalls.storeBuf)});
-        }
-        FigureResult out;
-        out.id = 6;
-        out.slug = "fig06";
-        out.tables.push_back(
-            {"mpki",
-             "Fig 6a-d: branch / L1D / L2 / LLC misses per kilo-"
-             "instruction vs CRF (SVT-AV1 preset 4)",
-             std::move(mpki)});
-        out.tables.push_back(
-            {"stalls",
-             "Fig 6e-h: allocation-stall cycles by blocking resource "
-             "(percent of cycles) vs CRF",
-             std::move(stalls)});
-        out.expectedShape =
-            "Expected shape: branch MPKI falls with CRF; L1D/L2 MPKI "
-            "rise; LLC MPKI far below both; ROB stalls small.";
-        return out;
-    }
-};
-
-class Fig7 final : public CrfSweepFigure
-{
-  public:
-    FigureResult
-    render(const Orchestrator &orch) const override
-    {
-        core::Table table({"Video", "CRF", "Cond branches", "Mispredicts",
-                           "Miss rate %"});
-        for (const SweepHandle &h : handles_) {
-            const auto &c = orch.result(h.handle).core;
-            table.addRow({h.video, std::to_string(h.crf),
-                          core::fmtCount(c.condBranches),
-                          core::fmtCount(c.mispredicts),
-                          core::fmt(c.branchMissRatePercent(), 2)});
-        }
-        FigureResult out;
-        out.id = 7;
-        out.slug = "fig07";
-        out.tables.push_back(
-            {"missrate",
-             "Fig 7: branch miss rate vs CRF (SVT-AV1 preset 4)",
-             std::move(table)});
-        out.expectedShape =
-            "Expected shape: the miss rate falls as CRF rises (looser RD "
-            "thresholds make decision branches biased).";
-        return out;
-    }
-};
-
-/** Fig 11 — the preset sweep for game1 at fixed CRF 30. */
-class Fig11 final
-{
-  public:
-    void
-    request(Orchestrator &orch, const core::RunScale &scale)
-    {
-        handles_.clear();
-        for (int preset = 0; preset <= 8; ++preset) {
-            JobSpec spec = JobSpec::withScale(scale);
-            spec.encoder = "SVT-AV1";
-            spec.video = "game1";
-            spec.crf = 30;
-            spec.preset = preset;
-            handles_.push_back(orch.request(spec));
-        }
-    }
-
-    FigureResult
-    render(const Orchestrator &orch) const
-    {
-        core::Table ab({"Preset", "Time (s)", "Instructions",
-                        "Bitrate (kbps)", "PSNR (dB)"});
-        core::Table cde({"Preset", "Retiring", "Bad-spec", "Frontend",
-                         "Backend", "Br MPKI", "L1D MPKI", "L2 MPKI",
-                         "RS stall%", "SB stall%"});
-        for (size_t preset = 0; preset < handles_.size(); ++preset) {
-            const JobResult &r = orch.result(handles_[preset]);
-            const auto &c = r.core;
-            const auto &s = c.slots;
-            ab.addRow({std::to_string(preset),
-                       core::fmt(r.encode.wallSeconds, 3),
-                       core::fmtCount(r.encode.instructions),
-                       core::fmt(r.encode.bitrateKbps, 0),
-                       core::fmt(r.encode.psnrDb, 2)});
-            cde.addRow({std::to_string(preset),
-                        core::fmt(s.fraction(s.retiring), 3),
-                        core::fmt(s.fraction(s.badSpec), 3),
-                        core::fmt(s.fraction(s.frontend), 3),
-                        core::fmt(s.fraction(s.backend), 3),
-                        core::fmt(c.branchMpki(), 2),
-                        core::fmt(c.l1dMpki(), 2),
-                        core::fmt(c.l2Mpki(), 2),
-                        pctOfCycles(c, c.stalls.rs),
-                        pctOfCycles(c, c.stalls.storeBuf)});
-        }
-        FigureResult out;
-        out.id = 11;
-        out.slug = "fig11";
-        out.tables.push_back(
-            {"time_rd",
-             "Fig 11a-b: preset sweep — time, bitrate, PSNR (game1, "
-             "CRF 30)",
-             std::move(ab)});
-        out.tables.push_back(
-            {"uarch",
-             "Fig 11c-e: preset sweep — top-down, MPKI, resource stalls",
-             std::move(cde)});
-        out.expectedShape =
-            "Expected shape: time falls ~3 orders of magnitude from "
-            "preset 0 to 8; bitrate rises, PSNR dips modestly; the "
-            "microarchitectural rows show no clear preset trend.";
-        return out;
-    }
-
-  private:
-    std::vector<size_t> handles_;
+/** Every figure the lab regenerates, ascending; figs 4-7 share a sweep. */
+const FigureRow kFigures[] = {
+    {4, requestCrfSweep, renderFig4},
+    {5, requestCrfSweep, renderFig5},
+    {6, requestCrfSweep, renderFig6},
+    {7, requestCrfSweep, renderFig7},
+    {11, requestPresetSweep, renderFig11},
 };
 
 } // namespace
@@ -270,7 +223,13 @@ class Fig11 final
 const std::vector<int> &
 supportedFigures()
 {
-    static const std::vector<int> ids = {4, 5, 6, 7, 11};
+    static const std::vector<int> ids = [] {
+        std::vector<int> out;
+        for (const FigureRow &row : kFigures) {
+            out.push_back(row.id);
+        }
+        return out;
+    }();
     return ids;
 }
 
@@ -292,55 +251,42 @@ std::vector<FigureResult>
 runFigures(const std::vector<int> &ids, const core::RunScale &scale,
            Orchestrator &orch)
 {
-    std::vector<int> unique;
+    std::vector<const FigureRow *> rows;
     for (int id : ids) {
-        if (std::find(supportedFigures().begin(), supportedFigures().end(),
-                      id) == supportedFigures().end()) {
+        const FigureRow *row = std::find_if(
+            std::begin(kFigures), std::end(kFigures),
+            [id](const FigureRow &r) { return r.id == id; });
+        if (row == std::end(kFigures)) {
             std::string known;
             for (int k : supportedFigures()) {
-                known += (known.empty() ? "" : ",") + std::to_string(k);
+                known += known.empty() ? "" : ",";
+                known += std::to_string(k);
             }
             throw std::invalid_argument("lab: unsupported figure " +
                                         std::to_string(id) +
                                         " (supported: " + known + ")");
         }
-        if (std::find(unique.begin(), unique.end(), id) == unique.end()) {
-            unique.push_back(id);
+        if (std::find(rows.begin(), rows.end(), row) == rows.end()) {
+            rows.push_back(row);
         }
     }
 
     // Request everything first so overlapping figures dedupe, then
     // resolve the union in one pool run, then render per figure.
-    std::vector<std::unique_ptr<CrfSweepFigure>> crf_figs;
-    std::vector<std::unique_ptr<Fig11>> preset_figs;
-    std::vector<std::function<FigureResult()>> renderers;
-    for (int id : unique) {
-        if (id == 11) {
-            preset_figs.push_back(std::make_unique<Fig11>());
-            Fig11 *fig = preset_figs.back().get();
-            fig->request(orch, scale);
-            renderers.emplace_back([fig, &orch] { return fig->render(orch); });
-            continue;
-        }
-        std::unique_ptr<CrfSweepFigure> fig;
-        switch (id) {
-        case 4: fig = std::make_unique<Fig4>(); break;
-        case 5: fig = std::make_unique<Fig5>(); break;
-        case 6: fig = std::make_unique<Fig6>(); break;
-        default: fig = std::make_unique<Fig7>(); break;
-        }
-        fig->request(orch, scale);
-        CrfSweepFigure *raw = fig.get();
-        crf_figs.push_back(std::move(fig));
-        renderers.emplace_back([raw, &orch] { return raw->render(orch); });
+    std::vector<Handles> handles;
+    for (const FigureRow *row : rows) {
+        handles.push_back(row->request(orch, scale));
     }
 
     orch.run();
 
-    std::vector<FigureResult> out;
-    out.reserve(renderers.size());
-    for (auto &render : renderers) {
-        out.push_back(render());
+    std::vector<FigureResult> out(rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+        char slug[16];
+        std::snprintf(slug, sizeof slug, "fig%02d", rows[i]->id);
+        out[i].id = rows[i]->id;
+        out[i].slug = slug;
+        rows[i]->render(orch, handles[i], out[i]);
     }
     return out;
 }

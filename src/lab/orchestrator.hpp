@@ -41,13 +41,14 @@ namespace vepro::lab
 struct OrchestratorOptions {
     int jobs = 1;                      ///< Worker threads.
     /**
-     * Look results up in the store, and capture each unique encode's
-     * op trace to `<store>/traces/` to replay it instead of re-running
-     * the encoder when the same encode is requested again (possibly on
-     * a different backend or segment count). Replays are bit-identical
-     * to the live fused pipeline, so the trace cache changes wall-clock
-     * only, never results. false (--no-cache) recomputes every point
-     * live; fresh results are still saved.
+     * Look results up in the store, and capture each unique capped
+     * encode's op trace to `<store>/traces/` to replay it instead of
+     * re-running the encoder when the same encode is requested again
+     * (possibly on a different backend or segment count). Replays are
+     * bit-identical to the live fused pipeline, so the trace cache
+     * changes wall-clock only, never results. Uncapped points
+     * (maxTraceOps 0) are never captured. false (--no-cache) recomputes
+     * every point live; fresh results are still saved.
      */
     bool useCache = true;
     std::string storeDir = ".vepro-lab";

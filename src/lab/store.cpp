@@ -129,13 +129,33 @@ ResultStore::load(const JobSpec &spec) const
         result.fromCache = true;
         return result;
     } catch (const std::exception &e) {
-        if (progress_) {
-            progress_->linef(
-                "  warning: corrupt or stale cache entry %s (%s) — "
-                "recomputing",
-                path.c_str(), e.what());
-        }
+        warnCorruptEntry(progress_, path, e.what());
         return std::nullopt;
+    }
+}
+
+std::string
+uniqueTmpPath(const std::string &path)
+{
+    static std::atomic<uint64_t> counter{0};
+#ifdef _WIN32
+    const long pid = _getpid();
+#else
+    const long pid = static_cast<long>(::getpid());
+#endif
+    return path + "." + std::to_string(pid) + "-" +
+           std::to_string(counter.fetch_add(1, std::memory_order_relaxed)) +
+           ".tmp";
+}
+
+void
+warnCorruptEntry(Progress *progress, const std::string &path,
+                 const std::string &error)
+{
+    if (progress) {
+        progress->linef(
+            "  warning: corrupt or stale cache entry %s (%s) — recomputing",
+            path.c_str(), error.c_str());
     }
 }
 
@@ -157,25 +177,8 @@ ResultStore::save(const JobSpec &spec, const JobResult &result) const
         .set("spec", specToJson(spec))
         .set("result", std::move(res));
 
-    // The tmp name must be unique per writer: two processes (e.g.
-    // vepro-serve and vepro-lab sharing one store) or two worker
-    // threads saving the same key concurrently would otherwise write
-    // through ONE "<path>.tmp", interleaving truncations with renames —
-    // a reader could then see a half-written record published, or a
-    // writer could throw when its tmp was renamed away underneath it.
-    // pid disambiguates processes, the counter disambiguates threads;
-    // both renames then publish a complete record and last-rename-wins.
-    static std::atomic<uint64_t> tmp_counter{0};
-#ifdef _WIN32
-    const long pid = _getpid();
-#else
-    const long pid = static_cast<long>(::getpid());
-#endif
     const std::string path = pathFor(spec);
-    const std::string tmp = path + "." + std::to_string(pid) + "-" +
-                            std::to_string(tmp_counter.fetch_add(
-                                1, std::memory_order_relaxed)) +
-                            ".tmp";
+    const std::string tmp = uniqueTmpPath(path);
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
         if (!out) {

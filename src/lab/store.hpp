@@ -92,6 +92,23 @@ struct JobResult {
     std::string error;  ///< what() of the second failure.
 };
 
+/**
+ * A writer-unique tmp name next to @p path, `<path>.<pid>-<n>.tmp`. The
+ * result store and the trace cache write there and rename over @p path.
+ * Two processes sharing a store (the pid) or two threads writing one key
+ * (the process-wide counter) never write through one tmp file, so each
+ * rename publishes a complete file and the last rename wins.
+ */
+std::string uniqueTmpPath(const std::string &path);
+
+/**
+ * The one warning both caches print before they drop a corrupt or
+ * stale entry at @p path and recompute it; nullptr @p progress is
+ * silent.
+ */
+void warnCorruptEntry(Progress *progress, const std::string &path,
+                      const std::string &error);
+
 class ResultStore
 {
   public:
@@ -113,7 +130,7 @@ class ResultStore
     std::optional<JobResult> load(const JobSpec &spec) const;
 
     /**
-     * Persist a record atomically: serialise to `<path>.tmp`, then
+     * Persist a record atomically: serialise to uniqueTmpPath(), then
      * rename over the final path, so concurrent readers see either the
      * old complete record or the new one.
      */

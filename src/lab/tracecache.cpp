@@ -1,38 +1,13 @@
 #include "lab/tracecache.hpp"
 
-#include <atomic>
 #include <filesystem>
 
-#ifdef _WIN32
-#include <process.h>
-#else
-#include <unistd.h>
-#endif
+#include "lab/store.hpp"
 
 namespace vepro::lab
 {
 
 namespace fs = std::filesystem;
-
-namespace
-{
-
-/** Unique-per-writer tmp suffix (same scheme as ResultStore::save). */
-std::string
-tmpSuffix()
-{
-    static std::atomic<uint64_t> counter{0};
-#ifdef _WIN32
-    const long pid = _getpid();
-#else
-    const long pid = static_cast<long>(::getpid());
-#endif
-    return "." + std::to_string(pid) + "-" +
-           std::to_string(counter.fetch_add(1, std::memory_order_relaxed)) +
-           ".tmp";
-}
-
-} // namespace
 
 TraceCache::TraceCache(std::string dir, Progress *progress)
     : dir_(std::move(dir)), progress_(progress)
@@ -62,7 +37,7 @@ TraceCache::begin(const JobSpec &spec)
         lease.hit = true;
     } else {
         fs::create_directories(dir_, ec);
-        lease.tmpPath = lease.path + tmpSuffix();
+        lease.tmpPath = uniqueTmpPath(lease.path);
     }
     return lease;
 }
@@ -73,16 +48,12 @@ TraceCache::recapture(Lease &lease, const std::string &error)
     if (!lease.active || !lease.hit) {
         throw std::logic_error("lab: recapture() needs an active hit lease");
     }
-    if (progress_) {
-        progress_->linef(
-            "  warning: corrupt or stale cache entry %s (%s) — recomputing",
-            lease.path.c_str(), error.c_str());
-    }
+    warnCorruptEntry(progress_, lease.path, error);
     std::error_code ec;
     fs::remove(lease.path, ec);  // Best effort; capture overwrites anyway.
     fs::create_directories(dir_, ec);
     lease.hit = false;
-    lease.tmpPath = lease.path + tmpSuffix();
+    lease.tmpPath = uniqueTmpPath(lease.path);
 }
 
 void

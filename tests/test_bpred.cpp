@@ -109,6 +109,12 @@ TEST(Factory, RejectsMalformedSpecs)
     EXPECT_THROW(makePredictor("gshare"), std::invalid_argument);
     EXPECT_THROW(makePredictor("gshare-2MB"), std::invalid_argument);
     EXPECT_THROW(makePredictor("unobtanium-8KB"), std::invalid_argument);
+    // The budget is a whole decimal token that fits in bytes.
+    for (const char *spec :
+         {"tage-4abcKB", "tage-+8KB", "tage- 8KB", "gshare-0x10KB",
+          "tage-99999999999999999999KB", "tage-18014398509481984KB"}) {
+        EXPECT_THROW(makePredictor(spec), std::invalid_argument) << spec;
+    }
 }
 
 TEST(Factory, BudgetsRoughlyHonoured)

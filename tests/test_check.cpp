@@ -55,18 +55,15 @@ TEST(CheckNames, TargetNamesRoundTrip)
 
 TEST(CheckNames, FaultNamesRoundTrip)
 {
-    const Fault faults[] = {Fault::None,           Fault::CacheLru,
-                            Fault::CoreLatency,    Fault::BpredAlloc,
-                            Fault::KernelsSad,     Fault::KernelsIdct,
-                            Fault::StoreBit,       Fault::ParallelDrop,
-                            Fault::BackendEnergy,  Fault::TraceFileDelta,
-                            Fault::LadderHull,     Fault::ProbeQuiet,
-                            Fault::ProbeTally,     Fault::FarmTie};
-    for (Fault f : faults) {
+    std::set<std::string> names;
+    for (size_t i = 0; i < kFaultCount; ++i) {
+        const Fault f = static_cast<Fault>(i);
         Fault back = Fault::None;
         ASSERT_TRUE(parseFault(faultName(f), back)) << faultName(f);
         EXPECT_EQ(back, f);
+        names.insert(faultName(f));
     }
+    EXPECT_EQ(names.size(), kFaultCount);
     Fault out;
     EXPECT_FALSE(parseFault("cache-mru", out));
 }

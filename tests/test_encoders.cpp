@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <map>
 #include <set>
 
+#include "core/fnv.hpp"
 #include "encoders/registry.hpp"
 #include "video/generator.hpp"
 #include "video/metrics.hpp"
@@ -100,6 +103,55 @@ TEST(ToolConfigs, X264UsesMacroblocks)
     p.crf = 23;
     EXPECT_EQ(encoderByName("x264")->toolConfig(p).superblockSize, 16);
     EXPECT_EQ(encoderByName("x265")->toolConfig(p).superblockSize, 64);
+}
+
+/** Every ToolConfig field on one line, doubles exact (%.17g). */
+std::string
+describeTools(const codec::ToolConfig &tc)
+{
+    char line[512];
+    std::snprintf(
+        line, sizeof line,
+        "sb=%d min=%d parts=%u intra=%d intraRect=%d txSize=%d txType=%d "
+        "refs=%d interp=%d me.range=%d me.exhaustive=%d me.subpel=%d "
+        "me.sharp=%d me.exit=%.17g fullRd=%d exit=%.17g patience=%d "
+        "pruneDepth=%d q=%d qRange=%d lambda=%.17g filter=%d ctx=%d\n",
+        tc.superblockSize, tc.minBlockSize, tc.partitionMask, tc.intraModes,
+        tc.intraModesRect, tc.txSizeCandidates, tc.txTypeCandidates,
+        tc.refFramesSearched, tc.interpFilterCands, tc.me.range,
+        tc.me.exhaustive, tc.me.subpel, tc.me.sharpSubpel,
+        tc.me.earlyExitPerPel, tc.fullRd, tc.earlyExitScale,
+        tc.modePatience, tc.pruneMinDepth, tc.qIndex, tc.qRange,
+        tc.lambdaScale, tc.filterPasses, tc.coeffContexts);
+    return line;
+}
+
+TEST(ToolConfigs, EveryModelsKnobsArePinned)
+{
+    // One digest per model over every preset x CRF {0, mid, max}: any
+    // knob edit, in any model, changes its digest. A change that means
+    // to move a knob updates that model's literal and says why.
+    const std::map<std::string, uint64_t> pinned = {
+        {"SVT-AV1", 0x13181da870defcd8ULL},
+        {"Libaom", 0xc27131bcd725199aULL},
+        {"Libvpx-vp9", 0x669c922a47042f4bULL},
+        {"x265", 0xdfb05472d0aee9a7ULL},
+        {"x264", 0xaf2cec1fef832937ULL},
+    };
+    for (const auto &enc : allEncoders()) {
+        uint64_t digest = core::kFnv1a64Basis;
+        for (int preset = 0; preset <= enc->presetRange(); ++preset) {
+            for (int crf : {0, enc->crfRange() / 2, enc->crfRange()}) {
+                EncodeParams p;
+                p.crf = crf;
+                p.preset = preset;
+                digest = core::fnv1a64(describeTools(enc->toolConfig(p)),
+                                       digest);
+            }
+        }
+        EXPECT_EQ(digest, pinned.at(enc->name()))
+            << enc->name() << ": 0x" << std::hex << digest;
+    }
 }
 
 /** Slower presets must never reduce any search-effort knob. */

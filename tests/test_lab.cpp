@@ -1103,6 +1103,37 @@ TEST(TraceCacheE2E, SegmentedSpecsReplayAndOptedOutSpecsBypassTheCache)
         }
     }
     {
+        // An uncapped point skips the trace cache: its whole-run capture
+        // would cost more to write than a replay saves. The result store
+        // still saves it and serves it to the next run.
+        const std::string dir = freshDir("tuncapped");
+        JobSpec spec = quickSpec();
+        spec.maxTraceOps = 0;
+        spec.frames = 1;  // the whole run is simulated twice below
+        {
+            Orchestrator orch(realRunnerOptions(dir));
+            const size_t handle = orch.request(spec);
+            orch.run();
+            EXPECT_EQ(orch.encoderRuns(), 1u);
+            EXPECT_EQ(orch.traceCaptures(), 0u);
+            EXPECT_FALSE(fs::exists(dir + "/traces"));
+
+            const auto encoder = encoders::encoderByName(spec.encoder);
+            const core::RunScale scale = spec.toRunScale();
+            const video::Video clip =
+                video::loadSuiteVideo(spec.video, scale.suite);
+            EXPECT_EQ(orch.result(handle).core,
+                      core::runPoint(*encoder, clip, spec.crf, spec.preset,
+                                     scale)
+                          .core);
+        }
+        Orchestrator orch(realRunnerOptions(dir));
+        orch.request(spec);
+        orch.run();
+        EXPECT_EQ(orch.cacheHits(), 1u);
+        EXPECT_EQ(orch.encoderRuns(), 0u);
+    }
+    {
         // --no-cache opt-out.
         const std::string dir = freshDir("tnocache");
         OrchestratorOptions opts = realRunnerOptions(dir);
