@@ -22,11 +22,6 @@
  *   replay      — trace::FileSource decode into a counting sink: the
  *                 fixed per-run cost of a trace-cache hit before any
  *                 simulation work happens.
- *   core_seg    — core::SegmentSim over the same trace, its segments
- *                 on core::parallelFor (--segments / --segment-warmup;
- *                 segment parallelism, bounded warmup error).
- *   e2e_seg     — probe emission fused into SegmentSim, the shape
- *                 runPoint(--segments=N) executes.
  *
  * Writes BENCH_simspeed.json (see --out) so the repository carries a
  * perf trajectory; --baseline compares against a committed file and
@@ -50,7 +45,6 @@
 
 #include "bpred/runner.hpp"
 #include "core/experiment.hpp"
-#include "core/segment.hpp"
 #include "lab/json.hpp"
 #include "trace/probe.hpp"
 #include "trace/synth.hpp"
@@ -190,15 +184,11 @@ struct Options {
     std::string baseline;
     double tolerance = 0.30;
     bool golden = false;
-    int segments = 0;   ///< Segment count; 0 = auto-detect.
-    int warmup = 8;     ///< Segment warmup blocks.
 };
 
 constexpr const char *kUsage =
     "usage: bench_simspeed [--quick|--full] [--reps=N] "
-    "[--out=FILE] [--baseline=FILE] [--tolerance=F] "
-    "[--golden] [--segments=N] "
-    "[--segment-warmup=K]  (0 = auto-detect)\n";
+    "[--out=FILE] [--baseline=FILE] [--tolerance=F] [--golden]\n";
 
 [[noreturn]] void
 usageError(const std::string &error)
@@ -261,10 +251,6 @@ parseArgs(int argc, char **argv)
             o.baseline = a.substr(11);
         } else if (a.rfind("--tolerance=", 0) == 0) {
             o.tolerance = doubleFlag(a.substr(12), "--tolerance");
-        } else if (a.rfind("--segments=", 0) == 0) {
-            o.segments = intFlag(a.substr(11), "--segments");
-        } else if (a.rfind("--segment-warmup=", 0) == 0) {
-            o.warmup = intFlag(a.substr(17), "--segment-warmup");
         } else {
             std::fputs(kUsage, stderr);
             std::exit(a == "--help" ? 0 : 1);
@@ -276,9 +262,6 @@ parseArgs(int argc, char **argv)
     if (!(o.tolerance > 0.0 && o.tolerance < 1.0)) {
         usageError("--tolerance must lie strictly between 0 and 1");
     }
-    if (o.segments < 0 || o.warmup < 0) {
-        usageError("--segments and --segment-warmup must be >= 0");
-    }
     if (!o.baseline.empty() && sameFile(o.out, o.baseline)) {
         usageError("--out and --baseline name the same file '" +
                    o.baseline + "'; the run would overwrite its baseline");
@@ -289,8 +272,7 @@ parseArgs(int argc, char **argv)
 /** The keys the perf gate compares. Keys absent from an older baseline
  *  are skipped, so adding new measurements never breaks a gate. */
 constexpr const char *kGateKeys[] = {
-    "probe_emit", "cache",   "core",     "bpred",  "end_to_end",
-    "capture",    "replay",  "core_seg", "e2e_seg"};
+    "probe_emit", "cache", "core", "bpred", "end_to_end", "capture", "replay"};
 
 /**
  * The baseline's throughput per gated key it holds, read before any
@@ -496,45 +478,6 @@ main(int argc, char **argv)
     std::printf("  %-11s %8.2f Mops/s\n", "replay", replay);
     mops.set("replay", lab::JsonValue::numberToken(fmt3(replay)));
     std::filesystem::remove(trace_path);
-
-    // Segment mode: core_seg slices the trace across cores, e2e_seg
-    // fuses probe emission into the capture. 0 = auto-detect.
-    const int segments = core::resolveJobs(opt.segments);
-    double core_seg = bestMops(opt.reps, [&] {
-        core::SegmentSimConfig scfg;
-        scfg.segments = segments;
-        scfg.warmupBlocks = opt.warmup;
-        core::SegmentSim sim(scfg);
-        for (size_t i = 0; i < t.size(); i += 4096) {
-            sim.onOps(t.data() + i, std::min<size_t>(4096, t.size() - i));
-        }
-        sim.flush();
-        return t.size();
-    });
-    std::printf("  %-11s %8.2f Mops/s  (segments=%d, warmup=%d, "
-                "%.2fx core)\n",
-                "core_seg", core_seg, segments, opt.warmup,
-                core > 0.0 ? core_seg / core : 0.0);
-    mops.set("core_seg", lab::JsonValue::numberToken(fmt3(core_seg)));
-
-    // The fused segment-mode shape runPoint(--segments=N) executes:
-    // probe emission captures blocks, then N cores simulate slices.
-    double e2e_seg = bestMops(opt.reps, [&] {
-        core::SegmentSimConfig scfg;
-        scfg.segments = segments;
-        scfg.warmupBlocks = opt.warmup;
-        core::SegmentSim sim(scfg);
-        trace::Probe probe{trace::ProbeConfig::streaming(true)};
-        probe.setSink(&sim);
-        trace::synthProbeWorkload(probe, opt.ops);
-        probe.flushToSink();
-        sim.flush();
-        return probe.recordedOps();
-    });
-    std::printf("  %-11s %8.2f Mops/s  (segments=%d, %.2fx end_to_end)\n",
-                "e2e_seg", e2e_seg, segments,
-                end_to_end > 0.0 ? e2e_seg / end_to_end : 0.0);
-    mops.set("e2e_seg", lab::JsonValue::numberToken(fmt3(e2e_seg)));
 
     lab::JsonValue doc = lab::JsonValue::object();
     doc.set("schema", lab::JsonValue::number(1));

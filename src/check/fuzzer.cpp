@@ -21,7 +21,6 @@
 #include "codec/transform.hpp"
 #include "core/experiment.hpp"
 #include "core/rng.hpp"
-#include "core/segment.hpp"
 #include "lab/json.hpp"
 #include "lab/store.hpp"
 #include "ladder/ladder.hpp"
@@ -116,6 +115,10 @@ listCorpus(const std::string &dir)
         if (entry.is_regular_file() && entry.path().extension() == ".case") {
             paths.push_back(entry.path().string());
         }
+    }
+    if (ec) {
+        throw std::invalid_argument("corpus: cannot read directory '" + dir +
+                                    "': " + ec.message());
     }
     std::sort(paths.begin(), paths.end());
     return paths;
@@ -544,32 +547,27 @@ diffJobResult(const lab::JobResult &want, const lab::JobResult &got)
 }
 
 // ---------------------------------------------------------------------
-// Parallel target helpers
+// Tracefile target helpers
 
 /**
  * Deterministically interleaved op/branch/kernel stream: the same
  * @p chunk_seed produces the identical record sequence (including chunk
- * boundaries) on every call, so the sequential reference and the
- * parallel runs under test consume exactly the same stream. The
- * ParallelDrop fault withholds the final op, which the segments=1
- * comparison must flag as a stats mismatch.
+ * boundaries) on every call, so the live stack and the capture under
+ * test consume exactly the same stream.
  */
 void
 replayInterleaved(trace::TraceSink &sink, uint64_t chunk_seed,
                   const std::vector<TraceOp> &ops,
-                  const std::vector<trace::BranchRecord> &branches,
-                  bool drop_last_op)
+                  const std::vector<trace::BranchRecord> &branches)
 {
     SplitMix64 rng(chunk_seed);
-    const size_t op_end =
-        ops.size() - (drop_last_op && !ops.empty() ? 1 : 0);
     size_t op_pos = 0, br_pos = 0;
-    while (op_pos < op_end || br_pos < branches.size()) {
+    while (op_pos < ops.size() || br_pos < branches.size()) {
         const bool do_ops =
-            op_pos < op_end &&
+            op_pos < ops.size() &&
             (br_pos >= branches.size() || !rng.chance(1, 3));
         if (do_ops) {
-            const size_t n = std::min<size_t>(op_end - op_pos,
+            const size_t n = std::min<size_t>(ops.size() - op_pos,
                                               rng.range(1, 6000));
             sink.onOps(ops.data() + op_pos, n);
             op_pos += n;
@@ -1027,117 +1025,6 @@ runStoreCase(const FuzzOptions &options, uint64_t seed, Divergence &out)
 }
 
 /**
- * The parallel-simulation differential. One seeded case replays the
- * same interleaved op/branch/kernel stream into a sequential StreamCore
- * and into core::SegmentSim, whose segments run on core::parallelFor,
- * and asserts:
- *
- *  1. segments=1 is bit-identical to the sequential core;
- *  2. segment exactness — SegmentSim's stitched event counters
- *     (instructions, retiring slots, conditional branches, L1D
- *     accesses) are bit-equal to the sequential core at every segment
- *     count, worker count and warmup depth, because warmup counters
- *     are discarded;
- *  3. segment convergence — growing the warmup prefix does not move
- *     the timing counters away from the sequential answer beyond a
- *     small stitching bound (a leak of warmup cycles into the stats
- *     blows far past the bound).
- */
-bool
-runParallelCase(const FuzzOptions &options, uint64_t seed, Divergence &out)
-{
-    SplitMix64 rng(seed);
-    const uarch::CoreConfig cfg = randomCoreConfig(rng);
-    const uint64_t max_ops = options.quick ? rng.range(16'000, 40'000)
-                                           : rng.range(16'000, 120'000);
-    const uint64_t max_brs = options.quick ? rng.range(1'000, 8'000)
-                                           : rng.range(1'000, 24'000);
-    const std::vector<TraceOp> ops = trace::synthFuzzTrace(rng.fork(),
-                                                           max_ops);
-    const std::vector<trace::BranchRecord> branches =
-        trace::synthFuzzBranches(rng.fork(), max_brs);
-    const uint64_t chunk_seed = rng.next();
-    const bool drop = options.inject == Fault::ParallelDrop;
-
-    auto fail = [&](const std::string &what) {
-        out.shrunkOps = 0;  // two interleaved streams: not ddmin-shaped
-        out.detail = "parallel divergence (" + std::to_string(ops.size()) +
-                     " ops, " + std::to_string(branches.size()) +
-                     " branches): " + what;
-        return true;
-    };
-
-    // Sequential reference: one StreamCore replay on this thread. The
-    // injected ParallelDrop fault breaks only this side.
-    uarch::StreamCore seq_core(cfg);
-    replayInterleaved(seq_core, chunk_seed, ops, branches, drop);
-    const uarch::CoreStats ref = seq_core.stats();
-
-    // Shared replay into a SegmentSim at the given geometry.
-    auto segmentStats = [&](int segments, int warmup,
-                            int jobs) -> uarch::CoreStats {
-        core::SegmentSimConfig scfg;
-        scfg.core = cfg;
-        scfg.segments = segments;
-        scfg.warmupBlocks = warmup;
-        scfg.jobs = jobs;
-        core::SegmentSim sim(scfg);
-        replayInterleaved(sim, chunk_seed, ops, branches, false);
-        return sim.stats();
-    };
-
-    // 2. segments=1 must be bit-identical (every field).
-    const std::string one_diff = diffStats(ref, segmentStats(1, 8, 1));
-    if (!one_diff.empty()) {
-        return fail("segments=1: " + one_diff);
-    }
-
-    // 3. Real segmenting: exact counters bit-equal at two warmup depths;
-    //    timing error must not grow as the warmup prefix deepens.
-    const int segments = static_cast<int>(rng.range(2, 5));
-    const int jobs = static_cast<int>(rng.range(1, 3));
-    const uarch::CoreStats cold = segmentStats(segments, 0, jobs);
-    const uarch::CoreStats warm = segmentStats(segments, 16, jobs);
-    for (const uarch::CoreStats *s : {&cold, &warm}) {
-        std::ostringstream diff;
-        auto exact = [&](const char *name, uint64_t want, uint64_t got) {
-            if (want != got) {
-                if (diff.tellp() > 0) {
-                    diff << ", ";
-                }
-                diff << name << " seq=" << want << " seg=" << got;
-            }
-        };
-        exact("instructions", ref.instructions, s->instructions);
-        exact("slots.retiring", ref.slots.retiring, s->slots.retiring);
-        exact("condBranches", ref.condBranches, s->condBranches);
-        exact("l1dAccesses", ref.l1dAccesses, s->l1dAccesses);
-        if (diff.tellp() > 0) {
-            return fail("segment exact counters (segments=" +
-                        std::to_string(segments) + ", warmup=" +
-                        std::to_string(s == &warm ? 16 : 0) +
-                        "): " + diff.str());
-        }
-    }
-    auto err = [&](const uarch::CoreStats &s) {
-        return s.cycles > ref.cycles ? s.cycles - ref.cycles
-                                     : ref.cycles - s.cycles;
-    };
-    // Generous stitching slack: a warmup-counter leak adds whole
-    // blocks' worth of cycles per segment and lands far outside it.
-    const uint64_t slack =
-        ref.cycles / 32 + 1024 * static_cast<uint64_t>(segments);
-    if (err(warm) > err(cold) + slack) {
-        return fail("segment warmup diverges: |cycles-ref| grew from " +
-                    std::to_string(err(cold)) + " (warmup=0) to " +
-                    std::to_string(err(warm)) + " (warmup=16), ref=" +
-                    std::to_string(ref.cycles) + ", segments=" +
-                    std::to_string(segments));
-    }
-    return false;
-}
-
-/**
  * The trace capture/replay differential. One seeded case streams the
  * same deterministically interleaved op/branch/kernel stream (a) live
  * into a MuxSink{StreamCore, CacheSink, StreamRunner} stack and (b)
@@ -1147,12 +1034,6 @@ runParallelCase(const FuzzOptions &options, uint64_t seed, Divergence &out)
  * bit-identical, proving the codec (varint + delta + dictionary,
  * per-class address chains, positioned events) is lossless for
  * everything the simulators consume.
- *
- * A segment leg then replays the capture into a core::SegmentSim and
- * demands all of its counters from a SegmentSim fed the same records
- * live. Segment boundaries follow block cuts, so this holds only while
- * FileSink cuts blocks by the stager's rule: a capture that moves the
- * 4096-event cuts of a branch burst moves the segments.
  *
  * The injected tracefile-delta fault skews every decoded pc delta by
  * one; the drifting PCs must surface here as a stats mismatch.
@@ -1171,13 +1052,6 @@ runTraceFileCase(const FuzzOptions &options, uint64_t seed, Divergence &out)
     const std::vector<trace::BranchRecord> branches =
         trace::synthFuzzBranches(rng.fork(), max_brs);
     const uint64_t chunk_seed = rng.next();
-    // The segment leg's geometry, drawn after every other draw so each
-    // seed keeps the stream, capture and stack it had without the leg.
-    core::SegmentSimConfig seg_cfg;
-    seg_cfg.core = cfg;
-    seg_cfg.segments = static_cast<int>(rng.range(2, 4));
-    seg_cfg.warmupBlocks = static_cast<int>(rng.range(0, 8));
-    seg_cfg.jobs = static_cast<int>(rng.range(1, 2));
 
     const fs::path base = options.tempDir.empty()
                               ? fs::temp_directory_path()
@@ -1205,12 +1079,12 @@ runTraceFileCase(const FuzzOptions &options, uint64_t seed, Divergence &out)
     auto live_pred = bpred::makePredictor(kPredSpec);
     bpred::StreamRunner live_runner(*live_pred);
     trace::MuxSink live_mux{&live_core, &live_cache, &live_runner};
-    replayInterleaved(live_mux, chunk_seed, ops, branches, false);
+    replayInterleaved(live_mux, chunk_seed, ops, branches);
 
     // Capture the identical stream to disk (flush() seals the file).
     try {
         trace::FileSink sink(file.string());
-        replayInterleaved(sink, chunk_seed, ops, branches, false);
+        replayInterleaved(sink, chunk_seed, ops, branches);
         if (sink.opCount() != ops.size()) {
             return fail("capture op count " +
                         std::to_string(sink.opCount()) + " != stream's " +
@@ -1257,23 +1131,6 @@ runTraceFileCase(const FuzzOptions &options, uint64_t seed, Divergence &out)
                     " branches/" + std::to_string(lr.misses) +
                     " misses, replay " + std::to_string(rr.branches) + "/" +
                     std::to_string(rr.misses));
-    }
-
-    core::SegmentSim live_seg(seg_cfg);
-    replayInterleaved(live_seg, chunk_seed, ops, branches, false);
-    core::SegmentSim rep_seg(seg_cfg);
-    try {
-        source.replay(rep_seg);
-        rep_seg.flush();
-    } catch (const std::exception &e) {
-        return fail(std::string("segment replay threw: ") + e.what());
-    }
-    const std::string seg_diff = diffStats(live_seg.stats(), rep_seg.stats());
-    if (!seg_diff.empty()) {
-        return fail("replayed segments (segments=" +
-                    std::to_string(seg_cfg.segments) + ", warmup=" +
-                    std::to_string(seg_cfg.warmupBlocks) + ", jobs=" +
-                    std::to_string(seg_cfg.jobs) + "): " + seg_diff);
     }
 
     std::error_code ec;
@@ -2118,9 +1975,6 @@ constexpr TargetRow kTargets[] = {
     {Target::Bpred, "bpred", 12, 60, runBpredCase},
     {Target::Kernels, "kernels", 40, 300, runKernelsCase},
     {Target::Store, "store", 40, 200, runStoreCase},
-    // Parallel cases run the trace through four simulator instances
-    // (the sequential reference and three segment variants).
-    {Target::Parallel, "parallel", 6, 30, runParallelCase},
     // Pure arithmetic over the profile registry: cheap, so plenty.
     {Target::Energy, "energy", 50, 400, runEnergyCase},
     // Each case runs two live stacks plus a disk round-trip.
@@ -2230,18 +2084,23 @@ Fuzzer::run(Target target)
 FuzzReport
 Fuzzer::runCorpus(const std::string &dir)
 {
-    FuzzReport report;
+    // Parse every file before running any case: a bad file is an input
+    // error, not a divergence of some target.
+    std::vector<std::pair<std::string, CorpusCase>> cases;
     for (const std::string &path : listCorpus(dir)) {
         CorpusCase c;
         std::string err;
         if (!loadCorpusCase(path, c, err)) {
-            Divergence d;
-            d.seed = 0;
-            d.detail = "corpus: " + err;
-            d.repro = "(fix " + path + ")";
-            report.divergences.push_back(std::move(d));
-            continue;
+            throw std::invalid_argument("corpus: " + err);
         }
+        cases.emplace_back(path, c);
+    }
+    if (cases.empty()) {
+        throw std::invalid_argument("corpus: no .case files in '" + dir +
+                                    "'");
+    }
+    FuzzReport report;
+    for (const auto &[path, c] : cases) {
         ++report.cases;
         Divergence d;
         if (runCase(c.target, c.seed, d)) {

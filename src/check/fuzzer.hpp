@@ -44,7 +44,6 @@ enum class Target {
     Bpred,
     Kernels,
     Store,
-    Parallel,
     Energy,
     TraceFile,
     Ladder,
@@ -103,7 +102,8 @@ struct CorpusCase {
 bool loadCorpusCase(const std::string &path, CorpusCase &out,
                     std::string &err);
 
-/** Sorted *.case paths under @p dir (empty when dir is absent). */
+/** Sorted *.case paths under @p dir. @throws std::invalid_argument
+ *  naming @p dir when it is not a readable directory. */
 std::vector<std::string> listCorpus(const std::string &dir);
 
 class Fuzzer
@@ -114,7 +114,12 @@ class Fuzzer
     /** Fuzz one target for its iteration budget. */
     FuzzReport run(Target target);
 
-    /** Replay corpus entries from @p dir (all targets). */
+    /**
+     * Replay corpus entries from @p dir (all targets). @throws
+     * std::invalid_argument naming the directory or file when @p dir
+     * is not a readable directory, holds no .case file, or holds a
+     * malformed one; nothing runs then.
+     */
     FuzzReport runCorpus(const std::string &dir);
 
     /**

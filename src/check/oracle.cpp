@@ -12,10 +12,10 @@ namespace
 
 /** CLI fault names, in Fault enum order. */
 constexpr const char *kFaultNames[] = {
-    "none",           "cache-lru",       "core-latency", "bpred-alloc",
-    "kernels-sad",    "kernels-idct",    "store-bit",    "parallel-drop",
-    "backend-energy", "tracefile-delta", "ladder-hull",  "probe-quiet",
-    "probe-tally",    "farm-tie",
+    "none",            "cache-lru",    "core-latency", "bpred-alloc",
+    "kernels-sad",     "kernels-idct", "store-bit",    "backend-energy",
+    "tracefile-delta", "ladder-hull",  "probe-quiet",  "probe-tally",
+    "farm-tie",
 };
 static_assert(std::size(kFaultNames) == kFaultCount, "one name per Fault");
 

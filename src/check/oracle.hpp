@@ -55,7 +55,6 @@ enum class Fault {
     KernelsIdct,    ///< Oracle idct is off by one on blocks past the
                     ///< vector path's bound (codec::kIdctExactBound).
     StoreBit,       ///< Round-trip flips one mantissa bit of a double.
-    ParallelDrop,   ///< Sequential reference stream drops its last op.
     BackendEnergy,  ///< Energy weights: L2 and LLC miss nJ swapped
                     ///< (fixed profiles: one phantom block).
     TraceFileDelta, ///< TraceFile decode reads every op pc delta off by

@@ -24,6 +24,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -90,8 +91,14 @@ main(int argc, char **argv)
             if (arg.rfind("--target=", 0) == 0) {
                 target_arg = arg.substr(9);
             } else if (arg.rfind("--iters=", 0) == 0) {
-                options.iters = static_cast<int>(
-                    core::parseU64Strict(arg.substr(8), "--iters"));
+                const uint64_t iters =
+                    core::parseU64Strict(arg.substr(8), "--iters");
+                if (iters > static_cast<uint64_t>(
+                                std::numeric_limits<int>::max())) {
+                    usage("--iters is out of range, got '" + arg.substr(8) +
+                          "'");
+                }
+                options.iters = static_cast<int>(iters);
             } else if (arg.rfind("--seed=", 0) == 0) {
                 options.baseSeed =
                     core::parseU64Strict(arg.substr(7), "--seed");
@@ -147,7 +154,12 @@ main(int argc, char **argv)
         }
     } else {
         if (!corpus_dir.empty()) {
-            check::FuzzReport corpus = fuzzer.runCorpus(corpus_dir);
+            check::FuzzReport corpus;
+            try {
+                corpus = fuzzer.runCorpus(corpus_dir);
+            } catch (const std::invalid_argument &err) {
+                usage(err.what());
+            }
             std::printf("corpus: %llu cases, %zu divergences\n",
                         static_cast<unsigned long long>(corpus.cases),
                         corpus.divergences.size());

@@ -11,7 +11,6 @@
 #include <thread>
 
 #include "backend/profile.hpp"
-#include "core/segment.hpp"
 
 namespace vepro::core
 {
@@ -39,19 +38,6 @@ RunScale::fromArgs(int argc, char **argv)
                 throw std::invalid_argument("--jobs must be >= 0");
             }
             scale.jobs = resolveJobs(jobs);  // 0 = auto-detect
-        } else if (arg.rfind("--segments=", 0) == 0) {
-            int segments = parseIntStrict(arg.substr(11), "--segments");
-            if (segments < 0) {
-                throw std::invalid_argument("--segments must be >= 0");
-            }
-            scale.segments = resolveJobs(segments);  // 0 = auto
-        } else if (arg.rfind("--segment-warmup=", 0) == 0) {
-            scale.segmentWarmup =
-                parseIntStrict(arg.substr(17), "--segment-warmup");
-            if (scale.segmentWarmup < 0) {
-                throw std::invalid_argument(
-                    "--segment-warmup must be >= 0");
-            }
         } else if (arg.rfind("--backend=", 0) == 0) {
             scale.backend = arg.substr(10);
             if (scale.backend.empty()) {
@@ -68,12 +54,19 @@ RunScale::fromArgs(int argc, char **argv)
                 throw std::invalid_argument("--store expects a directory");
             }
         } else if (arg.rfind("--videos=", 0) == 0) {
-            std::string list = arg.substr(9);
+            // An empty name (--videos=, or desktop,,cat) is an error:
+            // an empty list would silently select the whole suite.
+            const std::string list = arg.substr(9);
             size_t pos = 0;
-            while (pos < list.size()) {
+            while (pos <= list.size()) {
                 size_t comma = list.find(',', pos);
                 if (comma == std::string::npos) {
                     comma = list.size();
+                }
+                if (comma == pos) {
+                    throw std::invalid_argument(
+                        "--videos expects comma-separated clip names, "
+                        "got '" + list + "'");
                 }
                 scale.videos.push_back(list.substr(pos, comma - pos));
                 pos = comma + 1;
@@ -167,21 +160,7 @@ uarch::CoreStats
 simulate(const RunScale &scale,
          const std::function<void(trace::TraceSink &)> &feed)
 {
-    const uarch::CoreConfig core_cfg = backend::coreConfigFor(scale.backend);
-    if (scale.segments > 1) {
-        // Segment-parallel: capture the trace in blocks, simulate N
-        // contiguous segments concurrently, stitch deterministically.
-        SegmentSimConfig cfg;
-        cfg.core = core_cfg;
-        cfg.segments = scale.segments;
-        cfg.warmupBlocks = scale.segmentWarmup;
-        cfg.jobs = 0;  // auto; parallelFor clamps to the segment count
-        SegmentSim sim(cfg);
-        feed(sim);
-        sim.flush();
-        return sim.stats();
-    }
-    uarch::StreamCore sim(core_cfg);
+    uarch::StreamCore sim(backend::coreConfigFor(scale.backend));
     feed(sim);
     sim.flush();
     return sim.stats();
@@ -208,11 +187,6 @@ runPointMulti(const encoders::EncoderModel &encoder, const video::Video &clip,
               int crf, int preset, const RunScale &scale,
               const std::vector<uarch::CoreConfig> &configs)
 {
-    if (scale.segments > 1) {
-        throw std::invalid_argument(
-            "runPointMulti: segment-parallel simulation is per-config "
-            "state; run segment points through runPoint");
-    }
     if (configs.empty()) {
         return {};
     }

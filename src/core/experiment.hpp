@@ -6,8 +6,7 @@
  * Shared experiment plumbing for the bench binaries: standard sweep
  * points, quick/full scaling, the fused encode+simulate pipeline used by
  * every microarchitectural figure, and the thread-pool driver that runs
- * independent sweep points (and core::SegmentSim's segments)
- * concurrently.
+ * independent sweep points concurrently.
  */
 
 #include <cstddef>
@@ -38,19 +37,6 @@ struct RunScale {
      *  0 = auto-detect, resolved to a concrete count at parse time). */
     int jobs = 1;
     /**
-     * Segment-parallel core simulation (--segments=N): the point's
-     * trace is split into N block-aligned segments simulated
-     * concurrently by core::SegmentSim on parallelFor. 0 = auto-detect;
-     * 1 = off.
-     * Segment mode changes the measured numbers (bounded warmup error,
-     * see DESIGN.md §13), so segments/segmentWarmup ARE cache-identity
-     * fields when segments > 1.
-     */
-    int segments = 1;
-    /** Warmup prefix per segment, in 4096-op trace blocks
-     *  (--segment-warmup=K); counters of the prefix are discarded. */
-    int segmentWarmup = 8;
-    /**
      * Named machine profile the point simulates on (--backend=NAME):
      * "" = the default xeon-bdw geometry, i.e. exactly the config every
      * pre-backend run used, so the default changes nothing. Must name a
@@ -66,12 +52,12 @@ struct RunScale {
     std::string storeDir = ".vepro-lab";
 
     /**
-     * Parse --quick / --full / --videos=a,b,c / --jobs=N / --segments=N
-     * / --segment-warmup=K / --uncapped / --no-cache / --store=DIR /
-     * --backend=NAME. Numeric flags are strict: trailing garbage
-     * ("--jobs=4abc") is rejected, not silently truncated. Both
-     * parallelism flags accept 0 = auto-detect via
-     * std::thread::hardware_concurrency() (floor 1).
+     * Parse --quick / --full / --videos=a,b,c / --jobs=N / --uncapped /
+     * --no-cache / --store=DIR / --backend=NAME. Numeric flags are
+     * strict: trailing garbage ("--jobs=4abc") is rejected, not silently
+     * truncated. --jobs=0 auto-detects via
+     * std::thread::hardware_concurrency() (floor 1). --videos names at
+     * least one clip and no empty one.
      */
     static RunScale fromArgs(int argc, char **argv);
 };
@@ -107,9 +93,8 @@ struct SweepPoint {
 trace::ProbeConfig tracingConfig(const RunScale &scale);
 
 /**
- * Simulate one trace on @p scale's machine: build the core-model sink
- * for scale.backend — a uarch::StreamCore, or a core::SegmentSim when
- * scale.segments > 1 — hand it to @p feed, flush it, and return its
+ * Simulate one trace on @p scale's machine: build the uarch::StreamCore
+ * for scale.backend, hand it to @p feed, flush it, and return its
  * statistics. A live encode (runPoint), a capture next to a FileSink and
  * a TraceFile replay (the lab's trace cache) all feed it, so every path
  * simulates a point the same way.
@@ -137,9 +122,7 @@ SweepPoint runPoint(const encoders::EncoderModel &encoder,
  * instead of K times. The fan-out runs on the encoding thread; callers
  * that want more cores run independent points on parallelFor.
  *
- * scale.backend is ignored — the configs are explicit. Segment mode is
- * per-config simulation state and is not supported here; @throws
- * std::invalid_argument when scale.segments > 1.
+ * scale.backend is ignored — the configs are explicit.
  */
 std::vector<SweepPoint>
 runPointMulti(const encoders::EncoderModel &encoder, const video::Video &clip,
@@ -147,11 +130,10 @@ runPointMulti(const encoders::EncoderModel &encoder, const video::Video &clip,
               const std::vector<uarch::CoreConfig> &configs);
 
 /**
- * Resolve a --jobs / --segments style worker count: values >= 1 pass
- * through, 0 means auto-detect via std::thread::hardware_concurrency()
- * with a floor of 1 (the detection may report 0 on exotic platforms).
- * Shared by the sweep driver, vepro-lab and the segment-parallel
- * simulation so every layer agrees on what "auto" means.
+ * Resolve a --jobs worker count: values >= 1 pass through, 0 means
+ * auto-detect via std::thread::hardware_concurrency() with a floor of 1
+ * (the detection may report 0 on exotic platforms). Shared by the sweep
+ * driver and vepro-lab so every layer agrees on what "auto" means.
  */
 int resolveJobs(int jobs);
 

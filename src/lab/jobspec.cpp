@@ -31,18 +31,10 @@ JobSpec::canonicalKey() const
     key += std::to_string(frames);
     key += ";maxTraceOps=";
     key += std::to_string(maxTraceOps);
-    // Appended only when segment mode is active: sequential specs keep
-    // the exact pre-segment key, so existing store entries stay valid.
-    if (segments != 1) {
-        key += ";segments=";
-        key += std::to_string(segments);
-        key += ";segmentWarmup=";
-        key += std::to_string(segmentWarmup);
-    }
-    // Same append-only rule for the machine profile: "" and the default
-    // profile name both mean the pre-backend default geometry and keep
-    // the pre-backend key byte-identical (old store entries stay hits);
-    // only a genuinely different machine re-keys the point.
+    // Appended only when it names a different machine: "" and the
+    // default profile name both mean the pre-backend default geometry
+    // and keep the pre-backend key byte-identical (old store entries
+    // stay hits).
     if (!backend.empty() && backend != backend::kDefaultProfile) {
         key += ";backend=";
         key += backend;
@@ -60,8 +52,8 @@ std::string
 JobSpec::traceKey() const
 {
     // Encode-side fields only, fixed order, append-only — same
-    // evolution rules as canonicalKey(). Backend/segments are absent on
-    // purpose: they change how the trace is SIMULATED, never the trace
+    // evolution rules as canonicalKey(). The backend is absent on
+    // purpose: it changes how the trace is SIMULATED, never the trace
     // itself (see the header comment).
     std::string key;
     key.reserve(128);
@@ -81,7 +73,7 @@ JobSpec::traceKey() const
     key += std::to_string(frames);
     key += ";maxTraceOps=";
     key += std::to_string(maxTraceOps);
-    // Unlike backend/segments, the ladder rung DOES change the encode
+    // Unlike the backend, the ladder rung DOES change the encode
     // input (and therefore the op stream), so it is trace identity —
     // but only when active, keeping every pre-ladder trace warm.
     if (scale != 1) {
@@ -125,9 +117,6 @@ JobSpec::label() const
     if (threads != 1) {
         out += " threads=" + std::to_string(threads);
     }
-    if (segments != 1) {
-        out += " segments=" + std::to_string(segments);
-    }
     if (!backend.empty() && backend != backend::kDefaultProfile) {
         out += " backend=" + backend;
     }
@@ -145,8 +134,6 @@ JobSpec::toRunScale() const
     scale.suite.frames = frames;
     scale.maxTraceOps = maxTraceOps;
     scale.jobs = 1;  // The orchestrator owns the worker pool.
-    scale.segments = segments;
-    scale.segmentWarmup = segmentWarmup;
     scale.backend = backend;
     return scale;
 }
@@ -158,8 +145,6 @@ JobSpec::withScale(const core::RunScale &scale)
     spec.divisor = scale.suite.divisor;
     spec.frames = scale.suite.frames;
     spec.maxTraceOps = scale.maxTraceOps;
-    spec.segments = scale.segments;
-    spec.segmentWarmup = scale.segmentWarmup;
     spec.backend = scale.backend;
     return spec;
 }

@@ -30,8 +30,7 @@ namespace vepro::lab
  * orphans old entries instead of misreading them.
  */
 constexpr int kSchemaVersion = 2;  // 2: lazy kernel events moved
-                                   // sampled-capture block boundaries,
-                                   // shifting segment-parallel numbers.
+                                   // sampled-capture block boundaries.
 
 /** One experiment point. Field order never affects the hash. */
 struct JobSpec {
@@ -45,16 +44,6 @@ struct JobSpec {
     int divisor = 8;      ///< SuiteScale::divisor.
     int frames = 6;       ///< SuiteScale::frames.
     uint64_t maxTraceOps = 1'200'000;  ///< 0 = uncapped full fidelity.
-    /**
-     * Segment-parallel simulation (RunScale::segments): changes the
-     * measured numbers (bounded warmup error), so it is identity — but
-     * only when active. With segments == 1 (sequential, the default)
-     * neither field enters the canonical key, keeping every
-     * pre-existing store entry valid. The worker count never changes
-     * the numbers, so no spec field selects it.
-     */
-    int segments = 1;
-    int segmentWarmup = 8;  ///< Warmup blocks per segment.
 
     /**
      * Named machine profile the point simulates on (backend registry,
@@ -98,12 +87,11 @@ struct JobSpec {
     /**
      * The trace-cache key: ONLY the encode-side identity fields
      * (encoder, video, crf, preset, threads, divisor, frames,
-     * maxTraceOps). The machine profile (backend) and the
-     * segment-parallel knobs are deliberately excluded — the captured
-     * op stream, blocks included, is a property of the encode, not of
-     * the core it is later simulated on, so one trace file serves every
-     * machine profile and every segment count of the same encode
-     * (capture once, replay per backend and per segmentation).
+     * maxTraceOps). The machine profile (backend) is deliberately
+     * excluded — the captured op stream is a property of the encode,
+     * not of the core it is later simulated on, so one trace file
+     * serves every machine profile of the same encode (capture once,
+     * replay per backend).
      */
     std::string traceKey() const;
 

@@ -144,12 +144,12 @@ Orchestrator::execute(const JobSpec &spec)
             "lab: multi-threaded points are not orchestrated yet "
             "(threads=" + std::to_string(spec.threads) + ")");
     }
-    // Every capped point, segmented or not, goes through the trace
-    // cache: a capture holds the probe's own blocks (one staging rule
-    // cuts them), so a replay simulates exactly what the live encode
-    // would. An uncapped point streams its whole run (hundreds of MB a
-    // point) and replays no faster than it re-encodes, so it is never
-    // captured; the result store still serves and saves it.
+    // Every capped point goes through the trace cache: a capture
+    // holds the probe's own blocks (one staging rule cuts them), so a
+    // replay simulates exactly what the live encode would. An uncapped
+    // point streams its whole run (hundreds of MB a point) and replays
+    // no faster than it re-encodes, so it is never captured; the result
+    // store still serves and saves it.
     if (!opts_.useCache || spec.maxTraceOps == 0) {
         return executeDirect(spec);
     }

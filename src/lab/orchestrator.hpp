@@ -44,7 +44,7 @@ struct OrchestratorOptions {
      * Look results up in the store, and capture each unique capped
      * encode's op trace to `<store>/traces/` to replay it instead of
      * re-running the encoder when the same encode is requested again
-     * (possibly on a different backend or segment count). Replays are
+     * (possibly on a different backend). Replays are
      * bit-identical to the live fused pipeline, so the trace cache
      * changes wall-clock only, never results. Uncapped points
      * (maxTraceOps 0) are never captured. false (--no-cache) recomputes
@@ -144,9 +144,9 @@ class Orchestrator
      *  (runPoint), no trace written or read. */
     JobResult executeDirect(const JobSpec &spec);
     /** Replay an on-disk trace through the spec's core model
-     *  (core::simulate: its backend and segment count); the encode
-     *  summary comes from the trace metadata. @throws on any corrupt
-     *  trace (caller recaptures). */
+     *  (core::simulate on its backend); the encode summary comes from
+     *  the trace metadata. @throws on any corrupt trace (caller
+     *  recaptures). */
     JobResult replayTrace(const JobSpec &spec, const std::string &path);
     /** Live encode that also captures the trace to lease.tmpPath,
      *  simulated through core::simulate like a replay. */

@@ -49,9 +49,8 @@ usage(const char *argv0, const std::string &error)
                  "usage: %s (--figures=%s | --ladder) [--jobs=N] "
                  "[--quick|--full] "
                  "[--uncapped] [--no-cache] [--store=DIR] [--out=DIR] "
-                 "[--videos=a,b,c] [--segments=N] [--segment-warmup=K]\n"
-                 "       --jobs/--segments accept 0 = auto-detect "
-                 "hardware threads\n",
+                 "[--videos=a,b,c]\n"
+                 "       --jobs=0 auto-detects hardware threads\n",
                  argv0, known.c_str());
     std::exit(2);
 }

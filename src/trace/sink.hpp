@@ -66,9 +66,8 @@ struct TraceOp {
  * One staging block: up to kOps dynamic ops plus the branch and
  * kernel-entry records that occurred among them, carried in program
  * order. A trace is a sequence of these blocks, cut by BlockStager's one
- * rule, and ownership of a whole block can be transferred to a sink (see
- * TraceSink::onBlock), so a sink that keeps the trace for later — the
- * segment-parallel core::SegmentSim — takes each span without copying.
+ * rule, and a whole block is handed to a sink at once (see
+ * TraceSink::onBlock).
  *
  * Events interleave with ops by position: an event at pos P happened
  * after ops[0..P) and before ops[P..). replayBlock() reconstructs the
@@ -109,10 +108,10 @@ struct TraceBlock {
 };
 
 /**
- * The one rule that cuts a record stream into TraceBlocks. The probe,
- * FileSink and core::SegmentSim all stage through it, so a trace's
- * blocks depend only on its records, not on how they were delivered
- * (whole blocks, spans or one record at a time):
+ * The one rule that cuts a record stream into TraceBlocks. The probe and
+ * every BlockSink (FileSink) stage through it, so a trace's blocks
+ * depend only on its records, not on how they were delivered (whole
+ * blocks, spans or one record at a time):
  *
  *  - an op that finds kOps ops already staged first publishes the block;
  *  - an event is staged at pos = the number of ops staged, and the event
@@ -241,14 +240,14 @@ class TraceSink
     virtual void onKernel(uint64_t site) { (void)site; }
 
     /**
-     * One whole staging block, with the ownership-transfer option: a
-     * sink that moves from @p block takes the span (and its branch and
-     * kernel events) without copying — e.g. to simulate it later on
-     * another thread.
-     * A sink that does NOT move leaves the block with the caller, who
-     * reuses its capacity for the next block. The default replays the
-     * block through onOps/onBranch/onKernel, so record-at-a-time sinks
-     * see exactly the stream they always did.
+     * One whole staging block. The rvalue reference lets a sink take
+     * the span (and its branch and kernel events) without copying; no
+     * production sink moves from it now, and a wrapper that forwards
+     * the block on (the ledger's TimedSink) keeps the signature. A sink
+     * that does NOT move leaves the block with the caller, who reuses
+     * its capacity for the next block. The default replays the block
+     * through onOps/onBranch/onKernel, so record-at-a-time sinks see
+     * exactly the stream they always did.
      */
     virtual void onBlock(TraceBlock &&block) { replayBlock(block, *this); }
 

@@ -165,9 +165,7 @@ class FileSink final : public BlockSink
  * Replays a TraceFile into any TraceSink at O(1) memory: blocks are
  * decoded one at a time and delivered through TraceSink::onBlock, so a
  * record-at-a-time sink sees exactly the stream the capturing probe
- * emitted, and a block-granular consumer (core::SegmentSim) takes
- * ownership of each span without copying — and, because the file holds
- * the probe's blocks, simulates the segments the live run would.
+ * emitted, and the delivered blocks are the probe's own.
  */
 class FileSource
 {

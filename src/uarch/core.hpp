@@ -156,8 +156,8 @@ struct CoreStats {
      * The one list of counters, in the result store's order and
      * spelling: calls f(name, s.counter...) once per counter, passing
      * that counter of every CoreStats in @p s (const or mutable). The
-     * store record, the segment stitch (+=), vepro-check's diffs and
-     * the tests' printers walk this list instead of naming fields.
+     * store record, vepro-check's diffs and the tests' printers walk
+     * this list instead of naming fields.
      */
     template <class F, class... S>
     static void
@@ -183,15 +183,6 @@ struct CoreStats {
         f("l2Misses", s.l2Misses...);
         f("llcMisses", s.llcMisses...);
         f("invalidations", s.invalidations...);
-    }
-
-    /** Counter-wise sum: how segment statistics stitch. */
-    CoreStats &
-    operator+=(const CoreStats &o)
-    {
-        forEachField([](const char *, uint64_t &a, uint64_t b) { a += b; },
-                     *this, o);
-        return *this;
     }
 
     bool operator==(const CoreStats &) const = default;
@@ -239,10 +230,10 @@ class StreamCore final : public trace::TraceSink
      * microarchitectural state warm (caches, branch predictor, TLB-less
      * hierarchy contents). The pipeline is drained first — every op
      * received so far retires — so the post-reset measurement starts
-     * from an empty window; the drain itself is the boundary bubble of
-     * segment-parallel simulation (see core::SegmentSim). After this,
-     * flush() reports only the ops consumed since the reset. Throws
-     * std::logic_error after flush().
+     * from an empty window. This is the warm-up path: run the warm-up
+     * ops, reset, then measure. After this, flush() reports only the
+     * ops consumed since the reset. Throws std::logic_error after
+     * flush().
      */
     void resetStats();
 

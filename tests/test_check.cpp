@@ -20,7 +20,9 @@
 #include <fstream>
 #include <limits>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -111,7 +113,6 @@ TEST(CheckInjection, EveryFaultIsCaught)
         {Fault::KernelsSad, Target::Kernels},
         {Fault::KernelsIdct, Target::Kernels},
         {Fault::StoreBit, Target::Store},
-        {Fault::ParallelDrop, Target::Parallel},
         {Fault::BackendEnergy, Target::Energy},
         {Fault::TraceFileDelta, Target::TraceFile},
         {Fault::LadderHull, Target::Ladder},
@@ -277,6 +278,40 @@ TEST(CheckCorpus, ParserRejectsMalformedFiles)
         << err;
     EXPECT_EQ(c.target, Target::Store);
     EXPECT_EQ(c.seed, 99u);
+
+    // runCorpus refuses, naming it, a directory that does not exist or
+    // holds no case, and a corpus holding any bad file (a removed
+    // target's included), so vepro-check exits 2 instead of replaying
+    // nothing or reporting a divergence of a case that was never run.
+    FuzzOptions opt;
+    opt.quick = true;
+    Fuzzer fuzzer(opt);
+    auto corpusError = [&](const fs::path &corpus) -> std::string {
+        try {
+            fuzzer.runCorpus(corpus.string());
+        } catch (const std::invalid_argument &e) {
+            return e.what();
+        }
+        return "";
+    };
+    EXPECT_NE(corpusError(dir / "absent").find("absent"), std::string::npos);
+    const fs::path empty = dir / "empty";
+    fs::create_directories(empty);
+    EXPECT_NE(corpusError(empty).find("empty"), std::string::npos);
+    const fs::path one = dir / "one";
+    for (const auto &[name, body] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"bad-target.case", "target=quantum\nseed=1\n"},
+             {"removed-target.case", "target=parallel\nseed=1\n"},
+             {"no-seed.case", "target=core\n"},
+             {"bad-seed.case", "target=core\nseed=banana\n"},
+             {"no-equals.case", "target=core\nseed\n"}}) {
+        fs::remove_all(one);
+        fs::create_directories(one);
+        std::ofstream(one / "ok.case") << "target=store\nseed=99\n";
+        std::ofstream(one / name) << body;
+        EXPECT_NE(corpusError(one).find(name), std::string::npos) << name;
+    }
 
     fs::remove_all(dir);
 }

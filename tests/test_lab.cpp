@@ -130,7 +130,7 @@ TEST(JobSpecHash, DefaultScaleKeepsThePreLadderKey)
     // field existed — every store and trace written by earlier versions
     // stays warm. Only a real rung (scale > 1) re-keys, and it re-keys
     // BOTH identities: a downscaled input is a different op stream, so
-    // unlike backend/segments the rung is part of traceKey too.
+    // unlike the backend the rung is part of traceKey too.
     const JobSpec base = makeSpec();
     EXPECT_EQ(base.scale, 1);
     EXPECT_EQ(base.canonicalKey(),
@@ -884,16 +884,12 @@ realRunnerOptions(const std::string &dir)
 TEST(TraceKey, ExcludesSimulationSideFields)
 {
     const JobSpec base = quickSpec();
-    // Backend and segmentation choose the MACHINE; the captured op
-    // stream only depends on the encode. Same key -> one capture
-    // serves every profile.
+    // The backend chooses the MACHINE; the captured op stream only
+    // depends on the encode. Same key -> one capture serves every
+    // profile.
     JobSpec arm = quickSpec();
     arm.backend = "graviton-like";
-    JobSpec seg = quickSpec();
-    seg.segments = 8;
-    seg.segmentWarmup = 2;
     EXPECT_EQ(arm.traceKey(), base.traceKey());
-    EXPECT_EQ(seg.traceKey(), base.traceKey());
     EXPECT_EQ(arm.traceHashHex(), base.traceHashHex());
     EXPECT_EQ(base.traceKey().find("backend"), std::string::npos);
 
@@ -1062,46 +1058,8 @@ TEST(TraceCacheE2E, CorruptTraceWarnsAndRecaptures)
     EXPECT_GT(info.opCount, 0u);
 }
 
-TEST(TraceCacheE2E, SegmentedSpecsReplayAndOptedOutSpecsBypassTheCache)
+TEST(TraceCacheE2E, UncappedAndNoCacheSpecsBypassTheCache)
 {
-    {
-        // The sequential capture serves segment points too: traceKey()
-        // leaves the segment fields out, and the capture holds the
-        // probe's blocks, so a replay splits the segments a live run
-        // would. Two points on two workers run SegmentSim's parallelFor
-        // inside the orchestrator's.
-        const std::string dir = freshDir("tseg");
-        {
-            Orchestrator orch(realRunnerOptions(dir));
-            orch.request(quickSpec());
-            orch.run();
-            ASSERT_EQ(orch.traceCaptures(), 1u);
-        }
-        JobSpec seg = quickSpec();
-        seg.segments = 2;
-        JobSpec seg_arm = seg;
-        seg_arm.backend = "graviton-like";
-        OrchestratorOptions opts = realRunnerOptions(dir);
-        opts.jobs = 2;
-        Orchestrator orch(opts);
-        const size_t handles[] = {orch.request(seg), orch.request(seg_arm)};
-        orch.run();
-        EXPECT_EQ(orch.computed(), 2u);
-        EXPECT_EQ(orch.encoderRuns(), 0u);
-        EXPECT_EQ(orch.traceCaptures(), 0u);
-        EXPECT_EQ(orch.traceReplays(), 2u);
-
-        const auto encoder = encoders::encoderByName(seg.encoder);
-        const core::RunScale scale = seg.toRunScale();
-        const video::Video clip = video::loadSuiteVideo(seg.video, scale.suite);
-        for (size_t i = 0; i < 2; ++i) {
-            const JobSpec &spec = i == 0 ? seg : seg_arm;
-            SCOPED_TRACE(spec.label());
-            const core::SweepPoint live = core::runPoint(
-                *encoder, clip, spec.crf, spec.preset, spec.toRunScale());
-            EXPECT_EQ(orch.result(handles[i]).core, live.core);
-        }
-    }
     {
         // An uncapped point skips the trace cache: its whole-run capture
         // would cost more to write than a replay saves. The result store

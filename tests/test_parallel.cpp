@@ -1,17 +1,8 @@
 /**
  * @file
- * Tests for the parallel simulation path: the TraceBlock handoff
- * contract, core::resolveJobs, StreamCore::resetStats, and
- * core::SegmentSim's segment-parallel trace execution on
- * core::parallelFor.
- *
- * Segment mode is DETERMINISTIC and exact in its event counters
- * (instructions, retiring slots, branches, L1D accesses) but
- * approximate in timing: each segment starts from a re-executed warmup
- * prefix instead of full history, so cycles may drift within a small
- * bound that shrinks as --segment-warmup grows. The stitched result is
- * a pure function of (trace, segments, warmup) — never of the worker
- * count. A segment that throws on a worker rethrows from flush().
+ * Tests for core::resolveJobs, the TraceBlock handoff contract
+ * (replayBlock and the default onBlock) and StreamCore::resetStats, the
+ * warm-up path: run the warm-up ops, reset, then measure.
  */
 
 #include <cstdint>
@@ -22,8 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
-#include "core/segment.hpp"
-#include "print_results.hpp"
 #include "trace/sink.hpp"
 #include "trace/synth.hpp"
 #include "uarch/core.hpp"
@@ -62,46 +51,6 @@ class OrderSink final : public trace::TraceSink
 
     std::vector<std::string> log;
 };
-
-/** A deterministic interleaved op/branch/kernel stream. */
-struct Stream {
-    std::vector<TraceOp> ops;
-    std::vector<BranchRecord> branches;
-};
-
-Stream
-makeStream(uint64_t op_count, uint64_t branch_count)
-{
-    Stream s;
-    trace::SynthConfig cfg;
-    cfg.ops = op_count;
-    s.ops = trace::synthTrace(cfg);
-    s.branches = trace::synthBranches(branch_count);
-    return s;
-}
-
-/** Replay @p s into @p sink with fixed chunking: op spans of 3000 with
- *  a branch burst and a kernel marker between spans. Identical on every
- *  call, so sequential and parallel consumers see the same stream. */
-void
-replayStream(const Stream &s, trace::TraceSink &sink)
-{
-    size_t op_pos = 0, br_pos = 0;
-    while (op_pos < s.ops.size() || br_pos < s.branches.size()) {
-        const size_t n = std::min<size_t>(s.ops.size() - op_pos, 3000);
-        if (n > 0) {
-            sink.onOps(s.ops.data() + op_pos, n);
-            op_pos += n;
-        }
-        const size_t b = std::min<size_t>(s.branches.size() - br_pos, 200);
-        for (size_t i = 0; i < b; ++i) {
-            sink.onBranch(s.branches[br_pos + i]);
-        }
-        br_pos += b;
-        sink.onKernel(0x4100);
-    }
-    sink.flush();
-}
 
 // ---- resolveJobs -----------------------------------------------------
 
@@ -163,19 +112,21 @@ TEST(TraceBlockReplay, DefaultOnBlockLeavesBlockReusable)
 
 TEST(StreamCoreResetStats, CountsOnlyPostResetWork)
 {
-    const Stream s = makeStream(30'000, 0);
+    trace::SynthConfig synth;
+    synth.ops = 30'000;
+    const std::vector<TraceOp> ops = trace::synthTrace(synth);
     const size_t cut = 10'000;
 
     // Reference: the tail only, on a cold core.
     uarch::StreamCore tail_only;
-    tail_only.onOps(s.ops.data() + cut, s.ops.size() - cut);
+    tail_only.onOps(ops.data() + cut, ops.size() - cut);
     tail_only.flush();
 
     // Warmed: full stream, counters reset at the cut.
     uarch::StreamCore warmed;
-    warmed.onOps(s.ops.data(), cut);
+    warmed.onOps(ops.data(), cut);
     warmed.resetStats();
-    warmed.onOps(s.ops.data() + cut, s.ops.size() - cut);
+    warmed.onOps(ops.data() + cut, ops.size() - cut);
     warmed.flush();
 
     // Event counters must match the tail exactly; timing may differ
@@ -192,158 +143,6 @@ TEST(StreamCoreResetStats, ThrowsAfterFlush)
     uarch::StreamCore core;
     core.flush();
     EXPECT_THROW(core.resetStats(), std::logic_error);
-}
-
-// ---- SegmentSim ------------------------------------------------------
-
-TEST(SegmentSim, OneSegmentIsBitIdentical)
-{
-    const Stream s = makeStream(50'000, 1'000);
-
-    uarch::StreamCore seq;
-    trace::MuxSink mux{&seq};
-    replayStream(s, mux);
-
-    core::SegmentSimConfig cfg;
-    cfg.segments = 1;
-    core::SegmentSim sim(cfg);
-    replayStream(s, sim);
-
-    EXPECT_EQ(sim.segmentsUsed(), 1);
-    EXPECT_EQ(sim.warmupOps(), 0u);
-    EXPECT_EQ(seq.stats(), sim.stats()) << "segments=1";
-}
-
-/** The satellite (c) matrix: the stitched result is identical across
- *  repeated runs and worker counts for every segment count, and its
- *  event counters match the sequential core bit for bit. */
-TEST(SegmentSim, DeterministicAcrossSegmentsJobsAndRuns)
-{
-    const Stream s = makeStream(50'000, 1'000);
-
-    uarch::StreamCore seq;
-    trace::MuxSink mux{&seq};
-    replayStream(s, mux);
-    const uarch::CoreStats ref = seq.stats();
-
-    for (int segments : {1, 2, 3, 8}) {
-        uarch::CoreStats first{};
-        bool have_first = false;
-        for (int jobs : {1, 2, 4}) {
-            for (int run = 0; run < 2; ++run) {
-                core::SegmentSimConfig cfg;
-                cfg.segments = segments;
-                cfg.jobs = jobs;
-                core::SegmentSim sim(cfg);
-                replayStream(s, sim);
-                const uarch::CoreStats got = sim.stats();
-
-                EXPECT_EQ(got.instructions, ref.instructions)
-                    << "segments=" << segments;
-                EXPECT_EQ(got.condBranches, ref.condBranches)
-                    << "segments=" << segments;
-                EXPECT_EQ(got.l1dAccesses, ref.l1dAccesses)
-                    << "segments=" << segments;
-                EXPECT_EQ(got.slots.retiring, ref.slots.retiring)
-                    << "segments=" << segments;
-
-                if (!have_first) {
-                    first = got;
-                    have_first = true;
-                } else {
-                    EXPECT_EQ(first, got)
-                        << "segments=" << segments << " jobs=" << jobs
-                        << " run=" << run;
-                }
-            }
-        }
-    }
-}
-
-TEST(SegmentSim, WarmupTightensTheTimingError)
-{
-    const Stream s = makeStream(80'000, 2'000);
-
-    uarch::StreamCore seq;
-    trace::MuxSink mux{&seq};
-    replayStream(s, mux);
-    const uint64_t ref_cycles = seq.stats().cycles;
-
-    auto run = [&](int warmup) {
-        core::SegmentSimConfig cfg;
-        cfg.segments = 4;
-        cfg.warmupBlocks = warmup;
-        core::SegmentSim sim(cfg);
-        replayStream(s, sim);
-        const uint64_t c = sim.stats().cycles;
-        return c > ref_cycles ? c - ref_cycles : ref_cycles - c;
-    };
-
-    const uint64_t err_cold = run(0);
-    const uint64_t err_warm = run(16);
-    // Weak monotonicity with stitching slack: deeper warmup must not
-    // push the timing counters away from the sequential answer. A
-    // warmup-counter leak would add whole blocks of cycles and fail.
-    EXPECT_LE(err_warm, err_cold + ref_cycles / 32 + 4 * 1024);
-}
-
-TEST(SegmentSim, AutoSegmentsClampToBlockCount)
-{
-    // A sub-block trace cannot be split: whatever segments/jobs ask
-    // for, the run degenerates to one exact segment.
-    const Stream s = makeStream(2'000, 100);
-
-    uarch::StreamCore seq;
-    trace::MuxSink mux{&seq};
-    replayStream(s, mux);
-
-    core::SegmentSimConfig cfg;
-    cfg.segments = 8;
-    cfg.jobs = 4;
-    core::SegmentSim sim(cfg);
-    replayStream(s, sim);
-
-    EXPECT_EQ(sim.segmentsUsed(), 1);
-    EXPECT_EQ(seq.stats(), sim.stats()) << "clamped";
-}
-
-TEST(SegmentSim, SegmentFailureRethrowsFromFlush)
-{
-    // Every segment's StreamCore rejects the predictor spec on a
-    // parallelFor worker; the error must reach the caller's thread.
-    const Stream s = makeStream(50'000, 0);
-
-    core::SegmentSimConfig cfg;
-    cfg.segments = 4;
-    cfg.jobs = 4;
-    cfg.core.predictorSpec = "no-such-predictor";
-    core::SegmentSim sim(cfg);
-    sim.onOps(s.ops.data(), s.ops.size());
-    EXPECT_THROW(sim.flush(), std::invalid_argument);
-}
-
-TEST(SegmentSim, RecordsAfterFlushThrow)
-{
-    // flush() simulated the capture; a later record would join a stage
-    // nothing simulates. Like StreamCore and FileSink, refuse it.
-    const Stream s = makeStream(10'000, 0);
-
-    core::SegmentSimConfig cfg;
-    cfg.segments = 2;
-    core::SegmentSim sim(cfg);
-    sim.onOps(s.ops.data(), s.ops.size());
-    sim.flush();
-    const uarch::CoreStats flushed = sim.stats();
-
-    EXPECT_THROW(sim.onOps(s.ops.data(), s.ops.size()), std::logic_error);
-    EXPECT_THROW(sim.onOp(s.ops.front()), std::logic_error);
-    EXPECT_THROW(sim.onBranch({0x10, true}), std::logic_error);
-    EXPECT_THROW(sim.onKernel(0x4100), std::logic_error);
-    TraceBlock block;
-    block.ops.push_back(s.ops.front());
-    EXPECT_THROW(sim.onBlock(std::move(block)), std::logic_error);
-    sim.flush();
-    EXPECT_EQ(sim.stats(), flushed);
 }
 
 } // namespace

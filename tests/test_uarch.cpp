@@ -439,18 +439,12 @@ TEST(CoreStatsFields, VisitorReachesEveryCounterOnce)
     EXPECT_EQ(std::unique(names.begin(), names.end()), names.end());
 }
 
-TEST(CoreStatsFields, PlusEqualsAndEqualityCoverEveryCounter)
+TEST(CoreStatsFields, EqualityCoversEveryCounter)
 {
     CoreStats a;
     uint64_t next = 0;
     CoreStats::forEachField([&](const char *, uint64_t &v) { v = ++next; },
                             a);
-    CoreStats sum = a;
-    sum += a;
-    uint64_t i = 0;
-    CoreStats::forEachField(
-        [&](const char *name, uint64_t v) { EXPECT_EQ(v, 2 * ++i) << name; },
-        sum);
 
     // Each counter on its own breaks equality.
     for (uint64_t k = 1; k <= 20; ++k) {
