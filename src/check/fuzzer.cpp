@@ -1429,6 +1429,46 @@ diffBlockStreams(const BlockLog &ref, const BlockLog &fast)
     return {};
 }
 
+/** Calls [@p begin, @p end) on @p p, each kernel group (an enterKernel
+ *  call and the calls up to the next one) through trace::emitKernel. */
+void
+emitGroups(trace::Probe &p, const std::vector<ProbeCall> &calls,
+           size_t begin, size_t end)
+{
+    for (size_t i = begin, next = begin; i < end; i = next) {
+        next = i + 1;
+        if (calls[i].kind != ProbeCall::Kernel) {
+            applyProbeCall(p, calls[i]);
+            continue;
+        }
+        while (next < end && calls[next].kind != ProbeCall::Kernel) {
+            ++next;
+        }
+        trace::emitKernel(p, calls[i].value, static_cast<int>(calls[i].n),
+                          [&](auto &e) {
+                              for (size_t k = i + 1; k < next; ++k) {
+                                  applyBodyCall(e, calls[k]);
+                              }
+                          });
+    }
+}
+
+/** The first counter on which @p ref and @p fast differ, as
+ *  "name ref=R fast=F"; empty when all agree. */
+std::string
+firstCounterDiff(const RefProbe &ref, const trace::Probe &fast)
+{
+    const auto rc = probeCounters(ref);
+    const auto fc = probeCounters(fast);
+    for (size_t k = 0; k < rc.size(); ++k) {
+        if (rc[k].second != fc[k].second) {
+            return rc[k].first + " ref=" + std::to_string(rc[k].second) +
+                   " fast=" + std::to_string(fc[k].second);
+        }
+    }
+    return {};
+}
+
 /**
  * Run @p calls through trace::Probe and RefProbe side by side: counters
  * after every step, then the delivered block streams. A step is one
@@ -1458,12 +1498,7 @@ diffProbePass(const trace::ProbeConfig &cfg,
             }
             const size_t body_end =
                 end - std::min<size_t>(calls[i].dep1, end - i - 1);
-            trace::emitKernel(fast, calls[i].value,
-                              static_cast<int>(calls[i].n), [&](auto &e) {
-                                  for (size_t k = i + 1; k < body_end; ++k) {
-                                      applyBodyCall(e, calls[k]);
-                                  }
-                              });
+            emitGroups(fast, calls, i, body_end);
             for (size_t k = body_end; k < end; ++k) {
                 applyProbeCall(fast, calls[k]);
             }
@@ -1473,20 +1508,15 @@ diffProbePass(const trace::ProbeConfig &cfg,
         for (size_t k = i; k < end; ++k) {
             applyProbeCall(ref, calls[k]);
         }
-        const auto rc = probeCounters(ref);
-        const auto fc = probeCounters(fast);
-        for (size_t k = 0; k < rc.size(); ++k) {
-            if (rc[k].second != fc[k].second) {
-                const std::string step =
-                    end - i == 1 ? "call " + std::to_string(i) + " " +
-                                       describeProbeCall(calls[i])
-                                 : "kernel of calls " + std::to_string(i) +
-                                       "-" + std::to_string(end - 1);
-                return "after " + step + " at op " +
-                       std::to_string(ref.totalOps()) + ": " + rc[k].first +
-                       " ref=" + std::to_string(rc[k].second) +
-                       " fast=" + std::to_string(fc[k].second);
-            }
+        const std::string diff = firstCounterDiff(ref, fast);
+        if (!diff.empty()) {
+            const std::string step =
+                end - i == 1 ? "call " + std::to_string(i) + " " +
+                                   describeProbeCall(calls[i])
+                             : "kernel of calls " + std::to_string(i) + "-" +
+                                   std::to_string(end - 1);
+            return "after " + step + " at op " +
+                   std::to_string(ref.totalOps()) + ": " + diff;
         }
     }
     fast.flushToSink();
@@ -1494,10 +1524,100 @@ diffProbePass(const trace::ProbeConfig &cfg,
     return diffBlockStreams(ref_log, fast_log);
 }
 
-/** The per-call pass, then the kernel pass (see diffProbePass). */
+/**
+ * The span pass: the calls cut into spans of one to four kernel groups,
+ * on the case's config with the window and interval stretched 4, 16 or
+ * 64 times and no op cap. A cut falls 0-3 calls before an enterKernel,
+ * so a span may open with the previous group's last calls and enter its
+ * first kernel past its start (the calls before the first enterKernel
+ * form a span with no entry). Each span is recorded once on a mix-only
+ * probe at another position; the fast probe then commits it with
+ * commitQuietSpan, or runs it through emitGroups when the commit fails,
+ * while RefProbe runs every call. The last 0-3 calls before a cut follow
+ * the span call by call, so they see the PC state a commit leaves.
+ * Counters are compared after every span, the block streams at the end.
+ * @p seed draws the cuts.
+ */
+std::string
+diffSpanPass(const trace::ProbeConfig &case_cfg,
+             const std::vector<ProbeCall> &calls, Fault fault, uint64_t seed)
+{
+    SplitMix64 rng(seed);
+    // Spans run to hundreds of ops, so the case's window and interval
+    // are stretched until whole spans fit between windows, as a motion
+    // search fits between an encode's windows, and the op cap is lifted
+    // so windows keep recording after a commit.
+    const uint64_t scale = uint64_t{4} << (2 * rng.below(3));
+    trace::ProbeConfig cfg = case_cfg;
+    cfg.opWindow =
+        std::min<uint64_t>(cfg.opWindow, cfg.opInterval + 2) * scale;
+    cfg.opInterval *= scale;
+    cfg.maxOps = std::numeric_limits<size_t>::max();
+    const std::string where = "span pass (window and interval x" +
+                              std::to_string(scale) + ", no op cap) ";
+    BlockLog fast_log, ref_log;
+    trace::Probe fast(cfg);
+    fast.setSink(&fast_log);
+    fast.injectQuietFault(fault == Fault::ProbeQuiet);
+    fast.injectTallyFault(fault == Fault::ProbeTally);
+    fast.injectSpanFault(fault == Fault::ProbeSpan);
+    RefProbe ref(cfg, ref_log);
+    for (size_t i = 0, end = 0; i < calls.size(); i = end) {
+        const uint64_t groups = rng.range(1, 4);
+        const size_t carry = rng.below(4);
+        const size_t tail = rng.below(4);
+        const uint64_t offset = rng.below(4096);
+        // The span runs up to the groups-th enterKernel after i; the last
+        // group's last `carry` calls open the next span, which then
+        // enters its first kernel past its start.
+        size_t last_entry =
+            calls[i].kind == ProbeCall::Kernel ? i : calls.size();
+        uint64_t entries = 0;
+        for (end = i + 1; end < calls.size(); ++end) {
+            if (calls[end].kind == ProbeCall::Kernel) {
+                if (++entries == groups) {
+                    break;
+                }
+                last_entry = end;
+            }
+        }
+        const size_t body_from =
+            last_entry == calls.size() ? i + 1 : last_entry + 1;
+        end -= std::min(carry, end - body_from);
+        const size_t body_end = end - std::min(tail, end - body_from);
+
+        trace::Probe recorder;
+        recorder.ops(trace::OpClass::Other, offset);
+        const trace::QuietSpan start = recorder.mark();
+        emitGroups(recorder, calls, i, body_end);
+        if (!fast.commitQuietSpan(recorder.spanSince(start))) {
+            emitGroups(fast, calls, i, body_end);
+        }
+        for (size_t k = body_end; k < end; ++k) {
+            applyProbeCall(fast, calls[k]);
+        }
+        for (size_t k = i; k < end; ++k) {
+            applyProbeCall(ref, calls[k]);
+        }
+        const std::string diff = firstCounterDiff(ref, fast);
+        if (!diff.empty()) {
+            return where + "after the span of calls " + std::to_string(i) +
+                   "-" + std::to_string(end - 1) + " at op " +
+                   std::to_string(ref.totalOps()) + ": " + diff;
+        }
+    }
+    fast.flushToSink();
+    ref.flushToSink();
+    const std::string detail = diffBlockStreams(ref_log, fast_log);
+    return detail.empty() ? detail : where + detail;
+}
+
+/** The per-call pass, the kernel pass (see diffProbePass), then the span
+ *  pass (see diffSpanPass) with cuts drawn from @p span_seed. */
 std::string
 diffProbeRun(const trace::ProbeConfig &cfg,
-             const std::vector<ProbeCall> &calls, Fault fault)
+             const std::vector<ProbeCall> &calls, Fault fault,
+             uint64_t span_seed)
 {
     std::string detail = diffProbePass(cfg, calls, fault, false);
     if (detail.empty()) {
@@ -1505,6 +1625,9 @@ diffProbeRun(const trace::ProbeConfig &cfg,
         if (!detail.empty()) {
             detail = "kernel pass: " + detail;
         }
+    }
+    if (detail.empty()) {
+        detail = diffSpanPass(cfg, calls, fault, span_seed);
     }
     return detail;
 }
@@ -1531,11 +1654,14 @@ describeProbeConfig(const trace::ProbeConfig &cfg)
  * accounting they replaced. One seeded case draws a config with
  * sampling boundaries every few dozen ops and a call sequence
  * (ddmin-shrunk on failure) whose op counts run from 0 to several
- * intervals, and runs it call by call, then grouped into kernels. The
- * injected probe-quiet fault lets the region past the window run
- * through the interval wrap; the next window's records go missing and
- * the counters must diverge. The injected probe-tally fault commits
- * kernels past the branch warmup quietly, losing their branch records.
+ * intervals, and runs it call by call, then grouped into kernels, then
+ * grouped into recorded spans. The injected probe-quiet fault lets the
+ * region past the window run through the interval wrap; the next
+ * window's records go missing and the counters must diverge. The
+ * injected probe-tally fault commits kernels past the branch warmup
+ * quietly, losing their branch records. The injected probe-span fault
+ * enters a committed span's last kernel at the span start, so the calls
+ * after it record ops at the wrong code variant.
  */
 bool
 runProbeCase(const FuzzOptions &options, uint64_t seed, Divergence &out)
@@ -1546,21 +1672,23 @@ runProbeCase(const FuzzOptions &options, uint64_t seed, Divergence &out)
                                        : rng.range(200, 12'000);
     const std::vector<ProbeCall> calls =
         randomProbeCalls(rng, cfg.opInterval, count);
+    // Drawn after every earlier draw, so seeds keep their configs and calls.
+    const uint64_t span_seed = rng.next();
     const Fault fault = options.inject;
 
-    std::string detail = diffProbeRun(cfg, calls, fault);
+    std::string detail = diffProbeRun(cfg, calls, fault, span_seed);
     if (detail.empty()) {
         return false;
     }
     out.shrunkOps = calls.size();
     if (options.shrink) {
         auto still_fails = [&](const std::vector<ProbeCall> &c) {
-            return !diffProbeRun(cfg, c, fault).empty();
+            return !diffProbeRun(cfg, c, fault, span_seed).empty();
         };
         const std::vector<ProbeCall> small =
             ddminShrink(calls, still_fails, 200);
         out.shrunkOps = small.size();
-        detail = diffProbeRun(cfg, small, fault);
+        detail = diffProbeRun(cfg, small, fault, span_seed);
     }
     out.detail = "probe divergence (" + describeProbeConfig(cfg) + "; " +
                  std::to_string(calls.size()) + " calls, shrunk to " +

@@ -68,6 +68,9 @@ enum class Fault {
     ProbeTally,     ///< trace::Probe's kernel commit tests the op
                     ///< bound instead of the branch bound, so kernels
                     ///< past the branch warmup lose their branches.
+    ProbeSpan,      ///< trace::Probe's span commit enters the span's
+                    ///< last kernel at the span start instead of at
+                    ///< its offset (the wrong code variant after it).
     FarmTie,        ///< RefFarm breaks equal server free-time ties
                     ///< toward the later group instead of the earlier.
 };

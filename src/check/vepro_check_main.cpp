@@ -14,7 +14,8 @@
  *
  * `--seed=N` (with `--target=<t>`) replays exactly one case — the repro
  * path. `--corpus=DIR` replays every *.case seed file first (CI runs
- * the checked-in corpus before fresh fuzzing). `--inject=<fault>`
+ * the checked-in corpus before fresh fuzzing); with `--case=FILE` or a
+ * repro `--seed` it is a usage error. `--inject=<fault>`
  * deliberately breaks one reference rule; the run then MUST fail,
  * which is how the harness proves its own sensitivity. The usage text
  * (printed on a bad flag) lists every target and fault.
@@ -131,6 +132,15 @@ main(int argc, char **argv)
         usage("unknown target '" + target_arg + "'");
     }
 
+    // The single-case modes replay no corpus, so a --corpus there would
+    // be silently ignored.
+    const bool repro = seed_given && !all_targets && options.iters == 0;
+    if (!corpus_dir.empty() && (!case_file.empty() || repro)) {
+        usage(std::string("--corpus does not apply to ") +
+              (case_file.empty() ? "--seed" : "--case") +
+              ", which replays one case");
+    }
+
     check::Fuzzer fuzzer(options);
     check::FuzzReport report;
 
@@ -145,7 +155,7 @@ main(int argc, char **argv)
         if (fuzzer.runCase(c.target, c.seed, d)) {
             report.divergences.push_back(d);
         }
-    } else if (seed_given && !all_targets && options.iters == 0) {
+    } else if (repro) {
         // Repro mode: exactly the one printed case.
         ++report.cases;
         check::Divergence d;

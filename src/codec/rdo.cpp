@@ -369,10 +369,41 @@ FrameCodec::costWithTransform(const PelView &src_blk, const PelView &pred_blk,
     return best_cost;
 }
 
+MeResult
+FrameCodec::searchMotion(const BlockRect &r, MotionVector start)
+{
+    return me_memo_
+        .run({r.x, r.y, r.w, r.h, start.x, start.y},
+             [&] {
+                 return motionSearch(viewOf(src_->y(), v_src_),
+                                     viewOf(ref_.y(), v_ref_), width_,
+                                     height_, r.x, r.y, r.w, r.h, start,
+                                     config_.me);
+             })
+        .first;
+}
+
 FrameCodec::EvalResult
 FrameCodec::evalLeaf(const BlockRect &r, int mode_budget)
 {
     ++stats_.leafEvals;
+    const auto [leaf, replayed] =
+        leaf_memo_.run({r.x, r.y, r.w, r.h, mode_budget}, [&] {
+            const EncodeStats before = stats_;
+            const EvalResult result = searchLeaf(r, mode_budget);
+            return LeafEval{result, stats_.modeEvals - before.modeEvals,
+                            stats_.meCandidates - before.meCandidates};
+        });
+    if (replayed) {
+        stats_.modeEvals += leaf.modeEvals;
+        stats_.meCandidates += leaf.meCandidates;
+    }
+    return leaf.result;
+}
+
+FrameCodec::EvalResult
+FrameCodec::searchLeaf(const BlockRect &r, int mode_budget)
+{
     static const uint64_t better_site = sitePc("rdo.mode_better");
     static const uint64_t bail_site = sitePc("rdo.mode_bail");
     Probe *p = currentProbe();
@@ -410,9 +441,7 @@ FrameCodec::evalLeaf(const BlockRect &r, int mode_budget)
             mvp, {0, 0}, {mvp.x / 2, mvp.y / 2}, {mvp.y, mvp.x}};
         for (int ref = 0; ref < std::max(1, config_.refFramesSearched);
              ++ref) {
-            MeResult me = motionSearch(src_plane, ref_plane, width_,
-                                       height_, r.x, r.y, r.w, r.h,
-                                       starts[ref & 3], config_.me);
+            MeResult me = searchMotion(r, starts[ref & 3]);
             stats_.meCandidates += static_cast<uint64_t>(me.candidates);
             motionCompensate(ref_plane, width_, height_, r.x, r.y, r.w, r.h,
                              me.mv, pred_view, config_.me.sharpSubpel);
@@ -877,6 +906,9 @@ FrameCodec::encodeSuperblock(int sx, int sy)
     }
     const int sb = config_.superblockSize;
     BlockRect r{sx, sy, std::min(sb, width_ - sx), std::min(sb, height_ - sy)};
+    // commitNode() writes recon_ and mv_field_, which the search reads.
+    me_memo_.clear();
+    leaf_memo_.clear();
     PartNode tree;
     searchNode(r, 0, tree);
     commitNode(r, 0, tree);

@@ -23,6 +23,7 @@
 #include "codec/mc.hpp"
 #include "codec/quant.hpp"
 #include "codec/rangecoder.hpp"
+#include "codec/search_memo.hpp"
 #include "trace/probe.hpp"
 #include "video/frame.hpp"
 
@@ -263,9 +264,21 @@ class FrameCodec
         double cost;
     };
 
+    /** A leaf evaluation as leaf_memo_ stores it: the result and the
+     *  EncodeStats counts it adds below the leaf. */
+    struct LeafEval {
+        EvalResult result;
+        uint64_t modeEvals;
+        uint64_t meCandidates;
+    };
+
     // -- search pass (estimates only, no recon mutation) -----------------
     double searchNode(const BlockRect &r, int depth, PartNode &out);
+    /** One leaf evaluation: searchLeaf() through leaf_memo_. */
     EvalResult evalLeaf(const BlockRect &r, int mode_budget);
+    EvalResult searchLeaf(const BlockRect &r, int mode_budget);
+    /** motionSearch() for block @p r from @p start, through me_memo_. */
+    MeResult searchMotion(const BlockRect &r, MotionVector start);
     double costWithTransform(const PelView &src_blk, const PelView &pred_blk,
                              const BlockRect &r, int tx, double mode_bits,
                              int *best_tx_type);
@@ -323,6 +336,13 @@ class FrameCodec
     Bitstream stream_;
     std::unique_ptr<RangeEncoder> rc_;
     SyntaxContexts ctx_;
+
+    // Per-superblock memos of the search pass's two pure steps
+    // (search_memo.hpp), cleared by encodeSuperblock(): motion searches
+    // keyed by (x, y, w, h, start.x, start.y), leaf evaluations by
+    // (x, y, w, h, mode budget).
+    SearchMemo<6, MeResult> me_memo_;
+    SearchMemo<5, LeafEval> leaf_memo_;
 
     EncodeStats stats_;
     EncodeStats frame_stats_before_;

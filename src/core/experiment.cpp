@@ -55,7 +55,8 @@ RunScale::fromArgs(int argc, char **argv)
             }
         } else if (arg.rfind("--videos=", 0) == 0) {
             // An empty name (--videos=, or desktop,,cat) is an error:
-            // an empty list would silently select the whole suite.
+            // an empty list would silently select the whole suite. So is
+            // a name outside the suite, before any work starts.
             const std::string list = arg.substr(9);
             size_t pos = 0;
             while (pos <= list.size()) {
@@ -69,6 +70,12 @@ RunScale::fromArgs(int argc, char **argv)
                         "got '" + list + "'");
                 }
                 scale.videos.push_back(list.substr(pos, comma - pos));
+                try {
+                    video::suiteEntry(scale.videos.back());
+                } catch (const std::out_of_range &) {
+                    throw std::invalid_argument("--videos: unknown clip '" +
+                                                scale.videos.back() + "'");
+                }
                 pos = comma + 1;
             }
         } else if (arg.rfind("--benchmark", 0) == 0) {

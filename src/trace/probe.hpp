@@ -110,6 +110,27 @@ class QuietTally
     uint64_t total_ = 4;
 };
 
+/**
+ * The emission of one call sequence, such as one motion search: its op
+ * counts per class and its last kernel entry. Probe::spanSince() records
+ * one and Probe::commitQuietSpan() applies it again in one step at a
+ * later position. Op counts do not depend on where a span runs, so a
+ * span may hold only emission calls (emitKernel included) and nested
+ * committed spans; it may not call allocRegion() or flushToSink(), or
+ * read totalOps() or recordedOps().
+ */
+struct QuietSpan {
+    static constexpr uint64_t kNoEntry = std::numeric_limits<uint64_t>::max();
+
+    std::array<uint64_t, kNumOpClasses> byClass{};
+    uint64_t total = 0;
+    /** The last kernel the span entered: its site, body length and op
+     *  offset from the span start (kNoEntry when it entered none). */
+    uint64_t site = 0;
+    uint64_t entryOffset = kNoEntry;
+    int bodyLen = 0;
+};
+
 /** Probe configuration: what to collect and how much. */
 struct ProbeConfig {
     /** Collect the full-op trace for the core model. */
@@ -156,7 +177,8 @@ struct ProbeConfig {
  * cut by the maxOps cap. Any other call takes one out-of-line slow path
  * that does the full per-call accounting and opens the next region.
  * A kernel emitted through emitKernel() that ends inside the region is
- * counted in one step instead of one call per op.
+ * counted in one step instead of one call per op, and so is a recorded
+ * QuietSpan that commitQuietSpan() applies again.
  */
 class Probe
 {
@@ -237,6 +259,22 @@ class Probe
     bool commitQuietKernel(uint64_t site, int body_len,
                            const QuietTally &tally);
 
+    // -- Recorded spans ----------------------------------------------------
+
+    /** The emission so far as one span from op 0: the start mark of a
+     *  span that spanSince() ends. */
+    QuietSpan mark() const;
+    /** The emission between @p start (a mark() of this probe) and now. */
+    QuietSpan spanSince(const QuietSpan &start) const;
+    /**
+     * Apply @p span at the current position in one step, when it ends
+     * below the bound commitQuietKernel() uses, and return true: its
+     * counts, then its last kernel entered at its offset, so the code
+     * variant, the deferred kernel event and the PC window are those the
+     * span's calls leave. Otherwise change nothing and return false.
+     */
+    bool commitQuietSpan(const QuietSpan &span);
+
     // -- Address-space management ----------------------------------------
 
     /**
@@ -300,6 +338,12 @@ class Probe
      * branch warmup commit quietly and lose their branch records.
      */
     void injectTallyFault(bool on) { tally_fault_ = on; }
+    /**
+     * Fault injection for the same target: a span commit enters the
+     * span's last kernel at the span start instead of at its offset, so
+     * later ops run in the wrong code variant.
+     */
+    void injectSpanFault(bool on) { span_fault_ = on; }
 
   private:
     static constexpr uint64_t kNever = std::numeric_limits<uint64_t>::max();
@@ -329,9 +373,9 @@ class Probe
     void decisionSlow(uint64_t site, bool taken);
     void loopBranchesSlow(uint64_t iterations);
 
-    /** enterKernel()'s state updates at the current position: the
+    /** enterKernel()'s state updates for an entry at op @p at: the
      *  deferred kernel event and the PC window of its ops. */
-    void enterSite(uint64_t site, int body_len);
+    void enterSite(uint64_t site, int body_len, uint64_t at);
     uint64_t nextPc();
 
     /** The stager's publish target: sink_->onBlock. A sink that moves
@@ -377,10 +421,14 @@ class Probe
     bool dropping_ = false;
     bool quiet_fault_ = false;
     bool tally_fault_ = false;
+    bool span_fault_ = false;
 
     uint64_t siteBase_ = sitePc("vepro.default");
     int siteBodyLen_ = 32;
     uint32_t sitePos_ = 0;  ///< Position in [0, siteBodyLen_), wrapped.
+    /** Op position of the last kernel entry (kNoEntry before the first);
+     *  pending_site_ holds its site and siteBodyLen_ its body length. */
+    uint64_t siteEntry_ = QuietSpan::kNoEntry;
 
     uint64_t nextRegion_ = 0x10000000ULL;
 
@@ -412,7 +460,7 @@ class Probe
 // from it.
 
 inline void
-Probe::enterSite(uint64_t site, int body_len)
+Probe::enterSite(uint64_t site, int body_len, uint64_t at)
 {
     // Deferred: the event is only staged when a record actually lands
     // under this site (stagePendingKernel). Sampled captures gate ops
@@ -426,15 +474,16 @@ Probe::enterSite(uint64_t site, int body_len)
     // Real encoders specialise each kernel by block size / unroll factor;
     // spread invocations over eight code variants so the instruction
     // footprint matches a few hundred KB of hot code, not a toy loop.
-    siteBase_ = site + ((opSeq_ >> 6) & 7) * 1024;
+    siteBase_ = site + ((at >> 6) & 7) * 1024;
     siteBodyLen_ = std::max(1, body_len);
     sitePos_ = 0;
+    siteEntry_ = at;
 }
 
 inline void
 Probe::enterKernel(uint64_t site, int body_len)
 {
-    enterSite(site, body_len);
+    enterSite(site, body_len, opSeq_);
     // Call + return plus a tiny scalar preamble (spills / setup).
     mix_.byClass[static_cast<int>(OpClass::BranchUncond)] += 2;
     mix_.byClass[static_cast<int>(OpClass::Other)] += 2;
@@ -512,11 +561,62 @@ Probe::commitQuietKernel(uint64_t site, int body_len,
         return false;
     }
     // enterKernel()'s ops are in the tally.
-    enterSite(site, body_len);
+    enterSite(site, body_len, opSeq_);
     // Unrolled: with constant indices the tally of an inlined body stays
     // in registers, and only the classes it counted touch the mix.
     [&]<size_t... C>(std::index_sequence<C...>) {
         ((mix_.byClass[C] += tally.byClass_[C]), ...);
+    }(std::make_index_sequence<kNumOpClasses>{});
+    opSeq_ = end;
+    return true;
+}
+
+inline QuietSpan
+Probe::mark() const
+{
+    QuietSpan m;
+    m.byClass = mix_.byClass;
+    m.total = opSeq_;
+    m.site = pending_site_;
+    m.entryOffset = siteEntry_;
+    m.bodyLen = siteBodyLen_;
+    return m;
+}
+
+inline QuietSpan
+Probe::spanSince(const QuietSpan &start) const
+{
+    QuietSpan span = mark();
+    for (size_t c = 0; c < span.byClass.size(); ++c) {
+        span.byClass[c] -= start.byClass[c];
+    }
+    span.total -= start.total;
+    // An entry before the mark sits at least enterKernel()'s 4 ops before
+    // it; one at the mark's own position is the span's first call.
+    span.entryOffset = siteEntry_ != QuietSpan::kNoEntry &&
+                               siteEntry_ >= start.total
+                           ? siteEntry_ - start.total
+                           : QuietSpan::kNoEntry;
+    return span;
+}
+
+// The same argument as commitQuietKernel's: a span that ends below
+// branch_quiet_end_ ran, call by call, only fast-path calls, whose
+// effects are the mix, opSeq_ and each kernel entry's site state, of
+// which the last entry's is what remains.
+inline bool
+Probe::commitQuietSpan(const QuietSpan &span)
+{
+    const uint64_t end = opSeq_ + span.total;
+    if (end >= branch_quiet_end_) {
+        return false;
+    }
+    if (span.entryOffset != QuietSpan::kNoEntry) {
+        enterSite(span.site, span.bodyLen,
+                  opSeq_ + (span_fault_ ? 0 : span.entryOffset));
+    }
+    [&]<size_t... C>(std::index_sequence<C...>) {
+        ((mix_.byClass[C] += span.byClass[C]), ...);
     }(std::make_index_sequence<kNumOpClasses>{});
     opSeq_ = end;
     return true;

@@ -67,6 +67,8 @@ TEST(CheckNames, FaultNamesRoundTrip)
     }
     EXPECT_EQ(names.size(), kFaultCount);
     Fault out;
+    ASSERT_TRUE(parseFault("probe-span", out));
+    EXPECT_EQ(out, Fault::ProbeSpan);
     EXPECT_FALSE(parseFault("cache-mru", out));
 }
 
@@ -118,6 +120,7 @@ TEST(CheckInjection, EveryFaultIsCaught)
         {Fault::LadderHull, Target::Ladder},
         {Fault::ProbeQuiet, Target::Probe},
         {Fault::ProbeTally, Target::Probe},
+        {Fault::ProbeSpan, Target::Probe},
         {Fault::FarmTie, Target::Farm},
     };
     for (const FaultCase &fc : cases) {

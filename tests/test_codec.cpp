@@ -21,6 +21,7 @@
 #include "codec/rangecoder.hpp"
 #include "codec/rdo.hpp"
 #include "codec/sad.hpp"
+#include "codec/search_memo.hpp"
 #include "codec/transform.hpp"
 #include "trace/probe.hpp"
 #include "uarch/cache.hpp"
@@ -1036,6 +1037,98 @@ TEST(FrameCodec, ProbedEncodeCountsInstructions)
                   0u)
             << trace::mixCategoryName(static_cast<trace::MixCategory>(c));
     }
+}
+
+// ---- SearchMemo --------------------------------------------------------
+
+/** A step that emits 6 ops (a kernel entry and two ALU ops) and counts
+ *  its runs. */
+struct CountedStep {
+    int runs = 0;
+    int
+    operator()(int value)
+    {
+        ++runs;
+        if (trace::Probe *p = trace::currentProbe()) {
+            p->enterKernel(trace::sitePc("memo.step"), 4);
+            p->ops(trace::OpClass::Alu, 2);
+        }
+        return value;
+    }
+};
+
+/** Keys that a 64-bit packing would alias (a vector past 16 bits, a
+ *  coordinate past the frame sizes the encodes use) stay distinct, and
+ *  clear() forgets every entry. */
+TEST(SearchMemo, KeysCompareEveryFieldAndClearForgets)
+{
+    SearchMemo<6, int> memo;
+    CountedStep step;
+    const SearchMemo<6, int>::Key keys[] = {
+        {0, 0, 8, 8, 1 << 20, 0}, {0, 0, 8, 8, 0, 1 << 4},
+        {1 << 16, 0, 8, 8, 0, 0}, {0, 1, 8, 8, 0, 0},
+        {0, 0, 8, 8, -1, 0},      {0, 0, 8, 8, 0, -1}};
+    for (int round = 0; round < 2; ++round) {
+        for (int i = 0; i < 6; ++i) {
+            const auto [value, replayed] =
+                memo.run(keys[i], [&] { return step(i); });
+            EXPECT_EQ(value, i);
+            EXPECT_EQ(replayed, round == 1);
+        }
+    }
+    EXPECT_EQ(step.runs, 6);
+    memo.clear();
+    EXPECT_EQ(memo.run(keys[0], [&] { return step(7); }),
+              std::make_pair(7, false));
+    EXPECT_EQ(step.runs, 7);
+}
+
+/** Growing past the first table keeps every entry. */
+TEST(SearchMemo, GrowthKeepsEntries)
+{
+    SearchMemo<2, int> memo;
+    CountedStep step;
+    for (int round = 0; round < 2; ++round) {
+        for (int i = 0; i < 1000; ++i) {
+            EXPECT_EQ(memo.run({i, -i}, [&] { return step(i); }).first, i);
+        }
+    }
+    EXPECT_EQ(step.runs, 1000);
+}
+
+/** With no probe a hit returns the stored value. Under a mix-only probe
+ *  a hit commits the stored span, so the probe counts the step again;
+ *  where the probe records every op, the step runs again instead. Entries
+ *  stored under one probe are not used under another. */
+TEST(SearchMemo, HitsCommitOrRunAgain)
+{
+    SearchMemo<1, int> memo;
+    CountedStep step;
+    auto run = [&] { return memo.run({5}, [&] { return step(5); }); };
+    EXPECT_FALSE(run().second);
+    EXPECT_EQ(run(), std::make_pair(5, true));
+    EXPECT_EQ(step.runs, 1);
+
+    trace::Probe mix_only;
+    {
+        trace::ProbeScope scope(&mix_only);
+        EXPECT_FALSE(run().second);
+        EXPECT_EQ(run(), std::make_pair(5, true));
+        EXPECT_EQ(run(), std::make_pair(5, true));
+    }
+    EXPECT_EQ(step.runs, 2);
+    EXPECT_EQ(mix_only.totalOps(), 3u * 6u);
+
+    trace::VectorSink sink;
+    trace::Probe streaming(trace::ProbeConfig::streaming());
+    streaming.setSink(&sink);
+    {
+        trace::ProbeScope scope(&streaming);
+        EXPECT_FALSE(run().second);
+        EXPECT_EQ(run(), std::make_pair(5, false));
+    }
+    EXPECT_EQ(step.runs, 4);
+    EXPECT_EQ(streaming.totalOps(), 2u * 6u);
 }
 
 } // namespace

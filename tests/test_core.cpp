@@ -90,11 +90,12 @@ TEST(RunScale, ParsesFlags)
     EXPECT_EQ(selectedVideos(filt).size(), 2u);
 
     // --sim-jobs and the segment flags are not RunScale flags
-    // (vepro-lab exits 2 on them), and --videos names at least one clip
-    // and no empty one.
+    // (vepro-lab exits 2 on them), and --videos names at least one clip,
+    // no empty one and none outside the suite.
     for (const char *rejected :
          {"--bogus", "--sim-jobs=2", "--segments=4", "--segment-warmup=8",
-          "--videos=", "--videos=desktop,,cat"}) {
+          "--videos=", "--videos=desktop,,cat", "--videos=bogus",
+          "--videos=desktop,bogus"}) {
         const char *argv4[] = {"bench", rejected};
         EXPECT_THROW(RunScale::fromArgs(2, const_cast<char **>(argv4)),
                      std::invalid_argument)

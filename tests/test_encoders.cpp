@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <map>
 #include <set>
+#include <sstream>
 
 #include "core/fnv.hpp"
 #include "encoders/registry.hpp"
@@ -461,6 +463,216 @@ TEST(Lookahead, EmitsWorkThroughProbe)
     }
     EXPECT_GT(probe2.totalOps(), basic * 2)
         << "the thorough (x265) lookahead does much more work";
+}
+
+// ---- Golden encodes ----------------------------------------------------
+
+/** Folds every delivered block into an FNV-1a 64 digest: its sizes, then
+ *  each op's and each event's fields. Counts ops and branch events. */
+class DigestSink final : public trace::TraceSink
+{
+  public:
+    void onOp(const trace::TraceOp &) override
+    {
+        ADD_FAILURE() << "the probe delivers whole blocks";
+    }
+    void
+    onBlock(trace::TraceBlock &&block) override
+    {
+        fold(block.ops.size());
+        fold(block.events.size());
+        for (const trace::TraceOp &op : block.ops) {
+            foldOp(op);
+        }
+        for (const trace::TraceBlock::Event &e : block.events) {
+            fold(e.pos);
+            fold(e.kind);
+            fold(e.taken);
+            fold(e.value);
+            branches += e.kind == trace::TraceBlock::Event::Branch;
+        }
+        ops += block.ops.size();
+    }
+
+    uint64_t digest = core::kFnv1a64Basis;
+    uint64_t ops = 0;
+    uint64_t branches = 0;
+
+  private:
+    template <typename T>
+    void
+    fold(T v)
+    {
+        digest = core::fnv1a64(
+            {reinterpret_cast<const char *>(&v), sizeof v}, digest);
+    }
+    void
+    foldOp(const trace::TraceOp &op)
+    {
+        fold(op.pc);
+        fold(op.addr);
+        fold(op.cls);
+        fold(op.taken);
+        fold(op.dep1);
+        fold(op.dep2);
+        fold(op.foreign);
+    }
+};
+
+/** What a recording encode delivered. */
+struct GoldenStream {
+    uint64_t ops, branches, droppedOps, droppedBranches, digest;
+};
+
+/**
+ * One pinned encode of tinyClip(): the model's counts, which every probe
+ * config must reproduce, and the streams of the sampled and the
+ * streaming config (see EncodeGolden.EveryConfigMatchesThePinnedRun).
+ */
+struct GoldenEncode {
+    const char *encoder;
+    int preset, crf;
+    uint64_t instructions;
+    codec::EncodeStats stats;
+    const char *psnr;  ///< %a
+    std::array<uint64_t, trace::kNumOpClasses> mix;
+    GoldenStream sampled, streaming;
+};
+
+std::string
+hexFloat(double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%a", v);
+    return buf;
+}
+
+/** @p g as a GoldenEncode initialiser. */
+std::string
+goldenRow(const GoldenEncode &g)
+{
+    std::ostringstream o;
+    const codec::EncodeStats &s = g.stats;
+    o << "{\"" << g.encoder << "\", " << g.preset << ", " << g.crf << ", "
+      << g.instructions << "ull,\n {" << s.bits << ", " << s.leafEvals
+      << ", " << s.modeEvals << ", " << s.meCandidates << ", "
+      << s.partitionNodes << ", " << s.prunes << ", " << s.leafCommits
+      << "},\n \"" << g.psnr << "\",\n {";
+    for (size_t c = 0; c < g.mix.size(); ++c) {
+        o << (c ? ", " : "") << g.mix[c];
+    }
+    o << "},";
+    for (const GoldenStream *st : {&g.sampled, &g.streaming}) {
+        o << "\n {" << st->ops << ", " << st->branches << ", "
+          << st->droppedOps << ", " << st->droppedBranches << ", 0x"
+          << std::hex << st->digest << std::dec << "ull}"
+          << (st == &g.sampled ? "," : "},");
+    }
+    return o.str();
+}
+
+const GoldenEncode kGoldenEncodes[] = {
+    {"SVT-AV1", 4, 31, 3833819ull,
+     {13864, 146, 966, 3399, 42, 0, 35},
+     "0x1.406991918ea13p+5",
+     {526252, 7501, 0, 605754, 252401, 208965, 53248, 1180668, 344824, 372564, 157676, 9258, 114708},
+     {60000, 0, 130822, 0, 0x4e2dc6535845d01cull},
+     {3780571, 106550, 0, 0, 0x293af94b28cbbe7full}},
+    {"Libaom", 4, 31, 3512977ull,
+     {13864, 146, 893, 2266, 42, 0, 35},
+     "0x1.406991918ea13p+5",
+     {483552, 7501, 0, 569698, 234373, 191052, 49376, 1081488, 330352, 306396, 146444, 6773, 105972},
+     {60000, 0, 114954, 0, 0x4e2dc6535845d01cull},
+     {3463601, 97206, 0, 0, 0x3d8e79a885789f7dull}},
+    {"Libvpx-vp9", 4, 31, 1170510ull,
+     {15688, 139, 436, 1023, 42, 2, 36},
+     "0x1.407b23affe8a9p+5",
+     {186750, 8226, 0, 270268, 139882, 61978, 13106, 255496, 45344, 108892, 31564, 3354, 45650},
+     {59372, 0, 0, 0, 0x47e03002f05314a6ull},
+     {1157404, 32459, 0, 0, 0xc0702f938e8eef84ull}},
+    {"x264", 4, 25, 1278710ull,
+     {12520, 511, 1363, 4548, 118, 14, 93},
+     "0x1.3f4513ec02957p+5",
+     {213317, 7672, 0, 254153, 129945, 77895, 26698, 282706, 22528, 155492, 36992, 13205, 58107},
+     {60000, 0, 2718, 0, 0x38ccb39dea191592ull},
+     {1252012, 40702, 0, 0, 0xa906b2b40a401d4ull}},
+    {"x265", 4, 25, 1520139ull,
+     {15864, 143, 518, 2194, 42, 0, 36},
+     "0x1.406c15520a4cbp+5",
+     {233747, 8234, 0, 306600, 158061, 81468, 18342, 364328, 59744, 183740, 42508, 7190, 56177},
+     {60000, 0, 15297, 0, 0x2b0334e98f9fcb9cull},
+     {1501797, 42674, 0, 0, 0xa5e22e8a25b234c9ull}},
+    {"SVT-AV1", 0, 31, 22928636ull,
+     {13160, 146, 1443, 197984, 42, 0, 37},
+     "0x1.40c37b6aa0ee4p+5",
+     {3202034, 7149, 0, 1415066, 583570, 1470608, 502470, 7613328, 756848, 5864208, 321328, 399757, 792270},
+     {60000, 0, 1086206, 0, 0xcd2a234e3685d0d1ull},
+     {22426166, 763344, 0, 0, 0xe7aa65e665ec97ddull}},
+};
+
+bool
+sameCounts(const EncodeResult &a, const EncodeResult &b)
+{
+    const codec::EncodeStats &s = a.stats, &t = b.stats;
+    return a.instructions == b.instructions &&
+           a.mix.byClass == b.mix.byClass && s.bits == t.bits &&
+           s.leafEvals == t.leafEvals && s.modeEvals == t.modeEvals &&
+           s.meCandidates == t.meCandidates &&
+           s.partitionNodes == t.partitionNodes && s.prunes == t.prunes &&
+           s.leafCommits == t.leafCommits &&
+           hexFloat(a.psnrDb) == hexFloat(b.psnrDb);
+}
+
+/**
+ * Real encodes pinned bit for bit, each run three ways: mix-only, where
+ * nothing records; sampled and capped, where small windows every 40 k
+ * ops fall both on and between repeated search steps; and streaming
+ * with branches past half the run, where every op records. The model's
+ * counts (instructions, every EncodeStats field, PSNR, the mix) must be
+ * the pinned ones under all three, and each recording config must
+ * deliver the pinned streams. On a mismatch the test prints the row the
+ * build computes; a change to the model re-pins it deliberately.
+ */
+TEST(EncodeGolden, EveryConfigMatchesThePinnedRun)
+{
+    const video::Video clip = tinyClip();
+    for (const GoldenEncode &g : kGoldenEncodes) {
+        SCOPED_TRACE(std::string(g.encoder) + " preset " +
+                     std::to_string(g.preset));
+        auto enc = encoderByName(g.encoder);
+        EncodeParams p;
+        p.preset = g.preset;
+        p.crf = g.crf;
+        const EncodeResult mix_only = enc->encode(clip, p);
+
+        trace::ProbeConfig sampled;
+        sampled.collectOps = true;
+        sampled.opWindow = 2'000;
+        sampled.opInterval = 40'000;
+        sampled.maxOps = 60'000;
+        trace::ProbeConfig streaming = trace::ProbeConfig::streaming(true);
+        streaming.branchWarmupOps = mix_only.instructions / 2;
+
+        GoldenStream got[2];
+        bool counts_agree = true;
+        for (int i = 0; i < 2; ++i) {
+            DigestSink sink;
+            const EncodeResult r = enc->encode(
+                clip, p, i == 0 ? sampled : streaming, false, &sink);
+            got[i] = {sink.ops, sink.branches, r.droppedOps,
+                      r.droppedBranches, sink.digest};
+            counts_agree &= sameCounts(r, mix_only);
+        }
+        EXPECT_TRUE(counts_agree)
+            << "a recording config changed the model's counts";
+
+        const std::string psnr = hexFloat(mix_only.psnrDb);
+        const GoldenEncode computed = {
+            g.encoder,       g.preset,       g.crf,
+            mix_only.instructions, mix_only.stats, psnr.c_str(),
+            mix_only.mix.byClass,  got[0],         got[1]};
+        EXPECT_EQ(goldenRow(computed), goldenRow(g));
+    }
 }
 
 TEST(Slowness, PresetEndpointsMapCorrectly)

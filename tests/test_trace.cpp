@@ -1163,5 +1163,140 @@ TEST(TraceFile, CaptureKeepsTheProbesBlocks)
     std::filesystem::remove(path);
 }
 
+// ---- Recorded spans (Probe::commitQuietSpan) -------------------------
+
+/** 28 ops over two kernels; span.b enters 14 ops past the start. */
+void
+spanCalls(Probe &p)
+{
+    p.enterKernel(sitePc("span.a"), 8);
+    p.ops(OpClass::SimdAlu, 10, 1);
+    p.enterKernel(sitePc("span.b"), 12);
+    p.memRun(OpClass::SimdLoad, 0x8000, 6, 32);
+    p.decision(sitePc("span.d"), true);
+    p.loopBranches(3);
+}
+
+/** @p calls's span, recorded on a mix-only probe at op 37. */
+template <typename Calls>
+QuietSpan
+recordSpan(Calls calls)
+{
+    Probe recorder;
+    recorder.ops(OpClass::Other, 37);
+    const QuietSpan start = recorder.mark();
+    calls(recorder);
+    return recorder.spanSince(start);
+}
+
+/** A 100-op window every 1000 ops. */
+ProbeConfig
+spanWindows()
+{
+    ProbeConfig cfg;
+    cfg.collectOps = true;
+    cfg.opWindow = 100;
+    cfg.opInterval = 1000;
+    return cfg;
+}
+
+/** The span committed at op 250, between windows, leaves what its calls
+ *  leave: the ops recorded in the next window run at span.b's PCs, in
+ *  the code variant of its entry at op 264 (not the start's), after
+ *  its deferred kernel event. */
+TEST(QuietSpan, CommitLeavesWhatItsCallsLeave)
+{
+    const QuietSpan span = recordSpan(spanCalls);
+    EXPECT_EQ(span.total, 28u);
+    EXPECT_EQ(span.entryOffset, 14u);
+    EXPECT_EQ(span.site, sitePc("span.b"));
+    EXPECT_EQ(span.bodyLen, 12);
+
+    BlockCollector direct, committed;
+    Probe a(spanWindows()), b(spanWindows());
+    a.setSink(&direct);
+    b.setSink(&committed);
+    a.ops(OpClass::Alu, 250);
+    b.ops(OpClass::Alu, 250);
+    spanCalls(a);
+    ASSERT_TRUE(b.commitQuietSpan(span));
+    for (Probe *p : {&a, &b}) {
+        p->ops(OpClass::Alu, 722);  // to op 1000, the next window
+        p->mem(OpClass::Load, 0x100);
+        p->loopBranches(2);
+        p->flushToSink();
+    }
+    direct.flush();
+    committed.flush();
+    EXPECT_EQ(b.totalOps(), a.totalOps());
+    EXPECT_EQ(b.mix().byClass, a.mix().byClass);
+    expectSameBlocks(direct.blocks, committed.blocks);
+    // The first window's 100 ops, then the mem op and two loop branches.
+    ASSERT_EQ(committed.blocks.size(), 1u);
+    ASSERT_EQ(committed.blocks[0].ops.size(), 103u);
+    EXPECT_EQ(committed.blocks[0].ops[100].pc, sitePc("span.b") + 4 * 1024);
+    ASSERT_EQ(committed.blocks[0].events.size(), 1u);
+    EXPECT_EQ(committed.blocks[0].events[0].pos, 100u);
+    EXPECT_EQ(committed.blocks[0].events[0].value, sitePc("span.b"));
+}
+
+/** A span with no kernel entry keeps the kernel in force before it. */
+TEST(QuietSpan, SpanWithoutAnEntryKeepsTheKernel)
+{
+    auto body = [](Probe &p) {
+        p.ops(OpClass::Alu, 5);
+        p.mem(OpClass::Store, 0x40);
+    };
+    const QuietSpan span = recordSpan(body);
+    EXPECT_EQ(span.total, 6u);
+    EXPECT_EQ(span.entryOffset, QuietSpan::kNoEntry);
+
+    BlockCollector direct, committed;
+    Probe a(spanWindows()), b(spanWindows());
+    a.setSink(&direct);
+    b.setSink(&committed);
+    for (Probe *p : {&a, &b}) {
+        p->ops(OpClass::Alu, 200);
+        p->enterKernel(sitePc("span.k"), 8);
+    }
+    body(a);
+    ASSERT_TRUE(b.commitQuietSpan(span));
+    for (Probe *p : {&a, &b}) {
+        p->ops(OpClass::Alu, 790);
+        p->mem(OpClass::Load, 0x100);
+        p->flushToSink();
+    }
+    direct.flush();
+    committed.flush();
+    EXPECT_EQ(b.mix().byClass, a.mix().byClass);
+    expectSameBlocks(direct.blocks, committed.blocks);
+    ASSERT_EQ(committed.blocks.size(), 1u);
+    EXPECT_EQ(committed.blocks[0].events[0].value, sitePc("span.k"));
+}
+
+/** A span that would reach a window, or any span on a probe that records
+ *  every op, does not commit and leaves the probe as it was. */
+TEST(QuietSpan, CommitFailsWhereACallWouldRecord)
+{
+    const QuietSpan span = recordSpan(spanCalls);
+    BlockCollector sink;
+    Probe windowed(spanWindows());
+    windowed.setSink(&sink);
+    windowed.ops(OpClass::Alu, 980);  // 20 ops before the window
+    const MixCounters before = windowed.mix();
+    EXPECT_FALSE(windowed.commitQuietSpan(span));
+    EXPECT_EQ(windowed.totalOps(), 980u);
+    EXPECT_EQ(windowed.mix().byClass, before.byClass);
+
+    Probe streaming(ProbeConfig::streaming());
+    streaming.setSink(&sink);
+    EXPECT_FALSE(streaming.commitQuietSpan(span));
+    EXPECT_EQ(streaming.totalOps(), 0u);
+
+    Probe mix_only;
+    EXPECT_TRUE(mix_only.commitQuietSpan(span));
+    EXPECT_EQ(mix_only.totalOps(), 28u);
+}
+
 } // namespace
 } // namespace vepro::trace
