@@ -83,14 +83,14 @@ runCbpFigure(int argc, char **argv, const char *figure, int preset, int crf)
             results[i].push_back(runner.result());
         }
         dropped[i] = r.droppedBranches;
-        // Worker-thread reporting goes through the mutex-serialised
-        // Progress so concurrent lines never interleave mid-character.
+    });
+
+    // Reported after the workers, in clip order, so two runs print the
+    // same lines whatever order the clips finish in.
+    for (size_t i = 0; i < videos.size(); ++i) {
         lab::Progress::standard().linef(
             "  [%s: %llu branches]", videos[i].name.c_str(),
             static_cast<unsigned long long>(results[i].front().branches));
-    });
-
-    for (size_t i = 0; i < videos.size(); ++i) {
         if (dropped[i] > 0) {
             lab::Progress::standard().linef(
                 "  warning: %s hit the branch cap (%llu branches "

@@ -1853,6 +1853,9 @@ struct FarmCase {
     serve::FarmConfig config;
     RefFarmPolicy policy;
     std::vector<serve::ServerGroup> pool;
+    /** The pool's backends with tens to hundreds of servers each, so
+     *  the free-time heaps sift through several levels. */
+    std::vector<serve::ServerGroup> deepPool;
     std::unique_ptr<TableOracle> oracle;
 };
 
@@ -1951,6 +1954,12 @@ drawFarmCase(SplitMix64 &rng)
         job.crf = crfs[rng.below(crfs.size())];
         c.arrivals.push_back(std::move(job));
     }
+
+    // Drawn after everything above, so earlier seeds keep their cases.
+    for (const serve::ServerGroup &group : c.pool) {
+        const uint64_t servers = rng.range(10, 40) << rng.below(4);
+        c.deepPool.push_back({group.backend, static_cast<int>(servers)});
+    }
     return c;
 }
 
@@ -2003,7 +2012,8 @@ diffFarmResults(const serve::FarmResult &ref, const serve::FarmResult &fast)
     return {};
 }
 
-/** Both simulateFarm signatures against RefFarm on @p arrivals. */
+/** Both simulateFarm signatures against RefFarm on @p arrivals, the
+ *  pool signature on both pools. */
 std::string
 diffFarmRun(const FarmCase &c, const std::vector<serve::UploadJob> &arrivals,
             Fault fault)
@@ -2023,24 +2033,38 @@ diffFarmRun(const FarmCase &c, const std::vector<serve::UploadJob> &arrivals,
     d = diffFarmResults(ref.run(arrivals, *c.oracle, c.pool),
                         serve::simulateFarm(arrivals, c.config, policy,
                                             *c.oracle, c.pool));
-    return d.empty() ? d : "pool farm: " + d;
+    if (!d.empty()) {
+        return "pool farm: " + d;
+    }
+    d = diffFarmResults(ref.run(arrivals, *c.oracle, c.deepPool),
+                        serve::simulateFarm(arrivals, c.config, policy,
+                                            *c.oracle, c.deepPool));
+    return d.empty() ? d : "deep pool farm: " + d;
+}
+
+/** "iron-ax2,defaultx4": a pool's groups in order. */
+std::string
+describePool(const std::vector<serve::ServerGroup> &pool)
+{
+    std::string out;
+    for (const serve::ServerGroup &g : pool) {
+        out += (out.empty() ? "" : ",") +
+               (g.backend.empty() ? std::string("default") : g.backend) +
+               "x" + std::to_string(g.servers);
+    }
+    return out;
 }
 
 std::string
 describeFarmCase(const FarmCase &c)
 {
-    std::string pool;
-    for (const serve::ServerGroup &g : c.pool) {
-        pool += (pool.empty() ? "" : ",") +
-                (g.backend.empty() ? std::string("default") : g.backend) +
-                "x" + std::to_string(g.servers);
-    }
     return std::string(c.policy.adaptive
                            ? "adaptive"
                            : "static-p" + std::to_string(c.policy.preset)) +
            ", " + std::to_string(c.oracle->presetLadder().size()) +
            " rungs, servers=" + std::to_string(c.config.servers) +
-           " pool=" + pool + " admission=" +
+           " pool=" + describePool(c.pool) +
+           " deep pool=" + describePool(c.deepPool) + " admission=" +
            std::to_string(c.config.admissionLimit) +
            " target=" + hexDouble(c.config.latencyTargetSec);
 }
@@ -2052,9 +2076,13 @@ describeFarmCase(const FarmCase &c)
  * sharded EDF heaps and per-dispatch oracle queries. One seeded case
  * draws sorted arrivals with tie bursts, a ladder, clips (rung ids
  * included) and CRFs, a cost table full of exact ties, 1-3 server
- * groups and an admission limit; failing arrivals are ddmin-shrunk.
+ * groups of 1-6 servers, the same groups again with 10-320 servers
+ * each, and an admission limit; failing arrivals are ddmin-shrunk.
  * The injected farm-tie fault hands equal free-time ties to the later
  * group, which every multi-group pool exposes at its first dispatch.
+ * The farm-admit fault lets an arrival at a dispatch instant join
+ * after the dispatch, which shows once such an arrival meets a full
+ * admission queue.
  */
 bool
 runFarmCase(const FuzzOptions &options, uint64_t seed, Divergence &out)
@@ -2112,7 +2140,7 @@ constexpr TargetRow kTargets[] = {
     // Up to a few thousand probe calls per case (12k in full mode),
     // counters diffed per call: 2-10 ms a case.
     {Target::Probe, "probe", 200, 1000, runProbeCase},
-    // Four farm runs over at most 300 arrivals: well under 1 ms a case.
+    // Six farm runs over at most 300 arrivals: well under 1 ms a case.
     {Target::Farm, "farm", 200, 1000, runFarmCase},
 };
 static_assert(std::size(kTargets) == kTargetCount, "one row per Target");

@@ -15,7 +15,7 @@ constexpr const char *kFaultNames[] = {
     "none",            "cache-lru",    "core-latency", "bpred-alloc",
     "kernels-sad",     "kernels-idct", "store-bit",    "backend-energy",
     "tracefile-delta", "ladder-hull",  "probe-quiet",  "probe-tally",
-    "probe-span",      "farm-tie",
+    "probe-span",      "farm-tie",     "farm-admit",
 };
 static_assert(std::size(kFaultNames) == kFaultCount, "one name per Fault");
 

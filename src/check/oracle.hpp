@@ -73,10 +73,15 @@ enum class Fault {
                     ///< its offset (the wrong code variant after it).
     FarmTie,        ///< RefFarm breaks equal server free-time ties
                     ///< toward the later group instead of the earlier.
+    FarmAdmit,      ///< RefFarm admits only arrivals strictly before the
+                    ///< dispatch instant (< instead of <=), so one that
+                    ///< arrives as a server frees joins after the
+                    ///< dispatch and meets a shorter queue.
 };
 
 /** Number of faults: one past the last enumerator. */
-inline constexpr size_t kFaultCount = static_cast<size_t>(Fault::FarmTie) + 1;
+inline constexpr size_t kFaultCount =
+    static_cast<size_t>(Fault::FarmAdmit) + 1;
 
 /** CLI name of a fault ("cache-lru", ...; "none" for Fault::None). */
 const char *faultName(Fault fault);

@@ -216,8 +216,12 @@ runFarm(const std::vector<UploadJob> &arrivals,
         }
         Group &group = groups[pick];
         const double t_free = group.free.top();
+        // An arrival at the dispatch instant joins before it (the
+        // farm-admit fault lets it join after).
         if (next_arrival < arrivals.size() &&
-            arrivals[next_arrival].arrivalSec <= t_free) {
+            (fault == Fault::FarmAdmit
+                 ? arrivals[next_arrival].arrivalSec < t_free
+                 : arrivals[next_arrival].arrivalSec <= t_free)) {
             admit(next_arrival++);
             continue;
         }

@@ -37,7 +37,11 @@
  * differences, not IPC differences. Farm servers are multi-core, so
  * the single-core time is divided by a per-preset parallel speedup
  * obtained from the encoder's own task graph run through the
- * sched::schedule list scheduler at the backend's core count.
+ * sched::schedule list scheduler at the backend's core count. Note
+ * that the graph comes from the first clip encoded at the cost scale:
+ * at the defaults (divisor 16, 2 frames) it has 6 tasks, whose 8-core
+ * schedule equals the serial one, so the speedup is 1.0 at every
+ * preset and every service time is a one-core time (DESIGN.md §14).
  *
  * Fixed-function backends (profile Kind::Fixed, e.g. "hw-enc") bypass
  * the core model entirely: service time is priced analytically from

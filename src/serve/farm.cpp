@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <queue>
 #include <span>
 #include <stdexcept>
 #include <string_view>
@@ -34,38 +32,6 @@ percentile(std::vector<double> &values, double q)
     return *nth;
 }
 
-/** A run's distinct (clip, crf) pairs in first-arrival order, and the
- *  pair each arrival belongs to. */
-struct Combos {
-    std::vector<const UploadJob *> first;  ///< One arrival per combo.
-    std::vector<uint32_t> ofJob;           ///< Combo id per arrival.
-};
-
-/** Intern the arrivals' (clip, crf) pairs in one pass, checking on the
- *  way that they are sorted (a NaN arrival time fails the check too). */
-Combos
-internCombos(const std::vector<UploadJob> &arrivals)
-{
-    Combos out;
-    out.ofJob.reserve(arrivals.size());
-    std::map<std::pair<std::string_view, int>, uint32_t> ids;
-    for (size_t i = 0; i < arrivals.size(); ++i) {
-        const UploadJob &job = arrivals[i];
-        if (i > 0 && !(arrivals[i - 1].arrivalSec <= job.arrivalSec)) {
-            throw std::invalid_argument(
-                "serve: farm arrivals must be sorted by arrivalSec (job " +
-                std::to_string(job.id) + ")");
-        }
-        const auto [it, added] = ids.try_emplace(
-            {job.clip, job.crf}, static_cast<uint32_t>(out.first.size()));
-        if (added) {
-            out.first.push_back(&job);
-        }
-        out.ofJob.push_back(it->second);
-    }
-    return out;
-}
-
 /** Where @p preset sits on @p ladder: a preset off it has no cost. */
 size_t
 rungOf(const std::vector<int> &ladder, int preset)
@@ -78,22 +44,76 @@ rungOf(const std::vector<int> &ladder, int preset)
     return static_cast<size_t>(it - ladder.begin());
 }
 
+/**
+ * A group's server free times as a flat 4-ary min-heap. The farm reads
+ * only the earliest time and then replaces it with the dispatched
+ * job's end: one sift-down, where std::priority_queue's pop and push
+ * take two sifts of a binary heap, twice as deep. Servers in a group
+ * are interchangeable, so any exact min-heap gives the same outcomes
+ * bit for bit.
+ *
+ * A full family of four children is reduced as two pairs and then
+ * their winners, written as index arithmetic and a select rather than a
+ * branch per child: which child of a busy group frees first is close
+ * to random, so such branches mispredict often.
+ */
+class FreeTimes
+{
+  public:
+    explicit FreeTimes(int servers)
+        : heap_(static_cast<size_t>(servers), 0.0)
+    {
+    }
+
+    double earliest() const { return heap_.front(); }
+
+    /** Replace the earliest free time with @p t. */
+    void
+    replaceEarliest(double t)
+    {
+        const size_t n = heap_.size();
+        size_t hole = 0;
+        for (size_t child = 1; child < n; child = 4 * hole + 1) {
+            size_t least = child;
+            if (child + 4 <= n) {
+                const size_t a = child + (heap_[child + 1] < heap_[child]);
+                const size_t b =
+                    child + 2 + (heap_[child + 3] < heap_[child + 2]);
+                least = heap_[b] < heap_[a] ? b : a;
+            } else {
+                for (size_t c = child + 1; c < n; ++c) {
+                    if (heap_[c] < heap_[least]) {
+                        least = c;
+                    }
+                }
+            }
+            if (!(heap_[least] < t)) {
+                break;
+            }
+            heap_[hole] = heap_[least];
+            hole = least;
+        }
+        heap_[hole] = t;
+    }
+
+  private:
+    std::vector<double> heap_;
+};
+
 /** One group of interchangeable servers, all free at t = 0: the backend
- *  its outcomes carry, its cost table and a min-heap of its servers'
- *  free times. The table holds one row per combo and one column per
- *  ladder rung; joules is filled only when the run prices energy. */
+ *  its outcomes carry, its cost table and its servers' free times. The
+ *  table holds one row per combo and one column per ladder rung; joules
+ *  is filled only when the run prices energy. */
 struct Group {
     Group(const std::string &name, int servers)
-        : backend(name),
-          free({}, std::vector<double>(static_cast<size_t>(servers), 0.0))
+        : backend(name), free(servers)
     {
     }
 
     std::string backend;
     std::vector<double> seconds;
     std::vector<double> joules;
-    std::priority_queue<double, std::vector<double>, std::greater<double>>
-        free;
+    FreeTimes free;
 };
 
 /**
@@ -107,10 +127,11 @@ struct Group {
  * order, so the queue is a FIFO.
  */
 FarmResult
-runFarm(const std::vector<UploadJob> &arrivals, const FarmConfig &config,
+runFarm(const ArrivalSet &set, const FarmConfig &config,
         const Policy &policy, const CostOracle &cost,
         const std::vector<ServerGroup> &pool, const FleetCostOracle *fleet)
 {
+    const std::vector<UploadJob> &arrivals = set.jobs();
     std::vector<Group> groups;
     for (const ServerGroup &group : pool) {
         if (group.servers >= 1) {
@@ -120,12 +141,11 @@ runFarm(const std::vector<UploadJob> &arrivals, const FarmConfig &config,
     if (groups.empty() || config.shards < 1) {
         throw std::invalid_argument("serve: farm needs >= 1 server/shard");
     }
-    const Combos combos = internCombos(arrivals);
     const std::vector<int> &ladder = cost.presetLadder();
     const size_t rungs = ladder.size();
     for (Group &group : groups) {
-        group.seconds.reserve(combos.first.size() * rungs);
-        for (const UploadJob *job : combos.first) {
+        group.seconds.reserve(set.combos().size() * rungs);
+        for (const UploadJob *job : set.combos()) {
             for (int preset : ladder) {
                 if (fleet == nullptr) {
                     group.seconds.push_back(
@@ -160,11 +180,10 @@ runFarm(const std::vector<UploadJob> &arrivals, const FarmConfig &config,
         const UploadJob &job = arrivals[job_index];
         if (config.admissionLimit != 0 &&
             fifo.size() - head >= config.admissionLimit) {
-            JobOutcome reject;
+            JobOutcome &reject = out.outcomes.emplace_back();
             reject.id = job.id;
             reject.arrivalSec = job.arrivalSec;
             reject.rejected = true;
-            out.outcomes.push_back(reject);
             ++out.sla.rejected;
             return;
         }
@@ -173,32 +192,32 @@ runFarm(const std::vector<UploadJob> &arrivals, const FarmConfig &config,
 
     while (next_arrival < arrivals.size() || head < fifo.size()) {
         if (head == fifo.size()) {
-            admit(next_arrival++);
-            continue;
+            admit(next_arrival++);  // An empty queue always admits.
         }
         // The next dispatch happens when the earliest server frees (or
         // immediately, for jobs that arrived while it was idle). Admit
         // everything that arrives up to that instant first, so admission
-        // control sees the true queue contents.
+        // control sees the true queue contents. Nothing dispatches
+        // during the pass, so the group picked before it still frees
+        // first after it.
         size_t pick = 0;
         for (size_t g = 1; g < groups.size(); ++g) {
-            if (groups[g].free.top() < groups[pick].free.top()) {
+            if (groups[g].free.earliest() < groups[pick].free.earliest()) {
                 pick = g;
             }
         }
         Group &group = groups[pick];
-        const double t_free = group.free.top();
-        if (next_arrival < arrivals.size() &&
-            arrivals[next_arrival].arrivalSec <= t_free) {
+        const double t_free = group.free.earliest();
+        while (next_arrival < arrivals.size() &&
+               arrivals[next_arrival].arrivalSec <= t_free) {
             admit(next_arrival++);
-            continue;
         }
 
         const size_t job_index = fifo[head++];
         const UploadJob &job = arrivals[job_index];
         const double start = std::max(t_free, job.arrivalSec);
         const double deadline = job.arrivalSec + config.latencyTargetSec;
-        const size_t row = combos.ofJob[job_index] * rungs;
+        const size_t row = set.comboOf(job_index) * rungs;
         const std::span<const double> seconds(group.seconds.data() + row,
                                               rungs);
         const int preset =
@@ -206,10 +225,9 @@ runFarm(const std::vector<UploadJob> &arrivals, const FarmConfig &config,
         const size_t rung = rungOf(ladder, preset);
         const double service = seconds[rung];
         const double end = start + service;
-        group.free.pop();
-        group.free.push(end);
+        group.free.replaceEarliest(end);
 
-        JobOutcome done;
+        JobOutcome &done = out.outcomes.emplace_back();
         done.id = job.id;
         done.arrivalSec = job.arrivalSec;
         done.preset = preset;
@@ -217,7 +235,6 @@ runFarm(const std::vector<UploadJob> &arrivals, const FarmConfig &config,
         done.endSec = end;
         done.missedDeadline = end > deadline;
         done.backend = group.backend;
-        out.outcomes.push_back(done);
 
         ++out.sla.completed;
         if (done.missedDeadline) {
@@ -257,19 +274,38 @@ runFarm(const std::vector<UploadJob> &arrivals, const FarmConfig &config,
 
 } // namespace
 
+ArrivalSet::ArrivalSet(const std::vector<UploadJob> &arrivals)
+    : jobs_(arrivals)
+{
+    combo_of_.reserve(arrivals.size());
+    std::map<std::pair<std::string_view, int>, uint32_t> ids;
+    for (size_t i = 0; i < arrivals.size(); ++i) {
+        const UploadJob &job = arrivals[i];
+        if (i > 0 && !(arrivals[i - 1].arrivalSec <= job.arrivalSec)) {
+            throw std::invalid_argument(
+                "serve: farm arrivals must be sorted by arrivalSec (job " +
+                std::to_string(job.id) + ")");
+        }
+        const auto [it, added] = ids.try_emplace(
+            {job.clip, job.crf}, static_cast<uint32_t>(first_.size()));
+        if (added) {
+            first_.push_back(&job);
+        }
+        combo_of_.push_back(it->second);
+    }
+}
+
 FarmResult
-simulateFarm(const std::vector<UploadJob> &arrivals,
-             const FarmConfig &config, const Policy &policy,
-             const CostOracle &cost)
+simulateFarm(const ArrivalSet &arrivals, const FarmConfig &config,
+             const Policy &policy, const CostOracle &cost)
 {
     return runFarm(arrivals, config, policy, cost, {{"", config.servers}},
                    nullptr);
 }
 
 FarmResult
-simulateFarm(const std::vector<UploadJob> &arrivals,
-             const FarmConfig &config, const Policy &policy,
-             const FleetCostOracle &cost,
+simulateFarm(const ArrivalSet &arrivals, const FarmConfig &config,
+             const Policy &policy, const FleetCostOracle &cost,
              const std::vector<ServerGroup> &pool)
 {
     return runFarm(arrivals, config, policy, cost, pool, &cost);

@@ -38,6 +38,7 @@
  */
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -114,17 +115,48 @@ struct FarmResult {
 };
 
 /**
- * Run the farm over @p arrivals under @p policy. Pure and
- * deterministic. Throws std::invalid_argument unless the arrivals are
- * sorted by arrivalSec (the generateTraffic contract; NaN times fail
- * too), and std::out_of_range when the policy picks a preset that is
- * not on cost.presetLadder(). The config.servers identical servers are
- * one group (see below) whose cost table comes from @p cost directly:
- * no backend, no energy.
+ * A sorted arrival sequence prepared once for any number of farm runs
+ * over it: its distinct (clip, crf) pairs ("combos") in first-arrival
+ * order, and the combo of each arrival. A farm run prices one cost
+ * table row per combo, so a sweep that runs several farms on one
+ * arrival set interns it once.
+ *
+ * It keeps a reference to the vector it was built from, which must
+ * outlive it (a temporary vector does not compile). The constructor is
+ * implicit, so simulateFarm(vector, ...) still works and interns once
+ * per call.
  */
-FarmResult simulateFarm(const std::vector<UploadJob> &arrivals,
-                        const FarmConfig &config, const Policy &policy,
-                        const CostOracle &cost);
+class ArrivalSet
+{
+  public:
+    /** Throws std::invalid_argument unless @p arrivals are sorted by
+     *  arrivalSec (the generateTraffic contract; NaN times fail too). */
+    ArrivalSet(const std::vector<UploadJob> &arrivals);
+    ArrivalSet(std::vector<UploadJob> &&) = delete;
+
+    const std::vector<UploadJob> &jobs() const { return jobs_; }
+    /** The first arrival of each combo, in first-arrival order. */
+    const std::vector<const UploadJob *> &combos() const { return first_; }
+    /** Combo of arrival @p i: an index into combos(). */
+    uint32_t comboOf(size_t i) const { return combo_of_[i]; }
+
+  private:
+    const std::vector<UploadJob> &jobs_;
+    std::vector<const UploadJob *> first_;
+    std::vector<uint32_t> combo_of_;
+};
+
+/**
+ * Run the farm over @p arrivals under @p policy. Pure and
+ * deterministic. Throws std::out_of_range when the policy picks a
+ * preset that is not on cost.presetLadder(), and std::invalid_argument
+ * when an unsorted vector is passed (as it converts to an ArrivalSet).
+ * The config.servers
+ * identical servers are one group (see below) whose cost table comes
+ * from @p cost directly: no backend, no energy.
+ */
+FarmResult simulateFarm(const ArrivalSet &arrivals, const FarmConfig &config,
+                        const Policy &policy, const CostOracle &cost);
 
 /**
  * Heterogeneous overload: the pool is @p pool's groups, in order
@@ -138,9 +170,8 @@ FarmResult simulateFarm(const std::vector<UploadJob> &arrivals,
  * deterministic, like everything else here. Both overloads run the
  * same event loop and throw the same errors.
  */
-FarmResult simulateFarm(const std::vector<UploadJob> &arrivals,
-                        const FarmConfig &config, const Policy &policy,
-                        const FleetCostOracle &cost,
+FarmResult simulateFarm(const ArrivalSet &arrivals, const FarmConfig &config,
+                        const Policy &policy, const FleetCostOracle &cost,
                         const std::vector<ServerGroup> &pool);
 
 /**

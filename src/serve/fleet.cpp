@@ -91,6 +91,7 @@ fleetSweep(const std::vector<UploadJob> &arrivals, const FarmConfig &farm,
 
     FleetSweepResult out;
     out.mixes = buildMixes(backends, config.serversPerMix);
+    const ArrivalSet set(arrivals);
 
     const std::vector<int> &ladder = cost.presetLadder();
     const struct {
@@ -103,7 +104,7 @@ fleetSweep(const std::vector<UploadJob> &arrivals, const FarmConfig &farm,
         for (const auto &regime : regimes) {
             const StaticPolicy policy(regime.preset);
             const FarmResult r =
-                simulateFarm(arrivals, farm, policy, cost, mix.groups);
+                simulateFarm(set, farm, policy, cost, mix.groups);
 
             FleetRow row;
             row.mix = mix.name;

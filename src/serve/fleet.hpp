@@ -82,9 +82,9 @@ struct FleetSweepResult {
 };
 
 /**
- * Run the sweep over @p arrivals. @p cost must already be resolved
- * (resolveOn) for every backend in @p config and both ladder ends.
- * Pure and deterministic.
+ * Run the sweep over @p arrivals, prepared once (ArrivalSet) for all
+ * its farms. @p cost must already be resolved (resolveOn) for every
+ * backend in @p config and both ladder ends. Pure and deterministic.
  */
 FleetSweepResult fleetSweep(const std::vector<UploadJob> &arrivals,
                             const FarmConfig &farm,

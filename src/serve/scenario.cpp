@@ -52,6 +52,7 @@ runScenario(const ServeScenario &scenario, lab::Orchestrator &orch,
 
     ScenarioRun run;
     run.arrivals = generateTraffic(scenario.traffic);
+    const ArrivalSet set(run.arrivals);
 
     std::vector<std::unique_ptr<Policy>> policies;
     for (int preset : scenario.cost.presets) {
@@ -60,7 +61,7 @@ runScenario(const ServeScenario &scenario, lab::Orchestrator &orch,
     policies.push_back(std::make_unique<AdaptivePolicy>());
     for (const auto &policy : policies) {
         run.reports.push_back(
-            simulateFarm(run.arrivals, scenario.farm, *policy, cost).sla);
+            simulateFarm(set, scenario.farm, *policy, cost).sla);
     }
     run.table = slaTable(run.reports);
     return run;

@@ -51,10 +51,10 @@ struct ScenarioRun {
  * Run @p scenario: resolve the cost combos as one batch on @p orch
  * (its OrchestratorOptions::jobs workers), then simulate one
  * StaticPolicy per ladder rung plus AdaptivePolicy over the identical
- * arrival sequence. The policy loop is pure, so the resulting table is
- * byte-identical for any worker count. @p jobs is not read: it is kept
- * only because ledger/ledger.cpp passes it; delete it together with
- * that argument.
+ * arrival sequence, prepared once (ArrivalSet) for all of them. The
+ * policy loop is pure, so the resulting table is byte-identical for
+ * any worker count. @p jobs is not read: it is kept only because
+ * ledger/ledger.cpp passes it; delete it together with that argument.
  */
 ScenarioRun runScenario(const ServeScenario &scenario,
                         lab::Orchestrator &orch, int jobs);

@@ -4,8 +4,9 @@
 /**
  * @file
  * Set-associative cache model with LRU replacement, chainable into the
- * paper machine's hierarchy (32K L1I / 32K L1D / 256K L2 / 30M LLC),
- * plus coherence invalidation for the thread-study traces.
+ * paper machine's hierarchy (32K L1I / 32K L1D / 256K L2 / 30M LLC,
+ * which the model holds as 20M: see Cache), plus coherence
+ * invalidation for the thread-study traces.
  */
 
 #include <cstdint>
@@ -28,6 +29,10 @@ struct CacheConfig {
 class Cache
 {
   public:
+    /** The set count (size / line / ways) rounds down to a power of
+     *  two, so a level whose count is not one holds less than its
+     *  configured size: the default 30M 20-way LLC has 24,576 sets and
+     *  is modeled with 16,384, which is 20 MiB. */
     explicit Cache(const CacheConfig &config);
 
     /**
@@ -123,7 +128,7 @@ class Hierarchy
         CacheConfig l1i{"L1I", 32 * 1024, 8, 64, 1};
         CacheConfig l1d{"L1D", 32 * 1024, 8, 64, 4};
         CacheConfig l2{"L2", 256 * 1024, 8, 64, 12};
-        CacheConfig llc{"LLC", 30 * 1024 * 1024, 20, 64, 38};
+        CacheConfig llc{"LLC", 30 * 1024 * 1024, 20, 64, 38};  // 20M modeled.
         int memoryLatency = 180;
         PrefetcherConfig prefetch{};
     };

@@ -69,6 +69,8 @@ TEST(CheckNames, FaultNamesRoundTrip)
     Fault out;
     ASSERT_TRUE(parseFault("probe-span", out));
     EXPECT_EQ(out, Fault::ProbeSpan);
+    ASSERT_TRUE(parseFault("farm-admit", out));
+    EXPECT_EQ(out, Fault::FarmAdmit);
     EXPECT_FALSE(parseFault("cache-mru", out));
 }
 
@@ -122,6 +124,7 @@ TEST(CheckInjection, EveryFaultIsCaught)
         {Fault::ProbeTally, Target::Probe},
         {Fault::ProbeSpan, Target::Probe},
         {Fault::FarmTie, Target::Farm},
+        {Fault::FarmAdmit, Target::Farm},
     };
     for (const FaultCase &fc : cases) {
         SCOPED_TRACE(faultName(fc.fault));

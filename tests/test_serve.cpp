@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "backend/profile.hpp"
+#include "check/oracle.hpp"
 #include "lab/orchestrator.hpp"
 #include "serve/cli.hpp"
 #include "serve/costmodel.hpp"
@@ -702,6 +704,101 @@ TEST(Farm, HomogeneousMatchesAOneGroupPool)
                                           {{first, 2}, {second, 2}});
         EXPECT_EQ(r.outcomes.at(0).backend, first);
     }
+}
+
+/** Two farm results agree bit for bit: every outcome, the SLA row,
+ *  energy and horizon. Stops at the first outcome that differs. */
+void
+expectSameFarm(const FarmResult &want, const FarmResult &got)
+{
+    const auto outcome = [](const JobOutcome &o) {
+        return std::make_tuple(o.id, o.rejected, o.preset,
+                               std::bit_cast<uint64_t>(o.arrivalSec),
+                               std::bit_cast<uint64_t>(o.startSec),
+                               std::bit_cast<uint64_t>(o.endSec),
+                               o.missedDeadline, o.backend);
+    };
+    ASSERT_EQ(want.outcomes.size(), got.outcomes.size());
+    for (size_t i = 0; i < want.outcomes.size(); ++i) {
+        ASSERT_EQ(outcome(want.outcomes[i]), outcome(got.outcomes[i]))
+            << "outcome " << i;
+    }
+    const auto row = [](const SlaReport &r) {
+        return std::make_tuple(
+            r.policy, r.offered, r.completed, r.rejected,
+            std::bit_cast<uint64_t>(r.p50QueueSec),
+            std::bit_cast<uint64_t>(r.p99QueueSec),
+            std::bit_cast<uint64_t>(r.throughputPerMin),
+            std::bit_cast<uint64_t>(r.deadlineMissRate), r.deadlineMisses,
+            r.presetSwitches, std::bit_cast<uint64_t>(r.meanServiceSec));
+    };
+    EXPECT_EQ(row(want.sla), row(got.sla));
+    EXPECT_EQ(std::bit_cast<uint64_t>(want.energyJoules),
+              std::bit_cast<uint64_t>(got.energyJoules));
+    EXPECT_EQ(std::bit_cast<uint64_t>(want.horizonSec),
+              std::bit_cast<uint64_t>(got.horizonSec));
+}
+
+/** The farm against check::RefFarm, the sharded-heap loop it replaced,
+ *  at a size the fuzzer's cases (at most 300 arrivals) never reach:
+ *  about 7,000 arrivals on 160 servers, whose free-time heap is four
+ *  levels deep (the ledger's 1,600 servers make it six). */
+TEST(Farm, MatchesRefFarmAtReferenceScale)
+{
+    ServeScenario scenario = referenceScenario(true);
+    scenario.traffic.users *= 40;
+    scenario.farm.servers *= 40;
+    const std::vector<UploadJob> arrivals =
+        generateTraffic(scenario.traffic);
+    ASSERT_GT(arrivals.size(), 6000u);
+    const ArrivalSet set(arrivals);
+
+    // Per-preset costs on the real model's scale (~116 s at preset 2
+    // to ~13 s at preset 8): the arrivals overload the slow presets.
+    const FakeOracle oracle({2, 4, 6, 8}, {116.0, 52.0, 24.0, 13.0});
+    const FakeFleetOracle fleet;
+    const std::vector<ServerGroup> pool = {
+        {"slow-iron", 80}, {"fast-iron", 20}, {"slow-iron", 60}};
+
+    // Each run against the reference, and over the prepared set
+    // against a one-shot call on the vector.
+    const auto run = [&](const FarmConfig &config, bool adaptive,
+                         int preset, bool in_pool) {
+        SCOPED_TRACE(std::string(adaptive ? "adaptive" : "static-p") +
+                     (adaptive ? "" : std::to_string(preset)) +
+                     (in_pool ? " pool" : " homogeneous") + " admission " +
+                     std::to_string(config.admissionLimit));
+        const check::RefFarm ref(config, {adaptive, preset});
+        const StaticPolicy fixed(preset);
+        const AdaptivePolicy adapt;
+        const Policy &policy =
+            adaptive ? static_cast<const Policy &>(adapt) : fixed;
+        FarmResult got;
+        if (in_pool) {
+            got = simulateFarm(set, config, policy, fleet, pool);
+            expectSameFarm(ref.run(arrivals, fleet, pool), got);
+            expectSameFarm(
+                simulateFarm(arrivals, config, policy, fleet, pool), got);
+        } else {
+            got = simulateFarm(set, config, policy, oracle);
+            expectSameFarm(ref.run(arrivals, oracle), got);
+            expectSameFarm(simulateFarm(arrivals, config, policy, oracle),
+                           got);
+        }
+        return got;
+    };
+    for (int preset : oracle.presetLadder()) {
+        run(scenario.farm, false, preset, false);
+    }
+    EXPECT_GT(run(scenario.farm, true, 0, false).sla.presetSwitches, 0u);
+    for (int preset : fleet.presetLadder()) {
+        run(scenario.farm, false, preset, true);
+    }
+    run(scenario.farm, true, 0, true);
+
+    FarmConfig limited = scenario.farm;
+    limited.admissionLimit = 40;
+    EXPECT_GT(run(limited, false, 2, false).sla.rejected, 0u);
 }
 
 TEST(FleetFarm, JobsLandOnBothBackendsAndEnergyAccumulates)
