@@ -26,7 +26,7 @@ int
 main(int argc, char **argv)
 {
     using namespace vepro;
-    core::RunScale scale = core::RunScale::fromArgs(argc, argv);
+    auto scale = core::RunScale::fromArgs(argc, argv, {"videos"});
     auto encoder = encoders::encoderByName("SVT-AV1");
 
     const std::vector<std::string> zoo = {

@@ -27,7 +27,7 @@ int
 main(int argc, char **argv)
 {
     using namespace vepro;
-    core::RunScale scale = core::RunScale::fromArgs(argc, argv);
+    auto scale = core::RunScale::fromArgs(argc, argv, {"uncapped"});
     video::Video clip = video::loadSuiteVideo("game1", scale.suite);
     auto encoder = encoders::encoderByName("SVT-AV1");
 

@@ -17,7 +17,7 @@ int
 main(int argc, char **argv)
 {
     using namespace vepro;
-    core::RunScale scale = core::RunScale::fromArgs(argc, argv);
+    auto scale = core::RunScale::fromArgs(argc, argv, {});
     video::Video clip = video::loadSuiteVideo("game1", scale.suite);
 
     core::Table time_table({"Encoder", "CRF10", "CRF20", "CRF30", "CRF40",

@@ -44,7 +44,7 @@ int
 main(int argc, char **argv)
 {
     using namespace vepro;
-    core::RunScale scale = core::RunScale::fromArgs(argc, argv);
+    auto scale = core::RunScale::fromArgs(argc, argv, {});
     // Rate-distortion comparisons need blocks that are small relative to
     // content features; at 1/8 scale a 16x16 macroblock covers what a
     // 128x128 block would at full resolution, flattering the AVC model.

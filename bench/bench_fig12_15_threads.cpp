@@ -52,7 +52,7 @@ printCurve(core::Table &table, const std::string &label,
 int
 main(int argc, char **argv)
 {
-    core::RunScale scale = core::RunScale::fromArgs(argc, argv);
+    auto scale = core::RunScale::fromArgs(argc, argv, {});
     // The scalability shapes need paper-scale superblock grids; default
     // to full resolution unless the caller restricted geometry.
     video::SuiteScale geometry = scale.suite;

@@ -25,7 +25,7 @@ int
 main(int argc, char **argv)
 {
     using namespace vepro;
-    core::RunScale scale = core::RunScale::fromArgs(argc, argv);
+    auto scale = core::RunScale::fromArgs(argc, argv, {"jobs"});
     video::SuiteScale geometry = scale.suite;
     if (geometry.divisor == 8) {
         geometry.divisor = 4;

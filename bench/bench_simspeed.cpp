@@ -35,7 +35,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -44,7 +44,7 @@
 #include <vector>
 
 #include "bpred/runner.hpp"
-#include "core/experiment.hpp"
+#include "core/flags.hpp"
 #include "lab/json.hpp"
 #include "trace/probe.hpp"
 #include "trace/synth.hpp"
@@ -186,17 +186,6 @@ struct Options {
     bool golden = false;
 };
 
-constexpr const char *kUsage =
-    "usage: bench_simspeed [--quick|--full] [--reps=N] "
-    "[--out=FILE] [--baseline=FILE] [--tolerance=F] [--golden]\n";
-
-[[noreturn]] void
-usageError(const std::string &error)
-{
-    std::fprintf(stderr, "bench_simspeed: %s\n%s", error.c_str(), kUsage);
-    std::exit(1);
-}
-
 /** True when @p a and @p b name the same file, existing or not. */
 bool
 sameFile(const std::string &a, const std::string &b)
@@ -207,66 +196,40 @@ sameFile(const std::string &a, const std::string &b)
     return ea || eb ? a == b : pa == pb;
 }
 
-/** core::parseIntStrict, with a bad value as a usage error. */
-int
-intFlag(const std::string &text, const char *flag)
+/** The gate's flags over @p o. A usage error exits 1 before anything
+ *  is measured: 2 means "throughput regressed". */
+core::FlagTable
+simspeedFlags(Options &o)
 {
-    try {
-        return core::parseIntStrict(text, flag);
-    } catch (const std::invalid_argument &e) {
-        usageError(e.what());
-    }
-}
-
-/** core::parseDoubleStrict, with a bad value as a usage error. */
-double
-doubleFlag(const std::string &text, const char *flag)
-{
-    try {
-        return core::parseDoubleStrict(text, flag);
-    } catch (const std::invalid_argument &e) {
-        usageError(e.what());
-    }
-}
-
-Options
-parseArgs(int argc, char **argv)
-{
-    Options o;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a == "--quick") {
-            o.ops = 1'500'000;
-            o.mode = "quick";
-        } else if (a == "--full") {
-            o.ops = 24'000'000;
-            o.mode = "full";
-        } else if (a == "--golden") {
-            o.golden = true;
-        } else if (a.rfind("--reps=", 0) == 0) {
-            o.reps = intFlag(a.substr(7), "--reps");
-        } else if (a.rfind("--out=", 0) == 0) {
-            o.out = a.substr(6);
-        } else if (a.rfind("--baseline=", 0) == 0) {
-            o.baseline = a.substr(11);
-        } else if (a.rfind("--tolerance=", 0) == 0) {
-            o.tolerance = doubleFlag(a.substr(12), "--tolerance");
-        } else {
-            std::fputs(kUsage, stderr);
-            std::exit(a == "--help" ? 0 : 1);
+    using enum core::FlagKind;
+    using core::to;
+    return {.program = "bench_simspeed", .rows = {
+        {.name = "quick", .excludes = {"full"}, .help = "1.5 M ops (CI)",
+         .set = [&o](auto &) { o.ops = 1'500'000; o.mode = "quick"; }},
+        {.name = "full", .help = "24 M ops",
+         .set = [&o](auto &) { o.ops = 24'000'000; o.mode = "full"; }},
+        {.name = "reps", .kind = Int, .metavar = "N", .min = 1,
+         .help = "best of N runs per stage", .set = to(o.reps)},
+        {.name = "out", .kind = String, .metavar = "FILE",
+         .help = "JSON to write (default BENCH_simspeed.json)",
+         .set = to(o.out)},
+        {.name = "baseline", .kind = String, .metavar = "FILE",
+         .help = "gate against FILE: exit 2 on a regression",
+         .set = to(o.baseline)},
+        {.name = "tolerance", .kind = Double, .metavar = "F", .min = 0,
+         .max = 1, .open = true, .needs = "baseline",
+         .help = "the fall the gate allows (default 0.30)",
+         .set = to(o.tolerance)},
+        {.name = "golden",
+         .excludes = {"quick", "full", "reps", "out", "baseline", "tolerance"},
+         .help = "print the golden-stats counters instead",
+         .set = to(o.golden)},
+    }, .check = [&o] {
+        if (!o.baseline.empty() && sameFile(o.out, o.baseline)) {
+            throw core::UsageError("--out would overwrite the --baseline '" +
+                                   o.baseline + "'");
         }
-    }
-    if (o.reps < 1) {
-        usageError("--reps must be at least 1");
-    }
-    if (!(o.tolerance > 0.0 && o.tolerance < 1.0)) {
-        usageError("--tolerance must lie strictly between 0 and 1");
-    }
-    if (!o.baseline.empty() && sameFile(o.out, o.baseline)) {
-        usageError("--out and --baseline name the same file '" +
-                   o.baseline + "'; the run would overwrite its baseline");
-    }
-    return o;
+    }};
 }
 
 /** The keys the perf gate compares. Keys absent from an older baseline
@@ -330,7 +293,8 @@ loadBaseline(const std::string &path)
 int
 main(int argc, char **argv)
 {
-    Options opt = parseArgs(argc, argv);
+    Options opt;
+    core::parseFlagsOrExit(simspeedFlags(opt), argc, argv, 1);
     if (opt.golden) {
         printGolden();
         return 0;

@@ -16,7 +16,7 @@ int
 main(int argc, char **argv)
 {
     using namespace vepro;
-    core::RunScale scale = core::RunScale::fromArgs(argc, argv);
+    auto scale = core::RunScale::fromArgs(argc, argv, {});
 
     core::Table table({"Video", "Resolution", "FPS", "Entropy (paper)",
                        "Entropy (measured)", "Scaled size"});

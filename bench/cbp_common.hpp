@@ -38,7 +38,7 @@ paperPredictors()
 inline int
 runCbpFigure(int argc, char **argv, const char *figure, int preset, int crf)
 {
-    core::RunScale scale = core::RunScale::fromArgs(argc, argv);
+    auto scale = core::RunScale::fromArgs(argc, argv, {"videos", "jobs"});
     auto encoder = encoders::encoderByName("SVT-AV1");
 
     std::vector<std::string> header = {"Video"};

@@ -2267,4 +2267,63 @@ Fuzzer::runCorpus(const std::string &dir)
     return report;
 }
 
+// ---------------------------------------------------------------------
+// Command line
+
+core::FlagTable
+checkFlags(CheckCli &out)
+{
+    using enum core::FlagKind;
+    using core::to;
+    std::vector<std::string> targets, faults;
+    for (const TargetRow &row : kTargets) {
+        targets.push_back(row.name);
+    }
+    targets.push_back("all");
+    for (size_t f = 0; f < kFaultCount; ++f) {
+        faults.push_back(faultName(static_cast<Fault>(f)));
+    }
+    FuzzOptions &o = out.options;
+    return {.program = "vepro-check", .rows = {
+        {.name = "target", .kind = String, .metavar = "NAME",
+         .choices = targets, .help = "the target to fuzz (default all)",
+         .set = [&out](auto &v) {
+             Target t{};
+             out.target = parseTarget(std::get<std::string>(v), t)
+                              ? std::optional(t) : std::nullopt;
+         }},
+        {.name = "iters", .kind = Int, .metavar = "N", .min = 0,
+         .help = "cases per target (0 = its budget)", .set = to(o.iters)},
+        {.name = "seed", .kind = U64, .metavar = "N",
+         .help = "the first case's seed; one --target, no --iters: that "
+                 "case only",
+         .set = [&out](auto &v) {
+             out.options.baseSeed = std::get<uint64_t>(v);
+             out.seedGiven = true;
+         }},
+        {.name = "quick", .help = "the CI smoke budget", .set = to(o.quick)},
+        {.name = "no-shrink", .help = "report failing inputs unshrunk",
+         .set = [&o](auto &) { o.shrink = false; }},
+        {.name = "corpus", .kind = String, .metavar = "DIR",
+         .help = "replay every *.case file in DIR first",
+         .set = to(out.corpusDir)},
+        {.name = "case", .kind = String, .metavar = "FILE",
+         .excludes = {"target", "seed", "iters", "corpus"},
+         .help = "replay the one case in FILE", .set = to(out.caseFile)},
+        {.name = "inject", .kind = String, .metavar = "FAULT",
+         .choices = faults, .help = "break one reference rule on purpose",
+         .set = [&o](auto &v) {
+             parseFault(std::get<std::string>(v), o.inject);
+         }},
+        {.name = "repro-out", .kind = String, .metavar = "FILE",
+         .help = "write each divergence's repro command to FILE",
+         .set = to(out.reproOut)},
+    }, .check = [&out] {
+        if (out.repro() && !out.corpusDir.empty()) {
+            throw core::UsageError(
+                "--corpus does not apply to --seed, which replays one case");
+        }
+    }};
+}
+
 } // namespace vepro::check

@@ -25,10 +25,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "check/oracle.hpp"
+#include "core/flags.hpp"
 
 namespace vepro::check
 {
@@ -143,6 +145,21 @@ class Fuzzer
   private:
     FuzzOptions options_;
 };
+
+/** Everything vepro-check's main() needs from argv. */
+struct CheckCli {
+    FuzzOptions options;
+    std::optional<Target> target;  ///< nullopt = every target (all).
+    bool seedGiven = false;
+    std::string corpusDir, caseFile, reproOut;
+
+    /** One target, a --seed and no --iters: replay that case only (what
+     *  Fuzzer::reproCommand prints), so --corpus does not apply. */
+    bool repro() const { return seedGiven && target && options.iters == 0; }
+};
+
+/** vepro-check's flag table; --case excludes the flags that pick cases. */
+core::FlagTable checkFlags(CheckCli &out);
 
 } // namespace vepro::check
 

@@ -1,9 +1,7 @@
 #include "core/experiment.hpp"
 
+#include <algorithm>
 #include <atomic>
-#include <charconv>
-#include <cmath>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -15,122 +13,65 @@
 namespace vepro::core
 {
 
-RunScale
-RunScale::fromArgs(int argc, char **argv)
+FlagTable
+RunScale::flags(RunScale &out, const std::vector<std::string> &reads)
 {
-    RunScale scale;
-    scale.suite.divisor = 8;
-    scale.suite.frames = 6;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--quick") {
-            scale.suite.divisor = 8;
-            scale.suite.frames = 6;
-        } else if (arg == "--full") {
-            scale.suite.divisor = 4;
-            scale.suite.frames = 12;
-            scale.maxTraceOps = 4'000'000;
-        } else if (arg == "--uncapped") {
-            scale.maxTraceOps = 0;
-        } else if (arg.rfind("--jobs=", 0) == 0) {
-            int jobs = parseIntStrict(arg.substr(7), "--jobs");
-            if (jobs < 0) {
-                throw std::invalid_argument("--jobs must be >= 0");
-            }
-            scale.jobs = resolveJobs(jobs);  // 0 = auto-detect
-        } else if (arg.rfind("--backend=", 0) == 0) {
-            scale.backend = arg.substr(10);
-            if (scale.backend.empty()) {
-                throw std::invalid_argument("--backend expects a name");
-            }
-            // Validate at parse time so typos and fixed-function
-            // profiles fail before any encode.
-            backend::coreConfigFor(scale.backend);
-        } else if (arg == "--no-cache") {
-            scale.noCache = true;
-        } else if (arg.rfind("--store=", 0) == 0) {
-            scale.storeDir = arg.substr(8);
-            if (scale.storeDir.empty()) {
-                throw std::invalid_argument("--store expects a directory");
-            }
-        } else if (arg.rfind("--videos=", 0) == 0) {
-            // An empty name (--videos=, or desktop,,cat) is an error:
-            // an empty list would silently select the whole suite. So is
-            // a name outside the suite, before any work starts.
-            const std::string list = arg.substr(9);
-            size_t pos = 0;
-            while (pos <= list.size()) {
-                size_t comma = list.find(',', pos);
-                if (comma == std::string::npos) {
-                    comma = list.size();
-                }
-                if (comma == pos) {
-                    throw std::invalid_argument(
-                        "--videos expects comma-separated clip names, "
-                        "got '" + list + "'");
-                }
-                scale.videos.push_back(list.substr(pos, comma - pos));
-                try {
-                    video::suiteEntry(scale.videos.back());
-                } catch (const std::out_of_range &) {
-                    throw std::invalid_argument("--videos: unknown clip '" +
-                                                scale.videos.back() + "'");
-                }
-                pos = comma + 1;
-            }
-        } else if (arg.rfind("--benchmark", 0) == 0) {
-            // Google-benchmark flags pass through untouched.
-        } else {
-            throw std::invalid_argument("unknown argument: " + arg);
+    std::vector<std::string> clips;
+    for (const video::SuiteEntry &entry : video::vbenchMini()) {
+        clips.push_back(entry.name);
+    }
+    // Fixed-function profiles (hw-enc) have no core to simulate.
+    std::vector<std::string> cores;
+    for (const std::string &name : backend::profileNames()) {
+        if (backend::profile(name).kind == backend::Kind::Core) {
+            cores.push_back(name);
         }
     }
+    using enum FlagKind;
+    FlagTable table{.program = "bench", .rows = {
+        {.name = "quick", .excludes = {"full"},
+         .help = "1/8-scale clips, 6 frames, 1.2 M-op trace cap (default)",
+         .set = [](auto &) {}},
+        {.name = "full", .help = "1/4-scale clips, 12 frames, 4 M-op cap",
+         .set = [&out](auto &) {
+             out.suite = {4, 12};
+             out.maxTraceOps = 4'000'000;
+         }},
+        {.name = "uncapped", .help = "simulate every op: no sampling, no cap",
+         .set = [&out](auto &) { out.maxTraceOps = 0; }},
+        {.name = "videos", .kind = List, .metavar = "a,b,c", .choices = clips,
+         .help = "the clips to run", .set = to(out.videos)},
+        {.name = "jobs", .kind = Int, .metavar = "N", .min = 0,
+         .help = "worker threads (0 = one per hardware thread)",
+         .set = [&out](auto &v) { out.jobs = resolveJobs(std::get<int>(v)); }},
+        {.name = "backend", .kind = String, .metavar = "NAME", .choices = cores,
+         .help = "machine profile to simulate", .set = to(out.backend)},
+        {.name = "no-cache", .help = "recompute every point into the store",
+         .set = to(out.noCache)},
+        {.name = "store", .kind = String, .metavar = "DIR",
+         .help = "result store directory", .set = to(out.storeDir)},
+    }};
+    std::erase_if(table.rows, [&reads](const Flag &flag) {
+        return !reads.empty() && std::find(reads.begin(), reads.end(),
+                                           flag.name) == reads.end();
+    });
+    if (!reads.empty() && table.rows.size() != reads.size()) {
+        throw std::logic_error("RunScale: a read names no RunScale flag");
+    }
+    return table;
+}
+
+RunScale
+RunScale::fromArgs(int argc, char **argv,
+                   const std::vector<std::string> &reads)
+{
+    std::vector<std::string> all = {"quick", "full"};
+    all.insert(all.end(), reads.begin(), reads.end());
+    RunScale scale;
+    FlagTable table = flags(scale, all);
+    table.program = argv[0];
+    parseFlagsOrExit(table, argc, argv);
     return scale;
-}
-
-namespace
-{
-
-/** from_chars over the whole of @p text, or an error naming @p flag
- *  and @p what it expects. Partial consumption ("4abc") is as wrong as
- *  no digits at all: std::stoi and friends would silently accept it. */
-template <typename T>
-T
-parseWhole(const std::string &text, const std::string &flag,
-           const char *what)
-{
-    T value{};
-    const char *last = text.data() + text.size();
-    auto [ptr, ec] = std::from_chars(text.data(), last, value);
-    if (ec != std::errc() || ptr != last || text.empty()) {
-        throw std::invalid_argument(flag + " expects " + what + ", got '" +
-                                    text + "'");
-    }
-    return value;
-}
-
-} // namespace
-
-int
-parseIntStrict(const std::string &text, const std::string &flag)
-{
-    return parseWhole<int>(text, flag, "an integer");
-}
-
-uint64_t
-parseU64Strict(const std::string &text, const std::string &flag)
-{
-    return parseWhole<uint64_t>(text, flag, "a non-negative integer");
-}
-
-double
-parseDoubleStrict(const std::string &text, const std::string &flag)
-{
-    const double value = parseWhole<double>(text, flag, "a finite number");
-    if (!std::isfinite(value)) {
-        throw std::invalid_argument(flag + " expects a finite number, got '" +
-                                    text + "'");
-    }
-    return value;
 }
 
 const std::vector<int> &

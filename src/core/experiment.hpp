@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/flags.hpp"
 #include "encoders/encoder_model.hpp"
 #include "uarch/core.hpp"
 #include "video/suite.hpp"
@@ -21,10 +22,11 @@
 namespace vepro::core
 {
 
-/** Run-scale options shared by all benches. */
+/** Run-scale options shared by vepro-lab and the benches; the member
+ *  initializers are the defaults, which are the --quick scale. */
 struct RunScale {
-    /** Suite geometry; --full halves the divisor and doubles frames. */
-    video::SuiteScale suite{};
+    /** Suite geometry: 1/8 scale and 6 frames; --full gives 1/4 and 12. */
+    video::SuiteScale suite{8, 6};
     /** Videos to run; empty = the whole vbench-mini suite. */
     std::vector<std::string> videos;
     /**
@@ -51,28 +53,16 @@ struct RunScale {
     /** Directory of the persistent lab result store. */
     std::string storeDir = ".vepro-lab";
 
-    /**
-     * Parse --quick / --full / --videos=a,b,c / --jobs=N / --uncapped /
-     * --no-cache / --store=DIR / --backend=NAME. Numeric flags are
-     * strict: trailing garbage ("--jobs=4abc") is rejected, not silently
-     * truncated. --jobs=0 auto-detects via
-     * std::thread::hardware_concurrency() (floor 1). --videos names at
-     * least one clip and no empty one.
-     */
-    static RunScale fromArgs(int argc, char **argv);
+    /** The flag table over @p out, narrowed to the flags a binary reads
+     *  (every row when @p reads is empty). --full applies before
+     *  --uncapped, so the two run uncapped in either order. */
+    static FlagTable flags(RunScale &out,
+                           const std::vector<std::string> &reads = {});
+    /** A bench main's parse of --quick, --full and the flags it @p reads
+     *  besides; a usage error exits 2. */
+    static RunScale fromArgs(int argc, char **argv,
+                             const std::vector<std::string> &reads);
 };
-
-/**
- * Strict decimal parse of an entire string: the value must consume all
- * of @p text and fit in an int. @throws std::invalid_argument otherwise
- * (with @p flag naming the offender).
- */
-int parseIntStrict(const std::string &text, const std::string &flag);
-
-/** The same whole-token rule for a uint64_t (no sign: "-1" is an error,
- *  not 2^64 - 1) and for a double, which must also be finite. */
-uint64_t parseU64Strict(const std::string &text, const std::string &flag);
-double parseDoubleStrict(const std::string &text, const std::string &flag);
 
 /** The CRF sweep points used throughout the paper's Section 4. */
 const std::vector<int> &crfSweepAv1();  ///< {10, 20, 30, 40, 50, 60}

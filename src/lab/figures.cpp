@@ -257,14 +257,8 @@ runFigures(const std::vector<int> &ids, const core::RunScale &scale,
             std::begin(kFigures), std::end(kFigures),
             [id](const FigureRow &r) { return r.id == id; });
         if (row == std::end(kFigures)) {
-            std::string known;
-            for (int k : supportedFigures()) {
-                known += known.empty() ? "" : ",";
-                known += std::to_string(k);
-            }
             throw std::invalid_argument("lab: unsupported figure " +
-                                        std::to_string(id) +
-                                        " (supported: " + known + ")");
+                                        std::to_string(id));
         }
         if (std::find(rows.begin(), rows.end(), row) == rows.end()) {
             rows.push_back(row);
@@ -289,6 +283,54 @@ runFigures(const std::vector<int> &ids, const core::RunScale &scale,
         rows[i]->render(orch, handles[i], out[i]);
     }
     return out;
+}
+
+core::FlagTable
+labFlags(LabCli &out)
+{
+    using enum core::FlagKind;
+    std::vector<std::string> ids;
+    for (int id : supportedFigures()) {
+        ids.push_back(std::to_string(id));
+    }
+    core::FlagTable table{
+        .program = "vepro-lab",
+        .synopsis = "(--figures=LIST | --ladder) [options]",
+        .rows = {{.name = "figures", .kind = List, .metavar = "LIST",
+                  .choices = ids, .help = "figures to regenerate, in order",
+                  .set = [&out](auto &v) {
+                      for (const std::string &id :
+                           std::get<core::FlagList>(v)) {
+                          out.figures.push_back(
+                              core::parseIntStrict(id, "--figures"));
+                      }
+                  }},
+                 {.name = "ladder", .excludes = {"figures"},
+                  .help = "run the per-title ABR ladder sweep instead",
+                  .set = core::to(out.ladder)},
+                 {.name = "out", .kind = String, .metavar = "DIR",
+                  .help = "artifact directory", .set = core::to(out.outDir)}},
+        .check = [&out] {
+            // Fig 11's preset sweep runs game1 whatever --videos says.
+            const auto sweeps = [&out](const FigureRow &row) {
+                return row.request == requestCrfSweep &&
+                       std::count(out.figures.begin(), out.figures.end(),
+                                  row.id);
+            };
+            if (out.figures.empty() && !out.ladder) {
+                throw core::UsageError("--figures or --ladder is required");
+            }
+            if (!out.ladder && !out.scale.videos.empty() &&
+                std::none_of(std::begin(kFigures), std::end(kFigures),
+                             sweeps)) {
+                throw core::UsageError("--videos does not apply to these "
+                                       "--figures, which run fixed clips");
+            }
+        }};
+    for (core::Flag &flag : core::RunScale::flags(out.scale).rows) {
+        table.rows.push_back(std::move(flag));
+    }
+    return table;
 }
 
 } // namespace vepro::lab

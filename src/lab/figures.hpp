@@ -56,6 +56,18 @@ std::vector<FigureResult> runFigures(const std::vector<int> &ids,
                                      const core::RunScale &scale,
                                      Orchestrator &orch);
 
+/** Everything vepro-lab's main() needs from argv. */
+struct LabCli {
+    std::vector<int> figures;  ///< --figures ids, in the order given.
+    bool ladder = false;       ///< The ABR ladder sweep instead.
+    std::string outDir = "vepro-lab-out";
+    core::RunScale scale;
+};
+
+/** vepro-lab's flag table: --figures or --ladder, --out, then every
+ *  RunScale row; --videos needs a figure that sweeps sweepClips(). */
+core::FlagTable labFlags(LabCli &out);
+
 } // namespace vepro::lab
 
 #endif // VEPRO_LAB_FIGURES_HPP

@@ -112,14 +112,15 @@ dominantStall(const Agg &a)
 } // namespace
 
 LadderConfig
-ladderConfigFromScale(const core::RunScale &scale, bool full)
+ladderConfigFromScale(const core::RunScale &scale)
 {
     LadderConfig config;
     for (const video::SuiteEntry &entry : lab::sweepClips(scale)) {
         config.clips.push_back(entry.name);
     }
-    const std::vector<int> crfs =
-        full ? core::crfSweepAv1() : std::vector<int>{20, 32, 44, 56};
+    const std::vector<int> crfs = scale.suite.divisor <= 4
+                                      ? core::crfSweepAv1()
+                                      : std::vector<int>{20, 32, 44, 56};
     for (int s : {1, 2, 4}) {
         config.rungs.push_back({s, crfs});
     }

@@ -79,10 +79,11 @@ struct LadderConfig {
 
 /**
  * The default ladder derived from a parsed RunScale: sweepClips(scale)
- * titles, scales {1, 2, 4}, the CRF grid {20, 32, 44, 56} (--full: the
- * paper's 6-point AV1 sweep), suite geometry/backend from @p scale.
+ * titles, scales {1, 2, 4}, the CRF grid {20, 32, 44, 56} (the paper's
+ * 6-point AV1 sweep at --full's divisor 4 or below, the rule
+ * sweepClips uses), suite geometry/backend from @p scale.
  */
-LadderConfig ladderConfigFromScale(const core::RunScale &scale, bool full);
+LadderConfig ladderConfigFromScale(const core::RunScale &scale);
 
 /**
  * Convex (bitrate, PSNR) hull: indices into @p pts of the rungs on the

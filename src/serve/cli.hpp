@@ -1,19 +1,13 @@
 #ifndef VEPRO_SERVE_CLI_HPP
 #define VEPRO_SERVE_CLI_HPP
 
-/**
- * @file
- * vepro-serve argument parsing, split from main() so tests can drive
- * it. Numeric flags parse whole-token strict (core::parseIntStrict,
- * parseU64Strict, parseDoubleStrict: "--users 4abc", "--seed -1" and
- * "--latency-target nan" are errors, not a silent 4, 2^64 - 1 or NaN)
- * and are range-checked; --backend names are validated against the
- * profile registry. All of it happens before any cost resolution.
- */
+/** @file vepro-serve's flag table (core/flags.hpp), out of main() so
+ *  tests can drive it. */
 
 #include <string>
 #include <vector>
 
+#include "core/flags.hpp"
 #include "serve/scenario.hpp"
 
 namespace vepro::serve
@@ -30,17 +24,18 @@ struct ServeCli {
     std::string markdownPath;     ///< Fleet table + verdict as markdown.
     /** --backends list for --fleet; empty = full registry. */
     std::vector<std::string> fleetBackends;
-    ServeScenario scenario;
+    ServeScenario scenario = referenceScenario(false);
 
-    /** Non-empty = parse failed; main prints it + usage and exits 2. */
+    /** Non-empty = parse failed (parseServeCli's usage error). */
     std::string error;
 };
 
-/** The --help text. */
-std::string serveUsage();
+/** vepro-serve's flag table over @p out. --quick applies first, so the
+ *  flags that reshape its scenario override it in any order. */
+core::FlagTable serveFlags(ServeCli &out);
 
-/** Parse @p args (argv[1..]); never throws — failures land in
- *  ServeCli::error. */
+/** Parse @p args (argv[1..]); never throws — a usage error lands in
+ *  ServeCli::error and --help in ServeCli::showHelp. */
 ServeCli parseServeCli(const std::vector<std::string> &args);
 
 } // namespace vepro::serve

@@ -46,17 +46,8 @@ main(int argc, char **argv)
 {
     using namespace vepro;
 
-    const serve::ServeCli cli =
-        serve::parseServeCli({argv + 1, argv + argc});
-    if (cli.showHelp) {
-        std::cout << serve::serveUsage();
-        return 0;
-    }
-    if (!cli.error.empty()) {
-        std::cerr << "vepro-serve: " << cli.error << "\n";
-        std::cerr << serve::serveUsage();
-        return 2;
-    }
+    serve::ServeCli cli;
+    core::parseFlagsOrExit(serve::serveFlags(cli), argc, argv);
     const serve::ServeScenario &scenario = cli.scenario;
 
     lab::OrchestratorOptions opts;

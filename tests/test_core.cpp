@@ -71,19 +71,25 @@ TEST(Report, Formatters)
     EXPECT_EQ(fmtSci(0.0), "0");
 }
 
+/** Every RunScale flag over @p args, as vepro-lab reads them. */
+RunScale
+parseScale(const std::vector<std::string> &args)
+{
+    RunScale scale;
+    parseFlags(RunScale::flags(scale), args);
+    return scale;
+}
+
 TEST(RunScale, ParsesFlags)
 {
-    const char *argv1[] = {"bench", "--quick"};
-    RunScale quick = RunScale::fromArgs(2, const_cast<char **>(argv1));
+    RunScale quick = parseScale({"--quick"});
     EXPECT_EQ(quick.suite.divisor, 8);
 
-    const char *argv2[] = {"bench", "--full"};
-    RunScale full = RunScale::fromArgs(2, const_cast<char **>(argv2));
+    RunScale full = parseScale({"--full"});
     EXPECT_EQ(full.suite.divisor, 4);
     EXPECT_GT(full.maxTraceOps, quick.maxTraceOps);
 
-    const char *argv3[] = {"bench", "--videos=game1,cat"};
-    RunScale filt = RunScale::fromArgs(2, const_cast<char **>(argv3));
+    RunScale filt = parseScale({"--videos=game1,cat"});
     ASSERT_EQ(filt.videos.size(), 2u);
     EXPECT_EQ(filt.videos[0], "game1");
     EXPECT_EQ(filt.videos[1], "cat");
@@ -96,38 +102,30 @@ TEST(RunScale, ParsesFlags)
          {"--bogus", "--sim-jobs=2", "--segments=4", "--segment-warmup=8",
           "--videos=", "--videos=desktop,,cat", "--videos=bogus",
           "--videos=desktop,bogus"}) {
-        const char *argv4[] = {"bench", rejected};
-        EXPECT_THROW(RunScale::fromArgs(2, const_cast<char **>(argv4)),
-                     std::invalid_argument)
+        EXPECT_THROW(parseScale({rejected}), std::invalid_argument)
             << rejected;
     }
 }
 
 TEST(RunScale, JobsParsingIsStrict)
 {
-    const char *ok[] = {"bench", "--jobs=4"};
-    EXPECT_EQ(RunScale::fromArgs(2, const_cast<char **>(ok)).jobs, 4);
+    EXPECT_EQ(parseScale({"--jobs=4"}).jobs, 4);
 
     // 0 = auto-detect hardware threads, resolved at parse time so every
     // consumer sees a concrete count (floor 1).
-    const char *zero[] = {"bench", "--jobs=0"};
-    EXPECT_GE(RunScale::fromArgs(2, const_cast<char **>(zero)).jobs, 1);
+    EXPECT_GE(parseScale({"--jobs=0"}).jobs, 1);
 
     // std::stoi would have accepted all of these silently.
     for (const char *bad :
          {"--jobs=4abc", "--jobs=", "--jobs=1e3", "--jobs= 2",
           "--jobs=-1", "--jobs=4.5"}) {
-        const char *argv[] = {"bench", bad};
-        EXPECT_THROW(RunScale::fromArgs(2, const_cast<char **>(argv)),
-                     std::invalid_argument)
-            << bad;
+        EXPECT_THROW(parseScale({bad}), std::invalid_argument) << bad;
     }
 }
 
 TEST(RunScale, CacheFlags)
 {
-    const char *argv1[] = {"bench", "--no-cache", "--store=/tmp/altstore"};
-    RunScale scale = RunScale::fromArgs(3, const_cast<char **>(argv1));
+    RunScale scale = parseScale({"--no-cache", "--store=/tmp/altstore"});
     EXPECT_TRUE(scale.noCache);
     EXPECT_EQ(scale.storeDir, "/tmp/altstore");
 
@@ -135,9 +133,7 @@ TEST(RunScale, CacheFlags)
     EXPECT_FALSE(defaults.noCache);
     EXPECT_EQ(defaults.storeDir, ".vepro-lab");
 
-    const char *argv2[] = {"bench", "--store="};
-    EXPECT_THROW(RunScale::fromArgs(2, const_cast<char **>(argv2)),
-                 std::invalid_argument);
+    EXPECT_THROW(parseScale({"--store="}), std::invalid_argument);
 }
 
 TEST(ParseIntStrict, AcceptsWholeIntegersOnly)
