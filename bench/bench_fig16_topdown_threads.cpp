@@ -42,6 +42,7 @@ main(int argc, char **argv)
     const std::vector<std::string> names = {"Libaom", "SVT-AV1", "x264",
                                             "x265"};
     std::vector<std::vector<std::vector<std::string>>> rows(names.size());
+    std::vector<uint64_t> dropped(names.size(), 0);
     core::parallelFor(names.size(), scale.jobs, [&](size_t i) {
         const std::string &name = names[i];
         auto enc = encoders::encoderByName(name);
@@ -49,12 +50,10 @@ main(int argc, char **argv)
         p.crf = enc->crfRange() == 63 ? 40 : 32;
         p.preset = enc->presetInverted() ? 2 : 6;
         trace::ProbeConfig pc;
-        pc.collectOps = true;
-        pc.maxOps = 1'200'000;
-        pc.opWindow = 60'000;
-        pc.opInterval = 300'000;
+        pc.ops = trace::SamplePlan::windows(60'000, 300'000, 1'200'000);
         trace::VectorSink captured;
         auto r = enc->encode(clip, p, pc, true, &captured);
+        dropped[i] = r.droppedOps;
 
         core::SystemTraceConfig trace_cfg;
         // x265's thread pool polls (spin-waits); the others block.
@@ -76,8 +75,17 @@ main(int argc, char **argv)
         // Serialised via Progress: this line is emitted from a worker.
         lab::Progress::standard().linef("  [%s done]", name.c_str());
     });
-    for (const auto &encoder_rows : rows) {
-        for (const auto &row : encoder_rows) {
+    // Reported after the workers, in encoder order, so two runs print
+    // the same lines whatever order the encoders finish in.
+    for (size_t i = 0; i < names.size(); ++i) {
+        if (dropped[i] > 0) {
+            lab::Progress::standard().linef(
+                "  warning: %s hit the op cap (%llu ops dropped); the "
+                "socket traces cover the run's opening only",
+                names[i].c_str(),
+                static_cast<unsigned long long>(dropped[i]));
+        }
+        for (const auto &row : rows[i]) {
             table.addRow(row);
         }
     }

@@ -70,10 +70,7 @@ main(int argc, char **argv)
     params.crf = crf;
     params.preset = 4;
     trace::ProbeConfig pc;
-    pc.collectOps = true;
-    pc.maxOps = 1'500'000;
-    pc.opWindow = 150'000;
-    pc.opInterval = 600'000;
+    pc.ops = trace::SamplePlan::windows(150'000, 600'000, 1'500'000);
     // Fused pipeline: both machines consume the sampled op stream live
     // through one MuxSink, so the encode runs once and no trace is
     // materialised.

@@ -74,10 +74,7 @@ main()
         // straight into the paper machine's core model, so each rung
         // also reports its simulated IPC without materialising a trace.
         trace::ProbeConfig pc;
-        pc.collectOps = true;
-        pc.maxOps = 600'000;
-        pc.opWindow = 100'000;
-        pc.opInterval = 400'000;
+        pc.ops = trace::SamplePlan::windows(100'000, 400'000, 600'000);
         uarch::StreamCore sim;
         encoders::EncodeResult r = x264->encode(reloaded, p, pc, false, &sim);
         codec::ToolConfig cfg = x264->toolConfig(p);

@@ -1257,29 +1257,41 @@ struct ProbeCall {
     bool taken = false;
 };
 
+/** A drawn probe config, and the interval that sizes the case's calls
+ *  even when the config's plan records no ops. */
+struct ProbeDraw {
+    trace::ProbeConfig config;
+    uint64_t interval = 0;
+};
+
 /**
- * A config whose sampling boundaries come every few dozen ops: op
- * tracing on or off, sampled, empty or streaming windows, a small or no
- * op cap, and branch recording with a warmup and a cap.
+ * A config whose sampling boundaries come every few dozen ops: a plan
+ * that records nothing, every op or windows, with a small or no op cap,
+ * and branch recording with a warmup and a cap.
  */
-trace::ProbeConfig
+ProbeDraw
 randomProbeConfig(SplitMix64 &rng)
 {
-    trace::ProbeConfig cfg;
-    cfg.collectOps = !rng.chance(1, 6);
-    cfg.opInterval = rng.range(1, 64);
+    ProbeDraw draw;
+    trace::ProbeConfig &cfg = draw.config;
+    const bool ops = !rng.chance(1, 6);
+    draw.interval = rng.range(1, 64);
+    uint64_t window = 0;
     switch (rng.below(5)) {
-      case 0: cfg.opWindow = cfg.opInterval + rng.below(3); break;
-      case 1: cfg.opWindow = 0; break;
-      default: cfg.opWindow = rng.range(1, cfg.opInterval); break;
+      case 0: window = draw.interval + rng.below(3); break;
+      case 1: window = 0; break;
+      default: window = rng.range(1, draw.interval); break;
     }
-    cfg.maxOps = rng.chance(1, 3) ? std::numeric_limits<size_t>::max()
-                                  : rng.below(400);
+    const uint64_t cap =
+        rng.chance(1, 3) ? trace::SamplePlan::kNever : rng.below(400);
+    if (ops) {
+        cfg.ops = trace::SamplePlan::windows(window, draw.interval, cap);
+    }
     cfg.collectBranches = rng.chance(1, 2);
     cfg.maxBranches = rng.chance(1, 2) ? std::numeric_limits<size_t>::max()
                                        : rng.below(200);
     cfg.branchWarmupOps = rng.chance(1, 2) ? 0 : rng.below(2000);
-    return cfg;
+    return draw;
 }
 
 /** Calls whose op counts run from 0 to several intervals, so they
@@ -1549,10 +1561,8 @@ diffSpanPass(const trace::ProbeConfig &case_cfg,
     // so windows keep recording after a commit.
     const uint64_t scale = uint64_t{4} << (2 * rng.below(3));
     trace::ProbeConfig cfg = case_cfg;
-    cfg.opWindow =
-        std::min<uint64_t>(cfg.opWindow, cfg.opInterval + 2) * scale;
-    cfg.opInterval *= scale;
-    cfg.maxOps = std::numeric_limits<size_t>::max();
+    cfg.ops = trace::SamplePlan::windows(case_cfg.ops.window() * scale,
+                                         case_cfg.ops.interval() * scale);
     const std::string where = "span pass (window and interval x" +
                               std::to_string(scale) + ", no op cap) ";
     BlockLog fast_log, ref_log;
@@ -1639,9 +1649,14 @@ describeProbeConfig(const trace::ProbeConfig &cfg)
         return v == std::numeric_limits<uint64_t>::max() ? std::string("inf")
                                                          : std::to_string(v);
     };
-    return std::string("ops=") + (cfg.collectOps ? "on" : "off") +
-           " window=" + num(cfg.opWindow) + " interval=" +
-           num(cfg.opInterval) + " maxOps=" + num(cfg.maxOps) +
+    const trace::SamplePlan &plan = cfg.ops;
+    const trace::SamplePlan::Run first = plan.runAt(0);
+    const std::string ops =
+        first.end != trace::SamplePlan::kNever
+            ? num(plan.window()) + " of every " + num(plan.interval())
+            : first.record ? "all" : "none";
+    return "ops=" + ops +
+           (plan == trace::SamplePlan{} ? "" : " cap=" + num(plan.cap())) +
            " branches=" + (cfg.collectBranches ? "on" : "off") +
            " maxBranches=" + num(cfg.maxBranches) +
            " warmup=" + num(cfg.branchWarmupOps);
@@ -1667,11 +1682,12 @@ bool
 runProbeCase(const FuzzOptions &options, uint64_t seed, Divergence &out)
 {
     SplitMix64 rng(seed);
-    const trace::ProbeConfig cfg = randomProbeConfig(rng);
+    const ProbeDraw draw = randomProbeConfig(rng);
+    const trace::ProbeConfig &cfg = draw.config;
     const size_t count = options.quick ? rng.range(200, 2'000)
                                        : rng.range(200, 12'000);
     const std::vector<ProbeCall> calls =
-        randomProbeCalls(rng, cfg.opInterval, count);
+        randomProbeCalls(rng, draw.interval, count);
     // Drawn after every earlier draw, so seeds keep their configs and calls.
     const uint64_t span_seed = rng.next();
     const Fault fault = options.inject;

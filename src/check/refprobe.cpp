@@ -5,7 +5,7 @@
  *
  * Every call adds its ops to the mix, advances the interval position by
  * wrap-on-compare, and works out on the spot how many of its ops the
- * sampling window admits and the maxOps cap keeps; the recording into
+ * sample plan's window admits and its cap keeps; the recording into
  * TraceBlocks is the probe's own, transcribed. check::Fuzzer's probe
  * target runs trace::Probe against this on random configs and call
  * sequences and demands identical counters after every call and an
@@ -35,22 +35,22 @@ RefProbe::RefProbe(const trace::ProbeConfig &config, trace::TraceSink &sink)
 uint64_t
 RefProbe::advance(uint64_t n)
 {
+    // The plan as its parameters, never as runs: the default plan is a
+    // 0-op window and all() a 1-op window every op.
+    const uint64_t window = config_.ops.window();
+    const uint64_t interval = config_.ops.interval();
     uint64_t pos = interval_pos_;
     op_seq_ += n;
     interval_pos_ += n;
-    if (interval_pos_ >= config_.opInterval) {
-        interval_pos_ %= config_.opInterval;
-    }
-    if (!config_.collectOps) {
-        return 0;
+    if (interval_pos_ >= interval) {
+        interval_pos_ %= interval;
     }
     uint64_t in_window =
-        config_.opWindow >= config_.opInterval
+        window >= interval
             ? n
-            : (pos < config_.opWindow ? std::min(n, config_.opWindow - pos)
-                                      : 0);
-    uint64_t room = config_.maxOps > ops_recorded_
-                        ? config_.maxOps - ops_recorded_
+            : (pos < window ? std::min(n, window - pos) : 0);
+    uint64_t room = config_.ops.cap() > ops_recorded_
+                        ? config_.ops.cap() - ops_recorded_
                         : 0;
     uint64_t take = std::min(in_window, room);
     dropped_ops_ += in_window - take;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -91,16 +90,10 @@ trace::ProbeConfig
 tracingConfig(const RunScale &scale)
 {
     trace::ProbeConfig pc;
-    pc.collectOps = true;
-    if (scale.maxTraceOps == 0) {
-        pc.maxOps = std::numeric_limits<size_t>::max();
-        pc.opWindow = 1;
-        pc.opInterval = 1;  // opWindow >= opInterval: record everything.
-    } else {
-        pc.maxOps = scale.maxTraceOps;
-        pc.opWindow = 150'000;
-        pc.opInterval = 600'000;
-    }
+    pc.ops = scale.maxTraceOps == 0
+                 ? trace::SamplePlan::all()
+                 : trace::SamplePlan::windows(150'000, 600'000,
+                                              scale.maxTraceOps);
     return pc;
 }
 

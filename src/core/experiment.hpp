@@ -77,8 +77,9 @@ struct SweepPoint {
 };
 
 /**
- * The probe configuration runPoint uses for a given scale — the sampled
- * capped window, or full fidelity when scale.maxTraceOps is 0.
+ * The probe configuration runPoint uses for a given scale: the first
+ * 150,000 ops of every 600,000 up to scale.maxTraceOps, or every op
+ * when scale.maxTraceOps is 0.
  */
 trace::ProbeConfig tracingConfig(const RunScale &scale);
 

@@ -143,7 +143,8 @@ EncoderModel::encode(const video::Video &video, const EncodeParams &params,
     if (video.frameCount() == 0) {
         throw std::invalid_argument("encode: empty video");
     }
-    if ((probe_config.collectOps || probe_config.collectBranches) &&
+    if ((probe_config.ops != trace::SamplePlan{} ||
+         probe_config.collectBranches) &&
         sink == nullptr) {
         throw std::invalid_argument("encode: recording a trace needs a sink");
     }

@@ -56,9 +56,10 @@ struct EncodeResult {
     /** Instruction span the branch trace covers (CBP MPKI denominator). */
     uint64_t branchTraceInstructions = 0;
     /**
-     * In-window records cut by the probe's maxOps/maxBranches caps.
-     * Non-zero means the recorded streams under-represent the run;
-     * benches warn rather than report silently clipped denominators.
+     * Records cut by the probe's caps (the sample plan's op cap and
+     * maxBranches). Non-zero means the recorded streams under-represent
+     * the run; benches warn rather than report silently clipped
+     * denominators.
      */
     uint64_t droppedOps = 0;
     uint64_t droppedBranches = 0;

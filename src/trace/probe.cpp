@@ -57,10 +57,7 @@ ProbeConfig
 ProbeConfig::streaming(bool branches)
 {
     ProbeConfig pc;
-    pc.collectOps = true;
-    pc.maxOps = std::numeric_limits<size_t>::max();
-    // opWindow >= opInterval disables sampling: every op is recorded.
-    pc.opWindow = pc.opInterval;
+    pc.ops = SamplePlan::all();
     pc.collectBranches = branches;
     pc.maxBranches = std::numeric_limits<size_t>::max();
     return pc;
@@ -108,15 +105,12 @@ MixCounters::operator+=(const MixCounters &other)
     return *this;
 }
 
-uint64_t
-Probe::intervalPos(uint64_t at)
+void
+Probe::runFrom(uint64_t at)
 {
-    uint64_t pos = at - interval_base_;
-    if (pos >= config_.opInterval) {
-        interval_base_ += pos - pos % config_.opInterval;
-        pos %= config_.opInterval;
+    if (at >= run_.end) {
+        run_ = config_.ops.runAt(at);
     }
-    return pos;
 }
 
 uint64_t
@@ -124,58 +118,37 @@ Probe::advance(uint64_t n)
 {
     const uint64_t start = opSeq_ - n;
     if (dropping_) {
-        // Every fast-path call since the region opened ended inside the
-        // window with the cap reached: all of their ops were dropped.
+        // Every fast-path call since the region opened ended in a record
+        // run with the cap reached: all of their ops were dropped.
         dropped_ops_ += start - drop_from_;
         dropping_ = false;
     }
-    if (!config_.collectOps) {
+    runFrom(start);
+    if (!run_.record) {
         return 0;
     }
-    // opWindow >= opInterval means "record everything" (streaming mode);
-    // otherwise only the window-prefix of each interval is recorded.
-    uint64_t in_window = n;
-    if (config_.opWindow < config_.opInterval) {
-        const uint64_t pos = intervalPos(start);
-        in_window = pos < config_.opWindow
-                        ? std::min(n, config_.opWindow - pos)
-                        : 0;
-    }
-    uint64_t room = config_.maxOps > ops_recorded_
-                        ? config_.maxOps - ops_recorded_
-                        : 0;
-    uint64_t take = std::min(in_window, room);
-    dropped_ops_ += in_window - take;
+    const uint64_t in_run = std::min(n, run_.end - start);
+    const uint64_t cap = config_.ops.cap();
+    const uint64_t room = cap > ops_recorded_ ? cap - ops_recorded_ : 0;
+    const uint64_t take = std::min(in_run, room);
+    dropped_ops_ += in_run - take;
     return take;
 }
 
 void
 Probe::openQuietRegion()
 {
-    const bool capped = ops_recorded_ >= config_.maxOps;
+    runFrom(opSeq_);
     uint64_t end = 0;  // empty: every call takes the slow path
-    if (!config_.collectOps) {
-        end = kNever;
-    } else if (config_.opWindow >= config_.opInterval) {
-        // Streaming: every op is in the window, so a capped probe drops
-        // all of them from here on.
-        if (capped) {
-            end = kNever;
-            dropping_ = true;
-            drop_from_ = opSeq_;
-        }
-    } else {
-        const uint64_t pos = intervalPos(opSeq_);
-        if (pos >= config_.opWindow) {
-            // Nothing records before the interval wraps. A call that
-            // straddles the wrap is slow, and advance() records none of
-            // the next window for it.
-            end = quiet_fault_ ? kNever : interval_base_ + config_.opInterval;
-        } else if (capped) {
-            end = interval_base_ + config_.opWindow;
-            dropping_ = true;
-            drop_from_ = opSeq_;
-        }
+    if (!run_.record) {
+        // Nothing records before the run ends. A call that straddles
+        // the end is slow, and advance() records none of the next run
+        // for it.
+        end = quiet_fault_ ? kNever : run_.end;
+    } else if (ops_recorded_ >= config_.ops.cap()) {
+        end = run_.end;
+        dropping_ = true;
+        drop_from_ = opSeq_;
     }
     quiet_end_ = end;
 

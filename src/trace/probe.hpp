@@ -30,6 +30,7 @@
 #include <utility>
 
 #include "trace/opclass.hpp"
+#include "trace/sample_plan.hpp"
 #include "trace/sink.hpp"
 
 namespace vepro::trace
@@ -133,17 +134,9 @@ struct QuietSpan {
 
 /** Probe configuration: what to collect and how much. */
 struct ProbeConfig {
-    /** Collect the full-op trace for the core model. */
-    bool collectOps = false;
-    /** Hard cap on retained ops. */
-    size_t maxOps = 2'000'000;
-    /**
-     * Sampling: out of every @ref opInterval dynamic ops, the first
-     * @ref opWindow are recorded. opWindow >= opInterval records
-     * everything.
-     */
-    uint64_t opWindow = 200'000;
-    uint64_t opInterval = 1'000'000;
+    /** The op trace for the core model: which ops are recorded and the
+     *  cap on them. The default plan records none. */
+    SamplePlan ops;
 
     /** Collect the branch trace for the CBP framework. */
     bool collectBranches = false;
@@ -157,10 +150,10 @@ struct ProbeConfig {
     uint64_t branchWarmupOps = 0;
 
     /**
-     * Full-fidelity streaming configuration: every op (and optionally
-     * every branch) is recorded, uncapped and unsampled. Best with a
-     * sink that consumes the stream as it is produced: a VectorSink
-     * makes it O(trace length) again.
+     * Full-fidelity streaming configuration: every op (SamplePlan::all())
+     * and optionally every branch is recorded, uncapped and unsampled.
+     * Best with a sink that consumes the stream as it is produced: a
+     * VectorSink makes it O(trace length) again.
      */
     static ProbeConfig streaming(bool branches = false);
 };
@@ -173,9 +166,11 @@ struct ProbeConfig {
  * The emission calls are header-inline. Each adds its ops to the mix
  * and to the op counter, then returns at once while the counter stays
  * inside the current *quiet region*: a span of the op sequence in which
- * no call can record an op, and every op the sampling window admits is
- * cut by the maxOps cap. Any other call takes one out-of-line slow path
- * that does the full per-call accounting and opens the next region.
+ * no call can record an op, because the sample plan skips it or its cap
+ * cuts every op. Any other call takes one out-of-line slow path that
+ * does the full per-call accounting and opens the next region; it asks
+ * the plan for the next run only when it passes the end of the one it
+ * holds.
  * A kernel emitted through emitKernel() that ends inside the region is
  * counted in one step instead of one call per op, and so is a recorded
  * QuietSpan that commitQuietSpan() applies again.
@@ -189,11 +184,9 @@ class Probe
         openQuietRegion();
     }
 
-    const ProbeConfig &config() const { return config_; }
-
     /**
-     * Stream recorded ops/branches to @p sink. The sampling window and
-     * caps of the ProbeConfig gate what is recorded; configure with
+     * Stream recorded ops/branches to @p sink. The sample plan and caps
+     * of the ProbeConfig gate what is recorded; configure with
      * ProbeConfig::streaming() for the uncapped full trace, and feed a
      * VectorSink to materialise it. The sink is not owned and must
      * outlive the probe's emission. A probe whose config records ops or
@@ -294,10 +287,9 @@ class Probe
     /** Branches recorded so far. */
     uint64_t recordedBranches() const { return branches_recorded_; }
     /**
-     * Ops that fell inside the sampling window but were cut by the
-     * maxOps cap. Non-zero means the op trace under-represents the run;
-     * benches should warn rather than report denominators computed from
-     * a silently clipped trace. Includes the open quiet region's drops,
+     * Ops that the sample plan records but its cap cut. Non-zero means
+     * the op trace under-represents the run; benches should warn rather
+     * than report denominators computed from a silently clipped trace. Includes the open quiet region's drops,
      * which are only counted into dropped_ops_ when the region closes.
      */
     uint64_t droppedOps() const
@@ -306,12 +298,6 @@ class Probe
     }
     /** Branches lost to the maxBranches cap (see droppedOps()). */
     uint64_t droppedBranches() const { return dropped_branches_; }
-
-    /** Dynamic conditional-branch count (for miss-rate denominators). */
-    uint64_t condBranchCount() const
-    {
-        return mix_.byClass[static_cast<int>(OpClass::BranchCond)];
-    }
 
     /**
      * Dynamic-instruction span covered by the collected branch trace
@@ -326,10 +312,10 @@ class Probe
     }
 
     /**
-     * Fault injection for the vepro-check probe target: quiet regions
-     * that start past the sampling window run on through the interval
-     * wrap, so later windows go unrecorded. The probe differential must
-     * catch it; never enabled in real runs.
+     * Fault injection for the vepro-check probe target: a quiet region
+     * on a skip run runs on past the run's end, so later windows go
+     * unrecorded. The probe differential must catch it; never enabled
+     * in real runs.
      */
     void injectQuietFault(bool on) { quiet_fault_ = on; }
     /**
@@ -346,22 +332,21 @@ class Probe
     void injectSpanFault(bool on) { span_fault_ = on; }
 
   private:
-    static constexpr uint64_t kNever = std::numeric_limits<uint64_t>::max();
+    static constexpr uint64_t kNever = SamplePlan::kNever;
 
     /** Per-call accounting for the @p n ops the calling emission has
-     *  already added to opSeq_: returns how many fall in the sampling
-     *  window and under the cap (0 when op tracing is off), counting
-     *  cap-truncated in-window ops as dropped. A call that starts past
-     *  the window records nothing, even where it runs on into the next
-     *  interval's window. */
+     *  already added to opSeq_: returns how many of them the run at the
+     *  call's start records under the cap, counting the recorded ops the
+     *  cap cuts as dropped. A call that starts in a skip run records
+     *  nothing, even where it runs on into the next window. */
     uint64_t advance(uint64_t n);
 
     /** Set quiet_end_ / branch_quiet_end_ for the position opSeq_, after
      *  a slow call has done its recording (see the class comment). */
     void openQuietRegion();
-    /** opSeq @p at modulo opInterval, for @p at at or past the last
-     *  slow call; moves interval_base_ forward to @p at's interval. */
-    uint64_t intervalPos(uint64_t at);
+    /** Hold the plan's run at @p at, which is at or past the last slow
+     *  call; asks the plan only when @p at is past the held run. */
+    void runFrom(uint64_t at);
 
     // Out-of-line remainders of the emission calls (see the class
     // comment): the full accounting and recording, then a new region.
@@ -410,11 +395,11 @@ class Probe
     /** The same bound for decision()/loopBranches(), which also stops
      *  where branch recording needs the slow path. */
     uint64_t branch_quiet_end_ = 0;
-    /** Start of the sampling interval holding the last slow call's
-     *  position: a multiple of opInterval, so the hot path never
-     *  divides and the slow path only when it crosses an interval. */
-    uint64_t interval_base_ = 0;
-    /** While dropping_, the current quiet region sits inside the window
+    /** The plan's run holding the last slow call's position, so the
+     *  hot path never asks the plan and the slow path only when it
+     *  crosses a run's end. */
+    SamplePlan::Run run_{0, false};
+    /** While dropping_, the current quiet region sits in a record run
      *  with the cap reached: every op from drop_from_ on is dropped.
      *  Counted into dropped_ops_ when the region closes. */
     uint64_t drop_from_ = 0;
@@ -456,8 +441,7 @@ class Probe
 // -- Emission fast path ----------------------------------------------------
 //
 // opSeq_ stays exact on the fast path: enterKernel derives the code
-// variant from it, and the slow path recovers the interval position
-// from it.
+// variant from it, and the slow path finds the plan's run from it.
 
 inline void
 Probe::enterSite(uint64_t site, int body_len, uint64_t at)

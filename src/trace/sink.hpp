@@ -360,8 +360,8 @@ class MuxSink final : public TraceSink
 /**
  * Materialising sink: appends both streams to vectors, for batch replay
  * (Core::run, bpred::runTrace, buildSystemTrace) and tests. It keeps
- * everything it is fed; the probe's ProbeConfig caps are the only caps,
- * and the probe counts what they drop.
+ * everything it is fed; the probe's caps (its sample plan's op cap and
+ * maxBranches) are the only caps, and the probe counts what they drop.
  */
 class VectorSink final : public TraceSink
 {

@@ -120,8 +120,7 @@ TEST(Satd, ProbeEmitsTiledAddresses)
     PelView b{bbuf.data(), 64, 1ull << 20};
 
     trace::ProbeConfig cfg;
-    cfg.collectOps = true;
-    cfg.opWindow = cfg.opInterval;  // record everything
+    cfg.ops = trace::SamplePlan::all();
     trace::VectorSink recorded;
     trace::Probe probe(cfg);
     probe.setSink(&recorded);

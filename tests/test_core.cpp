@@ -16,11 +16,25 @@
 #include "core/report.hpp"
 #include "core/threadstudy.hpp"
 #include "encoders/registry.hpp"
+#include "lab/jobspec.hpp"
+#include "ladder/ladder.hpp"
 #include "print_results.hpp"
+#include "serve/costmodel.hpp"
+#include "trace/sample_plan.hpp"
 #include "trace/synth.hpp"
 #include "trace/trace_io.hpp"
 #include "uarch/core.hpp"
 #include "video/generator.hpp"
+
+namespace vepro::trace
+{
+void
+PrintTo(const SamplePlan &plan, std::ostream *os)
+{
+    *os << "{window " << plan.window() << ", interval " << plan.interval()
+        << ", cap " << plan.cap() << "}";
+}
+} // namespace vepro::trace
 
 namespace vepro::core
 {
@@ -105,6 +119,42 @@ TEST(RunScale, ParsesFlags)
         EXPECT_THROW(parseScale({rejected}), std::invalid_argument)
             << rejected;
     }
+}
+
+/** The op plans behind the figures, pinned here rather than only by the
+ *  ledger's digest: a 150 k window every 600 k ops up to each scale's
+ *  cap, or every op under --uncapped. */
+TEST(RunScale, TracingConfigPinsTheFiguresPlans)
+{
+    using trace::SamplePlan;
+    const auto plan = [](const RunScale &scale) {
+        const trace::ProbeConfig pc = tracingConfig(scale);
+        EXPECT_FALSE(pc.collectBranches);
+        return pc.ops;
+    };
+    EXPECT_EQ(plan(RunScale{}),
+              SamplePlan::windows(150'000, 600'000, 1'200'000));
+    EXPECT_EQ(plan(parseScale({"--quick"})), plan(RunScale{}));
+    EXPECT_EQ(plan(parseScale({"--full"})),
+              SamplePlan::windows(150'000, 600'000, 4'000'000));
+    for (const std::vector<std::string> &args :
+         {std::vector<std::string>{"--uncapped"},
+          std::vector<std::string>{"--uncapped", "--full"},
+          std::vector<std::string>{"--full", "--uncapped"}}) {
+        EXPECT_EQ(plan(parseScale(args)), SamplePlan::all()) << args[0];
+    }
+
+    // vepro-serve's cost specs and the ladder's rungs reach it through
+    // their JobSpecs.
+    lab::JobSpec serve_spec;
+    serve_spec.maxTraceOps = serve::CostModelConfig{}.maxTraceOps;
+    EXPECT_EQ(plan(serve_spec.toRunScale()),
+              SamplePlan::windows(150'000, 600'000, 150'000));
+    lab::JobSpec rung;
+    rung.maxTraceOps =
+        ladder::ladderConfigFromScale(parseScale({"--quick"})).maxTraceOps;
+    EXPECT_EQ(plan(rung.toRunScale()),
+              SamplePlan::windows(150'000, 600'000, 1'200'000));
 }
 
 TEST(RunScale, JobsParsingIsStrict)
@@ -217,10 +267,7 @@ taskedEncode(const char *name)
     ep.crf = enc->crfRange() * 5 / 8;
     ep.preset = enc->presetInverted() ? 2 : 6;
     trace::ProbeConfig pc;
-    pc.collectOps = true;
-    pc.maxOps = 300'000;
-    pc.opWindow = 300'000;
-    pc.opInterval = 300'000;
+    pc.ops = trace::SamplePlan::all(300'000);
     TaskedEncode out;
     out.result = enc->encode(clip, ep, pc, true, &out.trace);
     return out;

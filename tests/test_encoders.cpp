@@ -213,7 +213,7 @@ TEST(Encode, RejectsRecordingWithoutASink)
 {
     auto enc = encoderByName("x264");
     trace::ProbeConfig ops, branches;
-    ops.collectOps = true;
+    ops.ops = trace::SamplePlan::all();
     branches.collectBranches = true;
     EXPECT_THROW(enc->encode(tinyClip(), {}, ops), std::invalid_argument);
     EXPECT_THROW(enc->encode(tinyClip(), {}, branches),
@@ -305,10 +305,7 @@ TEST(Encode, OpTraceRespectsCaps)
     p.crf = 50;
     p.preset = 8;
     trace::ProbeConfig pc;
-    pc.collectOps = true;
-    pc.maxOps = 10'000;
-    pc.opWindow = 1'000;
-    pc.opInterval = 5'000;
+    pc.ops = trace::SamplePlan::windows(1'000, 5'000, 10'000);
     trace::VectorSink recorded;
     enc->encode(tinyClip(), p, pc, false, &recorded);
     EXPECT_FALSE(recorded.ops().empty());
@@ -326,10 +323,7 @@ TEST_P(TaskGraphShape, GraphIsValidAndLinked)
     p.crf = enc->crfRange() * 5 / 8;
     p.preset = enc->presetInverted() ? 2 : 6;
     trace::ProbeConfig pc;
-    pc.collectOps = true;
-    pc.maxOps = 200'000;
-    pc.opWindow = 50'000;
-    pc.opInterval = 100'000;
+    pc.ops = trace::SamplePlan::windows(50'000, 100'000, 200'000);
     trace::VectorSink recorded;
     EncodeResult r = enc->encode(tinyClip(3), p, pc, true, &recorded);
 
@@ -378,17 +372,14 @@ TEST_P(MixIsProbeConfigInvariant, EveryConfigCountsTheSameMix)
     const EncodeResult mix_only = enc->encode(clip, p);
 
     trace::ProbeConfig sampled;
-    sampled.collectOps = true;
-    sampled.opWindow = 2'000;
-    sampled.opInterval = 10'000;
-    sampled.maxOps = 20'000;
+    sampled.ops = trace::SamplePlan::windows(2'000, 10'000, 20'000);
     sampled.collectBranches = true;
     sampled.maxBranches = 5'000;
     sampled.branchWarmupOps = mix_only.instructions / 2;
     CountingSink sampled_sink;
     const EncodeResult mixed =
         enc->encode(clip, p, sampled, false, &sampled_sink);
-    EXPECT_EQ(sampled_sink.ops, sampled.maxOps);
+    EXPECT_EQ(sampled_sink.ops, sampled.ops.cap());
     EXPECT_GT(mixed.droppedOps, 0u);
     EXPECT_GT(sampled_sink.branches, 0u);
 
@@ -646,10 +637,7 @@ TEST(EncodeGolden, EveryConfigMatchesThePinnedRun)
         const EncodeResult mix_only = enc->encode(clip, p);
 
         trace::ProbeConfig sampled;
-        sampled.collectOps = true;
-        sampled.opWindow = 2'000;
-        sampled.opInterval = 40'000;
-        sampled.maxOps = 60'000;
+        sampled.ops = trace::SamplePlan::windows(2'000, 40'000, 60'000);
         trace::ProbeConfig streaming = trace::ProbeConfig::streaming(true);
         streaming.branchWarmupOps = mix_only.instructions / 2;
 

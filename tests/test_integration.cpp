@@ -47,10 +47,7 @@ TEST(Integration, EncodeSimulatePipeline)
     p.crf = 40;
     p.preset = 6;
     trace::ProbeConfig pc;
-    pc.collectOps = true;
-    pc.maxOps = 400'000;
-    pc.opWindow = 100'000;
-    pc.opInterval = 300'000;
+    pc.ops = trace::SamplePlan::windows(100'000, 300'000, 400'000);
     trace::VectorSink recorded;
     enc->encode(clip(), p, pc, false, &recorded);
     ASSERT_FALSE(recorded.ops().empty());
@@ -79,10 +76,7 @@ TEST(Integration, FusedPipelineMatchesBatchReplay)
     p.crf = 40;
     p.preset = 6;
     trace::ProbeConfig pc;
-    pc.collectOps = true;
-    pc.maxOps = 400'000;
-    pc.opWindow = 100'000;
-    pc.opInterval = 300'000;
+    pc.ops = trace::SamplePlan::windows(100'000, 300'000, 400'000);
     pc.collectBranches = true;
     pc.maxBranches = 200'000;
     pc.branchWarmupOps = 100'000;
@@ -256,10 +250,7 @@ TEST(Integration, ThreadStudyEndToEnd)
     p.crf = 32;
     p.preset = 2;
     trace::ProbeConfig pc;
-    pc.collectOps = true;
-    pc.maxOps = 500'000;
-    pc.opWindow = 100'000;
-    pc.opInterval = 200'000;
+    pc.ops = trace::SamplePlan::windows(100'000, 200'000, 500'000);
     trace::VectorSink recorded;
     auto r = enc->encode(clip("game1", 4), p, pc, true, &recorded);
 

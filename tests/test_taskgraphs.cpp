@@ -210,10 +210,7 @@ TEST(SystemTrace, SpinVolumeGrowsWithIdleness)
 {
     auto r = taskedEncode("x265");
     trace::ProbeConfig pc;
-    pc.collectOps = true;
-    pc.maxOps = 200'000;
-    pc.opWindow = 200'000;
-    pc.opInterval = 200'000;
+    pc.ops = trace::SamplePlan::all(200'000);
     // Re-encode with op collection for trace linkage.
     video::GeneratorParams p;
     p.width = 256;

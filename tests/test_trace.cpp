@@ -10,10 +10,12 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <random>
 
 #include "trace/opclass.hpp"
 #include "trace/probe.hpp"
 #include "trace/profile.hpp"
+#include "trace/sample_plan.hpp"
 #include "trace/trace_io.hpp"
 
 namespace vepro::trace
@@ -162,10 +164,7 @@ TEST(Probe, BranchWarmupSkipsEarlyBranches)
 TEST(Probe, OpTraceSamplingWindows)
 {
     ProbeConfig cfg;
-    cfg.collectOps = true;
-    cfg.opWindow = 10;
-    cfg.opInterval = 100;
-    cfg.maxOps = 1000;
+    cfg.ops = SamplePlan::windows(10, 100, 1000);
     CapturedProbe c(cfg);
     for (int i = 0; i < 300; ++i) {
         c.probe.ops(OpClass::Alu, 1);
@@ -175,13 +174,75 @@ TEST(Probe, OpTraceSamplingWindows)
     EXPECT_LE(c.recorded().ops().size(), 40u);
 }
 
+/** runAt() against the per-position rule it summarises: position p is
+ *  recorded iff p % interval < window. Every run holds positions of one
+ *  kind only, is maximal (its end is of the other kind, or never comes)
+ *  and is the same run asked from any of its positions. */
+TEST(SamplePlan, RunsFollowThePerPositionRule)
+{
+    struct Case {
+        SamplePlan plan;
+        uint64_t window;
+        uint64_t interval;
+    };
+    std::vector<Case> cases = {
+        {SamplePlan{}, 0, 1},
+        {SamplePlan::all(), 1, 1},
+        {SamplePlan::all(7), 1, 1},
+        {SamplePlan::windows(0, 10, 5), 0, 10},
+        {SamplePlan::windows(10, 10), 10, 10},
+        {SamplePlan::windows(13, 10, 3), 13, 10},
+        {SamplePlan::windows(1, 2), 1, 2},
+        {SamplePlan::windows(9, 10), 9, 10},
+        {SamplePlan::windows(150'000, 600'000, 1'200'000), 150'000, 600'000},
+    };
+    std::mt19937_64 rng(31);
+    for (int i = 0; i < 300; ++i) {
+        const uint64_t interval = 1 + rng() % 64;
+        const uint64_t window = rng() % (interval + 3);
+        cases.push_back(
+            {SamplePlan::windows(window, interval, rng() % 400), window,
+             interval});
+    }
+    for (const Case &c : cases) {
+        SCOPED_TRACE("window " + std::to_string(c.window) + " interval " +
+                     std::to_string(c.interval));
+        auto recorded = [&](uint64_t p) { return p % c.interval < c.window; };
+        // A long plan is checked over its first 5,000 positions and at
+        // the end of the run that holds them.
+        const uint64_t limit = std::min<uint64_t>(4 * c.interval + 9, 5'000);
+        for (uint64_t at = 0; at < limit;) {
+            const SamplePlan::Run run = c.plan.runAt(at);
+            ASSERT_GT(run.end, at);
+            EXPECT_EQ(run.record, recorded(at));
+            const uint64_t stop = std::min(run.end, limit);
+            for (uint64_t p = at; p < stop; ++p) {
+                ASSERT_EQ(recorded(p), run.record) << "position " << p;
+                const SamplePlan::Run from_p = c.plan.runAt(p);
+                ASSERT_EQ(from_p.end, run.end) << "position " << p;
+                ASSERT_EQ(from_p.record, run.record) << "position " << p;
+            }
+            if (run.end == SamplePlan::kNever) {
+                // Only a plan with no window or a full one never ends a run.
+                EXPECT_TRUE(c.window == 0 || c.window >= c.interval);
+                break;
+            }
+            EXPECT_NE(recorded(run.end), run.record) << "end " << run.end;
+            at = run.end;
+        }
+    }
+    // The degenerate windows are the named plans, caps included.
+    EXPECT_EQ(SamplePlan::windows(0, 10, 5), SamplePlan{});
+    EXPECT_EQ(SamplePlan::windows(10, 10, 5), SamplePlan::all(5));
+    EXPECT_EQ(SamplePlan::windows(12, 10), SamplePlan::all());
+    EXPECT_NE(SamplePlan::all(5), SamplePlan::all());
+    EXPECT_NE(SamplePlan::all(0), SamplePlan{});
+}
+
 TEST(Probe, OpTraceCap)
 {
     ProbeConfig cfg;
-    cfg.collectOps = true;
-    cfg.opWindow = 1000;
-    cfg.opInterval = 1000;
-    cfg.maxOps = 50;
+    cfg.ops = SamplePlan::all(50);
     CapturedProbe c(cfg);
     c.probe.ops(OpClass::Alu, 500);
     EXPECT_EQ(c.recorded().ops().size(), 50u);
@@ -200,7 +261,7 @@ TEST(Probe, DisabledCollectionIsFree)
 TEST(Probe, RecordingWithoutASinkThrows)
 {
     ProbeConfig cfg;
-    cfg.collectOps = true;
+    cfg.ops = SamplePlan::all();
     Probe staged(cfg);
     staged.ops(OpClass::Alu, 10);
     EXPECT_THROW(staged.flushToSink(), std::logic_error);
@@ -218,7 +279,7 @@ TEST(Probe, RecordingWithoutASinkThrows)
 TEST(Probe, MemRecordsAddresses)
 {
     ProbeConfig cfg;
-    cfg.collectOps = true;
+    cfg.ops = SamplePlan::all();
     CapturedProbe c(cfg);
     c.probe.mem(OpClass::Store, 0xdeadbeef);
     ASSERT_EQ(c.recorded().ops().size(), 1u);
@@ -230,7 +291,7 @@ TEST(Probe, MemRecordsAddresses)
 TEST(Probe, MemRunStridesAddresses)
 {
     ProbeConfig cfg;
-    cfg.collectOps = true;
+    cfg.ops = SamplePlan::all();
     CapturedProbe c(cfg);
     c.probe.memRun(OpClass::SimdLoad, 0x1000, 3, 64);
     ASSERT_EQ(c.recorded().ops().size(), 3u);
@@ -773,10 +834,7 @@ TEST(TraceFile, MetadataBitFlipFailsChecksum)
 TEST(Sink, DropCountersAccountForCaps)
 {
     ProbeConfig pc;
-    pc.collectOps = true;
-    pc.maxOps = 100;
-    pc.opWindow = 1000;
-    pc.opInterval = 1000;
+    pc.ops = SamplePlan::all(100);
     pc.collectBranches = true;
     pc.maxBranches = 5;
     CapturedProbe c(pc);
@@ -1194,9 +1252,7 @@ ProbeConfig
 spanWindows()
 {
     ProbeConfig cfg;
-    cfg.collectOps = true;
-    cfg.opWindow = 100;
-    cfg.opInterval = 1000;
+    cfg.ops = SamplePlan::windows(100, 1000);
     return cfg;
 }
 
