@@ -24,6 +24,7 @@
 #include "lab/json.hpp"
 #include "lab/store.hpp"
 #include "ladder/ladder.hpp"
+#include "sched/scheduler.hpp"
 #include "serve/farm.hpp"
 #include "trace/probe.hpp"
 #include "trace/synth.hpp"
@@ -495,19 +496,27 @@ randomJobResult(SplitMix64 &rng)
 {
     // Every double from the adversarial set; every counter at any
     // width up to 64 bits, with the exact maximum as an edge case.
+    const auto counter = [&] {
+        return rng.chance(1, 8) ? std::numeric_limits<uint64_t>::max()
+                                : rng.next() >> rng.below(64);
+    };
     auto draw = [&](const char *, auto &v) {
-        if constexpr (std::is_same_v<std::remove_cvref_t<decltype(v)>,
-                                     double>) {
+        using V = std::remove_cvref_t<decltype(v)>;
+        if constexpr (std::is_same_v<V, double>) {
             v = adversarialDouble(rng);
-        } else {
-            v = rng.chance(1, 8) ? std::numeric_limits<uint64_t>::max()
-                                 : rng.next() >> rng.below(64);
+        } else if constexpr (std::is_same_v<V, uint64_t>) {
+            v = counter();
         }
+        // The makespan list is drawn after everything else, below.
     };
     lab::JobResult r;
     lab::EncodeSummary::forEachField(draw, r.encode);
     r.jobSeconds = adversarialDouble(rng);
     uarch::CoreStats::forEachField(draw, r.core);
+    r.encode.makespans.resize(rng.below(sched::kMaxCurveCores + 1));
+    for (uint64_t &m : r.encode.makespans) {
+        m = counter();
+    }
     return r;
 }
 
@@ -520,8 +529,20 @@ std::string
 diffJobResult(const lab::JobResult &want, const lab::JobResult &got)
 {
     std::ostringstream out;
-    auto chk = [&](const std::string &name, auto w, auto g) {
-        if constexpr (std::is_same_v<decltype(w), double>) {
+    auto chk = [&](const std::string &name, const auto &w, const auto &g) {
+        using V = std::remove_cvref_t<decltype(w)>;
+        if constexpr (std::is_same_v<V, std::vector<uint64_t>>) {
+            if (w.size() != g.size()) {
+                out << (out.tellp() > 0 ? ", " : "") << name << " want "
+                    << w.size() << " entries, got " << g.size();
+            }
+            for (size_t i = 0; i < std::min(w.size(), g.size()); ++i) {
+                if (w[i] != g[i]) {
+                    out << (out.tellp() > 0 ? ", " : "") << name << "[" << i
+                        << "] want=" << w[i] << " got=" << g[i];
+                }
+            }
+        } else if constexpr (std::is_same_v<V, double>) {
             if (bitsOf(w) == bitsOf(g)) {
                 return;
             }
@@ -1980,12 +2001,14 @@ drawFarmCase(SplitMix64 &rng)
 }
 
 /** A farm result as text, doubles in %a so that equal text means equal
- *  bits: one line per outcome, then the SLA row, energy and horizon. */
+ *  bits: one line per outcome in @p outcomes, then the SLA row, energy
+ *  and horizon. */
 std::vector<std::string>
-farmLines(const serve::FarmResult &r)
+farmLines(const serve::FarmResult &r,
+          const std::vector<serve::JobOutcome> &outcomes)
 {
     std::vector<std::string> lines;
-    for (const serve::JobOutcome &o : r.outcomes) {
+    for (const serve::JobOutcome &o : outcomes) {
         lines.push_back(
             "job " + std::to_string(o.id) + (o.rejected ? " rejected" : "") +
             " arrival=" + hexDouble(o.arrivalSec) +
@@ -2010,13 +2033,16 @@ farmLines(const serve::FarmResult &r)
     return lines;
 }
 
-/** First line where two farm results differ, or "" when they agree bit
+/** First line where two farm runs differ, or "" when they agree bit
  *  for bit on every outcome, SLA field, energy and horizon. */
 std::string
-diffFarmResults(const serve::FarmResult &ref, const serve::FarmResult &fast)
+diffFarmResults(const serve::FarmResult &ref,
+                const std::vector<serve::JobOutcome> &ref_jobs,
+                const serve::FarmResult &fast,
+                const std::vector<serve::JobOutcome> &fast_jobs)
 {
-    const std::vector<std::string> r = farmLines(ref);
-    const std::vector<std::string> f = farmLines(fast);
+    const std::vector<std::string> r = farmLines(ref, ref_jobs);
+    const std::vector<std::string> f = farmLines(fast, fast_jobs);
     for (size_t i = 0; i < std::max(r.size(), f.size()); ++i) {
         const std::string want = i < r.size() ? r[i] : "(none)";
         const std::string got = i < f.size() ? f[i] : "(none)";
@@ -2029,7 +2055,9 @@ diffFarmResults(const serve::FarmResult &ref, const serve::FarmResult &fast)
 }
 
 /** Both simulateFarm signatures against RefFarm on @p arrivals, the
- *  pool signature on both pools. */
+ *  pool signature on both pools. Each leg runs the farm with an
+ *  outcome vector against the reference, then without one, as sweeps
+ *  do: the SLA row, energy and horizon must not change. */
 std::string
 diffFarmRun(const FarmCase &c, const std::vector<serve::UploadJob> &arrivals,
             Fault fault)
@@ -2040,21 +2068,34 @@ diffFarmRun(const FarmCase &c, const std::vector<serve::UploadJob> &arrivals,
     const serve::Policy &policy =
         c.policy.adaptive ? static_cast<const serve::Policy &>(adaptive)
                           : fixed;
-    std::string d = diffFarmResults(
-        ref.run(arrivals, *c.oracle),
-        serve::simulateFarm(arrivals, c.config, policy, *c.oracle));
+    const auto leg = [&](const std::vector<serve::ServerGroup> *pool) {
+        const auto fast = [&](std::vector<serve::JobOutcome> *jobs) {
+            return pool ? serve::simulateFarm(arrivals, c.config, policy,
+                                              *c.oracle, *pool, jobs)
+                        : serve::simulateFarm(arrivals, c.config, policy,
+                                              *c.oracle, jobs);
+        };
+        std::vector<serve::JobOutcome> want_jobs, got_jobs;
+        const serve::FarmResult want =
+            pool ? ref.run(arrivals, *c.oracle, *pool, want_jobs)
+                 : ref.run(arrivals, *c.oracle, want_jobs);
+        std::string d =
+            diffFarmResults(want, want_jobs, fast(&got_jobs), got_jobs);
+        if (d.empty()) {
+            d = diffFarmResults(want, {}, fast(nullptr), {});
+            return d.empty() ? d : "without outcomes, " + d;
+        }
+        return d;
+    };
+    std::string d = leg(nullptr);
     if (!d.empty()) {
         return "homogeneous farm: " + d;
     }
-    d = diffFarmResults(ref.run(arrivals, *c.oracle, c.pool),
-                        serve::simulateFarm(arrivals, c.config, policy,
-                                            *c.oracle, c.pool));
+    d = leg(&c.pool);
     if (!d.empty()) {
         return "pool farm: " + d;
     }
-    d = diffFarmResults(ref.run(arrivals, *c.oracle, c.deepPool),
-                        serve::simulateFarm(arrivals, c.config, policy,
-                                            *c.oracle, c.deepPool));
+    d = leg(&c.deepPool);
     return d.empty() ? d : "deep pool farm: " + d;
 }
 
@@ -2088,8 +2129,9 @@ describeFarmCase(const FarmCase &c)
 
 /**
  * The farm differential: serve::simulateFarm's FIFO dispatch and
- * per-group cost tables, through both signatures, against RefFarm's
- * sharded EDF heaps and per-dispatch oracle queries. One seeded case
+ * per-group cost tables, through both signatures, each with and
+ * without an outcome vector, against RefFarm's sharded EDF heaps and
+ * per-dispatch oracle queries. One seeded case
  * draws sorted arrivals with tie bursts, a ladder, clips (rung ids
  * included) and CRFs, a cost table full of exact ties, 1-3 server
  * groups of 1-6 servers, the same groups again with 10-320 servers

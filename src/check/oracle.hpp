@@ -371,7 +371,8 @@ struct RefFarmPolicy {
  * per-backend view in a pool), the policy rules inline and full-sort
  * percentiles. The two run() overloads take the inputs of the two
  * simulateFarm signatures and, on sorted arrivals, must return the same
- * FarmResult bit for bit.
+ * FarmResult and append the same per-job outcomes to @p outcomes, bit
+ * for bit.
  */
 class RefFarm
 {
@@ -381,11 +382,13 @@ class RefFarm
 
     /** config.servers identical servers consulting @p cost; no energy. */
     serve::FarmResult run(const std::vector<serve::UploadJob> &arrivals,
-                          const serve::CostOracle &cost) const;
+                          const serve::CostOracle &cost,
+                          std::vector<serve::JobOutcome> &outcomes) const;
     /** One group per non-empty ServerGroup, priced on its backend. */
     serve::FarmResult run(const std::vector<serve::UploadJob> &arrivals,
                           const serve::FleetCostOracle &cost,
-                          const std::vector<serve::ServerGroup> &pool) const;
+                          const std::vector<serve::ServerGroup> &pool,
+                          std::vector<serve::JobOutcome> &outcomes) const;
 
   private:
     serve::FarmConfig config_;

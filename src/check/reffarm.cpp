@@ -11,7 +11,8 @@
  * the queue-wait percentiles come from a fully sorted copy.
  * check::Fuzzer's farm target runs both serve::simulateFarm signatures
  * against this on random sorted arrivals and demands identical
- * outcomes, SLA rows, energy and horizons, bit for bit.
+ * outcomes, SLA rows, energy and horizons, bit for bit. The reference
+ * always records every outcome.
  *
  * Do not "improve" this file for speed; its value is that every rule is
  * written in the most literal form possible.
@@ -160,7 +161,7 @@ FarmResult
 runFarm(const std::vector<UploadJob> &arrivals,
         const serve::FarmConfig &config, const RefFarmPolicy &policy,
         std::vector<Group> &groups, const FleetCostOracle *energy,
-        Fault fault)
+        Fault fault, std::vector<JobOutcome> &outcomes)
 {
     if (groups.empty() || config.shards < 1) {
         throw std::invalid_argument("serve: farm needs >= 1 server/shard");
@@ -187,7 +188,7 @@ runFarm(const std::vector<UploadJob> &arrivals,
             reject.id = job.id;
             reject.arrivalSec = job.arrivalSec;
             reject.rejected = true;
-            out.outcomes.push_back(reject);
+            outcomes.push_back(reject);
             ++out.sla.rejected;
             return;
         }
@@ -247,7 +248,7 @@ runFarm(const std::vector<UploadJob> &arrivals,
         done.endSec = end;
         done.missedDeadline = end > deadline;
         done.backend = group.backend;
-        out.outcomes.push_back(done);
+        outcomes.push_back(done);
 
         ++out.sla.completed;
         if (done.missedDeadline) {
@@ -296,20 +297,22 @@ RefFarm::RefFarm(const serve::FarmConfig &config, RefFarmPolicy policy,
 }
 
 FarmResult
-RefFarm::run(const std::vector<UploadJob> &arrivals,
-             const CostOracle &cost) const
+RefFarm::run(const std::vector<UploadJob> &arrivals, const CostOracle &cost,
+             std::vector<JobOutcome> &outcomes) const
 {
     std::vector<Group> groups;
     if (config_.servers >= 1) {
         groups.emplace_back("", cost, config_.servers);
     }
-    return runFarm(arrivals, config_, policy_, groups, nullptr, fault_);
+    return runFarm(arrivals, config_, policy_, groups, nullptr, fault_,
+                   outcomes);
 }
 
 FarmResult
 RefFarm::run(const std::vector<UploadJob> &arrivals,
              const FleetCostOracle &cost,
-             const std::vector<serve::ServerGroup> &pool) const
+             const std::vector<serve::ServerGroup> &pool,
+             std::vector<JobOutcome> &outcomes) const
 {
     std::vector<BackendView> views;
     views.reserve(pool.size());  // Groups point into it: never reallocate.
@@ -321,7 +324,8 @@ RefFarm::run(const std::vector<UploadJob> &arrivals,
         views.emplace_back(cost, group.backend);
         groups.emplace_back(group.backend, views.back(), group.servers);
     }
-    return runFarm(arrivals, config_, policy_, groups, &cost, fault_);
+    return runFarm(arrivals, config_, policy_, groups, &cost, fault_,
+                   outcomes);
 }
 
 } // namespace vepro::check

@@ -118,7 +118,7 @@ runPoint(const encoders::EncoderModel &encoder, const video::Video &clip,
     SweepPoint point;
     point.core = simulate(scale, [&](trace::TraceSink &sink) {
         point.encode = encoder.encode(clip, params, tracingConfig(scale),
-                                      false, &sink);
+                                      /*build_tasks=*/true, &sink);
     });
     return point;
 }

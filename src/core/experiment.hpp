@@ -97,7 +97,8 @@ uarch::CoreStats simulate(const RunScale &scale,
  * Run one encode with op tracing and simulate it (simulate()) fused:
  * the encode streams its ops straight into the core model, so no trace
  * is materialised. Numerically identical to capturing the trace and
- * replaying it.
+ * replaying it. The encode also builds its task graph, as a capture
+ * does, so both paths record the same makespans.
  */
 SweepPoint runPoint(const encoders::EncoderModel &encoder,
                     const video::Video &clip, int crf, int preset,

@@ -89,7 +89,7 @@ JobSpec::traceHashHex() const
     char buf[17];
     std::snprintf(buf, sizeof buf, "%016llx",
                   static_cast<unsigned long long>(
-                      fnv1a64("vepro-trace/v1|" + traceKey())));
+                      fnv1a64("vepro-trace/v2|" + traceKey())));
     return buf;
 }
 

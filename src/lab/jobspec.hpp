@@ -29,8 +29,9 @@ namespace vepro::lab
  * (whenever the record layout or the meaning of any spec field changes)
  * orphans old entries instead of misreading them.
  */
-constexpr int kSchemaVersion = 2;  // 2: lazy kernel events moved
-                                   // sampled-capture block boundaries.
+constexpr int kSchemaVersion = 3;  // 2: lazy kernel events moved
+                                   // sampled-capture block boundaries;
+                                   // 3: records carry makespans.
 
 /** One experiment point. Field order never affects the hash. */
 struct JobSpec {
@@ -95,8 +96,10 @@ struct JobSpec {
      */
     std::string traceKey() const;
 
-    /** FNV-1a 64 of "vepro-trace/v1|" + traceKey(), as 16 lowercase
-     *  hex digits (the trace file stem under <store>/traces/). */
+    /** FNV-1a 64 of "vepro-trace/v2|" + traceKey(), as 16 lowercase
+     *  hex digits (the trace file stem under <store>/traces/). The
+     *  version moves with the capture metadata's layout (v2: it carries
+     *  makespans), so an older capture is a plain miss. */
     std::string traceHashHex() const;
 
     /** Short human label for progress lines. */

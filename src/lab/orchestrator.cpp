@@ -7,6 +7,7 @@
 
 #include "encoders/registry.hpp"
 #include "lab/json.hpp"
+#include "sched/scheduler.hpp"
 #include "trace/trace_io.hpp"
 #include "video/scale.hpp"
 #include "video/suite.hpp"
@@ -17,7 +18,8 @@ namespace vepro::lab
 namespace
 {
 
-/** Copy the encode-side numbers a figure consumes into a JobResult. */
+/** Copy the encode-side numbers a figure consumes into a JobResult,
+ *  with the makespan curve of the encode's task graph. */
 void
 fillEncodeSummary(JobResult &result, const encoders::EncodeResult &enc)
 {
@@ -26,6 +28,7 @@ fillEncodeSummary(JobResult &result, const encoders::EncodeResult &enc)
     result.encode.bitrateKbps = enc.bitrateKbps;
     result.encode.psnrDb = enc.psnrDb;
     result.encode.droppedOps = enc.droppedOps;
+    result.encode.makespans = sched::makespanCurve(enc.taskGraph);
 }
 
 } // namespace
@@ -245,8 +248,8 @@ Orchestrator::captureTrace(const JobSpec &spec,
         trace::MuxSink mux{&file, &sim};
         std::shared_ptr<const video::Video> clip = acquireClip(spec);
         encoderRuns_.fetch_add(1, std::memory_order_relaxed);
-        enc = encoder.encode(*clip, params, core::tracingConfig(scale), false,
-                             &mux);
+        enc = encoder.encode(*clip, params, core::tracingConfig(scale),
+                             /*build_tasks=*/true, &mux);
         clip.reset();
         releaseClip(spec);
     });

@@ -44,14 +44,24 @@ specToJson(const JobSpec &spec)
     return obj;
 }
 
-/** Append every field of @p s to @p obj, in the struct's list order. */
+/** Append every field of @p s to @p obj, in the struct's list order:
+ *  a number, or an array of numbers for a list. */
 template <class T>
 void
 fieldsToJson(const T &s, JsonValue &obj)
 {
     T::forEachField(
         [&](const char *name, const auto &v) {
-            obj.set(name, JsonValue::number(v));
+            if constexpr (std::is_same_v<std::remove_cvref_t<decltype(v)>,
+                                         std::vector<uint64_t>>) {
+                JsonValue array = JsonValue::array();
+                for (uint64_t item : v) {
+                    array.push(JsonValue::number(item));
+                }
+                obj.set(name, std::move(array));
+            } else {
+                obj.set(name, JsonValue::number(v));
+            }
         },
         s);
 }
@@ -64,11 +74,15 @@ fieldsFromJson(const JsonValue &obj)
     T s;
     T::forEachField(
         [&](const char *name, auto &v) {
-            if constexpr (std::is_same_v<std::remove_cvref_t<decltype(v)>,
-                                         double>) {
+            using V = std::remove_cvref_t<decltype(v)>;
+            if constexpr (std::is_same_v<V, double>) {
                 v = obj.at(name).asDouble();
-            } else {
+            } else if constexpr (std::is_same_v<V, uint64_t>) {
                 v = obj.at(name).asU64();
+            } else {
+                for (const JsonValue &item : obj.at(name).items()) {
+                    v.push_back(item.asU64());
+                }
             }
         },
         s);

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "lab/jobspec.hpp"
 #include "lab/progress.hpp"
@@ -34,12 +35,19 @@ struct EncodeSummary {
     double psnrDb = 0.0;
     /** Ops cut by the probe cap; benches warn when non-zero. */
     uint64_t droppedOps = 0;
+    /**
+     * The encode's task-graph makespans on 1 … min(T, 64) cores
+     * (sched::makespanCurve; read with sched::makespanAt, which answers
+     * every core count past T from the last entry).
+     */
+    std::vector<uint64_t> makespans;
 
     /**
      * The one list of fields, in the record's order and spelling:
      * calls f(name, s.field...) once per field, passing that field of
      * every EncodeSummary in @p s (const or mutable). The field types
-     * differ (double or uint64_t), so @p f is generic.
+     * differ (double, uint64_t or a list of uint64_t), so @p f is
+     * generic.
      */
     template <class F, class... S>
     static void
@@ -50,13 +58,15 @@ struct EncodeSummary {
         f("bitrateKbps", s.bitrateKbps...);
         f("psnrDb", s.psnrDb...);
         f("droppedOps", s.droppedOps...);
+        f("makespans", s.makespans...);
     }
 
     bool operator==(const EncodeSummary &) const = default;
 };
 
 // A field added to EncodeSummary but not to forEachField fails here.
-static_assert(sizeof(EncodeSummary) == 5 * sizeof(uint64_t),
+static_assert(sizeof(EncodeSummary) ==
+                  5 * sizeof(uint64_t) + sizeof(std::vector<uint64_t>),
               "EncodeSummary::forEachField must list every field");
 
 class JsonValue;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <queue>
 #include <stdexcept>
+#include <string>
 
 namespace vepro::sched
 {
@@ -108,6 +109,33 @@ schedule(const TaskGraph &graph, int cores)
             : static_cast<double>(busy) /
                   (static_cast<double>(result.makespan) * cores);
     return result;
+}
+
+std::vector<uint64_t>
+makespanCurve(const TaskGraph &graph)
+{
+    const int cores = static_cast<int>(std::min(
+        graph.size(), static_cast<size_t>(kMaxCurveCores)));
+    std::vector<uint64_t> curve;
+    curve.reserve(static_cast<size_t>(cores));
+    for (int k = 1; k <= cores; ++k) {
+        curve.push_back(schedule(graph, k).makespan);
+    }
+    return curve;
+}
+
+uint64_t
+makespanAt(const std::vector<uint64_t> &curve, int cores)
+{
+    if (curve.empty() || cores < 1 ||
+        (cores > kMaxCurveCores &&
+         curve.size() == static_cast<size_t>(kMaxCurveCores))) {
+        throw std::out_of_range("sched: no exact makespan on " +
+                                std::to_string(cores) + " cores in a " +
+                                std::to_string(curve.size()) +
+                                "-entry curve");
+    }
+    return curve[std::min(static_cast<size_t>(cores), curve.size()) - 1];
 }
 
 } // namespace vepro::sched

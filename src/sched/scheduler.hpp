@@ -52,6 +52,26 @@ struct ScheduleResult {
  */
 ScheduleResult schedule(const TaskGraph &graph, int cores);
 
+/** The most core counts a makespan curve lists. */
+constexpr int kMaxCurveCores = 64;
+
+/**
+ * The graph's makespan curve: entry k-1 is schedule(graph, k).makespan
+ * for k = 1 … min(T, kMaxCurveCores), T being the task count. With
+ * k >= T cores every task starts at its ready time, so makespan(k) =
+ * makespan(T) and the curve can stop at T.
+ */
+std::vector<uint64_t> makespanCurve(const TaskGraph &graph);
+
+/**
+ * makespan(@p cores) read off a makespanCurve: entry cores-1, or the
+ * last entry past a curve shorter than kMaxCurveCores (it stopped at
+ * T). @throws std::out_of_range when the curve cannot answer exactly:
+ * it is empty, @p cores < 1, or @p cores is past a full curve, whose
+ * graph may hold more than kMaxCurveCores tasks.
+ */
+uint64_t makespanAt(const std::vector<uint64_t> &curve, int cores);
+
 } // namespace vepro::sched
 
 #endif // VEPRO_SCHED_SCHEDULER_HPP

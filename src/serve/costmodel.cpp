@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "backend/profile.hpp"
-#include "encoders/registry.hpp"
 #include "sched/scheduler.hpp"
 #include "serve/traffic.hpp"
 #include "video/scale.hpp"
@@ -51,6 +50,12 @@ CostModel::comboKey(const std::string &backend, const std::string &clip,
 {
     return backend + "|" + clip + "|" + std::to_string(crf) + "|" +
            std::to_string(preset);
+}
+
+std::string
+CostModel::speedupKey(int preset, int cores)
+{
+    return std::to_string(preset) + "|" + std::to_string(cores);
 }
 
 double
@@ -110,45 +115,6 @@ CostModel::resolveOn(const std::vector<std::string> &backends,
                      const std::vector<std::string> &clips,
                      const std::vector<int> &crfs)
 {
-    // Per-preset parallel speedup from the encoder's own task graph:
-    // one cheap instrumented encode per rung (graph only, no trace),
-    // list-scheduled at 1 and at the backend's core count. The graph
-    // depends only on the preset, so the probe is shared across
-    // backends with equal core counts. Deterministic, so it never
-    // perturbs the SLA or fleet tables across runs.
-    const auto model = encoders::encoderByName(config_.encoder);
-    for (const std::string &name : backends) {
-        const backend::MachineProfile &prof = backend::resolveProfile(name);
-        if (prof.kind != backend::Kind::Core) {
-            continue;
-        }
-        const int cores = effectiveCores(name);
-        for (int preset : config_.presets) {
-            const std::string skey =
-                std::to_string(preset) + "|" + std::to_string(cores);
-            if (speedups_.count(skey) != 0) {
-                continue;
-            }
-            const video::SuiteScale scale{config_.divisor, config_.frames};
-            // The probe only needs a task graph; the rung suffix (if
-            // any) does not change its shape, so strip it.
-            const video::Video clip = video::loadSuiteVideo(
-                parseRungId(clips.front()).clip, scale);
-            encoders::EncodeParams params;
-            params.crf = crfs.front();
-            params.preset = preset;
-            trace::ProbeConfig probe;  // Mix counters only: cheapest run.
-            const encoders::EncodeResult enc =
-                model->encode(clip, params, probe, /*build_tasks=*/true);
-            const sched::ScheduleResult serial =
-                sched::schedule(enc.taskGraph, 1);
-            const sched::ScheduleResult wide =
-                sched::schedule(enc.taskGraph, cores);
-            double up = wide.speedupVs(serial.makespan);
-            speedups_[skey] = up > 1.0 ? up : 1.0;
-        }
-    }
-
     // Cost specs are one closed batch on the orchestrator: requested
     // here, resolved by one run() — cache-first against the store,
     // parallel across its workers. Duplicate combos dedupe to the same
@@ -189,7 +155,42 @@ CostModel::resolveOn(const std::vector<std::string> &backends,
             }
         }
     }
+    // Per-preset parallel speedup from the makespans in the record of
+    // the first clip, rung suffix stripped, at the first CRF. Without a
+    // suffix that spec is one of the cost specs and dedupes; with one
+    // it is requested on top.
+    const std::string graph_clip = parseRungId(clips.front()).clip;
+    std::vector<Pending> graphs;
+    for (const std::string &name : backends) {
+        const backend::MachineProfile &prof = backend::resolveProfile(name);
+        if (prof.kind != backend::Kind::Core) {
+            continue;
+        }
+        for (int preset : config_.presets) {
+            if (speedups_.count(speedupKey(preset, effectiveCores(name)))) {
+                continue;
+            }
+            lab::JobSpec spec = specFor(graph_clip, crfs.front(), preset);
+            spec.backend = prof.name;
+            graphs.push_back(
+                {comboKey(prof.name, graph_clip, crfs.front(), preset),
+                 prof.name, preset, orch_.request(spec)});
+        }
+    }
     orch_.run();
+    for (const Pending &p : graphs) {
+        const std::vector<uint64_t> &makespans =
+            orch_.result(p.handle).encode.makespans;
+        if (makespans.empty()) {
+            throw std::runtime_error("serve: degenerate cost record for " +
+                                     p.key);
+        }
+        const int cores = effectiveCores(p.backend);
+        sched::ScheduleResult wide;
+        wide.makespan = sched::makespanAt(makespans, cores);
+        const double up = wide.speedupVs(sched::makespanAt(makespans, 1));
+        speedups_.emplace(speedupKey(p.preset, cores), up > 1.0 ? up : 1.0);
+    }
     for (const Pending &p : pending) {
         const lab::JobResult &result = orch_.result(p.handle);
         const double ipc = result.core.ipc();
@@ -206,10 +207,9 @@ CostModel::resolveOn(const std::vector<std::string> &backends,
             static_cast<double>(result.encode.instructions) * scale;
         const double single_core =
             full_instructions / (ipc * effectiveGhz(p.backend) * 1e9);
-        const std::string skey = std::to_string(p.preset) + "|" +
-                                 std::to_string(effectiveCores(p.backend));
+        const int cores = effectiveCores(p.backend);
         Cost c;
-        c.seconds = single_core / speedups_.at(skey);
+        c.seconds = single_core / speedups_.at(speedupKey(p.preset, cores));
 
         // Energy, in the order documented in the header: per-event
         // dynamic nanojoules scaled to the full clip, plus static watts
@@ -273,10 +273,10 @@ CostModel::presetLadder() const
 double
 CostModel::speedup(int preset) const
 {
-    const auto it = speedups_.find(std::to_string(preset) + "|" +
-                                   std::to_string(effectiveCores(primary_)));
+    const auto it =
+        speedups_.find(speedupKey(preset, effectiveCores(primary_)));
     if (it == speedups_.end()) {
-        throw std::out_of_range("serve: no speedup probe for preset " +
+        throw std::out_of_range("serve: no speedup for preset " +
                                 std::to_string(preset));
     }
     return it->second;

@@ -35,13 +35,14 @@
  * the full-size clip, retired at the simulated core's IPC — the
  * paper's framing that encode-time differences are instruction-count
  * differences, not IPC differences. Farm servers are multi-core, so
- * the single-core time is divided by a per-preset parallel speedup
- * obtained from the encoder's own task graph run through the
- * sched::schedule list scheduler at the backend's core count. Note
- * that the graph comes from the first clip encoded at the cost scale:
- * at the defaults (divisor 16, 2 frames) it has 6 tasks, whose 8-core
- * schedule equals the serial one, so the speedup is 1.0 at every
- * preset and every service time is a one-core time (DESIGN.md §14).
+ * the single-core time is divided by a per-preset parallel speedup,
+ * makespan(1) / makespan(cores), read from the task-graph makespans
+ * in the record of the first clip (rung suffix stripped) at the first
+ * CRF — one of the cost specs, so a warm resolve is store reads only.
+ * Note that this graph is the cost scale's: at the defaults (divisor
+ * 16, 2 frames) it has 6 tasks, whose 8-core schedule equals the
+ * serial one, so the speedup is 1.0 at every preset and every service
+ * time is a one-core time (DESIGN.md §14).
  *
  * Fixed-function backends (profile Kind::Fixed, e.g. "hw-enc") bypass
  * the core model entirely: service time is priced analytically from
@@ -110,8 +111,11 @@ class CostModel final : public FleetCostOracle
     /**
      * Resolve every (clip, crf, ladder-preset) combo on the primary
      * backend: request the specs, run() them, memoise service seconds
-     * and energy. Also runs the per-preset task-graph speedup probes.
-     * Idempotent per combo.
+     * and energy, and the per-preset speedups read from the records'
+     * makespans. Idempotent per combo. @throws std::runtime_error on a
+     * record without instructions, IPC or makespans, and
+     * std::out_of_range when the makespans cannot answer the server's
+     * core count exactly (sched::makespanAt).
      */
     void resolve(const std::vector<std::string> &clips,
                  const std::vector<int> &crfs);
@@ -158,6 +162,9 @@ class CostModel final : public FleetCostOracle
     static std::string comboKey(const std::string &backend,
                                 const std::string &clip, int crf,
                                 int preset);
+    /** "preset|cores": the task graph depends on the preset and the
+     *  schedule on the core count, never on the core geometry. */
+    static std::string speedupKey(int preset, int cores);
 
     /** Effective clock for a profile: explicit override wins. */
     double effectiveGhz(const std::string &backend) const;
@@ -172,8 +179,7 @@ class CostModel final : public FleetCostOracle
     CostModelConfig config_;
     std::string primary_;
     std::unordered_map<std::string, Cost> costs_;
-    /** Keyed "preset|cores": the task graph depends on the preset and
-     *  the schedule on the core count, never on the core geometry. */
+    /** Keyed by speedupKey. */
     std::unordered_map<std::string, double> speedups_;
 };
 

@@ -124,12 +124,14 @@ struct Group {
  * group whose earliest server frees first, ties to the earlier group,
  * and the oldest admitted job: with one latency target for every job,
  * EDF order (deadline, then arrival) over sorted arrivals is arrival
- * order, so the queue is a FIFO.
+ * order, so the queue is a FIFO. Per-job outcomes are written only
+ * when @p outcomes is not null.
  */
 FarmResult
 runFarm(const ArrivalSet &set, const FarmConfig &config,
         const Policy &policy, const CostOracle &cost,
-        const std::vector<ServerGroup> &pool, const FleetCostOracle *fleet)
+        const std::vector<ServerGroup> &pool, const FleetCostOracle *fleet,
+        std::vector<JobOutcome> *outcomes)
 {
     const std::vector<UploadJob> &arrivals = set.jobs();
     std::vector<Group> groups;
@@ -163,7 +165,10 @@ runFarm(const ArrivalSet &set, const FarmConfig &config,
     FarmResult out;
     out.sla.policy = policy.name();
     out.sla.offered = arrivals.size();
-    out.outcomes.reserve(arrivals.size());
+    if (outcomes != nullptr) {
+        outcomes->clear();
+        outcomes->reserve(arrivals.size());
+    }
 
     std::vector<size_t> fifo;  // Admitted arrivals; [head, end) wait.
     fifo.reserve(arrivals.size());
@@ -180,10 +185,12 @@ runFarm(const ArrivalSet &set, const FarmConfig &config,
         const UploadJob &job = arrivals[job_index];
         if (config.admissionLimit != 0 &&
             fifo.size() - head >= config.admissionLimit) {
-            JobOutcome &reject = out.outcomes.emplace_back();
-            reject.id = job.id;
-            reject.arrivalSec = job.arrivalSec;
-            reject.rejected = true;
+            if (outcomes != nullptr) {
+                JobOutcome &reject = outcomes->emplace_back();
+                reject.id = job.id;
+                reject.arrivalSec = job.arrivalSec;
+                reject.rejected = true;
+            }
             ++out.sla.rejected;
             return;
         }
@@ -226,18 +233,20 @@ runFarm(const ArrivalSet &set, const FarmConfig &config,
         const double service = seconds[rung];
         const double end = start + service;
         group.free.replaceEarliest(end);
-
-        JobOutcome &done = out.outcomes.emplace_back();
-        done.id = job.id;
-        done.arrivalSec = job.arrivalSec;
-        done.preset = preset;
-        done.startSec = start;
-        done.endSec = end;
-        done.missedDeadline = end > deadline;
-        done.backend = group.backend;
+        const bool missed = end > deadline;
+        if (outcomes != nullptr) {
+            JobOutcome &done = outcomes->emplace_back();
+            done.id = job.id;
+            done.arrivalSec = job.arrivalSec;
+            done.preset = preset;
+            done.startSec = start;
+            done.endSec = end;
+            done.missedDeadline = missed;
+            done.backend = group.backend;
+        }
 
         ++out.sla.completed;
-        if (done.missedDeadline) {
+        if (missed) {
             ++out.sla.deadlineMisses;
         }
         if (prev_preset >= 0 && preset != prev_preset) {
@@ -297,18 +306,20 @@ ArrivalSet::ArrivalSet(const std::vector<UploadJob> &arrivals)
 
 FarmResult
 simulateFarm(const ArrivalSet &arrivals, const FarmConfig &config,
-             const Policy &policy, const CostOracle &cost)
+             const Policy &policy, const CostOracle &cost,
+             std::vector<JobOutcome> *outcomes)
 {
     return runFarm(arrivals, config, policy, cost, {{"", config.servers}},
-                   nullptr);
+                   nullptr, outcomes);
 }
 
 FarmResult
 simulateFarm(const ArrivalSet &arrivals, const FarmConfig &config,
              const Policy &policy, const FleetCostOracle &cost,
-             const std::vector<ServerGroup> &pool)
+             const std::vector<ServerGroup> &pool,
+             std::vector<JobOutcome> *outcomes)
 {
-    return runFarm(arrivals, config, policy, cost, pool, &cost);
+    return runFarm(arrivals, config, policy, cost, pool, &cost, outcomes);
 }
 
 core::Table

@@ -74,7 +74,8 @@ struct ServerGroup {
 };
 
 /** Per-job outcome, in dispatch order (rejected jobs in arrival order
- *  at the point of rejection). Exposed for tests and tooling. */
+ *  at the point of rejection). Written only when a simulateFarm caller
+ *  passes a vector for them (tests and vepro-check do; sweeps do not). */
 struct JobOutcome {
     size_t id = 0;
     double arrivalSec = 0.0;
@@ -105,7 +106,6 @@ struct SlaReport {
 
 struct FarmResult {
     SlaReport sla;
-    std::vector<JobOutcome> outcomes;
     /** Modelled energy over all completed jobs (heterogeneous overload
      *  only — the plain CostOracle has no energy channel). */
     double energyJoules = 0.0;
@@ -153,10 +153,13 @@ class ArrivalSet
  * when an unsorted vector is passed (as it converts to an ArrivalSet).
  * The config.servers
  * identical servers are one group (see below) whose cost table comes
- * from @p cost directly: no backend, no energy.
+ * from @p cost directly: no backend, no energy. A non-null @p outcomes
+ * is replaced with every job's JobOutcome; the result is the same
+ * either way.
  */
 FarmResult simulateFarm(const ArrivalSet &arrivals, const FarmConfig &config,
-                        const Policy &policy, const CostOracle &cost);
+                        const Policy &policy, const CostOracle &cost,
+                        std::vector<JobOutcome> *outcomes = nullptr);
 
 /**
  * Heterogeneous overload: the pool is @p pool's groups, in order
@@ -168,11 +171,13 @@ FarmResult simulateFarm(const ArrivalSet &arrivals, const FarmConfig &config,
  * dispatching the job. A dispatch goes to the group whose earliest
  * server frees first; ties break toward the earlier group —
  * deterministic, like everything else here. Both overloads run the
- * same event loop and throw the same errors.
+ * same event loop, throw the same errors and fill @p outcomes the same
+ * way.
  */
 FarmResult simulateFarm(const ArrivalSet &arrivals, const FarmConfig &config,
                         const Policy &policy, const FleetCostOracle &cost,
-                        const std::vector<ServerGroup> &pool);
+                        const std::vector<ServerGroup> &pool,
+                        std::vector<JobOutcome> *outcomes = nullptr);
 
 /**
  * Render per-policy reports as the SLA table (markdown/JSON via

@@ -76,7 +76,8 @@ main(int argc, char **argv)
             run.sweep.table.print(
                 "Fleet economics per backend mix and preset regime");
             std::cout << run.sweep.verdict << "\n";
-            std::cout << "orchestrator: " << orch.summaryLine() << "\n";
+            std::cout << "orchestrator: " << orch.summaryLine() << "\n"
+                      << "orchestrator: " << orch.traceLine() << "\n";
             if (!cli.jsonPath.empty() &&
                 !writeFile(cli.jsonPath, run.sweep.table.toJson())) {
                 return 1;
@@ -98,7 +99,8 @@ main(int argc, char **argv)
         std::cout << "traffic: " << run.arrivals.size() << " uploads over "
                   << scenario.traffic.durationSec << " s\n";
         run.table.print("SLA outcomes per scheduling policy");
-        std::cout << "orchestrator: " << orch.summaryLine() << "\n";
+        std::cout << "orchestrator: " << orch.summaryLine() << "\n"
+                  << "orchestrator: " << orch.traceLine() << "\n";
         if (!cli.jsonPath.empty() &&
             !writeFile(cli.jsonPath, run.table.toJson())) {
             return 1;

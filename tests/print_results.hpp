@@ -9,13 +9,33 @@
  * forEachField lists.
  */
 
+#include <cstdint>
 #include <ostream>
+#include <vector>
 
 #include "lab/store.hpp"
 #include "uarch/core.hpp"
 
 namespace vepro::test
 {
+
+template <class V>
+void
+printField(const V &v, std::ostream *os)
+{
+    *os << v;
+}
+
+inline void
+printField(const std::vector<uint64_t> &list, std::ostream *os)
+{
+    const char *sep = "[";
+    for (uint64_t v : list) {
+        *os << sep << v;
+        sep = ", ";
+    }
+    *os << (list.empty() ? "[]" : "]");
+}
 
 template <class T>
 void
@@ -25,7 +45,8 @@ printFields(const T &s, std::ostream *os)
     const char *sep = "{";
     T::forEachField(
         [&](const char *name, const auto &v) {
-            *os << sep << name << '=' << v;
+            *os << sep << name << '=';
+            printField(v, os);
             sep = ", ";
         },
         s);

@@ -17,6 +17,8 @@
 #include <regex>
 #include <sstream>
 #include <thread>
+#include <type_traits>
+#include <vector>
 
 #include "core/fnv.hpp"
 #include "encoders/registry.hpp"
@@ -90,6 +92,7 @@ makeResult(int crf)
     r.core.l2Misses = 40;
     r.core.llcMisses = 50;
     r.core.invalidations = 60;
+    r.encode.makespans = {3'000'030, 1'800'000, 1'600'000};
     r.jobSeconds = 2.5;
     return r;
 }
@@ -251,7 +254,7 @@ TEST(JobSpecHash, OneFnv1a64PinsEveryKey)
     EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
     EXPECT_EQ(core::fnv1a64("b", core::fnv1a64("a")), fnv1a64("ab"));
     EXPECT_EQ(trace::sitePc("vepro.default"), 0x211ea5ba5000ULL);
-    EXPECT_EQ(makeSpec().hashHex(), "3cddfef27a503b30");
+    EXPECT_EQ(makeSpec().hashHex(), "f1c25ceabf2a0ded");
 }
 
 TEST(Json, U64RoundTripsExactly)
@@ -327,7 +330,7 @@ TEST(Store, RecordBytesArePinned)
     std::ostringstream bytes;
     bytes << in.rdbuf();
     EXPECT_EQ(bytes.str(), R"({
-  "schema": 2,
+  "schema": 3,
   "key": "encoder=SVT-AV1;video=game1;crf=30;preset=4;threads=1;divisor=8;frames=6;maxTraceOps=1200000",
   "spec": {
     "encoder": "SVT-AV1",
@@ -345,6 +348,11 @@ TEST(Store, RecordBytesArePinned)
     "bitrateKbps": 431.0625,
     "psnrDb": 38.875,
     "droppedOps": 7,
+    "makespans": [
+      3000030,
+      1800000,
+      1600000
+    ],
     "core": {
       "cycles": 500030,
       "instructions": 1000030,
@@ -373,16 +381,26 @@ TEST(Store, RecordBytesArePinned)
 )");
 }
 
-/** Writing field i as i + 1 through the visitor and reading it back
- *  through the JSON pair yields 5 distinct values under 5 distinct
- *  names: no field is listed twice, none is skipped. */
+/** Writing field i as i + 1 through the visitor (the makespan list as
+ *  the one entry i + 1) and reading it back through the JSON pair
+ *  yields 6 distinct values under 6 distinct names: no field is listed
+ *  twice, none is skipped. */
 TEST(Store, SummaryVisitorReachesEveryFieldOnce)
 {
+    using List = std::vector<uint64_t>;
     EncodeSummary s;
     int next = 0;
-    EncodeSummary::forEachField([&](const char *, auto &v) { v = ++next; },
-                                s);
-    ASSERT_EQ(next, 5);
+    EncodeSummary::forEachField(
+        [&](const char *, auto &v) {
+            if constexpr (std::is_same_v<std::remove_cvref_t<decltype(v)>,
+                                         List>) {
+                v.assign(1, static_cast<uint64_t>(++next));
+            } else {
+                v = ++next;
+            }
+        },
+        s);
+    ASSERT_EQ(next, 6);
 
     JsonValue obj = JsonValue::object();
     summaryToJson(s, obj);
@@ -390,8 +408,16 @@ TEST(Store, SummaryVisitorReachesEveryFieldOnce)
     int i = 0;
     EncodeSummary::forEachField(
         [&](const char *name, const auto &v) {
-            EXPECT_EQ(static_cast<int>(v), ++i) << name;
-            EXPECT_EQ(obj.at(name).asDouble(), i) << name;
+            ++i;
+            if constexpr (std::is_same_v<std::remove_cvref_t<decltype(v)>,
+                                         List>) {
+                EXPECT_EQ(v, List{static_cast<uint64_t>(i)}) << name;
+                ASSERT_EQ(obj.at(name).items().size(), 1u) << name;
+                EXPECT_EQ(obj.at(name).items()[0].asDouble(), i) << name;
+            } else {
+                EXPECT_EQ(static_cast<int>(v), i) << name;
+                EXPECT_EQ(obj.at(name).asDouble(), i) << name;
+            }
             names.emplace_back(name);
         },
         s);
@@ -962,14 +988,20 @@ TEST(TraceCacheE2E, SecondBackendReplaysWithoutRunningTheEncoder)
 }
 
 /** A capture's metadata is the trace key, then the encode summary in
- *  the record's field order, and it reads back as the live result. */
+ *  the record's field order, and it reads back as the live result. A
+ *  replay of the capture and a --no-cache direct run of the same spec
+ *  carry the capture's makespans. */
 TEST(TraceCacheE2E, CaptureMetadataListsKeyThenSummaryFields)
 {
     const std::string dir = freshDir("tmeta");
-    Orchestrator orch(realRunnerOptions(dir));
-    const size_t h = orch.request(quickSpec());
-    orch.run();
-    ASSERT_EQ(orch.traceCaptures(), 1u);
+    EncodeSummary captured;
+    {
+        Orchestrator orch(realRunnerOptions(dir));
+        const size_t h = orch.request(quickSpec());
+        orch.run();
+        ASSERT_EQ(orch.traceCaptures(), 1u);
+        captured = orch.result(h).encode;
+    }
 
     const trace::TraceFileInfo info = trace::FileSource::inspect(
         dir + "/traces/" + quickSpec().traceHashHex() + ".vetf");
@@ -977,11 +1009,31 @@ TEST(TraceCacheE2E, CaptureMetadataListsKeyThenSummaryFields)
         info.metadata,
         std::regex(R"(\{"traceKey":"[^"]*","wallSeconds":[^,]+,)"
                    R"("instructions":[0-9]+,"bitrateKbps":[^,]+,)"
-                   R"("psnrDb":[^,]+,"droppedOps":[0-9]+\})")))
+                   R"("psnrDb":[^,]+,"droppedOps":[0-9]+,)"
+                   R"("makespans":\[[0-9]+(,[0-9]+)*\]\})")))
         << info.metadata;
     const JsonValue meta = JsonValue::parse(info.metadata);
     EXPECT_EQ(meta.at("traceKey").asString(), quickSpec().traceKey());
-    EXPECT_EQ(summaryFromJson(meta), orch.result(h).encode);
+    EXPECT_EQ(summaryFromJson(meta), captured);
+
+    JobSpec arm = quickSpec();
+    arm.backend = "graviton-like";
+    Orchestrator replay(realRunnerOptions(dir));
+    const size_t replayed = replay.request(arm);
+    replay.run();
+    ASSERT_EQ(replay.traceReplays(), 1u);
+
+    OrchestratorOptions direct_opts =
+        realRunnerOptions(freshDir("tmeta_direct"));
+    direct_opts.useCache = false;
+    Orchestrator direct(direct_opts);
+    const size_t live = direct.request(quickSpec());
+    direct.run();
+    ASSERT_EQ(direct.encoderRuns(), 1u);
+
+    ASSERT_FALSE(captured.makespans.empty());
+    EXPECT_EQ(replay.result(replayed).encode.makespans, captured.makespans);
+    EXPECT_EQ(direct.result(live).encode.makespans, captured.makespans);
 }
 
 TEST(TraceCacheE2E, SameSpecWarmRunShortCircuitsAtTheResultStore)

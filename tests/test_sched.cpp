@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <vector>
+
 #include "sched/scheduler.hpp"
 #include "sched/taskgraph.hpp"
 
@@ -197,6 +201,56 @@ TEST(Schedule, ManyCoresBoundedByCriticalPath)
     ScheduleResult r = schedule(g, 16);
     EXPECT_EQ(r.makespan, g.criticalPath());
     EXPECT_EQ(r.makespan, 50u);
+}
+
+/** A graph of @p tasks with mixed weights and fan-in: a wavefront-ish
+ *  shape whose schedule keeps changing until the core count reaches
+ *  the task count. */
+TaskGraph
+mixedGraph(int tasks)
+{
+    TaskGraph g;
+    for (int i = 0; i < tasks; ++i) {
+        std::vector<int> deps;
+        if (i >= 3) {
+            deps = {i - 3, i / 2};
+        }
+        std::sort(deps.begin(), deps.end());
+        deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
+        g.addTask(task(1 + static_cast<uint64_t>(i * 7919 % 13), deps));
+    }
+    return g;
+}
+
+/** The curve lists schedule() on 1 … min(T, 64) cores, and past T
+ *  cores every schedule's makespan is makespan(T): the reader answers
+ *  those exactly from the last entry. */
+TEST(MakespanCurve, ListsEveryCoreCountUpToTheTaskCount)
+{
+    for (int tasks : {1, 6, 48, 64, 90}) {
+        const TaskGraph g = mixedGraph(tasks);
+        const std::vector<uint64_t> curve = makespanCurve(g);
+        ASSERT_EQ(curve.size(),
+                  static_cast<size_t>(std::min(tasks, kMaxCurveCores)));
+        for (int k = 1; k <= 70; ++k) {
+            if (k > kMaxCurveCores && tasks >= kMaxCurveCores) {
+                EXPECT_THROW(makespanAt(curve, k), std::out_of_range)
+                    << tasks << " tasks, " << k << " cores";
+                continue;
+            }
+            EXPECT_EQ(makespanAt(curve, k), schedule(g, k).makespan)
+                << tasks << " tasks, " << k << " cores";
+        }
+        EXPECT_EQ(curve.front(), g.totalWeight());
+    }
+}
+
+TEST(MakespanCurve, ReaderRefusesWhatItCannotAnswer)
+{
+    EXPECT_TRUE(makespanCurve(TaskGraph{}).empty());
+    EXPECT_THROW(makespanAt({}, 1), std::out_of_range);
+    EXPECT_THROW(makespanAt({5, 3}, 0), std::out_of_range);
+    EXPECT_EQ(makespanAt({5, 3}, 1000), 3u);
 }
 
 } // namespace

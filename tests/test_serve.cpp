@@ -23,7 +23,9 @@
 
 #include "backend/profile.hpp"
 #include "check/oracle.hpp"
+#include "encoders/registry.hpp"
 #include "lab/orchestrator.hpp"
+#include "sched/scheduler.hpp"
 #include "serve/cli.hpp"
 #include "serve/costmodel.hpp"
 #include "serve/farm.hpp"
@@ -31,6 +33,7 @@
 #include "serve/policy.hpp"
 #include "serve/scenario.hpp"
 #include "serve/traffic.hpp"
+#include "video/suite.hpp"
 
 namespace vepro::serve
 {
@@ -284,25 +287,24 @@ TEST(Farm, DispatchOrderIsDeterministicAndShardCountInvariant)
         config.latencyTargetSec = 10.0;
 
         config.shards = 1;
-        const FarmResult one = simulateFarm(arrivals, config, policy, oracle);
+        std::vector<JobOutcome> one;
+        simulateFarm(arrivals, config, policy, oracle, &one);
         for (int shards : {2, 5}) {
             config.shards = shards;
-            const FarmResult many =
-                simulateFarm(arrivals, config, policy, oracle);
-            ASSERT_EQ(one.outcomes.size(), many.outcomes.size());
-            for (size_t i = 0; i < one.outcomes.size(); ++i) {
-                EXPECT_EQ(one.outcomes[i].id, many.outcomes[i].id);
-                EXPECT_DOUBLE_EQ(one.outcomes[i].startSec,
-                                 many.outcomes[i].startSec);
-                EXPECT_DOUBLE_EQ(one.outcomes[i].endSec,
-                                 many.outcomes[i].endSec);
+            std::vector<JobOutcome> many;
+            simulateFarm(arrivals, config, policy, oracle, &many);
+            ASSERT_EQ(one.size(), many.size());
+            for (size_t i = 0; i < one.size(); ++i) {
+                EXPECT_EQ(one[i].id, many[i].id);
+                EXPECT_DOUBLE_EQ(one[i].startSec, many[i].startSec);
+                EXPECT_DOUBLE_EQ(one[i].endSec, many[i].endSec);
             }
         }
         // EDF with a uniform latency target dispatches in deadline ==
         // arrival order.
-        ASSERT_EQ(one.outcomes.size(), arrivals.size());
-        for (size_t i = 1; i < one.outcomes.size(); ++i) {
-            EXPECT_LT(one.outcomes[i - 1].id, one.outcomes[i].id);
+        ASSERT_EQ(one.size(), arrivals.size());
+        for (size_t i = 1; i < one.size(); ++i) {
+            EXPECT_LT(one[i - 1].id, one[i].id);
         }
     }
 }
@@ -351,12 +353,14 @@ TEST(Farm, AdmissionControlRejectsWhenTheQueueIsFull)
     config.admissionLimit = 3;
     config.latencyTargetSec = 50.0;
 
-    const FarmResult r = simulateFarm(arrivals, config, policy, oracle);
+    std::vector<JobOutcome> outcomes;
+    const FarmResult r =
+        simulateFarm(arrivals, config, policy, oracle, &outcomes);
     EXPECT_EQ(r.sla.offered, 12u);
     EXPECT_EQ(r.sla.completed + r.sla.rejected, 12u);
     EXPECT_GT(r.sla.rejected, 0u);
     size_t rejected = 0;
-    for (const JobOutcome &o : r.outcomes) {
+    for (const JobOutcome &o : outcomes) {
         rejected += o.rejected ? 1 : 0;
     }
     EXPECT_EQ(rejected, r.sla.rejected);
@@ -408,7 +412,9 @@ TEST(Policy, AdaptiveStrictlyBeatsSlowestStaticUnderOverload)
 
 // ---- Scenario runs through the orchestrator --------------------------
 
-/** Deterministic fake runner: spec-derived numbers, no real encodes. */
+/** Deterministic fake runner: spec-derived numbers, no real encodes.
+ *  Its one-task makespan curve gives a speedup of 1.0 on any core
+ *  count. */
 lab::JobResult
 fakeRun(const lab::JobSpec &spec)
 {
@@ -417,6 +423,7 @@ fakeRun(const lab::JobSpec &spec)
         1'000'000ull * static_cast<uint64_t>(10 - spec.preset) +
         static_cast<uint64_t>(spec.crf) * 1000ull +
         static_cast<uint64_t>(spec.video.size());
+    r.encode.makespans = {r.encode.instructions};
     r.core.instructions = r.encode.instructions;
     r.core.cycles = r.encode.instructions / 2;  // IPC 2.0.
     return r;
@@ -677,13 +684,15 @@ TEST(Farm, HomogeneousMatchesAOneGroupPool)
     };
     std::vector<SlaReport> plain_rows, pool_rows;
     for (const Policy *policy : policies) {
+        std::vector<JobOutcome> plain_jobs, pool_jobs;
         const FarmResult plain =
-            simulateFarm(arrivals, config, *policy, oracle);
-        const FarmResult pool = simulateFarm(
-            arrivals, config, *policy, oracle, {{"slow-iron", 3}});
-        ASSERT_EQ(plain.outcomes.size(), pool.outcomes.size());
-        for (size_t i = 0; i < plain.outcomes.size(); ++i) {
-            EXPECT_EQ(decided(plain.outcomes[i]), decided(pool.outcomes[i]))
+            simulateFarm(arrivals, config, *policy, oracle, &plain_jobs);
+        const FarmResult pool =
+            simulateFarm(arrivals, config, *policy, oracle,
+                         {{"slow-iron", 3}}, &pool_jobs);
+        ASSERT_EQ(plain_jobs.size(), pool_jobs.size());
+        for (size_t i = 0; i < plain_jobs.size(); ++i) {
+            EXPECT_EQ(decided(plain_jobs[i]), decided(pool_jobs[i]))
                 << policy->name() << " outcome " << i;
         }
         EXPECT_EQ(plain.energyJoules, 0.0);
@@ -700,16 +709,23 @@ TEST(Farm, HomogeneousMatchesAOneGroupPool)
     for (const std::string first : {"fast-iron", "slow-iron"}) {
         const std::string second =
             first == "fast-iron" ? "slow-iron" : "fast-iron";
-        const FarmResult r = simulateFarm(arrivals, config, slow, oracle,
-                                          {{first, 2}, {second, 2}});
-        EXPECT_EQ(r.outcomes.at(0).backend, first);
+        std::vector<JobOutcome> jobs;
+        simulateFarm(arrivals, config, slow, oracle,
+                     {{first, 2}, {second, 2}}, &jobs);
+        EXPECT_EQ(jobs.at(0).backend, first);
     }
 }
 
-/** Two farm results agree bit for bit: every outcome, the SLA row,
+/** A farm run's result and the outcomes it wrote. */
+struct FarmRun {
+    FarmResult result;
+    std::vector<JobOutcome> outcomes;
+};
+
+/** Two farm runs agree bit for bit: every outcome, the SLA row,
  *  energy and horizon. Stops at the first outcome that differs. */
 void
-expectSameFarm(const FarmResult &want, const FarmResult &got)
+expectSameFarm(const FarmRun &want, const FarmRun &got)
 {
     const auto outcome = [](const JobOutcome &o) {
         return std::make_tuple(o.id, o.rejected, o.preset,
@@ -723,6 +739,8 @@ expectSameFarm(const FarmResult &want, const FarmResult &got)
         ASSERT_EQ(outcome(want.outcomes[i]), outcome(got.outcomes[i]))
             << "outcome " << i;
     }
+    const FarmResult &w = want.result;
+    const FarmResult &g = got.result;
     const auto row = [](const SlaReport &r) {
         return std::make_tuple(
             r.policy, r.offered, r.completed, r.rejected,
@@ -732,11 +750,11 @@ expectSameFarm(const FarmResult &want, const FarmResult &got)
             std::bit_cast<uint64_t>(r.deadlineMissRate), r.deadlineMisses,
             r.presetSwitches, std::bit_cast<uint64_t>(r.meanServiceSec));
     };
-    EXPECT_EQ(row(want.sla), row(got.sla));
-    EXPECT_EQ(std::bit_cast<uint64_t>(want.energyJoules),
-              std::bit_cast<uint64_t>(got.energyJoules));
-    EXPECT_EQ(std::bit_cast<uint64_t>(want.horizonSec),
-              std::bit_cast<uint64_t>(got.horizonSec));
+    EXPECT_EQ(row(w.sla), row(g.sla));
+    EXPECT_EQ(std::bit_cast<uint64_t>(w.energyJoules),
+              std::bit_cast<uint64_t>(g.energyJoules));
+    EXPECT_EQ(std::bit_cast<uint64_t>(w.horizonSec),
+              std::bit_cast<uint64_t>(g.horizonSec));
 }
 
 /** The farm against check::RefFarm, the sharded-heap loop it replaced,
@@ -760,8 +778,9 @@ TEST(Farm, MatchesRefFarmAtReferenceScale)
     const std::vector<ServerGroup> pool = {
         {"slow-iron", 80}, {"fast-iron", 20}, {"slow-iron", 60}};
 
-    // Each run against the reference, and over the prepared set
-    // against a one-shot call on the vector.
+    // Each run against the reference, over the prepared set against a
+    // one-shot call on the vector, and without an outcome vector (as
+    // sweeps run it) against the run with one.
     const auto run = [&](const FarmConfig &config, bool adaptive,
                          int preset, bool in_pool) {
         SCOPED_TRACE(std::string(adaptive ? "adaptive" : "static-p") +
@@ -773,19 +792,20 @@ TEST(Farm, MatchesRefFarmAtReferenceScale)
         const AdaptivePolicy adapt;
         const Policy &policy =
             adaptive ? static_cast<const Policy &>(adapt) : fixed;
-        FarmResult got;
-        if (in_pool) {
-            got = simulateFarm(set, config, policy, fleet, pool);
-            expectSameFarm(ref.run(arrivals, fleet, pool), got);
-            expectSameFarm(
-                simulateFarm(arrivals, config, policy, fleet, pool), got);
-        } else {
-            got = simulateFarm(set, config, policy, oracle);
-            expectSameFarm(ref.run(arrivals, oracle), got);
-            expectSameFarm(simulateFarm(arrivals, config, policy, oracle),
-                           got);
-        }
-        return got;
+        const auto farm = [&](const ArrivalSet &on,
+                              std::vector<JobOutcome> *jobs) {
+            return in_pool ? simulateFarm(on, config, policy, fleet, pool, jobs)
+                           : simulateFarm(on, config, policy, oracle, jobs);
+        };
+        FarmRun want, got, once;
+        want.result = in_pool ? ref.run(arrivals, fleet, pool, want.outcomes)
+                              : ref.run(arrivals, oracle, want.outcomes);
+        got.result = farm(set, &got.outcomes);
+        once.result = farm(arrivals, &once.outcomes);
+        expectSameFarm(want, got);
+        expectSameFarm(once, got);
+        expectSameFarm({farm(set, nullptr), {}}, {got.result, {}});
+        return got.result;
     };
     for (int preset : oracle.presetLadder()) {
         run(scenario.farm, false, preset, false);
@@ -812,12 +832,14 @@ TEST(FleetFarm, JobsLandOnBothBackendsAndEnergyAccumulates)
 
     const std::vector<ServerGroup> pool = {{"slow-iron", 1},
                                            {"fast-iron", 1}};
-    const FarmResult r = simulateFarm(arrivals, config, policy, oracle, pool);
+    std::vector<JobOutcome> jobs;
+    const FarmResult r =
+        simulateFarm(arrivals, config, policy, oracle, pool, &jobs);
     EXPECT_EQ(r.sla.completed, 40u);
 
     size_t on_slow = 0, on_fast = 0;
     double joules = 0.0;
-    for (const JobOutcome &o : r.outcomes) {
+    for (const JobOutcome &o : jobs) {
         ASSERT_FALSE(o.backend.empty());
         on_slow += o.backend == "slow-iron" ? 1 : 0;
         on_fast += o.backend == "fast-iron" ? 1 : 0;
@@ -831,12 +853,13 @@ TEST(FleetFarm, JobsLandOnBothBackendsAndEnergyAccumulates)
     EXPECT_GT(r.horizonSec, 0.0);
 
     // Determinism: the heterogeneous path replays byte-identically.
+    std::vector<JobOutcome> again_jobs;
     const FarmResult again =
-        simulateFarm(arrivals, config, policy, oracle, pool);
-    ASSERT_EQ(again.outcomes.size(), r.outcomes.size());
-    for (size_t i = 0; i < r.outcomes.size(); ++i) {
-        EXPECT_EQ(again.outcomes[i].backend, r.outcomes[i].backend);
-        EXPECT_DOUBLE_EQ(again.outcomes[i].endSec, r.outcomes[i].endSec);
+        simulateFarm(arrivals, config, policy, oracle, pool, &again_jobs);
+    ASSERT_EQ(again_jobs.size(), jobs.size());
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        EXPECT_EQ(again_jobs[i].backend, jobs[i].backend);
+        EXPECT_DOUBLE_EQ(again_jobs[i].endSec, jobs[i].endSec);
     }
     EXPECT_DOUBLE_EQ(again.energyJoules, r.energyJoules);
 }
@@ -852,10 +875,11 @@ TEST(FleetFarm, AdaptivePolicySeesThePerServerCosts)
     FarmConfig config;
     config.latencyTargetSec = 10.0;
 
-    const FarmResult r = simulateFarm(
-        arrivals, config, policy, oracle,
-        {{"slow-iron", 1}, {"fast-iron", 1}});
-    for (const JobOutcome &o : r.outcomes) {
+    std::vector<JobOutcome> jobs;
+    simulateFarm(arrivals, config, policy, oracle,
+                 {{"slow-iron", 1}, {"fast-iron", 1}}, &jobs);
+    ASSERT_EQ(jobs.size(), arrivals.size());
+    for (const JobOutcome &o : jobs) {
         if (o.backend == "fast-iron") {
             EXPECT_EQ(o.preset, 2) << "fast iron fits the slow rung";
         } else {
@@ -1057,6 +1081,105 @@ TEST(CostModel, ExplicitOverridesSupersedeTheProfile)
     // twice the seconds.
     EXPECT_DOUBLE_EQ(b.serviceSeconds("game1", 32, 8),
                      2.0 * a.serviceSeconds("game1", 32, 8));
+}
+
+/** The speedup is read from the cost records' makespans: records whose
+ *  curve halves from one core to eight give 2.0 on the default 8-core
+ *  profile, and half the one-entry curve's service seconds. */
+TEST(CostModel, SpeedupsComeFromTheRecords)
+{
+    struct Resolved {
+        std::vector<double> speedups;  ///< Per ladder preset.
+        std::vector<double> seconds;   ///< Per (preset, clip, crf).
+    };
+    const CostModelConfig config;
+    const auto resolve = [&](const std::string &name,
+                             const std::vector<uint64_t> &makespans) {
+        lab::OrchestratorOptions opts;
+        opts.storeDir = freshDir(name);
+        opts.verbose = false;
+        opts.runner = [&](const lab::JobSpec &spec) {
+            lab::JobResult r = fakeRun(spec);
+            r.encode.makespans = makespans;
+            return r;
+        };
+        lab::Orchestrator orch(opts);
+        CostModel cost(orch, config);
+        cost.resolve({"game1", "house"}, {32, 45});
+        // The speedup specs are cost specs: nothing beyond them runs.
+        EXPECT_EQ(orch.computed(), 16u);
+        Resolved out;
+        for (int preset : config.presets) {
+            out.speedups.push_back(cost.speedup(preset));
+            for (const char *clip : {"game1", "house"}) {
+                for (int crf : {32, 45}) {
+                    out.seconds.push_back(
+                        cost.serviceSeconds(clip, crf, preset));
+                }
+            }
+        }
+        return out;
+    };
+    const Resolved one = resolve("speedup_one", {1000});
+    const Resolved halved =
+        resolve("speedup_halved", {16, 14, 12, 10, 9, 8, 8, 8});
+    EXPECT_EQ(one.speedups, std::vector<double>(4, 1.0));
+    EXPECT_EQ(halved.speedups, std::vector<double>(4, 2.0));
+    ASSERT_EQ(one.seconds.size(), halved.seconds.size());
+    for (size_t i = 0; i < one.seconds.size(); ++i) {
+        EXPECT_EQ(2.0 * halved.seconds[i], one.seconds[i]) << "combo " << i;
+    }
+}
+
+/** The record's makespans give each preset the speedup the task graph
+ *  of a mix-only encode of the first clip gives when list-scheduled
+ *  directly, on both core profiles, at core counts below, at and past
+ *  the graph's task count, at the default scale (6 tasks) and at
+ *  divisor 8 (16 tasks, speedups above 1). */
+TEST(CostModel, RecordSpeedupsMatchTheProbe)
+{
+    const auto model = encoders::encoderByName("SVT-AV1");
+    for (int divisor : {16, 8}) {
+        const std::string dir = freshDir("probe" + std::to_string(divisor));
+        CostModelConfig config;
+        config.divisor = divisor;
+        const video::Video clip = video::loadSuiteVideo(
+            "desktop", video::SuiteScale{divisor, config.frames});
+        double widest = 1.0;
+        for (int preset : config.presets) {
+            encoders::EncodeParams params;
+            params.crf = 32;
+            params.preset = preset;
+            const encoders::EncodeResult enc = model->encode(
+                clip, params, trace::ProbeConfig{}, /*build_tasks=*/true);
+            const sched::ScheduleResult serial =
+                sched::schedule(enc.taskGraph, 1);
+            for (const char *backend : {"xeon-bdw", "graviton-like"}) {
+                for (int cores : {1, 3, 8, 16}) {
+                    const sched::ScheduleResult wide =
+                        sched::schedule(enc.taskGraph, cores);
+                    const double up = wide.speedupVs(serial.makespan);
+                    widest = std::max(widest, up);
+
+                    lab::OrchestratorOptions opts;
+                    opts.jobs = 2;
+                    opts.storeDir = dir;
+                    opts.verbose = false;
+                    lab::Orchestrator orch(opts);
+                    config.backend = backend;
+                    config.serverCores = cores;
+                    CostModel cost(orch, config);
+                    cost.resolve({"desktop@2", "game1"}, {32});
+                    EXPECT_EQ(cost.speedup(preset), up > 1.0 ? up : 1.0)
+                        << "divisor " << divisor << " preset " << preset
+                        << " " << backend << " cores " << cores << " ("
+                        << enc.taskGraph.size() << " tasks)";
+                }
+            }
+        }
+        // Only the default scale's graph has no parallelism.
+        EXPECT_EQ(widest > 1.0, divisor == 8) << "divisor " << divisor;
+    }
 }
 
 /** What one CostModel::resolve() leaves behind. */
