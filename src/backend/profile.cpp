@@ -25,7 +25,7 @@ makeXeonBdw()
     p.name = kDefaultProfile;
     p.description =
         "the paper's Broadwell Xeon (E5-2650 v4 class): 4-wide OoO, "
-        "192-entry ROB, 32K/32K/256K/30M caches (20M LLC modeled)";
+        "192-entry ROB, 32K/32K/256K/30M caches";
     p.kind = Kind::Core;
     p.core = uarch::xeonBdwConfig();
     p.clockGhz = 3.0;  // The farm clock previously hard-coded in serve.

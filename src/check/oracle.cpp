@@ -53,15 +53,6 @@ RefCache::RefCache(const uarch::CacheConfig &config, Fault fault)
     if (num_sets_ == 0) {
         throw std::invalid_argument("RefCache: fewer lines than ways");
     }
-    // Same normalisation as uarch::Cache: sets round down to a power of
-    // two so indexing is a mask.
-    if ((num_sets_ & (num_sets_ - 1)) != 0) {
-        int p = 1;
-        while (p * 2 <= num_sets_) {
-            p *= 2;
-        }
-        num_sets_ = p;
-    }
     lines_.assign(static_cast<size_t>(num_sets_) * config.ways, Line{});
 }
 

@@ -91,8 +91,9 @@ bool parseFault(const std::string &name, Fault &out);
 /**
  * AoS exact-LRU cache level: the pre-PR4 representation, one Line
  * struct per way, recency scanned linearly. Mirrors uarch::Cache's
- * documented semantics exactly: same geometry normalisation, same
- * victim rule (last invalid way in scan order, else strictly smallest
+ * documented semantics exactly: the configured set count, indexed
+ * line % sets and tagged line / sets at every geometry, same victim
+ * rule (last invalid way in scan order, else strictly smallest
  * lastUse), same fill/invalidate behaviour.
  */
 class RefCache
@@ -124,7 +125,7 @@ class RefCache
     }
     uint64_t setOf(uint64_t addr) const
     {
-        return lineOf(addr) & (static_cast<uint64_t>(num_sets_) - 1);
+        return lineOf(addr) % static_cast<uint64_t>(num_sets_);
     }
     uint64_t tagOf(uint64_t addr) const
     {

@@ -1,13 +1,12 @@
 #include "serve/farm.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <map>
+#include <limits>
 #include <span>
 #include <stdexcept>
-#include <string_view>
-#include <utility>
 
 namespace vepro::serve
 {
@@ -45,59 +44,118 @@ rungOf(const std::vector<int> &ladder, int preset)
 }
 
 /**
- * A group's server free times as a flat 4-ary min-heap. The farm reads
- * only the earliest time and then replaces it with the dispatched
- * job's end: one sift-down, where std::priority_queue's pop and push
- * take two sifts of a binary heap, twice as deep. Servers in a group
- * are interchangeable, so any exact min-heap gives the same outcomes
- * bit for bit.
+ * A group's server free times as per-cell lanes. Every server starts in
+ * the lane of never-used servers, all free at t = 0. Each cost-table
+ * cell (combo row + rung) has a FIFO lane of its own: a dispatch takes
+ * the server at the head of the lane with the least head and appends
+ * it, freeing at the job's end, to the tail of the job's cell lane. A
+ * winner tree over the lane heads gives the least head; a dispatch
+ * replays the popped lane's path, and the target lane's when that lane
+ * was empty, so it costs O(log lanes) whatever the group's size.
  *
- * A full family of four children is reduced as two pairs and then
- * their winners, written as index arithmetic and a select rather than a
- * branch per child: which child of a busy group frees first is close
- * to random, so such branches mispredict often.
+ * Exact by construction (DESIGN §14). The earliest free time never
+ * decreases: dispatch k replaces the minimum t_k with end_k = start_k +
+ * s_k >= t_k, since s_k >= 0 (runFarm rejects any other cell), and
+ * every other free time was already >= t_k. start_k = max(t_k, arrival
+ * of the FIFO head) and FIFO heads arrive in sorted order, so starts
+ * never decrease, across groups too, because the picked group's
+ * earliest time is the global minimum. A lane holds only ends start +
+ * s of its cell's one constant s, appended in dispatch order, and
+ * floating-point addition is monotone: every lane is sorted, and the
+ * least lane head is the least free time. Servers in a group are
+ * interchangeable (the farm reads only the value), so any exact
+ * minimum gives the same outcomes bit for bit.
+ *
+ * A head's key is its free time's bit pattern, which orders like the
+ * value here: free times start at +0 and grow only by service times
+ * >= 0, so none is negative, -0 or NaN. An empty lane's key is all
+ * ones, above every such pattern, +inf included, so it never wins.
  */
 class FreeTimes
 {
   public:
-    explicit FreeTimes(int servers)
-        : heap_(static_cast<size_t>(servers), 0.0)
+    FreeTimes(int servers, size_t cells)
+        : servers_(static_cast<size_t>(servers)), lanes_(cells + 1),
+          leaves_(std::bit_ceil(cells + 1)), key_(leaves_, kEmpty),
+          win_(2 * leaves_)
     {
+        for (size_t s = 0; s < servers_.size(); ++s) {
+            servers_[s] = {0.0, static_cast<uint32_t>(s + 1)};
+        }
+        servers_.back().next = kNone;
+        lanes_[cells] = {0, static_cast<uint32_t>(servers_.size() - 1)};
+        key_[cells] = std::bit_cast<uint64_t>(0.0);
+        for (size_t i = 0; i < leaves_; ++i) {
+            win_[leaves_ + i] = static_cast<uint32_t>(i);
+        }
+        for (size_t k = leaves_ - 1; k != 0; --k) {
+            win_[k] = better(win_[2 * k], win_[2 * k + 1]);
+        }
     }
 
-    double earliest() const { return heap_.front(); }
+    double earliest() const { return std::bit_cast<double>(key_[win_[1]]); }
 
-    /** Replace the earliest free time with @p t. */
+    /** Replace the earliest free time with @p t, the end of a job
+     *  priced by table cell @p cell. */
     void
-    replaceEarliest(double t)
+    replaceEarliest(double t, size_t cell)
     {
-        const size_t n = heap_.size();
-        size_t hole = 0;
-        for (size_t child = 1; child < n; child = 4 * hole + 1) {
-            size_t least = child;
-            if (child + 4 <= n) {
-                const size_t a = child + (heap_[child + 1] < heap_[child]);
-                const size_t b =
-                    child + 2 + (heap_[child + 3] < heap_[child + 2]);
-                least = heap_[b] < heap_[a] ? b : a;
-            } else {
-                for (size_t c = child + 1; c < n; ++c) {
-                    if (heap_[c] < heap_[least]) {
-                        least = c;
-                    }
-                }
-            }
-            if (!(heap_[least] < t)) {
-                break;
-            }
-            heap_[hole] = heap_[least];
-            hole = least;
+        const uint32_t from = win_[1];
+        Lane &popped = lanes_[from];
+        const uint32_t s = popped.head;
+        popped.head = servers_[s].next;
+        key_[from] = popped.head == kNone
+                         ? kEmpty
+                         : std::bit_cast<uint64_t>(servers_[popped.head].free);
+
+        servers_[s] = {t, kNone};
+        Lane &to = lanes_[cell];
+        const bool was_empty = to.head == kNone;
+        if (was_empty) {
+            to.head = s;
+            key_[cell] = std::bit_cast<uint64_t>(t);
+        } else {
+            servers_[to.tail].next = s;
         }
-        heap_[hole] = t;
+        to.tail = s;
+        replay(from);
+        if (was_empty && cell != from) {
+            replay(cell);
+        }
     }
 
   private:
-    std::vector<double> heap_;
+    static constexpr uint32_t kNone = UINT32_MAX;
+    static constexpr uint64_t kEmpty = UINT64_MAX;
+
+    struct Server {
+        double free;
+        uint32_t next;  ///< Next server in its lane, or kNone.
+    };
+    struct Lane {
+        uint32_t head = kNone;
+        uint32_t tail = kNone;  ///< Valid only while head != kNone.
+    };
+
+    uint32_t better(uint32_t a, uint32_t b) const
+    {
+        return key_[b] < key_[a] ? b : a;
+    }
+
+    /** Recompute the winners on the path from lane @p i's leaf. */
+    void
+    replay(size_t i)
+    {
+        for (size_t k = (leaves_ + i) / 2; k != 0; k /= 2) {
+            win_[k] = better(win_[2 * k], win_[2 * k + 1]);
+        }
+    }
+
+    std::vector<Server> servers_;
+    std::vector<Lane> lanes_;  ///< One per cell, then the unused lane.
+    size_t leaves_;            ///< Lanes rounded up to a power of two.
+    std::vector<uint64_t> key_;   ///< Per leaf: head's bits or kEmpty.
+    std::vector<uint32_t> win_;   ///< Winner tree; win_[leaves_ + i] = i.
 };
 
 /** One group of interchangeable servers, all free at t = 0: the backend
@@ -105,8 +163,8 @@ class FreeTimes
  *  table holds one row per combo and one column per ladder rung; joules
  *  is filled only when the run prices energy. */
 struct Group {
-    Group(const std::string &name, int servers)
-        : backend(name), free(servers)
+    Group(const std::string &name, int servers, size_t cells)
+        : backend(name), free(servers, cells)
     {
     }
 
@@ -115,6 +173,24 @@ struct Group {
     std::vector<double> joules;
     FreeTimes free;
 };
+
+/** @p seconds, unless the lanes cannot order it: a service time must be
+ *  finite and >= 0 (see FreeTimes). */
+double
+checkedSeconds(double seconds, const UploadJob &job, int preset,
+               const std::string &backend)
+{
+    if (seconds >= 0.0 && seconds <= std::numeric_limits<double>::max()) {
+        return seconds;
+    }
+    throw std::invalid_argument(
+        "serve: service time " + std::to_string(seconds) + " s for clip '" +
+        job.clip + "' CRF " + std::to_string(job.crf) + " preset " +
+        std::to_string(preset) + " on " +
+        (backend.empty() ? std::string("the default backend")
+                         : "backend '" + backend + "'") +
+        " is not a finite time >= 0");
+}
 
 /**
  * The farm's event loop over @p pool's non-empty groups. Each group's
@@ -134,30 +210,33 @@ runFarm(const ArrivalSet &set, const FarmConfig &config,
         std::vector<JobOutcome> *outcomes)
 {
     const std::vector<UploadJob> &arrivals = set.jobs();
+    const std::vector<int> &ladder = cost.presetLadder();
+    const size_t rungs = ladder.size();
+    const size_t cells = set.combos().size() * rungs;
     std::vector<Group> groups;
     for (const ServerGroup &group : pool) {
         if (group.servers >= 1) {
-            groups.emplace_back(group.backend, group.servers);
+            groups.emplace_back(group.backend, group.servers, cells);
         }
     }
     if (groups.empty() || config.shards < 1) {
         throw std::invalid_argument("serve: farm needs >= 1 server/shard");
     }
-    const std::vector<int> &ladder = cost.presetLadder();
-    const size_t rungs = ladder.size();
     for (Group &group : groups) {
-        group.seconds.reserve(set.combos().size() * rungs);
+        group.seconds.reserve(cells);
         for (const UploadJob *job : set.combos()) {
             for (int preset : ladder) {
-                if (fleet == nullptr) {
-                    group.seconds.push_back(
-                        cost.serviceSeconds(job->clip, job->crf, preset));
-                    continue;
+                const double seconds =
+                    fleet == nullptr
+                        ? cost.serviceSeconds(job->clip, job->crf, preset)
+                        : fleet->serviceSecondsOn(group.backend, job->clip,
+                                                  job->crf, preset);
+                group.seconds.push_back(
+                    checkedSeconds(seconds, *job, preset, group.backend));
+                if (fleet != nullptr) {
+                    group.joules.push_back(fleet->energyJoulesOn(
+                        group.backend, job->clip, job->crf, preset));
                 }
-                group.seconds.push_back(fleet->serviceSecondsOn(
-                    group.backend, job->clip, job->crf, preset));
-                group.joules.push_back(fleet->energyJoulesOn(
-                    group.backend, job->clip, job->crf, preset));
             }
         }
     }
@@ -232,7 +311,7 @@ runFarm(const ArrivalSet &set, const FarmConfig &config,
         const size_t rung = rungOf(ladder, preset);
         const double service = seconds[rung];
         const double end = start + service;
-        group.free.replaceEarliest(end);
+        group.free.replaceEarliest(end, row + rung);
         const bool missed = end > deadline;
         if (outcomes != nullptr) {
             JobOutcome &done = outcomes->emplace_back();
@@ -287,7 +366,6 @@ ArrivalSet::ArrivalSet(const std::vector<UploadJob> &arrivals)
     : jobs_(arrivals)
 {
     combo_of_.reserve(arrivals.size());
-    std::map<std::pair<std::string_view, int>, uint32_t> ids;
     for (size_t i = 0; i < arrivals.size(); ++i) {
         const UploadJob &job = arrivals[i];
         if (i > 0 && !(arrivals[i - 1].arrivalSec <= job.arrivalSec)) {
@@ -295,12 +373,17 @@ ArrivalSet::ArrivalSet(const std::vector<UploadJob> &arrivals)
                 "serve: farm arrivals must be sorted by arrivalSec (job " +
                 std::to_string(job.id) + ")");
         }
-        const auto [it, added] = ids.try_emplace(
-            {job.clip, job.crf}, static_cast<uint32_t>(first_.size()));
-        if (added) {
+        // Traffic draws from a handful of combos, so a flat search of
+        // the first arrivals, CRF before clip, beats a map lookup.
+        uint32_t id = 0;
+        while (id < first_.size() && !(first_[id]->crf == job.crf &&
+                                       first_[id]->clip == job.clip)) {
+            ++id;
+        }
+        if (id == first_.size()) {
             first_.push_back(&job);
         }
-        combo_of_.push_back(it->second);
+        combo_of_.push_back(id);
     }
 }
 

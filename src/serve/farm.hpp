@@ -150,7 +150,9 @@ class ArrivalSet
  * Run the farm over @p arrivals under @p policy. Pure and
  * deterministic. Throws std::out_of_range when the policy picks a
  * preset that is not on cost.presetLadder(), and std::invalid_argument
- * when an unsorted vector is passed (as it converts to an ArrivalSet).
+ * when an unsorted vector is passed (as it converts to an ArrivalSet)
+ * or when a cost-table cell's service time is NaN, infinite or
+ * negative (the message names its clip, CRF, preset and backend).
  * The config.servers
  * identical servers are one group (see below) whose cost table comes
  * from @p cost directly: no backend, no energy. A non-null @p outcomes
@@ -164,15 +166,15 @@ FarmResult simulateFarm(const ArrivalSet &arrivals, const FarmConfig &config,
 /**
  * Heterogeneous overload: the pool is @p pool's groups, in order
  * (config.servers is ignored; admission and latency target still
- * apply). Each group keeps a min-heap of its servers' free times,
- * carries its backend, and fills its cost table from the
- * FleetCostOracle's *On methods on that backend (seconds and joules),
- * so adaptive switching sees the costs of the machine actually
- * dispatching the job. A dispatch goes to the group whose earliest
- * server frees first; ties break toward the earlier group —
- * deterministic, like everything else here. Both overloads run the
- * same event loop, throw the same errors and fill @p outcomes the same
- * way.
+ * apply). Each group keeps its servers' free times in per-cell lanes
+ * (farm.cpp's FreeTimes), carries its backend, and fills its cost
+ * table from the FleetCostOracle's *On methods on that backend
+ * (seconds and joules), so adaptive switching sees the costs of the
+ * machine actually dispatching the job. A dispatch goes to the group
+ * whose earliest server frees first; ties break toward the earlier
+ * group — deterministic, like everything else here. Both overloads run
+ * the same event loop, throw the same errors and fill @p outcomes the
+ * same way.
  */
 FarmResult simulateFarm(const ArrivalSet &arrivals, const FarmConfig &config,
                         const Policy &policy, const FleetCostOracle &cost,

@@ -1,6 +1,9 @@
 #include "uarch/cache.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <new>
 #include <stdexcept>
 
 namespace vepro::uarch
@@ -23,34 +26,55 @@ exactLog2(uint64_t v)
     return s;
 }
 
-} // namespace
-
-Cache::Cache(const CacheConfig &config) : config_(config)
+/** Sets of @p config: size / line / ways, at least one. */
+int
+setsOf(const CacheConfig &config)
 {
     if (config.sizeBytes == 0 || config.ways <= 0 || config.lineBytes <= 0) {
         throw std::invalid_argument("Cache: bad geometry");
     }
-    size_t lines = config.sizeBytes / config.lineBytes;
-    num_sets_ = static_cast<int>(lines / config.ways);
-    if (num_sets_ == 0) {
+    const size_t lines = config.sizeBytes / config.lineBytes;
+    const int sets = static_cast<int>(lines / config.ways);
+    if (sets == 0) {
         throw std::invalid_argument("Cache: fewer lines than ways");
     }
-    // Sets must be a power of two for cheap indexing.
-    if ((num_sets_ & (num_sets_ - 1)) != 0) {
-        int p = 1;
-        while (p * 2 <= num_sets_) {
-            p *= 2;
-        }
-        num_sets_ = p;
+    return sets;
+}
+
+} // namespace
+
+ZeroPages::ZeroPages(size_t bytes) : bytes_(bytes)
+{
+    void *p = mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) {
+        throw std::bad_alloc();
     }
-    line_shift_ = exactLog2(static_cast<uint64_t>(config.lineBytes));
-    set_shift_ = exactLog2(static_cast<uint64_t>(num_sets_));
-    set_mask_ = static_cast<uint64_t>(num_sets_) - 1;
-    size_t total = static_cast<size_t>(num_sets_) * config.ways;
-    tags_.assign(total, 0);
-    last_use_.assign(total, 0);
-    meta_.assign(total, 0);
-    mru_.assign(static_cast<size_t>(num_sets_), 0);
+    data_ = static_cast<unsigned char *>(p);
+}
+
+ZeroPages::~ZeroPages()
+{
+    munmap(data_, bytes_);
+}
+
+Cache::Cache(const CacheConfig &config)
+    : config_(config), num_sets_(setsOf(config)),
+      line_shift_(exactLog2(static_cast<uint64_t>(config.lineBytes))),
+      set_shift_(exactLog2(static_cast<uint64_t>(num_sets_))),
+      set_mask_(static_cast<uint64_t>(num_sets_) - 1),
+      state_(static_cast<size_t>(num_sets_) *
+             (static_cast<size_t>(config.ways) *
+                  (2 * sizeof(uint64_t) + sizeof(uint8_t)) +
+              sizeof(uint8_t)))
+{
+    // Tags and recency, then meta (one byte a line) and the MRU hints
+    // (one byte a set).
+    const size_t total = static_cast<size_t>(num_sets_) * config.ways;
+    tags_ = reinterpret_cast<uint64_t *>(state_.data());
+    last_use_ = tags_ + total;
+    meta_ = reinterpret_cast<uint8_t *>(last_use_ + total);
+    mru_ = meta_ + total;
 }
 
 void

@@ -4,9 +4,8 @@
 /**
  * @file
  * Set-associative cache model with LRU replacement, chainable into the
- * paper machine's hierarchy (32K L1I / 32K L1D / 256K L2 / 30M LLC,
- * which the model holds as 20M: see Cache), plus coherence
- * invalidation for the thread-study traces.
+ * paper machine's hierarchy (32K L1I / 32K L1D / 256K L2 / 30M LLC),
+ * plus coherence invalidation for the thread-study traces.
  */
 
 #include <cstdint>
@@ -15,6 +14,28 @@
 
 namespace vepro::uarch
 {
+
+/**
+ * Zero-filled memory from an anonymous mapping: the OS commits a page
+ * on its first touch, so a level holds resident memory only for the
+ * sets a run reaches. The default 30M LLC's line state is 8.4 MB, of
+ * which a short run touches a small part; a zero-filled vector would
+ * commit all of it up front, for every simulated core.
+ */
+class ZeroPages
+{
+  public:
+    explicit ZeroPages(size_t bytes);
+    ~ZeroPages();
+    ZeroPages(const ZeroPages &) = delete;
+    ZeroPages &operator=(const ZeroPages &) = delete;
+
+    unsigned char *data() const { return data_; }
+
+  private:
+    unsigned char *data_;
+    size_t bytes_;
+};
 
 /** Geometry and timing of one cache level. */
 struct CacheConfig {
@@ -29,10 +50,10 @@ struct CacheConfig {
 class Cache
 {
   public:
-    /** The set count (size / line / ways) rounds down to a power of
-     *  two, so a level whose count is not one holds less than its
-     *  configured size: the default 30M 20-way LLC has 24,576 sets and
-     *  is modeled with 16,384, which is 20 MiB. */
+    /** The set count is size / line / ways, as configured. A power of
+     *  two indexes with a mask and tags with a shift; any other count
+     *  (the default 30M 20-way LLC has 24,576 sets) indexes with
+     *  line % sets and tags with line / sets. */
     explicit Cache(const CacheConfig &config);
 
     /**
@@ -81,25 +102,36 @@ class Cache
                    ? addr >> line_shift_
                    : addr / static_cast<uint64_t>(config_.lineBytes);
     }
-    uint64_t setOf(uint64_t addr) const { return lineOf(addr) & set_mask_; }
-    uint64_t tagOf(uint64_t addr) const { return lineOf(addr) >> set_shift_; }
+    uint64_t setOf(uint64_t addr) const
+    {
+        return set_shift_ >= 0
+                   ? lineOf(addr) & set_mask_
+                   : lineOf(addr) % static_cast<uint64_t>(num_sets_);
+    }
+    uint64_t tagOf(uint64_t addr) const
+    {
+        return set_shift_ >= 0
+                   ? lineOf(addr) >> set_shift_
+                   : lineOf(addr) / static_cast<uint64_t>(num_sets_);
+    }
 
     CacheConfig config_;
     int num_sets_;
     int line_shift_;     ///< log2(lineBytes), or -1 if not a power of two.
-    int set_shift_;      ///< log2(num_sets_); sets are forced to pow2.
-    uint64_t set_mask_;  ///< num_sets_ - 1.
+    int set_shift_;      ///< log2(num_sets_), or -1 if not a power of two.
+    uint64_t set_mask_;  ///< num_sets_ - 1 (used only for a power of two).
 
     /**
-     * Line state, structure-of-arrays (num_sets_ x ways, row-major).
-     * The hot lookup touches one tag row plus the per-set MRU hint;
-     * recency and dirty bits live in separate arrays so a hit on the
-     * hinted way never scans the set.
+     * Line state, structure-of-arrays (num_sets_ x ways, row-major),
+     * all in one ZeroPages block. The hot lookup touches one tag row
+     * plus the per-set MRU hint; recency and dirty bits live in
+     * separate arrays so a hit on the hinted way never scans the set.
      */
-    std::vector<uint64_t> tags_;
-    std::vector<uint64_t> last_use_;
-    std::vector<uint8_t> meta_;  ///< kValid | kDirty per line.
-    std::vector<uint8_t> mru_;   ///< Most-recently-hit way per set (hint).
+    ZeroPages state_;
+    uint64_t *tags_;
+    uint64_t *last_use_;
+    uint8_t *meta_;  ///< kValid | kDirty per line.
+    uint8_t *mru_;   ///< Most-recently-hit way per set (hint).
 
     uint64_t tick_ = 0;
     uint64_t accesses_ = 0;
@@ -128,7 +160,7 @@ class Hierarchy
         CacheConfig l1i{"L1I", 32 * 1024, 8, 64, 1};
         CacheConfig l1d{"L1D", 32 * 1024, 8, 64, 4};
         CacheConfig l2{"L2", 256 * 1024, 8, 64, 12};
-        CacheConfig llc{"LLC", 30 * 1024 * 1024, 20, 64, 38};  // 20M modeled.
+        CacheConfig llc{"LLC", 30 * 1024 * 1024, 20, 64, 38};
         int memoryLatency = 180;
         PrefetcherConfig prefetch{};
     };

@@ -10,13 +10,12 @@
  * Broadwell): 4-wide allocation/retire, 192-entry ROB, unified 60-entry
  * scheduler, 72/42-entry load/store buffers, two load ports and one
  * store port, a TAGE-class front-end direction predictor, and the
- * 32K/32K/256K/30M cache hierarchy (the 30M 20-way LLC rounds down to
- * 16,384 sets, so the model holds 20M of it). It consumes the
- * op traces captured by the instrumentation probes and produces exactly
- * the statistics the paper reports: IPC, the four top-down slot
- * categories (plus the memory/core backend split), branch miss rate and
- * MPKI, per-level cache MPKI, and resource-stall cycle counts for the
- * RS, ROB, and load/store buffers (Figs. 4-7, 11, 16).
+ * 32K/32K/256K/30M cache hierarchy. It consumes the op traces captured
+ * by the instrumentation probes and produces exactly the statistics
+ * the paper reports: IPC, the four top-down slot categories (plus the
+ * memory/core backend split), branch miss rate and MPKI, per-level
+ * cache MPKI, and resource-stall cycle counts for the RS, ROB, and
+ * load/store buffers (Figs. 4-7, 11, 16).
  */
 
 #include <cstdint>

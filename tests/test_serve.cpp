@@ -15,7 +15,10 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
+#include <limits>
 #include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -329,6 +332,37 @@ TEST(Farm, RejectsUnsortedArrivals)
     arrivals[1].arrivalSec = 50.0;  // Ties are sorted.
     EXPECT_EQ(simulateFarm(arrivals, config, policy, oracle).sla.completed,
               3u);
+}
+
+/** Combos are interned in first-arrival order, by (clip, CRF) exactly:
+ *  one clip at two CRFs is two combos, and a rung id or a clip whose
+ *  name is a prefix of another's is a combo of its own. */
+TEST(ArrivalSet, InternsCombosInFirstArrivalOrder)
+{
+    const std::vector<std::pair<std::string, int>> draws = {
+        {"game1", 32},   {"game1@2", 32}, {"game1", 45}, {"game", 32},
+        {"game1", 32},   {"game1@2", 32}, {"game1@4", 32}, {"game", 45},
+        {"game1", 45},   {"game", 32},    {"game12", 32}, {"game1@4", 32}};
+    std::vector<UploadJob> arrivals;
+    for (size_t i = 0; i < draws.size(); ++i) {
+        UploadJob job;
+        job.id = i;
+        job.arrivalSec = static_cast<double>(i / 3);  // Tie bursts too.
+        job.clip = draws[i].first;
+        job.crf = draws[i].second;
+        arrivals.push_back(job);
+    }
+    const ArrivalSet set(arrivals);
+    const std::vector<size_t> firsts = {0, 1, 2, 3, 6, 7, 10};
+    ASSERT_EQ(set.combos().size(), firsts.size());
+    for (size_t c = 0; c < firsts.size(); ++c) {
+        EXPECT_EQ(set.combos()[c], &arrivals[firsts[c]]) << "combo " << c;
+    }
+    const std::vector<uint32_t> combo_of = {0, 1, 2, 3, 0, 1,
+                                            4, 5, 2, 3, 6, 4};
+    for (size_t i = 0; i < arrivals.size(); ++i) {
+        EXPECT_EQ(set.comboOf(i), combo_of[i]) << "arrival " << i;
+    }
 }
 
 TEST(Farm, OffLadderPresetThrows)
@@ -757,10 +791,132 @@ expectSameFarm(const FarmRun &want, const FarmRun &got)
               std::bit_cast<uint64_t>(g.horizonSec));
 }
 
+/** A fleet oracle that prices every (backend, clip, CRF, preset) cell
+ *  through one function; energy is twice the seconds. */
+class PricedOracle final : public FleetCostOracle
+{
+  public:
+    using Price = std::function<double(const std::string &backend,
+                                       const std::string &clip, int crf,
+                                       int preset)>;
+
+    PricedOracle(std::vector<int> ladder, Price price)
+        : ladder_(std::move(ladder)), price_(std::move(price))
+    {
+    }
+
+    double
+    serviceSeconds(const std::string &clip, int crf,
+                   int preset) const override
+    {
+        return price_("", clip, crf, preset);
+    }
+
+    double
+    serviceSecondsOn(const std::string &backend, const std::string &clip,
+                     int crf, int preset) const override
+    {
+        return price_(backend, clip, crf, preset);
+    }
+
+    double
+    energyJoulesOn(const std::string &backend, const std::string &clip,
+                   int crf, int preset) const override
+    {
+        return 2.0 * price_(backend, clip, crf, preset);
+    }
+
+    const std::vector<int> &presetLadder() const override { return ladder_; }
+
+  private:
+    std::vector<int> ladder_;
+    Price price_;
+};
+
+/** Seconds that depend on clip, CRF and preset, so every (combo, rung)
+ *  cell has a lane of its own: the preset's reference cost (116, 52,
+ *  24, 13 s) times a clip weight set by the clip id's length and a CRF
+ *  weight set by its parity, all dyadic, so clips of equal length tie
+ *  exactly (game1 and house, game1@2 and house@4). "fast-iron" runs
+ *  4x quicker, "mid-iron" 2x. */
+double
+comboSeconds(const std::string &backend, const std::string &clip, int crf,
+             int preset)
+{
+    const double base = preset == 2   ? 116.0
+                        : preset == 4 ? 52.0
+                        : preset == 6 ? 24.0
+                                      : 13.0;
+    const double clip_w = 1.0 + 0.125 * static_cast<double>(clip.size() % 4);
+    const double crf_w = crf % 2 == 0 ? 1.0 : 0.75;
+    const double speed = backend == "fast-iron"  ? 4.0
+                         : backend == "mid-iron" ? 2.0
+                                                 : 1.0;
+    return base * clip_w * crf_w / speed;
+}
+
+/**
+ * One farm run checked three ways: against check::RefFarm bit for bit,
+ * over the prepared set against a one-shot call on the vector, and
+ * without an outcome vector (as sweeps run it) against the run with
+ * one. @p pool null runs the homogeneous signature on @p oracle.
+ */
+FarmRun
+expectMatchesRefFarm(const std::vector<UploadJob> &arrivals,
+                     const ArrivalSet &set, const FarmConfig &config,
+                     bool adaptive, int preset, const FleetCostOracle &oracle,
+                     const std::vector<ServerGroup> *pool)
+{
+    SCOPED_TRACE(std::string(adaptive ? "adaptive" : "static-p") +
+                 (adaptive ? "" : std::to_string(preset)) +
+                 (pool ? " pool" : " homogeneous") + " admission " +
+                 std::to_string(config.admissionLimit));
+    const check::RefFarm ref(config, {adaptive, preset});
+    const StaticPolicy fixed(preset);
+    const AdaptivePolicy adapt;
+    const Policy &policy =
+        adaptive ? static_cast<const Policy &>(adapt) : fixed;
+    const auto farm = [&](const ArrivalSet &on,
+                          std::vector<JobOutcome> *jobs) {
+        return pool ? simulateFarm(on, config, policy, oracle, *pool, jobs)
+                    : simulateFarm(on, config, policy, oracle, jobs);
+    };
+    FarmRun want, got, once;
+    want.result = pool ? ref.run(arrivals, oracle, *pool, want.outcomes)
+                       : ref.run(arrivals, oracle, want.outcomes);
+    got.result = farm(set, &got.outcomes);
+    once.result = farm(arrivals, &once.outcomes);
+    expectSameFarm(want, got);
+    expectSameFarm(once, got);
+    expectSameFarm({farm(set, nullptr), {}}, {got.result, {}});
+    return got;
+}
+
+/** Distinct (backend, combo, preset) cells the completed jobs ran in,
+ *  per backend: the lanes that held a server. */
+std::map<std::string, size_t>
+liveCells(const ArrivalSet &set, const std::vector<JobOutcome> &outcomes)
+{
+    std::map<std::string, std::set<std::pair<uint32_t, int>>> cells;
+    for (const JobOutcome &o : outcomes) {
+        if (!o.rejected) {
+            cells[o.backend].insert({set.comboOf(o.id), o.preset});
+        }
+    }
+    std::map<std::string, size_t> out;
+    for (const auto &[backend, used] : cells) {
+        out[backend] = used.size();
+    }
+    return out;
+}
+
 /** The farm against check::RefFarm, the sharded-heap loop it replaced,
  *  at a size the fuzzer's cases (at most 300 arrivals) never reach:
- *  about 7,000 arrivals on 160 servers, whose free-time heap is four
- *  levels deep (the ledger's 1,600 servers make it six). */
+ *  about 7,000 arrivals on up to 160 servers (the ledger runs 1,600).
+ *  Priced by preset alone, at most four lanes a group hold servers;
+ *  priced by clip, CRF and preset (comboSeconds), adaptive switching
+ *  fills all 24 cell lanes of each group, with exact ties among them,
+ *  and the rung-mix traffic's 18 combos fill most of 72. */
 TEST(Farm, MatchesRefFarmAtReferenceScale)
 {
     ServeScenario scenario = referenceScenario(true);
@@ -769,56 +925,199 @@ TEST(Farm, MatchesRefFarmAtReferenceScale)
     const std::vector<UploadJob> arrivals =
         generateTraffic(scenario.traffic);
     ASSERT_GT(arrivals.size(), 6000u);
+    for (size_t i = 0; i < arrivals.size(); ++i) {
+        ASSERT_EQ(arrivals[i].id, i);  // liveCells reads comboOf(id).
+    }
     const ArrivalSet set(arrivals);
+    ASSERT_EQ(set.combos().size(), 6u);
 
     // Per-preset costs on the real model's scale (~116 s at preset 2
     // to ~13 s at preset 8): the arrivals overload the slow presets.
-    const FakeOracle oracle({2, 4, 6, 8}, {116.0, 52.0, 24.0, 13.0});
+    const std::vector<int> ladder = {2, 4, 6, 8};
+    const PricedOracle by_preset(
+        ladder, [](const std::string &, const std::string &, int, int p) {
+            return comboSeconds("", "game", 32, p);
+        });
     const FakeFleetOracle fleet;
+    const PricedOracle by_combo(ladder, comboSeconds);
     const std::vector<ServerGroup> pool = {
         {"slow-iron", 80}, {"fast-iron", 20}, {"slow-iron", 60}};
+    const std::vector<ServerGroup> combo_pool = {
+        {"slow-iron", 80}, {"fast-iron", 20}, {"mid-iron", 60}};
 
-    // Each run against the reference, over the prepared set against a
-    // one-shot call on the vector, and without an outcome vector (as
-    // sweeps run it) against the run with one.
-    const auto run = [&](const FarmConfig &config, bool adaptive,
-                         int preset, bool in_pool) {
-        SCOPED_TRACE(std::string(adaptive ? "adaptive" : "static-p") +
-                     (adaptive ? "" : std::to_string(preset)) +
-                     (in_pool ? " pool" : " homogeneous") + " admission " +
-                     std::to_string(config.admissionLimit));
-        const check::RefFarm ref(config, {adaptive, preset});
-        const StaticPolicy fixed(preset);
-        const AdaptivePolicy adapt;
-        const Policy &policy =
-            adaptive ? static_cast<const Policy &>(adapt) : fixed;
-        const auto farm = [&](const ArrivalSet &on,
-                              std::vector<JobOutcome> *jobs) {
-            return in_pool ? simulateFarm(on, config, policy, fleet, pool, jobs)
-                           : simulateFarm(on, config, policy, oracle, jobs);
-        };
-        FarmRun want, got, once;
-        want.result = in_pool ? ref.run(arrivals, fleet, pool, want.outcomes)
-                              : ref.run(arrivals, oracle, want.outcomes);
-        got.result = farm(set, &got.outcomes);
-        once.result = farm(arrivals, &once.outcomes);
-        expectSameFarm(want, got);
-        expectSameFarm(once, got);
-        expectSameFarm({farm(set, nullptr), {}}, {got.result, {}});
-        return got.result;
-    };
-    for (int preset : oracle.presetLadder()) {
-        run(scenario.farm, false, preset, false);
+    for (int preset : ladder) {
+        expectMatchesRefFarm(arrivals, set, scenario.farm, false, preset,
+                             by_preset, nullptr);
     }
-    EXPECT_GT(run(scenario.farm, true, 0, false).sla.presetSwitches, 0u);
+    EXPECT_GT(expectMatchesRefFarm(arrivals, set, scenario.farm, true, 0,
+                                   by_preset, nullptr)
+                  .result.sla.presetSwitches,
+              0u);
     for (int preset : fleet.presetLadder()) {
-        run(scenario.farm, false, preset, true);
+        expectMatchesRefFarm(arrivals, set, scenario.farm, false, preset,
+                             fleet, &pool);
     }
-    run(scenario.farm, true, 0, true);
+    expectMatchesRefFarm(arrivals, set, scenario.farm, true, 0, fleet,
+                         &pool);
 
     FarmConfig limited = scenario.farm;
     limited.admissionLimit = 40;
-    EXPECT_GT(run(limited, false, 2, false).sla.rejected, 0u);
+    EXPECT_GT(expectMatchesRefFarm(arrivals, set, limited, false, 2,
+                                   by_preset, nullptr)
+                  .result.sla.rejected,
+              0u);
+
+    // Priced per cell, on 64 servers (or 40 in three groups) so the
+    // peak overloads the farm and adaptive runs every rung of every
+    // combo: each group's 24 cell lanes hold servers.
+    FarmConfig busy = scenario.farm;
+    busy.servers = 64;
+    const std::vector<ServerGroup> busy_pool = {
+        {"slow-iron", 20}, {"fast-iron", 5}, {"mid-iron", 15}};
+    for (int preset : ladder) {
+        expectMatchesRefFarm(arrivals, set, busy, false, preset, by_combo,
+                             nullptr);
+    }
+    const FarmRun one =
+        expectMatchesRefFarm(arrivals, set, busy, true, 0, by_combo, nullptr);
+    EXPECT_EQ(liveCells(set, one.outcomes),
+              (std::map<std::string, size_t>{{"", 24}}));
+    const FarmRun three = expectMatchesRefFarm(arrivals, set, busy, true, 0,
+                                               by_combo, &busy_pool);
+    EXPECT_EQ(liveCells(set, three.outcomes),
+              (std::map<std::string, size_t>{
+                  {"fast-iron", 24}, {"mid-iron", 24}, {"slow-iron", 24}}));
+    busy.admissionLimit = 40;
+    EXPECT_GT(expectMatchesRefFarm(arrivals, set, busy, true, 0, by_combo,
+                                   &busy_pool)
+                  .result.sla.rejected,
+              0u);
+    busy.admissionLimit = 0;
+
+    // Rung-mix traffic: 18 combos, 72 cells and 73 lanes a group.
+    scenario.traffic.rungMix = {{1, 20.0}, {2, 20.0}, {4, 60.0}};
+    const std::vector<UploadJob> rungs = generateTraffic(scenario.traffic);
+    const ArrivalSet rung_set(rungs);
+    ASSERT_EQ(rung_set.combos().size(), 18u);
+    expectMatchesRefFarm(rungs, rung_set, busy, false, 4, by_combo, nullptr);
+    const FarmRun mixed =
+        expectMatchesRefFarm(rungs, rung_set, busy, true, 0, by_combo, nullptr);
+    EXPECT_GE(liveCells(rung_set, mixed.outcomes).at(""), 60u);
+    const FarmRun mixed_pool = expectMatchesRefFarm(
+        rungs, rung_set, busy, true, 0, by_combo, &busy_pool);
+    for (const auto &[backend, cells] : liveCells(rung_set, mixed_pool.outcomes)) {
+        EXPECT_GE(cells, 40u) << backend;
+    }
+}
+
+/**
+ * Exact ties through the lanes, small enough to follow by hand. Four
+ * combos (clips "a" and "ab" at CRFs 10 and 20) cost 4 s at preset 2
+ * and 1 s at preset 4, whatever the combo, against a 5 s target. Every
+ * 20 s one job of a combo arrives at an idle farm, and two more arrive
+ * 4 s later: the first two run at preset 2, back to back, the third
+ * waits 4 s and takes preset 4. On one server that server moves
+ * through all eight cell lanes, twice through the same cell in a row
+ * each time; on two one-server groups of equal speed, both groups free
+ * at the same instant each round, and the tie goes to the earlier one.
+ */
+TEST(Farm, LanesOrderExactTies)
+{
+    const std::vector<std::pair<std::string, int>> combos = {
+        {"a", 10}, {"ab", 10}, {"a", 20}, {"ab", 20}};
+    std::vector<UploadJob> arrivals;
+    for (size_t k = 0; k < combos.size(); ++k) {
+        for (double at : {0.0, 4.0, 4.0}) {
+            UploadJob job;
+            job.id = arrivals.size();
+            job.arrivalSec = 20.0 * static_cast<double>(k) + at;
+            job.clip = combos[k].first;
+            job.crf = combos[k].second;
+            arrivals.push_back(job);
+        }
+    }
+    const ArrivalSet set(arrivals);
+    const PricedOracle oracle(
+        {2, 4}, [](const std::string &, const std::string &, int, int p) {
+            return p == 2 ? 4.0 : 1.0;
+        });
+    FarmConfig config;
+    config.servers = 1;
+    config.latencyTargetSec = 5.0;
+
+    const FarmRun one = expectMatchesRefFarm(arrivals, set, config, true, 0,
+                                             oracle, nullptr);
+    EXPECT_EQ(liveCells(set, one.outcomes),
+              (std::map<std::string, size_t>{{"", 8}}));
+    EXPECT_EQ(one.result.sla.deadlineMisses, 0u);
+    EXPECT_EQ(one.outcomes.back().endSec, 69.0);
+
+    const std::vector<ServerGroup> pair = {{"x", 1}, {"y", 1}};
+    const FarmRun two =
+        expectMatchesRefFarm(arrivals, set, config, true, 0, oracle, &pair);
+    for (size_t k = 0; k < combos.size(); ++k) {
+        // Both groups are idle when each round's first job arrives.
+        EXPECT_EQ(two.outcomes.at(3 * k).backend, "x") << "round " << k;
+    }
+    expectMatchesRefFarm(arrivals, set, config, false, 2, oracle, &pair);
+}
+
+/** Service times the lanes cannot order (NaN, infinite or negative)
+ *  are refused when a group's table is filled, through either
+ *  signature and whether or not a policy would pick the cell; the
+ *  message names the cell. Zero, of either sign, is a service time. */
+TEST(Farm, RejectsNonFiniteOrNegativeServiceTimes)
+{
+    const auto arrivals = steadyArrivals(3, 1.0);
+    FarmConfig config;
+    config.servers = 2;
+    const StaticPolicy policy(2);
+    const std::vector<ServerGroup> pool = {{"iron", 1}, {"odd-iron", 1}};
+    const auto message = [&](const auto &run) {
+        try {
+            run();
+        } catch (const std::invalid_argument &e) {
+            return std::string(e.what());
+        }
+        return std::string("(no throw)");
+    };
+    for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL, -1.0,
+                       -std::numeric_limits<double>::denorm_min()}) {
+        SCOPED_TRACE(bad);
+        // Only odd-iron's preset-4 cell is bad; the policy runs preset 2.
+        const PricedOracle oracle(
+            {2, 4}, [&](const std::string &backend, const std::string &,
+                        int, int preset) {
+                return backend == "odd-iron" && preset == 4 ? bad : 10.0;
+            });
+        const PricedOracle homogeneous(
+            {2, 4}, [&](const std::string &, const std::string &, int,
+                        int preset) { return preset == 4 ? bad : 10.0; });
+        const std::string plain = message(
+            [&] { simulateFarm(arrivals, config, policy, homogeneous); });
+        EXPECT_NE(plain.find("clip 'game1' CRF 32 preset 4 on the default "
+                             "backend"),
+                  std::string::npos)
+            << plain;
+        const std::string pooled = message(
+            [&] { simulateFarm(arrivals, config, policy, oracle, pool); });
+        EXPECT_NE(pooled.find("clip 'game1' CRF 32 preset 4 on backend "
+                              "'odd-iron'"),
+                  std::string::npos)
+            << pooled;
+    }
+    for (double zero : {0.0, -0.0}) {
+        const PricedOracle oracle(
+            {2}, [&](const std::string &, const std::string &, int, int) {
+                return zero;
+            });
+        EXPECT_EQ(simulateFarm(arrivals, config, policy, oracle)
+                      .sla.completed,
+                  3u);
+        EXPECT_EQ(simulateFarm(arrivals, config, policy, oracle, pool)
+                      .sla.completed,
+                  3u);
+    }
 }
 
 TEST(FleetFarm, JobsLandOnBothBackendsAndEnergyAccumulates)

@@ -78,6 +78,27 @@ TEST(Cache, RejectsBadGeometry)
     EXPECT_THROW(Cache({"x", 64, 4, 64, 1}), std::invalid_argument);
 }
 
+/** The default LLC holds its configured 30 MiB: 24,576 sets, not a
+ *  power of two, so it indexes line % sets. A 24 MiB working set
+ *  streamed twice hits on every line of the second pass; a model that
+ *  rounded the sets down to 16,384 (20 MiB) would miss on every one,
+ *  as LRU evicts each line before its reuse. */
+TEST(Cache, DefaultLlcHoldsItsConfiguredSize)
+{
+    const CacheConfig config = Hierarchy::Config{}.llc;
+    ASSERT_EQ(config.sizeBytes / config.lineBytes / config.ways, 24'576u);
+    Cache llc(config);
+    const uint64_t lines = 24 * 1024 * 1024 / 64;
+    for (uint64_t i = 0; i < lines; ++i) {
+        llc.access(i * 64, false);
+    }
+    ASSERT_EQ(llc.misses(), lines);
+    for (uint64_t i = 0; i < lines; ++i) {
+        llc.access(i * 64, false);
+    }
+    EXPECT_EQ(llc.misses(), lines) << "second pass missed";
+}
+
 TEST(Hierarchy, LatenciesByLevel)
 {
     Hierarchy mem;
