@@ -484,7 +484,7 @@ randomJobSpec(SplitMix64 &rng)
     spec.video = randomString(rng);
     spec.crf = static_cast<int>(rng.next());
     spec.preset = static_cast<int>(rng.next());
-    spec.threads = static_cast<int>(rng.range(1, 64));
+    rng.range(1, 64);  // Unused: keeps tests/corpus's cases' specs.
     spec.divisor = static_cast<int>(rng.range(1, 16));
     spec.frames = static_cast<int>(rng.range(1, 600));
     spec.maxTraceOps = rng.chance(1, 4) ? rng.next() : rng.below(1u << 24);
@@ -507,7 +507,7 @@ randomJobResult(SplitMix64 &rng)
         } else if constexpr (std::is_same_v<V, uint64_t>) {
             v = counter();
         }
-        // The makespan list is drawn after everything else, below.
+        // The lists are drawn after everything else, below.
     };
     lab::JobResult r;
     lab::EncodeSummary::forEachField(draw, r.encode);
@@ -516,6 +516,9 @@ randomJobResult(SplitMix64 &rng)
     r.encode.makespans.resize(rng.below(sched::kMaxCurveCores + 1));
     for (uint64_t &m : r.encode.makespans) {
         m = counter();
+    }
+    for (uint64_t &n : r.encode.mix.byClass) {
+        n = counter();
     }
     return r;
 }
@@ -531,7 +534,7 @@ diffJobResult(const lab::JobResult &want, const lab::JobResult &got)
     std::ostringstream out;
     auto chk = [&](const std::string &name, const auto &w, const auto &g) {
         using V = std::remove_cvref_t<decltype(w)>;
-        if constexpr (std::is_same_v<V, std::vector<uint64_t>>) {
+        if constexpr (!std::is_arithmetic_v<V>) {  // A list.
             if (w.size() != g.size()) {
                 out << (out.tellp() > 0 ? ", " : "") << name << " want "
                     << w.size() << " entries, got " << g.size();

@@ -97,6 +97,10 @@ convert(const Flag &flag, const std::string &text)
                 throw UsageError(name + ": unknown value '" + item +
                                  "' (known: " + joined(flag.choices) + ")");
             }
+            if (std::find(items.begin(), items.end(), item) != items.end()) {
+                throw UsageError(name + " repeats '" + item + "' in '" +
+                                 text + "'");
+            }
             items.push_back(item);
         }
         return flag.kind == FlagKind::List ? FlagValue(items)

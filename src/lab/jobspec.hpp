@@ -7,9 +7,9 @@
  * content hash — the key of the persistent result store.
  *
  * A JobSpec captures everything that determines a sweep point's
- * numbers: encoder, clip, CRF, preset, thread count, and the run-scale
- * knobs (suite geometry + trace cap) that change the synthesised input
- * or the sampled window. Anything that merely changes *how* a point is
+ * numbers: encoder, clip, CRF, preset, and the run-scale knobs (suite
+ * geometry + trace cap) that change the synthesised input or the
+ * sampled window. Anything that merely changes *how* a point is
  * executed — worker count, cache directory, progress verbosity — is
  * deliberately excluded, so the same point computed by any driver lands
  * on the same cache entry.
@@ -29,9 +29,10 @@ namespace vepro::lab
  * (whenever the record layout or the meaning of any spec field changes)
  * orphans old entries instead of misreading them.
  */
-constexpr int kSchemaVersion = 3;  // 2: lazy kernel events moved
+constexpr int kSchemaVersion = 4;  // 2: lazy kernel events moved
                                    // sampled-capture block boundaries;
-                                   // 3: records carry makespans.
+                                   // 3: records carry makespans;
+                                   // 4: records carry the op mix.
 
 /** One experiment point. Field order never affects the hash. */
 struct JobSpec {
@@ -39,7 +40,6 @@ struct JobSpec {
     std::string video;                ///< Suite clip name.
     int crf = 32;
     int preset = 4;
-    int threads = 1;      ///< Simulated thread count (1 = single-core).
 
     // Run-scale knobs that alter the measured numbers.
     int divisor = 8;      ///< SuiteScale::divisor.
@@ -70,9 +70,26 @@ struct JobSpec {
     int scale = 1;
 
     /**
+     * The point needs no core simulation: one mix-only encode with its
+     * task graph fills the record (instructions, bitrate, PSNR, op mix,
+     * makespans) and its CoreStats stay zero. No trace is written.
+     * Compatibility rule: enters the canonical key ONLY when set, as
+     * `;encodeOnly=1`. Such a record depends on neither the op cap nor
+     * the machine, so its key writes `maxTraceOps=0` and no backend
+     * whatever those fields hold.
+     */
+    bool encodeOnly = false;
+
+    /** Whether the backend enters the canonical key (and the record's
+     *  echo of it): it names a non-default profile for a point that is
+     *  simulated. */
+    bool keysBackend() const;
+
+    /**
      * Canonical key: every identity field, fixed order, 'k=v'
      * ';'-joined. Two specs are the same experiment iff their keys are
-     * byte-equal.
+     * byte-equal. `threads=1` is a literal: the lab simulates one
+     * thread, and the field stays so that no key moves.
      */
     std::string canonicalKey() const;
 
@@ -87,19 +104,20 @@ struct JobSpec {
 
     /**
      * The trace-cache key: ONLY the encode-side identity fields
-     * (encoder, video, crf, preset, threads, divisor, frames,
-     * maxTraceOps). The machine profile (backend) is deliberately
-     * excluded — the captured op stream is a property of the encode,
-     * not of the core it is later simulated on, so one trace file
-     * serves every machine profile of the same encode (capture once,
-     * replay per backend).
+     * (encoder, video, crf, preset, the literal threads=1, divisor,
+     * frames, maxTraceOps, scale). The machine profile (backend) is
+     * deliberately excluded — the captured op stream is a property of
+     * the encode, not of the core it is later simulated on, so one
+     * trace file serves every machine profile of the same encode
+     * (capture once, replay per backend).
      */
     std::string traceKey() const;
 
-    /** FNV-1a 64 of "vepro-trace/v2|" + traceKey(), as 16 lowercase
+    /** FNV-1a 64 of "vepro-trace/v3|" + traceKey(), as 16 lowercase
      *  hex digits (the trace file stem under <store>/traces/). The
      *  version moves with the capture metadata's layout (v2: it carries
-     *  makespans), so an older capture is a plain miss. */
+     *  makespans; v3: the op mix), so an older capture is a plain
+     *  miss. */
     std::string traceHashHex() const;
 
     /** Short human label for progress lines. */

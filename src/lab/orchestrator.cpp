@@ -29,6 +29,7 @@ fillEncodeSummary(JobResult &result, const encoders::EncodeResult &enc)
     result.encode.psnrDb = enc.psnrDb;
     result.encode.droppedOps = enc.droppedOps;
     result.encode.makespans = sched::makespanCurve(enc.taskGraph);
+    result.encode.mix = enc.mix;
 }
 
 } // namespace
@@ -52,9 +53,6 @@ Orchestrator::Orchestrator(OrchestratorOptions opts)
 size_t
 Orchestrator::request(const JobSpec &spec)
 {
-    if (spec.threads < 1) {
-        throw std::invalid_argument("lab: threads must be >= 1");
-    }
     std::string key = spec.canonicalKey();
     auto it = byKey_.find(key);
     if (it != byKey_.end()) {
@@ -142,18 +140,15 @@ Orchestrator::execute(const JobSpec &spec)
     if (opts_.runner) {
         return opts_.runner(spec);
     }
-    if (spec.threads != 1) {
-        throw std::invalid_argument(
-            "lab: multi-threaded points are not orchestrated yet "
-            "(threads=" + std::to_string(spec.threads) + ")");
-    }
     // Every capped point goes through the trace cache: a capture
     // holds the probe's own blocks (one staging rule cuts them), so a
     // replay simulates exactly what the live encode would. An uncapped
     // point streams its whole run (hundreds of MB a point) and replays
     // no faster than it re-encodes, so it is never captured; the result
     // store still serves and saves it.
-    if (!opts_.useCache || spec.maxTraceOps == 0) {
+    // An encode-only point has no core to feed, so it has no trace to
+    // write either.
+    if (!opts_.useCache || spec.maxTraceOps == 0 || spec.encodeOnly) {
         return executeDirect(spec);
     }
 
@@ -188,14 +183,21 @@ Orchestrator::executeDirect(const JobSpec &spec)
     const encoders::EncoderModel &encoder = *encoders_.at(spec.encoder);
     std::shared_ptr<const video::Video> clip = acquireClip(spec);
     encoderRuns_.fetch_add(1, std::memory_order_relaxed);
-    core::SweepPoint point = core::runPoint(encoder, *clip, spec.crf,
-                                            spec.preset, spec.toRunScale());
+    JobResult result;
+    if (spec.encodeOnly) {
+        encoders::EncodeParams params;
+        params.crf = spec.crf;
+        params.preset = spec.preset;
+        fillEncodeSummary(result, encoder.encode(*clip, params, {},
+                                                 /*build_tasks=*/true));
+    } else {
+        core::SweepPoint point = core::runPoint(
+            encoder, *clip, spec.crf, spec.preset, spec.toRunScale());
+        fillEncodeSummary(result, point.encode);
+        result.core = point.core;
+    }
     clip.reset();
     releaseClip(spec);
-
-    JobResult result;
-    fillEncodeSummary(result, point.encode);
-    result.core = point.core;
     return result;
 }
 

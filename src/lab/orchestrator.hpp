@@ -46,9 +46,9 @@ struct OrchestratorOptions {
      * re-running the encoder when the same encode is requested again
      * (possibly on a different backend). Replays are
      * bit-identical to the live fused pipeline, so the trace cache
-     * changes wall-clock only, never results. Uncapped points
-     * (maxTraceOps 0) are never captured. false (--no-cache) recomputes
-     * every point live; fresh results are still saved.
+     * changes wall-clock only, never results. Uncapped and
+     * encode-only points are never captured. false (--no-cache)
+     * recomputes every point live; fresh results are still saved.
      */
     bool useCache = true;
     std::string storeDir = ".vepro-lab";
@@ -141,7 +141,8 @@ class Orchestrator
 
     JobResult execute(const JobSpec &spec);
     /** The --no-cache path: live encode fused with the core model
-     *  (runPoint), no trace written or read. */
+     *  (runPoint), no trace written or read. An encode-only point
+     *  always comes here and runs the mix-only encode alone. */
     JobResult executeDirect(const JobSpec &spec);
     /** Replay an on-disk trace through the spec's core model
      *  (core::simulate on its backend); the encode summary comes from

@@ -12,7 +12,6 @@
 #include <unistd.h>
 #endif
 
-#include "backend/profile.hpp"
 #include "lab/json.hpp"
 
 namespace vepro::lab
@@ -23,6 +22,9 @@ namespace fs = std::filesystem;
 namespace
 {
 
+/** Every field of the canonical key, by the key's own rules (the
+ *  backend, the rung and the encode-only marker only when they enter
+ *  it), so the echo names the same point as the record's key. */
 JsonValue
 specToJson(const JobSpec &spec)
 {
@@ -31,15 +33,19 @@ specToJson(const JobSpec &spec)
         .set("video", JsonValue::str(spec.video))
         .set("crf", JsonValue::number(spec.crf))
         .set("preset", JsonValue::number(spec.preset))
-        .set("threads", JsonValue::number(spec.threads))
+        .set("threads", JsonValue::number(1))
         .set("divisor", JsonValue::number(spec.divisor))
         .set("frames", JsonValue::number(spec.frames))
-        .set("maxTraceOps", JsonValue::number(spec.maxTraceOps));
-    // Echoed only when it is part of the identity (the canonical key
-    // carries the same rule), so default-backend records keep the exact
-    // pre-backend byte layout.
-    if (!spec.backend.empty() && spec.backend != backend::kDefaultProfile) {
+        .set("maxTraceOps",
+             JsonValue::number(spec.encodeOnly ? 0 : spec.maxTraceOps));
+    if (spec.keysBackend()) {
         obj.set("backend", JsonValue::str(spec.backend));
+    }
+    if (spec.scale != 1) {
+        obj.set("scale", JsonValue::number(spec.scale));
+    }
+    if (spec.encodeOnly) {
+        obj.set("encodeOnly", JsonValue::number(1));
     }
     return obj;
 }
@@ -52,21 +58,22 @@ fieldsToJson(const T &s, JsonValue &obj)
 {
     T::forEachField(
         [&](const char *name, const auto &v) {
-            if constexpr (std::is_same_v<std::remove_cvref_t<decltype(v)>,
-                                         std::vector<uint64_t>>) {
+            if constexpr (std::is_arithmetic_v<
+                              std::remove_cvref_t<decltype(v)>>) {
+                obj.set(name, JsonValue::number(v));
+            } else {
                 JsonValue array = JsonValue::array();
                 for (uint64_t item : v) {
                     array.push(JsonValue::number(item));
                 }
                 obj.set(name, std::move(array));
-            } else {
-                obj.set(name, JsonValue::number(v));
             }
         },
         s);
 }
 
-/** Read every field fieldsToJson wrote. @throws JsonError. */
+/** Read every field fieldsToJson wrote; a fixed-size list must hold
+ *  exactly its size. @throws JsonError. */
 template <class T>
 T
 fieldsFromJson(const JsonValue &obj)
@@ -80,8 +87,17 @@ fieldsFromJson(const JsonValue &obj)
             } else if constexpr (std::is_same_v<V, uint64_t>) {
                 v = obj.at(name).asU64();
             } else {
-                for (const JsonValue &item : obj.at(name).items()) {
-                    v.push_back(item.asU64());
+                const std::vector<JsonValue> &items = obj.at(name).items();
+                if constexpr (std::is_same_v<V, std::vector<uint64_t>>) {
+                    v.resize(items.size());
+                } else if (items.size() != v.size()) {
+                    throw JsonError(std::string(name) + " holds " +
+                                    std::to_string(items.size()) +
+                                    " entries, not " +
+                                    std::to_string(v.size()));
+                }
+                for (size_t i = 0; i < v.size(); ++i) {
+                    v[i] = items[i].asU64();
                 }
             }
         },

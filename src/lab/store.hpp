@@ -22,6 +22,7 @@
 
 #include "lab/jobspec.hpp"
 #include "lab/progress.hpp"
+#include "trace/probe.hpp"
 #include "uarch/core.hpp"
 
 namespace vepro::lab
@@ -41,13 +42,16 @@ struct EncodeSummary {
      * every core count past T from the last entry).
      */
     std::vector<uint64_t> makespans;
+    /** The whole run's op mix (Table 2, Fig 3), a list of
+     *  trace::kNumOpClasses counts in the record. */
+    trace::MixCounters mix;
 
     /**
      * The one list of fields, in the record's order and spelling:
      * calls f(name, s.field...) once per field, passing that field of
      * every EncodeSummary in @p s (const or mutable). The field types
-     * differ (double, uint64_t or a list of uint64_t), so @p f is
-     * generic.
+     * differ (double, uint64_t, or a list of uint64_t: a vector, or
+     * the mix's fixed-size array), so @p f is generic.
      */
     template <class F, class... S>
     static void
@@ -59,6 +63,7 @@ struct EncodeSummary {
         f("psnrDb", s.psnrDb...);
         f("droppedOps", s.droppedOps...);
         f("makespans", s.makespans...);
+        f("mix", s.mix.byClass...);
     }
 
     bool operator==(const EncodeSummary &) const = default;
@@ -66,7 +71,8 @@ struct EncodeSummary {
 
 // A field added to EncodeSummary but not to forEachField fails here.
 static_assert(sizeof(EncodeSummary) ==
-                  5 * sizeof(uint64_t) + sizeof(std::vector<uint64_t>),
+                  5 * sizeof(uint64_t) + sizeof(std::vector<uint64_t>) +
+                      sizeof(trace::MixCounters),
               "EncodeSummary::forEachField must list every field");
 
 class JsonValue;

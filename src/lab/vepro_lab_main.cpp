@@ -1,14 +1,15 @@
 /**
  * @file
- * `vepro-lab` — regenerate any subset of the paper's figures in one
- * invocation (`vepro-lab --figures=4,5,6,7,11 --jobs=4`), backed by the
- * persistent experiment store (flags: lab::labFlags, or `--help`).
+ * `vepro-lab` — regenerate any subset of the paper's tables and figures
+ * in one invocation (`vepro-lab --figures=t1,t2,1,2,3,4,5,6,7,11 --jobs=4`),
+ * backed by the persistent experiment store (flags: lab::labFlags, or
+ * `--help`).
  *
  * Overlapping sweep points across the requested figures run once;
  * everything already in the store is a cache hit. Each figure's tables
  * print as markdown on stdout and land as a JSON artifact in --out
- * (default vepro-lab-out/), byte-identical across re-runs of the same
- * configuration.
+ * (default vepro-lab-out/: fig04.json, table1.json, ...),
+ * byte-identical across re-runs of the same configuration.
  *
  * `vepro-lab --ladder` runs the per-title ABR ladder instead (see
  * src/ladder): every clip × {1/1, 1/2, 1/4} × CRF grid cache-first,
@@ -83,8 +84,12 @@ runFigureList(lab::Orchestrator &orch, const lab::LabCli &cli)
         }
         std::printf("\n%s\n", fig.expectedShape.c_str());
 
-        // One artifact per figure: every table, keyed by slug.
-        std::string json = "{\n  \"figure\": " + std::to_string(fig.id) +
+        // One artifact per figure: every table, keyed by slug, under
+        // "figure": 4 or, for a table's id t1, "table": 1.
+        const bool table = fig.id.front() == 't';
+        std::string json = std::string("{\n  \"") +
+                           (table ? "table" : "figure") +
+                           "\": " + fig.id.substr(table ? 1 : 0) +
                            ",\n  \"tables\": {";
         for (size_t i = 0; i < fig.tables.size(); ++i) {
             json += (i ? ",\n    \"" : "\n    \"") + fig.tables[i].slug +

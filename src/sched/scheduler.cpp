@@ -138,4 +138,12 @@ makespanAt(const std::vector<uint64_t> &curve, int cores)
     return curve[std::min(static_cast<size_t>(cores), curve.size()) - 1];
 }
 
+double
+speedupAt(const std::vector<uint64_t> &curve, int cores)
+{
+    ScheduleResult wide;
+    wide.makespan = makespanAt(curve, cores);
+    return wide.speedupVs(makespanAt(curve, 1));
+}
+
 } // namespace vepro::sched

@@ -72,6 +72,12 @@ std::vector<uint64_t> makespanCurve(const TaskGraph &graph);
  */
 uint64_t makespanAt(const std::vector<uint64_t> &curve, int cores);
 
+/**
+ * makespan(1) / makespan(@p cores) read off a makespanCurve: the
+ * division ScheduleResult::speedupVs makes. @throws as makespanAt.
+ */
+double speedupAt(const std::vector<uint64_t> &curve, int cores);
+
 } // namespace vepro::sched
 
 #endif // VEPRO_SCHED_SCHEDULER_HPP

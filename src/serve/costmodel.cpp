@@ -186,9 +186,7 @@ CostModel::resolveOn(const std::vector<std::string> &backends,
                                      p.key);
         }
         const int cores = effectiveCores(p.backend);
-        sched::ScheduleResult wide;
-        wide.makespan = sched::makespanAt(makespans, cores);
-        const double up = wide.speedupVs(sched::makespanAt(makespans, 1));
+        const double up = sched::speedupAt(makespans, cores);
         speedups_.emplace(speedupKey(p.preset, cores), up > 1.0 ? up : 1.0);
     }
     for (const Pending &p : pending) {

@@ -62,6 +62,7 @@ struct MixCounters {
     double categoryPercent(MixCategory cat) const;
 
     MixCounters &operator+=(const MixCounters &other);
+    bool operator==(const MixCounters &) const = default;
 };
 
 /**

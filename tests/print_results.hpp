@@ -11,7 +11,7 @@
 
 #include <cstdint>
 #include <ostream>
-#include <vector>
+#include <type_traits>
 
 #include "lab/store.hpp"
 #include "uarch/core.hpp"
@@ -19,22 +19,21 @@
 namespace vepro::test
 {
 
+/** A number, or a list: the makespan vector or the mix's array. */
 template <class V>
 void
 printField(const V &v, std::ostream *os)
 {
-    *os << v;
-}
-
-inline void
-printField(const std::vector<uint64_t> &list, std::ostream *os)
-{
-    const char *sep = "[";
-    for (uint64_t v : list) {
-        *os << sep << v;
-        sep = ", ";
+    if constexpr (std::is_arithmetic_v<V>) {
+        *os << v;
+    } else {
+        const char *sep = "[";
+        for (uint64_t item : v) {
+            *os << sep << item;
+            sep = ", ";
+        }
+        *os << (v.empty() ? "[]" : "]");
     }
-    *os << (list.empty() ? "[]" : "]");
 }
 
 template <class T>

@@ -164,8 +164,7 @@ benchReads(const std::string &bench)
     if (bench.find("_cbp_") != std::string::npos) {
         return {"quick", "full", "videos", "jobs"};
     }
-    if (bench == "bench_fig03_opmix" || bench == "bench_table2_instmix" ||
-        bench == "bench_ablation_bpred_zoo") {
+    if (bench == "bench_ablation_bpred_zoo") {
         return {"quick", "full", "videos"};
     }
     if (bench == "bench_fig16_topdown_threads") {
@@ -195,7 +194,7 @@ labLine(const std::vector<std::string> &args)
     try {
         const lab::LabCli cli = parseLab(args);
         Fields f;
-        f.add("figures", cli.figures, std::vector<int>{})
+        f.add("figures", cli.figures, std::vector<std::string>{})
             .add("ladder", cli.ladder, false)
             .add("out", cli.outDir, std::string("vepro-lab-out"));
         if (cli.ladder) {
@@ -279,6 +278,13 @@ pinnedTraffic()
         {"README.md", "vepro-lab", {"--figures=4,5,6,7,11"},
          "figures=[4,5,6,7,11]"},
         {"README.md", "vepro-lab",
+         {"--figures=t1,t2,1,2,3,4,5,6,7,11,12,13,14,15"},
+         "figures=[t1,t2,1,2,3,4,5,6,7,11,12,13,14,15]"},
+        {"README.md", "vepro-lab",
+         {"--figures=t1,t2,1,2,3,4,5,6,7,11,12,13,14,15", "--quick",
+          "--jobs=4", "--out=lab-out"},
+         "figures=[t1,t2,1,2,3,4,5,6,7,11,12,13,14,15] out=lab-out jobs=4"},
+        {"README.md", "vepro-lab",
          {"--figures=4,5,6,7,11", "--quick", "--jobs=4", "--out=lab-out"},
          "figures=[4,5,6,7,11] out=lab-out jobs=4"},
         {"README.md, LADDER_quick.md", "vepro-lab",
@@ -329,6 +335,10 @@ pinnedTraffic()
          "figures=[4] cap=0 videos=[desktop] noCache=1"},
         {"verify notes", "vepro-lab",
          {"--figures=4", "--quick", "--videos=bogus"}, "error"},
+        {"verify notes", "vepro-lab",
+         {"--figures=t1,t2,1,2,3,12,13,14,15", "--quick", "--jobs=3",
+          "--store=.vepro-lab-v"},
+         "figures=[t1,t2,1,2,3,12,13,14,15] jobs=3 store=.vepro-lab-v"},
         {"ledger/README.md", "vepro-lab",
          {"--figures=4", "--quick", "--jobs=3", "--store=st",
           "--videos=desktop,bike,funny,game1,cat,girl,hall,landscape"},
@@ -339,6 +349,11 @@ pinnedTraffic()
          {"--figures=4", "--quick", "--jobs=2", "--store=.vepro-lab-ci",
           "--out=lab-out-1"},
          "figures=[4] out=lab-out-1 jobs=2 store=.vepro-lab-ci"},
+        {"ci.yml", "vepro-lab",
+         {"--figures=t1,t2,1,2,3,12,13,14,15", "--quick", "--jobs=2",
+          "--store=.vepro-lab-ci", "--out=lab-out-mix-1"},
+         "figures=[t1,t2,1,2,3,12,13,14,15] out=lab-out-mix-1 jobs=2 "
+         "store=.vepro-lab-ci"},
         {"ci.yml", "vepro-lab",
          {"--figures=4", "--quick", "--jobs=2", "--backend=graviton-like",
           "--store=.vepro-lab-ci", "--out=lab-out-3"},
@@ -370,6 +385,8 @@ pinnedTraffic()
          "duration=1800"},
         {"ci.yml", "vepro-serve", {"--quick", "--shards", "4"}, "error"},
         {"ci.yml", "vepro-serve",
+         {"--fleet", "--quick", "--backends=xeon-bdw,xeon-bdw"}, "error"},
+        {"ci.yml", "vepro-serve",
          {"--fleet", "--quick", "--jobs=2",
           "--backends=xeon-bdw,graviton-like", "--store=.vepro-serve-ci",
           "--json=serve-fleet-1.json"},
@@ -400,6 +417,9 @@ pinnedTraffic()
 
         {"verify notes", "bench_fig09_cbp_p4c10",
          {"--jobs=2", "--videos=desktop"}, "jobs=2 videos=[desktop]"},
+        {"ci.yml", "bench_fig16_topdown_threads", {"--jobs=abc"}, "error"},
+        {"ci.yml", "bench_fig16_topdown_threads", {"--videos=desktop"},
+         "error"},
     };
     // CI's removed-flag loop.
     for (const char *flag : {"--sim-jobs=2", "--segments=4",
@@ -424,13 +444,10 @@ pinnedTraffic()
                           "--inject=" + fault},
                          "target=" + target + " quick=1 inject=" + fault});
     }
-    // README's `for b in build/bench/*; do $b; done`.
+    // README's `for b in build/bench/bench_fig* ...; do $b; done`.
     for (const char *bench :
-         {"bench_table1_videos", "bench_table2_instmix",
-          "bench_fig01_runtime_vs_crf", "bench_fig02_rd_tradeoff",
-          "bench_fig03_opmix", "bench_fig08_cbp_p8c63",
-          "bench_fig09_cbp_p4c10", "bench_fig10_cbp_p4c60",
-          "bench_fig12_15_threads", "bench_fig16_topdown_threads",
+         {"bench_fig08_cbp_p8c63", "bench_fig09_cbp_p4c10",
+          "bench_fig10_cbp_p4c60", "bench_fig16_topdown_threads",
           "bench_ablation_bpred_zoo", "bench_ablation_uarch_sizing"}) {
         lines.push_back({"README.md", bench, {}, ""});
     }
@@ -440,7 +457,7 @@ pinnedTraffic()
 TEST(CliTraffic, EveryDocumentedCommandLineParsesToItsFields)
 {
     const std::vector<Pinned> lines = pinnedTraffic();
-    EXPECT_EQ(lines.size(), 66u);
+    EXPECT_EQ(lines.size(), 67u);
     for (const Pinned &p : lines) {
         std::string cmd = p.tool;
         for (const std::string &a : p.args) {
@@ -635,6 +652,7 @@ badInputs(const core::Flag &row)
     case FlagKind::List: {
         const std::string item = v.substr(0, v.find(','));
         value(item + ",," + item);
+        value(item + "," + item);  // A repeated item.
         value("," + item);
         value(item + ",");
         break;
@@ -830,6 +848,23 @@ TEST(CliGrammar, EmptyListItemsAreUsageErrors)
                  UsageError);
 }
 
+TEST(CliGrammar, RepeatedListItemsAreUsageErrors)
+{
+    // A repeat would print its rows twice (--videos, --figures) or
+    // double a profile's servers in the fleet's blend (--backends).
+    EXPECT_THROW(parseLab({"--figures=7", "--quick", "--videos=cat,cat"}),
+                 UsageError);
+    EXPECT_THROW(parseLab({"--figures=4,5,4"}), UsageError);
+    EXPECT_NE(serve::parseServeCli(
+                  {"--fleet", "--quick", "--backends=xeon-bdw,xeon-bdw"})
+                  .error.find("--backends repeats 'xeon-bdw'"),
+              std::string::npos);
+    EXPECT_NE(serve::parseServeCli({"--rung-mix=1:20,1:20"})
+                  .error.find("--rung-mix"),
+              std::string::npos);
+    EXPECT_EQ(labLine({"--figures=t1,1"}), "figures=[t1,1]");
+}
+
 TEST(CliGrammar, FlagsTheModeIgnoresAreUsageErrors)
 {
     // vepro-serve: the markdown table and the profile list are the fleet
@@ -862,11 +897,19 @@ TEST(CliGrammar, FlagsTheModeIgnoresAreUsageErrors)
     EXPECT_EQ(checkLine({"--case=c.case", "--quick", "--inject=cache-lru"}),
               "mode=case quick=1 inject=cache-lru case=c.case");
 
-    // vepro-lab: figure 11 runs game1 whatever --videos says.
-    EXPECT_THROW(parseLab({"--figures=11", "--videos=desktop"}),
-                 UsageError);
+    // vepro-lab: Table 1 and figures 1, 2 and 11-15 run fixed clips
+    // whatever --videos says; Table 2 and figures 3-7 read it.
+    for (const char *ids : {"--figures=11", "--figures=t1", "--figures=1",
+                            "--figures=2", "--figures=12,13,14,15"}) {
+        EXPECT_THROW(parseLab({ids, "--videos=desktop"}), UsageError)
+            << ids;
+    }
     EXPECT_EQ(labLine({"--figures=4,11", "--videos=desktop"}),
               "figures=[4,11] videos=[desktop]");
+    EXPECT_EQ(labLine({"--figures=t1,t2", "--videos=desktop"}),
+              "figures=[t1,t2] videos=[desktop]");
+    EXPECT_EQ(labLine({"--figures=3", "--videos=desktop"}),
+              "figures=[3] videos=[desktop]");
     EXPECT_EQ(labLine({"--ladder", "--videos=desktop"}),
               "ladder=1 grid=[20,32,44,56] videos=[desktop]");
     EXPECT_THROW(parseLab({"--ladder", "--figures=4"}), UsageError);
@@ -875,16 +918,17 @@ TEST(CliGrammar, FlagsTheModeIgnoresAreUsageErrors)
     // A bench accepts the RunScale flags its main reads, and no
     // google-benchmark flag.
     for (const char *bench :
-         {"bench_table1_videos", "bench_fig16_topdown_threads",
-          "bench_fig09_cbp_p4c10", "bench_ablation_uarch_sizing"}) {
+         {"bench_fig16_topdown_threads", "bench_fig09_cbp_p4c10",
+          "bench_ablation_uarch_sizing"}) {
         EXPECT_EQ(benchLine(bench, {"--benchmark_filter=x"}), "error");
         EXPECT_EQ(benchLine(bench, {"--store=st"}), "error");
         EXPECT_EQ(benchLine(bench, {"--no-cache"}), "error");
         EXPECT_EQ(benchLine(bench, {"--backend=graviton-like"}), "error");
     }
-    EXPECT_EQ(benchLine("bench_table1_videos", {"--videos=desktop"}),
+    EXPECT_EQ(benchLine("bench_ablation_uarch_sizing", {"--videos=desktop"}),
               "error");
-    EXPECT_EQ(benchLine("bench_table1_videos", {"--jobs=2"}), "error");
+    EXPECT_EQ(benchLine("bench_ablation_uarch_sizing", {"--jobs=2"}),
+              "error");
     EXPECT_EQ(benchLine("bench_fig16_topdown_threads", {"--jobs=2"}),
               "jobs=2");
     EXPECT_EQ(benchLine("bench_fig16_topdown_threads", {"--videos=cat"}),

@@ -27,6 +27,7 @@
 #include "lab/orchestrator.hpp"
 #include "lab/store.hpp"
 #include "print_results.hpp"
+#include "sched/scheduler.hpp"
 #include "trace/probe.hpp"
 #include "trace/trace_io.hpp"
 #include "video/suite.hpp"
@@ -56,7 +57,6 @@ makeSpec(int crf = 30)
     spec.video = "game1";
     spec.crf = crf;
     spec.preset = 4;
-    spec.threads = 1;
     spec.divisor = 8;
     spec.frames = 6;
     spec.maxTraceOps = 1'200'000;
@@ -93,6 +93,9 @@ makeResult(int crf)
     r.core.llcMisses = 50;
     r.core.invalidations = 60;
     r.encode.makespans = {3'000'030, 1'800'000, 1'600'000};
+    for (int c = 0; c < trace::kNumOpClasses; ++c) {
+        r.encode.mix.byClass[c] = 100u * static_cast<uint64_t>(c + 1);
+    }
     r.jobSeconds = 2.5;
     return r;
 }
@@ -178,7 +181,7 @@ TEST(JobSpecHash, IndependentOfFieldAssignmentOrder)
     a.maxTraceOps = 99;
     a.frames = 3;
     a.divisor = 16;
-    a.threads = 2;
+    a.encodeOnly = true;
     a.preset = 6;
     a.crf = 45;
     a.video = "cat";
@@ -189,7 +192,7 @@ TEST(JobSpecHash, IndependentOfFieldAssignmentOrder)
     b.video = "cat";
     b.crf = 45;
     b.preset = 6;
-    b.threads = 2;
+    b.encodeOnly = true;
     b.divisor = 16;
     b.frames = 3;
     b.maxTraceOps = 99;
@@ -225,7 +228,7 @@ TEST(JobSpecHash, EveryFieldChangesTheHash)
     v.preset = 5;
     EXPECT_NE(v.hash(), base.hash());
     v = base;
-    v.threads = 2;
+    v.encodeOnly = true;
     EXPECT_NE(v.hash(), base.hash());
     v = base;
     v.divisor = 4;
@@ -254,7 +257,33 @@ TEST(JobSpecHash, OneFnv1a64PinsEveryKey)
     EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
     EXPECT_EQ(core::fnv1a64("b", core::fnv1a64("a")), fnv1a64("ab"));
     EXPECT_EQ(trace::sitePc("vepro.default"), 0x211ea5ba5000ULL);
-    EXPECT_EQ(makeSpec().hashHex(), "f1c25ceabf2a0ded");
+    EXPECT_EQ(makeSpec().hashHex(), "2d36c42ff0bbb9c2");
+}
+
+TEST(JobSpecHash, EncodeOnlyMarkerEntersTheKeyOnlyWhenSet)
+{
+    // Unset, the marker is absent: every existing key stays byte-equal.
+    EXPECT_EQ(JobSpec{}.canonicalKey(),
+              "encoder=SVT-AV1;video=;crf=32;preset=4;threads=1;"
+              "divisor=8;frames=6;maxTraceOps=1200000");
+
+    // Set, the record depends on neither the op cap nor the machine, so
+    // neither reaches the key; the rung still does.
+    JobSpec mix = makeSpec();
+    mix.encodeOnly = true;
+    EXPECT_EQ(mix.canonicalKey(),
+              "encoder=SVT-AV1;video=game1;crf=30;preset=4;threads=1;"
+              "divisor=8;frames=6;maxTraceOps=0;encodeOnly=1");
+    JobSpec other = mix;
+    other.maxTraceOps = 0;
+    other.backend = "graviton-like";
+    EXPECT_EQ(other.canonicalKey(), mix.canonicalKey());
+    EXPECT_EQ(other.label(), mix.label());
+    EXPECT_NE(mix.label().find("encode-only"), std::string::npos);
+    other.scale = 2;
+    EXPECT_EQ(other.canonicalKey(),
+              "encoder=SVT-AV1;video=game1;crf=30;preset=4;threads=1;"
+              "divisor=8;frames=6;maxTraceOps=0;scale=2;encodeOnly=1");
 }
 
 TEST(Json, U64RoundTripsExactly)
@@ -330,7 +359,7 @@ TEST(Store, RecordBytesArePinned)
     std::ostringstream bytes;
     bytes << in.rdbuf();
     EXPECT_EQ(bytes.str(), R"({
-  "schema": 3,
+  "schema": 4,
   "key": "encoder=SVT-AV1;video=game1;crf=30;preset=4;threads=1;divisor=8;frames=6;maxTraceOps=1200000",
   "spec": {
     "encoder": "SVT-AV1",
@@ -352,6 +381,21 @@ TEST(Store, RecordBytesArePinned)
       3000030,
       1800000,
       1600000
+    ],
+    "mix": [
+      100,
+      200,
+      300,
+      400,
+      500,
+      600,
+      700,
+      800,
+      900,
+      1000,
+      1100,
+      1200,
+      1300
     ],
     "core": {
       "cycles": 500030,
@@ -381,26 +425,27 @@ TEST(Store, RecordBytesArePinned)
 )");
 }
 
-/** Writing field i as i + 1 through the visitor (the makespan list as
- *  the one entry i + 1) and reading it back through the JSON pair
- *  yields 6 distinct values under 6 distinct names: no field is listed
- *  twice, none is skipped. */
+/** Writing field i as i + 1 through the visitor (every entry of a list
+ *  as i + 1, the makespan list with one entry) and reading it back
+ *  through the JSON pair yields 7 distinct values under 7 distinct
+ *  names: no field is listed twice, none is skipped. */
 TEST(Store, SummaryVisitorReachesEveryFieldOnce)
 {
-    using List = std::vector<uint64_t>;
     EncodeSummary s;
     int next = 0;
     EncodeSummary::forEachField(
         [&](const char *, auto &v) {
-            if constexpr (std::is_same_v<std::remove_cvref_t<decltype(v)>,
-                                         List>) {
+            using V = std::remove_cvref_t<decltype(v)>;
+            if constexpr (std::is_same_v<V, std::vector<uint64_t>>) {
                 v.assign(1, static_cast<uint64_t>(++next));
-            } else {
+            } else if constexpr (std::is_arithmetic_v<V>) {
                 v = ++next;
+            } else {
+                v.fill(static_cast<uint64_t>(++next));
             }
         },
         s);
-    ASSERT_EQ(next, 6);
+    ASSERT_EQ(next, 7);
 
     JsonValue obj = JsonValue::object();
     summaryToJson(s, obj);
@@ -409,11 +454,13 @@ TEST(Store, SummaryVisitorReachesEveryFieldOnce)
     EncodeSummary::forEachField(
         [&](const char *name, const auto &v) {
             ++i;
-            if constexpr (std::is_same_v<std::remove_cvref_t<decltype(v)>,
-                                         List>) {
-                EXPECT_EQ(v, List{static_cast<uint64_t>(i)}) << name;
-                ASSERT_EQ(obj.at(name).items().size(), 1u) << name;
-                EXPECT_EQ(obj.at(name).items()[0].asDouble(), i) << name;
+            if constexpr (!std::is_arithmetic_v<
+                              std::remove_cvref_t<decltype(v)>>) {
+                ASSERT_EQ(obj.at(name).items().size(), v.size()) << name;
+                for (size_t k = 0; k < v.size(); ++k) {
+                    EXPECT_EQ(v[k], static_cast<uint64_t>(i)) << name;
+                    EXPECT_EQ(obj.at(name).items()[k].asDouble(), i) << name;
+                }
             } else {
                 EXPECT_EQ(static_cast<int>(v), i) << name;
                 EXPECT_EQ(obj.at(name).asDouble(), i) << name;
@@ -424,6 +471,70 @@ TEST(Store, SummaryVisitorReachesEveryFieldOnce)
     std::sort(names.begin(), names.end());
     EXPECT_EQ(std::unique(names.begin(), names.end()), names.end());
     EXPECT_EQ(summaryFromJson(obj), s);
+}
+
+/** A mix list of the wrong length is a corrupt record, not a short
+ *  mix. */
+TEST(Store, MixOfTheWrongLengthIsAMiss)
+{
+    ResultStore store(freshDir("mixlen"), nullptr);
+    const JobSpec spec = makeSpec();
+    store.save(spec, makeResult(spec.crf));
+    std::ifstream in(store.pathFor(spec), std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    in.close();
+    std::string text = bytes.str();
+    const size_t cut = text.find(",\n      1300");
+    ASSERT_NE(cut, std::string::npos);
+    text.erase(cut, std::string(",\n      1300").size());
+    std::ofstream(store.pathFor(spec), std::ios::binary | std::ios::trunc)
+        << text;
+    EXPECT_FALSE(store.load(spec).has_value());
+}
+
+/** The record's "spec" object names the point its "key" names: a spec
+ *  rebuilt from the echo alone has the record's canonical key, for the
+ *  default point, a backend, a ladder rung and an encode-only point. */
+TEST(Store, SpecEchoRebuildsTheKey)
+{
+    ResultStore store(freshDir("echo"), nullptr);
+    JobSpec arm = makeSpec();
+    arm.backend = "graviton-like";
+    JobSpec rung = makeSpec();
+    rung.scale = 4;
+    JobSpec mix = makeSpec();
+    mix.encodeOnly = true;
+    mix.backend = "graviton-like";  // Not part of an encode-only key.
+    for (const JobSpec &spec : {makeSpec(), arm, rung, mix}) {
+        store.save(spec, makeResult(spec.crf));
+        std::ifstream in(store.pathFor(spec), std::ios::binary);
+        std::ostringstream bytes;
+        bytes << in.rdbuf();
+        const JsonValue root = JsonValue::parse(bytes.str());
+        const JsonValue &echo = root.at("spec");
+
+        JobSpec rebuilt;
+        rebuilt.encoder = echo.at("encoder").asString();
+        rebuilt.video = echo.at("video").asString();
+        rebuilt.crf = echo.at("crf").asInt();
+        rebuilt.preset = echo.at("preset").asInt();
+        EXPECT_EQ(echo.at("threads").asInt(), 1);
+        rebuilt.divisor = echo.at("divisor").asInt();
+        rebuilt.frames = echo.at("frames").asInt();
+        rebuilt.maxTraceOps = echo.at("maxTraceOps").asU64();
+        if (const JsonValue *backend = echo.find("backend")) {
+            rebuilt.backend = backend->asString();
+        }
+        if (const JsonValue *scale = echo.find("scale")) {
+            rebuilt.scale = scale->asInt();
+        }
+        if (const JsonValue *marker = echo.find("encodeOnly")) {
+            rebuilt.encodeOnly = marker->asInt() == 1;
+        }
+        EXPECT_EQ(rebuilt.canonicalKey(), root.at("key").asString());
+        EXPECT_EQ(root.at("key").asString(), spec.canonicalKey());
+    }
 }
 
 TEST(Store, MissingEntryIsAQuietMiss)
@@ -925,7 +1036,6 @@ TEST(TraceKey, ExcludesSimulationSideFields)
              [](JobSpec &s) { s.video = "sport1"; },
              [](JobSpec &s) { s.crf = 33; },
              [](JobSpec &s) { s.preset = 7; },
-             [](JobSpec &s) { s.threads = 4; },
              [](JobSpec &s) { s.divisor = 8; },
              [](JobSpec &s) { s.frames = 3; },
              [](JobSpec &s) { s.maxTraceOps = 100'000; }}) {
@@ -1010,7 +1120,8 @@ TEST(TraceCacheE2E, CaptureMetadataListsKeyThenSummaryFields)
         std::regex(R"(\{"traceKey":"[^"]*","wallSeconds":[^,]+,)"
                    R"("instructions":[0-9]+,"bitrateKbps":[^,]+,)"
                    R"("psnrDb":[^,]+,"droppedOps":[0-9]+,)"
-                   R"("makespans":\[[0-9]+(,[0-9]+)*\]\})")))
+                   R"("makespans":\[[0-9]+(,[0-9]+)*\],)"
+                   R"("mix":\[[0-9]+(,[0-9]+){12}\]\})")))
         << info.metadata;
     const JsonValue meta = JsonValue::parse(info.metadata);
     EXPECT_EQ(meta.at("traceKey").asString(), quickSpec().traceKey());
@@ -1157,18 +1268,66 @@ TEST(TraceCacheE2E, UncappedAndNoCacheSpecsBypassTheCache)
     }
 }
 
+/** An encode-only point runs one mix-only encode with its task graph:
+ *  its summary is a direct encode(..., {}, true)'s, its CoreStats stay
+ *  zero and it writes no trace, with the cache or without. Its key
+ *  holds neither the op cap nor the backend, so a spec that differs in
+ *  those alone resolves from the same record. */
+TEST(TraceCacheE2E, EncodeOnlyPointRunsOneMixOnlyEncode)
+{
+    JobSpec spec = quickSpec();
+    spec.encodeOnly = true;
+    const video::Video clip =
+        video::loadSuiteVideo(spec.video, spec.toRunScale().suite);
+    encoders::EncodeParams params;
+    params.crf = spec.crf;
+    params.preset = spec.preset;
+    const encoders::EncodeResult direct =
+        encoders::encoderByName(spec.encoder)
+            ->encode(clip, params, {}, /*build_tasks=*/true);
+
+    const std::string cached = freshDir("tmix");
+    for (const std::string &dir : {cached, freshDir("tmix_nocache")}) {
+        OrchestratorOptions opts = realRunnerOptions(dir);
+        opts.useCache = dir == cached;
+        Orchestrator orch(opts);
+        const size_t h = orch.request(spec);
+        orch.run();
+        EXPECT_EQ(orch.traceLine(), "encoder invoked 1 times (0 trace "
+                                    "captures, 0 trace replays)");
+        EXPECT_FALSE(fs::exists(dir + "/traces"));
+        const JobResult &r = orch.result(h);
+        EXPECT_EQ(r.encode.instructions, direct.instructions);
+        EXPECT_EQ(r.encode.bitrateKbps, direct.bitrateKbps);
+        EXPECT_EQ(r.encode.psnrDb, direct.psnrDb);
+        EXPECT_EQ(r.encode.droppedOps, 0u);
+        EXPECT_EQ(r.encode.mix, direct.mix);
+        EXPECT_EQ(r.encode.makespans, sched::makespanCurve(direct.taskGraph));
+        EXPECT_EQ(r.core, uarch::CoreStats{});
+    }
+
+    JobSpec other = spec;
+    other.maxTraceOps = 0;
+    other.backend = "graviton-like";
+    Orchestrator warm(realRunnerOptions(cached));
+    warm.request(other);
+    warm.run();
+    EXPECT_EQ(warm.cacheHits(), 1u);
+    EXPECT_EQ(warm.encoderRuns(), 0u);
+}
+
 TEST(Figures, UnsupportedIdRejected)
 {
     std::atomic<size_t> calls{0};
     Orchestrator orch(fakeRunnerOptions(freshDir("figbad"), calls));
-    EXPECT_THROW(runFigures({99}, core::RunScale{}, orch),
+    EXPECT_THROW(runFigures({"99"}, core::RunScale{}, orch),
                  std::invalid_argument);
     EXPECT_EQ(orch.requested(), 0u);
 }
 
 TEST(Figures, SharedSweepPointsDedupeAcrossFigures)
 {
-    // Figures 4-7 all consume the same 5-clip x 6-CRF sweep, fig 11
+    // Figures 3-7 all consume the same 5-clip x 6-CRF sweep, fig 11
     // adds 9 presets of which (preset 4, crf 30, game1) overlaps the
     // sweep: 30 + 9 - 1 unique jobs.
     std::atomic<size_t> calls{0};
@@ -1176,16 +1335,111 @@ TEST(Figures, SharedSweepPointsDedupeAcrossFigures)
     scale.suite.divisor = 8;
     scale.suite.frames = 6;
     Orchestrator orch(fakeRunnerOptions(freshDir("figdedupe"), calls));
-    auto figures = runFigures({4, 5, 6, 7, 11}, scale, orch);
+    auto figures = runFigures({"3", "4", "5", "6", "7", "11"}, scale, orch);
     EXPECT_EQ(orch.requested(), 38u);
     EXPECT_EQ(calls.load(), 38u);
-    ASSERT_EQ(figures.size(), 5u);
-    EXPECT_EQ(figures[0].id, 4);
-    EXPECT_EQ(figures[4].id, 11);
-    EXPECT_EQ(figures[0].tables.size(), 1u);
-    EXPECT_EQ(figures[2].tables.size(), 2u);  // Fig 6: MPKI + stalls.
+    ASSERT_EQ(figures.size(), 6u);
+    EXPECT_EQ(figures[0].id, "3");
+    EXPECT_EQ(figures[1].slug, "fig04");
+    EXPECT_EQ(figures[5].id, "11");
+    EXPECT_EQ(figures[1].tables.size(), 1u);
+    EXPECT_EQ(figures[3].tables.size(), 2u);  // Fig 6: MPKI + stalls.
     EXPECT_EQ(figures[0].tables[0].table.rowCount(), 30u);
-    EXPECT_EQ(figures[4].tables[0].table.rowCount(), 9u);
+    EXPECT_EQ(figures[1].tables[0].table.rowCount(), 30u);
+    EXPECT_EQ(figures[5].tables[0].table.rowCount(), 9u);
+}
+
+/** The rows that need no core simulation request the points the bench
+ *  loops ran, every one encode-only: Table 2's 15 clips, fig 1's 5
+ *  encoders x 6 CRFs, fig 2's 20 + 7 points less the 2 that 2a and 2b
+ *  share, and figs 12-15's 3 shared encodes plus 4 x264 points. Table
+ *  1 measures its clips itself and requests nothing. */
+TEST(Figures, EncodeOnlyRowsRequestTheBenchLoopsPoints)
+{
+    std::atomic<size_t> calls{0};
+    std::atomic<size_t> simulated{0};
+    OrchestratorOptions opts = fakeRunnerOptions(freshDir("figmix"), calls);
+    opts.runner = [&](const JobSpec &spec) {
+        calls.fetch_add(1);
+        simulated.fetch_add(spec.encodeOnly ? 0 : 1);
+        JobResult r;  // Fig 2a's BD-rate needs an RD curve.
+        r.encode.bitrateKbps = 8000.0 / (spec.crf + 1);
+        r.encode.psnrDb = 60.0 - spec.crf / 2.0;
+        r.encode.makespans = {2, 1};
+        return r;
+    };
+    Orchestrator orch(opts);
+    const auto figures = runFigures(
+        {"t1", "t2", "1", "2", "12", "13", "14", "15"}, core::RunScale{},
+        orch);
+    EXPECT_EQ(orch.requested(), 15u + 30u + 25u + 7u);
+    EXPECT_EQ(simulated.load(), 0u);
+    ASSERT_EQ(figures.size(), 8u);
+    EXPECT_EQ(figures[0].slug, "table1");
+    EXPECT_EQ(figures[0].tables[0].table.rowCount(), 15u);
+    EXPECT_EQ(figures[1].slug, "table2");
+    EXPECT_EQ(figures[2].tables[1].table.rowCount(), 5u);   // Fig 1 insts.
+    EXPECT_EQ(figures[3].tables[0].table.rowCount(), 5u);   // Fig 2a.
+    EXPECT_EQ(figures[3].tables[1].table.rowCount(), 7u);   // Fig 2b.
+    EXPECT_EQ(figures[7].slug, "fig15");
+    EXPECT_EQ(figures[7].tables[0].caption,
+              "Fig 15 (x264 preset 5, CRF 30): speedup vs simulated thread "
+              "count (game1)");
+}
+
+/** Table 2, fig 3 and fig 12 print what the records hold: a mix with
+ *  known shares prints those percents, and a makespan curve that halves
+ *  on two cores (a two-task graph) prints a 2.00 speedup from 2 cores
+ *  on. */
+TEST(Figures, MixAndSpeedupRowsRenderTheRecord)
+{
+    std::atomic<size_t> calls{0};
+    OrchestratorOptions opts = fakeRunnerOptions(freshDir("figrender"), calls);
+    opts.runner = [](const JobSpec &) {
+        JobResult r;
+        r.encode.instructions = 1'700'000'000;
+        r.encode.wallSeconds = 2.0;
+        r.encode.makespans = {1'600, 800};
+        auto at = [&r](trace::OpClass c) -> uint64_t & {
+            return r.encode.mix.byClass[static_cast<int>(c)];
+        };
+        at(trace::OpClass::BranchCond) = 60;    // Branch 10 %
+        at(trace::OpClass::BranchUncond) = 40;
+        at(trace::OpClass::Load) = 200;         // Load 20 %
+        at(trace::OpClass::Store) = 300;        // Store 30 %
+        at(trace::OpClass::SimdAlu) = 200;      // AVX 25 %
+        at(trace::OpClass::SimdLoad) = 50;
+        at(trace::OpClass::SseAlu) = 50;        // SSE 5 %
+        at(trace::OpClass::Alu) = 100;          // Other 10 %
+        return r;
+    };
+    Orchestrator orch(opts);
+    core::RunScale scale;
+    scale.videos = {"cat"};
+    const auto figures = runFigures({"t2", "3", "12"}, scale, orch);
+    ASSERT_EQ(figures.size(), 3u);
+    const std::string shares = R"("Branch": "10.0", "Load": "20.0", )"
+                               R"("Store": "30.0", "AVX": "25.0", )"
+                               R"("SSE": "5.0", "Other": "10.0"})";
+    EXPECT_NE(figures[0].tables[0].table.toJson().find(
+                  R"({"Video": "cat", "# Insts.": "1.7E+09", )" + shares),
+              std::string::npos)
+        << figures[0].tables[0].table.toJson();
+    EXPECT_NE(figures[1].tables[0].table.toJson().find(
+                  R"({"Video": "cat", "CRF": "60", )" + shares),
+              std::string::npos)
+        << figures[1].tables[0].table.toJson();
+
+    const std::string speedup = figures[2].tables[0].table.toJson();
+    EXPECT_EQ(figures[2].tables[0].table.rowCount(), 4u);
+    for (const char *encoder : {"SVT-AV1", "Libaom", "x265", "x264"}) {
+        EXPECT_NE(speedup.find(std::string(R"({"Encoder": ")") + encoder +
+                               R"(", "1T": "1.00", "2T": "2.00", )"
+                               R"("3T": "2.00", "4T": "2.00", "5T": "2.00", )"
+                               R"("6T": "2.00", "7T": "2.00", "8T": "2.00")"),
+                  std::string::npos)
+            << speedup;
+    }
 }
 
 } // namespace
